@@ -306,7 +306,9 @@ func Run(job Job) *Result {
 	}
 
 	// Watchdog: fast deadlock detection plus a wall-clock fallback.
+	watchdogGone := make(chan struct{})
 	go func() {
+		defer close(watchdogGone)
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
 		deadline := time.After(job.WallLimit)
@@ -382,6 +384,10 @@ func Run(job Job) *Result {
 
 	wg.Wait()
 	close(done)
+	// With the ranks and the watchdog (the only reader of queue depths)
+	// joined, the inboxes can serve the next job.
+	<-watchdogGone
+	world.Release()
 
 	for r := 0; r < job.Size; r++ {
 		m := machines[r]

@@ -1,0 +1,65 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"mpifault/internal/apps"
+	"mpifault/internal/cluster"
+	"mpifault/internal/mpi"
+)
+
+// TestRestoredJobAllocation is the allocation gate of the paged guest
+// memory and the recycled inboxes: a 16-rank minicam job restored from a
+// mid-run checkpoint and run to completion — one experiment of the
+// benchmark's msg_comm16 workload without its fault — must allocate less
+// than a quarter of the ≈ 9.7 MB it did when every restored rank zeroed a
+// 256 KiB stack, copied its grown heap, BSS and data on their first store
+// and got a fresh 96 KiB inbox.
+func TestRestoredJobAllocation(t *testing.T) {
+	a, err := apps.Get("minicam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := a.Default
+	build.Ranks, build.Scale = 16, 16
+	im, err := a.Build(build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{Image: im, Ranks: 16, WallLimit: 30 * time.Second,
+		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: DefaultMaxCheckpoints}
+	rec := mpi.NewCausalityRecorder()
+	golden, err := runGolden(im, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit, rec, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := buildCheckpoints(cfg, golden, rec.Events())
+	if cs.Len() == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: cfg.WallLimit, Restore: cs.snaps[cs.Len()/2]}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := cluster.Run(job)
+		runtime.ReadMemStats(&after)
+		if !matchesGolden(res, golden) {
+			t.Fatalf("restored job diverged from the golden run: %s", res.FailureSummary())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // the first job fills the inbox pool, as the first of a campaign does
+	// Best of four: under the race detector sync.Pool drops a quarter of
+	// the inboxes handed back, at random.
+	got := run()
+	for i := 0; i < 3; i++ {
+		got = min(got, run())
+	}
+	const limit = 9_700_000 / 4
+	if got > limit {
+		t.Errorf("restored 16-rank job allocated %d bytes, want < %d", got, limit)
+	}
+	t.Logf("restored 16-rank job allocated %d bytes", got)
+}

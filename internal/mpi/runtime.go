@@ -65,21 +65,61 @@ type World struct {
 // caller must Close it after the job.
 func (w *World) SetTransport(t Transport) { w.transport = t }
 
+// inboxPools recycles drained inbox channels, one sync.Pool per capacity
+// (restored worlds add snapshot-specific headroom to QueueDepth).  An
+// inbox buffer is QueueDepth x 24 bytes of pointer-bearing memory — 96 KiB
+// per rank at the default depth — which a campaign would otherwise
+// allocate, clear and have the collector scan for every rank of every
+// job, although a job rarely queues more than a handful of packets.
+var inboxPools sync.Map // int -> *sync.Pool of chan []byte
+
+func inboxPool(depth int) *sync.Pool {
+	p, ok := inboxPools.Load(depth)
+	if !ok {
+		p, _ = inboxPools.LoadOrStore(depth, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
+}
+
 // NewWorld creates the runtime for size ranks.
 func NewWorld(size int, cfg Config) *World {
 	cfg.fill()
 	w := &World{Size: size, cfg: cfg, kill: make(chan struct{})}
+	pool := inboxPool(cfg.QueueDepth)
 	for r := 0; r < size; r++ {
+		in, _ := pool.Get().(chan []byte)
+		if in == nil {
+			in = make(chan []byte, cfg.QueueDepth)
+		}
 		p := &Proc{
 			w:        w,
 			rank:     r,
-			in:       make(chan []byte, cfg.QueueDepth),
+			in:       in,
 			requests: make(map[int32]*Request),
 		}
 		p.initComms()
 		w.procs = append(w.procs, p)
 	}
 	return w
+}
+
+// Release hands the world's inboxes to later worlds, dropping any packet
+// nobody pulled.  Call it once the job is over and every goroutine that
+// uses the world — ranks and watchers — has been joined; the world must
+// not send or receive afterwards.  Nothing a late reader of QueueDepth or
+// Stuck looks at is written.  A world on an external transport keeps its
+// inboxes: the transport's readers may still be sending into them.
+func (w *World) Release() {
+	if w.transport != nil {
+		return
+	}
+	pool := inboxPool(w.cfg.QueueDepth)
+	for _, p := range w.procs {
+		for len(p.in) > 0 {
+			<-p.in
+		}
+		pool.Put(p.in)
+	}
 }
 
 // Proc is the per-rank runtime state.  All fields except the inbound

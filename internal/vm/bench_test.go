@@ -85,3 +85,31 @@ func BenchmarkMachineNew(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkRestoreFirstWrite measures what every restored rank of every
+// checkpointed experiment pays before it does anything useful: a machine
+// from a snapshot holding 256 KiB of heap, one push and one heap store.
+// With page tables that is two page copies; the prefix-backed segments
+// zeroed the whole stack and copied the whole heap.
+func BenchmarkRestoreFirstWrite(b *testing.B) {
+	im := benchImage(b)
+	g := New(im)
+	if t := g.WriteBytes(im.HeapBase, make([]byte, 256<<10)); t != nil {
+		b.Fatal(t)
+	}
+	if t := g.push(1); t != nil {
+		b.Fatal(t)
+	}
+	snap := g.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := snap.NewMachine()
+		if t := m.push(uint32(i)); t != nil {
+			b.Fatal(t)
+		}
+		if t := m.Store32(im.HeapBase+128<<10, uint32(i)); t != nil {
+			b.Fatal(t)
+		}
+	}
+}

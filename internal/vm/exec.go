@@ -28,14 +28,14 @@ func (m *Machine) Step() *Trap {
 			if off+isa.InstrBytes > m.text.length {
 				return &Trap{Kind: TrapSegv, PC: m.PC, Addr: m.PC, Msg: "instruction fetch"}
 			}
-			in = isa.Decode(m.text.bytes[off:])
+			in = m.text.decodeAt(off)
 		}
 	} else {
-		s := m.segFor(m.PC)
-		if s == nil || m.PC-s.base+isa.InstrBytes > s.length {
+		s, off := m.locate(m.PC, isa.InstrBytes, false)
+		if s == nil {
 			return &Trap{Kind: TrapSegv, PC: m.PC, Addr: m.PC, Msg: "instruction fetch"}
 		}
-		in = isa.Decode(s.view(m.PC-s.base, isa.InstrBytes))
+		in = s.decodeAt(off)
 	}
 	if m.Tracer != nil {
 		m.Tracer.Exec(m.PC)

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"mpifault/internal/image"
@@ -185,110 +186,96 @@ type Machine struct {
 	sbEnd      []uint32
 	sbEndOwned bool
 
-	// loadSeg/storeSeg remember the segment the last slow-path load and
-	// store resolved to; the hot accessors try the remembered segment's
-	// backed range first and fall back to the full span walk.  Pure
-	// caches of this machine's own segments — never captured, never
-	// aliased across machines.
-	loadSeg  *segment
-	storeSeg *segment
+	// tlb caches recently resolved pages for the hot accessors (see
+	// loadFast/storeFast).  A pure cache of this machine's own page
+	// tables — never captured, never aliased across machines.
+	tlb [tlbSize]tlbEntry
 }
 
-// segment is one region of the guest address space.  The backing store is
-// lazy and copy-on-write: text and data alias the image's bytes until the
-// first write (shared), while BSS, heap and stack start with no backing
-// at all and grow it on demand — unbacked bytes read as zeros.  This
-// makes loading a machine O(1) in the address-space size and keeps its
-// footprint proportional to the memory it actually touches: a fault
-// campaign creates one machine per rank per experiment, and used to spend
-// most of its allocation volume zero-filling 8 MiB heaps of which a run
-// touched a few tens of kilobytes.
+// segment is one region of the guest address space, backed by a page
+// table: pages[i] holds bytes [i*pageSize, (i+1)*pageSize) of the segment.
+// A page is in one of three states.  nil (or beyond len(pages)): never
+// written, reads as zeros.  Shared: aliases the image's page table or a
+// Snapshot's, and must be copied before this machine writes it.  Owned
+// (owned[i] set): private to this machine.  Both tables are sized lazily
+// up to the highest page touched, so loading a machine is O(pages of text
+// and data), a store costs at most one page, and a machine's footprint is
+// proportional to the pages it writes — whichever end of a segment they
+// are at.  A fault campaign creates one machine per rank per experiment;
+// this is what keeps that cheap.
 type segment struct {
 	base     uint32
-	length   uint32 // logical size; len(bytes) <= length
-	bytes    []byte // backing for [base, base+len(bytes)); grows on demand
+	length   uint32
 	writable bool
-	shared   bool // bytes alias the immutable image; copy before writing
+	pages    []*page
+	// owned is sized lazily like pages; missing entries are false.  While
+	// it is nil the machine has written nothing to the segment since it
+	// was mapped or snapshotted, and pages itself still aliases the
+	// image's table or a Snapshot's: the first write copies the table.
+	owned []bool
+}
+
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
+type page [pageSize]byte
+
+// zeroPage backs reads of nil pages.  It is never written.
+var zeroPage page
+
+// pagesOf copies b into a fresh page table (the tail page zero-padded).
+func pagesOf(b []byte) []*page {
+	pages := make([]*page, (len(b)+pageSize-1)/pageSize)
+	for i := range pages {
+		pages[i] = new(page)
+		copy(pages[i][:], b[i*pageSize:])
+	}
+	return pages
+}
+
+// decodeAt byte-decodes the instruction at offset off; the caller has
+// bounds-checked it.
+func (s *segment) decodeAt(off uint32) isa.Instr {
+	var b [isa.InstrBytes]byte
+	s.read(off, b[:])
+	return isa.Decode(b[:])
 }
 
 func (s *segment) contains(addr uint32) bool {
 	return addr-s.base < s.length // unsigned wrap makes addr < base fail too
 }
 
-// zeroPage backs reads of never-written lazy segment memory.  It is
-// immutable: view hands out sub-slices, and every caller treats read spans
-// as read-only.
-var zeroPage [65536]byte
-
-// view returns [off, off+n) for reading; the caller must have
-// bounds-checked the range against length.  Reads entirely beyond the
-// backing return zeros without growing it; reads that straddle the
-// backing boundary (or exceed zeroPage) grow it instead, which keeps the
-// common cases allocation-free.
-func (s *segment) view(off uint32, n int) []byte {
-	end := int(off) + n
-	if end <= len(s.bytes) {
-		return s.bytes[off:end]
+// readPage returns the backing of page i for reading.  It never allocates.
+func (s *segment) readPage(i uint32) *page {
+	if i < uint32(len(s.pages)) && s.pages[i] != nil {
+		return s.pages[i]
 	}
-	if int(off) >= len(s.bytes) && n <= len(zeroPage) {
-		return zeroPage[:n]
-	}
-	s.ensure(end)
-	return s.bytes[off:end]
+	return &zeroPage
 }
 
-// mutable returns [off, off+n) for writing, growing or unsharing the
-// backing store first; the caller must have bounds-checked the range.
-func (s *segment) mutable(off uint32, n int) []byte {
-	end := int(off) + n
-	if s.shared || end > len(s.bytes) {
-		s.ensure(end)
-	}
-	return s.bytes[off:end]
+// isOwned reports whether page i is private to this machine.
+func (s *segment) isOwned(i uint32) bool {
+	return i < uint32(len(s.owned)) && s.owned[i]
 }
 
-// ensure gives the segment private backing covering at least [0, end).
-// Lazy segments grow by doubling in 16 KiB quanta, capped at the logical
-// size, so repeated small writes — the heap break creeping upward — cost
-// amortized O(bytes touched), not O(segment size).  Shared segments may be
-// only partially backed (a checkpoint aliases whatever the snapshotted
-// machine had grown), so unsharing and growing are one copy: allocate the
-// grown size, copy the aliased prefix, and the segment is private.
-func (s *segment) ensure(end int) {
-	if !s.shared && end <= len(s.bytes) {
-		return
+// read copies [off, off+len(dst)) of the segment into dst, page by page;
+// the caller has bounds-checked the range.
+func (s *segment) read(off uint32, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, s.readPage(off >> pageShift)[off&(pageSize-1):])
+		dst, off = dst[n:], off+uint32(n)
 	}
-	grown := len(s.bytes)
-	if end > grown {
-		grown *= 2
-		const quantum = 16 << 10
-		if grown < quantum {
-			grown = quantum
-		}
-		if grown < end {
-			grown = end
-		}
-		if grown > int(s.length) {
-			grown = int(s.length)
-		}
-	}
-	nb := make([]byte, grown)
-	copy(nb, s.bytes)
-	s.bytes = nb
-	s.shared = false
 }
 
-// New loads the image into a fresh machine.  Text and data are shared
-// copy-on-write with the image and the zero segments are allocated
-// lazily, so this is cheap no matter how large the address space is.
+// New loads the image into a fresh machine.  Text and data share the
+// image's pages copy-on-write and the zero segments start with no pages,
+// so this is cheap no matter how large the address space is.
 func New(im *image.Image) *Machine {
 	m := &Machine{Image: im}
-	m.text = segment{base: image.TextBase, length: uint32(len(im.Text)), bytes: im.Text, shared: true}
-	m.data = segment{base: im.DataBase, length: uint32(len(im.Data)), bytes: im.Data, writable: true, shared: true}
-	m.bss = segment{base: im.BSSBase, length: im.BSSSize, writable: true}
-	m.heap = segment{base: im.HeapBase, length: im.HeapLimit - im.HeapBase, writable: true}
-	m.stack = segment{base: im.StackBase(), length: im.StackSize, writable: true}
 	p := predecodeFor(im)
+	m.mapSegments([5][]*page{p.text, p.data})
 	m.pre = p.instrs
 	m.sbProg = p.prog
 	m.sbEnd = p.end
@@ -300,6 +287,25 @@ func New(im *image.Image) *Machine {
 	m.FP.TWD = 0xFFFF // all slots empty
 	m.Heap = newAllocator(m)
 	return m
+}
+
+// segments lists the machine's segments in Snapshot table order.
+func (m *Machine) segments() [5]*segment {
+	return [5]*segment{&m.text, &m.data, &m.bss, &m.heap, &m.stack}
+}
+
+// mapSegments lays out m.Image's address space over the given page tables
+// (in segments order); the tables and every page in them start shared.
+func (m *Machine) mapSegments(tables [5][]*page) {
+	im := m.Image
+	m.text = segment{base: image.TextBase, length: uint32(len(im.Text))}
+	m.data = segment{base: im.DataBase, length: uint32(len(im.Data)), writable: true}
+	m.bss = segment{base: im.BSSBase, length: im.BSSSize, writable: true}
+	m.heap = segment{base: im.HeapBase, length: im.HeapLimit - im.HeapBase, writable: true}
+	m.stack = segment{base: im.StackBase(), length: im.StackSize, writable: true}
+	for i, s := range m.segments() {
+		s.pages = tables[i]
+	}
 }
 
 // StopReason says why Run returned.
@@ -410,80 +416,128 @@ func (m *Machine) segv(addr uint32) *Trap {
 	return &Trap{Kind: TrapSegv, PC: m.PC, Addr: addr}
 }
 
-// span returns a slice covering [addr, addr+n) if it lies in one segment.
-// Read spans are read-only views (possibly of shared image or zero
-// storage); write spans always refer to the machine's private storage.
-func (m *Machine) span(addr uint32, n int, write bool) ([]byte, *Trap) {
+// locate resolves [addr, addr+n) to its segment and the offset of addr in
+// it; a nil segment means the range is unmapped, runs off the end of its
+// segment or (for write) is read-only, and the access faults at addr.
+func (m *Machine) locate(addr uint32, n int, write bool) (*segment, uint32) {
 	s := m.segFor(addr)
-	if s == nil {
-		return nil, m.segv(addr)
-	}
-	if write && !s.writable {
-		return nil, m.segv(addr)
+	if s == nil || (write && !s.writable) {
+		return nil, 0
 	}
 	off := addr - s.base
 	if int(off)+n > int(s.length) {
-		return nil, m.segv(addr)
+		return nil, 0
 	}
-	if write {
-		return s.mutable(off, n), nil
-	}
-	return s.view(off, n), nil
+	return s, off
 }
+
+// tlbEntry caches one resolved page: guest addresses [base, base+rlim)
+// read from p, and [base, base+wlim) may be stored to it.  rlim is the
+// page size except at a segment's tail; wlim equals rlim when the page is
+// owned and its segment writable, else 0.  The zero entry matches nothing.
+type tlbEntry struct {
+	base       uint32
+	rlim, wlim uint16 // pageSize fits: see the guard below
+	p          *page
+}
+
+const _ = uint16(pageSize)
+
+// tlbSize is the number of direct-mapped entries, indexed by the low bits
+// of the guest page number.
+const tlbSize = 16
 
 // loadFast returns the backing bytes for an n-byte read at addr when it
-// lands wholly inside the backed prefix of the segment the last slow
-// load resolved to; any miss (other segment, unbacked or partially
-// backed range, wrapped offset) returns nil and the caller walks the
-// slow path, which refreshes the cache.  Reading a shared backing is
-// fine — only writes must copy first.
+// lands wholly inside a cached page; any miss (page not cached, access
+// straddling the page or the segment end) returns nil and the caller
+// takes the slow path, which refreshes the cache.
 func (m *Machine) loadFast(addr uint32, n int) []byte {
-	if s := m.loadSeg; s != nil {
-		if off := addr - s.base; uint64(off)+uint64(n) <= uint64(len(s.bytes)) {
-			return s.bytes[off : int(off)+n]
-		}
+	e := &m.tlb[(addr>>pageShift)%tlbSize]
+	if off := addr - e.base; uint64(off)+uint64(n) <= uint64(e.rlim) {
+		return e.p[off : int(off)+n]
 	}
 	return nil
 }
 
-// storeFast is loadFast for writes: additionally the segment must be
-// writable and privately backed (a shared backing aliases a snapshot or
-// the image and must be copied by the slow path first).
+// storeFast is loadFast for writes: only owned pages of writable segments
+// qualify (a shared page must be copied by the slow path first).
 func (m *Machine) storeFast(addr uint32, n int) []byte {
-	if s := m.storeSeg; s != nil && s.writable && !s.shared {
-		if off := addr - s.base; uint64(off)+uint64(n) <= uint64(len(s.bytes)) {
-			return s.bytes[off : int(off)+n]
-		}
+	e := &m.tlb[(addr>>pageShift)%tlbSize]
+	if off := addr - e.base; uint64(off)+uint64(n) <= uint64(e.wlim) {
+		return e.p[off : int(off)+n]
 	}
 	return nil
 }
 
-// loadSpan is the slow read path: a full span walk plus cache refresh.
-func (m *Machine) loadSpan(addr uint32, n int) ([]byte, *Trap) {
-	b, t := m.span(addr, n, false)
-	if t == nil {
-		m.loadSeg = m.segFor(addr)
+// cachePage installs the page of s holding addr in the slot that accesses
+// to addr probe.
+func (m *Machine) cachePage(s *segment, addr uint32) {
+	i := (addr - s.base) >> pageShift
+	start := i << pageShift
+	e := tlbEntry{base: s.base + start, rlim: uint16(min(pageSize, s.length-start)), p: s.readPage(i)}
+	if s.writable && s.isOwned(i) {
+		e.wlim = e.rlim
 	}
-	return b, t
+	m.tlb[(addr>>pageShift)%tlbSize] = e
 }
 
-// storeSpan is the slow write path: a full span walk plus cache refresh.
-func (m *Machine) storeSpan(addr uint32, n int) ([]byte, *Trap) {
-	b, t := m.span(addr, n, true)
-	if t == nil {
-		m.storeSeg = m.segFor(addr)
+// writePage returns page i of s for writing, first giving the machine a
+// private copy of a shared page or a zeroed page in place of a nil one.
+func (m *Machine) writePage(s *segment, i uint32) *page {
+	if s.isOwned(i) {
+		return s.pages[i]
 	}
-	return b, t
+	if s.owned == nil {
+		s.pages = slices.Clone(s.pages)
+	}
+	if n := int(i) + 1; n > len(s.pages) {
+		s.pages = append(s.pages, make([]*page, n-len(s.pages))...)
+	}
+	if n := int(i) + 1; n > len(s.owned) {
+		s.owned = append(s.owned, make([]bool, n-len(s.owned))...)
+	}
+	var p *page
+	if old := s.pages[i]; old != nil {
+		p = (*page)(append([]byte(nil), old[:]...)) // copies without zeroing first
+	} else {
+		p = new(page)
+	}
+	s.pages[i], s.owned[i] = p, true
+	m.tlb = [tlbSize]tlbEntry{} // cached views of the replaced page are stale
+	return p
+}
+
+// write copies src to [off, off+len(src)) of s, page by page; the caller
+// has bounds-checked the range.
+func (m *Machine) write(s *segment, off uint32, src []byte) {
+	for len(src) > 0 {
+		n := copy(m.writePage(s, off>>pageShift)[off&(pageSize-1):], src)
+		src, off = src[n:], off+uint32(n)
+	}
+}
+
+// load is the slow read path: a bounds check of the whole range, a
+// page-by-page copy into dst and a cache refresh.  Reads never allocate
+// or unshare pages.
+func (m *Machine) load(addr uint32, dst []byte) *Trap {
+	s, off := m.locate(addr, len(dst), false)
+	if s == nil {
+		return m.segv(addr)
+	}
+	s.read(off, dst)
+	m.cachePage(s, addr)
+	return nil
 }
 
 // Load32 reads a 32-bit little-endian word.
 func (m *Machine) Load32(addr uint32) (uint32, *Trap) {
 	b := m.loadFast(addr, 4)
 	if b == nil {
-		var t *Trap
-		if b, t = m.loadSpan(addr, 4); t != nil {
+		var buf [4]byte
+		if t := m.load(addr, buf[:]); t != nil {
 			return 0, t
 		}
+		b = buf[:]
 	}
 	if m.Tracer != nil {
 		m.Tracer.Load(addr, 4)
@@ -495,10 +549,9 @@ func (m *Machine) Load32(addr uint32) (uint32, *Trap) {
 func (m *Machine) Store32(addr, v uint32) *Trap {
 	b := m.storeFast(addr, 4)
 	if b == nil {
-		var t *Trap
-		if b, t = m.storeSpan(addr, 4); t != nil {
-			return t
-		}
+		var buf [4]byte
+		binary.LittleEndian.PutUint32(buf[:], v)
+		return m.WriteBytes(addr, buf[:])
 	}
 	if m.Tracer != nil {
 		m.Tracer.Store(addr, 4)
@@ -509,9 +562,13 @@ func (m *Machine) Store32(addr, v uint32) *Trap {
 
 // Load8 reads one byte.
 func (m *Machine) Load8(addr uint32) (byte, *Trap) {
-	b, t := m.span(addr, 1, false)
-	if t != nil {
-		return 0, t
+	b := m.loadFast(addr, 1)
+	if b == nil {
+		var buf [1]byte
+		if t := m.load(addr, buf[:]); t != nil {
+			return 0, t
+		}
+		b = buf[:]
 	}
 	if m.Tracer != nil {
 		m.Tracer.Load(addr, 1)
@@ -521,9 +578,9 @@ func (m *Machine) Load8(addr uint32) (byte, *Trap) {
 
 // Store8 writes one byte.
 func (m *Machine) Store8(addr uint32, v byte) *Trap {
-	b, t := m.span(addr, 1, true)
-	if t != nil {
-		return t
+	b := m.storeFast(addr, 1)
+	if b == nil {
+		return m.WriteBytes(addr, []byte{v})
 	}
 	if m.Tracer != nil {
 		m.Tracer.Store(addr, 1)
@@ -536,10 +593,11 @@ func (m *Machine) Store8(addr uint32, v byte) *Trap {
 func (m *Machine) LoadF64(addr uint32) (float64, *Trap) {
 	b := m.loadFast(addr, 8)
 	if b == nil {
-		var t *Trap
-		if b, t = m.loadSpan(addr, 8); t != nil {
+		var buf [8]byte
+		if t := m.load(addr, buf[:]); t != nil {
 			return 0, t
 		}
+		b = buf[:]
 	}
 	if m.Tracer != nil {
 		m.Tracer.Load(addr, 8)
@@ -551,10 +609,9 @@ func (m *Machine) LoadF64(addr uint32) (float64, *Trap) {
 func (m *Machine) StoreF64(addr uint32, v float64) *Trap {
 	b := m.storeFast(addr, 8)
 	if b == nil {
-		var t *Trap
-		if b, t = m.storeSpan(addr, 8); t != nil {
-			return t
-		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		return m.WriteBytes(addr, buf[:])
 	}
 	if m.Tracer != nil {
 		m.Tracer.Store(addr, 8)
@@ -565,28 +622,31 @@ func (m *Machine) StoreF64(addr uint32, v float64) *Trap {
 
 // ReadBytes copies n bytes starting at addr (crossing segments is an error).
 func (m *Machine) ReadBytes(addr uint32, n int) ([]byte, *Trap) {
-	b, t := m.span(addr, n, false)
-	if t != nil {
-		return nil, t
+	s, off := m.locate(addr, n, false)
+	if s == nil {
+		return nil, m.segv(addr)
 	}
 	if m.Tracer != nil {
 		m.Tracer.Load(addr, n)
 	}
 	out := make([]byte, n)
-	copy(out, b)
+	s.read(off, out)
 	return out, nil
 }
 
-// WriteBytes copies data into guest memory at addr.
+// WriteBytes copies data into guest memory at addr.  It is also the slow
+// path of the scalar stores: the whole range is bounds-checked before the
+// first byte lands, then written page by page.
 func (m *Machine) WriteBytes(addr uint32, data []byte) *Trap {
-	b, t := m.span(addr, len(data), true)
-	if t != nil {
-		return t
+	s, off := m.locate(addr, len(data), true)
+	if s == nil {
+		return m.segv(addr)
 	}
 	if m.Tracer != nil {
 		m.Tracer.Store(addr, len(data))
 	}
-	copy(b, data)
+	m.write(s, off, data)
+	m.cachePage(s, addr)
 	return nil
 }
 
@@ -594,18 +654,12 @@ func (m *Machine) WriteBytes(addr uint32, data []byte) *Trap {
 // injector's view (ptrace PEEKDATA analogue).  ok is false if the range is
 // unmapped.
 func (m *Machine) RawRead(addr uint32, n int) ([]byte, bool) {
-	s := m.segFor(addr)
+	s, off := m.locate(addr, n, false)
 	if s == nil {
 		return nil, false
 	}
-	off := addr - s.base
-	if int(off)+n > int(s.length) {
-		return nil, false
-	}
 	out := make([]byte, n)
-	if int(off) < len(s.bytes) {
-		copy(out, s.bytes[off:]) // any unbacked tail stays zero
-	}
+	s.read(off, out)
 	return out, true
 }
 
@@ -614,15 +668,11 @@ func (m *Machine) RawRead(addr uint32, n int) ([]byte, bool) {
 // A write into text additionally invalidates the predecode slots covering
 // it, so the corrupted bytes are decoded afresh at their next fetch.
 func (m *Machine) RawWrite(addr uint32, data []byte) bool {
-	s := m.segFor(addr)
+	s, off := m.locate(addr, len(data), false)
 	if s == nil {
 		return false
 	}
-	off := addr - s.base
-	if int(off)+len(data) > int(s.length) {
-		return false
-	}
-	copy(s.mutable(off, len(data)), data)
+	m.write(s, off, data)
 	if s == &m.text {
 		m.markTextDirty(off, len(data))
 	}

@@ -22,16 +22,19 @@ import (
 // Likewise a PC that is not slot-aligned (possible after a PC bit flip)
 // falls back to byte decoding.
 
-// predecoded is everything derived from an image's text bytes: the
-// decoded instruction table Step fetches from, and the superblock tier
-// compiled over it (see superblock.go).  One instance is built per image
-// and shared immutably by every machine; per-machine deviations (text
-// corruption) live in the dirty bitmap and the machine-local run-end
-// clone, never here.
+// predecoded is everything derived from an image's bytes: the decoded
+// instruction table Step fetches from, the superblock tier compiled over
+// it (see superblock.go) and the page tables machines map.  One instance
+// is built per image and shared immutably by every machine; per-machine
+// deviations (text corruption) live in the dirty bitmap and the
+// machine-local run-end clone, never here.
 type predecoded struct {
 	instrs []isa.Instr
 	prog   []uop
 	end    []uint32
+	// text and data are the image's segments cut into pages, which every
+	// machine of the image maps copy-on-write.
+	text, data []*page
 }
 
 // predecodeFor returns the image's shared predecode + superblock tables.
@@ -39,7 +42,8 @@ func predecodeFor(im *image.Image) *predecoded {
 	return im.Predecoded(func() any {
 		instrs := isa.DecodeAll(im.Text)
 		prog, end := compileSuperblocks(instrs)
-		return &predecoded{instrs: instrs, prog: prog, end: end}
+		return &predecoded{instrs: instrs, prog: prog, end: end,
+			text: pagesOf(im.Text), data: pagesOf(im.Data)}
 	}).(*predecoded)
 }
 

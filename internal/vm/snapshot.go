@@ -10,13 +10,15 @@ import (
 // and heap-allocator bookkeeping.  It is the per-rank building block of a
 // cluster checkpoint (the analogue of a CRIU dump of one MPI process).
 //
-// Segment backing is aliased copy-on-write in both directions: taking a
-// snapshot marks the live machine's segments shared (its next write
-// copies privately), and every machine created from the snapshot aliases
-// the same bytes until its own first write.  N concurrent experiments
-// restored from one checkpoint therefore share a single set of backing
-// pages and only pay for what they touch — the same trick New uses
-// against the program image, applied to a mid-run state.
+// Memory is captured as the segments' page tables, not the pages: taking
+// a snapshot drops the live machine's owned marks and shares its tables
+// (its next write to a segment copies the table, and to a page the page,
+// first), and every machine created from the snapshot starts from the
+// same shared tables.  N concurrent experiments restored from one
+// checkpoint therefore share every page they do not write, and successive
+// snapshots of one machine share every page it did not write in between —
+// the same trick New uses against the program image, applied to a mid-run
+// state.
 type Snapshot struct {
 	regs      [isa.NumGPR]uint32
 	pc, flags uint32
@@ -25,7 +27,7 @@ type Snapshot struct {
 	minSP     uint32
 
 	im        *image.Image
-	segs      [5][]byte // text, data, bss, heap, stack backing prefixes
+	segs      [5][]*page // page tables in Machine.segments order
 	textDirty []uint64
 	heap      heapSnap
 }
@@ -42,7 +44,7 @@ type heapSnap struct {
 }
 
 // Snapshot captures the machine's current state.  The machine must be
-// quiescent (not executing on another goroutine).  Its segments become
+// quiescent (not executing on another goroutine).  Its pages become
 // copy-on-write against the snapshot; the machine remains runnable.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
@@ -54,10 +56,10 @@ func (m *Machine) Snapshot() *Snapshot {
 		minSP:  m.MinSP,
 		im:     m.Image,
 	}
-	for i, seg := range []*segment{&m.text, &m.data, &m.bss, &m.heap, &m.stack} {
-		seg.shared = true
-		s.segs[i] = seg.bytes
+	for i, seg := range m.segments() {
+		s.segs[i], seg.owned = seg.pages, nil
 	}
+	m.tlb = [tlbSize]tlbEntry{} // no cached page is storable any more
 	if m.textDirty != nil {
 		s.textDirty = append([]uint64(nil), m.textDirty...)
 	}
@@ -78,16 +80,12 @@ func (m *Machine) Snapshot() *Snapshot {
 }
 
 // NewMachine materializes a runnable machine from the snapshot.  All
-// segments alias the snapshot's backing copy-on-write; Handler, Tracer,
+// pages alias the snapshot's copy-on-write; Handler, Tracer,
 // trigger and stop state start clear, exactly as after New.
 func (s *Snapshot) NewMachine() *Machine {
 	im := s.im
 	m := &Machine{Image: im}
-	m.text = segment{base: image.TextBase, length: uint32(len(im.Text)), bytes: s.segs[0], shared: true}
-	m.data = segment{base: im.DataBase, length: uint32(len(im.Data)), bytes: s.segs[1], writable: true, shared: true}
-	m.bss = segment{base: im.BSSBase, length: im.BSSSize, bytes: s.segs[2], writable: true, shared: true}
-	m.heap = segment{base: im.HeapBase, length: im.HeapLimit - im.HeapBase, bytes: s.segs[3], writable: true, shared: true}
-	m.stack = segment{base: im.StackBase(), length: im.StackSize, bytes: s.segs[4], writable: true, shared: true}
+	m.mapSegments(s.segs)
 	// Compiled superblock state is never captured: it is re-derived from
 	// the image's shared tables, with the snapshot's dirty bitmap
 	// re-applied so runs still refuse to execute into overwritten slots.

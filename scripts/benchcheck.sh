@@ -10,6 +10,12 @@
 # time-based benchtime: still sub-second, but the numbers are real.
 # The loose 25% default threshold absorbs the remaining noise.)
 #
+# Every benchmark of internal/vm with a row in BENCH_vm.json is gated:
+# the interpreter loops (BenchmarkStep, BenchmarkSuperblockRun) at the
+# threshold given here, per-rank set-up (BenchmarkMachineNew) and a
+# restored rank's first stores (BenchmarkRestoreFirstWrite) at the wider
+# gate_pct their rows carry.
+#
 # With COUNT=N each benchmark runs N times and benchcmp keeps the
 # minimum — the fastest run is the least disturbed by scheduler noise,
 # which is what lets CI run this as a *blocking* gate at a tight

@@ -6,8 +6,8 @@
 #
 # Environment:
 #   TIER1_QUICK=1  quick mode for CI matrix legs: runs the test suite
-#                  without the race detector and skips the benchmark
-#                  smoke.  The full (default) mode is the merge gate;
+#                  without the race detector and skips the smokes
+#                  (coord, trace, adaptive, go bench, benchmark-smoke).  The full (default) mode is the merge gate;
 #                  quick mode exists so the sharded-campaign matrix
 #                  stays fast.
 set -eu
@@ -136,12 +136,25 @@ else
 fi
 
 if [ "$QUICK" = "1" ]; then
-	echo "== benchmark smoke skipped (TIER1_QUICK=1) =="
+	echo "== go bench smoke skipped (TIER1_QUICK=1) =="
 else
-	begin "benchmark smoke"
-	# One iteration of every benchmark: catches benchmarks that no longer
-	# compile or crash, without measuring anything.
+	begin "go bench smoke"
+	# One iteration of every Go benchmark: catches benchmarks that no
+	# longer compile or crash, without measuring anything.
 	go test -run '^$' -bench . -benchtime 1x ./...
+	end
+fi
+
+if [ "$QUICK" = "1" ]; then
+	echo "== benchmark-smoke skipped (TIER1_QUICK=1) =="
+else
+	begin "benchmark-smoke"
+	# The campaign benchmark (benchmark/, a module of its own that
+	# `go test ./...` does not descend into): its unit tests, and one
+	# short run of one workload so its correctness gate — shape checks
+	# and benchmark/expected/ — sees every change.  Nothing is measured.
+	(cd benchmark && go vet ./... && go test -short ./...)
+	bash benchmark/run.sh -workload msg_comm16 --seconds 6
 	end
 fi
 
