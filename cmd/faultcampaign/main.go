@@ -63,7 +63,8 @@
 // starts from the latest snapshot preceding its injection trigger
 // instead of from t=0.  A fixed-seed campaign produces byte-identical
 // tables, CSV and journals with checkpointing on or off — it is purely
-// a wall-clock optimization.  -checkpoint-interval 0 disables it;
+// a wall-clock optimization, for -adaptive rounds and (from its second
+// lease on) a -worker too.  -checkpoint-interval 0 disables it;
 // -forensics also disables it, because a flight record must cover the
 // instructions leading up to the injection.
 //
@@ -293,17 +294,14 @@ func run() int {
 	})
 	if *adaptive {
 		// The adaptive planner owns the plan: it sizes each region from
-		// its own tallies, so a raw count, a shard of a fixed plan, or
-		// checkpoint tuning all contradict it.  Refuse loudly.
+		// its own tallies, so a raw count or a shard of a fixed plan
+		// contradicts it.  Refuse loudly.
 		switch {
 		case nFlagSet:
 			log.Print("-adaptive sizes the campaign itself (stopping at the CI target); it cannot be combined with -n")
 			return 1
 		case *shardSpec != "":
 			log.Print("-adaptive rounds own the plan, so -shard cannot partition it; use faultcoord for distribution")
-			return 1
-		case ckptFlagSet:
-			log.Print("-adaptive reuses the golden run across rounds; it cannot be combined with -checkpoint-interval/-checkpoints")
 			return 1
 		}
 	} else if len(adaptiveOnly) > 0 {
@@ -520,11 +518,7 @@ func run() int {
 			cfg.MaxCheckpoints = 0 // -checkpoint-interval 0 means fully off
 		}
 		if *adaptive {
-			// The planner sizes the plan itself; checkpointing is off
-			// because the golden run is computed once and reused across
-			// rounds (the same trade -forensics makes).
-			cfg.Injections = 0
-			cfg.CheckpointInterval, cfg.MaxCheckpoints = 0, 0
+			cfg.Injections = 0 // the planner sizes the plan itself
 			cfg.Adaptive = true
 			cfg.TargetHalfWidth = *targetD
 			cfg.Confidence = *confidence

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -136,7 +138,7 @@ func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
 		if t != nil {
 			return t
 		}
-		return io.writeFd(m, fd, formatF64(v, prec))
+		return io.writeFd(m, fd, formatF64(nil, v, prec))
 
 	case abi.SysWriteF64Arr:
 		fd, addr, count, prec := int32(m.Regs[0]), m.Regs[1], m.Regs[2], int(int32(m.Regs[3]))
@@ -149,8 +151,7 @@ func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
 			if t != nil {
 				return t
 			}
-			buf = append(buf, formatF64(v, prec)...)
-			buf = append(buf, '\n')
+			buf = append(formatF64(buf, v, prec), '\n')
 		}
 		return io.writeFd(m, fd, buf)
 
@@ -382,12 +383,87 @@ func (io *rankIO) mpiCall(m *vm.Machine, num int32) *vm.Trap {
 		Msg: fmt.Sprintf("unknown syscall %d", num)}
 }
 
-// formatF64 renders v in fixed-point notation with prec decimals, the
+// formatF64 appends v in fixed-point notation with prec decimals, the
 // plain-text output format whose precision loss masks low-order-bit
-// corruption in Cactus Wavetoy (§6.2).
-func formatF64(v float64, prec int) []byte {
+// corruption in Cactus Wavetoy (§6.2).  The bytes are those of
+// strconv.AppendFloat(dst, v, 'f', prec, 64), which for 'f' always takes
+// strconv's multiprecision path; guest output is written after the
+// injection, where no checkpoint can skip it, so values inside
+// fixedF64's range are rounded in 128-bit integer arithmetic instead.
+func formatF64(dst []byte, v float64, prec int) []byte {
 	if prec < 0 {
 		prec = 17 // shortest round-trip would differ run to run; use max
 	}
-	return strconv.AppendFloat(nil, v, 'f', prec, 64)
+	q, ok := fixedF64(v, prec)
+	if !ok {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-') // strconv keeps the sign of a value that rounds to zero
+	}
+	dst = strconv.AppendUint(dst, q/pow10[prec], 10)
+	if prec == 0 {
+		return dst
+	}
+	dst = append(dst, '.')
+	dst = append(dst, "00000000000000000"[:prec]...)
+	for i, f := len(dst)-1, q%pow10[prec]; f != 0; i, f = i-1, f/10 {
+		dst[i] = byte('0' + f%10)
+	}
+	return dst
+}
+
+// pow10[p] = 10^p for the precisions fixedF64 handles.
+var pow10 = func() (t [18]uint64) {
+	t[0] = 1
+	for p := 1; p < len(t); p++ {
+		t[p] = 10 * t[p-1]
+	}
+	return
+}()
+
+// fixedF64 returns |v|·10^prec rounded half-to-even to an integer — the
+// digits of v's fixed-point rendering — when that is exact and cheap:
+// v = mant·2^-k with k ≥ 1 (|v| < 2^52), prec ≤ 17 and a result below
+// 2^64.  The product P = mant·10^prec < 2^53·2^57 is held exactly in 128
+// bits, so the quotient P>>k and the tie test on the bits shifted out
+// are exact, which is the rounding strconv performs on the exact decimal.
+func fixedF64(v float64, prec int) (q uint64, ok bool) {
+	b := math.Float64bits(v)
+	exp, mant := int(b>>52&0x7ff), b&(1<<52-1)
+	if exp >= 1075 || prec >= len(pow10) {
+		return 0, false // |v| ≥ 2^52, NaN, ±Inf, or a precision only a fault asks for
+	}
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	k := uint(1075 - exp)
+	hi, lo := bits.Mul64(mant, pow10[prec])
+	// half is the first bit shifted out, sticky whether any lower is set.
+	var half uint64
+	var sticky bool
+	switch {
+	case k > 110: // P < 2^110 ≤ 2^(k-1): rounds to zero
+		return 0, true
+	case k > 64:
+		q, half = hi>>(k-64), hi>>(k-65)&1
+		sticky = hi&(1<<(k-65)-1) != 0 || lo != 0
+	case k == 64:
+		q, half, sticky = hi, lo>>63, lo<<1 != 0
+	default:
+		if hi>>k != 0 {
+			return 0, false // integer part needs more than 64 bits
+		}
+		q, half = hi<<(64-k)|lo>>k, lo>>(k-1)&1
+		sticky = lo&(1<<(k-1)-1) != 0
+	}
+	if half == 1 && (sticky || q&1 == 1) {
+		if q == math.MaxUint64 {
+			return 0, false
+		}
+		q++
+	}
+	return q, true
 }

@@ -233,3 +233,64 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 		t.Fatalf("faultmerge -coord reconstruction differs from single-process run:\n--- merged\n%s--- single\n%s", merged.Bytes(), want)
 	}
 }
+
+// TestWorkerRestoresFromSecondLease pins the worker's checkpoint rule:
+// its first lease runs every experiment from t=0 (one grant does not
+// promise another, and the capture pass costs a golden run), every later
+// lease restores from the cached golden's checkpoints — and the
+// coordinator's CSV cannot tell.
+func TestWorkerRestoresFromSecondLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test is slow")
+	}
+	im, ranks := buildWavetoy(t)
+	regions := []core.Region{core.RegionRegularReg, core.RegionStack}
+	const injections = 6
+	const seed = 9
+	want := singleProcessCSV(t, im, ranks, injections, seed, regions)
+
+	co := New(Config{})
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	if err := co.Submit(Spec{
+		App: "wavetoy", Injections: injections, Seed: seed,
+		Regions: []string{"reg", "stack"}, LeaseSize: injections, LeaseTTLMillis: 60_000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var restored []int // per finished lease, in the order the worker ran them
+	err := RunWorker(WorkerOptions{
+		URL: srv.URL, Name: "w1", Poll: 25 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			var lease, n, r int
+			if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "lease %d done (%d experiments, %d restored", &lease, &n, &r); err == nil {
+				mu.Lock()
+				restored = append(restored, r)
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, co, time.Minute)
+
+	if len(restored) != 2 {
+		t.Fatalf("worker finished %d leases, want 2", len(restored))
+	}
+	if restored[0] != 0 {
+		t.Errorf("first lease restored %d experiments; it must not pay for a capture pass", restored[0])
+	}
+	if restored[1] == 0 {
+		t.Errorf("second lease restored no experiment from the cached golden's checkpoints")
+	}
+	csv, _, err := co.ResultCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv, want) {
+		t.Fatalf("cluster CSV differs from single-process run:\n--- cluster\n%s--- single\n%s", csv, want)
+	}
+}

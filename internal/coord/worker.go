@@ -343,29 +343,14 @@ func (w *worker) runLease(grant leaseGrant) error {
 	}
 	var entries []core.PlanEntry
 	if len(grant.Entries) > 0 {
-		// An adaptive round lease names its entries explicitly; the
-		// planner owns the plan, so the worker just validates each one
-		// against the campaign's region list and cap.
+		// An adaptive round lease names its entries explicitly (the
+		// planner owns the plan); core.Run holds each one to the
+		// campaign's region list and cap.
 		entries = make([]core.PlanEntry, len(grant.Entries))
 		for i, id := range grant.Entries {
-			pe, err := core.ParseEntryID(id)
-			if err != nil {
+			if entries[i], err = core.ParseEntryID(id); err != nil {
 				return err
 			}
-			if pe.Index < 0 || pe.Index >= spec.Injections {
-				return fmt.Errorf("lease entry %s outside the plan cap %d", id, spec.Injections)
-			}
-			found := false
-			for _, r := range regions {
-				if r == pe.Region {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("lease entry %s names a region outside the campaign", id)
-			}
-			entries[i] = pe
 		}
 	} else {
 		plan := core.Plan{Regions: regions, Injections: spec.Injections}
@@ -404,6 +389,12 @@ func (w *worker) runLease(grant leaseGrant) error {
 		TargetHalfWidth: spec.TargetHalfWidth,
 		RoundSize:       spec.RoundSize,
 		AVFPriors:       priorsMap(regions, spec.Priors),
+	}
+	if wa.golden != nil {
+		// Restore from the second lease on, not the first: one grant does
+		// not promise another, and the capture pass costs about a golden
+		// run — a third on top of a one-lease campaign (EXPERIMENTS.md).
+		cfg.CheckpointInterval = core.DefaultCheckpointInterval
 	}
 	seg := &segmentWriter{}
 	seg.appendLine(report.CampaignHeader(spec.App, cfg))
@@ -545,6 +536,10 @@ func (w *worker) runLease(grant leaseGrant) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("complete: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	w.logf("lease %d done (%d experiments)", grant.Lease, len(entries))
+	var restored uint64
+	if st := res.Checkpoints; st != nil {
+		restored = st.Hits
+	}
+	w.logf("lease %d done (%d experiments, %d restored from checkpoints)", grant.Lease, len(entries), restored)
 	return nil
 }

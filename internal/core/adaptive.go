@@ -161,9 +161,6 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 	if cfg.Entries != nil {
 		return 0, fmt.Errorf("core: adaptive campaigns and explicit Entries are mutually exclusive")
 	}
-	if cfg.CheckpointInterval > 0 || cfg.MaxCheckpoints > 0 {
-		return 0, fmt.Errorf("core: adaptive campaigns and checkpointing are mutually exclusive (the golden run is reused across rounds)")
-	}
 	cap, err := sampling.SampleSize(cfg.Confidence, cfg.TargetHalfWidth)
 	if err != nil {
 		return 0, err
@@ -176,10 +173,11 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 }
 
 // RunAdaptive executes an adaptive campaign: rounds of Run over growing
-// per-region prefixes, with the golden run executed once and reused, and
-// the planner advanced only at round barriers.  Composable with
-// Forensics, TraceDiff, liveness and equivalence policies; mutually
-// exclusive with sharding, explicit entries and checkpointing.
+// per-region prefixes, with the golden run executed once and reused (so
+// round 1 captures its checkpoints and every round restores), and the
+// planner advanced only at round barriers.  Composable with
+// checkpointing, Forensics, TraceDiff, liveness and equivalence
+// policies; mutually exclusive with sharding and explicit entries.
 func RunAdaptive(cfg Config) (*Result, error) {
 	cap, err := NormalizeAdaptive(&cfg)
 	if err != nil {
@@ -212,6 +210,7 @@ func RunAdaptive(cfg Config) (*Result, error) {
 	errors := make([]int, len(cfg.Regions))   // manifestations per region
 	var all []Experiment
 	golden := cfg.Golden
+	var ckpt *CheckpointStats // summed over rounds; Taken and Fallback belong to the golden
 	interrupted := false
 
 	for {
@@ -219,22 +218,14 @@ func RunAdaptive(cfg Config) (*Result, error) {
 			interrupted = true
 			break
 		}
-		allocs := planner.NextRound()
-		var entries []PlanEntry
-		for i, a := range allocs {
-			for k := 0; k < a; k++ {
-				entries = append(entries, PlanEntry{Region: cfg.Regions[i], Index: executed[i] + k})
-			}
-		}
+		entries := AdaptiveEntriesForRound(cfg.Regions, executed, planner.NextRound())
 		if len(entries) == 0 {
 			break
 		}
 		stats.Rounds++
 
-		sub := cfg
-		sub.Adaptive = false
-		sub.TargetHalfWidth, sub.Confidence, sub.RoundSize = 0, 0, 0
-		sub.AVFPriors, sub.OnRound, sub.Progress = nil, nil, nil
+		sub := cfg // Run ignores the adaptive fields
+		sub.Progress = nil
 		sub.Entries = entries
 		sub.Golden = golden
 		sub.KeepExperiments = true
@@ -243,6 +234,14 @@ func RunAdaptive(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		golden = res.Golden
+		if st := res.Checkpoints; st != nil {
+			if ckpt == nil {
+				ckpt = &CheckpointStats{Taken: st.Taken, Fallback: st.Fallback}
+			}
+			ckpt.Hits += st.Hits
+			ckpt.Misses += st.Misses
+			ckpt.InstrsSkipped += st.InstrsSkipped
+		}
 
 		// Fold the round into the per-region prefixes.  An interrupted
 		// round may return a gapped set (experiments past the first
@@ -294,22 +293,8 @@ func RunAdaptive(cfg Config) (*Result, error) {
 	}
 
 	fillAdaptiveStats(stats, planner, cfg.Regions)
-	out := &Result{
-		Tallies:      TallyExperiments(cfg.Regions, all),
-		Golden:       golden,
-		Unclassified: CountUnapplied(all),
-		Interrupted:  interrupted,
-		Adaptive:     stats,
-	}
-	if cfg.Liveness != nil {
-		out.Directed = directedStatsFor(cfg.LivenessPolicy, all)
-	}
-	if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
-		out.Equivalence = equivalenceStatsFor(cfg.EquivalencePolicy, all)
-	}
-	if cfg.KeepExperiments {
-		out.Experiments = all
-	}
+	out := &Result{Golden: golden, Interrupted: interrupted, Checkpoints: ckpt, Adaptive: stats}
+	out.summarize(&cfg, all)
 	return out, nil
 }
 
@@ -340,10 +325,8 @@ func regionOrdinal(regions []Region, r Region) int {
 	return -1
 }
 
+// stopped polls stop; the nil channel of an unset Stop never fires.
 func stopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
 	select {
 	case <-stop:
 		return true

@@ -230,9 +230,9 @@ func TestNormalizeAdaptiveValidation(t *testing.T) {
 		t.Error("explicit entries accepted")
 	}
 	cfg = base()
-	cfg.CheckpointInterval = 1000
-	if _, err := NormalizeAdaptive(&cfg); err == nil {
-		t.Error("checkpointing accepted")
+	cfg.CheckpointInterval, cfg.MaxCheckpoints = 1000, 4
+	if _, err := NormalizeAdaptive(&cfg); err != nil {
+		t.Errorf("checkpointing refused (rounds restore from the golden's checkpoints): %v", err)
 	}
 	cfg = base()
 	cfg.Injections = 17

@@ -7,7 +7,6 @@ import (
 
 	"mpifault/internal/apps"
 	"mpifault/internal/cluster"
-	"mpifault/internal/mpi"
 )
 
 // TestRestoredJobAllocation is the allocation gate of the paged guest
@@ -30,12 +29,11 @@ func TestRestoredJobAllocation(t *testing.T) {
 	}
 	cfg := &Config{Image: im, Ranks: 16, WallLimit: 30 * time.Second,
 		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: DefaultMaxCheckpoints}
-	rec := mpi.NewCausalityRecorder()
-	golden, err := runGolden(im, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit, rec, false, false)
+	golden, err := RunGolden(im, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := buildCheckpoints(cfg, golden, rec.Events())
+	cs := buildCheckpoints(cfg, golden)
 	if cs.Len() == 0 {
 		t.Fatal("no checkpoints captured")
 	}

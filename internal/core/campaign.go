@@ -21,7 +21,10 @@ import (
 // Golden captures the fault-free reference execution: the canonical
 // output used for silent-corruption detection, and the per-rank
 // instruction counts and received message volumes that parameterize the
-// injection-space sampling (§4.3's b, m and t axes).
+// injection-space sampling (§4.3's b, m and t axes).  It owns the
+// checkpoints captured from that execution (checkpoint.go), so Runs
+// sharing one — concurrently too — restore from a single capture.  Do
+// not copy it.
 type Golden struct {
 	Output    []byte
 	Instrs    []uint64
@@ -31,6 +34,14 @@ type Golden struct {
 	// only when the campaign runs with Config.TraceDiff; experiments
 	// diff their own streams against it to localize faults.
 	Trace *msgtrace.Trace
+
+	// events are the run's message causality, which checkpoint cuts are
+	// computed from; ckpts is the set captured for *ckptKey (nil with a
+	// key set: that capture fell back, and is not retried).
+	events  []mpi.Event
+	ckptMu  sync.Mutex
+	ckptKey *checkpointKey
+	ckpts   *CheckpointSet
 }
 
 // MaxInstrs returns the largest per-rank instruction count.
@@ -46,14 +57,13 @@ func (g *Golden) MaxInstrs() uint64 {
 
 // RunGolden executes the fault-free reference run.
 func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration) (*Golden, error) {
-	return runGolden(im, ranks, mpiCfg, wall, nil, false, false)
+	return runGolden(im, ranks, mpiCfg, wall, false, false)
 }
 
-// runGolden is RunGolden with an optional causality recorder attached —
-// the checkpointing campaign records message events during the reference
-// run to compute consistent cuts from — the campaign's interpreter
-// escape hatch, and the trace-diff digest recorder.
-func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration, rec *mpi.CausalityRecorder, noSB, traced bool) (*Golden, error) {
+// runGolden is RunGolden with the campaign's interpreter escape hatch
+// and the trace-diff digest recorder.
+func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration, noSB, traced bool) (*Golden, error) {
+	rec := mpi.NewCausalityRecorder()
 	job := cluster.Job{
 		Image: im, Size: ranks, MPIConfig: mpiCfg, WallLimit: wall,
 		Causality: rec, DisableSuperblocks: noSB,
@@ -67,7 +77,7 @@ func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 	if res.HangDetected {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
-	g := &Golden{Output: res.CanonicalOutput(), Result: res}
+	g := &Golden{Output: res.CanonicalOutput(), Result: res, events: rec.Events()}
 	if mrec != nil {
 		g.Trace = mrec.Trace()
 	}
@@ -181,10 +191,9 @@ type Config struct {
 	Entries []PlanEntry
 	// Golden, when non-nil, reuses a previously computed golden run
 	// instead of re-executing it — a worker holding many leases of one
-	// campaign pays for the reference run once.  The golden must come
-	// from the identical Image/Ranks/MPIConfig (the caller's contract);
-	// it is mutually exclusive with checkpointing, which needs the
-	// causality events only a fresh golden run records.
+	// campaign pays for the reference run and its checkpoint capture
+	// once.  The golden must come from the identical
+	// Image/Ranks/MPIConfig (the caller's contract).
 	Golden *Golden
 	// Completed maps experiment IDs (Experiment.ID) to already-finished
 	// experiments, typically read back from a checkpoint journal.  Plan
@@ -252,9 +261,10 @@ type Config struct {
 	// and stops each region once its Wilson CI half-width reaches
 	// TargetHalfWidth, instead of spending the fixed worst-case count
 	// everywhere.  Adaptive campaigns go through RunAdaptive, which sizes
-	// Injections itself (the fixed-n cap) — callers leave it zero.  Run
-	// ignores this field; it only labels the configuration for journal
-	// headers and validation.
+	// Injections itself (the fixed-n cap) — callers leave it zero — and
+	// hands every round one Golden, so checkpoints are captured once.
+	// Run ignores this field; it only labels the configuration for
+	// journal headers and validation.
 	Adaptive bool
 	// TargetHalfWidth is the adaptive stopping target d; 0 means
 	// DefaultTargetHalfWidth (the paper's 4.9 %).
@@ -414,21 +424,14 @@ func Run(cfg Config) (*Result, error) {
 			cfg.MaxCheckpoints = DefaultMaxCheckpoints
 		}
 	}
-	if cfg.Golden != nil && ckptOn {
-		return nil, fmt.Errorf("core: Golden reuse and checkpointing are mutually exclusive (checkpoints need the golden run's causality events)")
-	}
 	if cfg.Golden != nil && cfg.TraceDiff && cfg.Golden.Trace == nil {
 		return nil, fmt.Errorf("core: Golden reuse with TraceDiff requires a golden recorded with TraceDiff (its message trace is missing)")
 	}
 
 	golden := cfg.Golden
-	var rec *mpi.CausalityRecorder
 	if golden == nil {
-		if ckptOn {
-			rec = mpi.NewCausalityRecorder()
-		}
 		var err error
-		golden, err = runGolden(cfg.Image, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit, rec, cfg.DisableSuperblocks, cfg.TraceDiff)
+		golden, err = runGolden(cfg.Image, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit, cfg.DisableSuperblocks, cfg.TraceDiff)
 		if err != nil {
 			return nil, err
 		}
@@ -443,14 +446,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("core: Entries and Shard/NumShards are mutually exclusive")
 		}
 		for _, pe := range cfg.Entries {
-			inPlan := false
-			for _, r := range cfg.Regions {
-				if r == pe.Region {
-					inPlan = true
-					break
-				}
-			}
-			if !inPlan || pe.Index < 0 || pe.Index >= cfg.Injections {
+			if regionOrdinal(cfg.Regions, pe.Region) < 0 || pe.Index < 0 || pe.Index >= cfg.Injections {
 				return nil, fmt.Errorf("core: entry %s outside the plan", pe.ID())
 			}
 		}
@@ -462,15 +458,7 @@ func Run(cfg Config) (*Result, error) {
 
 	cctx := &campaignCtx{cfg: &cfg, golden: golden, dict: dict, budget: budget, met: met}
 	if ckptOn {
-		cctx.stats = &CheckpointStats{}
-		cctx.ckpts = buildCheckpoints(&cfg, golden, rec.Events())
-		cctx.stats.Taken = cctx.ckpts.Len()
-		met.ckptTaken.Add(uint64(cctx.ckpts.Len()))
-		if cctx.ckpts.Len() == 0 {
-			cctx.stats.Fallback = true
-			cctx.ckpts = nil
-			met.ckptFallbacks.Inc()
-		}
+		cctx.ckpts = golden.checkpoints(&cfg, met)
 	}
 
 	experiments := make([]Experiment, len(entries))
@@ -555,13 +543,10 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Golden: golden}
 dispatch:
 	for _, idx := range todo {
-		// Poll Stop first so a fired stop wins over a ready worker; the
-		// nil channel of an unset Stop never fires in either select.
-		select {
-		case <-cfg.Stop:
+		// Poll Stop first so a fired stop wins over a ready worker.
+		if stopped(cfg.Stop) {
 			res.Interrupted = true
 			break dispatch
-		default:
 		}
 		select {
 		case <-cfg.Stop:
@@ -581,11 +566,11 @@ dispatch:
 			}
 		}
 	}
-	if cctx.stats != nil {
-		cctx.stats.Hits = cctx.hits.Load()
-		cctx.stats.Misses = cctx.misses.Load()
-		cctx.stats.InstrsSkipped = cctx.skipped.Load()
-		res.Checkpoints = cctx.stats
+	if ckptOn {
+		res.Checkpoints = &CheckpointStats{
+			Taken: cctx.ckpts.Len(), Fallback: cctx.ckpts == nil,
+			Hits: cctx.hits.Load(), Misses: cctx.misses.Load(), InstrsSkipped: cctx.skipped.Load(),
+		}
 	}
 
 	ran := experiments
@@ -597,6 +582,13 @@ dispatch:
 			}
 		}
 	}
+	res.summarize(&cfg, ran)
+	return res, nil
+}
+
+// summarize fills the result's tallies and sampling summaries from the
+// experiments that ran.
+func (res *Result) summarize(cfg *Config, ran []Experiment) {
 	if cfg.Liveness != nil {
 		res.Directed = directedStatsFor(cfg.LivenessPolicy, ran)
 	}
@@ -608,7 +600,6 @@ dispatch:
 	if cfg.KeepExperiments {
 		res.Experiments = ran
 	}
-	return res, nil
 }
 
 // directedStatsFor aggregates the candidate-space pruning summary of a
@@ -657,7 +648,6 @@ type campaignCtx struct {
 	base   *rng.Rand
 	ckpts  *CheckpointSet
 	met    *campaignMeters
-	stats  *CheckpointStats
 
 	// Local (per-campaign) counters: the telemetry registry may be shared
 	// across campaigns, so Result.Checkpoints cannot be read back from it.

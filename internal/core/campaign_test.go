@@ -244,10 +244,4 @@ func TestEntriesAndGoldenReuse(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("an entry index outside the plan must be rejected")
 	}
-	cfg = base
-	cfg.Golden = golden
-	cfg.CheckpointInterval = 1000
-	if _, err := Run(cfg); err == nil {
-		t.Error("Golden reuse with checkpointing must be rejected")
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 
 	"mpifault/internal/cluster"
 	"mpifault/internal/mpi"
@@ -15,10 +16,16 @@ import (
 // and starts each experiment from the latest snapshot that precedes its
 // injection epoch, replaying only the residual prefix.
 //
+// The checkpoints belong to the Golden, not to one Run: the first Run
+// with checkpointing on captures them, and every later Run handed that
+// Golden — an adaptive campaign's rounds, a coordinator worker's leases
+// — restores from the same set.  One set is kept, for the last
+// (CheckpointInterval, MaxCheckpoints, DisableSuperblocks) asked for.
+//
 // The pipeline is two golden passes:
 //
-//  1. The ordinary golden run, with an mpi.CausalityRecorder attached,
-//     yields per-rank instruction counts and the send/receive
+//  1. The golden run, which always has an mpi.CausalityRecorder
+//     attached, yields per-rank instruction counts and the send/receive
 //     instruction pairs of every Channel message.
 //  2. computeCuts turns the recorded causality into *consistent* cut
 //     vectors (no cut captures a receive whose matching send hasn't
@@ -43,10 +50,6 @@ const (
 	// DefaultMaxCheckpoints caps the number of checkpoints per campaign;
 	// memory is bounded by checkpoints × touched pages (COW-shared).
 	DefaultMaxCheckpoints = 32
-	// checkpointQueueHeadroom enlarges Channel queues during the
-	// checkpoint-emitting pass so that senders never block on a parked
-	// receiver's full queue while the cluster quiesces at a cut.
-	checkpointQueueHeadroom = 1 << 15
 )
 
 // CheckpointStats summarizes checkpoint usage for one campaign.
@@ -70,6 +73,31 @@ type CheckpointSet struct {
 	snaps []*cluster.Snapshot
 	// skipped[k] is snaps[k].TotalInstrs(): the work a restore from k skips.
 	skipped []uint64
+}
+
+// checkpointKey is what a captured set depends on besides the golden run.
+type checkpointKey struct {
+	interval uint64
+	max      int
+	noSB     bool
+}
+
+// checkpoints returns the golden's checkpoint set for cfg — nil when the
+// capture fell back — running the capture pass only if no set for cfg's
+// key is held, so concurrent Runs sharing the Golden wait for one
+// capture and telemetry counts captures, not the Runs served by one.
+func (g *Golden) checkpoints(cfg *Config, met *campaignMeters) *CheckpointSet {
+	key := checkpointKey{cfg.CheckpointInterval, cfg.MaxCheckpoints, cfg.DisableSuperblocks}
+	g.ckptMu.Lock()
+	defer g.ckptMu.Unlock()
+	if g.ckptKey == nil || *g.ckptKey != key {
+		g.ckpts, g.ckptKey = buildCheckpoints(cfg, g), &key
+		met.ckptTaken.Add(uint64(g.ckpts.Len()))
+		if g.ckpts == nil {
+			met.ckptFallbacks.Inc()
+		}
+	}
+	return g.ckpts
 }
 
 // Len returns the number of checkpoints.
@@ -118,12 +146,7 @@ func computeCuts(goldenInstrs []uint64, events []mpi.Event, interval uint64, max
 	if n == 0 || interval == 0 {
 		return nil
 	}
-	var maxInstrs uint64
-	for _, gi := range goldenInstrs {
-		if gi > maxInstrs {
-			maxInstrs = gi
-		}
-	}
+	maxInstrs := slices.Max(goldenInstrs)
 	// The interval is a floor: when the run is longer than maxCkpts
 	// evenly-spaced intervals, widen the spacing so the checkpoints cover
 	// the whole execution rather than only its first maxCkpts×interval
@@ -176,13 +199,24 @@ func closeCut(cut []uint64, events []mpi.Event) {
 	}
 }
 
+// captureHeadroom is the capture pass's extra Channel queue depth: no
+// rank is ever sent more packets than the golden run delivered to it, so
+// with that many more slots no sender blocks on a receiver parked at a cut.
+func captureHeadroom(ranks int, events []mpi.Event) int {
+	perDst := make([]int, ranks)
+	for _, e := range events {
+		perDst[e.Dst]++
+	}
+	return slices.Max(perDst)
+}
+
 // buildCheckpoints runs the checkpoint-emitting golden pass and validates
 // it against the recorded golden run.  Any deviation — a hang, a
 // non-clean exit, a different output, different per-rank instruction or
 // byte counts — discards the checkpoints (fallback to scratch starts),
 // which is what makes the byte-identity invariant unconditional.
-func buildCheckpoints(cfg *Config, golden *Golden, events []mpi.Event) *CheckpointSet {
-	cuts := computeCuts(golden.Instrs, events, cfg.CheckpointInterval, cfg.MaxCheckpoints)
+func buildCheckpoints(cfg *Config, golden *Golden) *CheckpointSet {
+	cuts := computeCuts(golden.Instrs, golden.events, cfg.CheckpointInterval, cfg.MaxCheckpoints)
 	if len(cuts) == 0 {
 		return nil
 	}
@@ -196,7 +230,7 @@ func buildCheckpoints(cfg *Config, golden *Golden, events []mpi.Event) *Checkpoi
 	res := cluster.Run(cluster.Job{
 		Image:              cfg.Image,
 		Size:               cfg.Ranks,
-		MPIConfig:          cfg.MPIConfig.WithQueueHeadroom(checkpointQueueHeadroom),
+		MPIConfig:          cfg.MPIConfig.WithQueueHeadroom(captureHeadroom(cfg.Ranks, golden.events)),
 		WallLimit:          cfg.WallLimit,
 		Checkpoints:        spec,
 		DisableSuperblocks: cfg.DisableSuperblocks,

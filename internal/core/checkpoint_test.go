@@ -96,3 +96,26 @@ func TestComputeCutsMonotoneUnderClosure(t *testing.T) {
 		t.Errorf("first cut = %v, want sender pulled to 80", cuts[0])
 	}
 }
+
+// TestCaptureHeadroomCoversParkedReceiver pins the capture pass's queue
+// bound: a receiver parked at a cut for the whole run is sent at most
+// the packets the golden run delivered to it, so that many slots on top
+// of the configured depth mean no sender ever blocks on it.
+func TestCaptureHeadroomCoversParkedReceiver(t *testing.T) {
+	const n = 7
+	var events []mpi.Event
+	for i := 0; i < n; i++ {
+		events = append(events, mpi.Event{Src: 2 * (i % 2), Dst: 1, SrcInstr: uint64(10 * i), DstInstr: uint64(10*i + 5)})
+	}
+	events = append(events, mpi.Event{Src: 1, Dst: 0}, mpi.Event{Src: 1, Dst: 2}, mpi.Event{Src: 0, Dst: 2})
+	h := captureHeadroom(3, events)
+	if h < n {
+		t.Errorf("headroom %d for a rank that is sent %d packets", h, n)
+	}
+	if depth := (mpi.Config{QueueDepth: 1}).WithQueueHeadroom(h).QueueDepth; depth < n+1 {
+		t.Errorf("capture-pass queue depth %d, want > %d", depth, n)
+	}
+	if got := captureHeadroom(2, nil); got != 0 {
+		t.Errorf("headroom %d for a run without messages, want 0", got)
+	}
+}

@@ -12,7 +12,10 @@
 # which faultcampaign prints to stderr in -csv mode.
 #
 # The gate also asserts the determinism contract at the CLI level: the
-# first app is run twice and the CSVs must be byte-identical.
+# first app is run twice and the CSVs must be byte-identical, and once
+# more on its seven non-message regions with and without
+# -checkpoint-interval 0 (rounds restore from the golden run's
+# checkpoints by default; the CSV must not show it).
 #
 # Usage: scripts/adaptive_gate.sh
 #   APPS       space-separated app list   (default: wavetoy minimd minicam)
@@ -70,6 +73,22 @@ echo "== rerun determinism ($first) =="
     -csv -quiet > "$WORK/$first.rerun.csv" 2> /dev/null
 diff -u "$WORK/$first.csv" "$WORK/$first.rerun.csv" \
     || { echo "FAIL: adaptive rerun CSV differs" >&2; exit 1; }
+echo "   byte-identical"
+
+# Rounds restore from the golden run's checkpoints by default; the CSV
+# must not show it.  Non-message regions only: a message fault lands in a
+# scheduling-dependent packet, so that row differs between any two runs.
+echo "== checkpoint differential ($first) =="
+# Without -quiet, for the restore summary on stderr.
+STATE="reg,fp,bss,data,stack,text,heap"
+"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" -regions "$STATE" \
+    -csv > "$WORK/$first.ckpt.csv" 2> "$WORK/$first.ckpt.err"
+"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" -regions "$STATE" \
+    -csv -checkpoint-interval 0 > "$WORK/$first.scratch.csv" 2> /dev/null
+diff -u "$WORK/$first.ckpt.csv" "$WORK/$first.scratch.csv" \
+    || { echo "FAIL: adaptive CSV differs with restores on and off" >&2; exit 1; }
+grep -E 'checkpoints; [1-9][0-9]*/[0-9]+ experiments restored' "$WORK/$first.ckpt.err" \
+    || { echo "FAIL: the default adaptive run restored no experiment" >&2; cat "$WORK/$first.ckpt.err" >&2; exit 1; }
 echo "   byte-identical"
 
 echo "== verdict: $passed/$total apps within ${RATIO_MAX}x (need $MIN_PASS) =="

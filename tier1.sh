@@ -110,14 +110,26 @@ else
 	begin "adaptive smoke"
 	# Determinism gate for -adaptive: a small sequential-stopping campaign
 	# (loose d so the caps stay tiny) must emit byte-identical CSV across
-	# reruns, and the flag conflicts must be hard errors.
+	# reruns and with its rounds restoring from the golden run's
+	# checkpoints (the default) or starting every experiment from t=0, and
+	# the flag conflicts must be hard errors.
 	ADAPT_TMP=$(mktemp -d)
 	trap 'rm -rf "$TRACE_TMP" "$ADAPT_TMP"' EXIT
-	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv -quiet \
-		>"$ADAPT_TMP/a.csv" 2>/dev/null
-	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv -quiet \
+	# Without -quiet, for the restore summary on stderr (stdout gains a
+	# first "sampling:" line, the same in all three runs).
+	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv \
+		>"$ADAPT_TMP/a.csv" 2>"$ADAPT_TMP/a.err"
+	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv \
 		>"$ADAPT_TMP/b.csv" 2>/dev/null
 	diff -u "$ADAPT_TMP/a.csv" "$ADAPT_TMP/b.csv"
+	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv \
+		-checkpoint-interval 0 >"$ADAPT_TMP/scratch.csv" 2>/dev/null
+	diff -u "$ADAPT_TMP/a.csv" "$ADAPT_TMP/scratch.csv"
+	if ! grep -Eq 'checkpoints; [1-9][0-9]*/[0-9]+ experiments restored' "$ADAPT_TMP/a.err"; then
+		echo "adaptive smoke: the default -adaptive run reported no restored experiments" >&2
+		cat "$ADAPT_TMP/a.err" >&2
+		exit 1
+	fi
 	# -adaptive owns the sample size and is single-process: -n and -shard
 	# must be rejected, as must the adaptive knobs without -adaptive.
 	if go run ./cmd/faultcampaign -app wavetoy -adaptive -n 5 -quiet >/dev/null 2>&1; then
