@@ -8,8 +8,7 @@
 //	              [-regions reg,fp,...] [-csv] [-quiet]
 //	              [-shard i/K] [-journal path] [-resume]
 //	              [-worker http://host:8700] [-worker-name w1]
-//	              [-liveness live|dead] [-equivalence annotate|prune|audit]
-//	              [-predict]
+//	              [-equivalence annotate|prune|audit] [-predict]
 //	              [-metrics-addr :9090] [-metrics-out snapshot.json]
 //	              [-status 2s] [-forensics]
 //	              [-trace-diff] [-trace-out trace.json]
@@ -89,21 +88,16 @@
 // and leave a clean journal.  Shard runs suppress the tables — the
 // merged journals are the result.
 //
-// -liveness directs register-region injections by the static analysis
-// in internal/analysis: "live" samples only statically-live bits (same
-// error coverage, fewer wasted runs — the reported speedup), "dead"
-// samples only provably-dead bits (a soundness audit: everything must
-// come back Correct).  -predict prints the static AVF forecast next to
+// -predict prints the static AVF forecast of internal/analysis next to
 // the campaign's measured manifestation rates.
 //
 // -equivalence drives register injections by the dataflow equivalence
-// partition instead: "prune" samples only bits the analysis cannot
-// prove benign and prints Horvitz–Thompson reweighted rates alongside
-// the raw tables, "annotate" runs the byte-identical full campaign but
-// stamps each register experiment with its equivalence class and
-// validates every static claim against the outcomes, and "audit"
-// samples only provably-benign bits (everything must classify Correct).
-// Mutually exclusive with -liveness.
+// partition: "prune" samples only bits the analysis cannot prove benign
+// and prints Horvitz–Thompson reweighted rates alongside the raw
+// tables, "annotate" runs the byte-identical full campaign but stamps
+// each register experiment with its equivalence class and validates
+// every static claim against the outcomes, and "audit" samples only
+// provably-benign bits (everything must classify Correct).
 //
 // Exit status: 0 on a clean campaign, 1 if any experiment failed to
 // classify (no fault was actually applied, so its row is meaningless —
@@ -211,7 +205,6 @@ func run() int {
 	shardSpec := flag.String("shard", "", "run only shard i of K (format i/K, e.g. 0/3); merge journals with faultmerge")
 	journalPath := flag.String("journal", "", "append finished experiments to this JSONL checkpoint journal (single -app only)")
 	resume := flag.Bool("resume", false, "skip experiments already recorded in -journal instead of starting fresh")
-	liveness := flag.String("liveness", "", "direct register injections by static liveness (live or dead)")
 	equivalence := flag.String("equivalence", "", "drive register injections by the static equivalence partition (annotate, prune or audit)")
 	predict := flag.Bool("predict", false, "print the static AVF prediction next to the measured rates")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
@@ -245,7 +238,7 @@ func run() int {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "shard", "journal", "resume", "app", "n", "seed", "regions",
-				"csv", "liveness", "equivalence", "predict", "forensics",
+				"csv", "equivalence", "predict", "forensics",
 				"trace-diff", "trace-out",
 				"checkpoint-interval", "checkpoints",
 				"adaptive", "d", "confidence", "round", "ranks", "scale":
@@ -293,15 +286,12 @@ func run() int {
 		}
 	})
 	if *adaptive {
-		// The adaptive planner owns the plan: it sizes each region from
-		// its own tallies, so a raw count or a shard of a fixed plan
-		// contradicts it.  Refuse loudly.
-		switch {
-		case nFlagSet:
+		// The adaptive planner sizes each region from its own tallies, so
+		// a raw count contradicts it (and -n has a nonzero default, which
+		// core could not tell from a request).  core.NormalizeAdaptive
+		// refuses -shard.
+		if nFlagSet {
 			log.Print("-adaptive sizes the campaign itself (stopping at the CI target); it cannot be combined with -n")
-			return 1
-		case *shardSpec != "":
-			log.Print("-adaptive rounds own the plan, so -shard cannot partition it; use faultcoord for distribution")
 			return 1
 		}
 	} else if len(adaptiveOnly) > 0 {
@@ -419,24 +409,9 @@ func run() int {
 		return 1
 	}
 
-	var policy core.LivenessPolicy
-	switch *liveness {
-	case "":
-	case "live":
-		policy = core.LiveTargetLive
-	case "dead":
-		policy = core.LiveTargetDead
-	default:
-		log.Printf("unknown -liveness policy %q (want live or dead)", *liveness)
-		return 1
-	}
 	eqPolicy, err := core.ParseEquivalencePolicy(*equivalence)
 	if err != nil {
 		log.Print(err)
-		return 1
-	}
-	if *liveness != "" && eqPolicy != core.EquivOff {
-		log.Print("-liveness and -equivalence are mutually exclusive")
 		return 1
 	}
 
@@ -465,14 +440,20 @@ func run() int {
 		}
 	}()
 
+	// In -csv mode stdout carries only CSV tables; prose summaries move
+	// to stderr so the output stays machine-parseable.
+	prose := os.Stdout
+	if *csv {
+		prose = os.Stderr
+	}
 	if !*quiet {
 		if *adaptive {
 			if cap, err := sampling.SampleSize(*confidence, *targetD); err == nil {
-				fmt.Printf("sampling: adaptive sequential stopping at d<=%.1f%% (%.0f%% confidence), fixed-n cap %d/region\n",
+				fmt.Fprintf(prose, "sampling: adaptive sequential stopping at d<=%.1f%% (%.0f%% confidence), fixed-n cap %d/region\n",
 					100**targetD, 100**confidence, cap)
 			}
 		} else if s, err := sampling.Describe(0.95, *n); err == nil {
-			fmt.Printf("sampling: %s\n", s)
+			fmt.Fprintf(prose, "sampling: %s\n", s)
 		}
 	}
 
@@ -543,34 +524,13 @@ func run() int {
 				}
 			}
 		}
-		var prog *analysis.Program
-		var live *analysis.Liveness
-		var abiStats map[string]analysis.ABIStats
-		if *liveness != "" || *predict || eqPolicy != core.EquivOff {
-			if prog, err = analysis.Analyze(im); err != nil {
-				log.Printf("analyze %s: %v", name, err)
-				return 1
-			}
-			live = analysis.ComputeLiveness(prog)
-			var abiFindings []analysis.Finding
-			abiFindings, abiStats = analysis.ABICheck(prog)
-			if total := len(prog.Findings) + len(live.Findings) + len(abiFindings); total > 0 {
-				log.Printf("%s: static analysis reported %d findings; run faultlint", name, total)
-				return 1
-			}
-		}
-		if *liveness != "" {
-			cfg.Liveness = live
-			cfg.LivenessPolicy = policy
-		}
 		if eqPolicy != core.EquivOff {
-			flow := analysis.ComputeDataflow(prog, live)
-			if len(flow.Findings) > 0 {
-				log.Printf("%s: dataflow pass reported %d findings; run faultlint", name, len(flow.Findings))
+			eq, err := analysis.EquivalenceFor(im)
+			if err != nil {
+				log.Printf("%s: %v", name, err)
 				return 1
 			}
-			cfg.Equivalence = analysis.ComputeEquivalence(prog, live, flow, abiStats)
-			cfg.EquivalencePolicy = eqPolicy
+			cfg.Equivalence, cfg.EquivalencePolicy = eq, eqPolicy
 			// The reweighted tables need the per-experiment annotations.
 			cfg.KeepExperiments = true
 		}
@@ -673,12 +633,6 @@ func run() int {
 			report.WriteCampaign(os.Stdout, fmt.Sprintf("%s, stands in for %s", name, a.Paper), res)
 			fmt.Printf("(campaign wall time %.1fs)\n\n", time.Since(start).Seconds())
 		}
-		// In -csv mode stdout carries only CSV tables; prose summaries
-		// move to stderr so the output stays machine-parseable.
-		prose := os.Stdout
-		if *csv {
-			prose = os.Stderr
-		}
 		if st := res.Adaptive; st != nil {
 			if !*csv {
 				report.WriteRates(os.Stdout, name, res, st.Confidence, st.Target, eqPolicy == core.EquivPrune)
@@ -687,10 +641,6 @@ func run() int {
 			fmt.Fprintf(prose, "%s: adaptive stopping converged in %d rounds: %d experiments vs %d fixed-n (%.2fx of the worst case)\n\n",
 				name, st.Rounds, st.TotalExecuted(), st.FixedTotal(),
 				float64(st.TotalExecuted())/float64(st.FixedTotal()))
-		}
-		if d := res.Directed; d != nil && d.Experiments > 0 {
-			fmt.Fprintf(prose, "%s: %s-directed register sampling: %.1f%% of the %d-bit space eligible -> %.1fx fewer injections for equal coverage\n\n",
-				name, d.Policy, 100*d.Fraction(), core.RegisterSpaceBits, d.Speedup())
 		}
 		if s := res.Equivalence; s != nil && s.Experiments > 0 {
 			fmt.Fprintf(prose, "%s: equivalence %s register sampling: %.1f%% of the %d-bit space provably benign, %d classes sampled\n",
@@ -716,7 +666,11 @@ func run() int {
 			fmt.Fprintln(prose)
 		}
 		if *predict {
-			rep := analysis.EstimateAVF(prog, live, abiStats, nil)
+			rep, err := analysis.StaticAVF(im)
+			if err != nil {
+				log.Printf("avf %s: %v", name, err)
+				return 1
+			}
 			rep.App = name
 			measured := make(map[string]float64)
 			for _, t := range res.Tallies {

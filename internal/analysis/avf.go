@@ -250,22 +250,31 @@ func (rep *AVFReport) Priors() map[string]float64 {
 	return out
 }
 
-// AVFPriors runs the full static pipeline (CFG, liveness, ABI audit,
-// AVF estimation) over an image and returns the per-region pilot
-// priors.  Both the single-process campaign runner and the coordinator
-// call this one function, so an adaptive campaign's priors — and hence
-// its round schedule — are identical however it is executed.  Analysis
-// findings are not fatal here: priors only steer pilot sizing, never
-// the estimates, so a program the lint pass complains about still gets
-// the fractions the estimator can compute.
-func AVFPriors(im *image.Image) (map[string]float64, error) {
+// StaticAVF runs the static pipeline (CFG, liveness, ABI audit, AVF
+// estimation) over an image.  Analysis findings are not fatal here: the
+// estimate only forecasts rates and steers pilot sizing, so a program
+// the lint pass complains about still gets the fractions the estimator
+// can compute.
+func StaticAVF(im *image.Image) (*AVFReport, error) {
 	prog, err := Analyze(im)
 	if err != nil {
 		return nil, err
 	}
 	live := ComputeLiveness(prog)
 	_, abiStats := ABICheck(prog)
-	return EstimateAVF(prog, live, abiStats, nil).Priors(), nil
+	return EstimateAVF(prog, live, abiStats, nil), nil
+}
+
+// AVFPriors returns StaticAVF's per-region pilot priors.  Both the
+// single-process campaign runner and the coordinator call this one
+// function, so an adaptive campaign's priors — and hence its round
+// schedule — are identical however it is executed.
+func AVFPriors(im *image.Image) (map[string]float64, error) {
+	rep, err := StaticAVF(im)
+	if err != nil {
+		return nil, err
+	}
+	return rep.Priors(), nil
 }
 
 // WriteAVF prints the prediction table.  measured, when non-empty, maps

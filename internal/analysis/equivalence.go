@@ -128,6 +128,25 @@ func ComputeEquivalence(prog *Program, live *Liveness, flow *Dataflow, abiStats 
 	return eq
 }
 
+// EquivalenceFor runs the whole static pipeline over an image — CFG,
+// liveness, ABI audit, dataflow, partition — and returns the map an
+// equivalence-driven campaign injects by.  Unlike StaticAVF, findings
+// are fatal: a partition built on an analysis the lint passes dispute
+// would make benign claims nobody can trust.
+func EquivalenceFor(im *image.Image) (*Equivalence, error) {
+	prog, err := Analyze(im)
+	if err != nil {
+		return nil, err
+	}
+	live := ComputeLiveness(prog)
+	abiFindings, abiStats := ABICheck(prog)
+	flow := ComputeDataflow(prog, live)
+	if n := len(prog.Findings) + len(live.Findings) + len(abiFindings) + len(flow.Findings); n > 0 {
+		return nil, fmt.Errorf("static analysis reported %d findings; run faultlint", n)
+	}
+	return ComputeEquivalence(prog, live, flow, abiStats), nil
+}
+
 // regSpaceBits mirrors core.RegisterSpaceBits: (8 GPRs + PC + flags) x 32.
 const regSpaceBits = (isa.NumGPR + 2) * 32
 

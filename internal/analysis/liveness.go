@@ -161,7 +161,7 @@ func ComputeLiveness(prog *Program) *Liveness {
 
 // LiveAt returns the live register mask (bits 0-7 the GPRs, bit 8 the
 // flags) at an instruction boundary; ok is false when pc is not a known,
-// reachable instruction address.  This implements core.LivenessMap.
+// reachable instruction address.  ComputeEquivalence partitions from it.
 func (l *Liveness) LiveAt(pc uint32) (uint16, bool) {
 	m, ok := l.liveAt[pc]
 	return uint16(m), ok

@@ -48,10 +48,6 @@ type Job struct {
 	// leaving only the progress metric and wall clock (used by the
 	// detector-ablation benchmarks).
 	DisableDeadlockDetector bool
-	// UseTCPTransport moves the Channel layer onto loopback TCP sockets
-	// — the closest available analogue of ch_p4 over Ethernet.  Fault
-	// injection is unaffected: the hook still runs on received bytes.
-	UseTCPTransport bool
 	// Metrics, when non-nil, receives job telemetry: retired
 	// instructions, traps by signal, budget exhaustions, MPI message
 	// and byte counts, hang verdicts by cause, stall events and the
@@ -61,12 +57,10 @@ type Job struct {
 	// byte-identical to one from before this field existed.
 	Metrics *telemetry.Registry
 	// Causality, when non-nil, records Channel-level message events for
-	// consistent-cut computation (golden recording runs only; requires
-	// the in-process transport).
+	// consistent-cut computation (golden recording runs only).
 	Causality *mpi.CausalityRecorder
 	// Checkpoints, when non-nil, makes the job pause at the given
 	// consistent cuts and emit cluster snapshots (see checkpoint.go).
-	// Requires the in-process transport; ignored with UseTCPTransport.
 	Checkpoints *CheckpointSpec
 	// Restore, when non-nil, starts the job from a cluster snapshot
 	// instead of t=0: every live rank resumes mid-stream, exited ranks
@@ -166,26 +160,6 @@ func Run(job Job) *Result {
 	if job.PMPIHook != nil {
 		world.SetPMPIHook(job.PMPIHook)
 	}
-	if job.UseTCPTransport {
-		tp, err := mpi.NewTCPTransport(world)
-		if err != nil {
-			// No sockets available: report an immediate job failure
-			// rather than panicking inside rank goroutines.
-			failed := &Result{
-				Ranks:  make([]RankResult, job.Size),
-				Stdout: make([][]byte, job.Size),
-				Stderr: make([][]byte, job.Size),
-				Files:  map[string][]byte{},
-			}
-			for r := range failed.Ranks {
-				failed.Ranks[r].Trap = &vm.Trap{Kind: vm.TrapMPIFatal,
-					Msg: "transport setup failed: " + err.Error()}
-			}
-			return failed
-		}
-		world.SetTransport(tp)
-		defer tp.Close()
-	}
 
 	res := &Result{
 		Ranks:  make([]RankResult, job.Size),
@@ -257,7 +231,7 @@ func Run(job Job) *Result {
 
 	var coord *ckptRun
 	if job.Checkpoints != nil && len(job.Checkpoints.Vectors) > 0 &&
-		job.Restore == nil && !job.UseTCPTransport {
+		job.Restore == nil {
 		coord = newCkptRun(job.Checkpoints, world, machines, ios, files,
 			job.Image.HeapBase, job.Budget)
 	}

@@ -307,46 +307,3 @@ func TestWaitOnBadHandle(t *testing.T) {
 		t.Fatalf("msg = %q", tr.Msg)
 	}
 }
-
-// TestTCPTransportRuns: the same collectives-heavy program must produce
-// identical output whether the Channel layer runs in-process or over
-// loopback TCP sockets.
-func TestTCPTransportRuns(t *testing.T) {
-	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
-		m.BSS("val", 4)
-		m.BSS("sum", 4)
-		m.BSS("big", 4096)
-		m.BSS("bigr", 4096)
-		m.BSS("myrank", 4)
-		f.CallArgs("MPI_Init")
-		f.CallArgs("MPI_Comm_rank", asm.Imm(abi.CommWorld))
-		f.StSym("myrank", 0, isa.R0)
-		f.Addi(isa.R1, isa.R0, 1)
-		f.StSym("val", 0, isa.R1)
-		f.CallArgs("MPI_Allreduce", asm.Sym("val"), asm.Sym("sum"),
-			asm.Imm(1), asm.Imm(abi.DTInt32), asm.Imm(abi.OpSum), asm.Imm(abi.CommWorld))
-		// A rendezvous-sized broadcast exercises RTS/CTS over TCP.
-		f.CallArgs("MPI_Bcast", asm.Sym("big"), asm.Imm(1024), asm.Imm(abi.DTInt32),
-			asm.Imm(0), asm.Imm(abi.CommWorld))
-		f.CallArgs("MPI_Barrier", asm.Imm(abi.CommWorld))
-		f.LdSym(isa.R0, "myrank", 0)
-		f.Cmpi(isa.R0, 0)
-		skip := f.NewLabel()
-		f.Bne(skip)
-		f.LdSym(isa.R1, "sum", 0)
-		f.CallArgs("print_int", asm.Imm(abi.FdStdout), asm.Reg(isa.R1))
-		f.Label(skip)
-		f.CallArgs("MPI_Finalize")
-	})
-	inproc := Run(Job{Image: im, Size: 4, Budget: 50_000_000})
-	mustExitClean(t, inproc)
-	tcp := Run(Job{Image: im, Size: 4, Budget: 50_000_000,
-		UseTCPTransport: true, WallLimit: 60 * time.Second})
-	mustExitClean(t, tcp)
-	if got, want := string(tcp.Stdout[0]), string(inproc.Stdout[0]); got != want {
-		t.Fatalf("tcp output %q != in-process %q", got, want)
-	}
-	if string(tcp.Stdout[0]) != "10" {
-		t.Fatalf("sum = %q", tcp.Stdout[0])
-	}
-}

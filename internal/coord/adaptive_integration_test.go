@@ -2,11 +2,12 @@ package coord
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
-
-	"net/http/httptest"
 
 	"mpifault/internal/analysis"
 	"mpifault/internal/core"
@@ -51,7 +52,29 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 
 	spool := t.TempDir()
 	co := New(Config{Metrics: telemetry.New(), Dir: spool})
-	srv := httptest.NewServer(co.Handler())
+	// The server records every grant on its way to a worker.
+	var grantsMu sync.Mutex
+	grants := map[int]leaseGrant{}
+	handler := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/lease/acquire" {
+			handler.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		if rec.Code == http.StatusOK {
+			var g leaseGrant
+			if err := json.Unmarshal(rec.Body.Bytes(), &g); err != nil {
+				t.Errorf("grant does not parse: %v", err)
+			}
+			grantsMu.Lock()
+			grants[g.Lease] = g
+			grantsMu.Unlock()
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
 	defer srv.Close()
 	if err := co.Submit(Spec{
 		App: "wavetoy", Seed: seed, Regions: []string{"reg", "heap"},
@@ -102,6 +125,22 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 	if res.Adaptive.TotalExecuted() != st.Results {
 		t.Fatalf("cluster executed %d experiments, single process %d",
 			st.Results, res.Adaptive.TotalExecuted())
+	}
+
+	// Every lease named its entries — no more than a lease holds, and
+	// between them exactly the experiments the campaign executed.
+	granted := map[string]bool{}
+	for _, g := range grants {
+		if len(g.Entries) == 0 || len(g.Entries) > 16 || g.End-g.Start != len(g.Entries) {
+			t.Errorf("grant of lease %d [%d,%d) carries %d entries", g.Lease, g.Start, g.End, len(g.Entries))
+		}
+		for _, id := range g.Entries {
+			granted[id] = true
+		}
+	}
+	if len(grants) != st.LeasesTotal || len(granted) != st.Results {
+		t.Errorf("%d leases granted %d distinct entries; the campaign cut %d leases and executed %d experiments",
+			len(grants), len(granted), st.LeasesTotal, st.Results)
 	}
 
 	// Independent reconstruction: faultmerge's directory path replays the

@@ -10,8 +10,9 @@
 // alone, so any worker can run any plan entry and produce the identical
 // outcome.  That makes the whole protocol forgiving by construction:
 //
-//   - Leases are bounded contiguous ranges of the plan with a deadline.
-//     Workers renew their lease by heartbeat; a lease whose deadline
+//   - Leases are bounded lists of plan entries with a deadline — chunks
+//     of the plan for a fixed-n campaign, chunks of the adaptive
+//     frontier otherwise.  Workers renew their lease by heartbeat; a lease whose deadline
 //     passes (slow or dead worker) returns to the queue and is re-issued
 //     to the next worker that asks — work-stealing with no fencing
 //     beyond a per-lease generation counter that invalidates stale
@@ -27,8 +28,13 @@
 //     records must agree (report.SameOutcome), and a disagreement fails
 //     the campaign loudly, because it means determinism itself broke.
 //
-// When every lease completes, the coordinator assembles the experiments
-// in plan order and renders the final tables exactly as a
+// The coordinator holds no campaign state beyond the results it has
+// ingested.  When every lease has completed, an adaptive campaign asks
+// core.AdaptiveContract.Frontier what those results still lack and cuts
+// it into the next round's leases — the same question a single-process
+// core.RunAdaptive asks between rounds, so the two run the same rounds.
+// When nothing is missing, report.Assemble — the check faultmerge runs —
+// accepts the result set and the final tables are rendered exactly as a
 // single-process campaign would: the /result.csv bytes are identical to
 // `faultcampaign -csv -quiet` at the same spec — the determinism gate's
 // cluster twin.
@@ -50,7 +56,6 @@ import (
 	"mpifault/internal/apps"
 	"mpifault/internal/core"
 	"mpifault/internal/report"
-	"mpifault/internal/sampling"
 	"mpifault/internal/telemetry"
 )
 
@@ -71,16 +76,17 @@ type Spec struct {
 	// digest — the e2e gate compares the hashes they log.
 	TraceDiff bool `json:"trace_diff,omitempty"`
 	// Adaptive switches the campaign to the sequential-stopping planner
-	// (faultcampaign -adaptive): leases are cut round by round from
-	// core/sampling's deterministic planner instead of pre-split from the
-	// fixed plan, each round is a barrier (its leases must all complete
-	// before the tallies advance the planner), and the campaign stops
-	// each region once its Wilson CI half-width reaches TargetHalfWidth.
-	// Injections must be zero on submission; Submit sizes it to the
-	// fixed-n cap.  Because the planner is a pure function of the
-	// tallies and every outcome is a pure function of (seed, region,
-	// index), the final CSV is byte-identical to a single-process
-	// adaptive run of the same spec, whatever the worker count.
+	// (faultcampaign -adaptive): instead of pre-splitting the fixed plan,
+	// leases are cut round by round from core.AdaptiveContract.Frontier
+	// over the results ingested so far.  Each round is a barrier — its
+	// leases must all complete before the frontier is asked again — and
+	// the coordinator keeps no planner between barriers: what runs next
+	// is a pure function of (contract, recorded outcomes), and every
+	// outcome a pure function of (seed, region, index), so the final CSV
+	// is byte-identical to a single-process adaptive run of the same
+	// spec, whatever the worker count.  The campaign stops each region
+	// once its Wilson CI half-width reaches TargetHalfWidth.  Injections
+	// must be zero on submission; Submit sizes it to the fixed-n cap.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Confidence, TargetHalfWidth and RoundSize pin the estimation
 	// contract; zero values take the core defaults (95 %, 4.9 %,
@@ -91,7 +97,7 @@ type Spec struct {
 	// Priors are the effective pilot priors in region order.  Submit
 	// fills them from the app's static AVF estimates when absent; they
 	// ride in every lease grant so worker journal headers record the
-	// same contract the coordinator replays.
+	// same contract the coordinator's frontier replays.
 	Priors []float64 `json:"priors,omitempty"`
 	// LeaseSize bounds how many plan entries one lease carries; small
 	// leases steal cheaply, large leases amortize the worker's golden
@@ -136,22 +142,21 @@ const (
 	leaseDone
 )
 
-// lease is one bounded range [Start, End) of the campaign plan — or,
-// for adaptive campaigns, an explicit entry list cut from one planner
-// round (entries/ids non-nil, start/end unused).
+// lease is one bounded list of plan entries, cut from the plan (fixed-n)
+// or from one adaptive round's frontier.
 type lease struct {
-	idx        int
-	start, end int
-	entries    []core.PlanEntry // adaptive: the exact entries this lease runs
-	ids        map[string]bool  // adaptive: membership set for ingestion
-	gen        int              // incremented at every grant; stale gens are fenced out
-	state      leaseState
-	worker     string
-	deadline   time.Time
-	expired    bool // had an owner and timed out; next grant counts as stolen
-	stolen     int
-	failures   int
-	segs       map[int]*segment // per-generation upload buffers
+	idx      int
+	start    int              // offset of entries[0] in the list the lease was cut from
+	entries  []core.PlanEntry // the exact entries this lease runs, in execution order
+	ids      map[string]bool  // their IDs: the membership set for ingestion
+	gen      int              // incremented at every grant; stale gens are fenced out
+	state    leaseState
+	worker   string
+	deadline time.Time
+	expired  bool // had an owner and timed out; next grant counts as stolen
+	stolen   int
+	failures int
+	segs     map[int]*segment // per-generation upload buffers
 }
 
 // segment is the append-only upload buffer of one lease generation.
@@ -168,27 +173,18 @@ type workerState struct {
 
 // campaign is the coordinator's single active campaign.
 type campaign struct {
-	spec    Spec
-	ranks   int
-	regions []core.Region
-	plan    core.Plan
-	header  report.JournalHeader
-	ttl     time.Duration
+	spec     Spec
+	ranks    int
+	header   report.JournalHeader
+	contract core.AdaptiveContract // adaptive campaigns: what Frontier replays
+	ttl      time.Duration
 
 	leases  []*lease
 	queue   []int // pending lease indices, FIFO
 	results map[string]core.Experiment
 	workers map[string]*workerState
 
-	// Adaptive campaigns: the sequential planner and the per-region
-	// prefix lengths cut into leases so far.  Rounds are barriers —
-	// finishLeaseLocked advances the planner only when every cut lease
-	// has completed — so the round schedule is the same pure function of
-	// the tallies a single-process RunAdaptive computes.
-	planner  *sampling.Planner
-	executed []int // per-region entries cut into leases so far
-	round    int
-	planned  int // total entries cut so far (the adaptive plan size)
+	planned int // total entries cut into leases so far (grows by the round when adaptive)
 
 	doneLeases   int
 	duplicates   int
@@ -335,7 +331,6 @@ func (co *Coordinator) Submit(spec Spec) error {
 	}
 	spec.LeaseTTLMillis = ttl.Milliseconds()
 
-	var planner *sampling.Planner
 	if spec.Adaptive {
 		// Normalize the estimation contract exactly like a single-process
 		// RunAdaptive would, so the header — and hence every worker's
@@ -374,23 +369,10 @@ func (co *Coordinator) Submit(spec Spec) error {
 			}
 			spec.Priors = core.EffectivePriors(regions, m)
 		}
-		strata := make([]sampling.Stratum, len(regions))
-		for i, r := range regions {
-			strata[i] = sampling.Stratum{Name: r.Short(), Prior: spec.Priors[i]}
-		}
-		planner, err = sampling.NewPlanner(sampling.PlannerConfig{
-			Confidence: spec.Confidence,
-			Target:     spec.TargetHalfWidth,
-			RoundSize:  spec.RoundSize,
-		}, strata)
-		if err != nil {
-			return err
-		}
 	} else if spec.Injections <= 0 {
 		return fmt.Errorf("coord: injections must be positive")
 	}
 
-	plan := core.Plan{Regions: regions, Injections: spec.Injections}
 	short := make([]string, len(regions))
 	for i, r := range regions {
 		short[i] = r.Short()
@@ -401,37 +383,31 @@ func (co *Coordinator) Submit(spec Spec) error {
 		return err
 	}
 	c := &campaign{
-		spec:     spec,
-		ranks:    a.Default.Ranks,
-		regions:  regions,
-		plan:     plan,
-		ttl:      ttl,
-		header:   header,
-		planner:  planner,
-		executed: make([]int, len(regions)),
-		results:  map[string]core.Experiment{},
-		workers:  map[string]*workerState{},
-		done:     make(chan struct{}),
-		started:  co.cfg.Now(),
+		spec:    spec,
+		ranks:   a.Default.Ranks,
+		ttl:     ttl,
+		header:  header,
+		results: map[string]core.Experiment{},
+		workers: map[string]*workerState{},
+		done:    make(chan struct{}),
+		started: co.cfg.Now(),
 	}
+	var entries []core.PlanEntry
 	if spec.Adaptive {
+		c.contract = core.AdaptiveContract{
+			Confidence: spec.Confidence, Target: spec.TargetHalfWidth, RoundSize: spec.RoundSize,
+			Regions: regions, Priors: spec.Priors,
+		}
 		// Cut only the pilot round; later rounds are cut at the barrier
-		// in finishLeaseLocked, once this round's tallies are in.
-		if c.cutRound(planner.NextRound()) == 0 {
-			return fmt.Errorf("coord: adaptive planner produced an empty pilot round")
+		// in finishLeaseLocked, once this round's results are in.
+		if _, entries, _, err = c.contract.Frontier(core.RecordedIn(c.results)); err != nil {
+			return err
 		}
 	} else {
-		for start := 0; start < plan.Total(); start += spec.LeaseSize {
-			end := start + spec.LeaseSize
-			if end > plan.Total() {
-				end = plan.Total()
-			}
-			l := &lease{idx: len(c.leases), start: start, end: end, segs: map[int]*segment{}}
-			c.leases = append(c.leases, l)
-			c.queue = append(c.queue, l.idx)
-		}
-		c.planned = plan.Total()
+		plan := core.Plan{Regions: regions, Injections: spec.Injections}
+		entries = plan.Range(0, plan.Total())
 	}
+	c.cutLeases(entries)
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -449,51 +425,24 @@ func (co *Coordinator) Submit(spec Spec) error {
 	return nil
 }
 
-// cutRound turns one planner round's per-region allocations into queued
-// leases of at most LeaseSize entries each, in the exact order a
-// single-process RunAdaptive executes them.  Returns the number of
-// entries cut; 0 means the planner has converged.
-func (c *campaign) cutRound(allocs []int) int {
-	entries := core.AdaptiveEntriesForRound(c.regions, c.executed, allocs)
-	if len(entries) == 0 {
-		return 0
-	}
-	for i, a := range allocs {
-		c.executed[i] += a
-	}
-	c.round++
+// cutLeases queues entries — the whole plan, or one adaptive round's
+// frontier — as leases of at most LeaseSize entries each, in order: the
+// order a single-process campaign executes them.
+func (c *campaign) cutLeases(entries []core.PlanEntry) {
 	c.planned += len(entries)
 	for start := 0; start < len(entries); start += c.spec.LeaseSize {
 		end := start + c.spec.LeaseSize
 		if end > len(entries) {
 			end = len(entries)
 		}
-		sub := entries[start:end]
-		ids := make(map[string]bool, len(sub))
-		for _, pe := range sub {
-			ids[pe.ID()] = true
+		l := &lease{idx: len(c.leases), start: start, entries: entries[start:end],
+			ids: make(map[string]bool, end-start), segs: map[int]*segment{}}
+		for _, pe := range l.entries {
+			l.ids[pe.ID()] = true
 		}
-		l := &lease{idx: len(c.leases), entries: sub, ids: ids, segs: map[int]*segment{}}
 		c.leases = append(c.leases, l)
 		c.queue = append(c.queue, l.idx)
 	}
-	return len(entries)
-}
-
-// entryIDs returns the plan IDs a lease covers, in execution order.
-func (c *campaign) entryIDs(l *lease) []string {
-	if l.entries != nil {
-		ids := make([]string, len(l.entries))
-		for i, pe := range l.entries {
-			ids[i] = pe.ID()
-		}
-		return ids
-	}
-	ids := make([]string, 0, l.end-l.start)
-	for g := l.start; g < l.end; g++ {
-		ids = append(ids, c.plan.Entry(g).ID())
-	}
-	return ids
 }
 
 // Done returns a channel closed when the campaign completes or fails.
@@ -545,20 +494,28 @@ func (co *Coordinator) sweepLocked() {
 		if c.failedErr != nil {
 			return
 		}
-		if w := c.workers[l.worker]; w != nil && w.lease == l.idx {
-			w.lease = -1
-		}
-		l.state = leasePending
-		l.expired = true
-		c.queue = append(c.queue, l.idx)
-		co.met.expired.Inc()
-		co.met.active.Add(-1)
+		co.requeueLocked(l)
 	}
+}
+
+// requeueLocked returns an active lease to the queue — expired, failed
+// or completed with an unusable segment; its next grant counts as
+// stolen work.  Called with co.mu held.
+func (co *Coordinator) requeueLocked(l *lease) {
+	c := co.c
+	if w := c.workers[l.worker]; w != nil && w.lease == l.idx {
+		w.lease = -1
+	}
+	l.state = leasePending
+	l.expired = true
+	c.queue = append(c.queue, l.idx)
+	co.met.expired.Inc()
+	co.met.active.Add(-1)
 }
 
 // ingestSegmentLocked parses one generation's segment bytes and merges
 // its experiments into the campaign results.  strict rejects entries
-// outside the lease range and a short parse (lease completion); the
+// outside the lease and a short parse (lease completion); the
 // opportunistic expiry path tolerates both.  Called with co.mu held.
 func (co *Coordinator) ingestSegmentLocked(l *lease, gen int, strict bool) error {
 	c := co.c
@@ -586,14 +543,7 @@ func (co *Coordinator) ingestSegmentLocked(l *lease, gen int, strict bool) error
 		return err
 	}
 	for id, e := range exps {
-		inLease := false
-		if l.ids != nil {
-			inLease = l.ids[id]
-		} else {
-			g, ok := c.planIndex(e)
-			inLease = ok && g >= l.start && g < l.end
-		}
-		if !inLease {
+		if !l.ids[id] {
 			if strict {
 				return fmt.Errorf("lease %d gen %d: experiment %s outside the lease", l.idx, gen, id)
 			}
@@ -625,19 +575,6 @@ func (co *Coordinator) ingestSegmentLocked(l *lease, gen int, strict bool) error
 	return nil
 }
 
-// planIndex maps an experiment back to its global plan index.
-func (c *campaign) planIndex(e core.Experiment) (int, bool) {
-	for i, r := range c.regions {
-		if r == e.Region {
-			if e.Index < 0 || e.Index >= c.spec.Injections {
-				return 0, false
-			}
-			return i*c.spec.Injections + e.Index, true
-		}
-	}
-	return 0, false
-}
-
 // failLocked marks the campaign failed.  Called with co.mu held.
 func (co *Coordinator) failLocked(err error) {
 	c := co.c
@@ -648,9 +585,11 @@ func (co *Coordinator) failLocked(err error) {
 	close(c.done)
 }
 
-// finishLeaseLocked marks a lease done and, when it was the last one,
-// assembles the final result — or, for an adaptive campaign, crosses
-// the round barrier.  Called with co.mu held.
+// finishLeaseLocked marks a lease done and, when it was the last one
+// cut, crosses the barrier: an adaptive campaign asks the frontier what
+// the results still lack and cuts it into the next round's leases; when
+// nothing is missing, report.Assemble accepts the result set and the
+// final CSV is rendered.  Called with co.mu held.
 func (co *Coordinator) finishLeaseLocked(l *lease) {
 	c := co.c
 	l.state = leaseDone
@@ -664,73 +603,23 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 		return
 	}
 	if c.spec.Adaptive {
-		co.advanceAdaptiveLocked()
-		return
-	}
-	experiments := make([]core.Experiment, 0, c.plan.Total())
-	for g := 0; g < c.plan.Total(); g++ {
-		e, ok := c.results[c.plan.Entry(g).ID()]
-		if !ok {
-			co.failLocked(fmt.Errorf("coord: plan entry %s missing after all leases completed", c.plan.Entry(g).ID()))
-			return
-		}
-		experiments = append(experiments, e)
-	}
-	co.assembleLocked(experiments)
-}
-
-// advanceAdaptiveLocked is the adaptive round barrier: every cut lease
-// has completed, so the planner sees the cumulative per-region tallies
-// and either cuts the next round's leases or closes the campaign.  The
-// tallies — and therefore the rounds — are the same pure function of
-// the recorded outcomes a single-process RunAdaptive computes, which is
-// what makes the final CSV byte-identical whatever the worker count.
-// Called with co.mu held.
-func (co *Coordinator) advanceAdaptiveLocked() {
-	c := co.c
-	for i, r := range c.regions {
-		errs := 0
-		for idx := 0; idx < c.executed[i]; idx++ {
-			e, ok := c.results[core.PlanEntry{Region: r, Index: idx}.ID()]
-			if !ok {
-				co.failLocked(fmt.Errorf("coord: adaptive round %d: %s missing after all leases completed",
-					c.round, core.PlanEntry{Region: r, Index: idx}.ID()))
-				return
-			}
-			if report.ErrorOf(e) {
-				errs++
-			}
-		}
-		if err := c.planner.SetTally(i, errs, c.executed[i]); err != nil {
+		_, missing, _, err := c.contract.Frontier(core.RecordedIn(c.results))
+		if err != nil {
 			co.failLocked(err)
 			return
 		}
-	}
-	before := len(c.leases)
-	if n := c.cutRound(c.planner.NextRound()); n > 0 {
-		co.met.leases.Add(uint64(len(c.leases) - before))
-		co.met.planned.Add(uint64(n))
-		return
-	}
-	// Planner converged: the result is the per-region prefixes in plan
-	// order (the order the merge re-derives by replaying the planner).
-	experiments := make([]core.Experiment, 0, c.planned)
-	for i, r := range c.regions {
-		for idx := 0; idx < c.executed[i]; idx++ {
-			experiments = append(experiments, c.results[core.PlanEntry{Region: r, Index: idx}.ID()])
+		if len(missing) > 0 {
+			before := len(c.leases)
+			c.cutLeases(missing)
+			co.met.leases.Add(uint64(len(c.leases) - before))
+			co.met.planned.Add(uint64(len(missing)))
+			return
 		}
 	}
-	co.assembleLocked(experiments)
-}
-
-// assembleLocked renders the final CSV from the complete experiment set
-// and closes the campaign.  Called with co.mu held.
-func (co *Coordinator) assembleLocked(experiments []core.Experiment) {
-	c := co.c
-	res := &core.Result{
-		Tallies:      core.TallyExperiments(c.regions, experiments),
-		Experiments:  experiments,
-		Unclassified: core.CountUnapplied(experiments),
+	res, err := report.Assemble(c.header, c.results)
+	if err != nil {
+		co.failLocked(err)
+		return
 	}
 	c.unclassified = res.Unclassified
 	var buf bytes.Buffer
@@ -739,20 +628,23 @@ func (co *Coordinator) assembleLocked(experiments []core.Experiment) {
 	close(c.done)
 }
 
-// leaseGrant is the acquire response: the lease coordinates plus the
-// full campaign spec, so a bare `faultcampaign -worker <url>` needs no
-// other configuration.
+// leaseGrant is the acquire response: the lease's entries plus the full
+// campaign spec, so a bare `faultcampaign -worker <url>` needs no other
+// configuration.
 type leaseGrant struct {
-	Lease int   `json:"lease"`
-	Gen   int   `json:"gen"`
+	Lease int `json:"lease"`
+	Gen   int `json:"gen"`
+	// Start/End are informational — the worker runs Entries: where the
+	// lease's entries sit in the list they were cut from, which for a
+	// fixed-n campaign is the plan range [Start, End) and for an adaptive
+	// one just a position within the round.
 	Start int   `json:"start"`
 	End   int   `json:"end"`
 	TTLMs int64 `json:"ttl_ms"`
 	Ranks int   `json:"ranks"`
 	Spec  Spec  `json:"spec"`
-	// Entries, when non-empty, is the explicit plan-entry ID list of an
-	// adaptive round lease; Start/End are then meaningless.
-	Entries []string `json:"entries,omitempty"`
+	// Entries is the plan-entry ID list the lease runs, in order.
+	Entries []string `json:"entries"`
 }
 
 // WorkerStatus is one row of the cluster view.
@@ -781,10 +673,10 @@ type ClusterStatus struct {
 	RatePerSec    float64        `json:"rate_per_sec"`
 	ETASeconds    float64        `json:"eta_seconds"`
 	Error         string         `json:"error,omitempty"`
-	// Adaptive campaigns: the round the planner is in and the
-	// per-stratum CI half-width summary (core.AdaptiveStats.StatusSuffix
-	// format).  PlanTotal then counts the entries cut so far, which
-	// grows round by round.
+	// Adaptive campaigns: the round being run (the last one, once
+	// complete) and the per-stratum CI half-width summary as of the last
+	// barrier (core.AdaptiveStats.StatusSuffix format).  PlanTotal then
+	// counts the entries cut so far, which grows round by round.
 	Round    int    `json:"round,omitempty"`
 	Adaptive string `json:"adaptive,omitempty"`
 }
@@ -809,22 +701,14 @@ func (co *Coordinator) Status() ClusterStatus {
 		LeasesTotal: len(c.leases),
 		LeasesDone:  c.doneLeases,
 	}
-	if c.spec.Adaptive && c.planner != nil {
-		s.Round = c.round
-		stats := core.AdaptiveStats{
-			Confidence: c.spec.Confidence,
-			Target:     c.spec.TargetHalfWidth,
-			RoundSize:  c.spec.RoundSize,
-			Cap:        c.planner.Cap(),
-			Rounds:     c.round,
+	if c.spec.Adaptive {
+		if _, missing, stats, err := c.contract.Frontier(core.RecordedIn(c.results)); err == nil {
+			s.Round = stats.Rounds
+			if len(missing) > 0 {
+				s.Round++
+			}
+			s.Adaptive = stats.StatusSuffix()
 		}
-		for i, st := range c.planner.Snapshot() {
-			stats.Strata = append(stats.Strata, core.AdaptiveStratum{
-				Region: c.regions[i], Prior: st.Prior, Executed: st.Executed,
-				Errors: st.Errors, HalfWidth: st.HalfWidth, Closed: st.Closed,
-			})
-		}
-		s.Adaptive = stats.StatusSuffix()
 	}
 	for _, l := range c.leases {
 		switch l.state {
@@ -923,11 +807,12 @@ func (co *Coordinator) Acquire(worker string) (leaseGrant, bool, error) {
 	co.met.granted.Inc()
 	co.met.active.Add(1)
 	grant := leaseGrant{
-		Lease: l.idx, Gen: l.gen, Start: l.start, End: l.end,
+		Lease: l.idx, Gen: l.gen, Start: l.start, End: l.start + len(l.entries),
 		TTLMs: c.ttl.Milliseconds(), Ranks: c.ranks, Spec: c.spec,
+		Entries: make([]string, len(l.entries)),
 	}
-	if l.entries != nil {
-		grant.Entries = c.entryIDs(l)
+	for i, pe := range l.entries {
+		grant.Entries[i] = pe.ID()
 	}
 	return grant, true, nil
 }
@@ -977,19 +862,12 @@ func (co *Coordinator) Fail(idx, gen int, worker, cause string) error {
 		return err
 	}
 	co.touchWorkerLocked(worker)
-	if w := co.c.workers[worker]; w != nil && w.lease == idx {
-		w.lease = -1
-	}
 	l.failures++
 	if l.failures >= co.cfg.MaxLeaseFailures {
 		co.failLocked(fmt.Errorf("lease %d failed %d times (last: %s)", idx, l.failures, cause))
 		return nil
 	}
-	l.state = leasePending
-	l.expired = true // a re-grant after failure counts as stolen work
-	co.c.queue = append(co.c.queue, idx)
-	co.met.expired.Inc()
-	co.met.active.Add(-1)
+	co.requeueLocked(l)
 	return nil
 }
 
@@ -1063,24 +941,16 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 			return err
 		}
 		// Re-queue: the segment was unusable but the campaign survives.
-		l.state = leasePending
-		l.expired = true
-		co.c.queue = append(co.c.queue, l.idx)
-		co.met.expired.Inc()
-		co.met.active.Add(-1)
+		co.requeueLocked(l)
 		return err
 	}
 	if co.c.failedErr != nil {
 		return co.c.failedErr
 	}
-	for _, id := range co.c.entryIDs(l) {
-		if _, ok := co.c.results[id]; !ok {
-			l.state = leasePending
-			l.expired = true
-			co.c.queue = append(co.c.queue, l.idx)
-			co.met.expired.Inc()
-			co.met.active.Add(-1)
-			return fmt.Errorf("lease %d gen %d: segment missing entry %s", idx, gen, id)
+	for _, pe := range l.entries {
+		if _, ok := co.c.results[pe.ID()]; !ok {
+			co.requeueLocked(l)
+			return fmt.Errorf("lease %d gen %d: segment missing entry %s", idx, gen, pe.ID())
 		}
 	}
 	co.finishLeaseLocked(l)

@@ -140,6 +140,22 @@ func mustAppend(t *testing.T, co *Coordinator, g leaseGrant, worker string, offs
 	return off
 }
 
+// checkFixedGrant: a fixed-n grant names the entries it runs, and its
+// Start/End is the plan range of exactly those entries.
+func checkFixedGrant(t *testing.T, g leaseGrant) {
+	t.Helper()
+	plan := core.Plan{Regions: testRegions, Injections: testInjections}
+	want := plan.Range(g.Start, g.End)
+	if len(g.Entries) == 0 || len(g.Entries) != len(want) {
+		t.Fatalf("grant %+v: %d entries for plan range [%d,%d)", g, len(g.Entries), g.Start, g.End)
+	}
+	for i, pe := range want {
+		if g.Entries[i] != pe.ID() {
+			t.Fatalf("grant %+v: entry %d is %s, plan range says %s", g, i, g.Entries[i], pe.ID())
+		}
+	}
+}
+
 // TestLeaseExpiryStealDuplicates walks the whole steal path: a worker
 // uploads half its lease and dies; the sweep keeps the intact lines and
 // re-queues the lease; the thief re-runs it and its overlapping results
@@ -159,6 +175,7 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	if g1.Lease != 0 || g1.Start != 0 || g1.End != 4 || g1.Gen != 1 {
 		t.Fatalf("unexpected first grant %+v", g1)
 	}
+	checkFixedGrant(t, g1)
 	// Half the lease arrives, then w1 goes silent.
 	partial := segmentBytes(t, h, []core.Experiment{testExperiment(0), testExperiment(1)})
 	mustAppend(t, co, g1, "w1", 0, partial)
@@ -180,6 +197,7 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	if g2.Lease != 1 {
 		t.Fatalf("expected lease 1 first from the queue, got %d", g2.Lease)
 	}
+	checkFixedGrant(t, g2)
 	if st := co.Status(); st.Results != 2 {
 		t.Fatalf("partial segment not ingested: %d results", st.Results)
 	}
@@ -197,6 +215,7 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	if g3.Lease != 0 || g3.Gen != 2 {
 		t.Fatalf("expected stolen lease 0 gen 2, got %+v", g3)
 	}
+	checkFixedGrant(t, g3)
 	if st := co.Status(); st.LeasesStolen != 1 {
 		t.Fatalf("stolen count = %d, want 1", st.LeasesStolen)
 	}

@@ -207,21 +207,11 @@ func (w *worker) app(spec Spec) (*workerApp, error) {
 		return nil, err
 	}
 	if pol != core.EquivOff {
-		prog, err := analysis.Analyze(im)
+		eq, err := analysis.EquivalenceFor(im)
 		if err != nil {
-			return nil, fmt.Errorf("analyze %s: %v", spec.App, err)
+			return nil, fmt.Errorf("%s: %v", spec.App, err)
 		}
-		live := analysis.ComputeLiveness(prog)
-		abiFindings, abiStats := analysis.ABICheck(prog)
-		if total := len(prog.Findings) + len(live.Findings) + len(abiFindings); total > 0 {
-			return nil, fmt.Errorf("%s: static analysis reported %d findings; run faultlint", spec.App, total)
-		}
-		flow := analysis.ComputeDataflow(prog, live)
-		if len(flow.Findings) > 0 {
-			return nil, fmt.Errorf("%s: dataflow pass reported %d findings; run faultlint", spec.App, len(flow.Findings))
-		}
-		wa.equivalence = analysis.ComputeEquivalence(prog, live, flow, abiStats)
-		wa.eqPolicy = pol
+		wa.equivalence, wa.eqPolicy = eq, pol
 	}
 	w.apps[spec.App+"/"+spec.Equivalence] = wa
 	return wa, nil
@@ -341,22 +331,15 @@ func (w *worker) runLease(grant leaseGrant) error {
 			return err
 		}
 	}
-	var entries []core.PlanEntry
-	if len(grant.Entries) > 0 {
-		// An adaptive round lease names its entries explicitly (the
-		// planner owns the plan); core.Run holds each one to the
-		// campaign's region list and cap.
-		entries = make([]core.PlanEntry, len(grant.Entries))
-		for i, id := range grant.Entries {
-			if entries[i], err = core.ParseEntryID(id); err != nil {
-				return err
-			}
-		}
-	} else {
-		plan := core.Plan{Regions: regions, Injections: spec.Injections}
-		entries = plan.Range(grant.Start, grant.End)
-		if len(entries) != grant.End-grant.Start {
-			return fmt.Errorf("lease range [%d,%d) outside the plan", grant.Start, grant.End)
+	// A lease names its entries; core.Run holds each one to the
+	// campaign's region list and injection count.
+	if len(grant.Entries) == 0 {
+		return fmt.Errorf("lease %d names no entries", grant.Lease)
+	}
+	entries := make([]core.PlanEntry, len(grant.Entries))
+	for i, id := range grant.Entries {
+		if entries[i], err = core.ParseEntryID(id); err != nil {
+			return err
 		}
 	}
 
@@ -381,9 +364,9 @@ func (w *worker) runLease(grant leaseGrant) error {
 		TraceDiff:         spec.TraceDiff,
 
 		// Adaptive campaigns: core.Run ignores these (the coordinator
-		// owns the planner), but the journal header derives from them, so
-		// the segment this worker streams back must pin the identical
-		// estimation contract the coordinator replays at merge time.
+		// asks the frontier), but the journal header derives from them,
+		// so the segment this worker streams back must pin the identical
+		// estimation contract the coordinator and the merge replay.
 		Adaptive:        spec.Adaptive,
 		Confidence:      spec.Confidence,
 		TargetHalfWidth: spec.TargetHalfWidth,

@@ -121,20 +121,89 @@ func PriorsFromLabels(labels map[string]float64) (map[Region]float64, error) {
 	return out, nil
 }
 
-// adaptivePlanner builds the sampling planner for a config whose
-// adaptive defaults have been applied.
-func adaptivePlanner(cfg *Config) (*sampling.Planner, []float64, error) {
-	priors := EffectivePriors(cfg.Regions, cfg.AVFPriors)
-	strata := make([]sampling.Stratum, len(cfg.Regions))
-	for i, r := range cfg.Regions {
-		strata[i] = sampling.Stratum{Name: r.Short(), Prior: priors[i]}
+// AdaptiveContract pins an adaptive campaign's round schedule — exactly
+// what a journal header records.  Every outcome is a pure function of
+// (seed, region, index) and the planner's next round is a pure function
+// of the tallies, so what the campaign must run next is a pure function
+// of (contract, outcomes recorded so far): nobody holds planner state,
+// they ask Frontier.
+type AdaptiveContract struct {
+	Confidence float64
+	Target     float64
+	RoundSize  int
+	Regions    []Region
+	Priors     []float64 // effective pilot priors, region order (EffectivePriors)
+}
+
+// RecordedIn adapts an ID-keyed experiment set (Config.Completed, a
+// parsed journal, the coordinator's results) to Frontier's lookup.
+func RecordedIn(byID map[string]Experiment) func(PlanEntry) (manifested, recorded bool) {
+	return func(pe PlanEntry) (bool, bool) {
+		e, ok := byID[pe.ID()]
+		return e.Outcome != classify.Correct, ok
 	}
-	p, err := sampling.NewPlanner(sampling.PlannerConfig{
-		Confidence: cfg.Confidence,
-		Target:     cfg.TargetHalfWidth,
-		RoundSize:  cfg.RoundSize,
+}
+
+// Frontier replays the planner over the recorded outcomes, round by
+// round, and returns the unrecorded entries of the first incomplete
+// round — regions in campaign order, indices ascending, the order the
+// round executes and journals them; nil means the campaign converged.
+// executed is the per-region prefix length at the last complete round
+// and stats the planner's state there.  lookup is consulted only for
+// entries the planner actually allocates.
+func (c AdaptiveContract) Frontier(lookup func(PlanEntry) (manifested, recorded bool)) (executed []int, missing []PlanEntry, stats *AdaptiveStats, err error) {
+	if len(c.Priors) != len(c.Regions) {
+		return nil, nil, nil, fmt.Errorf("core: %d priors for %d regions", len(c.Priors), len(c.Regions))
+	}
+	strata := make([]sampling.Stratum, len(c.Regions))
+	for i, r := range c.Regions {
+		strata[i] = sampling.Stratum{Name: r.Short(), Prior: c.Priors[i]}
+	}
+	planner, err := sampling.NewPlanner(sampling.PlannerConfig{
+		Confidence: c.Confidence, Target: c.Target, RoundSize: c.RoundSize,
 	}, strata)
-	return p, priors, err
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stats = &AdaptiveStats{
+		Confidence: c.Confidence, Target: c.Target, RoundSize: c.RoundSize, Cap: planner.Cap(),
+	}
+	executed = make([]int, len(c.Regions))
+	errors := make([]int, len(c.Regions))
+	for {
+		allocs := planner.NextRound()
+		manifested := make([]int, len(c.Regions))
+		allocated := false
+		for i, a := range allocs {
+			for k := 0; k < a; k++ {
+				allocated = true
+				pe := PlanEntry{Region: c.Regions[i], Index: executed[i] + k}
+				if m, ok := lookup(pe); !ok {
+					missing = append(missing, pe)
+				} else if m {
+					manifested[i]++
+				}
+			}
+		}
+		if !allocated || missing != nil {
+			break
+		}
+		for i, a := range allocs {
+			executed[i] += a
+			errors[i] += manifested[i]
+			if err := planner.SetTally(i, errors[i], executed[i]); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		stats.Rounds++
+	}
+	for i, s := range planner.Snapshot() {
+		stats.Strata = append(stats.Strata, AdaptiveStratum{
+			Region: c.Regions[i], Prior: s.Prior, Executed: s.Executed,
+			Errors: s.Errors, HalfWidth: s.HalfWidth, Closed: s.Closed,
+		})
+	}
+	return executed, missing, stats, nil
 }
 
 // NormalizeAdaptive applies the adaptive defaults to a config in place,
@@ -172,108 +241,48 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 	return cap, nil
 }
 
-// RunAdaptive executes an adaptive campaign: rounds of Run over growing
-// per-region prefixes, with the golden run executed once and reused (so
-// round 1 captures its checkpoints and every round restores), and the
-// planner advanced only at round barriers.  Composable with
-// checkpointing, Forensics, TraceDiff, liveness and equivalence
-// policies; mutually exclusive with sharding and explicit entries.
+// RunAdaptive executes an adaptive campaign: ask the contract's Frontier
+// what the recorded outcomes (cfg.Completed on a resume) still lack, Run
+// exactly those entries, record them, and ask again until nothing is
+// missing.  The golden run is executed once and reused, so round 1
+// captures its checkpoints and every round restores.  Composable with
+// checkpointing, Forensics, TraceDiff and equivalence policies;
+// NormalizeAdaptive refuses sharding and explicit entries.
 func RunAdaptive(cfg Config) (*Result, error) {
-	cap, err := NormalizeAdaptive(&cfg)
-	if err != nil {
+	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		return nil, err
 	}
-	planner, _, err := adaptivePlanner(&cfg)
-	if err != nil {
-		return nil, err
+	contract := AdaptiveContract{
+		Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
+		Regions: cfg.Regions, Priors: EffectivePriors(cfg.Regions, cfg.AVFPriors),
 	}
 
-	var halfWidthGauges []*telemetry.Gauge
-	var roundsCtr *telemetry.Counter
-	var openGauge *telemetry.Gauge
-	if cfg.Metrics != nil {
-		roundsCtr = cfg.Metrics.Counter(telemetry.MetricAdaptiveRounds)
-		openGauge = cfg.Metrics.Gauge(telemetry.MetricAdaptiveOpen)
-		openGauge.Set(int64(len(cfg.Regions)))
-		for _, r := range cfg.Regions {
-			halfWidthGauges = append(halfWidthGauges, cfg.Metrics.Gauge(telemetry.AdaptiveHalfWidthMetric(r.Short())))
-		}
+	roundsCtr := cfg.Metrics.Counter(telemetry.MetricAdaptiveRounds)
+	openGauge := cfg.Metrics.Gauge(telemetry.MetricAdaptiveOpen)
+	halfWidthGauges := make([]*telemetry.Gauge, len(cfg.Regions))
+	for i, r := range cfg.Regions {
+		halfWidthGauges[i] = cfg.Metrics.Gauge(telemetry.AdaptiveHalfWidthMetric(r.Short()))
 	}
+	openGauge.Set(int64(len(cfg.Regions)))
+	// Resumed experiments never reach Run; account for them the way it
+	// would have, so the -status line counts them as done.
+	cfg.Metrics.Counter(telemetry.MetricExperimentsPlanned).Add(uint64(len(cfg.Completed)))
+	cfg.Metrics.Counter(telemetry.MetricExperimentsResumed).Add(uint64(len(cfg.Completed)))
 
-	stats := &AdaptiveStats{
-		Confidence: cfg.Confidence,
-		Target:     cfg.TargetHalfWidth,
-		RoundSize:  cfg.RoundSize,
-		Cap:        cap,
+	recorded := make(map[string]Experiment, len(cfg.Completed))
+	for id, e := range cfg.Completed {
+		recorded[id] = e
 	}
-	executed := make([]int, len(cfg.Regions)) // prefix length per region
-	errors := make([]int, len(cfg.Regions))   // manifestations per region
-	var all []Experiment
-	golden := cfg.Golden
-	var ckpt *CheckpointStats // summed over rounds; Taken and Fallback belong to the golden
-	interrupted := false
-
+	out := &Result{Golden: cfg.Golden}
+	reported := 0 // rounds already announced to the metrics and OnRound
 	for {
-		if stopped(cfg.Stop) {
-			interrupted = true
-			break
-		}
-		entries := AdaptiveEntriesForRound(cfg.Regions, executed, planner.NextRound())
-		if len(entries) == 0 {
-			break
-		}
-		stats.Rounds++
-
-		sub := cfg // Run ignores the adaptive fields
-		sub.Progress = nil
-		sub.Entries = entries
-		sub.Golden = golden
-		sub.KeepExperiments = true
-		res, err := Run(sub)
+		_, missing, stats, err := contract.Frontier(RecordedIn(recorded))
 		if err != nil {
 			return nil, err
 		}
-		golden = res.Golden
-		if st := res.Checkpoints; st != nil {
-			if ckpt == nil {
-				ckpt = &CheckpointStats{Taken: st.Taken, Fallback: st.Fallback}
-			}
-			ckpt.Hits += st.Hits
-			ckpt.Misses += st.Misses
-			ckpt.InstrsSkipped += st.InstrsSkipped
-		}
-
-		// Fold the round into the per-region prefixes.  An interrupted
-		// round may return a gapped set (experiments past the first
-		// unfinished entry that happened to finish); only the gapless
-		// per-region prefix counts toward the tallies — the rest lives
-		// in the journal for a resume to reclaim.
-		for i := range res.Experiments {
-			e := &res.Experiments[i]
-			ri := regionOrdinal(cfg.Regions, e.Region)
-			if ri < 0 {
-				return nil, fmt.Errorf("core: adaptive round returned foreign experiment %s", e.ID())
-			}
-			if e.Index != executed[ri] {
-				if res.Interrupted {
-					continue
-				}
-				return nil, fmt.Errorf("core: adaptive round returned out-of-order experiment %s", e.ID())
-			}
-			executed[ri]++
-			if e.Outcome != classify.Correct {
-				errors[ri]++
-			}
-			all = append(all, *e)
-		}
-		for i := range cfg.Regions {
-			if err := planner.SetTally(i, errors[i], executed[i]); err != nil {
-				return nil, err
-			}
-		}
-		fillAdaptiveStats(stats, planner, cfg.Regions)
-		if cfg.Metrics != nil {
-			roundsCtr.Inc()
+		if stats.Rounds > reported {
+			roundsCtr.Add(uint64(stats.Rounds - reported))
+			reported = stats.Rounds
 			open := 0
 			for i := range stats.Strata {
 				halfWidthGauges[i].Set(int64(stats.Strata[i].HalfWidth * 10_000))
@@ -282,36 +291,53 @@ func RunAdaptive(cfg Config) (*Result, error) {
 				}
 			}
 			openGauge.Set(int64(open))
+			if cfg.OnRound != nil {
+				cfg.OnRound(*stats)
+			}
 		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(*stats)
-		}
-		if res.Interrupted {
-			interrupted = true
+		out.Adaptive = stats
+		if len(missing) == 0 {
 			break
 		}
+		if out.Interrupted || stopped(cfg.Stop) {
+			out.Interrupted = true
+			break
+		}
+
+		sub := cfg // Run ignores the adaptive fields
+		sub.Progress = nil
+		sub.Completed = nil // missing is by construction unrecorded
+		sub.Entries = missing
+		sub.Golden = out.Golden
+		sub.KeepExperiments = true
+		res, err := Run(sub)
+		if err != nil {
+			return nil, err
+		}
+		out.Golden = res.Golden
+		out.Interrupted = res.Interrupted
+		if st := res.Checkpoints; st != nil {
+			if out.Checkpoints == nil { // Taken and Fallback belong to the golden
+				out.Checkpoints = &CheckpointStats{Taken: st.Taken, Fallback: st.Fallback}
+			}
+			out.Checkpoints.Hits += st.Hits
+			out.Checkpoints.Misses += st.Misses
+			out.Checkpoints.InstrsSkipped += st.InstrsSkipped
+		}
+		for _, e := range res.Experiments {
+			recorded[e.ID()] = e
+		}
 	}
 
-	fillAdaptiveStats(stats, planner, cfg.Regions)
-	out := &Result{Golden: golden, Interrupted: interrupted, Checkpoints: ckpt, Adaptive: stats}
+	// Everything that finished, in plan order: the executed prefixes of a
+	// converged campaign, plus an interrupted round's stragglers.
+	all := make([]Experiment, 0, len(recorded))
+	for _, e := range recorded {
+		all = append(all, e)
+	}
+	SortExperimentsByPlan(cfg.Regions, all)
 	out.summarize(&cfg, all)
 	return out, nil
-}
-
-// fillAdaptiveStats refreshes the per-stratum snapshot from the planner.
-func fillAdaptiveStats(stats *AdaptiveStats, planner *sampling.Planner, regions []Region) {
-	snap := planner.Snapshot()
-	stats.Strata = stats.Strata[:0]
-	for i, s := range snap {
-		stats.Strata = append(stats.Strata, AdaptiveStratum{
-			Region:    regions[i],
-			Prior:     s.Prior,
-			Executed:  s.Executed,
-			Errors:    s.Errors,
-			HalfWidth: s.HalfWidth,
-			Closed:    s.Closed,
-		})
-	}
 }
 
 // regionOrdinal returns the position of region in the campaign's region
@@ -335,76 +361,9 @@ func stopped(stop <-chan struct{}) bool {
 	}
 }
 
-// ReplayAdaptive re-derives the per-region prefix lengths an adaptive
-// campaign must have executed, given its estimation contract, priors and
-// the recorded outcomes.  errorAt reports whether the experiment at
-// (region ordinal, index) manifested; it is only consulted for indices
-// the planner actually allocates, in increasing order per region.  The
-// returned slice is the expected Executed count per region — a journal
-// whose per-region counts differ was not produced by the deterministic
-// planner (or was interrupted), and a merge must reject it.
-func ReplayAdaptive(confidence, target float64, roundSize int, regions []Region, priors []float64, errorAt func(region, index int) (bool, error)) ([]int, error) {
-	if len(priors) != len(regions) {
-		return nil, fmt.Errorf("core: %d priors for %d regions", len(priors), len(regions))
-	}
-	strata := make([]sampling.Stratum, len(regions))
-	for i, r := range regions {
-		strata[i] = sampling.Stratum{Name: r.Short(), Prior: priors[i]}
-	}
-	planner, err := sampling.NewPlanner(sampling.PlannerConfig{
-		Confidence: confidence, Target: target, RoundSize: roundSize,
-	}, strata)
-	if err != nil {
-		return nil, err
-	}
-	executed := make([]int, len(regions))
-	errors := make([]int, len(regions))
-	for {
-		allocs := planner.NextRound()
-		any := false
-		for i, a := range allocs {
-			for k := 0; k < a; k++ {
-				manifested, err := errorAt(i, executed[i])
-				if err != nil {
-					return nil, err
-				}
-				if manifested {
-					errors[i]++
-				}
-				executed[i]++
-				any = true
-			}
-			if a > 0 {
-				if err := planner.SetTally(i, errors[i], executed[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if !any {
-			return executed, nil
-		}
-	}
-}
-
-// AdaptiveEntriesForRound flattens a round's per-region allocations into
-// plan entries, regions in campaign order and indices ascending — the
-// exact order RunAdaptive executes and journals them.  The coordinator
-// uses it to cut round leases that reproduce the single-process bytes.
-func AdaptiveEntriesForRound(regions []Region, executed, allocs []int) []PlanEntry {
-	var entries []PlanEntry
-	for i := range regions {
-		for k := 0; k < allocs[i]; k++ {
-			entries = append(entries, PlanEntry{Region: regions[i], Index: executed[i] + k})
-		}
-	}
-	return entries
-}
-
 // SortExperimentsByPlan orders experiments by (region order, index) —
-// the fixed-n plan order.  Adaptive journals append rounds
-// chronologically, so a merge re-sorts before tallying or re-emitting
-// segments; the sort is stable on (region, index) which is unique per
-// campaign.
+// the fixed-n plan order, and the order report.Assemble returns.
+// (region, index) is unique per campaign, so the result is one order.
 func SortExperimentsByPlan(regions []Region, experiments []Experiment) {
 	ord := make(map[Region]int, len(regions))
 	for i, r := range regions {

@@ -157,8 +157,10 @@ func TestAdaptiveRerunByteIdentical(t *testing.T) {
 }
 
 // TestAdaptiveReplayMatchesRecorded: the journal self-validation
-// property — replaying the planner over the recorded outcomes must land
-// on exactly the executed counts the campaign recorded.
+// property — Frontier over the recorded outcomes must land on exactly
+// the executed counts the campaign recorded, ask for the pilot round
+// when nothing is recorded, and ask again for any entry that goes
+// missing.
 func TestAdaptiveReplayMatchesRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
@@ -168,28 +170,83 @@ func TestAdaptiveReplayMatchesRecorded(t *testing.T) {
 	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	outcomes := make(map[Region]map[int]bool)
-	for _, e := range res.Experiments {
-		if outcomes[e.Region] == nil {
-			outcomes[e.Region] = make(map[int]bool)
-		}
-		outcomes[e.Region][e.Index] = e.Outcome != classify.Correct
+	contract := AdaptiveContract{
+		Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
+		Regions: regions, Priors: EffectivePriors(regions, cfg.AVFPriors),
 	}
-	priors := EffectivePriors(regions, cfg.AVFPriors)
-	executed, err := ReplayAdaptive(cfg.Confidence, cfg.TargetHalfWidth, cfg.RoundSize, regions, priors,
-		func(region, index int) (bool, error) {
-			m, ok := outcomes[regions[region]][index]
-			if !ok {
-				t.Fatalf("replay consulted unrecorded experiment %s:%d", regions[region], index)
-			}
-			return m, nil
-		})
+	recorded := make(map[string]Experiment, len(res.Experiments))
+	for _, e := range res.Experiments {
+		recorded[e.ID()] = e
+	}
+
+	// Nothing recorded: the planner's own pilot round, regions in campaign
+	// order and indices ascending.
+	strata := make([]sampling.Stratum, len(regions))
+	for i, r := range regions {
+		strata[i] = sampling.Stratum{Name: r.Short(), Prior: contract.Priors[i]}
+	}
+	planner, err := sampling.NewPlanner(sampling.PlannerConfig{
+		Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
+	}, strata)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var pilot []PlanEntry
+	for i, a := range planner.NextRound() {
+		for k := 0; k < a; k++ {
+			pilot = append(pilot, PlanEntry{Region: regions[i], Index: k})
+		}
+	}
+	executed, missing, stats, err := contract.Frontier(RecordedIn(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(missing, pilot) {
+		t.Errorf("empty lookup: missing %v, want the pilot round %v", missing, pilot)
+	}
+	if stats.Rounds != 0 || !reflect.DeepEqual(executed, []int{0, 0}) {
+		t.Errorf("empty lookup: %d rounds, executed %v", stats.Rounds, executed)
+	}
+
+	// Everything recorded: converged exactly where the campaign stopped,
+	// consulting only entries the campaign ran.
+	executed, missing, stats, err = contract.Frontier(func(pe PlanEntry) (bool, bool) {
+		e, ok := recorded[pe.ID()]
+		if !ok {
+			t.Errorf("replay consulted unrecorded experiment %s", pe.ID())
+		}
+		return e.Outcome != classify.Correct, ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing != nil {
+		t.Errorf("full lookup: still missing %v", missing)
+	}
+	if !reflect.DeepEqual(stats, res.Adaptive) {
+		t.Errorf("full lookup: stats %+v, campaign recorded %+v", stats, res.Adaptive)
 	}
 	for i, s := range res.Adaptive.Strata {
 		if executed[i] != s.Executed {
 			t.Errorf("%s: replay derived %d executed, campaign recorded %d", s.Region, executed[i], s.Executed)
+		}
+	}
+
+	// Any one entry dropped: it is what is missing, and the replay stops
+	// at the round before the one that needs it.
+	for _, drop := range res.Experiments {
+		delete(recorded, drop.ID())
+		executed, missing, stats, err := contract.Frontier(RecordedIn(recorded))
+		recorded[drop.ID()] = drop
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []PlanEntry{{Region: drop.Region, Index: drop.Index}}; !reflect.DeepEqual(missing, want) {
+			t.Fatalf("dropped %s: missing %v", drop.ID(), missing)
+		}
+		ri := regionOrdinal(regions, drop.Region)
+		if executed[ri] > drop.Index || stats.Rounds >= res.Adaptive.Rounds {
+			t.Fatalf("dropped %s: replay ran past it (executed %v, %d rounds)", drop.ID(), executed, stats.Rounds)
 		}
 	}
 }

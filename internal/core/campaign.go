@@ -104,8 +104,7 @@ type Experiment struct {
 	// clean run.
 	Detail string
 	// Candidates is the register-bit candidate-set size the injection
-	// sampled from: 320 undirected, fewer under a liveness or
-	// equivalence policy.
+	// sampled from: 320 undirected, fewer under an equivalence policy.
 	Candidates int
 	// ClassID is the flipped bit's equivalence-class identity when the
 	// campaign ran with an EquivalenceMap; 0 for benign bits and
@@ -159,35 +158,27 @@ type Config struct {
 	Progress func(done, total int)
 	// KeepExperiments retains the per-injection records in the result.
 	KeepExperiments bool
-	// Liveness, when non-nil, directs register-region injections by the
-	// static per-PC liveness it reports (see internal/analysis).
-	Liveness LivenessMap
-	// LivenessPolicy selects live-only or dead-only register sampling;
-	// meaningful only with Liveness set.
-	LivenessPolicy LivenessPolicy
 	// Equivalence, when non-nil, drives register-region injections by
 	// the static site partition it reports (see internal/analysis) and
-	// annotates every register experiment with its class.  Mutually
-	// exclusive with Liveness.
+	// annotates every register experiment with its class.
 	Equivalence EquivalenceMap
 	// EquivalencePolicy selects annotate/prune/audit sampling;
 	// meaningful only with Equivalence set.
 	EquivalencePolicy EquivalencePolicy
 	// Shard/NumShards restrict the run to shard Shard of the
-	// NumShards-way partition of the plan (see Plan.Shard).  The zero
-	// value (0, 0) runs the whole plan, as does 0/1.  Because every
-	// experiment's random stream is derived from (Seed, Region, Index)
-	// alone, the union of the K shard runs is exactly the single-process
-	// campaign at the same seed.
+	// NumShards-way partition of the entry list in force — the plan, or
+	// Entries when set: every NumShards-th entry starting at Shard (see
+	// Plan.Shard).  The zero value (0, 0) runs the whole list, as does
+	// 0/1.  Because every experiment's random stream is derived from
+	// (Seed, Region, Index) alone, the union of the K shard runs is
+	// exactly the unsharded run at the same seed.
 	Shard     int
 	NumShards int
 	// Entries, when non-nil, runs exactly these plan entries instead of
-	// the Shard/NumShards enumeration — the coordinator's lease path
-	// (see internal/coord): a lease is a bounded Plan.Range, and any
-	// worker running the same entries at the same Seed produces the
-	// identical experiments.  Every entry must lie inside the plan
-	// (Region listed in Regions, 0 <= Index < Injections), and Entries
-	// is mutually exclusive with a nontrivial Shard/NumShards.
+	// the whole plan — what a coordinator lease and an adaptive round
+	// hand to Run: any process running the same entries at the same Seed
+	// produces the identical experiments.  Every entry must lie inside
+	// the plan (Region listed in Regions, 0 <= Index < Injections).
 	Entries []PlanEntry
 	// Golden, when non-nil, reuses a previously computed golden run
 	// instead of re-executing it — a worker holding many leases of one
@@ -320,9 +311,6 @@ type Result struct {
 	Tallies     []Tally
 	Golden      *Golden
 	Experiments []Experiment
-	// Directed summarizes the candidate-space pruning when the campaign
-	// ran with a liveness map; nil otherwise.
-	Directed *DirectedStats
 	// Equivalence summarizes the class sampling when the campaign ran
 	// with an equivalence map; nil otherwise.
 	Equivalence *EquivalenceStats
@@ -408,9 +396,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Shard < 0 || cfg.Shard >= cfg.NumShards {
 		return nil, fmt.Errorf("core: shard %d/%d out of range", cfg.Shard, cfg.NumShards)
 	}
-	if cfg.Liveness != nil && cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
-		return nil, fmt.Errorf("core: liveness and equivalence policies are mutually exclusive")
-	}
 
 	ckptOn := cfg.CheckpointInterval > 0 || cfg.MaxCheckpoints > 0
 	if cfg.Forensics || cfg.TraceDiff {
@@ -440,18 +425,16 @@ func Run(cfg Config) (*Result, error) {
 	budget := golden.MaxInstrs() * uint64(cfg.BudgetMultiplier)
 
 	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
-	entries := plan.Shard(cfg.Shard, cfg.NumShards)
-	if cfg.Entries != nil {
-		if cfg.Shard != 0 || cfg.NumShards != 1 {
-			return nil, fmt.Errorf("core: Entries and Shard/NumShards are mutually exclusive")
-		}
-		for _, pe := range cfg.Entries {
-			if regionOrdinal(cfg.Regions, pe.Region) < 0 || pe.Index < 0 || pe.Index >= cfg.Injections {
-				return nil, fmt.Errorf("core: entry %s outside the plan", pe.ID())
-			}
-		}
-		entries = cfg.Entries
+	entries := cfg.Entries
+	if entries == nil {
+		entries = plan.Range(0, plan.Total())
 	}
+	for _, pe := range cfg.Entries {
+		if regionOrdinal(cfg.Regions, pe.Region) < 0 || pe.Index < 0 || pe.Index >= cfg.Injections {
+			return nil, fmt.Errorf("core: entry %s outside the plan", pe.ID())
+		}
+	}
+	entries = shardOf(entries, cfg.Shard, cfg.NumShards)
 	met := newCampaignMeters(cfg.Metrics)
 	met.traceDiff = cfg.TraceDiff
 	met.planned.Add(uint64(len(entries)))
@@ -589,9 +572,6 @@ dispatch:
 // summarize fills the result's tallies and sampling summaries from the
 // experiments that ran.
 func (res *Result) summarize(cfg *Config, ran []Experiment) {
-	if cfg.Liveness != nil {
-		res.Directed = directedStatsFor(cfg.LivenessPolicy, ran)
-	}
 	if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
 		res.Equivalence = equivalenceStatsFor(cfg.EquivalencePolicy, ran)
 	}
@@ -600,21 +580,6 @@ func (res *Result) summarize(cfg *Config, ran []Experiment) {
 	if cfg.KeepExperiments {
 		res.Experiments = ran
 	}
-}
-
-// directedStatsFor aggregates the candidate-space pruning summary of a
-// liveness-directed campaign from its finished experiments.
-func directedStatsFor(policy LivenessPolicy, ran []Experiment) *DirectedStats {
-	d := &DirectedStats{Policy: policy}
-	for i := range ran {
-		if ran[i].Region != RegionRegularReg {
-			continue
-		}
-		d.Experiments++
-		d.Candidates += uint64(ran[i].Candidates)
-		d.Total += RegisterSpaceBits
-	}
-	return d
 }
 
 // equivalenceStatsFor aggregates the class-sampling summary of an
@@ -795,12 +760,9 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				var benign int
 				switch region {
 				case RegionRegularReg:
-					switch {
-					case cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff:
+					if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
 						d, cls, benign, cand = ApplyRegisterFaultEquiv(m, faultRng, cfg.Equivalence, cfg.EquivalencePolicy)
-					case cfg.Liveness != nil:
-						d, cand = ApplyRegisterFaultDirected(m, faultRng, cfg.Liveness, cfg.LivenessPolicy)
-					default:
+					} else {
 						d, cand = ApplyRegisterFault(m, faultRng), RegisterSpaceBits
 					}
 				case RegionFPReg:

@@ -179,9 +179,9 @@ func TestCampaignDeterministic(t *testing.T) {
 
 // TestEntriesAndGoldenReuse covers the coordinator's lease path: an
 // explicit Entries subset runs exactly those plan entries, a supplied
-// Golden skips the reference run without changing any outcome, and the
-// mutual-exclusion guards reject the configurations that would break
-// determinism.
+// Golden skips the reference run without changing any outcome, a shard
+// filter composes with the subset, and entries outside the plan are
+// rejected.
 func TestEntriesAndGoldenReuse(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
 	base := Config{
@@ -228,11 +228,18 @@ func TestEntriesAndGoldenReuse(t *testing.T) {
 		}
 	}
 
+	// Shard/NumShards filter whichever entry list is in force: shard 1
+	// of 2 over five entries is the second and the fourth.
 	cfg := base
-	cfg.Entries = plan.Range(0, 2)
-	cfg.NumShards = 2
-	if _, err := Run(cfg); err == nil {
-		t.Error("Entries with Shard/NumShards must be rejected")
+	cfg.Entries = plan.Range(1, 6)
+	cfg.Shard, cfg.NumShards = 1, 2
+	cfg.Golden = golden
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Experiments) != 2 || res.Experiments[0].ID() != plan.Entry(2).ID() || res.Experiments[1].ID() != plan.Entry(4).ID() {
+		t.Errorf("shard 1/2 of entries [1,6) ran %+v, want plan entries 2 and 4", res.Experiments)
 	}
 	cfg = base
 	cfg.Entries = []PlanEntry{{Region: RegionText, Index: 0}}

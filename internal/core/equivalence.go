@@ -15,9 +15,9 @@ import (
 // internal/analysis/equivalence.go) into the campaign: pilot sampling
 // over the non-benign bits, Horvitz–Thompson reweighting of the tallies
 // back to unbiased full-space rates, and the validator that checks every
-// static claim against campaign ground truth.  Like LivenessMap, the
-// EquivalenceMap interface uses only primitive types so that core never
-// imports the analysis package.
+// static claim against campaign ground truth.  The EquivalenceMap
+// interface uses only primitive types so that core never imports the
+// analysis package.
 
 // EquivalenceMap supplies the per-PC partition of the 320-bit register
 // target space from a static analysis.  benignMask marks fully-benign
@@ -51,8 +51,7 @@ const (
 	// Correct.  This is the campaign accelerator.
 	EquivPrune
 	// EquivAudit samples only provably-benign bits; every outcome must
-	// classify Correct, making it the soundness gate for the partition
-	// (the equivalence counterpart of LiveTargetDead).
+	// classify Correct, making it the soundness gate for the partition.
 	EquivAudit
 )
 

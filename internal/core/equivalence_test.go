@@ -16,21 +16,15 @@ import (
 	"mpifault/internal/vm"
 )
 
-// equivFor builds the full analysis stack (CFG, liveness, dataflow,
-// partition) for an image, failing the test on any analyzer finding.
+// equivFor builds the partition for an image, failing the test on any
+// analyzer finding.
 func equivFor(t *testing.T, im *image.Image) *analysis.Equivalence {
 	t.Helper()
-	prog, err := analysis.Analyze(im)
+	eq, err := analysis.EquivalenceFor(im)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := analysis.ComputeLiveness(prog)
-	flow := analysis.ComputeDataflow(prog, live)
-	if fs := append(append(prog.Findings, live.Findings...), flow.Findings...); len(fs) > 0 {
-		t.Fatalf("analysis findings: %v", fs)
-	}
-	_, abiStats := analysis.ABICheck(prog)
-	return analysis.ComputeEquivalence(prog, live, flow, abiStats)
+	return eq
 }
 
 func wavetoyImage(t *testing.T) (*image.Image, int) {
@@ -49,10 +43,10 @@ func wavetoyImage(t *testing.T) (*image.Image, int) {
 }
 
 // TestEquivAuditAllCorrect is the soundness regression for the
-// equivalence partition, the counterpart of TestDeadBitInjectionsAllCorrect:
-// a campaign restricted to provably-benign bits must never manifest.  A
-// single failure means the analyzer claimed a consequential bit benign —
-// exactly the bug class the audit policy exists to catch.
+// equivalence partition: a campaign restricted to provably-benign bits
+// must never manifest.  A single failure means the analyzer claimed a
+// consequential bit benign — exactly the bug class the audit policy
+// exists to catch.
 func TestEquivAuditAllCorrect(t *testing.T) {
 	im, ranks := wavetoyImage(t)
 	eq := equivFor(t, im)
@@ -232,36 +226,6 @@ func TestEquivPruneDeterministicReweighted(t *testing.T) {
 	}
 	if sum != wt.TotalMass {
 		t.Errorf("outcome mass %d does not conserve total mass %d", sum, wt.TotalMass)
-	}
-}
-
-// TestEquivalenceLivenessMutuallyExclusive: the two directed policies
-// redistribute the same random draws differently, so combining them
-// must be rejected up front.
-func TestEquivalenceLivenessMutuallyExclusive(t *testing.T) {
-	im, ranks := wavetoyImage(t)
-	eq := equivFor(t, im)
-	prog, err := analysis.Analyze(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := analysis.ComputeLiveness(prog)
-
-	_, err = Run(Config{
-		Image:             im,
-		Ranks:             ranks,
-		MPIConfig:         mpi.Config{},
-		Injections:        2,
-		Regions:           []Region{RegionRegularReg},
-		Seed:              1,
-		WallLimit:         30 * time.Second,
-		Liveness:          live,
-		LivenessPolicy:    LiveTargetDead,
-		Equivalence:       eq,
-		EquivalencePolicy: EquivAnnotate,
-	})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Run with both policies: err = %v, want mutual-exclusion error", err)
 	}
 }
 

@@ -108,6 +108,14 @@ func Regions() []Region {
 	return out
 }
 
+// RegisterSpaceBits is ApplyRegisterFault's sampling space: 8 GPRs +
+// PC + FLAGS, 32 bits each.
+const RegisterSpaceBits = (isa.NumGPR + 2) * 32
+
+// flagsReadableBits is how many flag bits the ISA ever reads back
+// (Z/LT/UL/UN); the remaining 28 are architecturally dead everywhere.
+const flagsReadableBits = 4
+
 // ApplyRegisterFault flips one uniformly chosen bit across the "regular"
 // register set: the eight GPRs, the program counter and the flags — the
 // x86's general-purpose context.  It returns a description of the flip.

@@ -26,11 +26,10 @@ var nonMessageRegions = []core.Region{
 	core.RegionStack, core.RegionText, core.RegionHeap,
 }
 
-// adaptiveArtifacts runs an adaptive campaign at a loose d in small
-// rounds (caps stay small yet several rounds run; the contract under
-// test is the same at any d) and returns its CSV, journal bytes, result
-// and the number of checkpoints telemetry saw captured.
-func adaptiveArtifacts(t *testing.T, app string, regions []core.Region, d float64, interval uint64) (string, []byte, *core.Result, uint64) {
+// adaptiveConfig is an adaptive campaign at a loose d in small rounds:
+// caps stay small yet several rounds run, and the contract under test is
+// the same at any d.
+func adaptiveConfig(t *testing.T, app string, regions []core.Region, d float64, interval uint64, reg *telemetry.Registry) core.Config {
 	t.Helper()
 	a, err := apps.Get(app)
 	if err != nil {
@@ -40,7 +39,6 @@ func adaptiveArtifacts(t *testing.T, app string, regions []core.Region, d float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
 	cfg := core.Config{
 		Image: im, Ranks: a.Default.Ranks, Regions: regions, Seed: 2004,
 		Adaptive: true, TargetHalfWidth: d, RoundSize: 8, Parallelism: 2,
@@ -50,6 +48,16 @@ func adaptiveArtifacts(t *testing.T, app string, regions []core.Region, d float6
 	if _, err := core.NormalizeAdaptive(&cfg); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+// adaptiveArtifacts runs adaptiveConfig's campaign and returns its CSV,
+// journal bytes, result and the number of checkpoints telemetry saw
+// captured.
+func adaptiveArtifacts(t *testing.T, app string, regions []core.Region, d float64, interval uint64) (string, []byte, *core.Result, uint64) {
+	t.Helper()
+	reg := telemetry.New()
+	cfg := adaptiveConfig(t, app, regions, d, interval, reg)
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := report.CreateJournal(path, report.CampaignHeader(app, cfg))
 	if err != nil {
@@ -130,6 +138,92 @@ func TestAdaptiveCheckpointDifferential(t *testing.T) {
 				t.Errorf("message error rate %.1f%% restored vs %.1f%% from t=0", on.Tallies[0].ErrorRate(), off.Tallies[0].ErrorRate())
 			}
 		})
+	}
+}
+
+// TestAdaptiveResumeByteIdentical: an adaptive campaign stopped
+// mid-round and resumed from its journal is the uninterrupted campaign.
+// Frontier over the journal's outcomes passes the finished rounds
+// without running anything and asks only for what the interrupted round
+// still lacks.
+func TestAdaptiveResumeByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test is slow")
+	}
+	const app = "wavetoy"
+	wantCSV, _, want, _ := adaptiveArtifacts(t, app, nonMessageRegions, 0.2, 0)
+
+	cfg := adaptiveConfig(t, app, nonMessageRegions, 0.2, 0, nil)
+	hdr := report.CampaignHeader(app, cfg)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	session := func(j *report.Journal, onAppend func()) *core.Result {
+		t.Helper()
+		cfg.OnExperiment = func(e core.Experiment) {
+			if err := j.Append(e); err != nil {
+				t.Errorf("journal append: %v", err)
+			}
+			onAppend()
+		}
+		res, err := core.RunAdaptive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// First session: the stop fires a few experiments into round 2.
+	j, err := report.CreateJournal(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	cfg.Stop = stop
+	left := len(nonMessageRegions)*cfg.RoundSize + 4
+	part := session(j, func() {
+		if left--; left == 0 {
+			close(stop)
+		}
+	})
+	if !part.Interrupted || part.Adaptive.Rounds != 1 || want.Adaptive.Rounds < 3 {
+		t.Fatalf("the stop did not land mid-campaign: interrupted=%v after %d of %d rounds",
+			part.Interrupted, part.Adaptive.Rounds, want.Adaptive.Rounds)
+	}
+
+	// Second session, the way faultcampaign -resume runs it.
+	j, completed, err := report.ResumeJournal(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(completed) <= len(nonMessageRegions)*cfg.RoundSize || len(completed) >= want.Adaptive.TotalExecuted() {
+		t.Fatalf("journal holds %d experiments, want a partial second round", len(completed))
+	}
+	cfg.Stop, cfg.Completed = nil, completed
+	rerun := 0
+	got := session(j, func() { rerun++ })
+	if got.Interrupted {
+		t.Fatal("resumed campaign reports Interrupted")
+	}
+	if rerun != want.Adaptive.TotalExecuted()-len(completed) {
+		t.Errorf("resume ran %d experiments, want exactly the %d the journal lacked",
+			rerun, want.Adaptive.TotalExecuted()-len(completed))
+	}
+	if !reflect.DeepEqual(got.Adaptive, want.Adaptive) {
+		t.Errorf("planner stats differ from the uninterrupted campaign:\n%+v\n%+v", got.Adaptive, want.Adaptive)
+	}
+	if !reflect.DeepEqual(got.Tallies, want.Tallies) || !reflect.DeepEqual(got.Experiments, want.Experiments) {
+		t.Errorf("resumed result differs from the uninterrupted campaign")
+	}
+	m, err := report.MergeJournals([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	report.WriteCampaignCSV(&csv, m.App, m.Result)
+	if csv.String() != wantCSV {
+		t.Errorf("journal merge differs from the uninterrupted campaign:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", csv.String(), wantCSV)
 	}
 }
 

@@ -68,12 +68,20 @@ func (p Plan) Entry(g int) PlanEntry {
 // starting at `shard`.  Shards are pairwise disjoint and their union is
 // the complete plan; Shard(0, 1) is the whole plan.
 func (p Plan) Shard(shard, of int) []PlanEntry {
-	total := p.Total()
-	entries := make([]PlanEntry, 0, (total-shard+of-1)/of)
-	for g := shard; g < total; g += of {
-		entries = append(entries, p.Entry(g))
+	return shardOf(p.Range(0, p.Total()), shard, of)
+}
+
+// shardOf is the shard filter over any entry list — the plan, a lease,
+// an adaptive round: every of-th entry starting at `shard`.
+func shardOf(entries []PlanEntry, shard, of int) []PlanEntry {
+	if of <= 1 {
+		return entries
 	}
-	return entries
+	out := make([]PlanEntry, 0, (len(entries)-shard+of-1)/of)
+	for g := shard; g < len(entries); g += of {
+		out = append(out, entries[g])
+	}
+	return out
 }
 
 // Range returns the contiguous plan entries [start, end), the

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mpifault/internal/abi"
 	"mpifault/internal/vm"
@@ -371,50 +370,5 @@ func TestDTSizes(t *testing.T) {
 	}
 	if abi.DTSize(42) != 0 {
 		t.Fatal("invalid datatype must size to 0")
-	}
-}
-
-func TestTCPTransportFrameRoundTrip(t *testing.T) {
-	w := NewWorld(3, Config{})
-	tp, err := NewTCPTransport(w)
-	if err != nil {
-		t.Skipf("loopback sockets unavailable: %v", err)
-	}
-	defer tp.Close()
-
-	p := &Packet{Kind: KindEager, Src: 0, Dst: 2, Tag: 9,
-		Comm: abi.CommWorld, Payload: []byte{1, 2, 3, 4, 5}}
-	if err := tp.Send(0, 2, p.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	// The transport's reader pushes into rank 2's queue.
-	select {
-	case raw := <-w.procs[2].in:
-		q, drop, err := ParsePacket(raw, 2, 3)
-		if err != nil || drop {
-			t.Fatalf("parse: drop=%v err=%v", drop, err)
-		}
-		if q.Tag != 9 || len(q.Payload) != 5 || q.Payload[4] != 5 {
-			t.Fatalf("packet corrupted in transit: %+v", q)
-		}
-	case <-timeAfter():
-		t.Fatal("frame never arrived")
-	}
-	if w.Inflight() != 1 {
-		t.Fatalf("inflight = %d (decrement happens at pull)", w.Inflight())
-	}
-}
-
-func timeAfter() <-chan time.Time { return time.After(5 * time.Second) }
-
-func TestTCPTransportSendToSelfRejected(t *testing.T) {
-	w := NewWorld(2, Config{})
-	tp, err := NewTCPTransport(w)
-	if err != nil {
-		t.Skipf("loopback sockets unavailable: %v", err)
-	}
-	defer tp.Close()
-	if err := tp.Send(1, 1, []byte{1}); err == nil {
-		t.Fatal("no connection exists on the diagonal")
 	}
 }

@@ -52,7 +52,7 @@ type World struct {
 	ctxCounter atomic.Int64
 
 	// transport, when non-nil, carries Channel packets over an external
-	// medium (e.g. TCPTransport) instead of the in-process queues.
+	// medium instead of the in-process queues.
 	transport Transport
 
 	// rec, when non-nil, records message causality on the in-process

@@ -1,19 +1,10 @@
 package mpi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"net"
-	"sync"
-)
-
 // Transport abstracts the Channel layer's byte delivery.  The default
-// (nil) transport is in-process queues; TCPTransport moves the same
-// framed packets over real loopback sockets, which is what ch_p4 did
-// over Ethernet.  The injection point is unchanged either way: the
-// receiver-side hook runs on the raw bytes after they are read and
-// before they are parsed.
+// (nil) transport is in-process queues, the only one campaigns use; the
+// interface is the seam tests substitute a fake through.  The injection
+// point is unchanged either way: the receiver-side hook runs on the raw
+// bytes after they are read and before they are parsed.
 type Transport interface {
 	// Send delivers one framed packet from src to dst.  It may block
 	// (backpressure) and must be safe for one concurrent writer per src.
@@ -32,156 +23,4 @@ func (w *World) PushPacket(dst int, raw []byte) {
 	case <-w.kill:
 		w.inflight.Add(-1)
 	}
-}
-
-// TCPTransport carries Channel packets over loopback TCP with 4-byte
-// length framing — one unidirectional connection per ordered rank pair,
-// so each connection has exactly one writer (the sender's goroutine).
-type TCPTransport struct {
-	w     *World
-	size  int
-	conns [][]net.Conn // [src][dst], nil on the diagonal
-
-	listeners []net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
-// NewTCPTransport builds the full mesh for world w and starts the reader
-// goroutines.  The caller owns Close.
-func NewTCPTransport(w *World) (*TCPTransport, error) {
-	t := &TCPTransport{
-		w:      w,
-		size:   w.Size,
-		closed: make(chan struct{}),
-	}
-	t.conns = make([][]net.Conn, w.Size)
-	for i := range t.conns {
-		t.conns[i] = make([]net.Conn, w.Size)
-	}
-
-	// One listener per rank.
-	addrs := make([]string, w.Size)
-	for r := 0; r < w.Size; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("mpi: listen for rank %d: %w", r, err)
-		}
-		t.listeners = append(t.listeners, ln)
-		addrs[r] = ln.Addr().String()
-	}
-
-	// Accept loops: each accepted connection announces its source rank,
-	// then feeds the local rank's queue.
-	for r := 0; r < w.Size; r++ {
-		r := r
-		ln := t.listeners[r]
-		// Each rank expects size-1 inbound connections.
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for i := 0; i < t.size-1; i++ {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				var hello [4]byte
-				if _, err := io.ReadFull(conn, hello[:]); err != nil {
-					conn.Close()
-					return
-				}
-				src := int(binary.LittleEndian.Uint32(hello[:]))
-				if src < 0 || src >= t.size {
-					conn.Close()
-					return
-				}
-				t.wg.Add(1)
-				go t.reader(r, conn)
-			}
-		}()
-	}
-
-	// Dial the mesh.
-	for src := 0; src < w.Size; src++ {
-		for dst := 0; dst < w.Size; dst++ {
-			if src == dst {
-				continue
-			}
-			conn, err := net.Dial("tcp", addrs[dst])
-			if err != nil {
-				t.Close()
-				return nil, fmt.Errorf("mpi: dial %d->%d: %w", src, dst, err)
-			}
-			var hello [4]byte
-			binary.LittleEndian.PutUint32(hello[:], uint32(src))
-			if _, err := conn.Write(hello[:]); err != nil {
-				t.Close()
-				return nil, fmt.Errorf("mpi: hello %d->%d: %w", src, dst, err)
-			}
-			t.conns[src][dst] = conn
-		}
-	}
-	return t, nil
-}
-
-// reader drains one inbound connection into the rank's queue.
-func (t *TCPTransport) reader(self int, conn net.Conn) {
-	defer t.wg.Done()
-	defer conn.Close()
-	var lenbuf [4]byte
-	for {
-		if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(lenbuf[:])
-		if n > 64<<20 {
-			return // insane frame; drop the connection
-		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return
-		}
-		select {
-		case <-t.closed:
-			return
-		default:
-		}
-		t.w.PushPacket(self, frame)
-	}
-}
-
-// Send implements Transport.
-func (t *TCPTransport) Send(src, dst int, frame []byte) error {
-	conn := t.conns[src][dst]
-	if conn == nil {
-		return fmt.Errorf("mpi: no connection %d->%d", src, dst)
-	}
-	var lenbuf [4]byte
-	binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(frame)))
-	if _, err := conn.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(frame)
-	return err
-}
-
-// Close implements Transport.
-func (t *TCPTransport) Close() error {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		for _, ln := range t.listeners {
-			ln.Close()
-		}
-		for _, row := range t.conns {
-			for _, c := range row {
-				if c != nil {
-					c.Close()
-				}
-			}
-		}
-	})
-	t.wg.Wait()
-	return nil
 }

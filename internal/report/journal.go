@@ -161,7 +161,10 @@ type JournalEntry struct {
 	Forensics  *core.Forensics `json:"forensics,omitempty"`
 }
 
-func entryFromExperiment(e core.Experiment) JournalEntry {
+// EntryFromExperiment builds the journal record for one finished
+// experiment — the line Journal.Append writes and workers stream to the
+// coordinator, one JSON object per line.
+func EntryFromExperiment(e core.Experiment) JournalEntry {
 	return JournalEntry{
 		ID:         e.ID(),
 		Rank:       e.Rank,
@@ -176,7 +179,7 @@ func entryFromExperiment(e core.Experiment) JournalEntry {
 	}
 }
 
-// Experiment inverts entryFromExperiment.
+// Experiment inverts EntryFromExperiment.
 func (je JournalEntry) Experiment() (core.Experiment, error) {
 	pe, err := core.ParseEntryID(je.ID)
 	if err != nil {
@@ -244,7 +247,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, map[string]core.Expe
 	if err != nil {
 		return nil, nil, err
 	}
-	got, completed, valid, err := parseJournal(data)
+	got, completed, valid, err := ParseSegment(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("report: resume %s: %v", path, err)
 	}
@@ -266,7 +269,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, map[string]core.Expe
 
 // Append records one finished experiment.
 func (j *Journal) Append(e core.Experiment) error {
-	line, err := json.Marshal(entryFromExperiment(e))
+	line, err := json.Marshal(EntryFromExperiment(e))
 	if err != nil {
 		return err
 	}
@@ -289,20 +292,25 @@ func ReadJournal(path string) (JournalHeader, map[string]core.Experiment, error)
 	if err != nil {
 		return JournalHeader{}, nil, err
 	}
-	h, completed, _, err := parseJournal(data)
+	h, completed, _, err := ParseSegment(data)
 	if err != nil {
 		return JournalHeader{}, nil, fmt.Errorf("report: %s: %v", path, err)
 	}
 	return h, completed, nil
 }
 
-// parseJournal scans the JSONL bytes, returning the header, the
-// experiments keyed by ID, and the length of the valid prefix.  Only a
-// line terminated by '\n' that unmarshals cleanly counts; the first
-// defective line and everything after it are treated as the truncated
-// tail of a killed run (valid < len(data)).  A defective header is a
-// hard error — there is nothing to resume.
-func parseJournal(data []byte) (h JournalHeader, completed map[string]core.Experiment, valid int, err error) {
+// ParseSegment scans journal bytes — a header line plus zero or more
+// entry lines — returning the header, the experiments keyed by ID, and
+// the length of the valid prefix.  Only a line terminated by '\n' that
+// unmarshals cleanly counts; the first defective line and everything
+// after it are treated as the truncated tail of a killed run
+// (valid < len(data)).  A defective header is a hard error — there is
+// nothing to resume.  ResumeJournal and the coordinator's ingestion share
+// it: an uploaded lease segment is a byte prefix of a worker's journal,
+// so a worker killed mid-chunk leaves a segment whose intact lines are
+// still usable and whose torn tail is simply re-covered when the lease
+// is re-run.
+func ParseSegment(data []byte) (h JournalHeader, completed map[string]core.Experiment, valid int, err error) {
 	off := 0
 	line := func() ([]byte, bool) {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -352,41 +360,15 @@ func parseJournal(data []byte) (h JournalHeader, completed map[string]core.Exper
 	return h, completed, valid, nil
 }
 
-// EntryFromExperiment builds the journal record for one finished
-// experiment — the line format workers stream to the coordinator, one
-// JSON object per line, identical to what Journal.Append writes.
-func EntryFromExperiment(e core.Experiment) JournalEntry {
-	return entryFromExperiment(e)
-}
-
-// ParseSegment parses journal bytes — a header line plus zero or more
-// entry lines — tolerating a truncated tail exactly like ResumeJournal:
-// the returned valid length covers every complete, well-formed line, and
-// anything after it is the footprint of an interrupted writer.  This is
-// the coordinator's ingestion parser: an uploaded lease segment is a
-// byte prefix of a worker's journal, so a worker killed mid-chunk leaves
-// a segment whose intact lines are still usable and whose torn tail is
-// simply re-covered when the lease is re-run.
-func ParseSegment(data []byte) (h JournalHeader, completed map[string]core.Experiment, valid int, err error) {
-	return parseJournal(data)
-}
-
 // SameOutcome reports whether two records of one experiment agree — the
 // duplicate-resolution predicate for merges and coordinator ingestion.
 // Any two workers running the same (seed, region, index) must produce
 // the identical outcome, so a disagreement means the campaign is not
 // deterministic and the duplicate cannot be resolved.  Forensics is
-// excluded from the comparison (see sameExperiment).
+// deliberately excluded from the comparison: it is auxiliary diagnostic
+// data, and shards of one campaign may legitimately differ in whether
+// the flight recorder was enabled (old journals have none at all).
 func SameOutcome(a, b core.Experiment) bool {
-	return sameExperiment(a, b)
-}
-
-// sameExperiment reports whether two journal records describe the same
-// experiment outcome.  Forensics is deliberately excluded from the
-// comparison: it is auxiliary diagnostic data, and shards of one
-// campaign may legitimately differ in whether the flight recorder was
-// enabled (old journals have none at all).
-func sameExperiment(a, b core.Experiment) bool {
 	a.Forensics, b.Forensics = nil, nil
 	return a == b
 }
@@ -455,7 +437,7 @@ func MergeJournals(paths []string) (*Merged, error) {
 		}
 		for id, e := range exps {
 			if prev, dup := byID[id]; dup {
-				if !sameExperiment(prev, e) {
+				if !SameOutcome(prev, e) {
 					return nil, fmt.Errorf("report: experiment %s disagrees between %s and %s — journals are not shards of one campaign",
 						id, src[id], path)
 				}
@@ -478,34 +460,10 @@ func MergeJournals(paths []string) (*Merged, error) {
 	if err != nil {
 		return nil, err
 	}
-	var experiments []core.Experiment
-	if base.Adaptive {
-		experiments, err = assembleAdaptive(base, regions, byID)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		plan := core.Plan{Regions: regions, Injections: base.Injections}
-		experiments = make([]core.Experiment, 0, plan.Total())
-		var missing []string
-		for g := 0; g < plan.Total(); g++ {
-			pe := plan.Entry(g)
-			e, ok := byID[pe.ID()]
-			if !ok {
-				missing = append(missing, pe.ID())
-				continue
-			}
-			experiments = append(experiments, e)
-		}
-		if len(missing) > 0 {
-			return nil, fmt.Errorf("report: merge incomplete: %d of %d experiments missing (first: %s) — rerun the missing shards or resume them from their journals",
-				len(missing), plan.Total(), missing[0])
-		}
+	res, err := Assemble(base, byID)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &core.Result{Experiments: experiments}
-	res.Tallies = core.TallyExperiments(regions, experiments)
-	res.Unclassified = core.CountUnapplied(experiments)
 	return &Merged{
 		App:         base.App,
 		Seed:        base.Seed,
@@ -521,41 +479,60 @@ func MergeJournals(paths []string) (*Merged, error) {
 	}, nil
 }
 
-// assembleAdaptive reconstructs an adaptive campaign from the merged
-// experiment set by replaying the deterministic planner over the
-// recorded outcomes: the replay dictates exactly which (region, index)
-// pairs the campaign must contain, missing ones fail the merge, and
-// extras mean the journal was not produced by the recorded contract.
-// Experiments come back in plan order (region order, index ascending),
-// the order WriteCampaignCSV tallies are insensitive to but segment
-// re-emission depends on.
-func assembleAdaptive(base JournalHeader, regions []core.Region, byID map[string]core.Experiment) ([]core.Experiment, error) {
-	counts, err := core.ReplayAdaptive(base.Confidence, base.Target, base.RoundSize, regions, base.Priors,
-		func(ri, idx int) (bool, error) {
-			pe := core.PlanEntry{Region: regions[ri], Index: idx}
-			e, ok := byID[pe.ID()]
-			if !ok {
-				return false, fmt.Errorf("report: merge incomplete: the adaptive planner requires %s, which no journal records", pe.ID())
-			}
-			return e.Outcome != classify.Correct, nil
-		})
+// Assemble decides whether the experiments in byID are the finished
+// campaign h describes and, if so, returns it in plan order (region
+// order, index ascending) — the one place a result set is accepted,
+// shared by MergeJournals and the coordinator.  A fixed-n campaign must
+// cover its plan.  An adaptive one must be exactly what its contract's
+// planner asks for: core.AdaptiveContract.Frontier replayed over the
+// recorded outcomes dictates which (region, index) pairs the campaign
+// contains, missing ones fail, and extras mean the set was not produced
+// by the recorded contract.
+func Assemble(h JournalHeader, byID map[string]core.Experiment) (*core.Result, error) {
+	regions, err := h.PlanRegions()
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != len(byID) {
-		return nil, fmt.Errorf("report: journals record %d experiments but the adaptive planner replay expects %d — not a completed campaign under the recorded contract",
-			len(byID), total)
-	}
-	experiments := make([]core.Experiment, 0, total)
-	for ri, n := range counts {
-		for idx := 0; idx < n; idx++ {
-			pe := core.PlanEntry{Region: regions[ri], Index: idx}
-			experiments = append(experiments, byID[pe.ID()])
+	res := &core.Result{}
+	var executed []int // per-region prefix length the campaign consists of
+	if h.Adaptive {
+		var missing []core.PlanEntry
+		executed, missing, res.Adaptive, err = core.AdaptiveContract{
+			Confidence: h.Confidence, Target: h.Target, RoundSize: h.RoundSize,
+			Regions: regions, Priors: h.Priors,
+		}.Frontier(core.RecordedIn(byID))
+		if err != nil {
+			return nil, err
+		}
+		if len(missing) > 0 {
+			return nil, fmt.Errorf("report: merge incomplete: the adaptive planner requires %s, which no journal records", missing[0].ID())
+		}
+		if total := res.Adaptive.TotalExecuted(); total != len(byID) {
+			return nil, fmt.Errorf("report: journals record %d experiments but the adaptive planner replay expects %d — not a completed campaign under the recorded contract",
+				len(byID), total)
+		}
+	} else {
+		executed = make([]int, len(regions))
+		for i := range executed {
+			executed[i] = h.Injections
 		}
 	}
-	return experiments, nil
+	var missing []string
+	for ri, n := range executed {
+		for idx := 0; idx < n; idx++ {
+			id := core.PlanEntry{Region: regions[ri], Index: idx}.ID()
+			if e, ok := byID[id]; ok {
+				res.Experiments = append(res.Experiments, e)
+			} else {
+				missing = append(missing, id)
+			}
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("report: merge incomplete: %d of %d experiments missing (first: %s) — rerun the missing shards or resume them from their journals",
+			len(missing), len(missing)+len(res.Experiments), missing[0])
+	}
+	res.Tallies = core.TallyExperiments(regions, res.Experiments)
+	res.Unclassified = core.CountUnapplied(res.Experiments)
+	return res, nil
 }

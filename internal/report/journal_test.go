@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -189,6 +190,73 @@ func TestMergeValidation(t *testing.T) {
 	otherSeed := write("d.jsonl", otherH, syntheticExperiment(1, classify.Correct))
 	if _, err := MergeJournals([]string{a, otherSeed}); err == nil {
 		t.Error("merge across different campaign seeds accepted")
+	}
+}
+
+// TestAssemble: the one place a result set is accepted as a finished
+// campaign, with the error texts faultmerge and the coordinator report.
+func TestAssemble(t *testing.T) {
+	set := func(n int, outcomes ...classify.Outcome) map[string]core.Experiment {
+		byID := make(map[string]core.Experiment, n)
+		for i := 0; i < n; i++ {
+			e := syntheticExperiment(i, outcomes[i%len(outcomes)])
+			byID[e.ID()] = e
+		}
+		return byID
+	}
+	without := func(byID map[string]core.Experiment, id string) map[string]core.Experiment {
+		delete(byID, id)
+		return byID
+	}
+	fixed := syntheticHeader(4)
+	// With no prior the pilot is a full 96-experiment round, which closes
+	// an all-Correct stratum at d=4.9 %.
+	adaptive := CampaignHeader("wavetoy", core.Config{
+		Regions: []core.Region{core.RegionRegularReg}, Seed: 9, Ranks: 2, Injections: 400,
+		Adaptive: true, Confidence: 0.95, TargetHalfWidth: 0.049, RoundSize: 96,
+	})
+	for _, tc := range []struct {
+		name    string
+		h       JournalHeader
+		byID    map[string]core.Experiment
+		want    int    // experiments in the assembled result
+		wantErr string // substring; "" = success
+	}{
+		{"fixed complete", fixed, set(4, classify.Crash), 4, ""},
+		{"fixed missing", fixed, without(set(4, classify.Crash), "reg/2"), 0,
+			"merge incomplete: 1 of 4 experiments missing (first: reg/2)"},
+		{"fixed beyond the plan ignored", fixed, set(6, classify.Crash), 4, ""},
+		{"adaptive complete", adaptive, set(96, classify.Correct), 96, ""},
+		{"adaptive missing", adaptive, without(set(96, classify.Correct), "reg/17"), 0,
+			"the adaptive planner requires reg/17, which no journal records"},
+		{"adaptive extra", adaptive, set(97, classify.Correct), 0,
+			"journals record 97 experiments but the adaptive planner replay expects 96"},
+		{"adaptive stopped early", adaptive, set(96, classify.Correct, classify.Crash), 0,
+			"the adaptive planner requires reg/96, which no journal records"},
+	} {
+		res, err := Assemble(tc.h, tc.byID)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(res.Experiments) != tc.want || res.Tallies[0].Executions != tc.want {
+			t.Errorf("%s: %d experiments, %d tallied, want %d", tc.name, len(res.Experiments), res.Tallies[0].Executions, tc.want)
+		}
+		for i, e := range res.Experiments {
+			if e.Index != i {
+				t.Errorf("%s: experiment %d is %s, want plan order", tc.name, i, e.ID())
+				break
+			}
+		}
+		if tc.h.Adaptive && (res.Adaptive == nil || res.Adaptive.Rounds != 1 || !res.Adaptive.Strata[0].Closed) {
+			t.Errorf("%s: planner stats %+v, want one closed round", tc.name, res.Adaptive)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mpifault/internal/classify"
 	"mpifault/internal/core"
 	"mpifault/internal/sampling"
 )
@@ -108,8 +107,3 @@ func reweightedHalfWidth(confidence float64, region core.Region, experiments []c
 	share := float64(candMass) / float64(wt.TotalMass)
 	return wt.ErrorRate(), hw * share, true
 }
-
-// ErrorOf reports whether an experiment manifested (any outcome other
-// than Correct) — the tally the adaptive planner stops on, exported so
-// gates and merges count errors exactly like the planner does.
-func ErrorOf(e core.Experiment) bool { return e.Outcome != classify.Correct }

@@ -3,9 +3,11 @@
 # coordinator plus three faultcampaign workers, one of which is
 # SIGKILLed mid-campaign, must still produce a final CSV byte-identical
 # to the single-process run — and the coordinator's spool directory must
-# reconstruct the same bytes through `faultmerge -coord`.
+# reconstruct the same bytes through `faultmerge -coord`.  Two legs: a
+# fixed-n campaign, then an adaptive one, where the dead worker's leases
+# hold up a round barrier until a survivor re-runs them.
 #
-# The campaign runs with -trace-diff, which adds two assertions: the
+# The fixed-n campaign runs with -trace-diff, which adds two assertions: the
 # coordinator CSV must still match the single-process run *without*
 # tracing (the digest recorder only observes), and every worker's logged
 # golden-trace digest must equal the hash a single-process
@@ -20,6 +22,10 @@
 #   N         injections per region        (default 12)
 #   SEED      campaign seed                (default 7)
 #   KILL_AT   results ingested before the SIGKILL (default 8)
+#   ADAPTIVE_D, ADAPTIVE_REGIONS, ADAPTIVE_ROUND   the adaptive leg's
+#             stopping target, regions and round size (default 0.12,
+#             reg,heap and 16: loose and message-free, so the leg is
+#             four or five short rounds of deterministic experiments)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,6 +33,9 @@ APP=${APP:-wavetoy}
 N=${N:-12}
 SEED=${SEED:-7}
 KILL_AT=${KILL_AT:-8}
+ADAPTIVE_D=${ADAPTIVE_D:-0.12}
+ADAPTIVE_REGIONS=${ADAPTIVE_REGIONS:-reg,heap}
+ADAPTIVE_ROUND=${ADAPTIVE_ROUND:-16}
 
 WORK=$(mktemp -d)
 PIDS=""
@@ -68,85 +77,97 @@ echo "== single-process traced CSV must be byte-identical =="
 diff -u "$WORK/golden.csv" "$WORK/traced.csv"
 echo "reference golden trace: $(cat "$WORK/trace.json")"
 
-echo "== coordinator + 3 workers (one will be SIGKILLed) =="
-"$FAULTCOORD" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
-	-app "$APP" -n "$N" -seed "$SEED" -trace-diff \
-	-lease-size 8 -lease-ttl 2s -dir "$WORK/spool" \
-	-wait -out "$WORK/final.csv" -status 5s &
-COORD=$!
-PIDS="$COORD"
+# cluster LEG COORD_FLAGS...: a coordinator with the given campaign flags
+# plus three workers, one SIGKILLed once KILL_AT results are in.  The
+# victim starts alone and the survivors join after the kill, so it dies
+# holding a lease and cannot be outrun to the end of a short campaign
+# between two polls.  Leaves $WORK/LEG.csv (the coordinator's final CSV),
+# $WORK/LEG.spool and the survivors' stderr in $WORK/LEG.w2.log and
+# $WORK/LEG.w3.log.
+cluster() {
+	leg=$1
+	shift
+	echo "== $leg: coordinator + 3 workers (one will be SIGKILLed) =="
+	rm -f "$WORK/addr"
+	"$FAULTCOORD" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
+		-app "$APP" -seed "$SEED" "$@" \
+		-lease-size 8 -lease-ttl 2s -dir "$WORK/$leg.spool" \
+		-wait -out "$WORK/$leg.csv" -status 5s &
+	COORD=$!
+	PIDS="$COORD"
 
-i=0
-while [ ! -s "$WORK/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "FAIL: coordinator never wrote its address file" >&2
+	i=0
+	while [ ! -s "$WORK/addr" ]; do
+		i=$((i + 1))
+		if [ "$i" -gt 100 ]; then
+			echo "FAIL: coordinator never wrote its address file" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	URL=$(cat "$WORK/addr")
+	echo "coordinator at $URL"
+
+	"$FAULTCAMPAIGN" -worker "$URL" -worker-name victim -quiet &
+	VICTIM=$!
+	PIDS="$COORD $VICTIM"
+
+	echo "== $leg: waiting for $KILL_AT ingested results, then SIGKILL the victim =="
+	i=0
+	while :; do
+		got=$(curl -fsS "$URL/status" 2>/dev/null \
+			| grep -o '"results_ingested":[0-9]*' | cut -d: -f2 || echo 0)
+		if [ "${got:-0}" -ge "$KILL_AT" ]; then
+			break
+		fi
+		i=$((i + 1))
+		if [ "$i" -gt 1200 ]; then
+			echo "FAIL: campaign never reached $KILL_AT results (at ${got:-0})" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	kill -9 "$VICTIM"
+	echo "victim SIGKILLed at ${got} results"
+
+	# w2 and w3 run chatty with captured stderr: their "golden trace
+	# digest" lines are the cross-machine trace-identity assertion below.
+	"$FAULTCAMPAIGN" -worker "$URL" -worker-name w2 2>"$WORK/$leg.w2.log" &
+	W2=$!
+	"$FAULTCAMPAIGN" -worker "$URL" -worker-name w3 2>"$WORK/$leg.w3.log" &
+	W3=$!
+	PIDS="$COORD $W2 $W3"
+
+	COORD_STATUS=0
+	wait "$COORD" || COORD_STATUS=$?
+	# The coordinator exits as soon as the campaign completes; a surviving
+	# worker racing its shutdown may never see the campaign-over answer,
+	# so reap them rather than wait for it (their exit status is not the
+	# assertion — the CSV bytes are).
+	PIDS=""
+	kill "$W2" "$W3" 2>/dev/null || true
+	wait "$W2" 2>/dev/null || true
+	wait "$W3" 2>/dev/null || true
+	if [ "$COORD_STATUS" -ne 0 ]; then
+		echo "FAIL: coordinator exited $COORD_STATUS" >&2
 		exit 1
 	fi
-	sleep 0.1
-done
-URL=$(cat "$WORK/addr")
-echo "coordinator at $URL"
-
-# w2 and w3 run chatty with captured stderr: their "golden trace digest"
-# lines are the cross-machine trace-identity assertion below.
-"$FAULTCAMPAIGN" -worker "$URL" -worker-name victim -quiet &
-VICTIM=$!
-"$FAULTCAMPAIGN" -worker "$URL" -worker-name w2 2>"$WORK/w2.log" &
-W2=$!
-"$FAULTCAMPAIGN" -worker "$URL" -worker-name w3 2>"$WORK/w3.log" &
-W3=$!
-PIDS="$COORD $VICTIM $W2 $W3"
-
-ingested() {
-	curl -fsS "$URL/status" 2>/dev/null \
-		| grep -o '"results_ingested":[0-9]*' | cut -d: -f2 || echo 0
 }
 
-echo "== waiting for $KILL_AT ingested results, then SIGKILL the victim =="
-i=0
-while :; do
-	got=$(ingested)
-	if [ "${got:-0}" -ge "$KILL_AT" ]; then
-		break
-	fi
-	i=$((i + 1))
-	if [ "$i" -gt 600 ]; then
-		echo "FAIL: campaign never reached $KILL_AT results (at ${got:-0})" >&2
-		exit 1
-	fi
-	sleep 0.2
-done
-kill -9 "$VICTIM"
-echo "victim SIGKILLed at ${got} results"
-
-COORD_STATUS=0
-wait "$COORD" || COORD_STATUS=$?
-# The coordinator exits as soon as the campaign completes; a surviving
-# worker racing its shutdown may never see the campaign-over answer, so
-# reap them rather than wait for it (their exit status is not the
-# assertion — the CSV bytes are).
-PIDS=""
-kill "$W2" "$W3" 2>/dev/null || true
-wait "$W2" 2>/dev/null || true
-wait "$W3" 2>/dev/null || true
-if [ "$COORD_STATUS" -ne 0 ]; then
-	echo "FAIL: coordinator exited $COORD_STATUS" >&2
-	exit 1
-fi
+cluster fixed -n "$N" -trace-diff
 
 echo "== final CSV must be byte-identical to the single-process run =="
-diff -u "$WORK/golden.csv" "$WORK/final.csv"
+diff -u "$WORK/golden.csv" "$WORK/fixed.csv"
 echo "coordinator CSV is byte-identical to the single-process campaign"
 
 echo "== spool reconstruction through faultmerge -coord =="
-"$FAULTMERGE" -csv -coord "$WORK/spool" >"$WORK/merged.csv"
+"$FAULTMERGE" -csv -coord "$WORK/fixed.spool" >"$WORK/merged.csv"
 diff -u "$WORK/golden.csv" "$WORK/merged.csv"
 echo "faultmerge -coord reconstruction is byte-identical too"
 
 echo "== worker golden-trace digests must match the single-process trace =="
 WANT=$(grep -o '"hash":"[0-9a-f]*"' "$WORK/trace.json" | cut -d'"' -f4)
-GOT=$(grep -h -o 'golden trace digest [0-9a-f]*' "$WORK"/w2.log "$WORK"/w3.log \
+GOT=$(grep -h -o 'golden trace digest [0-9a-f]*' "$WORK"/fixed.w2.log "$WORK"/fixed.w3.log \
 	| awk '{print $4}' | sort -u)
 if [ -z "$GOT" ]; then
 	echo "FAIL: no surviving worker logged a golden trace digest" >&2
@@ -157,5 +178,22 @@ if [ "$GOT" != "$WANT" ]; then
 	exit 1
 fi
 echo "every worker computed golden trace digest $WANT"
+
+# The adaptive leg: the same chaos across round barriers.  A round's
+# leases must all complete — the dead victim's included, re-run by a
+# survivor — before the coordinator asks the frontier for the next, and
+# the rounds must be the ones a single process runs.
+echo "== single-process adaptive CSV =="
+"$FAULTCAMPAIGN" -app "$APP" -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -seed "$SEED" \
+	-regions "$ADAPTIVE_REGIONS" -csv -quiet >"$WORK/adaptive-golden.csv"
+
+cluster adaptive -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -regions "$ADAPTIVE_REGIONS"
+
+echo "== adaptive CSV must be byte-identical to the single-process run =="
+diff -u "$WORK/adaptive-golden.csv" "$WORK/adaptive.csv"
+echo "== adaptive spool reconstruction through faultmerge -coord =="
+"$FAULTMERGE" -csv -coord "$WORK/adaptive.spool" >"$WORK/adaptive-merged.csv"
+diff -u "$WORK/adaptive-golden.csv" "$WORK/adaptive-merged.csv"
+echo "adaptive coordinator CSV and spool merge are byte-identical to faultcampaign -adaptive"
 
 echo "coord_e2e: OK"

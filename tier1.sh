@@ -115,8 +115,7 @@ else
 	# the flag conflicts must be hard errors.
 	ADAPT_TMP=$(mktemp -d)
 	trap 'rm -rf "$TRACE_TMP" "$ADAPT_TMP"' EXIT
-	# Without -quiet, for the restore summary on stderr (stdout gains a
-	# first "sampling:" line, the same in all three runs).
+	# Without -quiet, for the restore summary on stderr.
 	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv \
 		>"$ADAPT_TMP/a.csv" 2>"$ADAPT_TMP/a.err"
 	go run ./cmd/faultcampaign -app wavetoy -adaptive -d 0.12 -seed 7 -regions reg,heap -csv \
