@@ -592,6 +592,10 @@ func run() int {
 					name, st.Taken, st.Hits, st.Hits+st.Misses, float64(st.InstrsSkipped)/1e6)
 			}
 		}
+		if so := res.Solo; so.Attempts() > 0 && !*quiet {
+			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct, %d failed); %d re-run on all ranks\n",
+				name, so.Correct+so.Failed, so.Attempts(), so.Correct, so.Failed, so.Fallback)
+		}
 		if *traceDiff && res.Golden != nil && res.Golden.Trace != nil {
 			tr := res.Golden.Trace
 			if !*quiet {

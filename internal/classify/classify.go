@@ -71,6 +71,18 @@ func ParseOutcome(s string) (Outcome, error) {
 // numerator of the paper's error rate).
 func (o Outcome) IsError() bool { return o != Correct }
 
+// Failure classifies a job by its first failure (Result.FirstFailure).
+func Failure(t *vm.Trap) Outcome {
+	switch t.Kind {
+	case vm.TrapAbort:
+		return AppDetected
+	case vm.TrapMPIHandler:
+		return MPIDetected
+	default:
+		return Crash
+	}
+}
+
 // Classify determines the manifestation of one run against the golden
 // canonical output.
 //
@@ -83,14 +95,7 @@ func (o Outcome) IsError() bool { return o != Correct }
 // output.
 func Classify(res *cluster.Result, golden []byte) Outcome {
 	if t := res.FirstFailure(); t != nil {
-		switch t.Kind {
-		case vm.TrapAbort:
-			return AppDetected
-		case vm.TrapMPIHandler:
-			return MPIDetected
-		default:
-			return Crash
-		}
+		return Failure(t)
 	}
 	if res.HangDetected {
 		return Hang

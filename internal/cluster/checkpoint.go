@@ -20,7 +20,7 @@ import (
 // finished, so nothing in the world is executing — captures all ranks and
 // the Channel queues, then releases the barrier.  The vectors must be
 // *consistent cuts* of the recorded execution (no receive before its
-// matching send; see mpi.CausalityRecorder): pausing at such a cut can
+// matching send; see mpi.Causality): pausing at such a cut can
 // never deadlock, because no parked rank's progress is required for a
 // peer to reach its own target.
 
@@ -39,8 +39,11 @@ type CheckpointSpec struct {
 // exited before the cut carries its terminal RankResult instead of live
 // machine state.
 type RankSnapshot struct {
-	VM       *vm.Snapshot
-	MPI      *mpi.ProcSnapshot
+	VM  *vm.Snapshot
+	MPI *mpi.ProcSnapshot
+	// TapePos is how many events of its tape the rank had recorded at the
+	// cut (capture passes with Job.RecordTapes): where RunSolo resumes.
+	TapePos  int
 	Finished bool
 	Result   RankResult
 	Stdout   []byte
@@ -212,6 +215,7 @@ func (c *ckptRun) captureLocked(k int) {
 		} else {
 			rs.VM = c.machines[r].Snapshot()
 			rs.MPI = c.world.Proc(r).Snapshot()
+			rs.TapePos = len(c.world.Proc(r).Tape())
 		}
 		s.Queues[r] = c.world.DrainQueue(r)
 	}

@@ -56,9 +56,10 @@ type Job struct {
 	// interpreter hot path is unchanged and a nil Metrics job is
 	// byte-identical to one from before this field existed.
 	Metrics *telemetry.Registry
-	// Causality, when non-nil, records Channel-level message events for
-	// consistent-cut computation (golden recording runs only).
-	Causality *mpi.CausalityRecorder
+	// RecordTapes makes every rank record its tape (mpi.Tape) into
+	// Result.Tapes: what RunSolo replays, and what consistent cuts are
+	// computed from (golden recording runs only).
+	RecordTapes bool
 	// Checkpoints, when non-nil, makes the job pause at the given
 	// consistent cuts and emit cluster snapshots (see checkpoint.go).
 	Checkpoints *CheckpointSpec
@@ -102,6 +103,8 @@ type Result struct {
 	Stderr [][]byte
 	// Files maps named output files (written via SysOpen) to contents.
 	Files map[string][]byte
+	// Tapes are the per-rank recordings of a Job.RecordTapes run.
+	Tapes []mpi.Tape
 }
 
 // FirstFailure returns the most severe trap across ranks, preferring
@@ -151,8 +154,8 @@ func Run(job Job) *Result {
 		mpiCfg = mpiCfg.WithQueueHeadroom(job.Restore.MaxQueued())
 	}
 	world := mpi.NewWorld(job.Size, mpiCfg)
-	if job.Causality != nil {
-		world.SetRecorder(job.Causality)
+	if job.RecordTapes {
+		world.RecordTapes()
 	}
 	if job.Restore != nil {
 		world.SetCtxCounter(job.Restore.CtxCounter)
@@ -196,30 +199,8 @@ func Run(job Job) *Result {
 			world.Proc(r).MarkFinished()
 			continue
 		}
-		var m *vm.Machine
-		io := &rankIO{proc: world.Proc(r), files: files}
-		if job.Restore != nil {
-			rs := &job.Restore.Ranks[r]
-			m = rs.VM.NewMachine()
-			world.Proc(r).Restore(rs.MPI)
-			io.stdout = append([]byte(nil), rs.Stdout...)
-			io.stderr = append([]byte(nil), rs.Stderr...)
-		} else {
-			m = vm.New(job.Image)
-		}
-		if job.DisableSuperblocks {
-			m.DisableSuperblocks()
-		}
-		m.Stop = &stopFlag
-		m.Handler = io
-		if job.Tracer != nil && r == job.TraceRank {
-			m.Tracer = job.Tracer
-		}
-		if job.Setup != nil {
-			job.Setup(r, m, world.Proc(r))
-		}
-		machines[r] = m
-		ios[r] = io
+		machines[r], ios[r] = job.newRank(r, world.Proc(r), files)
+		machines[r].Stop = &stopFlag
 	}
 	if job.Restore != nil {
 		// Requeue the snapshot's in-flight packets (deep-copied; see
@@ -377,10 +358,44 @@ func Run(job Job) *Result {
 		res.Stdout[r] = ios[r].stdout
 		res.Stderr[r] = ios[r].appendSignalBanner(res.Ranks[r].Trap)
 	}
+	if job.RecordTapes {
+		res.Tapes = make([]mpi.Tape, job.Size)
+		for r := range res.Tapes {
+			res.Tapes[r] = world.Proc(r).Tape()
+		}
+	}
 	if job.Metrics != nil {
 		recordJobMetrics(job.Metrics, res)
 	}
 	return res
+}
+
+// newRank builds live rank r — its machine, from the image or from the
+// job's Restore snapshot, wired to its syscall handler and to proc, with
+// the job's tracer and Setup applied.  Run and RunSolo share it.
+func (job *Job) newRank(r int, proc *mpi.Proc, files *fileStore) (*vm.Machine, *rankIO) {
+	var m *vm.Machine
+	io := &rankIO{proc: proc, files: files}
+	if job.Restore != nil {
+		rs := &job.Restore.Ranks[r]
+		m = rs.VM.NewMachine()
+		proc.Restore(rs.MPI)
+		io.stdout = append([]byte(nil), rs.Stdout...)
+		io.stderr = append([]byte(nil), rs.Stderr...)
+	} else {
+		m = vm.New(job.Image)
+	}
+	if job.DisableSuperblocks {
+		m.DisableSuperblocks()
+	}
+	m.Handler = io
+	if job.Tracer != nil && r == job.TraceRank {
+		m.Tracer = job.Tracer
+	}
+	if job.Setup != nil {
+		job.Setup(r, m, proc)
+	}
+	return m, io
 }
 
 // recordJobMetrics aggregates a finished job into the registry.  It

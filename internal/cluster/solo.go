@@ -1,0 +1,58 @@
+package cluster
+
+import (
+	"mpifault/internal/mpi"
+	"mpifault/internal/telemetry"
+	"mpifault/internal/vm"
+)
+
+// SoloResult is what running one rank alone against its tape established
+// about the whole job.
+type SoloResult struct {
+	// Trap is the job's verdict when the tape proves one, nil when it does
+	// not.  A clean exit (TrapExit, code 0) means the rank consumed its
+	// whole tape with every output matched: no rank saw anything but the
+	// recorded run, so the job ends as that run did.  Any other trap was
+	// raised while the rank was still on its tape — until that instruction
+	// every peer saw the recorded run, so it is the job's first failure,
+	// the one Result.FirstFailure reports when the peers are only ever
+	// killed.  nil covers everything else: an output that is not the
+	// recorded one, a pull the tape cannot serve, an exit that leaves tape
+	// or carries a nonzero code, the budget.  The job must then be run on
+	// all ranks.
+	Trap *vm.Trap
+	// Instrs is the rank's retired-instruction count when it stopped.
+	Instrs uint64
+}
+
+// RunSolo executes rank alone, on the caller's goroutine, with tape —
+// that rank's recording from the run job.Restore was captured in, or from
+// any recorded run of the job when starting at t=0 — standing in for every
+// other rank: no peer machines, goroutines, inboxes or watchdog.  Of the
+// job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer,
+// DisableSuperblocks and Metrics.
+func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
+	pos := 0
+	if job.Restore != nil {
+		pos = job.Restore.Ranks[rank].TapePos
+	}
+	proc := mpi.NewReplayProc(job.Size, job.MPIConfig, rank, tape, pos)
+	m, _ := job.newRank(rank, proc, nil)
+	out := m.Run(job.Budget)
+
+	res := SoloResult{Trap: out.Trap, Instrs: m.Instrs}
+	left, departed := proc.Replayed()
+	switch {
+	case departed || out.Reason == vm.StopBudget:
+		res.Trap = nil
+	case out.Trap.Kind == vm.TrapExit:
+		if out.Trap.Code != 0 || left > 0 {
+			res.Trap = nil
+		}
+	}
+	if reg := job.Metrics; reg != nil {
+		reg.Counter(telemetry.MetricJobs).Inc()
+		reg.Counter(telemetry.MetricInstrsRetired).Add(m.Instrs)
+	}
+	return res
+}

@@ -75,7 +75,14 @@ func (io *rankIO) appendSignalBanner(t *vm.Trap) []byte {
 	return io.stderr
 }
 
+// writeFd appends b to the console capture or the named file behind fd.
+// Every write is an output on the rank's tape — the console too, which is
+// stricter than classification needs and never wrong — so a replaying
+// rank writes nothing.
 func (io *rankIO) writeFd(m *vm.Machine, fd int32, b []byte) *vm.Trap {
+	if live, t := io.proc.TapeOutput(m, mpi.TapeWrite, fd, b); !live {
+		return t
+	}
 	switch fd {
 	case abi.FdStdout:
 		io.stdout = append(io.stdout, b...)
@@ -125,8 +132,10 @@ func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
 		if t != nil {
 			return t
 		}
-		m.Regs[0] = uint32(io.files.open(string(b)))
-		return nil
+		// The fd depends on what other ranks opened before: a tape input.
+		fd, t := io.proc.TapeInput(m, mpi.TapeOpen, 0, b, func() int32 { return io.files.open(string(b)) })
+		m.Regs[0] = uint32(fd)
+		return t
 
 	case abi.SysWriteInt:
 		fd, v := int32(m.Regs[0]), int32(m.Regs[1])

@@ -523,6 +523,7 @@ func (w *worker) runLease(grant leaseGrant) error {
 	if st := res.Checkpoints; st != nil {
 		restored = st.Hits
 	}
-	w.logf("lease %d done (%d experiments, %d restored from checkpoints)", grant.Lease, len(entries), restored)
+	w.logf("lease %d done (%d experiments, %d restored from checkpoints, %d decided on the injected rank alone)",
+		grant.Lease, len(entries), restored, res.Solo.Correct+res.Solo.Failed)
 	return nil
 }

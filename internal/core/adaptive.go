@@ -324,6 +324,7 @@ func RunAdaptive(cfg Config) (*Result, error) {
 			out.Checkpoints.Misses += st.Misses
 			out.Checkpoints.InstrsSkipped += st.InstrsSkipped
 		}
+		out.Solo.add(res.Solo)
 		for _, e := range res.Experiments {
 			recorded[e.ID()] = e
 		}

@@ -35,10 +35,12 @@ type Golden struct {
 	// diff their own streams against it to localize faults.
 	Trace *msgtrace.Trace
 
-	// events are the run's message causality, which checkpoint cuts are
-	// computed from; ckpts is the set captured for *ckptKey (nil with a
-	// key set: that capture fell back, and is not retried).
-	events  []mpi.Event
+	// tapes are the run's per-rank recordings: what an experiment that
+	// starts at t=0 replays its injected rank against (solo.go), and what
+	// checkpoint cuts are computed from.  ckpts is the set captured for
+	// *ckptKey (nil with a key set: that capture fell back, and is not
+	// retried).
+	tapes   []mpi.Tape
 	ckptMu  sync.Mutex
 	ckptKey *checkpointKey
 	ckpts   *CheckpointSet
@@ -63,10 +65,9 @@ func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 // runGolden is RunGolden with the campaign's interpreter escape hatch
 // and the trace-diff digest recorder.
 func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration, noSB, traced bool) (*Golden, error) {
-	rec := mpi.NewCausalityRecorder()
 	job := cluster.Job{
 		Image: im, Size: ranks, MPIConfig: mpiCfg, WallLimit: wall,
-		Causality: rec, DisableSuperblocks: noSB,
+		RecordTapes: true, DisableSuperblocks: noSB,
 	}
 	var mrec *msgtrace.Recorder
 	if traced {
@@ -77,7 +78,7 @@ func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 	if res.HangDetected {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
-	g := &Golden{Output: res.CanonicalOutput(), Result: res, events: rec.Events()}
+	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes}
 	if mrec != nil {
 		g.Trace = mrec.Trace()
 	}
@@ -324,6 +325,9 @@ type Result struct {
 	// Checkpoints summarizes golden-run checkpoint usage; nil when
 	// checkpointing was not enabled.
 	Checkpoints *CheckpointStats
+	// Solo counts the experiments run on their injected rank alone
+	// (solo.go); zero when none was eligible.
+	Solo SoloStats
 	// Adaptive summarizes the sequential-stopping planner's rounds and
 	// per-stratum convergence; nil for fixed-n campaigns.
 	Adaptive *AdaptiveStats
@@ -443,6 +447,14 @@ func Run(cfg Config) (*Result, error) {
 	if ckptOn {
 		cctx.ckpts = golden.checkpoints(&cfg, met)
 	}
+	if !cfg.Forensics && !cfg.TraceDiff {
+		// The tape the snapshots came from: the two recorded runs may have
+		// pulled their packets in different orders.
+		cctx.tapes = golden.tapes
+		if cctx.ckpts != nil {
+			cctx.tapes = cctx.ckpts.tapes
+		}
+	}
 
 	experiments := make([]Experiment, len(entries))
 	finished := make([]bool, len(entries))
@@ -555,6 +567,7 @@ dispatch:
 			Hits: cctx.hits.Load(), Misses: cctx.misses.Load(), InstrsSkipped: cctx.skipped.Load(),
 		}
 	}
+	res.Solo = cctx.solo.stats()
 
 	ran := experiments
 	if res.Interrupted {
@@ -612,11 +625,16 @@ type campaignCtx struct {
 	budget uint64
 	base   *rng.Rand
 	ckpts  *CheckpointSet
-	met    *campaignMeters
+	// tapes[r] is what rank r replays when an experiment runs it alone;
+	// nil when the campaign's experiments all run whole jobs.
+	tapes []mpi.Tape
+	met   *campaignMeters
 
 	// Local (per-campaign) counters: the telemetry registry may be shared
-	// across campaigns, so Result.Checkpoints cannot be read back from it.
+	// across campaigns, so Result.Checkpoints and Result.Solo cannot be
+	// read back from it.
 	hits, misses, skipped atomic.Uint64
+	solo                  soloCounters
 }
 
 // expScratch is the pooled per-experiment scratch: the experiment and
@@ -649,20 +667,28 @@ func (c *campaignCtx) bucketOf(e *Experiment) int {
 	return c.ckpts.indexForInstr(rank, 1+r.Uint64n(c.golden.Instrs[rank]))
 }
 
-// restoreFrom points the job at checkpoint k and accounts for the hit.
-func (c *campaignCtx) restoreFrom(job *cluster.Job, k int) *cluster.Snapshot {
-	snap := c.ckpts.snaps[k]
-	job.Restore = snap
+// startPoint counts the experiment as a checkpoint hit or miss — once,
+// however many times it ends up being run — and returns the snapshot it
+// starts from: checkpoint k, or nil (t=0) for k < 0.
+func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
+	if c.ckpts == nil {
+		return nil
+	}
+	if k < 0 {
+		c.misses.Add(1)
+		c.met.ckptMisses.Inc()
+		return nil
+	}
 	c.hits.Add(1)
-	c.skipped.Add(c.ckpts.skipped[k])
 	c.met.ckptHits.Inc()
-	c.met.instrsSkipped.Add(int64(c.ckpts.skipped[k]))
-	return snap
+	return c.ckpts.snaps[k]
 }
 
-func (c *campaignCtx) checkpointMiss() {
-	c.misses.Add(1)
-	c.met.ckptMisses.Inc()
+// skip accounts for n golden-prefix instructions a restored job did not
+// execute, although its ranks' final counts include them.
+func (c *campaignCtx) skip(n uint64) {
+	c.skipped.Add(n)
+	c.met.instrsSkipped.Add(int64(n))
 }
 
 // runOne performs a single injection experiment.
@@ -677,6 +703,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		candidates int
 		classID    uint64
 		benignBits int
+		decided    bool // by the injected rank alone
 	)
 	job := cluster.Job{
 		Image:              cfg.Image,
@@ -710,16 +737,11 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		}
 		e.Trigger = r.Uint64n(vol)
 		mi = &MessageInjector{TriggerByte: e.Trigger, Bit: uint(r.Intn(8))}
-		if c.ckpts != nil {
-			if k := c.ckpts.indexForRecv(e.Rank, e.Trigger); k >= 0 {
-				snap := c.restoreFrom(&job, k)
-				// The injector counts cumulative received bytes; start it
-				// at the snapshot's count so the trigger offset means the
-				// same byte it would in a scratch run.
-				mi.seen = snap.RankRecvBytes(e.Rank)
-			} else {
-				c.checkpointMiss()
-			}
+		if job.Restore = c.startPoint(c.ckpts.indexForRecv(e.Rank, e.Trigger)); job.Restore != nil {
+			// The injector counts cumulative received bytes; start it at
+			// the snapshot's count so the trigger offset means the same
+			// byte it would in a scratch run.
+			mi.seen = job.Restore.RankRecvBytes(e.Rank)
 		}
 		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank == e.Rank {
@@ -738,13 +760,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		// Injection time: uniform over the target rank's execution, the
 		// t axis of the sampling space.
 		e.Trigger = 1 + r.Uint64n(golden.Instrs[e.Rank])
-		if c.ckpts != nil {
-			if k := c.ckpts.indexForInstr(e.Rank, e.Trigger); k >= 0 {
-				c.restoreFrom(&job, k)
-			} else {
-				c.checkpointMiss()
-			}
-		}
+		job.Restore = c.startPoint(c.ckpts.indexForInstr(e.Rank, e.Trigger))
 		region := e.Region
 		r.SplitInto(&sc.faultRng)
 		faultRng := &sc.faultRng
@@ -779,6 +795,14 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				descMu.Unlock()
 			}
 		}
+		if c.tapes != nil {
+			// Solo first; a departure runs the whole job below, arming
+			// the identical fault from the same stream.
+			stream := sc.faultRng
+			if decided = c.runSolo(e, job); !decided {
+				sc.faultRng = stream
+			}
+		}
 	}
 
 	// The digest recorder observes every rank (a fault on one rank
@@ -800,14 +824,19 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		}
 	}
 
-	res := cluster.Run(job)
-	e.Outcome = classify.Classify(res, golden.Output)
-	e.Detail = res.FailureSummary()
-	if rec != nil {
-		e.Forensics = buildForensics(e, rec, res)
-	}
-	if mrec != nil {
-		attachDivergence(e, golden.Trace, mrec.Trace())
+	if !decided {
+		if job.Restore != nil {
+			c.skip(job.Restore.TotalInstrs())
+		}
+		res := cluster.Run(job)
+		e.Outcome = classify.Classify(res, golden.Output)
+		e.Detail = res.FailureSummary()
+		if rec != nil {
+			e.Forensics = buildForensics(e, rec, res)
+		}
+		if mrec != nil {
+			attachDivergence(e, golden.Trace, mrec.Trace())
+		}
 	}
 	if mi != nil {
 		_, e.Desc = mi.Report()

@@ -24,8 +24,8 @@ import (
 //
 // The pipeline is two golden passes:
 //
-//  1. The golden run, which always has an mpi.CausalityRecorder
-//     attached, yields per-rank instruction counts and the send/receive
+//  1. The golden run, which always records every rank's tape, yields
+//     per-rank instruction counts and (mpi.Causality) the send/receive
 //     instruction pairs of every Channel message.
 //  2. computeCuts turns the recorded causality into *consistent* cut
 //     vectors (no cut captures a receive whose matching send hasn't
@@ -62,8 +62,12 @@ type CheckpointStats struct {
 	// Hits and Misses count experiments started from a checkpoint vs
 	// from t=0.
 	Hits, Misses uint64
-	// InstrsSkipped totals the golden-prefix instructions (summed across
-	// all ranks) that restored experiments did not re-execute.
+	// InstrsSkipped totals the golden-prefix instructions that jobs
+	// restored from a checkpoint did not execute: summed across all ranks
+	// for a whole job, the injected rank's alone for a solo run (an
+	// experiment run both ways counts both).  Every job adds its ranks'
+	// final instruction counts to the retired-instructions metric, so
+	// retired minus InstrsSkipped is what the campaign really executed.
 	InstrsSkipped uint64
 }
 
@@ -71,8 +75,9 @@ type CheckpointStats struct {
 // cut index (nondecreasing per-rank instruction counts).
 type CheckpointSet struct {
 	snaps []*cluster.Snapshot
-	// skipped[k] is snaps[k].TotalInstrs(): the work a restore from k skips.
-	skipped []uint64
+	// tapes are the capture pass's per-rank recordings, the ones
+	// snaps[k].Ranks[r].TapePos indexes.
+	tapes []mpi.Tape
 }
 
 // checkpointKey is what a captured set depends on besides the golden run.
@@ -115,6 +120,9 @@ func (cs *CheckpointSet) Len() int {
 // before executing anything).  Returns -1 when no checkpoint qualifies.
 func (cs *CheckpointSet) indexForInstr(rank int, trigger uint64) int {
 	best := -1
+	if cs == nil {
+		return best
+	}
 	for k, s := range cs.snaps {
 		if s.RankLive(rank) && s.RankInstrs(rank) <= trigger {
 			best = k
@@ -127,6 +135,9 @@ func (cs *CheckpointSet) indexForInstr(rank int, trigger uint64) int {
 // rank's cumulative received Channel bytes.
 func (cs *CheckpointSet) indexForRecv(rank int, triggerByte uint64) int {
 	best := -1
+	if cs == nil {
+		return best
+	}
 	for k, s := range cs.snaps {
 		if s.RankLive(rank) && s.RankRecvBytes(rank) <= triggerByte {
 			best = k
@@ -216,7 +227,8 @@ func captureHeadroom(ranks int, events []mpi.Event) int {
 // byte counts — discards the checkpoints (fallback to scratch starts),
 // which is what makes the byte-identity invariant unconditional.
 func buildCheckpoints(cfg *Config, golden *Golden) *CheckpointSet {
-	cuts := computeCuts(golden.Instrs, golden.events, cfg.CheckpointInterval, cfg.MaxCheckpoints)
+	events := mpi.Causality(golden.tapes)
+	cuts := computeCuts(golden.Instrs, events, cfg.CheckpointInterval, cfg.MaxCheckpoints)
 	if len(cuts) == 0 {
 		return nil
 	}
@@ -230,17 +242,16 @@ func buildCheckpoints(cfg *Config, golden *Golden) *CheckpointSet {
 	res := cluster.Run(cluster.Job{
 		Image:              cfg.Image,
 		Size:               cfg.Ranks,
-		MPIConfig:          cfg.MPIConfig.WithQueueHeadroom(captureHeadroom(cfg.Ranks, golden.events)),
+		MPIConfig:          cfg.MPIConfig.WithQueueHeadroom(captureHeadroom(cfg.Ranks, events)),
 		WallLimit:          cfg.WallLimit,
 		Checkpoints:        spec,
+		RecordTapes:        true,
 		DisableSuperblocks: cfg.DisableSuperblocks,
 	})
 	if !matchesGolden(res, golden) {
 		return nil
 	}
-	for _, s := range cs.snaps {
-		cs.skipped = append(cs.skipped, s.TotalInstrs())
-	}
+	cs.tapes = res.Tapes
 	return cs
 }
 

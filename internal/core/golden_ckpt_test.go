@@ -174,13 +174,16 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 		return res
 	}
 
-	// First session: the stop fires a few experiments into round 2.
+	// First session: the stop fires a few experiments into round 2.  One
+	// worker, so that deliveries follow finishes one by one: with two, an
+	// entry that falls back to a whole job holds up plan-order delivery
+	// while the other worker runs the rest of the round alone.
 	j, err := report.CreateJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
-	cfg.Stop = stop
+	cfg.Stop, cfg.Parallelism = stop, 1
 	left := len(nonMessageRegions)*cfg.RoundSize + 4
 	part := session(j, func() {
 		if left--; left == 0 {
@@ -200,7 +203,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 	if len(completed) <= len(nonMessageRegions)*cfg.RoundSize || len(completed) >= want.Adaptive.TotalExecuted() {
 		t.Fatalf("journal holds %d experiments, want a partial second round", len(completed))
 	}
-	cfg.Stop, cfg.Completed = nil, completed
+	cfg.Stop, cfg.Completed, cfg.Parallelism = nil, completed, 2
 	rerun := 0
 	got := session(j, func() { rerun++ })
 	if got.Interrupted {

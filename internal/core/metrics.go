@@ -16,6 +16,8 @@ type campaignMeters struct {
 	ckptTaken, ckptHits, ckptMisses     *telemetry.Counter
 	ckptFallbacks                       *telemetry.Counter
 	instrsSkipped                       *telemetry.Gauge
+	soloCorrect, soloFailed             *telemetry.Counter
+	soloFallback, soloInstrs            *telemetry.Counter
 	inflight                            *telemetry.Gauge
 	outcomes                            [classify.NumOutcomes]*telemetry.Counter
 	crashLatency, hangLatency           *telemetry.Histogram
@@ -39,6 +41,10 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 		ckptMisses:    reg.Counter(telemetry.MetricCheckpointMisses),
 		ckptFallbacks: reg.Counter(telemetry.MetricCheckpointFallbacks),
 		instrsSkipped: reg.Gauge(telemetry.MetricInstrsSkipped),
+		soloCorrect:   reg.Counter(telemetry.SoloMetric("correct")),
+		soloFailed:    reg.Counter(telemetry.SoloMetric("failed")),
+		soloFallback:  reg.Counter(telemetry.SoloMetric("fallback")),
+		soloInstrs:    reg.Counter(telemetry.MetricSoloInstrs),
 		inflight:      reg.Gauge(telemetry.MetricExperimentsInflight),
 		crashLatency:  reg.Histogram(telemetry.MetricCrashLatency, telemetry.LatencyBuckets),
 		hangLatency:   reg.Histogram(telemetry.MetricHangLatency, telemetry.LatencyBuckets),

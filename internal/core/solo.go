@@ -1,0 +1,92 @@
+package core
+
+import (
+	"sync/atomic"
+
+	"mpifault/internal/classify"
+	"mpifault/internal/cluster"
+	"mpifault/internal/vm"
+)
+
+// Solo-rank replay: an experiment whose fault lands in one rank's
+// registers or memory first runs that rank alone against its tape from
+// the recorded run (mpi.Tape, cluster.RunSolo).  While the rank's outputs
+// equal the recording no other rank can have seen the fault, so most
+// experiments — the ones the tables call Correct, and the ones that crash
+// before saying anything new — are decided at 1/ranks of the cost.  The
+// rest are re-run on all ranks, unchanged.
+//
+// There is no switch: whole jobs are chosen by what the code observes.  A
+// departure is one case.  The Message region is another: a message
+// fault's trigger is an offset into a byte stream whose interleaving
+// varies run to run, so a solo attempt and its re-run would corrupt
+// different bytes, and "Correct on either draw" would bias the row
+// downward.  Forensics and TraceDiff observe every rank from t=0, so they
+// forgo solo runs as they forgo restores.
+
+// SoloStats counts a campaign's solo runs.
+type SoloStats struct {
+	// Correct and Failed experiments were decided on the injected rank
+	// alone: a clean run matching its whole tape, or a trap on it.
+	Correct, Failed uint64
+	// Fallback experiments departed from the tape and were re-run on all
+	// ranks.
+	Fallback uint64
+	// Instrs is the guest instructions the solo runs executed, fallbacks'
+	// included.
+	Instrs uint64
+}
+
+// Attempts returns how many experiments ran solo first.
+func (s SoloStats) Attempts() uint64 { return s.Correct + s.Failed + s.Fallback }
+
+// add accumulates other into s.
+func (s *SoloStats) add(other SoloStats) {
+	s.Correct += other.Correct
+	s.Failed += other.Failed
+	s.Fallback += other.Fallback
+	s.Instrs += other.Instrs
+}
+
+// soloCounters is SoloStats under concurrent workers.
+type soloCounters struct {
+	correct, failed, fallback, instrs atomic.Uint64
+}
+
+func (s *soloCounters) stats() SoloStats {
+	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(),
+		Fallback: s.fallback.Load(), Instrs: s.instrs.Load()}
+}
+
+// runSolo runs e's injected rank alone, from job's restore point with
+// job's fault armed, and reports whether that decided the experiment;
+// e.Outcome and e.Detail are then what the whole job would have produced.
+func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) bool {
+	// A rank still running past the count at which it exited in the
+	// recorded run has departed from it.
+	job.Budget = c.golden.Instrs[e.Rank] + 1
+	var from uint64
+	if job.Restore != nil {
+		from = job.Restore.RankInstrs(e.Rank)
+		c.skip(from)
+	}
+	res := cluster.RunSolo(job, e.Rank, c.tapes[e.Rank])
+	c.solo.instrs.Add(res.Instrs - from)
+	c.met.soloInstrs.Add(res.Instrs - from)
+	switch {
+	case res.Trap == nil:
+		c.solo.fallback.Add(1)
+		c.met.soloFallback.Inc()
+		return false
+	case res.Trap.Kind == vm.TrapExit:
+		c.solo.correct.Add(1)
+		c.met.soloCorrect.Inc()
+		e.Outcome = classify.Correct
+	default:
+		c.solo.failed.Add(1)
+		c.met.soloFailed.Inc()
+		e.Outcome = classify.Failure(res.Trap)
+		e.Detail = res.Trap.Error()
+	}
+	return true
+}

@@ -68,9 +68,12 @@ func (p *Proc) registerComm(ctx int32, group []int32, myRank int32) int32 {
 
 // allocCtx reserves n consecutive wire context ids, globally unique in
 // the world.  The caller (the parent communicator's rank 0) broadcasts
-// the base to the members so every rank agrees.
-func (w *World) allocCtx(n int32) int32 {
-	return int32(w.ctxCounter.Add(int64(n))) - n + ctxDynamicBase
+// the base to the members so every rank agrees.  The base depends on what
+// other ranks allocated before, so it is a tape input.
+func (p *Proc) allocCtx(n int32, m *vm.Machine) (int32, *vm.Trap) {
+	return p.TapeInput(m, TapeCtx, n, nil, func() int32 {
+		return int32(p.w.ctxCounter.Add(int64(n))) - n + ctxDynamicBase
+	})
 }
 
 // ctxDynamicBase keeps dynamically allocated contexts clear of the
@@ -123,9 +126,9 @@ func (p *Proc) commSplit(parent *commInfo, color, key int32, m *vm.Machine) (int
 	// Parent rank 0 allocates one context per color and broadcasts the
 	// base, so all members agree on the wire numbering.
 	var base int32
-	if parent.myRank == 0 {
-		if len(colors) > 0 {
-			base = p.w.allocCtx(int32(len(colors)))
+	if parent.myRank == 0 && len(colors) > 0 {
+		if base, t = p.allocCtx(int32(len(colors)), m); t != nil {
+			return 0, t
 		}
 	}
 	bb := make([]byte, 4)
@@ -168,12 +171,15 @@ func (p *Proc) commSplit(parent *commInfo, color, key int32, m *vm.Machine) (int
 // commDup duplicates a communicator into a fresh context.
 func (p *Proc) commDup(parent *commInfo, m *vm.Machine) (int32, *vm.Trap) {
 	var base int32
+	var t *vm.Trap
 	if parent.myRank == 0 {
-		base = p.w.allocCtx(1)
+		if base, t = p.allocCtx(1, m); t != nil {
+			return 0, t
+		}
 	}
 	bb := make([]byte, 4)
 	putI32(bb, base)
-	bb, t := p.bcastHost(bb, 4, parent, m)
+	bb, t = p.bcastHost(bb, 4, parent, m)
 	if t != nil {
 		return 0, t
 	}

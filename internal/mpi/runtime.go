@@ -54,10 +54,6 @@ type World struct {
 	// transport, when non-nil, carries Channel packets over an external
 	// medium instead of the in-process queues.
 	transport Transport
-
-	// rec, when non-nil, records message causality on the in-process
-	// queue path (see snapshot.go); unused with an external transport.
-	rec *CausalityRecorder
 }
 
 // SetTransport attaches an external Channel transport.  Call before any
@@ -172,6 +168,14 @@ type Proc struct {
 
 	Stats Stats
 
+	// The rank's tape (tape.go): appended to while tapeMode is
+	// tapeRecord; read from tapePos on, in place of the Channel, while it
+	// is tapeReplay.
+	tape     Tape
+	tapeMode uint8
+	tapePos  int
+	departed bool
+
 	errhandler uint32 // guest address of the registered error handler, 0 if none
 	inited     bool
 	finalized  bool
@@ -283,17 +287,18 @@ func killedTrap(m *vm.Machine) *vm.Trap {
 }
 
 // deliver enqueues raw bytes to dst's Channel queue, directly or over
-// the configured external transport.
+// the configured external transport.  A replaying rank has no peers to
+// deliver to: the packet is checked against its tape instead.
 func (p *Proc) deliver(dst int32, raw []byte, m *vm.Machine) *vm.Trap {
+	if live, t := p.TapeOutput(m, TapeSend, dst, raw); !live {
+		return t
+	}
 	if tr := p.w.transport; tr != nil {
 		if err := tr.Send(p.rank, int(dst), raw); err != nil {
 			return &vm.Trap{Kind: vm.TrapMPIFatal, PC: m.PC,
 				Msg: "transport send failure: " + err.Error()}
 		}
 		return nil
-	}
-	if rec := p.w.rec; rec != nil {
-		raw = rec.wrap(p.rank, m.Instrs, raw)
 	}
 	q := p.w.procs[dst].in
 	p.w.inflight.Add(1)
@@ -323,31 +328,48 @@ func (p *Proc) sendPacket(pkt *Packet, m *vm.Machine) *vm.Trap {
 	return p.deliver(pkt.Dst, pkt.Marshal(), m)
 }
 
-// pull blocks for the next raw packet from the Channel, applies the
-// injection hook, parses, validates and accounts for it.  A validation
-// failure is a fatal MPICH-level error (Crash manifestation); a starved
-// frame (length field beyond the framed bytes) silently drops the packet,
-// which eventually surfaces as a Hang.
-func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
-	for {
-		var raw []byte
+// receive blocks for the next raw packet: from the Channel, or — a
+// replaying rank — from its tape, as a copy, because the parsed payload
+// aliases the bytes and concurrent replays share the tape.
+func (p *Proc) receive(m *vm.Machine) ([]byte, *vm.Trap) {
+	if p.tapeMode == tapeReplay {
+		ev, t := p.replay(m, TapeRecv, 0, nil)
+		if t != nil {
+			return nil, t
+		}
+		return append([]byte(nil), ev.Data...), nil
+	}
+	var raw []byte
+	select {
+	case raw = <-p.in:
+	default:
+		p.setState(StateBlocked)
 		select {
 		case raw = <-p.in:
-		default:
-			p.setState(StateBlocked)
-			select {
-			case raw = <-p.in:
-				p.setState(StateRunning)
-			case <-p.w.kill:
-				p.setState(StateRunning)
-				return nil, killedTrap(m)
-			}
+			p.setState(StateRunning)
+		case <-p.w.kill:
+			p.setState(StateRunning)
+			return nil, killedTrap(m)
 		}
-		p.w.inflight.Add(-1)
-		p.w.progress.Add(1)
+	}
+	p.w.inflight.Add(-1)
+	p.w.progress.Add(1)
+	if p.tapeMode == tapeRecord {
+		p.record(m, TapeRecv, 0, 0, raw)
+	}
+	return raw, nil
+}
 
-		if rec := p.w.rec; rec != nil && p.w.transport == nil {
-			raw = rec.strip(raw, p.rank, m.Instrs)
+// pull blocks for the next raw packet, applies the injection hook, parses,
+// validates and accounts for it.  A validation failure is a fatal
+// MPICH-level error (Crash manifestation); a starved frame (length field
+// beyond the framed bytes) silently drops the packet, which eventually
+// surfaces as a Hang.
+func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
+	for {
+		raw, t := p.receive(m)
+		if t != nil {
+			return nil, t
 		}
 
 		// §3.3: the injection point — after the Channel recv, before

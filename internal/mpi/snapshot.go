@@ -1,91 +1,13 @@
 package mpi
 
-import (
-	"encoding/binary"
-	"sort"
-	"sync"
-)
+import "sort"
 
-// This file implements the two MPI-side halves of cluster checkpointing:
-//
-//   - CausalityRecorder observes every Channel-level delivery during a
-//     recording run (the golden run) and remembers, for each message, the
-//     sender's and receiver's retired-instruction counts.  The campaign
-//     planner uses those events to compute *consistent* cut vectors: a
-//     set of per-rank instruction counts at which pausing every rank
-//     never captures a receive whose matching send has not happened.
-//
-//   - ProcSnapshot captures one rank's complete runtime state (unexpected
-//     queue, request table, pending operations, communicators, counters,
-//     traffic stats) so a later job can resume the rank mid-stream.
-//
-// Neither is compatible with an external Transport: recording wraps
-// packets with in-band metadata on the in-process queue path only, and a
-// snapshot cannot capture bytes buffered in an external medium.
-
-// Event records one Channel-level message delivery: rank Src enqueued it
-// while executing its SrcInstr-th instruction, and rank Dst consumed it
-// while executing its DstInstr-th instruction.
-type Event struct {
-	Src, Dst           int
-	SrcInstr, DstInstr uint64
-}
-
-// CausalityRecorder collects message events during a recording run.
-// Attach with World.SetRecorder before any rank starts.
-type CausalityRecorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewCausalityRecorder returns an empty recorder.
-func NewCausalityRecorder() *CausalityRecorder { return &CausalityRecorder{} }
-
-// Events returns a copy of the recorded events.  Call after the job's
-// goroutines are joined.
-func (c *CausalityRecorder) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
-// causalPrefix is the in-band metadata prepended to each raw packet on
-// the in-process queue while recording: [u32 src rank][u64 src instrs].
-// Riding in-band preserves the queue's FIFO pairing exactly; an
-// out-of-band side channel could attribute a send to the wrong pull.
-const causalPrefix = 12
-
-// wrap prepends the sender metadata.  Called from the sender's goroutine.
-func (c *CausalityRecorder) wrap(src int, srcInstr uint64, raw []byte) []byte {
-	b := make([]byte, causalPrefix+len(raw))
-	binary.LittleEndian.PutUint32(b, uint32(src))
-	binary.LittleEndian.PutUint64(b[4:], srcInstr)
-	copy(b[causalPrefix:], raw)
-	return b
-}
-
-// strip removes the metadata, recording the completed event.  Called from
-// the receiver's goroutine.
-func (c *CausalityRecorder) strip(raw []byte, dst int, dstInstr uint64) []byte {
-	if len(raw) < causalPrefix {
-		return raw
-	}
-	e := Event{
-		Src:      int(binary.LittleEndian.Uint32(raw)),
-		SrcInstr: binary.LittleEndian.Uint64(raw[4:]),
-		Dst:      dst,
-		DstInstr: dstInstr,
-	}
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-	return raw[causalPrefix:]
-}
-
-// SetRecorder attaches a causality recorder to the world.  Call before
-// any rank starts executing; not supported together with an external
-// Transport.
-func (w *World) SetRecorder(rec *CausalityRecorder) { w.rec = rec }
+// This file is the MPI half of cluster checkpointing: ProcSnapshot
+// captures one rank's complete runtime state (unexpected queue, request
+// table, pending operations, communicators, counters, traffic stats) so a
+// later job can resume the rank mid-stream.  It is not compatible with an
+// external Transport: a snapshot cannot capture bytes buffered in an
+// external medium.
 
 // CtxCounter returns the world's communicator-context allocation counter.
 func (w *World) CtxCounter() int64 { return w.ctxCounter.Load() }

@@ -110,21 +110,3 @@ func TestProcSnapshotSharedAcrossRestores(t *testing.T) {
 		t.Errorf("snapshot payload mutated through a restore: %#x", c)
 	}
 }
-
-func TestCausalityRecorderWrapStrip(t *testing.T) {
-	rec := NewCausalityRecorder()
-	raw := []byte{0xAA, 0xBB, 0xCC}
-	wrapped := rec.wrap(3, 12345, raw)
-	if len(wrapped) != causalPrefix+len(raw) {
-		t.Fatalf("wrapped length = %d", len(wrapped))
-	}
-	got := rec.strip(wrapped, 1, 67890)
-	if !reflect.DeepEqual(got, raw) {
-		t.Fatalf("strip returned %v, want %v", got, raw)
-	}
-	events := rec.Events()
-	want := Event{Src: 3, Dst: 1, SrcInstr: 12345, DstInstr: 67890}
-	if len(events) != 1 || events[0] != want {
-		t.Fatalf("events = %+v, want [%+v]", events, want)
-	}
-}

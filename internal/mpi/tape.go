@@ -1,0 +1,202 @@
+package mpi
+
+import (
+	"bytes"
+	"encoding/binary"
+
+	"mpifault/internal/vm"
+)
+
+// A rank's tape is everything it exchanged with the world outside itself
+// during a recorded run, in its own program order.  The progress engine
+// pulls a packet only on demand (progressUntil/waitMatch -> pull; there is
+// no MPI_Test or Iprobe) and the guest's clocks are functions of its
+// retired-instruction count, so a rank's whole execution is a pure
+// function of the inputs on its tape: replay them into the rank alone and
+// it repeats the recorded run instruction for instruction.  The outputs on
+// the tape turn that into a proof about the other ranks: while every send
+// and write the lone rank makes equals the tape's next event, kind for
+// kind and byte for byte, no peer could have observed anything but the
+// recorded run, so by induction all of them behave as recorded and need
+// not be run.  Inputs and outputs share one sequence because a recorded
+// receive may causally depend on an earlier send: a send moved across a
+// receive is a departure.
+//
+// Anything added to the runtime that lets a rank observe the outside —
+// MPI_Test, Iprobe, a host clock — must become a tape event.
+
+// TapeKind says what crossed the rank's boundary.
+type TapeKind uint8
+
+const (
+	// TapeRecv is a packet pulled from the Channel: Data is fed.
+	TapeRecv TapeKind = iota + 1
+	// TapeSend is a packet handed to the Channel: Arg (the destination
+	// rank) and Data are checked.
+	TapeSend
+	// TapeOpen is SysOpen: Data (the file name) is checked, Ret (the fd)
+	// is fed.
+	TapeOpen
+	// TapeWrite is a write to fd Arg, console included: Arg and Data are
+	// checked.
+	TapeWrite
+	// TapeCtx is a wire-context allocation: Arg (how many) is checked,
+	// Ret (the base the world handed out) is fed.
+	TapeCtx
+)
+
+// TapeEvent is one crossing.  Instrs is the rank's retired-instruction
+// count when it happened.
+type TapeEvent struct {
+	Kind   TapeKind
+	Arg    int32
+	Ret    int32
+	Instrs uint64
+	Data   []byte
+}
+
+// Tape is one rank's recording.  It is immutable once the recording job is
+// joined, and any number of concurrent replays may share it.
+type Tape []TapeEvent
+
+// Proc.tapeMode values; zero is neither.
+const (
+	tapeRecord uint8 = iota + 1
+	tapeReplay
+)
+
+// RecordTapes makes every rank record its tape.  Call before any rank
+// starts executing; read the tapes with Proc.Tape once the job is joined.
+func (w *World) RecordTapes() {
+	for _, p := range w.procs {
+		p.tapeMode = tapeRecord
+	}
+}
+
+// Tape returns what the rank has recorded so far.  The rank must be
+// quiescent.
+func (p *Proc) Tape() Tape {
+	if p.tapeMode != tapeRecord {
+		return nil
+	}
+	return p.tape
+}
+
+// NewReplayProc returns rank's runtime state for a world of size ranks in
+// which it is the only rank that exists: the tape, from event pos on,
+// stands in for the Channel, the job's files and the world's context
+// counter.  Restore a snapshot into it to start mid-run (pos is then the
+// snapshot's tape position).
+func NewReplayProc(size int, cfg Config, rank int, tape Tape, pos int) *Proc {
+	cfg.fill()
+	p := &Proc{
+		w:        &World{Size: size, cfg: cfg},
+		rank:     rank,
+		requests: make(map[int32]*Request),
+		tape:     tape,
+		tapeMode: tapeReplay,
+		tapePos:  pos,
+	}
+	p.initComms()
+	return p
+}
+
+// Replayed reports how a replaying rank stands against its tape: left is
+// the number of recorded events it has not reached, departed whether it
+// did something the recorded run did not.
+func (p *Proc) Replayed() (left int, departed bool) {
+	return len(p.tape) - p.tapePos, p.departed
+}
+
+func (p *Proc) record(m *vm.Machine, kind TapeKind, arg, ret int32, data []byte) {
+	p.tape = append(p.tape, TapeEvent{Kind: kind, Arg: arg, Ret: ret, Instrs: m.Instrs, Data: data})
+}
+
+// replay steps over the tape's next event if it is this crossing: the same
+// kind, the same checked scalar and, unless the bytes are the input, the
+// same bytes.  Anything else — the tape's end included — is a departure,
+// which stops the rank.
+func (p *Proc) replay(m *vm.Machine, kind TapeKind, arg int32, data []byte) (*TapeEvent, *vm.Trap) {
+	if p.tapePos < len(p.tape) {
+		ev := &p.tape[p.tapePos]
+		if ev.Kind == kind && ev.Arg == arg && (kind == TapeRecv || bytes.Equal(ev.Data, data)) {
+			p.tapePos++
+			return ev, nil
+		}
+	}
+	p.departed = true
+	return nil, &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "departed from the recorded run"}
+}
+
+// TapeOutput passes something the rank emits through its tape.  live
+// tells the caller to really perform it; a replaying rank performs
+// nothing, and is stopped by t when the output is not the recorded one.
+// data must not be written to afterwards.
+func (p *Proc) TapeOutput(m *vm.Machine, kind TapeKind, arg int32, data []byte) (live bool, t *vm.Trap) {
+	switch p.tapeMode {
+	case tapeReplay:
+		_, t = p.replay(m, kind, arg, data)
+		return false, t
+	case tapeRecord:
+		p.record(m, kind, arg, 0, data)
+	}
+	return true, nil
+}
+
+// TapeInput passes a request whose answer comes from outside the rank
+// through its tape: live performs it for real; a replaying rank gets the
+// recorded answer, provided it asked the recorded question.
+func (p *Proc) TapeInput(m *vm.Machine, kind TapeKind, arg int32, data []byte, live func() int32) (int32, *vm.Trap) {
+	if p.tapeMode == tapeReplay {
+		ev, t := p.replay(m, kind, arg, data)
+		if t != nil {
+			return 0, t
+		}
+		return ev.Ret, nil
+	}
+	ret := live()
+	if p.tapeMode == tapeRecord {
+		p.record(m, kind, arg, ret, data)
+	}
+	return ret, nil
+}
+
+// Event is one Channel-level message of a recorded run: rank Src enqueued
+// it while executing its SrcInstr-th instruction, and rank Dst pulled it
+// while executing its DstInstr-th.
+type Event struct {
+	Src, Dst           int
+	SrcInstr, DstInstr uint64
+}
+
+// Causality pairs the recorded run's sends with its pulls.  A rank's
+// queue is FIFO and each sender enqueues in program order, so the k-th
+// packet d pulled from s is the k-th packet s sent to d.
+func Causality(tapes []Tape) []Event {
+	n := len(tapes)
+	sent := make([][]uint64, n*n) // [s*n+d]: instruction counts of s's sends to d, unpaired yet
+	for s, tape := range tapes {
+		for i := range tape {
+			if ev := &tape[i]; ev.Kind == TapeSend && uint32(ev.Arg) < uint32(n) {
+				sent[s*n+int(ev.Arg)] = append(sent[s*n+int(ev.Arg)], ev.Instrs)
+			}
+		}
+	}
+	var events []Event
+	for d, tape := range tapes {
+		for i := range tape {
+			ev := &tape[i]
+			if ev.Kind != TapeRecv || len(ev.Data) < HeaderBytes {
+				continue
+			}
+			s := binary.LittleEndian.Uint32(ev.Data[8:]) // the header's source rank
+			if s >= uint32(n) || len(sent[int(s)*n+d]) == 0 {
+				continue
+			}
+			q := &sent[int(s)*n+d]
+			events = append(events, Event{Src: int(s), Dst: d, SrcInstr: (*q)[0], DstInstr: ev.Instrs})
+			*q = (*q)[1:]
+		}
+	}
+	return events
+}

@@ -28,11 +28,19 @@ func goldenRegistry() *Registry {
 	mi := reg.Histogram(MetricTraceDivergenceMsg, TraceMessageBuckets)
 	mi.Observe(3)
 	mi.Observe(42)
+	reg.Counter(SoloMetric("correct")).Add(6)
+	reg.Counter(SoloMetric("fallback")).Inc()
+	reg.Counter(MetricSoloInstrs).Add(123456)
 	return reg
 }
 
 const goldenPrometheus = `# TYPE mpifault_experiments_finished_total counter
 mpifault_experiments_finished_total 3
+# TYPE mpifault_solo_experiments_total counter
+mpifault_solo_experiments_total{verdict="correct"} 6
+mpifault_solo_experiments_total{verdict="fallback"} 1
+# TYPE mpifault_solo_instrs_total counter
+mpifault_solo_instrs_total 123456
 # TYPE mpifault_trace_diffed_total counter
 mpifault_trace_diffed_total 5
 # TYPE mpifault_trace_localized_total counter
@@ -64,6 +72,9 @@ mpifault_trace_divergence_msg_index_count 2
 const goldenJSON = `{
   "counters": {
     "mpifault_experiments_finished_total": 3,
+    "mpifault_solo_experiments_total{verdict=\"correct\"}": 6,
+    "mpifault_solo_experiments_total{verdict=\"fallback\"}": 1,
+    "mpifault_solo_instrs_total": 123456,
     "mpifault_trace_diffed_total": 5,
     "mpifault_trace_localized_total": 4,
     "mpifault_trace_unlocalized_total": 1,

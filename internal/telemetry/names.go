@@ -27,6 +27,11 @@ const (
 	MetricCheckpointFallbacks = "mpifault_checkpoint_fallbacks_total"
 	MetricInstrsSkipped       = "mpifault_checkpoint_instructions_skipped"
 
+	// Solo-rank replay (internal/core): the guest instructions executed
+	// by experiments run on their injected rank alone; SoloMetric counts
+	// those experiments by how the solo run ended.
+	MetricSoloInstrs = "mpifault_solo_instrs_total"
+
 	// Fault-forensics latency histograms (injection to manifestation,
 	// in retired instructions — the §5.2 axis).
 	MetricCrashLatency = "mpifault_crash_latency_instructions"
@@ -96,6 +101,13 @@ const outcomeMetricPrefix = "mpifault_experiments_outcome_total{outcome="
 // given classification (e.g. "Crash").
 func OutcomeMetric(outcome string) string {
 	return outcomeMetricPrefix + strconv.Quote(outcome) + "}"
+}
+
+// SoloMetric names the counter of experiments run on their injected rank
+// alone that ended with the given verdict: "correct" or "failed" (decided
+// there), or "fallback" (re-run on all ranks).
+func SoloMetric(verdict string) string {
+	return "mpifault_solo_experiments_total{verdict=" + strconv.Quote(verdict) + "}"
 }
 
 // WorkerMetric names the per-worker ingested-result counter of the

@@ -7,33 +7,38 @@
 # fixed-n campaign, then an adaptive one, where the dead worker's leases
 # hold up a round barrier until a survivor re-runs them.
 #
-# The fixed-n campaign runs with -trace-diff, which adds two assertions: the
+# Both cluster legs run with -trace-diff, which adds two assertions: the
 # coordinator CSV must still match the single-process run *without*
 # tracing (the digest recorder only observes), and every worker's logged
 # golden-trace digest must equal the hash a single-process
 # `faultcampaign -trace-out` computes — the trace is a pure function of
-# (app, seed, ranks), identical on every machine.
+# (app, seed, ranks), identical on every machine.  A traced campaign runs
+# every experiment as a whole job while the single-process reference
+# decides most of them on the injected rank alone (DESIGN.md §3.4), so
+# the gate doubles as a distributed solo-vs-whole-job differential — and
+# a whole job takes long enough that the victim is still mid-campaign
+# when the kill lands.
 #
 # Environment:
 #   BIN_DIR   directory with prebuilt faultcoord/faultcampaign/faultmerge
 #             binaries (CI builds them once in a setup job); empty builds
 #             them into a temp dir here
 #   APP       guest application            (default wavetoy)
-#   N         injections per region        (default 12)
+#   N         injections per region        (default 60)
 #   SEED      campaign seed                (default 7)
 #   KILL_AT   results ingested before the SIGKILL (default 8)
 #   ADAPTIVE_D, ADAPTIVE_REGIONS, ADAPTIVE_ROUND   the adaptive leg's
-#             stopping target, regions and round size (default 0.12,
-#             reg,heap and 16: loose and message-free, so the leg is
-#             four or five short rounds of deterministic experiments)
+#             stopping target, regions and round size (default 0.08,
+#             reg,heap and 16: message-free, so the leg is a dozen or so
+#             short rounds of deterministic experiments)
 set -eu
 cd "$(dirname "$0")/.."
 
 APP=${APP:-wavetoy}
-N=${N:-12}
+N=${N:-60}
 SEED=${SEED:-7}
 KILL_AT=${KILL_AT:-8}
-ADAPTIVE_D=${ADAPTIVE_D:-0.12}
+ADAPTIVE_D=${ADAPTIVE_D:-0.08}
 ADAPTIVE_REGIONS=${ADAPTIVE_REGIONS:-reg,heap}
 ADAPTIVE_ROUND=${ADAPTIVE_ROUND:-16}
 
@@ -120,6 +125,10 @@ cluster() {
 		if [ "${got:-0}" -ge "$KILL_AT" ]; then
 			break
 		fi
+		if ! kill -0 "$COORD" 2>/dev/null; then
+			echo "FAIL: the coordinator exited before the kill (campaign over at ${got:-0} results?)" >&2
+			exit 1
+		fi
 		i=$((i + 1))
 		if [ "$i" -gt 1200 ]; then
 			echo "FAIL: campaign never reached $KILL_AT results (at ${got:-0})" >&2
@@ -187,7 +196,7 @@ echo "== single-process adaptive CSV =="
 "$FAULTCAMPAIGN" -app "$APP" -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -seed "$SEED" \
 	-regions "$ADAPTIVE_REGIONS" -csv -quiet >"$WORK/adaptive-golden.csv"
 
-cluster adaptive -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -regions "$ADAPTIVE_REGIONS"
+cluster adaptive -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -regions "$ADAPTIVE_REGIONS" -trace-diff
 
 echo "== adaptive CSV must be byte-identical to the single-process run =="
 diff -u "$WORK/adaptive-golden.csv" "$WORK/adaptive.csv"

@@ -96,6 +96,16 @@ else
 	go run ./cmd/faultcampaign -app wavetoy -n 4 -seed 7 -regions reg,message -csv -quiet \
 		-trace-diff -trace-out "$TRACE_TMP/trace-b.json" >/dev/null
 	diff -u "$TRACE_TMP/trace-a.json" "$TRACE_TMP/trace-b.json"
+	# The same pair over the seven regions whose experiments run on the
+	# injected rank alone unless something observes every rank: plain
+	# decides most of them solo, -trace-diff runs whole jobs, so this is
+	# the CLI-level solo-vs-whole-job differential.
+	SOLO_REGIONS=reg,fp,bss,data,stack,text,heap
+	go run ./cmd/faultcampaign -app wavetoy -n 8 -seed 7 -regions "$SOLO_REGIONS" -csv -quiet \
+		>"$TRACE_TMP/solo.csv"
+	go run ./cmd/faultcampaign -app wavetoy -n 8 -seed 7 -regions "$SOLO_REGIONS" -csv -quiet \
+		-trace-diff >"$TRACE_TMP/whole.csv"
+	diff -u "$TRACE_TMP/solo.csv" "$TRACE_TMP/whole.csv"
 	# The flag conflict must be a hard error, not a warning.
 	if go run ./cmd/faultcampaign -app wavetoy -n 1 -trace-diff -checkpoint-interval 12500 -quiet >/dev/null 2>&1; then
 		echo "trace smoke: -trace-diff with -checkpoint-interval was accepted" >&2
