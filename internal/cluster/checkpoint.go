@@ -77,14 +77,6 @@ func (s *Snapshot) RankInstrs(r int) uint64 {
 	return s.Ranks[r].VM.Instrs()
 }
 
-// RankRecvBytes returns rank r's Channel-layer received bytes at the cut.
-func (s *Snapshot) RankRecvBytes(r int) uint64 {
-	if s.Ranks[r].Finished {
-		return s.Ranks[r].Result.Stats.TotalBytes()
-	}
-	return s.Ranks[r].MPI.RecvBytes()
-}
-
 // TotalInstrs sums the retired-instruction counts across ranks — the work
 // a job restored from this checkpoint does not repeat.
 func (s *Snapshot) TotalInstrs() uint64 {

@@ -74,13 +74,7 @@ func TestAdaptiveMatchesFixedCampaign(t *testing.T) {
 				if e.Outcome != f.Outcome || e.Trigger != f.Trigger || e.Rank != f.Rank {
 					t.Fatalf("experiment %s diverged: adaptive %+v, fixed %+v", e.ID(), e, f)
 				}
-				// Message-region Desc records the offset within the packet
-				// that happened to deliver the trigger byte, and a rank's
-				// inbox interleaves data with header-only control packets in
-				// goroutine-arrival order — a pre-existing wobble of the
-				// label (never the trigger or the outcome), so Desc is only
-				// compared for the machine-state regions.
-				if e.Region != RegionMessage && e.Desc != f.Desc {
+				if e.Desc != f.Desc {
 					t.Fatalf("experiment %s desc diverged: %q vs %q", e.ID(), e.Desc, f.Desc)
 				}
 			}

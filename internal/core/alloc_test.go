@@ -61,3 +61,42 @@ func TestRestoredJobAllocation(t *testing.T) {
 	}
 	t.Logf("restored 16-rank job allocated %d bytes", got)
 }
+
+// TestMessageTablesAreLazy: the per-sender byte tables a message address
+// is resolved against are built by the first message experiment.  A
+// campaign without one — the one-experiment run every benchmark workload's
+// set-up time and RSS are measured on — builds neither.
+func TestMessageTablesAreLazy(t *testing.T) {
+	im, ranks := buildApp(t, "wavetoy")
+	golden, err := RunGolden(im, ranks, defaultMPI(), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Image: im, Ranks: ranks, Injections: 2, Seed: 5, Golden: golden,
+		Regions: []Region{RegionRegularReg}, CheckpointInterval: DefaultCheckpointInterval}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if golden.ckpts.Len() == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	if golden.recvFrom != nil || golden.ckpts.pulled != nil {
+		t.Errorf("a campaign with no message experiment built the message tables")
+	}
+	cfg.Regions = []Region{RegionMessage}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden.recvFrom) != ranks || len(golden.ckpts.pulled) != golden.ckpts.Len() {
+		t.Errorf("a message campaign resolved its addresses without the tables")
+	}
+	for r, from := range golden.recvFrom {
+		var sum uint64
+		for _, n := range from {
+			sum += n
+		}
+		if sum != golden.RecvBytes[r] {
+			t.Errorf("rank %d: per-sender bytes add up to %d, RecvBytes is %d", r, sum, golden.RecvBytes[r])
+		}
+	}
+}

@@ -44,6 +44,10 @@ type Golden struct {
 	ckptMu  sync.Mutex
 	ckptKey *checkpointKey
 	ckpts   *CheckpointSet
+	// recvFrom[r][s] is how many of RecvBytes[r] rank r pulled from rank s,
+	// filled by the first message experiment (messageTarget).
+	recvOnce sync.Once
+	recvFrom [][]uint64
 }
 
 // MaxInstrs returns the largest per-rank instruction count.
@@ -97,7 +101,7 @@ type Experiment struct {
 	Region  Region
 	Index   int
 	Rank    int
-	Trigger uint64 // instruction count, or received-byte offset for messages
+	Trigger uint64 // instruction count, or received-byte offset for messages (messageTarget)
 	Desc    string // what was flipped (filled in during the run)
 	Outcome classify.Outcome
 	// Detail is a short description of the job's terminal condition
@@ -653,18 +657,60 @@ type expScratch struct {
 func (c *campaignCtx) bucketOf(e *Experiment) int {
 	var r rng.Rand
 	c.base.DeriveInto(&r, uint64(e.Region), uint64(e.Index))
-	rank := r.Intn(c.cfg.Ranks)
+	probe := *e
+	k, _, _ := c.aim(&probe, &r)
+	return k
+}
+
+// aim draws e's rank and trigger — the head of its random stream r — and
+// returns the checkpoint it starts from (-1: t=0) and, for a message
+// fault, the injector armed at its byte.  ok is false when the rank offers
+// nothing to inject into; e.Desc then says what was missing.
+func (c *campaignCtx) aim(e *Experiment, r *rng.Rand) (ckpt int, mi MessageInjector, ok bool) {
+	e.Rank = r.Intn(c.cfg.Ranks)
 	if e.Region == RegionMessage {
-		vol := c.golden.RecvBytes[rank]
+		vol := c.golden.RecvBytes[e.Rank]
 		if vol == 0 {
-			return -1
+			e.Desc = "no traffic"
+			return -1, mi, false
 		}
-		return c.ckpts.indexForRecv(rank, r.Uint64n(vol))
+		e.Trigger = r.Uint64n(vol)
+		ckpt, mi = c.messageTarget(e.Rank, e.Trigger)
+		mi.Bit = uint(r.Intn(8))
+		return ckpt, mi, true
 	}
-	if c.golden.Instrs[rank] == 0 {
-		return -1
+	if c.golden.Instrs[e.Rank] == 0 {
+		// Possible for over-provisioned worlds: no execution to inject
+		// into, like the zero-traffic message case.
+		e.Desc = "no execution"
+		return -1, mi, false
 	}
-	return c.ckpts.indexForInstr(rank, 1+r.Uint64n(c.golden.Instrs[rank]))
+	// Injection time: uniform over the target rank's execution, the t axis
+	// of the sampling space.
+	e.Trigger = 1 + r.Uint64n(c.golden.Instrs[e.Rank])
+	return c.ckpts.indexForInstr(e.Rank, e.Trigger), mi, true
+}
+
+// messageTarget resolves a message trigger — offset k into the bytes rank
+// receives, in canonical order: each sender's stream to it whole, senders
+// ascending, which unlike arrival order is the same in every run — to the
+// checkpoint it starts from (-1: t=0) and the injector on that byte.
+// Every execution of the experiment, solo or whole, observed or not, in
+// whichever process, arms this one address (DESIGN.md §3.4).
+func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInjector) {
+	g := c.golden
+	g.recvOnce.Do(func() {
+		g.recvFrom = make([][]uint64, len(g.tapes))
+		for r, t := range g.tapes {
+			g.recvFrom[r] = t.PulledBytes(len(t), len(g.tapes))
+		}
+	})
+	mi.Offset = k
+	for from := g.recvFrom[rank]; mi.Offset >= from[mi.Sender]; mi.Sender++ {
+		mi.Offset -= from[mi.Sender]
+	}
+	ckpt, mi.seen = c.ckpts.indexForMessage(rank, mi.Sender, mi.Offset)
+	return ckpt, mi
 }
 
 // startPoint counts the experiment as a checkpoint hit or miss — once,
@@ -694,10 +740,14 @@ func (c *campaignCtx) skip(n uint64) {
 // runOne performs a single injection experiment.
 func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	cfg, golden, r := c.cfg, c.golden, &sc.r
-	e.Rank = r.Intn(cfg.Ranks)
+	ckpt, armed, ok := c.aim(e, r)
+	if !ok {
+		e.Outcome = classify.Correct
+		return
+	}
 
 	var (
-		mi         *MessageInjector
+		mi         MessageInjector // read once the run that used it is joined
 		descMu     sync.Mutex
 		applied    string
 		candidates int
@@ -713,6 +763,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		WallLimit:          cfg.WallLimit,
 		Metrics:            cfg.Metrics,
 		DisableSuperblocks: cfg.DisableSuperblocks,
+		Restore:            c.startPoint(ckpt),
 	}
 
 	// The flight recorder rides the existing Tracer hook on the injected
@@ -729,38 +780,14 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	}
 
 	if e.Region == RegionMessage {
-		vol := golden.RecvBytes[e.Rank]
-		if vol == 0 {
-			e.Outcome = classify.Correct
-			e.Desc = "no traffic"
-			return
-		}
-		e.Trigger = r.Uint64n(vol)
-		mi = &MessageInjector{TriggerByte: e.Trigger, Bit: uint(r.Intn(8))}
-		if job.Restore = c.startPoint(c.ckpts.indexForRecv(e.Rank, e.Trigger)); job.Restore != nil {
-			// The injector counts cumulative received bytes; start it at
-			// the snapshot's count so the trigger offset means the same
-			// byte it would in a scratch run.
-			mi.seen = job.Restore.RankRecvBytes(e.Rank)
-		}
 		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank == e.Rank {
+				// A fresh injector on the same byte for each run of the job.
+				mi = armed
 				p.RecvHook = mi.Hook
 			}
 		}
 	} else {
-		if golden.Instrs[e.Rank] == 0 {
-			// The rank retired no instructions in the golden run (possible
-			// for over-provisioned worlds): there is no execution to
-			// inject into, like the zero-traffic message case.
-			e.Outcome = classify.Correct
-			e.Desc = "no execution"
-			return
-		}
-		// Injection time: uniform over the target rank's execution, the
-		// t axis of the sampling space.
-		e.Trigger = 1 + r.Uint64n(golden.Instrs[e.Rank])
-		job.Restore = c.startPoint(c.ckpts.indexForInstr(e.Rank, e.Trigger))
 		region := e.Region
 		r.SplitInto(&sc.faultRng)
 		faultRng := &sc.faultRng
@@ -795,13 +822,13 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				descMu.Unlock()
 			}
 		}
-		if c.tapes != nil {
-			// Solo first; a departure runs the whole job below, arming
-			// the identical fault from the same stream.
-			stream := sc.faultRng
-			if decided = c.runSolo(e, job); !decided {
-				sc.faultRng = stream
-			}
+	}
+	if c.tapes != nil {
+		// Solo first; a departure runs the whole job below, arming the
+		// identical fault from the same stream.
+		stream := sc.faultRng
+		if decided = c.runSolo(e, job); !decided {
+			sc.faultRng = stream
 		}
 	}
 
@@ -838,7 +865,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			attachDivergence(e, golden.Trace, mrec.Trace())
 		}
 	}
-	if mi != nil {
+	if e.Region == RegionMessage {
 		_, e.Desc = mi.Report()
 	} else {
 		descMu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"sync"
 
 	"mpifault/internal/cluster"
 	"mpifault/internal/mpi"
@@ -78,6 +79,10 @@ type CheckpointSet struct {
 	// tapes are the capture pass's per-rank recordings, the ones
 	// snaps[k].Ranks[r].TapePos indexes.
 	tapes []mpi.Tape
+	// pulled[k][r][s] is how many bytes live rank r had pulled from rank s
+	// at snaps[k] (indexForMessage).
+	pulledOnce sync.Once
+	pulled     [][][]uint64
 }
 
 // checkpointKey is what a captured set depends on besides the golden run.
@@ -131,19 +136,33 @@ func (cs *CheckpointSet) indexForInstr(rank int, trigger uint64) int {
 	return best
 }
 
-// indexForRecv is indexForInstr for the message region: the clock is the
-// rank's cumulative received Channel bytes.
-func (cs *CheckpointSet) indexForRecv(rank int, triggerByte uint64) int {
-	best := -1
+// indexForMessage is indexForInstr for the message region: the clock is
+// the bytes rank has pulled from sender, read off the tape the snapshots
+// index.  pulled is the count an injector restored there starts from.
+func (cs *CheckpointSet) indexForMessage(rank, sender int, offset uint64) (best int, pulled uint64) {
+	best = -1
 	if cs == nil {
-		return best
+		return best, 0
 	}
-	for k, s := range cs.snaps {
-		if s.RankLive(rank) && s.RankRecvBytes(rank) <= triggerByte {
-			best = k
+	// Built by the first message experiment, so that a campaign without
+	// one — every set-up run — pays nothing.
+	cs.pulledOnce.Do(func() {
+		cs.pulled = make([][][]uint64, len(cs.snaps))
+		for k, s := range cs.snaps {
+			cs.pulled[k] = make([][]uint64, s.Size)
+			for r := range cs.pulled[k] {
+				if s.RankLive(r) {
+					cs.pulled[k][r] = cs.tapes[r].PulledBytes(s.Ranks[r].TapePos, s.Size)
+				}
+			}
+		}
+	})
+	for k, byRank := range cs.pulled {
+		if from := byRank[rank]; from != nil && from[sender] <= offset {
+			best, pulled = k, from[sender]
 		}
 	}
-	return best
+	return best, pulled
 }
 
 // computeCuts builds consistent cut vectors from the recorded golden-run

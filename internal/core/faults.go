@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mpifault/internal/abi"
 	"mpifault/internal/isa"
+	"mpifault/internal/mpi"
 	"mpifault/internal/rng"
 	"mpifault/internal/vm"
 )
@@ -303,20 +303,18 @@ func ApplyStackFault(m *vm.Machine, r *rng.Rand) string {
 	return "no target"
 }
 
-// MessageInjector corrupts one bit of a rank's incoming Channel stream
-// once the received-volume counter reaches the trigger offset (§3.3).
-// Install its Hook as the rank's RecvHook.
-//
-// The Hook runs on whatever goroutine performs the Channel recv, while
-// the campaign reads the outcome from its own experiment goroutine; the
-// injector therefore guards its state with a mutex rather than relying
-// on the job join for the happens-before edge.
+// MessageInjector corrupts one bit of one byte of the Channel stream a
+// rank receives (§3.3), named by where it sits in the job rather than by
+// when it arrived: byte Offset of everything rank Sender sends the rank
+// (campaignCtx.messageTarget).  Install its Hook as the rank's RecvHook.
+// The Hook runs on the goroutine executing the rank; read the Report once
+// that run is joined.
 type MessageInjector struct {
-	TriggerByte uint64 // offset into the cumulative received byte stream
-	Bit         uint   // bit to flip within the chosen byte
+	Sender int    // the rank whose packets are counted
+	Offset uint64 // byte to corrupt, counted over Sender's packets only
+	Bit    uint   // bit to flip within it
 
-	mu       sync.Mutex
-	seen     uint64
+	seen     uint64 // Sender's bytes already pulled
 	injected bool
 	desc     string
 }
@@ -325,14 +323,14 @@ type MessageInjector struct {
 // bytes of each received packet, immediately after the recv and before
 // parsing.
 func (mi *MessageInjector) Hook(pkt []byte) {
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	if !mi.injected && mi.TriggerByte < mi.seen+uint64(len(pkt)) {
-		idx := mi.TriggerByte - mi.seen
+	if mi.injected || mpi.RawSource(pkt) != mi.Sender {
+		return
+	}
+	if idx := mi.Offset - mi.seen; idx < uint64(len(pkt)) {
 		pkt[idx] ^= 1 << mi.Bit
 		mi.injected = true
 		where := "payload"
-		if idx < 48 {
+		if idx < mpi.HeaderBytes {
 			where = "header"
 		}
 		mi.desc = fmt.Sprintf("message byte %d (%s) bit %d", idx, where, mi.Bit)
@@ -343,7 +341,5 @@ func (mi *MessageInjector) Hook(pkt []byte) {
 // Report returns whether the bit flip has been applied yet and its
 // description.
 func (mi *MessageInjector) Report() (injected bool, desc string) {
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
 	return mi.injected, mi.desc
 }

@@ -260,50 +260,6 @@ func (stubHandler) Syscall(m *vm.Machine, num int32) *vm.Trap {
 	return &vm.Trap{Kind: vm.TrapExit, PC: m.PC}
 }
 
-func TestMessageInjectorTriggersOnce(t *testing.T) {
-	mi := &MessageInjector{TriggerByte: 110, Bit: 3}
-	a := make([]byte, 60)
-	b := make([]byte, 60)
-	c := make([]byte, 60)
-	mi.Hook(a) // bytes 0-59
-	mi.Hook(b) // bytes 60-119: trigger at 110 -> b[50]
-	mi.Hook(c) // bytes 120-179
-	injected, desc := mi.Report()
-	if !injected {
-		t.Fatal("never injected")
-	}
-	for i, v := range a {
-		if v != 0 {
-			t.Fatalf("a[%d] modified", i)
-		}
-	}
-	for i, v := range c {
-		if v != 0 {
-			t.Fatalf("c[%d] modified", i)
-		}
-	}
-	for i, v := range b {
-		want := byte(0)
-		if i == 50 {
-			want = 1 << 3
-		}
-		if v != want {
-			t.Fatalf("b[%d] = %#x", i, v)
-		}
-	}
-	if !strings.Contains(desc, "payload") {
-		t.Fatalf("offset 50 is past the 48-byte header: desc %q", desc)
-	}
-}
-
-func TestMessageInjectorHeaderClassification(t *testing.T) {
-	mi := &MessageInjector{TriggerByte: 10, Bit: 0}
-	mi.Hook(make([]byte, 60))
-	if _, desc := mi.Report(); !strings.Contains(desc, "header") {
-		t.Fatalf("byte 10 is in the header: desc %q", desc)
-	}
-}
-
 func TestRegionNames(t *testing.T) {
 	// Table row labels must match the paper.
 	want := []string{"Regular Reg.", "FP Reg.", "BSS", "Data", "Stack", "Text", "Heap", "Message"}

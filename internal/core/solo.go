@@ -8,21 +8,18 @@ import (
 	"mpifault/internal/vm"
 )
 
-// Solo-rank replay: an experiment whose fault lands in one rank's
-// registers or memory first runs that rank alone against its tape from
-// the recorded run (mpi.Tape, cluster.RunSolo).  While the rank's outputs
+// Solo-rank replay: an experiment first runs the rank its fault lands in
+// — the one whose registers or memory are flipped, or the one that
+// receives the corrupted packet — alone against its tape from the
+// recorded run (mpi.Tape, cluster.RunSolo).  While the rank's outputs
 // equal the recording no other rank can have seen the fault, so most
 // experiments — the ones the tables call Correct, and the ones that crash
 // before saying anything new — are decided at 1/ranks of the cost.  The
 // rest are re-run on all ranks, unchanged.
 //
 // There is no switch: whole jobs are chosen by what the code observes.  A
-// departure is one case.  The Message region is another: a message
-// fault's trigger is an offset into a byte stream whose interleaving
-// varies run to run, so a solo attempt and its re-run would corrupt
-// different bytes, and "Correct on either draw" would bias the row
-// downward.  Forensics and TraceDiff observe every rank from t=0, so they
-// forgo solo runs as they forgo restores.
+// departure is one case.  Forensics and TraceDiff observe every rank from
+// t=0, so they forgo solo runs as they forgo restores.
 
 // SoloStats counts a campaign's solo runs.
 type SoloStats struct {

@@ -105,14 +105,6 @@ type ProcSnapshot struct {
 	stats        Stats
 }
 
-// Stats returns the rank's Channel-layer traffic counters at the capture
-// point.
-func (ps *ProcSnapshot) Stats() Stats { return ps.stats }
-
-// RecvBytes returns total Channel bytes received at the capture point —
-// the message-region injection clock.
-func (ps *ProcSnapshot) RecvBytes() uint64 { return ps.stats.TotalBytes() }
-
 func copyPacket(p *Packet) Packet {
 	cp := *p
 	if p.Payload != nil {

@@ -161,6 +161,31 @@ func (p *Proc) TapeInput(m *vm.Machine, kind TapeKind, arg int32, data []byte, l
 	return ret, nil
 }
 
+// RawSource returns the sending rank a raw Channel packet names (header
+// bytes 8-11), or -1 when the bytes hold no whole header.
+func RawSource(raw []byte) int {
+	if len(raw) < HeaderBytes {
+		return -1
+	}
+	return int(int32(binary.LittleEndian.Uint32(raw[8:])))
+}
+
+// PulledBytes returns, per sending rank of a world of n, how many Channel
+// bytes the tape's first pos events pulled from it.  A sender's stream to
+// a rank is FIFO and, with no wildcard receives, the same in every
+// fault-free run whatever order the senders' packets arrived in.
+func (t Tape) PulledBytes(pos, n int) []uint64 {
+	from := make([]uint64, n)
+	for i := range t[:pos] {
+		if ev := &t[i]; ev.Kind == TapeRecv {
+			if s := RawSource(ev.Data); uint(s) < uint(n) {
+				from[s] += uint64(len(ev.Data))
+			}
+		}
+	}
+	return from
+}
+
 // Event is one Channel-level message of a recorded run: rank Src enqueued
 // it while executing its SrcInstr-th instruction, and rank Dst pulled it
 // while executing its DstInstr-th.
@@ -186,15 +211,15 @@ func Causality(tapes []Tape) []Event {
 	for d, tape := range tapes {
 		for i := range tape {
 			ev := &tape[i]
-			if ev.Kind != TapeRecv || len(ev.Data) < HeaderBytes {
+			if ev.Kind != TapeRecv {
 				continue
 			}
-			s := binary.LittleEndian.Uint32(ev.Data[8:]) // the header's source rank
-			if s >= uint32(n) || len(sent[int(s)*n+d]) == 0 {
+			s := RawSource(ev.Data)
+			if uint(s) >= uint(n) || len(sent[s*n+d]) == 0 {
 				continue
 			}
-			q := &sent[int(s)*n+d]
-			events = append(events, Event{Src: int(s), Dst: d, SrcInstr: (*q)[0], DstInstr: ev.Instrs})
+			q := &sent[s*n+d]
+			events = append(events, Event{Src: s, Dst: d, SrcInstr: (*q)[0], DstInstr: ev.Instrs})
 			*q = (*q)[1:]
 		}
 	}

@@ -76,8 +76,9 @@ diff -u "$WORK/$first.csv" "$WORK/$first.rerun.csv" \
 echo "   byte-identical"
 
 # Rounds restore from the golden run's checkpoints by default; the CSV
-# must not show it.  Non-message regions only: a message fault lands in a
-# scheduling-dependent packet, so that row differs between any two runs.
+# must not show it.  Non-message regions only: a message fault lands in
+# the same byte in every run, but the whole job a departing one is re-run
+# as can still race to Crash or Hang (ROADMAP item 1A).
 echo "== checkpoint differential ($first) =="
 # Without -quiet, for the restore summary on stderr.
 STATE="reg,fp,bss,data,stack,text,heap"

@@ -88,18 +88,23 @@ else
 	# and the golden-trace identity file must be reproducible.
 	TRACE_TMP=$(mktemp -d)
 	trap 'rm -rf "$TRACE_TMP"' EXIT
-	go run ./cmd/faultcampaign -app wavetoy -n 4 -seed 7 -regions reg,message -csv -quiet \
+	# Plain decides most experiments on one rank, restored from a
+	# checkpoint — message faults included, since they name a byte of one
+	# sender's stream — while -trace-diff runs every one as a whole job from
+	# t=0: this diff and the two below are the CLI-level solo-vs-whole-job
+	# differential for all eight regions.
+	go run ./cmd/faultcampaign -app wavetoy -n 24 -seed 7 -regions reg,message -csv -quiet \
 		>"$TRACE_TMP/plain.csv"
-	go run ./cmd/faultcampaign -app wavetoy -n 4 -seed 7 -regions reg,message -csv -quiet \
+	go run ./cmd/faultcampaign -app wavetoy -n 24 -seed 7 -regions reg,message -csv -quiet \
 		-trace-diff -trace-out "$TRACE_TMP/trace-a.json" >"$TRACE_TMP/traced.csv"
 	diff -u "$TRACE_TMP/plain.csv" "$TRACE_TMP/traced.csv"
-	go run ./cmd/faultcampaign -app wavetoy -n 4 -seed 7 -regions reg,message -csv -quiet \
+	# Solo from t=0, against the golden run's own tape.
+	go run ./cmd/faultcampaign -app wavetoy -n 24 -seed 7 -regions reg,message -csv -quiet \
+		-checkpoint-interval 0 >"$TRACE_TMP/scratch.csv"
+	diff -u "$TRACE_TMP/scratch.csv" "$TRACE_TMP/traced.csv"
+	go run ./cmd/faultcampaign -app wavetoy -n 24 -seed 7 -regions reg,message -csv -quiet \
 		-trace-diff -trace-out "$TRACE_TMP/trace-b.json" >/dev/null
 	diff -u "$TRACE_TMP/trace-a.json" "$TRACE_TMP/trace-b.json"
-	# The same pair over the seven regions whose experiments run on the
-	# injected rank alone unless something observes every rank: plain
-	# decides most of them solo, -trace-diff runs whole jobs, so this is
-	# the CLI-level solo-vs-whole-job differential.
 	SOLO_REGIONS=reg,fp,bss,data,stack,text,heap
 	go run ./cmd/faultcampaign -app wavetoy -n 8 -seed 7 -regions "$SOLO_REGIONS" -csv -quiet \
 		>"$TRACE_TMP/solo.csv"
