@@ -28,7 +28,6 @@ import (
 	"mpifault/internal/isa"
 	"mpifault/internal/mpi"
 	"mpifault/internal/profile"
-	"mpifault/internal/progress"
 	"mpifault/internal/rng"
 	"mpifault/internal/sampling"
 	"mpifault/internal/trace"
@@ -511,57 +510,6 @@ func BenchmarkAblationRegisterPressure(b *testing.B) {
 				t, _ := res.Tally(core.RegionRegularReg)
 				b.ReportMetric(t.ErrorRate(), "reg-error-%")
 				b.ReportMetric(float64(res.Golden.MaxInstrs()), "golden-instrs")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationHangDetectors compares hang-detection latency across
-// the three mechanisms (design decision 5): the exact distributed-
-// deadlock check, the §7 progress metric, and the paper's wall-clock
-// margin.  Each iteration runs one wavetoy job with a message fault that
-// is guaranteed to lose a halo message (tag corruption), and the bench
-// time is dominated by how fast the detector fires.
-func BenchmarkAblationHangDetectors(b *testing.B) {
-	im, cfg := builtApp(b, "wavetoy")
-	lose := func(rank int, m *vm.Machine, p *mpi.Proc) {
-		if rank != 3 {
-			return
-		}
-		first := true
-		p.RecvHook = func(pkt []byte) {
-			if first && len(pkt) >= 20 {
-				pkt[16] ^= 0x08
-				first = false
-			}
-		}
-	}
-	variants := []struct {
-		name string
-		job  func() cluster.Job
-	}{
-		{"deadlock-detector", func() cluster.Job {
-			return cluster.Job{Image: im, Size: cfg.Ranks, Setup: lose,
-				WallLimit: 10 * time.Second}
-		}},
-		{"progress-metric", func() cluster.Job {
-			return cluster.Job{Image: im, Size: cfg.Ranks, Setup: lose,
-				WallLimit: 10 * time.Second, DisableDeadlockDetector: true,
-				ProgressDetector: &progress.Config{}}
-		}},
-		{"wall-clock-only", func() cluster.Job {
-			return cluster.Job{Image: im, Size: cfg.Ranks, Setup: lose,
-				WallLimit: 500 * time.Millisecond, DisableDeadlockDetector: true}
-		}},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(v.job())
-				if !res.HangDetected {
-					b.Fatalf("hang not detected (%s)", v.name)
-				}
 			}
 		})
 	}

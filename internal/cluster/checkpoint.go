@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sync"
-
 	"mpifault/internal/mpi"
 	"mpifault/internal/vm"
 )
@@ -16,9 +14,9 @@ import (
 // Capture works by cooperative pausing.  The caller supplies cut vectors
 // (per-rank retired-instruction targets, one vector per checkpoint,
 // nondecreasing).  Each rank runs to its target and parks at a phase
-// barrier; the last arriver — with every peer either parked or terminally
-// finished, so nothing in the world is executing — captures all ranks and
-// the Channel queues, then releases the barrier.  The vectors must be
+// barrier, a scheduling point; the last arriver — every peer is parked
+// or terminally finished — captures all ranks and the Channel queues,
+// then releases the barrier.  The vectors must be
 // *consistent cuts* of the recorded execution (no receive before its
 // matching send; see mpi.Causality): pausing at such a cut can
 // never deadlock, because no parked rank's progress is required for a
@@ -104,137 +102,97 @@ func (s *Snapshot) MaxQueued() int {
 type ckptRun struct {
 	spec     *CheckpointSpec
 	world    *mpi.World
-	machines []*vm.Machine
-	ios      []*rankIO
+	ranks    []*rank
 	files    *fileStore
 	heapBase uint32
 	budget   uint64
 
-	mu        sync.Mutex
-	cond      *sync.Cond
 	phase     int // next unfired checkpoint index
 	arrived   int
 	finishedN int
-	finished  []bool
-	outcomes  []vm.RunResult
 }
 
-func newCkptRun(spec *CheckpointSpec, world *mpi.World, machines []*vm.Machine,
-	ios []*rankIO, files *fileStore, heapBase uint32, budget uint64) *ckptRun {
-	c := &ckptRun{
-		spec: spec, world: world, machines: machines, ios: ios, files: files,
-		heapBase: heapBase, budget: budget,
-		finished: make([]bool, len(machines)),
-		outcomes: make([]vm.RunResult, len(machines)),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// runRank executes rank r through every checkpoint phase and then to
+// runRank executes a rank through every checkpoint phase and then to
 // completion, returning the terminal outcome exactly as m.Run would.
-func (c *ckptRun) runRank(r int) vm.RunResult {
-	m := c.machines[r]
+func (c *ckptRun) runRank(rk *rank) vm.RunResult {
 	for k := 0; k < len(c.spec.Vectors); k++ {
-		t := c.spec.Vectors[k][r]
+		t := c.spec.Vectors[k][rk.id]
 		if c.budget != 0 && t >= c.budget {
 			break // the final run below handles budget exhaustion
 		}
-		out := m.Run(t)
+		out := rk.m.Run(t)
 		if out.Reason != vm.StopBudget {
-			c.finishRank(r, out)
-			return out
+			return c.finishRank(rk, out)
 		}
-		c.arrive(k)
+		if !c.arrive(rk, k) {
+			return rk.killed()
+		}
 	}
-	out := m.Run(c.budget)
-	c.finishRank(r, out)
+	return c.finishRank(rk, rk.m.Run(c.budget))
+}
+
+// arrive parks the rank at the phase-k barrier until the last arriver has
+// captured; false means the job was killed meanwhile.
+func (c *ckptRun) arrive(rk *rank, k int) bool {
+	c.arrived++
+	if c.arrived+c.finishedN == len(c.ranks) {
+		c.capture(k)
+		return true
+	}
+	rk.parked = true
+	return rk.proc.Yield()
+}
+
+// finishRank records the rank's terminal outcome.  If it was the last
+// rank the current phase was waiting on, its exit completes the barrier.
+// A killed rank completes nothing: the job is over.
+func (c *ckptRun) finishRank(rk *rank, out vm.RunResult) vm.RunResult {
+	if out.Trap != nil && out.Trap.Kind == vm.TrapKilled {
+		return out
+	}
+	rk.out, rk.done = out, true
+	c.finishedN++
+	if c.arrived > 0 && c.arrived+c.finishedN == len(c.ranks) {
+		c.capture(c.phase)
+	}
 	return out
 }
 
-// arrive parks rank r at the phase-k barrier; the last arriver captures.
-func (c *ckptRun) arrive(k int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.arrived++
-	if c.arrived+c.finishedN == len(c.machines) {
-		c.captureLocked(k)
-		c.arrived = 0
-		c.phase = k + 1
-		c.cond.Broadcast()
-		return
-	}
-	for c.phase <= k {
-		c.cond.Wait()
-	}
-}
-
-// finishRank records rank r's terminal outcome.  If r was the last rank
-// the current phase was waiting on, its exit completes the barrier.
-func (c *ckptRun) finishRank(r int, out vm.RunResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.finished[r] = true
-	c.outcomes[r] = out
-	c.finishedN++
-	if c.arrived > 0 && c.arrived+c.finishedN == len(c.machines) {
-		c.captureLocked(c.phase)
-		c.arrived = 0
-		c.phase++
-		c.cond.Broadcast()
-	}
-}
-
-// captureLocked snapshots the whole quiescent job as checkpoint k.
-// Callers hold c.mu; every rank is either parked in arrive, blocked on
-// this mutex inside finishRank, or already finished, so no machine or
-// queue is concurrently mutated.
-func (c *ckptRun) captureLocked(k int) {
-	n := len(c.machines)
+// capture snapshots the whole job as checkpoint k and releases the
+// barrier.  Every rank but the caller's is parked or finished.
+func (c *ckptRun) capture(k int) {
+	n := len(c.ranks)
 	s := &Snapshot{
 		Size:       n,
 		Ranks:      make([]RankSnapshot, n),
 		Queues:     make([][][]byte, n),
 		CtxCounter: c.world.CtxCounter(),
 	}
-	for r := 0; r < n; r++ {
+	for r, rk := range c.ranks {
 		rs := &s.Ranks[r]
-		rs.Stdout = append([]byte(nil), c.ios[r].stdout...)
-		rs.Stderr = append([]byte(nil), c.ios[r].stderr...)
-		if c.finished[r] {
+		rs.Stdout = append([]byte(nil), rk.io.stdout...)
+		rs.Stderr = append([]byte(nil), rk.io.stderr...)
+		if rk.done {
 			rs.Finished = true
-			rs.Result = c.terminalResult(r)
+			rs.Result = rk.result(c.heapBase)
 		} else {
-			rs.VM = c.machines[r].Snapshot()
-			rs.MPI = c.world.Proc(r).Snapshot()
-			rs.TapePos = len(c.world.Proc(r).Tape())
+			rs.VM = rk.m.Snapshot()
+			rs.MPI = rk.proc.Snapshot()
+			rs.TapePos = len(rk.proc.Tape())
 		}
 		s.Queues[r] = c.world.DrainQueue(r)
 	}
-	c.files.mu.Lock()
 	s.Files = make(map[string][]byte, len(c.files.files))
 	for name, b := range c.files.files {
 		s.Files[name] = append([]byte(nil), b...)
 	}
 	s.FileNames = append([]string(nil), c.files.names...)
-	c.files.mu.Unlock()
 	if c.spec.OnSnapshot != nil {
 		c.spec.OnSnapshot(k, s)
 	}
-}
-
-// terminalResult mirrors Run's end-of-job collection for one rank.
-func (c *ckptRun) terminalResult(r int) RankResult {
-	m := c.machines[r]
-	out := c.outcomes[r]
-	return RankResult{
-		Trap:         out.Trap,
-		Reason:       out.Reason,
-		Instrs:       m.Instrs,
-		MinSP:        m.MinSP,
-		HeapPeakUser: m.Heap.PeakUser,
-		HeapPeakMPI:  m.Heap.PeakMPI,
-		HeapUsed:     m.Heap.Brk() - c.heapBase,
-		Stats:        c.ios[r].proc.Stats,
+	c.arrived = 0
+	c.phase = k + 1
+	for _, rk := range c.ranks {
+		rk.parked = false
 	}
 }

@@ -1,19 +1,19 @@
 // Package cluster runs an MPI job: it instantiates one virtual machine per
-// rank, wires each to the MPI runtime, executes all ranks concurrently,
-// and watches for the failure modes the paper classifies — crashes
-// (a trap on any rank aborts the whole job, as MPICH does), hangs
-// (detected by a distributed-deadlock check plus an instruction budget and
-// a wall-clock fallback), and detected errors.
+// rank, wires each to the MPI runtime, and executes the ranks one at a
+// time under a deterministic virtual-time scheduler (Run), watching for
+// the failure modes the paper classifies — crashes (the earliest trap on
+// any rank aborts the whole job, as MPICH does), hangs (no rank can run,
+// or one exceeds its instruction budget; a wall-clock limit protects the
+// host) and detected errors.  A job is a pure function of its Job: the
+// same ranks run in the same order to the same verdict on any host.
 package cluster
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"mpifault/internal/image"
 	"mpifault/internal/mpi"
-	"mpifault/internal/progress"
 	"mpifault/internal/telemetry"
 	"mpifault/internal/vm"
 )
@@ -30,7 +30,8 @@ type Job struct {
 	// classified as a hang (the livelock analogue of the paper's "one
 	// minute beyond expected completion").  0 means unlimited.
 	Budget uint64
-	// WallLimit is the real-time fallback; default 30s.
+	// WallLimit is the host-safety limit on real time, for a guest that
+	// spins with no budget; default 30s.
 	WallLimit time.Duration
 	// Setup, when non-nil, runs for every rank before execution starts —
 	// the fault injector arms triggers and hooks here.
@@ -41,20 +42,13 @@ type Job struct {
 	TraceRank int
 	// PMPIHook, when non-nil, observes every API-layer MPI call.
 	PMPIHook mpi.PMPIHook
-	// ProgressDetector, when non-nil, additionally watches the §7-style
-	// messages-per-second metric and declares a hang when it collapses.
-	ProgressDetector *progress.Config
-	// DisableDeadlockDetector turns off the exact stall detection,
-	// leaving only the progress metric and wall clock (used by the
-	// detector-ablation benchmarks).
-	DisableDeadlockDetector bool
 	// Metrics, when non-nil, receives job telemetry: retired
 	// instructions, traps by signal, budget exhaustions, MPI message
-	// and byte counts, hang verdicts by cause, stall events and the
-	// peak Channel queue depth.  Aggregation happens once per job (at
-	// teardown and on watchdog ticks), never per instruction, so the
-	// interpreter hot path is unchanged and a nil Metrics job is
-	// byte-identical to one from before this field existed.
+	// and byte counts, hang verdicts by cause, scheduler switches and
+	// the peak Channel queue depth.  Aggregation happens once per job,
+	// at teardown, never per instruction, so the interpreter hot path is
+	// unchanged and a nil Metrics job is byte-identical to one from
+	// before this field existed.
 	Metrics *telemetry.Registry
 	// RecordTapes makes every rank record its tape (mpi.Tape) into
 	// Result.Tapes: what RunSolo replays, and what consistent cuts are
@@ -93,10 +87,10 @@ type RankResult struct {
 // Result is the outcome of a whole job.
 type Result struct {
 	Ranks []RankResult
-	// HangDetected is set when the deadlock watchdog, instruction budget
-	// or wall-clock limit fired.
+	// HangDetected is set when no unfinished rank could run, or the
+	// instruction budget or the wall-clock limit ended the job.
 	HangDetected bool
-	// HangCause describes which detector fired.
+	// HangCause says which of the three it was.
 	HangCause string
 	// Stdout and Stderr are per-rank console captures.
 	Stdout [][]byte
@@ -108,8 +102,9 @@ type Result struct {
 }
 
 // FirstFailure returns the most severe trap across ranks, preferring
-// application/MPI detections over raw signals so that a deliberate abort
-// isn't masked by the cascade of TrapKilled it causes elsewhere.
+// application/MPI detections over raw signals.  Run leaves one trap at
+// most on the ranks it executed — the earliest, see there; a restored
+// job may carry more on ranks that had ended before its checkpoint.
 func (r *Result) FirstFailure() *vm.Trap {
 	var sig *vm.Trap
 	for i := range r.Ranks {
@@ -142,7 +137,85 @@ func (r *Result) FailureSummary() string {
 	return ""
 }
 
+// rank is one live rank of a running job.
+type rank struct {
+	id   int
+	m    *vm.Machine
+	io   *rankIO
+	proc *mpi.Proc
+	// out is how the rank's execution ended; done is set once the
+	// scheduler has seen it end.
+	out  vm.RunResult
+	done bool
+	// parked holds the rank at a checkpoint barrier (checkpoint.go).
+	parked bool
+}
+
+// before orders ranks by virtual time: retired instructions, then rank.
+func (a *rank) before(b *rank) bool {
+	return a.m.Instrs < b.m.Instrs || a.m.Instrs == b.m.Instrs && a.id < b.id
+}
+
+// fatal reports whether the way the rank ended ends the job: the budget,
+// or any trap but an exit (MPICH's MPI_ERRORS_ARE_FATAL and its signal
+// handlers abort the whole job).
+func (rk *rank) fatal() bool {
+	if t := rk.out.Trap; t != nil {
+		return t.Kind != vm.TrapExit && t.Kind != vm.TrapKilled
+	}
+	return rk.out.Reason == vm.StopBudget
+}
+
+// kill ends a rank the job's verdict overtook, as mpirun SIGKILLs the
+// survivors.
+func (rk *rank) kill() {
+	rk.proc.Kill()
+	if rk.done || rk.out.Trap == nil {
+		// It had ended later than the verdict, or never began.
+		rk.out = rk.killed()
+	}
+}
+
+// killed is the end of a rank the verdict stops outside the MPI runtime;
+// inside it, the scheduling point the rank is suspended in traps.
+func (rk *rank) killed() vm.RunResult {
+	return vm.RunResult{Reason: vm.StopTrap,
+		Trap: &vm.Trap{Kind: vm.TrapKilled, PC: rk.m.PC, Msg: "job terminated"}}
+}
+
+// earliest returns the runnable rank that is first in virtual time and
+// before horizon (when non-nil), or nil.
+func earliest(ranks []*rank, horizon *rank) *rank {
+	var min *rank
+	for _, rk := range ranks {
+		if rk == nil || rk.done || rk.parked || !rk.proc.Runnable() {
+			continue
+		}
+		if (min == nil || rk.m.Instrs < min.m.Instrs) && (horizon == nil || rk.before(horizon)) {
+			min = rk
+		}
+	}
+	return min
+}
+
 // Run executes the job to completion and returns the collected outcome.
+//
+// It is a scheduler over rank coroutines, on the caller's goroutine: it
+// always resumes the runnable rank that has retired the fewest
+// instructions (the lower rank on a tie), and that rank runs until its
+// next scheduling point (mpi/sched.go).  The rule reads guest state
+// only, so the schedule, every tape and the verdict are the same in
+// every run.  A rank's instruction count is its virtual clock, so the
+// order also approximates the parallel machine the paper measured.
+//
+// The job ends when every rank has, or with one of two verdicts.  A
+// crash is the earliest fatal end in virtual time: after a rank ends
+// fatally, only ranks still before that moment are resumed, and one of
+// them ending fatally earlier takes its place; every other rank is then
+// killed, the later fatal ones included.  A hang is that earliest end
+// being the instruction budget, or — exact, and with no wait — an
+// unfinished rank while none is runnable.  WallLimit halts the executing
+// machine through Machine.Stop and is checked between resumes.
 func Run(job Job) *Result {
 	if job.WallLimit == 0 {
 		job.WallLimit = 30 * time.Second
@@ -178,29 +251,28 @@ func Run(job Job) *Result {
 		files.names = append([]string(nil), job.Restore.FileNames...)
 	}
 
-	// stopFlag halts still-computing VMs after a job-level verdict (the
-	// analogue of mpirun SIGKILLing survivors).
-	var stopFlag atomic.Bool
-	killAll := func() {
-		stopFlag.Store(true)
-		world.Kill()
-	}
+	// stop halts a machine within 4096 instructions.  Before the verdict
+	// only the wall-clock limit sets it.
+	var stop atomic.Bool
+	defer time.AfterFunc(job.WallLimit, func() { stop.Store(true) }).Stop()
 
-	machines := make([]*vm.Machine, job.Size)
-	ios := make([]*rankIO, job.Size)
-	for r := 0; r < job.Size; r++ {
+	ranks := make([]*rank, job.Size)
+	live := 0
+	for r := range ranks {
 		if job.Restore != nil && job.Restore.Ranks[r].Finished {
 			// This rank had already exited at the checkpoint: carry its
-			// terminal state over verbatim; no goroutine runs for it.
+			// terminal state over verbatim; nothing runs for it.
 			rs := &job.Restore.Ranks[r]
 			res.Ranks[r] = rs.Result
 			res.Stdout[r] = append([]byte(nil), rs.Stdout...)
 			res.Stderr[r] = append([]byte(nil), rs.Stderr...)
-			world.Proc(r).MarkFinished()
 			continue
 		}
-		machines[r], ios[r] = job.newRank(r, world.Proc(r), files)
-		machines[r].Stop = &stopFlag
+		rk := &rank{id: r, proc: world.Proc(r)}
+		rk.m, rk.io = job.newRank(r, rk.proc, files)
+		rk.m.Stop = &stop
+		ranks[r] = rk
+		live++
 	}
 	if job.Restore != nil {
 		// Requeue the snapshot's in-flight packets (deep-copied; see
@@ -213,150 +285,76 @@ func Run(job Job) *Result {
 	var coord *ckptRun
 	if job.Checkpoints != nil && len(job.Checkpoints.Vectors) > 0 &&
 		job.Restore == nil {
-		coord = newCkptRun(job.Checkpoints, world, machines, ios, files,
-			job.Image.HeapBase, job.Budget)
+		coord = &ckptRun{spec: job.Checkpoints, world: world, ranks: ranks,
+			files: files, heapBase: job.Image.HeapBase, budget: job.Budget}
 	}
-
-	var (
-		wg       sync.WaitGroup
-		hangOnce sync.Once
-		done     = make(chan struct{})
-	)
-	declareHang := func(cause string) {
-		hangOnce.Do(func() {
-			res.HangDetected = true
-			res.HangCause = cause
-			killAll()
+	for _, rk := range ranks {
+		if rk == nil {
+			continue
+		}
+		rk.proc.Start(func() {
+			if coord != nil {
+				rk.out = coord.runRank(rk)
+			} else {
+				rk.out = rk.m.Run(job.Budget)
+			}
 		})
 	}
 
-	for r := 0; r < job.Size; r++ {
-		if machines[r] == nil {
-			continue // restored-as-finished rank
+	var first *rank // the earliest fatal end so far
+	switches := uint64(0)
+	for live > 0 {
+		rk := earliest(ranks, first)
+		if rk == nil {
+			if first == nil {
+				res.HangDetected, res.HangCause = true, "distributed deadlock"
+			}
+			break
 		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			m := machines[r]
-			var out vm.RunResult
-			if coord != nil {
-				out = coord.runRank(r)
-			} else {
-				out = m.Run(job.Budget)
-			}
-			world.Proc(r).MarkFinished()
-			res.Ranks[r].Reason = out.Reason
-			res.Ranks[r].Trap = out.Trap
-			if out.Reason == vm.StopBudget {
-				// Runaway execution: the paper's non-terminating mode.
-				declareHang("instruction budget exceeded")
-				return
-			}
-			if t := out.Trap; t != nil && t.Kind != vm.TrapExit && t.Kind != vm.TrapKilled {
-				// Any abnormal termination aborts the whole job, as
-				// MPICH's MPI_ERRORS_ARE_FATAL and signal handlers do.
-				killAll()
-			}
-		}(r)
+		switches++
+		running := rk.proc.Resume()
+		if stop.Load() {
+			// Whether it halted rk or rk got to yield first.
+			res.HangDetected, res.HangCause = true, "wall-clock limit"
+			break
+		}
+		if running {
+			continue
+		}
+		rk.done = true
+		live--
+		if !rk.fatal() {
+			continue
+		}
+		switch {
+		case first == nil:
+			first = rk
+		case first.before(rk):
+			rk.kill()
+		default:
+			first.kill()
+			first = rk
+		}
+	}
+	if first != nil && first.out.Reason == vm.StopBudget {
+		// Runaway execution: the paper's non-terminating mode.
+		res.HangDetected, res.HangCause = true, "instruction budget exceeded"
+	}
+	// A killed rank that swallows the trap halts at its next poll.
+	stop.Store(true)
+	for _, rk := range ranks {
+		if rk != nil && !rk.done {
+			rk.kill()
+		}
 	}
 
-	// Watchdog: fast deadlock detection plus a wall-clock fallback.
-	watchdogGone := make(chan struct{})
-	go func() {
-		defer close(watchdogGone)
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		deadline := time.After(job.WallLimit)
-		var lastProgress uint64
-		consec := 0
-		wasStalled := false
-		for {
-			select {
-			case <-done:
-				return
-			case <-deadline:
-				declareHang("wall-clock limit")
-				return
-			case <-tick.C:
-				if reg := job.Metrics; reg != nil {
-					// Telemetry piggybacks on the watchdog cadence: the
-					// peak Channel queue depth and rank-stall events are
-					// sampled here, not in any per-message path.
-					var depth int64
-					for r := 0; r < job.Size; r++ {
-						depth += int64(world.QueueDepth(r))
-					}
-					reg.Gauge(telemetry.MetricQueueDepthPeak).SetMax(depth)
-					stalled := world.Stalled()
-					if stalled && !wasStalled {
-						reg.Counter(telemetry.MetricStallEvents).Inc()
-					}
-					wasStalled = stalled
-				}
-				if job.DisableDeadlockDetector {
-					continue
-				}
-				prog := world.Progress()
-				if world.Stalled() && prog == lastProgress {
-					consec++
-					// An exact deadlock (all blocked, nothing in flight)
-					// is certain after a short quiet confirmation.  A
-					// stall with packets still in flight is only
-					// genuinely stuck when every queued packet sits at a
-					// rank that already exited (World.Stuck); after a
-					// long quiet period that evidence is trusted.  A
-					// stall that is merely a scheduling gap — the packet
-					// is queued at a live rank the host has not run yet —
-					// never fires, no matter how starved the process is:
-					// a time-based verdict here would make campaign
-					// outcomes depend on machine load.
-					if (consec >= 2 && world.Deadlocked()) ||
-						(consec >= 50 && world.Stuck()) {
-						declareHang("distributed deadlock")
-						return
-					}
-				} else {
-					consec = 0
-				}
-				lastProgress = prog
-			}
-		}
-	}()
-
-	// Optional §7 progress-metric detector: messages per second.
-	if job.ProgressDetector != nil {
-		detCfg := *job.ProgressDetector
-		if detCfg.Metrics == nil {
-			detCfg.Metrics = job.Metrics
-		}
-		mon := progress.NewMonitor(detCfg, world.Progress)
-		go func() {
-			if mon.Run(done) {
-				declareHang("progress metric collapse")
-			}
-		}()
-	}
-
-	wg.Wait()
-	close(done)
-	// With the ranks and the watchdog (the only reader of queue depths)
-	// joined, the inboxes can serve the next job.
-	<-watchdogGone
-	world.Release()
-
-	for r := 0; r < job.Size; r++ {
-		m := machines[r]
-		if m == nil {
+	for r, rk := range ranks {
+		if rk == nil {
 			continue // restored-as-finished rank: results carried above
 		}
-		res.Ranks[r].Instrs = m.Instrs
-		res.Ranks[r].MinSP = m.MinSP
-		res.Ranks[r].HeapPeakUser = m.Heap.PeakUser
-		res.Ranks[r].HeapPeakMPI = m.Heap.PeakMPI
-		res.Ranks[r].HeapUsed = m.Heap.Brk() - job.Image.HeapBase
-		res.Ranks[r].Stats = ios[r].proc.Stats
-		res.Stdout[r] = ios[r].stdout
-		res.Stderr[r] = ios[r].appendSignalBanner(res.Ranks[r].Trap)
+		res.Ranks[r] = rk.result(job.Image.HeapBase)
+		res.Stdout[r] = rk.io.stdout
+		res.Stderr[r] = rk.io.appendSignalBanner(rk.out.Trap)
 	}
 	if job.RecordTapes {
 		res.Tapes = make([]mpi.Tape, job.Size)
@@ -364,10 +362,25 @@ func Run(job Job) *Result {
 			res.Tapes[r] = world.Proc(r).Tape()
 		}
 	}
-	if job.Metrics != nil {
-		recordJobMetrics(job.Metrics, res)
+	if reg := job.Metrics; reg != nil {
+		recordJobMetrics(reg, res, switches, world.QueuePeak())
 	}
 	return res
+}
+
+// result collects the rank's terminal state.
+func (rk *rank) result(heapBase uint32) RankResult {
+	m := rk.m
+	return RankResult{
+		Trap:         rk.out.Trap,
+		Reason:       rk.out.Reason,
+		Instrs:       m.Instrs,
+		MinSP:        m.MinSP,
+		HeapPeakUser: m.Heap.PeakUser,
+		HeapPeakMPI:  m.Heap.PeakMPI,
+		HeapUsed:     m.Heap.Brk() - heapBase,
+		Stats:        rk.proc.Stats,
+	}
 }
 
 // newRank builds live rank r — its machine, from the image or from the
@@ -399,11 +412,12 @@ func (job *Job) newRank(r int, proc *mpi.Proc, files *fileStore) (*vm.Machine, *
 }
 
 // recordJobMetrics aggregates a finished job into the registry.  It
-// runs once per job, after every rank goroutine has joined, so it reads
-// the terminal state without synchronization concerns and costs nothing
-// on the execution path the paper's timings depend on.
-func recordJobMetrics(reg *telemetry.Registry, res *Result) {
+// runs once per job, after every rank has ended, and costs nothing on
+// the execution path the paper's timings depend on.
+func recordJobMetrics(reg *telemetry.Registry, res *Result, switches uint64, queuePeak int) {
 	reg.Counter(telemetry.MetricJobs).Inc()
+	reg.Counter(telemetry.MetricSchedSwitches).Add(switches)
+	reg.Gauge(telemetry.MetricQueueDepthPeak).SetMax(int64(queuePeak))
 	var instrs, ctrl, data, hdr, payload uint64
 	for r := range res.Ranks {
 		rr := &res.Ranks[r]

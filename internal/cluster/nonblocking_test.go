@@ -3,14 +3,12 @@ package cluster
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"mpifault/internal/abi"
 	"mpifault/internal/asm"
 	"mpifault/internal/guest"
 	"mpifault/internal/image"
 	"mpifault/internal/isa"
-	"mpifault/internal/progress"
 	"mpifault/internal/vm"
 )
 
@@ -232,58 +230,6 @@ func TestCommDup(t *testing.T) {
 	mustExitClean(t, res)
 	if got := string(res.Stdout[0]); got != "41" {
 		t.Fatalf("rank 0 printed %q, want 41 (sum=4, handle differs)", got)
-	}
-}
-
-// TestProgressDetectorCatchesLivelock: a guest that spins forever after
-// some healthy communication shows steady message progress, then none.
-// With the deadlock detector disabled (the spinning rank is Running, so
-// it would never fire anyway), the §7 progress metric must catch it well
-// before the wall clock.
-func TestProgressDetectorCatchesLivelock(t *testing.T) {
-	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
-		m.BSS("buf", 4)
-		m.BSS("sum", 4)
-		m.BSS("myrank", 4)
-		f.CallArgs("MPI_Init")
-		f.CallArgs("MPI_Comm_rank", asm.Imm(abi.CommWorld))
-		f.StSym("myrank", 0, isa.R0)
-		// Healthy phase: a number of allreduces generating steady traffic.
-		f.Movi(isa.R4, 0)
-		loop, done := f.NewLabel(), f.NewLabel()
-		f.Label(loop)
-		f.Cmpi(isa.R4, 200)
-		f.Bge(done)
-		f.Push(isa.R4)
-		f.CallArgs("MPI_Allreduce", asm.Sym("buf"), asm.Sym("sum"),
-			asm.Imm(1), asm.Imm(abi.DTInt32), asm.Imm(abi.OpSum), asm.Imm(abi.CommWorld))
-		f.Pop(isa.R4)
-		f.Addi(isa.R4, isa.R4, 1)
-		f.Jmp(loop)
-		f.Label(done)
-		// Rank 1 livelocks; the rest block in a barrier.
-		f.LdSym(isa.R0, "myrank", 0)
-		f.Cmpi(isa.R0, 1)
-		spinNot := f.NewLabel()
-		f.Bne(spinNot)
-		spin := f.NewLabel()
-		f.Label(spin)
-		f.Jmp(spin)
-		f.Label(spinNot)
-		f.CallArgs("MPI_Barrier", asm.Imm(abi.CommWorld))
-		f.CallArgs("MPI_Finalize")
-	})
-	res := Run(Job{
-		Image: im, Size: 4,
-		WallLimit:               20 * time.Second,
-		DisableDeadlockDetector: true,
-		ProgressDetector:        &progress.Config{},
-	})
-	if !res.HangDetected {
-		t.Fatal("livelock not detected")
-	}
-	if res.HangCause != "progress metric collapse" {
-		t.Fatalf("cause = %q", res.HangCause)
 	}
 }
 

@@ -28,7 +28,7 @@ type SoloResult struct {
 // RunSolo executes rank alone, on the caller's goroutine, with tape —
 // that rank's recording from the run job.Restore was captured in, or from
 // any recorded run of the job when starting at t=0 — standing in for every
-// other rank: no peer machines, goroutines, inboxes or watchdog.  Of the
+// other rank: no peer machines, coroutines, queues or scheduler.  Of the
 // job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer,
 // DisableSuperblocks and Metrics.
 func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"mpifault/internal/abi"
 	"mpifault/internal/mpi"
@@ -13,16 +12,13 @@ import (
 )
 
 // fileStore collects named output files.  All three workloads write their
-// results from rank 0, but the store is safe for any writer.
+// results from rank 0, but any rank may: one executes at a time.
 type fileStore struct {
-	mu    sync.Mutex
 	files map[string][]byte
 	names []string // fd - FdFileBase -> name
 }
 
 func (fs *fileStore) open(name string) int32 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.names = append(fs.names, name)
 	if _, ok := fs.files[name]; !ok {
 		fs.files[name] = nil
@@ -31,8 +27,6 @@ func (fs *fileStore) open(name string) int32 {
 }
 
 func (fs *fileStore) write(fd int32, b []byte) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	i := int(fd - abi.FdFileBase)
 	if i < 0 || i >= len(fs.names) {
 		return false

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +294,79 @@ func TestWorkerRestoresFromSecondLease(t *testing.T) {
 	}
 	if !bytes.Equal(csv, want) {
 		t.Fatalf("cluster CSV differs from single-process run:\n--- cluster\n%s--- single\n%s", csv, want)
+	}
+}
+
+// TestDuplicateMessageResultsAgree: two workers that run the same Message
+// lease — one from t=0 on one host thread, the thief restoring from
+// checkpoints on eight, each against its own golden run — upload records
+// that pass report.SameOutcome, protocol traps' pcs included.  Before the
+// scheduler a protocol trap named the MPI call that happened to pull the
+// corrupted packet in that worker's run, and a duplicate could fail the
+// campaign.
+func TestDuplicateMessageResultsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test is slow")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	a, err := apps.Get("minicam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := a.Build(a.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const injections, seed = 64, 7
+	cfg := core.Config{
+		Image: im, Ranks: a.Default.Ranks, Injections: injections, Seed: seed,
+		Regions: []core.Region{core.RegionMessage}, KeepExperiments: true,
+	}
+	header := report.CampaignHeader("minicam", cfg)
+
+	clk := newFakeClock()
+	co := New(Config{Metrics: telemetry.New(), Now: clk.Now})
+	if err := co.Submit(Spec{
+		App: "minicam", Injections: injections, Seed: seed, Regions: []string{"message"},
+		LeaseSize: injections, LeaseTTLMillis: 1_000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	protocolTraps := 0
+	for gen, w := range []struct {
+		name     string
+		procs    int
+		interval uint64
+	}{{"w1", 1, 0}, {"w2", 8, core.DefaultCheckpointInterval}} {
+		g, ok, err := co.Acquire(w.name)
+		if err != nil || !ok || g.Gen != gen+1 || len(g.Entries) != injections {
+			t.Fatalf("%s acquire: %+v ok=%v err=%v", w.name, g, ok, err)
+		}
+		runtime.GOMAXPROCS(w.procs)
+		run := cfg
+		run.CheckpointInterval = w.interval
+		res, err := core.Run(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Experiments {
+			if strings.Contains(e.Detail, "protocol failure") {
+				protocolTraps++
+			}
+		}
+		mustAppend(t, co, g, w.name, 0, segmentBytes(t, header, res.Experiments))
+		if gen == 0 {
+			clk.Advance(2 * time.Second) // w1 dies without completing
+			continue
+		}
+		if err := co.Complete(g.Lease, g.Gen, w.name); err != nil {
+			t.Fatalf("the thief's duplicates were refused: %v", err)
+		}
+	}
+	if st := co.Status(); st.State != "complete" || st.Duplicates != injections {
+		t.Fatalf("final status %+v", st)
+	}
+	if protocolTraps < 2 {
+		t.Fatalf("%d protocol traps in two runs: the campaign does not exercise the pc that used to differ", protocolTraps)
 	}
 }

@@ -452,8 +452,8 @@ func Run(cfg Config) (*Result, error) {
 		cctx.ckpts = golden.checkpoints(&cfg, met)
 	}
 	if !cfg.Forensics && !cfg.TraceDiff {
-		// The tape the snapshots came from: the two recorded runs may have
-		// pulled their packets in different orders.
+		// The tape the snapshots came from: the capture pass pauses ranks
+		// where the golden run does not, so it is scheduled differently.
 		cctx.tapes = golden.tapes
 		if cctx.ckpts != nil {
 			cctx.tapes = cctx.ckpts.tapes
@@ -747,8 +747,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	}
 
 	var (
-		mi         MessageInjector // read once the run that used it is joined
-		descMu     sync.Mutex
+		mi         MessageInjector // read once the run that used it has returned
 		applied    string
 		candidates int
 		classID    uint64
@@ -817,9 +816,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				case RegionStack:
 					d = ApplyStackFault(m, faultRng)
 				}
-				descMu.Lock()
 				applied, candidates, classID, benignBits = d, cand, cls, benign
-				descMu.Unlock()
 			}
 		}
 	}
@@ -868,11 +865,9 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	if e.Region == RegionMessage {
 		_, e.Desc = mi.Report()
 	} else {
-		descMu.Lock()
 		e.Desc = applied
 		e.Candidates = candidates
 		e.ClassID = classID
 		e.BenignBits = benignBits
-		descMu.Unlock()
 	}
 }

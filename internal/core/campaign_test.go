@@ -140,10 +140,6 @@ func TestShardedCampaignEqualsFull(t *testing.T) {
 				t.Errorf("seed %d K=%d: experiment %s missing from shards", tc.seed, tc.k, want.ID())
 				continue
 			}
-			// Detail describes kill/exit races among non-faulted ranks and
-			// is informational only; everything that feeds the tables must
-			// be identical regardless of which shard ran the experiment.
-			got.Detail, want.Detail = "", ""
 			if got != want {
 				t.Errorf("seed %d K=%d: experiment %s differs:\nshard: %+v\nfull:  %+v",
 					tc.seed, tc.k, want.ID(), got, want)
@@ -221,7 +217,6 @@ func TestEntriesAndGoldenReuse(t *testing.T) {
 	}
 	for _, want := range full.Experiments {
 		got := merged[want.ID()]
-		got.Detail, want.Detail = "", ""
 		if got != want {
 			t.Errorf("experiment %s differs under Entries+Golden:\nlease: %+v\nfull:  %+v",
 				want.ID(), got, want)

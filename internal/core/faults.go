@@ -307,8 +307,7 @@ func ApplyStackFault(m *vm.Machine, r *rng.Rand) string {
 // rank receives (§3.3), named by where it sits in the job rather than by
 // when it arrived: byte Offset of everything rank Sender sends the rank
 // (campaignCtx.messageTarget).  Install its Hook as the rank's RecvHook.
-// The Hook runs on the goroutine executing the rank; read the Report once
-// that run is joined.
+// Read the Report once the run has returned.
 type MessageInjector struct {
 	Sender int    // the rank whose packets are counted
 	Offset uint64 // byte to corrupt, counted over Sender's packets only

@@ -125,7 +125,7 @@ func TestAdaptiveCheckpointDifferential(t *testing.T) {
 
 			// A message fault is addressed by sender and offset in that
 			// sender's stream, so a restored experiment corrupts the byte
-			// the one from t=0 does (Detail aside: see sameExperiment).
+			// the one from t=0 does, and ends at the same pc.
 			msg := []core.Region{core.RegionMessage}
 			offCSV, _, off, _ := adaptiveArtifacts(t, app, msg, 0.15, 0)
 			onCSV, _, on, _ := adaptiveArtifacts(t, app, msg, 0.15, core.DefaultCheckpointInterval)
@@ -139,7 +139,7 @@ func TestAdaptiveCheckpointDifferential(t *testing.T) {
 				t.Fatalf("%d message experiments restored, %d from t=0", len(on.Experiments), len(off.Experiments))
 			}
 			for i, e := range on.Experiments {
-				if f := off.Experiments[i]; !sameExperiment(e, f) {
+				if f := off.Experiments[i]; !report.SameOutcome(e, f) {
 					t.Errorf("%s restored %+v\nfrom t=0 %+v", e.ID(), e, f)
 				}
 			}

@@ -12,9 +12,8 @@ import (
 
 // TestMessageTargetsReproducible: a message experiment names a byte of the
 // job, not of one run of it.  Five campaigns per configuration, each from
-// its own golden run and checkpoint capture — whose ranks pull their
-// packets in whatever order the host delivers them — on one, two and eight
-// host threads must inject into the same rank at the same trigger, flip
+// its own golden run and checkpoint capture, on one, two and eight host
+// threads, must inject into the same rank at the same trigger, flip
 // the same byte of the same packet, and print the same CSV.
 func TestMessageTargetsReproducible(t *testing.T) {
 	if testing.Short() {

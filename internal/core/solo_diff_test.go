@@ -10,24 +10,13 @@ import (
 	"mpifault/internal/report"
 )
 
-// sameExperiment is report.SameOutcome, except that a Message experiment's
-// Detail is not compared.  A protocol trap's Detail carries the pc of the
-// MPI call that happened to pull the corrupted packet, and which call
-// pulls a packet the rank is not yet waiting for depends on arrival
-// order: the solo arm pulls in the recorded run's order, a whole job in
-// its own (ROADMAP item 1A).
-func sameExperiment(a, b core.Experiment) bool {
-	if a.Region == core.RegionMessage {
-		a.Detail, b.Detail = "", ""
-	}
-	return report.SameOutcome(a, b)
-}
-
 // TestSoloDifferential is the soundness gate of solo-rank replay: on every
 // app and in all eight regions, every experiment decided on the injected
 // rank alone — and every one re-run after a departure — must be the
 // experiment the whole job produces; for a message fault that includes
-// both arms corrupting the same byte of the same sender's stream.
+// both arms corrupting the same byte of the same sender's stream, and a
+// protocol trap naming the same pc: the MPI call that pulls the corrupted
+// packet is the same in the recorded run and in every whole job.
 func TestSoloDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign differential is slow")
@@ -46,7 +35,7 @@ func TestSoloDifferential(t *testing.T) {
 				t.Fatalf("%d solo-first and %d whole-job experiments", len(solo.Experiments), len(whole.Experiments))
 			}
 			for i, e := range solo.Experiments {
-				if !sameExperiment(e, whole.Experiments[i]) {
+				if !report.SameOutcome(e, whole.Experiments[i]) {
 					t.Errorf("%s:\nsolo first %+v\nwhole job  %+v", e.ID(), e, whole.Experiments[i])
 				}
 			}
@@ -89,7 +78,7 @@ func TestSoloOneRankWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range solo.Experiments {
-		if !sameExperiment(e, whole.Experiments[i]) {
+		if !report.SameOutcome(e, whole.Experiments[i]) {
 			t.Errorf("%s:\nsolo first %+v\nwhole job  %+v", e.ID(), e, whole.Experiments[i])
 		}
 		if e.Region == core.RegionMessage && (e.Desc != "no traffic" || e.Outcome != classify.Correct) {

@@ -72,7 +72,8 @@ func (p *Proc) registerComm(ctx int32, group []int32, myRank int32) int32 {
 // other ranks allocated before, so it is a tape input.
 func (p *Proc) allocCtx(n int32, m *vm.Machine) (int32, *vm.Trap) {
 	return p.TapeInput(m, TapeCtx, n, nil, func() int32 {
-		return int32(p.w.ctxCounter.Add(int64(n))) - n + ctxDynamicBase
+		p.w.ctxCounter += int64(n)
+		return int32(p.w.ctxCounter) - n + ctxDynamicBase
 	})
 }
 

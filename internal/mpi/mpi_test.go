@@ -229,62 +229,71 @@ func TestInternalContextDistinct(t *testing.T) {
 	}
 }
 
-func TestDeadlockedAndStalled(t *testing.T) {
-	w := NewWorld(2, Config{})
-	if w.Deadlocked() || w.Stalled() {
-		t.Fatal("fresh world must not report deadlock")
-	}
-	w.procs[0].setState(StateBlocked)
-	w.procs[1].setState(StateBlocked)
-	if !w.Deadlocked() || !w.Stalled() {
-		t.Fatal("all-blocked world must report deadlock")
-	}
-	w.inflight.Add(1)
-	if w.Deadlocked() {
-		t.Fatal("in-flight packet must veto Deadlocked")
-	}
-	if !w.Stalled() {
-		t.Fatal("Stalled must ignore in-flight packets")
-	}
-	w.procs[1].setState(StateFinished)
-	if !w.Stalled() {
-		t.Fatal("finished ranks do not veto a stall")
-	}
-	w.procs[0].setState(StateFinished)
-	if w.Stalled() {
-		t.Fatal("no blocked rank left: not a stall")
-	}
-}
+// TestSchedulingPoints drives two ranks by hand through every way a rank
+// suspends inside the runtime, checking what Runnable says at each.
+func TestSchedulingPoints(t *testing.T) {
+	w := NewWorld(2, Config{QueueDepth: 1})
+	p0, p1 := w.procs[0], w.procs[1]
+	m := &vm.Machine{}
+	var got [][]byte
+	var sendTrap, recvTrap *vm.Trap
+	p0.Start(func() {
+		for _, b := range []byte{1, 2, 3} {
+			if sendTrap = p0.deliver(1, []byte{b}, m); sendTrap != nil {
+				return
+			}
+		}
+	})
+	p1.Start(func() {
+		for {
+			raw, tr := p1.receive(m)
+			if recvTrap = tr; tr != nil {
+				return
+			}
+			got = append(got, raw)
+		}
+	})
 
-func TestStuck(t *testing.T) {
-	w := NewWorld(2, Config{})
-	if w.Stuck() {
-		t.Fatal("fresh world must not be stuck")
+	if !p1.Resume() || p1.Runnable() {
+		t.Fatal("a pull on an empty queue must suspend the rank until a packet is queued")
 	}
-	w.procs[0].setState(StateBlocked)
-	w.procs[1].setState(StateBlocked)
-	if !w.Stuck() {
-		t.Fatal("all blocked, nothing in flight: stuck (== deadlocked)")
+	if !p0.Resume() || !p0.Runnable() || !p1.Runnable() {
+		t.Fatal("a send suspends after the enqueue, waiting for nothing, and wakes the receiver")
+	}
+	if !p0.Resume() || p0.Runnable() {
+		t.Fatal("a send into a full queue must suspend the rank until there is room")
+	}
+	if !p1.Resume() || len(got) != 1 || !p0.Runnable() {
+		t.Fatalf("the receiver pulled %d packets; the sender must be runnable again", len(got))
+	}
+	for i := 0; i < 4; i++ {
+		p0.Resume()
+		p1.Resume()
+	}
+	if p0.Resume() || sendTrap != nil {
+		t.Fatalf("the sender did not end cleanly: %v", sendTrap)
+	}
+	if len(got) != 3 || got[0][0] != 1 || got[1][0] != 2 || got[2][0] != 3 {
+		t.Fatalf("pulled %v, want the three packets in FIFO order", got)
+	}
+	if w.QueuePeak() != 1 {
+		t.Errorf("queue peak %d, want 1", w.QueuePeak())
+	}
+	if p1.Runnable() {
+		t.Fatal("the receiver waits on an empty queue again")
+	}
+	p1.Kill()
+	if recvTrap == nil || recvTrap.Kind != vm.TrapKilled || p1.Resume() {
+		t.Fatalf("killing a suspended rank must fail its pull with a kill, got %v", recvTrap)
 	}
 
-	// A packet queued at a live blocked rank is a scheduling gap, not a
-	// hang: rank 1 will drain its queue whenever it next runs.
-	w.inflight.Add(1)
-	w.procs[1].in <- []byte{0}
-	if w.Stuck() {
-		t.Fatal("packet at a live blocked rank must not count as stuck")
-	}
-
-	// The same packet parked at a finished rank can never be pulled.
-	w.procs[1].setState(StateFinished)
-	if !w.Stuck() {
-		t.Fatal("packet at a finished rank is permanently stuck")
-	}
-
-	// Any running rank vetoes the verdict entirely.
-	w.procs[0].setState(StateRunning)
-	if w.Stuck() {
-		t.Fatal("a running rank must veto stuck")
+	// A rank that was never resumed never runs.
+	ran := false
+	p := NewWorld(1, Config{}).procs[0]
+	p.Start(func() { ran = true })
+	p.Kill()
+	if p.Resume() || ran {
+		t.Fatal("a rank killed before its first resume ran")
 	}
 }
 

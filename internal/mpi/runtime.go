@@ -1,9 +1,6 @@
 package mpi
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"mpifault/internal/abi"
 	"mpifault/internal/vm"
 )
@@ -26,71 +23,31 @@ func (c *Config) fill() {
 	}
 }
 
-// Rank execution states observed by the deadlock detector.
-const (
-	StateRunning int32 = iota
-	StateBlocked
-	StateFinished
-)
-
-// World is one MPI job: size ranks and their Channel-level plumbing.
+// World is one MPI job: size ranks and their Channel-level plumbing.  A
+// world is single-threaded: its ranks are coroutines (sched.go) of which
+// exactly one executes at a time, so nothing here is locked or atomic.
 type World struct {
 	Size int
 	cfg  Config
 
 	procs []*Proc
 
-	kill     chan struct{}
-	killOnce sync.Once
-
-	// progress increments on every Channel-level delivery and every rank
-	// state change; the deadlock detector watches it.
-	progress atomic.Uint64
-	inflight atomic.Int64
+	// queued counts the packets parked in all Channel queues; queuePeak
+	// is its high-water mark.
+	queued, queuePeak int
 
 	// ctxCounter allocates wire context ids for new communicators.
-	ctxCounter atomic.Int64
-
-	// transport, when non-nil, carries Channel packets over an external
-	// medium instead of the in-process queues.
-	transport Transport
-}
-
-// SetTransport attaches an external Channel transport.  Call before any
-// rank starts executing.  The world does not own the transport; the
-// caller must Close it after the job.
-func (w *World) SetTransport(t Transport) { w.transport = t }
-
-// inboxPools recycles drained inbox channels, one sync.Pool per capacity
-// (restored worlds add snapshot-specific headroom to QueueDepth).  An
-// inbox buffer is QueueDepth x 24 bytes of pointer-bearing memory — 96 KiB
-// per rank at the default depth — which a campaign would otherwise
-// allocate, clear and have the collector scan for every rank of every
-// job, although a job rarely queues more than a handful of packets.
-var inboxPools sync.Map // int -> *sync.Pool of chan []byte
-
-func inboxPool(depth int) *sync.Pool {
-	p, ok := inboxPools.Load(depth)
-	if !ok {
-		p, _ = inboxPools.LoadOrStore(depth, new(sync.Pool))
-	}
-	return p.(*sync.Pool)
+	ctxCounter int64
 }
 
 // NewWorld creates the runtime for size ranks.
 func NewWorld(size int, cfg Config) *World {
 	cfg.fill()
-	w := &World{Size: size, cfg: cfg, kill: make(chan struct{})}
-	pool := inboxPool(cfg.QueueDepth)
+	w := &World{Size: size, cfg: cfg}
 	for r := 0; r < size; r++ {
-		in, _ := pool.Get().(chan []byte)
-		if in == nil {
-			in = make(chan []byte, cfg.QueueDepth)
-		}
 		p := &Proc{
 			w:        w,
 			rank:     r,
-			in:       in,
 			requests: make(map[int32]*Request),
 		}
 		p.initComms()
@@ -99,33 +56,22 @@ func NewWorld(size int, cfg Config) *World {
 	return w
 }
 
-// Release hands the world's inboxes to later worlds, dropping any packet
-// nobody pulled.  Call it once the job is over and every goroutine that
-// uses the world — ranks and watchers — has been joined; the world must
-// not send or receive afterwards.  Nothing a late reader of QueueDepth or
-// Stuck looks at is written.  A world on an external transport keeps its
-// inboxes: the transport's readers may still be sending into them.
-func (w *World) Release() {
-	if w.transport != nil {
-		return
-	}
-	pool := inboxPool(w.cfg.QueueDepth)
-	for _, p := range w.procs {
-		for len(p.in) > 0 {
-			<-p.in
-		}
-		pool.Put(p.in)
-	}
-}
-
-// Proc is the per-rank runtime state.  All fields except the inbound
-// channel are owned by the rank's own goroutine.
+// Proc is the per-rank runtime state.
 type Proc struct {
 	w    *World
 	rank int
-	in   chan []byte
 
-	state atomic.Int32
+	// queue[qhead:] is the rank's Channel queue: raw packets in the order
+	// the schedule enqueued them.
+	queue [][]byte
+	qhead int
+
+	// The rank's coroutine and what it is suspended on (sched.go).
+	resume  func() (struct{}, bool)
+	cancel  func()
+	suspend func(struct{}) bool
+	waits   waitKind
+	waitDst *Proc
 
 	// unexpected holds arrived-but-unmatched packets; payloads of eager
 	// data packets are buffered in guest-heap chunks tagged ChunkMPI, as
@@ -161,9 +107,8 @@ type Proc struct {
 	// CommHook it fires for collectives too, carries the payload bytes
 	// (CommOp.Data) and the retired-instruction stamp, and emits receive
 	// events at completion with the *matched* envelope rather than at
-	// post time with wildcards.  Every event fires on the rank's own
-	// goroutine in program order, so the stream is deterministic for a
-	// deterministic guest.
+	// post time with wildcards.  Every event fires in the rank's program
+	// order, so the stream is deterministic for a deterministic guest.
 	TraceHook func(CommOp)
 
 	Stats Stats
@@ -194,132 +139,43 @@ type stored struct {
 // Proc returns the per-rank runtime state.
 func (w *World) Proc(r int) *Proc { return w.procs[r] }
 
-// Kill terminates all blocking operations in the job.  Safe to call from
-// any goroutine, multiple times.
-func (w *World) Kill() {
-	w.killOnce.Do(func() { close(w.kill) })
-}
-
-// Progress returns the global progress counter (deliveries+state changes).
-func (w *World) Progress() uint64 { return w.progress.Load() }
-
-// Inflight returns the number of packets enqueued but not yet pulled.
-func (w *World) Inflight() int64 { return w.inflight.Load() }
-
-// QueueDepth returns the number of packets currently parked in rank r's
-// Channel queue — the telemetry layer samples it for the queue-depth
-// high-water mark.  Reading a channel's length is racy by nature; the
-// value is a monitoring sample, not a synchronization primitive.
-func (w *World) QueueDepth(r int) int { return len(w.procs[r].in) }
-
-// RankState returns the execution state of rank r.
-func (w *World) RankState(r int) int32 { return w.procs[r].state.Load() }
-
-// Deadlocked reports whether every unfinished rank is blocked inside the
-// runtime with no packet in flight — a certain distributed deadlock,
-// since this MPI has no timers.  It is the fast path of the paper's hang
-// detection (their fallback was "one minute beyond the expected execution
-// completion time", which we also keep at the cluster level).
-func (w *World) Deadlocked() bool {
-	return w.inflight.Load() == 0 && w.Stalled()
-}
-
-// Stalled reports whether no rank is currently executing and at least one
-// is blocked in the runtime.  Unlike Deadlocked it ignores in-flight
-// packets: a packet can be parked forever in the queue of a rank that
-// already exited (e.g. after a corrupted destination field misroutes a
-// message), which stalls the job without ever reaching inflight == 0.
-// The watchdog confirms a stall across consecutive quiet ticks — any
-// genuine wake-up bumps the progress counter — before declaring a hang.
-func (w *World) Stalled() bool {
-	sawBlocked := false
-	for _, p := range w.procs {
-		switch p.state.Load() {
-		case StateRunning:
-			return false
-		case StateBlocked:
-			sawBlocked = true
-		}
-	}
-	return sawBlocked
-}
-
-// Stuck reports whether a stall with packets still in flight is provably
-// permanent: every queued packet is parked at a rank that has already
-// finished, so nothing will ever pull it.  A packet queued at a live
-// blocked rank does NOT count — pull drains the queue whenever that rank
-// next gets CPU, so that shape is only a scheduling gap, however long the
-// scheduler leaves the rank off-core.  This distinction is what keeps the
-// watchdog's in-flight hang verdict load-independent: fixed-seed campaign
-// output must be byte-identical no matter how slowly the host schedules
-// goroutines.  With an external transport, packets can sit in socket
-// buffers outside any inspectable queue, so Stuck stays conservatively
-// false and the wall-clock limit is the fallback there.
-func (w *World) Stuck() bool {
-	if !w.Stalled() {
-		return false
-	}
-	if w.inflight.Load() == 0 {
-		return true
-	}
-	if w.transport != nil {
-		return false
-	}
-	for _, p := range w.procs {
-		if len(p.in) > 0 && p.state.Load() != StateFinished {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *Proc) setState(s int32) {
-	p.state.Store(s)
-	p.w.progress.Add(1)
-}
-
-// MarkFinished records the rank as done for the deadlock detector.
-func (p *Proc) MarkFinished() { p.setState(StateFinished) }
+// QueuePeak returns the most packets that were ever parked in the world's
+// Channel queues at once, counted exactly at each enqueue.
+func (w *World) QueuePeak() int { return w.queuePeak }
 
 // killedTrap is returned from blocking points when the job is torn down.
 func killedTrap(m *vm.Machine) *vm.Trap {
 	return &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "job terminated"}
 }
 
-// deliver enqueues raw bytes to dst's Channel queue, directly or over
-// the configured external transport.  A replaying rank has no peers to
-// deliver to: the packet is checked against its tape instead.
+// deliver enqueues raw bytes to dst's Channel queue, waiting while it is
+// full, and then lets the scheduler run whichever rank is now earliest.
+// A replaying rank has no peers to deliver to: the packet is checked
+// against its tape instead.
 func (p *Proc) deliver(dst int32, raw []byte, m *vm.Machine) *vm.Trap {
 	if live, t := p.TapeOutput(m, TapeSend, dst, raw); !live {
 		return t
 	}
-	if tr := p.w.transport; tr != nil {
-		if err := tr.Send(p.rank, int(dst), raw); err != nil {
-			return &vm.Trap{Kind: vm.TrapMPIFatal, PC: m.PC,
-				Msg: "transport send failure: " + err.Error()}
+	q := p.w.procs[dst]
+	for q.queued() >= p.w.cfg.QueueDepth {
+		if !p.yield(waitSend, q) {
+			return killedTrap(m)
 		}
-		return nil
 	}
-	q := p.w.procs[dst].in
-	p.w.inflight.Add(1)
-	// Enqueueing counts as progress: the stall detector must not mistake
-	// the scheduling gap between an enqueue and the receiver's wakeup for
-	// a deadlock.
-	p.w.progress.Add(1)
-	select {
-	case q <- raw:
-		return nil
-	default:
-	}
-	// Queue full: block, but stay visible to the deadlock detector.
-	p.setState(StateBlocked)
-	defer p.setState(StateRunning)
-	select {
-	case q <- raw:
-		return nil
-	case <-p.w.kill:
-		p.w.inflight.Add(-1)
+	q.enqueue(raw)
+	if !p.yield(waitNone, nil) {
 		return killedTrap(m)
+	}
+	return nil
+}
+
+func (p *Proc) queued() int { return len(p.queue) - p.qhead }
+
+func (p *Proc) enqueue(raw []byte) {
+	p.queue = append(p.queue, raw)
+	w := p.w
+	if w.queued++; w.queued > w.queuePeak {
+		w.queuePeak = w.queued
 	}
 }
 
@@ -339,21 +195,17 @@ func (p *Proc) receive(m *vm.Machine) ([]byte, *vm.Trap) {
 		}
 		return append([]byte(nil), ev.Data...), nil
 	}
-	var raw []byte
-	select {
-	case raw = <-p.in:
-	default:
-		p.setState(StateBlocked)
-		select {
-		case raw = <-p.in:
-			p.setState(StateRunning)
-		case <-p.w.kill:
-			p.setState(StateRunning)
+	for p.queued() == 0 {
+		if !p.yield(waitRecv, nil) {
 			return nil, killedTrap(m)
 		}
 	}
-	p.w.inflight.Add(-1)
-	p.w.progress.Add(1)
+	raw := p.queue[p.qhead]
+	p.queue[p.qhead] = nil
+	if p.qhead++; p.qhead == len(p.queue) {
+		p.queue, p.qhead = p.queue[:0], 0
+	}
+	p.w.queued--
 	if p.tapeMode == tapeRecord {
 		p.record(m, TapeRecv, 0, 0, raw)
 	}

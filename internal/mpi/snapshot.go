@@ -5,27 +5,21 @@ import "sort"
 // This file is the MPI half of cluster checkpointing: ProcSnapshot
 // captures one rank's complete runtime state (unexpected queue, request
 // table, pending operations, communicators, counters, traffic stats) so a
-// later job can resume the rank mid-stream.  It is not compatible with an
-// external Transport: a snapshot cannot capture bytes buffered in an
-// external medium.
+// later job can resume the rank mid-stream.
 
 // CtxCounter returns the world's communicator-context allocation counter.
-func (w *World) CtxCounter() int64 { return w.ctxCounter.Load() }
+func (w *World) CtxCounter() int64 { return w.ctxCounter }
 
 // SetCtxCounter restores the context allocation counter from a snapshot.
-func (w *World) SetCtxCounter(v int64) { w.ctxCounter.Store(v) }
+func (w *World) SetCtxCounter(v int64) { w.ctxCounter = v }
 
 // DrainQueue returns copies of the raw packets parked in rank r's Channel
-// queue, in FIFO order, leaving the queue intact.  The world must be
-// quiescent (every rank parked or finished).
+// queue, in FIFO order, leaving the queue intact.
 func (w *World) DrainQueue(r int) [][]byte {
 	p := w.procs[r]
-	n := len(p.in)
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		raw := <-p.in
+	out := make([][]byte, 0, p.queued())
+	for _, raw := range p.queue[p.qhead:] {
 		out = append(out, append([]byte(nil), raw...))
-		p.in <- raw
 	}
 	return out
 }
@@ -33,13 +27,12 @@ func (w *World) DrainQueue(r int) [][]byte {
 // Prefill enqueues snapshot packets into rank r's Channel queue before
 // the job starts.  Each packet is deep-copied: receive-side injection
 // hooks mutate raw bytes in place, and concurrent jobs restored from one
-// snapshot must never alias each other's queue contents.  The world's
-// QueueDepth must have headroom for the prefill (Config.WithQueueHeadroom).
+// snapshot must never alias each other's queue contents.  Give the world
+// headroom for them (Config.WithQueueHeadroom), or a sender finds the
+// queue full where the recorded run did not.
 func (w *World) Prefill(r int, raws [][]byte) {
-	p := w.procs[r]
 	for _, raw := range raws {
-		w.inflight.Add(1)
-		p.in <- append([]byte(nil), raw...)
+		w.procs[r].enqueue(append([]byte(nil), raw...))
 	}
 }
 
@@ -113,8 +106,7 @@ func copyPacket(p *Packet) Packet {
 	return cp
 }
 
-// Snapshot captures the rank's runtime state.  The rank's goroutine must
-// be quiescent.
+// Snapshot captures the rank's runtime state.
 func (p *Proc) Snapshot() *ProcSnapshot {
 	ps := &ProcSnapshot{
 		nextSeq:      p.nextSeq,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -156,11 +155,8 @@ func TestCausalityEqualsPairingByHand(t *testing.T) {
 	const ranks, barriers = 4, 5
 	w := NewWorld(ranks, Config{})
 	w.RecordTapes()
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
+	for _, p := range w.procs {
+		p.Start(func() {
 			m := &vm.Machine{}
 			for i := 0; i < barriers; i++ {
 				m.Instrs += uint64(100 + 10*p.rank) // ranks tick at different rates
@@ -169,14 +165,21 @@ func TestCausalityEqualsPairingByHand(t *testing.T) {
 					return
 				}
 			}
-		}(w.Proc(r))
+		})
 	}
-	wg.Wait()
+	// Round robin is a schedule too; barriers cannot deadlock under any.
+	for live := ranks; live > 0; {
+		live = 0
+		for _, p := range w.procs {
+			if p.Runnable() && p.Resume() {
+				live++
+			}
+		}
+	}
 	tapes := make([]Tape, ranks)
 	for r := range tapes {
 		tapes[r] = w.Proc(r).Tape()
 	}
-	w.Release()
 
 	var want []Event
 	for d, tape := range tapes {

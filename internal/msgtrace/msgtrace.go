@@ -102,8 +102,8 @@ func (t *Trace) Hash() uint64 {
 }
 
 // Recorder captures a Trace from a live world.  Each rank appends only
-// to its own stream and TraceHook fires on the rank's own goroutine, so
-// recording is race-free without locks.
+// to its own stream, and a world runs one rank at a time, so recording
+// needs no locks.
 type Recorder struct {
 	ranks [][]Digest
 }

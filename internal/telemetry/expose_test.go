@@ -31,11 +31,15 @@ func goldenRegistry() *Registry {
 	reg.Counter(SoloMetric("correct")).Add(6)
 	reg.Counter(SoloMetric("fallback")).Inc()
 	reg.Counter(MetricSoloInstrs).Add(123456)
+	reg.Counter(MetricSchedSwitches).Add(789)
+	reg.Gauge(MetricQueueDepthPeak).SetMax(12)
 	return reg
 }
 
 const goldenPrometheus = `# TYPE mpifault_experiments_finished_total counter
 mpifault_experiments_finished_total 3
+# TYPE mpifault_sched_switches_total counter
+mpifault_sched_switches_total 789
 # TYPE mpifault_solo_experiments_total counter
 mpifault_solo_experiments_total{verdict="correct"} 6
 mpifault_solo_experiments_total{verdict="fallback"} 1
@@ -52,6 +56,8 @@ mpifault_vm_traps_total{signal="SIGFPE"} 1
 mpifault_vm_traps_total{signal="SIGSEGV"} 2
 # TYPE mpifault_experiments_inflight gauge
 mpifault_experiments_inflight 4
+# TYPE mpifault_mpi_queue_depth_peak gauge
+mpifault_mpi_queue_depth_peak 12
 # TYPE mpifault_crash_latency_instructions histogram
 mpifault_crash_latency_instructions_bucket{le="10"} 1
 mpifault_crash_latency_instructions_bucket{le="100"} 2
@@ -72,6 +78,7 @@ mpifault_trace_divergence_msg_index_count 2
 const goldenJSON = `{
   "counters": {
     "mpifault_experiments_finished_total": 3,
+    "mpifault_sched_switches_total": 789,
     "mpifault_solo_experiments_total{verdict=\"correct\"}": 6,
     "mpifault_solo_experiments_total{verdict=\"fallback\"}": 1,
     "mpifault_solo_instrs_total": 123456,
@@ -82,7 +89,8 @@ const goldenJSON = `{
     "mpifault_vm_traps_total{signal=\"SIGSEGV\"}": 2
   },
   "gauges": {
-    "mpifault_experiments_inflight": 4
+    "mpifault_experiments_inflight": 4,
+    "mpifault_mpi_queue_depth_peak": 12
   },
   "histograms": {
     "mpifault_crash_latency_instructions": {

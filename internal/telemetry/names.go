@@ -55,7 +55,7 @@ const (
 	MetricJobs            = "mpifault_jobs_total"
 	MetricInstrsRetired   = "mpifault_vm_instructions_retired_total"
 	MetricBudgetExhausted = "mpifault_vm_budget_exhausted_total"
-	MetricStallEvents     = "mpifault_cluster_stall_events_total"
+	MetricSchedSwitches   = "mpifault_sched_switches_total"
 	MetricQueueDepthPeak  = "mpifault_mpi_queue_depth_peak"
 	MetricControlMsgs     = "mpifault_mpi_control_messages_total"
 	MetricDataMsgs        = "mpifault_mpi_data_messages_total"
@@ -85,12 +85,6 @@ const (
 	// many strata still miss their CI target (0 = converged).
 	MetricAdaptiveRounds = "mpifault_adaptive_rounds_total"
 	MetricAdaptiveOpen   = "mpifault_adaptive_strata_open"
-
-	// §7 progress-metric detector (internal/progress).
-	MetricProgressRate          = "mpifault_progress_rate"
-	MetricProgressBaseline      = "mpifault_progress_baseline"
-	MetricProgressStalledWins   = "mpifault_progress_stalled_windows"
-	MetricProgressStallVerdicts = "mpifault_progress_stall_verdicts_total"
 )
 
 // outcomeMetricPrefix prefixes the per-outcome experiment counters; the

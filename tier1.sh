@@ -38,6 +38,16 @@ begin "go vet"
 go vet ./...
 end
 
+begin "CHANGES.md cap"
+# One paragraph per PR (ROADMAP item 6): the newest entry, which is the
+# file's last line, is at most 2000 bytes.
+last=$(tail -n 1 CHANGES.md | wc -c)
+if [ "$last" -gt 2000 ]; then
+	echo "the last line of CHANGES.md is $last bytes; the cap is 2000" >&2
+	exit 1
+fi
+end
+
 begin staticcheck
 # Blocking when the pinned binary is available (CI installs it); local
 # machines without it skip rather than fetch anything over the network.
@@ -111,6 +121,19 @@ else
 	go run ./cmd/faultcampaign -app wavetoy -n 8 -seed 7 -regions "$SOLO_REGIONS" -csv -quiet \
 		-trace-diff >"$TRACE_TMP/whole.csv"
 	diff -u "$TRACE_TMP/solo.csv" "$TRACE_TMP/whole.csv"
+	# The schedule is a function of the job, not of the host: an 8-region
+	# journal, every experiment's `detail` included, is the same bytes on
+	# one host thread and on eight.
+	GOMAXPROCS=1 go run ./cmd/faultcampaign -app wavetoy -n 12 -seed 7 -csv -quiet \
+		-journal "$TRACE_TMP/procs1.jsonl" >"$TRACE_TMP/procs1.csv"
+	GOMAXPROCS=8 go run ./cmd/faultcampaign -app wavetoy -n 12 -seed 7 -csv -quiet \
+		-journal "$TRACE_TMP/procs8.jsonl" >"$TRACE_TMP/procs8.csv"
+	cmp "$TRACE_TMP/procs1.jsonl" "$TRACE_TMP/procs8.jsonl"
+	cmp "$TRACE_TMP/procs1.csv" "$TRACE_TMP/procs8.csv"
+	if ! grep -q '"detail"' "$TRACE_TMP/procs1.jsonl"; then
+		echo "trace smoke: the compared journal carries no detail field" >&2
+		exit 1
+	fi
 	# The flag conflict must be a hard error, not a warning.
 	if go run ./cmd/faultcampaign -app wavetoy -n 1 -trace-diff -checkpoint-interval 12500 -quiet >/dev/null 2>&1; then
 		echo "trace smoke: -trace-diff with -checkpoint-interval was accepted" >&2
