@@ -136,7 +136,7 @@ func benchCampaignCheckpointing(b *testing.B, interval uint64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st := res.Checkpoints; st != nil && !st.Fallback {
+		if st := res.Checkpoints; st != nil && st.Taken > 0 {
 			b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "ckpt-hit-ratio")
 		}
 	}

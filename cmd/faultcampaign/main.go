@@ -56,14 +56,15 @@
 // a digest stream must observe every message from instruction 0, and a
 // checkpoint-restored experiment skips its golden prefix.
 //
-// Golden-run checkpointing is on by default: the golden run emits a
-// consistent cluster snapshot roughly every -checkpoint-interval retired
-// instructions (at most -checkpoints of them), and each experiment
-// starts from the latest snapshot preceding its injection trigger
-// instead of from t=0.  A fixed-seed campaign produces byte-identical
-// tables, CSV and journals with checkpointing on or off — it is purely
-// a wall-clock optimization, for -adaptive rounds and (from its second
-// lease on) a -worker too.  -checkpoint-interval 0 disables it;
+// Golden-run checkpointing is on by default: the golden run takes a
+// consistent snapshot of the cluster as it runs, at most every
+// -checkpoint-interval retired instructions (a floor: past -checkpoints
+// of them it keeps every other one and doubles the spacing), and each
+// experiment starts from the latest snapshot preceding its injection
+// trigger instead of from t=0.  A fixed-seed campaign produces
+// byte-identical tables, CSV and journals with checkpointing on or off —
+// it is purely a wall-clock optimization, for -adaptive rounds and a
+// -worker's leases too.  -checkpoint-interval 0 disables it;
 // -forensics also disables it, because a flight record must cover the
 // instructions leading up to the injection.
 //
@@ -215,8 +216,8 @@ func run() int {
 	traceDiff := flag.Bool("trace-diff", false, "record per-rank message-digest streams and localize Incorrect/Hang/Crash outcomes by their first divergence from the golden trace")
 	traceOut := flag.String("trace-out", "", "write the golden trace's identity (app, seed, rank/message counts, digest hash) as JSON to this file (requires -trace-diff and a single -app)")
 	statusEvery := flag.Duration("status", 0, "print a one-line campaign status to stderr at this interval (e.g. 2s; 0 = off)")
-	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "golden-run instructions between cluster checkpoints; experiments start from the latest checkpoint before their trigger (0 = always start from t=0)")
-	ckptMax := flag.Int("checkpoints", 0, "maximum checkpoints per campaign (0 = default)")
+	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "least golden-run instructions between the snapshots the golden run takes of itself; experiments start from the latest one before their trigger (0 = always start from t=0)")
+	ckptMax := flag.Int("checkpoints", 0, "maximum checkpoints the golden run keeps; a longer run widens the spacing instead (0 = default)")
 	noSuperblock := flag.Bool("no-superblock", false, "run the per-instruction interpreter instead of the compiled superblock tier (differential CI legs, bisection); fixed-seed output is byte-identical either way")
 	workerURL := flag.String("worker", "", "run as a lease-pulling worker for the faultcoord coordinator at this URL; the campaign spec comes from the coordinator")
 	workerName := flag.String("worker-name", "", "worker identity in the coordinator's cluster view (default host-pid)")
@@ -585,12 +586,8 @@ func run() int {
 		}
 		unclassified += res.Unclassified
 		if st := res.Checkpoints; st != nil && !*quiet {
-			if st.Fallback {
-				fmt.Fprintf(os.Stderr, "%s: checkpointing fell back to scratch starts (run too short or capture pass diverged)\n", name)
-			} else {
-				fmt.Fprintf(os.Stderr, "%s: %d checkpoints; %d/%d experiments restored mid-run, %.1fM golden-prefix instructions skipped\n",
-					name, st.Taken, st.Hits, st.Hits+st.Misses, float64(st.InstrsSkipped)/1e6)
-			}
+			fmt.Fprintf(os.Stderr, "%s: %d checkpoints; %d/%d experiments restored mid-run, %.1fM golden-prefix instructions skipped\n",
+				name, st.Taken, st.Hits, st.Hits+st.Misses, float64(st.InstrsSkipped)/1e6)
 		}
 		if so := res.Solo; so.Attempts() > 0 && !*quiet {
 			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct, %d failed); %d re-run on all ranks\n",

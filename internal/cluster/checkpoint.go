@@ -11,26 +11,31 @@ import (
 // restored from it is indistinguishable, to the guest, from one that ran
 // from t=0.
 //
-// Capture works by cooperative pausing.  The caller supplies cut vectors
-// (per-rank retired-instruction targets, one vector per checkpoint,
-// nondecreasing).  Each rank runs to its target and parks at a phase
-// barrier, a scheduling point; the last arriver — every peer is parked
-// or terminally finished — captures all ranks and the Channel queues,
-// then releases the barrier.  The vectors must be
-// *consistent cuts* of the recorded execution (no receive before its
-// matching send; see mpi.Causality): pausing at such a cut can
-// never deadlock, because no parked rank's progress is required for a
-// peer to reach its own target.
+// A job takes its snapshots as it runs.  One rank executes at a time, so
+// any moment between two resumes is a consistent cut — the queues hold
+// exactly what is in flight — but a rank suspended inside the MPI runtime
+// keeps a collective's or a rendezvous' progress on its Go stack, where no
+// snapshot reaches: every unfinished rank has to be between two guest
+// instructions.  A rank is there at a syscall's exit, and wherever its
+// machine is told to stop.  So each rank runs one spacing on from the last
+// snapshot and parks; when every unfinished rank is parked the job is
+// captured and all are released.  A rank that cannot get that far — it
+// waits inside a syscall for a packet from a parked rank, or for room in
+// one's queue — has that rank released until its next syscall exit, as
+// often as it takes, and parks at its own next syscall exit: it advances
+// only as the parked ranks do.  The rule reads guest state only, so a
+// checkpointing job's schedule is as much a function of the job as any
+// other's.
 
-// CheckpointSpec asks a job to emit checkpoints at the given cuts.
+// CheckpointSpec asks a job to snapshot itself as it runs.
 type CheckpointSpec struct {
-	// Vectors[k][r] is rank r's retired-instruction pause target for
-	// checkpoint k.  Vectors must be nondecreasing per rank across k and
-	// each must be a consistent cut of the execution.
-	Vectors [][]uint64
-	// OnSnapshot receives each captured checkpoint, in order, from inside
-	// the capture section (the world is quiescent during the call).
-	OnSnapshot func(k int, s *Snapshot)
+	// Interval is the least virtual time between two snapshots, in retired
+	// instructions of the rank that advanced most; 0 takes none.
+	Interval uint64
+	// Max caps how many snapshots the job keeps, 0 for no cap: one more
+	// drops every other one and doubles the spacing, so those kept stay
+	// spread over the whole run however long it is.
+	Max int
 }
 
 // RankSnapshot is one rank's state inside a checkpoint.  A rank that
@@ -40,7 +45,7 @@ type RankSnapshot struct {
 	VM  *vm.Snapshot
 	MPI *mpi.ProcSnapshot
 	// TapePos is how many events of its tape the rank had recorded at the
-	// cut (capture passes with Job.RecordTapes): where RunSolo resumes.
+	// cut (Job.RecordTapes): where RunSolo resumes.
 	TapePos  int
 	Finished bool
 	Result   RankResult
@@ -88,79 +93,116 @@ func (s *Snapshot) TotalInstrs() uint64 {
 // MaxQueued returns the deepest per-rank queue in the snapshot, for
 // sizing the restored world's Channel queues.
 func (s *Snapshot) MaxQueued() int {
-	max := 0
+	deepest := 0
 	for _, q := range s.Queues {
-		if len(q) > max {
-			max = len(q)
-		}
+		deepest = max(deepest, len(q))
 	}
-	return max
+	return deepest
 }
 
-// ckptRun coordinates the phase barrier and capture during a
-// checkpoint-emitting job.
+// ckptRun takes a running job's snapshots.
 type ckptRun struct {
-	spec     *CheckpointSpec
 	world    *mpi.World
 	ranks    []*rank
 	files    *fileStore
 	heapBase uint32
-	budget   uint64
 
-	phase     int // next unfired checkpoint index
-	arrived   int
-	finishedN int
+	spacing uint64 // CheckpointSpec.Interval, doubled each time the cap is hit
+	max     int
+	snaps   []*Snapshot
 }
 
-// runRank executes a rank through every checkpoint phase and then to
-// completion, returning the terminal outcome exactly as m.Run would.
-func (c *ckptRun) runRank(rk *rank) vm.RunResult {
-	for k := 0; k < len(c.spec.Vectors); k++ {
-		t := c.spec.Vectors[k][rk.id]
-		if c.budget != 0 && t >= c.budget {
-			break // the final run below handles budget exhaustion
+// run is rk.m.Run(budget) that also stops where rk's clock reaches rk.due
+// — or, released past it, one spacing on — so that a rank inside m.Run
+// never runs past the due the next release gives it.
+func (c *ckptRun) run(rk *rank, budget uint64) vm.RunResult {
+	for {
+		limit := rk.due
+		if rk.m.Instrs >= limit {
+			limit = rk.m.Instrs + c.spacing
 		}
-		out := rk.m.Run(t)
-		if out.Reason != vm.StopBudget {
-			return c.finishRank(rk, out)
+		if budget != 0 && budget <= limit {
+			return rk.m.Run(budget)
 		}
-		if !c.arrive(rk, k) {
-			return rk.killed()
+		if out := rk.m.Run(limit); out.Reason != vm.StopBudget {
+			return out
+		}
+		if t := c.park(rk); t != nil {
+			return vm.RunResult{Reason: vm.StopTrap, Trap: t}
 		}
 	}
-	return c.finishRank(rk, rk.m.Run(c.budget))
 }
 
-// arrive parks the rank at the phase-k barrier until the last arriver has
-// captured; false means the job was killed meanwhile.
-func (c *ckptRun) arrive(rk *rank, k int) bool {
-	c.arrived++
-	if c.arrived+c.finishedN == len(c.ranks) {
-		c.capture(k)
-		return true
+// park is called with rk between two instructions — at a syscall's exit,
+// or stopped by run — and holds it there if the next snapshot is to find
+// it there.
+func (c *ckptRun) park(rk *rank) *vm.Trap {
+	if rk.m.Instrs < rk.due && !rk.waited {
+		return nil
 	}
 	rk.parked = true
-	return rk.proc.Yield()
+	if !rk.proc.Yield() {
+		return rk.killed().Trap
+	}
+	return nil
 }
 
-// finishRank records the rank's terminal outcome.  If it was the last
-// rank the current phase was waiting on, its exit completes the barrier.
-// A killed rank completes nothing: the job is over.
-func (c *ckptRun) finishRank(rk *rank, out vm.RunResult) vm.RunResult {
-	if out.Trap != nil && out.Trap.Kind == vm.TrapKilled {
-		return out
+// pick is given the rank Run is about to resume (nil when none can run)
+// and returns the one to resume instead.
+func (c *ckptRun) pick(rk *rank) *rank {
+	if rk != nil {
+		return rk
 	}
-	rk.out, rk.done = out, true
-	c.finishedN++
-	if c.arrived > 0 && c.arrived+c.finishedN == len(c.ranks) {
-		c.capture(c.phase)
+	// Only parked ranks can run: find the earliest of them, and of those
+	// waiting inside a syscall.
+	var first, waiter *rank
+	for _, p := range c.ranks {
+		switch {
+		case p.done:
+		case !p.parked:
+			p.waited = true
+			if waiter == nil || p.before(waiter) {
+				waiter = p
+			}
+		case first == nil || p.before(first):
+			first = p
+		}
 	}
-	return out
+	if first == nil {
+		return nil
+	}
+	if waiter == nil {
+		c.capture()
+		c.release(c.spacing)
+		return first
+	}
+	// waiter gets to no syscall exit before a parked rank moves on: the
+	// one it waits for, directly or through others that wait, when it can
+	// tell.  Any other would only run into a wait of its own, and the
+	// ranks would leapfrog to the job's end without ever all being parked.
+	for range c.ranks {
+		peer := waiter.proc.Awaits()
+		if uint(peer) >= uint(len(c.ranks)) || c.ranks[peer].done {
+			break
+		}
+		if waiter = c.ranks[peer]; waiter.parked {
+			first = waiter
+			break
+		}
+	}
+	first.parked = false
+	return first
 }
 
-// capture snapshots the whole job as checkpoint k and releases the
-// barrier.  Every rank but the caller's is parked or finished.
-func (c *ckptRun) capture(k int) {
+// release lets every parked rank go, to park again spacing further on.
+func (c *ckptRun) release(spacing uint64) {
+	for _, p := range c.ranks {
+		p.parked, p.waited, p.due = false, false, p.m.Instrs+spacing
+	}
+}
+
+// capture snapshots the whole job: every rank is parked or finished.
+func (c *ckptRun) capture() {
 	n := len(c.ranks)
 	s := &Snapshot{
 		Size:       n,
@@ -187,12 +229,15 @@ func (c *ckptRun) capture(k int) {
 		s.Files[name] = append([]byte(nil), b...)
 	}
 	s.FileNames = append([]string(nil), c.files.names...)
-	if c.spec.OnSnapshot != nil {
-		c.spec.OnSnapshot(k, s)
-	}
-	c.arrived = 0
-	c.phase = k + 1
-	for _, rk := range c.ranks {
-		rk.parked = false
+
+	c.snaps = append(c.snaps, s)
+	if c.max > 0 && len(c.snaps) > c.max {
+		kept := c.snaps[:0]
+		for i := 1; i < len(c.snaps); i += 2 {
+			kept = append(kept, c.snaps[i])
+		}
+		clear(c.snaps[len(kept):])
+		c.snaps = kept
+		c.spacing *= 2
 	}
 }

@@ -9,6 +9,8 @@
 package cluster
 
 import (
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -51,12 +53,11 @@ type Job struct {
 	// before this field existed.
 	Metrics *telemetry.Registry
 	// RecordTapes makes every rank record its tape (mpi.Tape) into
-	// Result.Tapes: what RunSolo replays, and what consistent cuts are
-	// computed from (golden recording runs only).
+	// Result.Tapes: what RunSolo replays (golden recording runs only).
 	RecordTapes bool
-	// Checkpoints, when non-nil, makes the job pause at the given
-	// consistent cuts and emit cluster snapshots (see checkpoint.go).
-	Checkpoints *CheckpointSpec
+	// Checkpoints makes a job that starts at t=0 snapshot itself into
+	// Result.Snapshots as it runs (see checkpoint.go).
+	Checkpoints CheckpointSpec
 	// Restore, when non-nil, starts the job from a cluster snapshot
 	// instead of t=0: every live rank resumes mid-stream, exited ranks
 	// carry their terminal results, and the snapshot's in-flight packets
@@ -99,6 +100,9 @@ type Result struct {
 	Files map[string][]byte
 	// Tapes are the per-rank recordings of a Job.RecordTapes run.
 	Tapes []mpi.Tape
+	// Snapshots are the checkpoints of a Job.Checkpoints run, in the order
+	// taken; their tape positions index Tapes.
+	Snapshots []*Snapshot
 }
 
 // FirstFailure returns the most severe trap across ranks, preferring
@@ -147,8 +151,10 @@ type rank struct {
 	// scheduler has seen it end.
 	out  vm.RunResult
 	done bool
-	// parked holds the rank at a checkpoint barrier (checkpoint.go).
-	parked bool
+	// Checkpointing (checkpoint.go): the rank parks from clock due on, or
+	// at its next syscall exit once it has waited for a parked rank.
+	parked, waited bool
+	due            uint64
 }
 
 // before orders ranks by virtual time: retired instructions, then rank.
@@ -282,29 +288,31 @@ func Run(job Job) *Result {
 		}
 	}
 
-	var coord *ckptRun
-	if job.Checkpoints != nil && len(job.Checkpoints.Vectors) > 0 &&
-		job.Restore == nil {
-		coord = &ckptRun{spec: job.Checkpoints, world: world, ranks: ranks,
-			files: files, heapBase: job.Image.HeapBase, budget: job.Budget}
+	var ckpt *ckptRun
+	if spec := job.Checkpoints; spec.Interval > 0 && job.Restore == nil {
+		ckpt = &ckptRun{world: world, ranks: ranks, files: files, heapBase: job.Image.HeapBase,
+			spacing: spec.Interval, max: spec.Max}
+		ckpt.release(spec.Interval)
 	}
 	for _, rk := range ranks {
 		if rk == nil {
 			continue
 		}
-		rk.proc.Start(func() {
-			if coord != nil {
-				rk.out = coord.runRank(rk)
-			} else {
-				rk.out = rk.m.Run(job.Budget)
-			}
-		})
+		body := func() { rk.out = rk.m.Run(job.Budget) }
+		if ckpt != nil {
+			rk.io.atExit = func() *vm.Trap { return ckpt.park(rk) }
+			body = func() { rk.out = ckpt.run(rk, job.Budget) }
+		}
+		rk.proc.Start(body)
 	}
 
 	var first *rank // the earliest fatal end so far
 	switches := uint64(0)
 	for live > 0 {
 		rk := earliest(ranks, first)
+		if ckpt != nil && first == nil {
+			rk = ckpt.pick(rk)
+		}
 		if rk == nil {
 			if first == nil {
 				res.HangDetected, res.HangCause = true, "distributed deadlock"
@@ -329,6 +337,9 @@ func Run(job Job) *Result {
 		switch {
 		case first == nil:
 			first = rk
+			if ckpt != nil {
+				ckpt.release(math.MaxUint64 / 2) // a failing job takes no more snapshots
+			}
 		case first.before(rk):
 			rk.kill()
 		default:
@@ -361,6 +372,9 @@ func Run(job Job) *Result {
 		for r := range res.Tapes {
 			res.Tapes[r] = world.Proc(r).Tape()
 		}
+	}
+	if ckpt != nil {
+		res.Snapshots = ckpt.snaps
 	}
 	if reg := job.Metrics; reg != nil {
 		recordJobMetrics(reg, res, switches, world.QueuePeak())
@@ -454,7 +468,7 @@ func (r *Result) CanonicalOutput() []byte {
 	for n := range r.Files {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		out = append(out, '\f')
 		out = append(out, []byte(n)...)
@@ -462,12 +476,4 @@ func (r *Result) CanonicalOutput() []byte {
 		out = append(out, r.Files[n]...)
 	}
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -43,6 +43,10 @@ type rankIO struct {
 	files  *fileStore
 	stdout []byte
 	stderr []byte
+	// atExit, when set, runs after every syscall that did not trap: the
+	// rank is between two instructions there, where a snapshot that is due
+	// holds it (checkpoint.go).
+	atExit func() *vm.Trap
 }
 
 var _ vm.SyscallHandler = (*rankIO)(nil)
@@ -96,6 +100,14 @@ func arg(m *vm.Machine, i int) (uint32, *vm.Trap) { return m.Arg(i) }
 
 // Syscall implements vm.SyscallHandler.
 func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
+	t := io.syscall(m, num)
+	if t == nil && io.atExit != nil {
+		t = io.atExit()
+	}
+	return t
+}
+
+func (io *rankIO) syscall(m *vm.Machine, num int32) *vm.Trap {
 	switch num {
 	case abi.SysExit:
 		return &vm.Trap{Kind: vm.TrapExit, PC: m.PC, Code: int32(m.Regs[0])}

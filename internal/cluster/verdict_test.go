@@ -236,25 +236,21 @@ func TestVerdictEarliestTrapWins(t *testing.T) {
 	}
 }
 
-// TestVerdictKillAtCheckpointBarrier: rank 0 is parked at a checkpoint
-// barrier that rank 2 — waiting for a message rank 0 sends only later —
-// can never reach, when rank 1 crashes.  The crash is the verdict, no
-// snapshot is taken, and both waiting ranks are killed where they are.
+// TestVerdictKillAtCheckpointBarrier: rank 0 is parked for a snapshot
+// that rank 2 — waiting for a message rank 0 sends only later — is not
+// ready for, when rank 1 crashes.  The crash is the verdict, no snapshot
+// is taken, and both waiting ranks are killed where they are.
 func TestVerdictKillAtCheckpointBarrier(t *testing.T) {
 	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
 		initRank(m, f)
 		onRank(f, 0, func() { spin(f, 10_000); send(f, 2) })
-		onRank(f, 1, func() { spin(f, 2000); wildLoad(f) })
+		onRank(f, 1, func() { spin(f, 1000); wildLoad(f) })
 		onRank(f, 2, func() { recv(f, 0) })
 		f.CallArgs("MPI_Finalize")
 	})
-	const target = 5000 // inside rank 0's loop
-	snapshots := 0
+	const target = 5000 // inside rank 0's loop, past rank 1's crash
 	res := repeatVerdict(t, func() Job {
-		return Job{Image: im, Size: 3, Checkpoints: &CheckpointSpec{
-			Vectors:    [][]uint64{{target, 1 << 40, 1 << 40}},
-			OnSnapshot: func(int, *Snapshot) { snapshots++ },
-		}}
+		return Job{Image: im, Size: 3, Checkpoints: CheckpointSpec{Interval: target}}
 	})
 	if tr := res.FirstFailure(); res.HangDetected || tr == nil || tr != res.Ranks[1].Trap || tr.Kind != vm.TrapSegv {
 		t.Fatalf("want rank 1's crash as the verdict:\n%s", outcome(res))
@@ -263,8 +259,8 @@ func TestVerdictKillAtCheckpointBarrier(t *testing.T) {
 	if res.Ranks[0].Instrs != target {
 		t.Errorf("rank 0 stopped after %d instructions, want it still parked at %d", res.Ranks[0].Instrs, target)
 	}
-	if snapshots != 0 {
-		t.Errorf("%d snapshots of a barrier that never completed", snapshots)
+	if len(res.Snapshots) != 0 {
+		t.Errorf("%d snapshots of a job that never had every rank parked", len(res.Snapshots))
 	}
 }
 

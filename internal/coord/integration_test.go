@@ -236,12 +236,11 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWorkerRestoresFromSecondLease pins the worker's checkpoint rule:
-// its first lease runs every experiment from t=0 (one grant does not
-// promise another, and the capture pass costs a golden run), every later
-// lease restores from the cached golden's checkpoints — and the
-// coordinator's CSV cannot tell.
-func TestWorkerRestoresFromSecondLease(t *testing.T) {
+// TestWorkerRestoresOnEveryLease pins the worker's checkpoint rule: the
+// lease that runs an application's golden run gets its snapshots from that
+// one execution, so every lease, the first included, restores — from one
+// golden run per application — and the coordinator's CSV cannot tell.
+func TestWorkerRestoresOnEveryLease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
 	}
@@ -263,14 +262,19 @@ func TestWorkerRestoresFromSecondLease(t *testing.T) {
 
 	var mu sync.Mutex
 	var restored []int // per finished lease, in the order the worker ran them
+	goldens := 0
 	err := RunWorker(WorkerOptions{
 		URL: srv.URL, Name: "w1", Poll: 25 * time.Millisecond,
 		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			mu.Lock()
+			defer mu.Unlock()
 			var lease, n, r int
-			if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "lease %d done (%d experiments, %d restored", &lease, &n, &r); err == nil {
-				mu.Lock()
+			if _, err := fmt.Sscanf(line, "lease %d done (%d experiments, %d restored", &lease, &n, &r); err == nil {
 				restored = append(restored, r)
-				mu.Unlock()
+			}
+			if strings.HasPrefix(line, "golden run of wavetoy done") {
+				goldens++
 			}
 		},
 	})
@@ -282,11 +286,13 @@ func TestWorkerRestoresFromSecondLease(t *testing.T) {
 	if len(restored) != 2 {
 		t.Fatalf("worker finished %d leases, want 2", len(restored))
 	}
-	if restored[0] != 0 {
-		t.Errorf("first lease restored %d experiments; it must not pay for a capture pass", restored[0])
+	for i, r := range restored {
+		if r == 0 {
+			t.Errorf("lease %d restored no experiment from the golden run's checkpoints", i)
+		}
 	}
-	if restored[1] == 0 {
-		t.Errorf("second lease restored no experiment from the cached golden's checkpoints")
+	if goldens != 1 {
+		t.Errorf("the worker ran %d golden runs of one application, want 1", goldens)
 	}
 	csv, _, err := co.ResultCSV()
 	if err != nil {

@@ -372,12 +372,10 @@ func (w *worker) runLease(grant leaseGrant) error {
 		TargetHalfWidth: spec.TargetHalfWidth,
 		RoundSize:       spec.RoundSize,
 		AVFPriors:       priorsMap(regions, spec.Priors),
-	}
-	if wa.golden != nil {
-		// Restore from the second lease on, not the first: one grant does
-		// not promise another, and the capture pass costs about a golden
-		// run — a third on top of a one-lease campaign (EXPERIMENTS.md).
-		cfg.CheckpointInterval = core.DefaultCheckpointInterval
+
+		// The lease that runs the golden run gets its snapshots with it,
+		// and every lease restores from them.
+		CheckpointInterval: core.DefaultCheckpointInterval,
 	}
 	seg := &segmentWriter{}
 	seg.appendLine(report.CampaignHeader(spec.App, cfg))
@@ -467,6 +465,7 @@ func (w *worker) runLease(grant leaseGrant) error {
 		// must log the same hash, and it must match a single-process
 		// `faultcampaign -trace-out` of the same spec.
 		wa.golden = res.Golden
+		w.logf("golden run of %s done, cached for later leases", spec.App)
 		if tr := res.Golden.Trace; tr != nil {
 			w.logf("golden trace digest %016x (%d messages across %d ranks)",
 				tr.Hash(), tr.Messages(), len(tr.Ranks))

@@ -317,8 +317,8 @@ func RunAdaptive(cfg Config) (*Result, error) {
 		out.Golden = res.Golden
 		out.Interrupted = res.Interrupted
 		if st := res.Checkpoints; st != nil {
-			if out.Checkpoints == nil { // Taken and Fallback belong to the golden
-				out.Checkpoints = &CheckpointStats{Taken: st.Taken, Fallback: st.Fallback}
+			if out.Checkpoints == nil { // Taken belongs to the golden
+				out.Checkpoints = &CheckpointStats{Taken: st.Taken}
 			}
 			out.Checkpoints.Hits += st.Hits
 			out.Checkpoints.Misses += st.Misses

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -29,21 +30,21 @@ func TestRestoredJobAllocation(t *testing.T) {
 	}
 	cfg := &Config{Image: im, Ranks: 16, WallLimit: 30 * time.Second,
 		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: DefaultMaxCheckpoints}
-	golden, err := RunGolden(im, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit)
+	golden, err := runGolden(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := buildCheckpoints(cfg, golden)
-	if cs.Len() == 0 {
+	snaps := golden.Result.Snapshots
+	if len(snaps) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
-	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: cfg.WallLimit, Restore: cs.snaps[cs.Len()/2]}
+	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: cfg.WallLimit, Restore: snaps[len(snaps)/2]}
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res := cluster.Run(job)
 		runtime.ReadMemStats(&after)
-		if !matchesGolden(res, golden) {
+		if res.FailureSummary() != "" || !bytes.Equal(res.CanonicalOutput(), golden.Output) {
 			t.Fatalf("restored job diverged from the golden run: %s", res.FailureSummary())
 		}
 		return after.TotalAlloc - before.TotalAlloc
@@ -68,26 +69,25 @@ func TestRestoredJobAllocation(t *testing.T) {
 // set-up time and RSS are measured on — builds neither.
 func TestMessageTablesAreLazy(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
-	golden, err := RunGolden(im, ranks, defaultMPI(), 30*time.Second)
+	cfg := Config{Image: im, Ranks: ranks, Injections: 2, Seed: 5, MPIConfig: defaultMPI(),
+		Regions: []Region{RegionRegularReg}, CheckpointInterval: DefaultCheckpointInterval}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Image: im, Ranks: ranks, Injections: 2, Seed: 5, Golden: golden,
-		Regions: []Region{RegionRegularReg}, CheckpointInterval: DefaultCheckpointInterval}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if golden.ckpts.Len() == 0 {
+	golden := res.Golden
+	cfg.Golden = golden
+	if len(golden.Result.Snapshots) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
-	if golden.recvFrom != nil || golden.ckpts.pulled != nil {
+	if golden.recvFrom != nil || golden.pulled != nil {
 		t.Errorf("a campaign with no message experiment built the message tables")
 	}
 	cfg.Regions = []Region{RegionMessage}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(golden.recvFrom) != ranks || len(golden.ckpts.pulled) != golden.ckpts.Len() {
+	if len(golden.recvFrom) != ranks || len(golden.pulled) != len(golden.Result.Snapshots) {
 		t.Errorf("a message campaign resolved its addresses without the tables")
 	}
 	for r, from := range golden.recvFrom {

@@ -21,10 +21,10 @@ import (
 // Golden captures the fault-free reference execution: the canonical
 // output used for silent-corruption detection, and the per-rank
 // instruction counts and received message volumes that parameterize the
-// injection-space sampling (§4.3's b, m and t axes).  It owns the
-// checkpoints captured from that execution (checkpoint.go), so Runs
-// sharing one — concurrently too — restore from a single capture.  Do
-// not copy it.
+// injection-space sampling (§4.3's b, m and t axes).  It carries the
+// snapshots that execution took of itself (checkpoint.go), so Runs
+// sharing one — concurrently too — restore from the same set.  Do not
+// copy it.
 type Golden struct {
 	Output    []byte
 	Instrs    []uint64
@@ -35,19 +35,16 @@ type Golden struct {
 	// diff their own streams against it to localize faults.
 	Trace *msgtrace.Trace
 
-	// tapes are the run's per-rank recordings: what an experiment that
-	// starts at t=0 replays its injected rank against (solo.go), and what
-	// checkpoint cuts are computed from.  ckpts is the set captured for
-	// *ckptKey (nil with a key set: that capture fell back, and is not
-	// retried).
-	tapes   []mpi.Tape
-	ckptMu  sync.Mutex
-	ckptKey *checkpointKey
-	ckpts   *CheckpointSet
+	// tapes are the run's per-rank recordings, what an experiment replays
+	// its injected rank against (solo.go); the tape positions of the
+	// snapshots the run took of itself (Result.Snapshots) index them.
+	tapes []mpi.Tape
 	// recvFrom[r][s] is how many of RecvBytes[r] rank r pulled from rank s,
+	// pulled[k][r][s] how many live rank r had at snapshot k; both are
 	// filled by the first message experiment (messageTarget).
 	recvOnce sync.Once
 	recvFrom [][]uint64
+	pulled   [][][]uint64
 }
 
 // MaxInstrs returns the largest per-rank instruction count.
@@ -63,19 +60,22 @@ func (g *Golden) MaxInstrs() uint64 {
 
 // RunGolden executes the fault-free reference run.
 func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration) (*Golden, error) {
-	return runGolden(im, ranks, mpiCfg, wall, false, false)
+	return runGolden(&Config{Image: im, Ranks: ranks, MPIConfig: mpiCfg, WallLimit: wall})
 }
 
-// runGolden is RunGolden with the campaign's interpreter escape hatch
-// and the trace-diff digest recorder.
-func runGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration, noSB, traced bool) (*Golden, error) {
+// runGolden is RunGolden with what a campaign adds: its interpreter
+// escape hatch, the trace-diff digest recorder, and the snapshots the run
+// takes of itself when cfg.CheckpointInterval is set.  It is the one
+// place the fault-free job is executed.
+func runGolden(cfg *Config) (*Golden, error) {
 	job := cluster.Job{
-		Image: im, Size: ranks, MPIConfig: mpiCfg, WallLimit: wall,
-		RecordTapes: true, DisableSuperblocks: noSB,
+		Image: cfg.Image, Size: cfg.Ranks, MPIConfig: cfg.MPIConfig, WallLimit: cfg.WallLimit,
+		RecordTapes: true, DisableSuperblocks: cfg.DisableSuperblocks,
+		Checkpoints: cluster.CheckpointSpec{Interval: cfg.CheckpointInterval, Max: cfg.MaxCheckpoints},
 	}
 	var mrec *msgtrace.Recorder
-	if traced {
-		mrec = msgtrace.NewRecorder(ranks)
+	if cfg.TraceDiff {
+		mrec = msgtrace.NewRecorder(cfg.Ranks)
 		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) { mrec.Attach(p) }
 	}
 	res := cluster.Run(job)
@@ -187,8 +187,10 @@ type Config struct {
 	Entries []PlanEntry
 	// Golden, when non-nil, reuses a previously computed golden run
 	// instead of re-executing it — a worker holding many leases of one
-	// campaign pays for the reference run and its checkpoint capture
-	// once.  The golden must come from the identical
+	// campaign pays for the reference run once.  It is used as it is:
+	// experiments restore from the snapshots it carries (those of a
+	// Result.Golden whose Run had checkpointing on) and start at t=0 when
+	// it carries none.  The golden must come from the identical
 	// Image/Ranks/MPIConfig (the caller's contract).
 	Golden *Golden
 	// Completed maps experiment IDs (Experiment.ID) to already-finished
@@ -237,17 +239,18 @@ type Config struct {
 	// order are identical with TraceDiff on or off.
 	TraceDiff bool
 	// CheckpointInterval, when nonzero, enables golden-run
-	// checkpointing: the golden run emits a consistent cluster snapshot
-	// roughly every CheckpointInterval retired instructions, and each
-	// experiment starts from the latest snapshot preceding its injection
-	// epoch instead of t=0 (see checkpoint.go).  Fixed-seed outcomes,
-	// CSV and journal are byte-identical with checkpointing on or off.
+	// checkpointing: the golden run takes a consistent snapshot of the
+	// cluster at most every CheckpointInterval retired instructions, and
+	// each experiment starts from the latest snapshot preceding its
+	// injection epoch instead of t=0 (see checkpoint.go).  Fixed-seed
+	// outcomes, CSV and journal are byte-identical with checkpointing on
+	// or off.
 	CheckpointInterval uint64
-	// MaxCheckpoints caps how many checkpoints are captured; 0 means
-	// DefaultMaxCheckpoints when checkpointing is enabled.
+	// MaxCheckpoints caps how many checkpoints the golden run keeps; 0
+	// means DefaultMaxCheckpoints when checkpointing is enabled.
 	MaxCheckpoints int
-	// DisableSuperblocks runs every machine — golden, checkpoint capture
-	// and experiment — on the per-instruction interpreter instead of the
+	// DisableSuperblocks runs every machine — golden and experiment — on
+	// the per-instruction interpreter instead of the
 	// compiled superblock tier (faultcampaign -no-superblock).  Fixed-seed
 	// outcomes, CSV and journal are byte-identical either way; the flag
 	// exists so CI legs and bisection can prove exactly that.
@@ -416,18 +419,21 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.MaxCheckpoints <= 0 {
 			cfg.MaxCheckpoints = DefaultMaxCheckpoints
 		}
+	} else {
+		cfg.CheckpointInterval = 0 // the golden run takes no snapshots
 	}
 	if cfg.Golden != nil && cfg.TraceDiff && cfg.Golden.Trace == nil {
 		return nil, fmt.Errorf("core: Golden reuse with TraceDiff requires a golden recorded with TraceDiff (its message trace is missing)")
 	}
 
+	met := newCampaignMeters(cfg.Metrics)
 	golden := cfg.Golden
 	if golden == nil {
 		var err error
-		golden, err = runGolden(cfg.Image, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit, cfg.DisableSuperblocks, cfg.TraceDiff)
-		if err != nil {
+		if golden, err = runGolden(&cfg); err != nil {
 			return nil, err
 		}
+		met.ckptTaken.Add(uint64(len(golden.Result.Snapshots)))
 	}
 	dict := NewDictionary(cfg.Image)
 	budget := golden.MaxInstrs() * uint64(cfg.BudgetMultiplier)
@@ -443,22 +449,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	entries = shardOf(entries, cfg.Shard, cfg.NumShards)
-	met := newCampaignMeters(cfg.Metrics)
 	met.traceDiff = cfg.TraceDiff
 	met.planned.Add(uint64(len(entries)))
 
 	cctx := &campaignCtx{cfg: &cfg, golden: golden, dict: dict, budget: budget, met: met}
 	if ckptOn {
-		cctx.ckpts = golden.checkpoints(&cfg, met)
+		cctx.snaps = golden.Result.Snapshots
 	}
-	if !cfg.Forensics && !cfg.TraceDiff {
-		// The tape the snapshots came from: the capture pass pauses ranks
-		// where the golden run does not, so it is scheduled differently.
-		cctx.tapes = golden.tapes
-		if cctx.ckpts != nil {
-			cctx.tapes = cctx.ckpts.tapes
-		}
-	}
+	cctx.soloFirst = !cfg.Forensics && !cfg.TraceDiff
 
 	experiments := make([]Experiment, len(entries))
 	finished := make([]bool, len(entries))
@@ -484,7 +482,7 @@ func Run(cfg Config) (*Result, error) {
 	// the checkpoint they restore from, so concurrent jobs share one
 	// snapshot's backing pages and the residual prefixes they replay.
 	planOrder := append([]int(nil), todo...)
-	if cctx.ckpts.Len() > 0 {
+	if len(cctx.snaps) > 0 {
 		bucket := make(map[int]int, len(todo))
 		for _, idx := range todo {
 			bucket[idx] = cctx.bucketOf(&experiments[idx])
@@ -567,8 +565,8 @@ dispatch:
 	}
 	if ckptOn {
 		res.Checkpoints = &CheckpointStats{
-			Taken: cctx.ckpts.Len(), Fallback: cctx.ckpts == nil,
-			Hits: cctx.hits.Load(), Misses: cctx.misses.Load(), InstrsSkipped: cctx.skipped.Load(),
+			Taken: len(cctx.snaps), Hits: cctx.hits.Load(), Misses: cctx.misses.Load(),
+			InstrsSkipped: cctx.skipped.Load(),
 		}
 	}
 	res.Solo = cctx.solo.stats()
@@ -628,11 +626,12 @@ type campaignCtx struct {
 	dict   *Dictionary
 	budget uint64
 	base   *rng.Rand
-	ckpts  *CheckpointSet
-	// tapes[r] is what rank r replays when an experiment runs it alone;
-	// nil when the campaign's experiments all run whole jobs.
-	tapes []mpi.Tape
-	met   *campaignMeters
+	// snaps are the golden run's snapshots; nil with checkpointing off.
+	snaps []*cluster.Snapshot
+	// soloFirst: an experiment first runs its injected rank alone, against the
+	// golden tapes; unset, the campaign's experiments all run whole jobs.
+	soloFirst bool
+	met       *campaignMeters
 
 	// Local (per-campaign) counters: the telemetry registry may be shared
 	// across campaigns, so Result.Checkpoints and Result.Solo cannot be
@@ -688,7 +687,7 @@ func (c *campaignCtx) aim(e *Experiment, r *rng.Rand) (ckpt int, mi MessageInjec
 	// Injection time: uniform over the target rank's execution, the t axis
 	// of the sampling space.
 	e.Trigger = 1 + r.Uint64n(c.golden.Instrs[e.Rank])
-	return c.ckpts.indexForInstr(e.Rank, e.Trigger), mi, true
+	return c.indexForInstr(e.Rank, e.Trigger), mi, true
 }
 
 // messageTarget resolves a message trigger — offset k into the bytes rank
@@ -699,17 +698,29 @@ func (c *campaignCtx) aim(e *Experiment, r *rng.Rand) (ckpt int, mi MessageInjec
 // whichever process, arms this one address (DESIGN.md §3.4).
 func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInjector) {
 	g := c.golden
+	// Built by the first message experiment, so that a campaign without
+	// one — every set-up run — pays nothing.
 	g.recvOnce.Do(func() {
-		g.recvFrom = make([][]uint64, len(g.tapes))
+		n := len(g.tapes)
+		g.recvFrom = make([][]uint64, n)
 		for r, t := range g.tapes {
-			g.recvFrom[r] = t.PulledBytes(len(t), len(g.tapes))
+			g.recvFrom[r] = t.PulledBytes(len(t), n)
+		}
+		g.pulled = make([][][]uint64, len(g.Result.Snapshots))
+		for k, s := range g.Result.Snapshots {
+			g.pulled[k] = make([][]uint64, n)
+			for r, t := range g.tapes {
+				if s.RankLive(r) {
+					g.pulled[k][r] = t.PulledBytes(s.Ranks[r].TapePos, n)
+				}
+			}
 		}
 	})
 	mi.Offset = k
 	for from := g.recvFrom[rank]; mi.Offset >= from[mi.Sender]; mi.Sender++ {
 		mi.Offset -= from[mi.Sender]
 	}
-	ckpt, mi.seen = c.ckpts.indexForMessage(rank, mi.Sender, mi.Offset)
+	ckpt, mi.seen = c.indexForMessage(rank, mi.Sender, mi.Offset)
 	return ckpt, mi
 }
 
@@ -717,8 +728,8 @@ func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInj
 // however many times it ends up being run — and returns the snapshot it
 // starts from: checkpoint k, or nil (t=0) for k < 0.
 func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
-	if c.ckpts == nil {
-		return nil
+	if c.cfg.CheckpointInterval == 0 {
+		return nil // checkpointing is off (Run zeroes the interval): nothing to count
 	}
 	if k < 0 {
 		c.misses.Add(1)
@@ -727,7 +738,7 @@ func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
 	}
 	c.hits.Add(1)
 	c.met.ckptHits.Inc()
-	return c.ckpts.snaps[k]
+	return c.snaps[k]
 }
 
 // skip accounts for n golden-prefix instructions a restored job did not
@@ -820,7 +831,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			}
 		}
 	}
-	if c.tapes != nil {
+	if c.soloFirst {
 		// Solo first; a departure runs the whole job below, arming the
 		// identical fault from the same stream.
 		stream := sc.faultRng

@@ -81,8 +81,9 @@ func TestCheckpointDifferential(t *testing.T) {
 	}
 
 	// A small interval exercises real restores; a huge one lands past the
-	// end of the longest rank, so the campaign falls back to scratch
-	// starts — the artifacts must not notice either way.
+	// end of the longest rank, so the golden run takes no snapshot and
+	// every experiment starts at t=0 — the artifacts must not notice
+	// either way.
 	for _, tc := range []struct {
 		name     string
 		interval uint64
@@ -106,12 +107,12 @@ func TestCheckpointDifferential(t *testing.T) {
 				t.Fatal("checkpointing on, but Result.Checkpoints is nil")
 			}
 			if tc.interval == 1<<40 {
-				if !st.Fallback {
-					t.Errorf("interval past program end should fall back, got %+v", st)
+				if st.Taken != 0 || st.Hits != 0 || st.Misses == 0 {
+					t.Errorf("interval past program end should count 0 checkpoints and only misses, got %+v", st)
 				}
 				return
 			}
-			if st.Fallback || st.Taken == 0 {
+			if st.Taken == 0 {
 				t.Fatalf("expected live checkpoints, got %+v", st)
 			}
 			if st.Hits == 0 {

@@ -13,7 +13,7 @@ import (
 func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 	cfg.WallLimit = 30 * time.Second
 	cfg.MaxCheckpoints = DefaultMaxCheckpoints
-	golden, err := RunGolden(cfg.Image, cfg.Ranks, cfg.MPIConfig, cfg.WallLimit)
+	golden, err := runGolden(&cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -24,13 +24,9 @@ func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 		}
 	}
 	arms := [2]*campaignCtx{newCtx(), newCtx()}
-	arms[0].tapes = golden.tapes
+	arms[0].soloFirst = true
 	if cfg.CheckpointInterval > 0 {
-		ckpts := golden.checkpoints(&cfg, arms[0].met)
-		arms[0].ckpts, arms[1].ckpts = ckpts, ckpts
-		if ckpts != nil {
-			arms[0].tapes = ckpts.tapes
-		}
+		arms[0].snaps, arms[1].snaps = golden.Result.Snapshots, golden.Result.Snapshots
 	}
 	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
 	var out [2]*Result

@@ -104,7 +104,7 @@ func TestAdaptiveCheckpointDifferential(t *testing.T) {
 				t.Errorf("experiments differ from the checkpointing-off campaign")
 			}
 			st := res.Checkpoints
-			if st == nil || st.Fallback || st.Taken == 0 {
+			if st == nil || st.Taken == 0 {
 				t.Fatalf("expected live checkpoints, got %+v", st)
 			}
 			if res.Adaptive.Rounds < 2 {
@@ -236,21 +236,21 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestGoldenCarriesCheckpoints: the Run that executes the golden run gets
+// its snapshots from that one execution, every Run handed the Golden
+// restores from them, and a Golden is used as it is — nothing is captured
+// after the fact.
 func TestGoldenCarriesCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
 	}
 	im, ranks := buildWavetoy(t)
-	golden, err := core.RunGolden(im, ranks, mpi.Config{}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.New()
 	captured := reg.Counter(telemetry.MetricCheckpointsTaken)
 	base := core.Config{
 		Image: im, Ranks: ranks, Injections: 8, Seed: 77, Parallelism: 2,
-		Regions: []core.Region{core.RegionRegularReg, core.RegionStack},
-		Golden:  golden, KeepExperiments: true, Metrics: reg,
+		Regions:         []core.Region{core.RegionRegularReg, core.RegionStack},
+		KeepExperiments: true, Metrics: reg,
 		CheckpointInterval: core.DefaultCheckpointInterval,
 	}
 	plan := core.Plan{Regions: base.Regions, Injections: base.Injections}
@@ -261,59 +261,93 @@ func TestGoldenCarriesCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Checkpoints == nil || res.Checkpoints.Fallback {
-			t.Fatalf("entries [%d,%d): expected live checkpoints, got %+v", lo, hi, res.Checkpoints)
+		if res.Checkpoints == nil {
+			t.Fatalf("entries [%d,%d): checkpointing on, but Result.Checkpoints is nil", lo, hi)
 		}
 		return res
 	}
 
-	first := run(base, 0, 8)
-	taken := uint64(first.Checkpoints.Taken)
-	if captured.Value() != taken {
-		t.Fatalf("first Run captured %d checkpoints, reports %d", captured.Value(), taken)
+	// One golden pass: the execution that produced the reference output
+	// and the tapes is the one that took the snapshots.
+	all := plan.Range(0, plan.Total())
+	done := make(map[string]core.Experiment, len(all))
+	for _, pe := range all {
+		done[pe.ID()] = core.Experiment{}
 	}
-	second := run(base, 8, 16)
-	if captured.Value() != taken {
-		t.Errorf("second Run on the same Golden captured again (%d checkpoints, want %d)", captured.Value(), taken)
+	nothing := base
+	nothing.Completed = done
+	empty := run(nothing, 0, plan.Total())
+	if n := reg.Counter(telemetry.MetricJobs).Value(); n != 0 {
+		t.Fatalf("a Run with every entry completed ran %d experiment jobs", n)
 	}
-	if second.Checkpoints.Taken != first.Checkpoints.Taken || second.Checkpoints.Hits == 0 {
-		t.Errorf("second Run did not restore from the first's capture: %+v", second.Checkpoints)
+	job := empty.Golden.Result
+	if empty.Checkpoints.Taken == 0 || len(job.Snapshots) != empty.Checkpoints.Taken || len(job.Tapes) != ranks {
+		t.Fatalf("%d checkpoints, but the golden job recorded %d snapshots and %d tapes",
+			empty.Checkpoints.Taken, len(job.Snapshots), len(job.Tapes))
+	}
+	taken := uint64(empty.Checkpoints.Taken)
+	if captured.Value() != taken {
+		t.Fatalf("the golden run took %d checkpoints, telemetry counted %d", taken, captured.Value())
 	}
 
-	// Another interval is another set of cuts: the artifact rebuilds.
+	base.Golden = empty.Golden
+	first := run(base, 0, 8)
+	second := run(base, 8, 16)
+	if captured.Value() != taken {
+		t.Errorf("Runs handed a Golden captured again (%d checkpoints, want %d)", captured.Value(), taken)
+	}
+	for _, res := range []*core.Result{first, second} {
+		if uint64(res.Checkpoints.Taken) != taken || res.Checkpoints.Hits == 0 {
+			t.Errorf("a Run handed the Golden did not restore from its snapshots: %+v", res.Checkpoints)
+		}
+	}
+
+	// A Golden is used as it is: another interval does not re-cut it, and
+	// one recorded without snapshots starts everything at t=0.
 	wider := base
 	wider.CheckpointInterval = 4 * core.DefaultCheckpointInterval
-	rebuilt := run(wider, 0, 8)
-	if captured.Value() != taken+uint64(rebuilt.Checkpoints.Taken) {
-		t.Errorf("changing the interval captured %d checkpoints, want %d more", captured.Value()-taken, rebuilt.Checkpoints.Taken)
+	if res := run(wider, 0, 8); uint64(res.Checkpoints.Taken) != taken || captured.Value() != taken {
+		t.Errorf("another interval on a handed Golden: %+v, %d captured, want its %d snapshots as they are",
+			res.Checkpoints, captured.Value(), taken)
 	}
-	if rebuilt.Checkpoints.Taken >= first.Checkpoints.Taken {
-		t.Errorf("4x interval took %d checkpoints, default took %d", rebuilt.Checkpoints.Taken, first.Checkpoints.Taken)
+	bare, err := core.RunGolden(im, ranks, mpi.Config{}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSnaps := base
+	noSnaps.Golden = bare
+	fromZero := run(noSnaps, 0, 8)
+	if st := fromZero.Checkpoints; st.Taken != 0 || st.Hits != 0 || st.Misses != 8 || captured.Value() != taken {
+		t.Errorf("a Golden without snapshots: %+v, want 0 checkpoints and 8 misses", st)
+	}
+	// A run of its own at the wider interval takes fewer.
+	wider.Golden, wider.Metrics = nil, nil
+	rebuilt := run(wider, 0, 8)
+	if rebuilt.Checkpoints.Taken == 0 || uint64(rebuilt.Checkpoints.Taken) >= taken {
+		t.Errorf("4x interval took %d checkpoints, default took %d", rebuilt.Checkpoints.Taken, taken)
 	}
 
 	// Restored or not, shared Golden or fresh: the same experiments.
 	scratch := base
 	scratch.Golden, scratch.CheckpointInterval, scratch.Metrics = nil, 0, nil
 	scratch.Entries = plan.Range(0, 16)
-	want, err := core.Run(scratch)
+	wantRes, err := core.Run(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := append(append([]core.Experiment(nil), first.Experiments...), second.Experiments...)
-	if !reflect.DeepEqual(got, want.Experiments) {
+	if !reflect.DeepEqual(got, wantRes.Experiments) {
 		t.Errorf("experiments restored from a shared Golden differ from a scratch campaign")
 	}
-	if !reflect.DeepEqual(rebuilt.Experiments, first.Experiments) {
-		t.Errorf("experiments differ between checkpoint intervals")
+	for name, res := range map[string]*core.Result{"a Golden without snapshots": fromZero, "a wider interval": rebuilt} {
+		if !reflect.DeepEqual(res.Experiments, first.Experiments) {
+			t.Errorf("experiments of %s differ", name)
+		}
 	}
 
-	// Concurrent Runs on a fresh Golden wait for one capture (-race).
-	shared, err := core.RunGolden(im, ranks, mpi.Config{}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Concurrent Runs share one Golden's snapshots read-only (-race).
 	conc := base
-	conc.Golden, conc.Metrics = shared, telemetry.New()
+	conc.Metrics = telemetry.New()
 	conc.Parallelism = 1
 	results := make([]*core.Result, 4)
 	var wg sync.WaitGroup
@@ -333,14 +367,11 @@ func TestGoldenCarriesCheckpoints(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := conc.Metrics.Counter(telemetry.MetricCheckpointsTaken).Value(); n != taken {
-		t.Errorf("4 concurrent Runs captured %d checkpoints, want one pass of %d", n, taken)
-	}
 	got = got[:0]
 	for _, r := range results {
 		got = append(got, r.Experiments...)
 	}
-	if !reflect.DeepEqual(got, want.Experiments) {
+	if !reflect.DeepEqual(got, wantRes.Experiments) {
 		t.Errorf("experiments of concurrent Runs on one Golden differ from a scratch campaign")
 	}
 }

@@ -15,8 +15,30 @@ import (
 // golden runs, on one, two and eight host threads, record the same tape on
 // every rank — every packet pulled and sent, every write, at the same
 // instruction — and so the same instruction counts, received bytes and
-// output.  Every campaign artifact is derived from those.
+// output.  Every campaign artifact is derived from those.  The
+// checkpointing arm holds a golden run that snapshots itself to the same:
+// parking ranks is scheduling too, so its tapes and where each snapshot
+// cut them repeat as exactly.
 func TestGoldenTapesReproducible(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { goldenTapesReproducible(t, 0) })
+	t.Run("checkpointing", func(t *testing.T) { goldenTapesReproducible(t, DefaultCheckpointInterval) })
+}
+
+// cutShape is what of a snapshot must repeat: per rank, its clock, its
+// tape position and how many packets were in flight to it.
+func cutShape(g *Golden) [][][3]int {
+	var shape [][][3]int
+	for _, s := range g.Result.Snapshots {
+		cut := make([][3]int, s.Size)
+		for r := range cut {
+			cut[r] = [3]int{int(s.RankInstrs(r)), s.Ranks[r].TapePos, len(s.Queues[r])}
+		}
+		shape = append(shape, cut)
+	}
+	return shape
+}
+
+func goldenTapesReproducible(t *testing.T, interval uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		app   string
@@ -36,13 +58,18 @@ func TestGoldenTapesReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg := Config{Image: im, Ranks: tc.ranks, MPIConfig: defaultMPI(), WallLimit: 30 * time.Second,
+			CheckpointInterval: interval, MaxCheckpoints: DefaultMaxCheckpoints}
 		var first *Golden
 		for i := 0; i < 20; i++ {
 			procs := []int{1, 2, 8}[i%3]
 			runtime.GOMAXPROCS(procs)
-			g, err := RunGolden(im, tc.ranks, defaultMPI(), 30*time.Second)
+			g, err := runGolden(&cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := len(g.Result.Snapshots); (n > 0) != (interval > 0) {
+				t.Fatalf("%s/%d: %d snapshots at interval %d", tc.app, tc.ranks, n, interval)
 			}
 			if first == nil {
 				first = g
@@ -63,6 +90,10 @@ func TestGoldenTapesReproducible(t *testing.T) {
 				}
 				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: rank %d's tape (%d events) leaves run 0's (%d events) at event %d",
 					tc.app, tc.ranks, i, procs, r, len(g.tapes[r]), len(first.tapes[r]), at)
+			}
+			if got, want := cutShape(g), cutShape(first); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: snapshots cut the run at\n%v\nrun 0's at\n%v",
+					tc.app, tc.ranks, i, procs, got, want)
 			}
 		}
 	}

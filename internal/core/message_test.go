@@ -34,15 +34,13 @@ func msgTape(order []int) (tape mpi.Tape, streams [4][][]byte) {
 // tape positions (-1: rank 0 had exited by then).
 func msgCtx(tape mpi.Tape, cuts []int) *campaignCtx {
 	tapes := []mpi.Tape{tape, nil, nil, nil}
-	c := &campaignCtx{golden: &Golden{tapes: tapes}}
-	if cuts != nil {
-		c.ckpts = &CheckpointSet{tapes: tapes}
-		for _, pos := range cuts {
-			s := &cluster.Snapshot{Size: 4, Ranks: make([]cluster.RankSnapshot, 4)}
-			s.Ranks[0] = cluster.RankSnapshot{TapePos: pos, Finished: pos < 0}
-			c.ckpts.snaps = append(c.ckpts.snaps, s)
-		}
+	c := &campaignCtx{golden: &Golden{tapes: tapes, Result: &cluster.Result{}}}
+	for _, pos := range cuts {
+		s := &cluster.Snapshot{Size: 4, Ranks: make([]cluster.RankSnapshot, 4)}
+		s.Ranks[0] = cluster.RankSnapshot{TapePos: pos, Finished: pos < 0}
+		c.snaps = append(c.snaps, s)
 	}
+	c.golden.Result.Snapshots = c.snaps
 	return c
 }
 

@@ -14,7 +14,6 @@ type campaignMeters struct {
 	planned, resumed, started, finished *telemetry.Counter
 	unapplied, corrupted                *telemetry.Counter
 	ckptTaken, ckptHits, ckptMisses     *telemetry.Counter
-	ckptFallbacks                       *telemetry.Counter
 	instrsSkipped                       *telemetry.Gauge
 	soloCorrect, soloFailed             *telemetry.Counter
 	soloFallback, soloInstrs            *telemetry.Counter
@@ -39,7 +38,6 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 		ckptTaken:     reg.Counter(telemetry.MetricCheckpointsTaken),
 		ckptHits:      reg.Counter(telemetry.MetricCheckpointHits),
 		ckptMisses:    reg.Counter(telemetry.MetricCheckpointMisses),
-		ckptFallbacks: reg.Counter(telemetry.MetricCheckpointFallbacks),
 		instrsSkipped: reg.Gauge(telemetry.MetricInstrsSkipped),
 		soloCorrect:   reg.Counter(telemetry.SoloMetric("correct")),
 		soloFailed:    reg.Counter(telemetry.SoloMetric("failed")),

@@ -67,7 +67,7 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) bool {
 		from = job.Restore.RankInstrs(e.Rank)
 		c.skip(from)
 	}
-	res := cluster.RunSolo(job, e.Rank, c.tapes[e.Rank])
+	res := cluster.RunSolo(job, e.Rank, c.golden.tapes[e.Rank])
 	c.solo.instrs.Add(res.Instrs - from)
 	c.met.soloInstrs.Add(res.Instrs - from)
 	switch {

@@ -372,7 +372,7 @@ func (p *Proc) Wait(m *vm.Machine, reqID int32, status uint32) *vm.Trap {
 	if !ok {
 		return p.apiError(m, abi.ErrArg, "invalid request handle %d", reqID)
 	}
-	if t := p.progressUntil(func() bool { return r.done }, m); t != nil {
+	if t := p.progressUntil(m, r); t != nil {
 		return t
 	}
 	if !r.send && status != 0 {
@@ -446,7 +446,7 @@ func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag in
 	if t != nil {
 		return t
 	}
-	if t := p.progressUntil(func() bool { return rr.done && sr.done }, m); t != nil {
+	if t := p.progressUntil(m, rr, sr); t != nil {
 		return t
 	}
 	if status != 0 {

@@ -41,6 +41,7 @@ func (p *Proc) barrier(ci *commInfo, m *vm.Machine) *vm.Trap {
 			}
 			continue
 		}
+		p.awaits = from
 		if _, t := p.waitMatch(match, m); t != nil {
 			return t
 		}

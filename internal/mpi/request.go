@@ -317,21 +317,28 @@ func (p *Proc) dispatch(pkt *Packet, m *vm.Machine) (bool, *vm.Trap) {
 	return false, nil
 }
 
-// progressUntil drives the engine until cond holds: it pulls packets,
-// dispatches them to pending requests and parks the rest.
-func (p *Proc) progressUntil(cond func() bool, m *vm.Machine) *vm.Trap {
-	for !cond() {
-		pkt, t := p.pull(m)
-		if t != nil {
-			return t
-		}
-		consumed, t := p.dispatch(pkt, m)
-		if t != nil {
-			return t
-		}
-		if !consumed {
-			if t := p.park(pkt, m); t != nil {
+// progressUntil drives the engine until every request is done: it pulls
+// packets, dispatches them to pending requests and parks the rest.
+func (p *Proc) progressUntil(m *vm.Machine, reqs ...*Request) *vm.Trap {
+	for _, r := range reqs {
+		for !r.done {
+			// Whose packet completes r: a receive's source (AnySource when
+			// it names none), a rendezvous send's destination, for the CTS.
+			if p.awaits = r.src; r.send {
+				p.awaits = r.dst
+			}
+			pkt, t := p.pull(m)
+			if t != nil {
 				return t
+			}
+			consumed, t := p.dispatch(pkt, m)
+			if t != nil {
+				return t
+			}
+			if !consumed {
+				if t := p.park(pkt, m); t != nil {
+					return t
+				}
 			}
 		}
 	}
@@ -340,7 +347,7 @@ func (p *Proc) progressUntil(cond func() bool, m *vm.Machine) *vm.Trap {
 
 // wait blocks until the request completes, then releases it.
 func (p *Proc) wait(r *Request, m *vm.Machine) *vm.Trap {
-	if t := p.progressUntil(func() bool { return r.done }, m); t != nil {
+	if t := p.progressUntil(m, r); t != nil {
 		return t
 	}
 	p.releaseRequest(r, m)

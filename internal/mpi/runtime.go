@@ -72,6 +72,10 @@ type Proc struct {
 	suspend func(struct{}) bool
 	waits   waitKind
 	waitDst *Proc
+	// awaits is the rank whose packet the blocking call in progress needs
+	// next, AnySource when it names none; it means something only while
+	// the rank waits on its queue.
+	awaits int32
 
 	// unexpected holds arrived-but-unmatched packets; payloads of eager
 	// data packets are buffered in guest-heap chunks tagged ChunkMPI, as

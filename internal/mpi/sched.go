@@ -10,11 +10,11 @@ import "iter"
 // A rank executes as a coroutine, and the job's scheduler (cluster.Run)
 // resumes one rank at a time on its own goroutine.  A rank hands control
 // back at its scheduling points only: a pull on an empty Channel queue, a
-// send (after the enqueue, and before it while the queue is full), a
-// checkpoint barrier, and its end.  Between two of them nothing else in
-// the world moves, so which packet a pull finds, and everything that
-// follows from it, depends on the scheduler's rule alone — never on the
-// host.
+// send (after the enqueue, and before it while the queue is full), where
+// a snapshot that is due holds it (Yield), and its end.  Between two of
+// them nothing else in the world moves, so which packet a pull finds, and
+// everything that follows from it, depends on the scheduler's rule alone —
+// never on the host.
 
 // waitKind is what a suspended rank needs before it can continue.
 type waitKind uint8
@@ -56,6 +56,19 @@ func (p *Proc) Runnable() bool {
 		return p.waitDst.queued() < p.w.cfg.QueueDepth
 	}
 	return true
+}
+
+// Awaits returns the rank a suspended rank cannot continue without — the
+// one whose queue is full, or whose packet the blocking call needs — or -1
+// when it waits for nothing or cannot tell (a wildcard receive).
+func (p *Proc) Awaits() int {
+	switch p.waits {
+	case waitSend:
+		return p.waitDst.rank
+	case waitRecv:
+		return int(p.awaits)
+	}
+	return -1
 }
 
 // Yield is a scheduling point that waits for nothing inside the runtime;

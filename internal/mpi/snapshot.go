@@ -37,8 +37,7 @@ func (w *World) Prefill(r int, raws [][]byte) {
 }
 
 // WithQueueHeadroom returns the config with defaults applied and the
-// queue depth enlarged by n packets — room for snapshot prefill, or for
-// a checkpoint run in which paused receivers must not block senders.
+// queue depth enlarged by n packets — room for snapshot prefill.
 func (c Config) WithQueueHeadroom(n int) Config {
 	c.fill()
 	c.QueueDepth += n

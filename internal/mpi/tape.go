@@ -185,43 +185,3 @@ func (t Tape) PulledBytes(pos, n int) []uint64 {
 	}
 	return from
 }
-
-// Event is one Channel-level message of a recorded run: rank Src enqueued
-// it while executing its SrcInstr-th instruction, and rank Dst pulled it
-// while executing its DstInstr-th.
-type Event struct {
-	Src, Dst           int
-	SrcInstr, DstInstr uint64
-}
-
-// Causality pairs the recorded run's sends with its pulls.  A rank's
-// queue is FIFO and each sender enqueues in program order, so the k-th
-// packet d pulled from s is the k-th packet s sent to d.
-func Causality(tapes []Tape) []Event {
-	n := len(tapes)
-	sent := make([][]uint64, n*n) // [s*n+d]: instruction counts of s's sends to d, unpaired yet
-	for s, tape := range tapes {
-		for i := range tape {
-			if ev := &tape[i]; ev.Kind == TapeSend && uint32(ev.Arg) < uint32(n) {
-				sent[s*n+int(ev.Arg)] = append(sent[s*n+int(ev.Arg)], ev.Instrs)
-			}
-		}
-	}
-	var events []Event
-	for d, tape := range tapes {
-		for i := range tape {
-			ev := &tape[i]
-			if ev.Kind != TapeRecv {
-				continue
-			}
-			s := RawSource(ev.Data)
-			if uint(s) >= uint(n) || len(sent[s*n+d]) == 0 {
-				continue
-			}
-			q := &sent[s*n+d]
-			events = append(events, Event{Src: s, Dst: d, SrcInstr: (*q)[0], DstInstr: ev.Instrs})
-			*q = (*q)[1:]
-		}
-	}
-	return events
-}

@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -146,85 +144,4 @@ func TestTapeDepartures(t *testing.T) {
 			t.Fatal("pull on an empty tape blocked")
 		}
 	})
-}
-
-// TestCausalityEqualsPairingByHand records four host-driven ranks running
-// barriers — every token is unique by (source, round, epoch) — and pairs
-// each pulled token with the one send of the same bytes.
-func TestCausalityEqualsPairingByHand(t *testing.T) {
-	const ranks, barriers = 4, 5
-	w := NewWorld(ranks, Config{})
-	w.RecordTapes()
-	for _, p := range w.procs {
-		p.Start(func() {
-			m := &vm.Machine{}
-			for i := 0; i < barriers; i++ {
-				m.Instrs += uint64(100 + 10*p.rank) // ranks tick at different rates
-				if tr := p.barrier(p.comms[abi.CommWorld], m); tr != nil {
-					t.Errorf("rank %d barrier %d: %v", p.rank, i, tr)
-					return
-				}
-			}
-		})
-	}
-	// Round robin is a schedule too; barriers cannot deadlock under any.
-	for live := ranks; live > 0; {
-		live = 0
-		for _, p := range w.procs {
-			if p.Runnable() && p.Resume() {
-				live++
-			}
-		}
-	}
-	tapes := make([]Tape, ranks)
-	for r := range tapes {
-		tapes[r] = w.Proc(r).Tape()
-	}
-
-	var want []Event
-	for d, tape := range tapes {
-		for _, rv := range tape {
-			if rv.Kind != TapeRecv {
-				continue
-			}
-			pkt, _, err := ParsePacket(rv.Data, d, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matches := 0
-			for _, sn := range tapes[pkt.Src] {
-				if sn.Kind == TapeSend && int(sn.Arg) == d && bytes.Equal(sn.Data, rv.Data) {
-					want = append(want, Event{Src: int(pkt.Src), Dst: d, SrcInstr: sn.Instrs, DstInstr: rv.Instrs})
-					matches++
-				}
-			}
-			if matches != 1 {
-				t.Fatalf("token %+v pulled by rank %d has %d sends", pkt, d, matches)
-			}
-		}
-	}
-	got := Causality(tapes)
-	if len(got) != ranks*barriers*2 { // log2(4) rounds per barrier
-		t.Fatalf("derived %d events, want %d", len(got), ranks*barriers*2)
-	}
-	order := func(ev []Event) {
-		sort.Slice(ev, func(i, j int) bool {
-			a, b := ev[i], ev[j]
-			if a.Dst != b.Dst {
-				return a.Dst < b.Dst
-			}
-			if a.DstInstr != b.DstInstr {
-				return a.DstInstr < b.DstInstr
-			}
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.SrcInstr < b.SrcInstr
-		})
-	}
-	order(got)
-	order(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("derived events differ from the pairing by hand:\ngot  %+v\nwant %+v", got, want)
-	}
 }

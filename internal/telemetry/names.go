@@ -16,16 +16,15 @@ const (
 	MetricUnapplied           = "mpifault_experiments_unapplied_total"
 	MetricMessagesCorrupted   = "mpifault_messages_corrupted_total"
 
-	// Golden-run checkpointing (internal/core).  Hits/misses count
+	// Golden-run checkpointing (internal/core).  Taken counts the
+	// snapshots golden runs took of themselves; hits/misses count
 	// experiments started from a checkpoint vs from t=0; the
 	// instructions-skipped gauge totals the golden-prefix work restored
-	// experiments did not repeat; fallbacks count campaigns whose
-	// checkpoint pass failed validation and reverted to scratch starts.
-	MetricCheckpointsTaken    = "mpifault_checkpoints_taken_total"
-	MetricCheckpointHits      = "mpifault_checkpoint_hits_total"
-	MetricCheckpointMisses    = "mpifault_checkpoint_misses_total"
-	MetricCheckpointFallbacks = "mpifault_checkpoint_fallbacks_total"
-	MetricInstrsSkipped       = "mpifault_checkpoint_instructions_skipped"
+	// experiments did not repeat.
+	MetricCheckpointsTaken = "mpifault_checkpoints_taken_total"
+	MetricCheckpointHits   = "mpifault_checkpoint_hits_total"
+	MetricCheckpointMisses = "mpifault_checkpoint_misses_total"
+	MetricInstrsSkipped    = "mpifault_checkpoint_instructions_skipped"
 
 	// Solo-rank replay (internal/core): the guest instructions executed
 	// by experiments run on their injected rank alone; SoloMetric counts

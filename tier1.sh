@@ -48,6 +48,20 @@ if [ "$last" -gt 2000 ]; then
 fi
 end
 
+begin "LOC ceiling"
+# Pay down the surface (ROADMAP item 6), as a ratchet: non-test Go outside
+# benchmark/ may shrink but not grow past what the last PR landed at.  A
+# PR that must add lines deletes as many, or raises the constant and says
+# why in CHANGES.md.
+LOC_CEILING=22692
+loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
+if [ "$loc" -gt "$LOC_CEILING" ]; then
+	echo "non-test Go outside benchmark/ is $loc lines; the ceiling is $LOC_CEILING" >&2
+	exit 1
+fi
+echo "$loc lines (ceiling $LOC_CEILING)"
+end
+
 begin staticcheck
 # Blocking when the pinned binary is available (CI installs it); local
 # machines without it skip rather than fetch anything over the network.
