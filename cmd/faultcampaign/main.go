@@ -40,33 +40,30 @@
 // code path — and produces byte-identical output — as before they
 // existed.
 //
-// -trace-diff records a per-rank message-digest stream (operation, peer,
-// tag, byte count, payload hash) during the golden run and every
-// experiment, and localizes each Incorrect, Hang or Crash outcome by
-// binary-diffing its stream against the golden one: the journal entry
-// gains the first divergent message — implicated rank, message index,
+// -trace-diff localizes each Incorrect, Hang or Crash outcome by diffing
+// what the experiment's ranks sent, wrote, opened and allocated against
+// the golden run's tapes (Channel-level, receives skipped): the journal
+// entry gains the first divergent output — implicated rank, output index,
 // golden-vs-observed digests and the instruction distance from the
 // injection.  faultmerge summarises these as the localization table.
-// Tracing only observes: fixed-seed tables, CSV and journal order are
-// byte-identical with -trace-diff on or off.  -trace-out writes the
-// golden trace's identity (app, seed, rank/message counts and digest
-// hash) as one JSON line, which CI compares across shard legs and
-// coordinator workers.  -trace-diff refuses to combine with an explicit
-// -checkpoint-interval/-checkpoints rather than silently disabling one:
-// a digest stream must observe every message from instruction 0, and a
-// checkpoint-restored experiment skips its golden prefix.
+// Both observers ride the one execution path — restored, solo first —
+// and only observe: fixed-seed tables, CSV and journal order are
+// byte-identical with -forensics or -trace-diff on or off, and their
+// records with checkpointing on or off.  -trace-out writes the golden
+// run's trace identity (app, seed, rank/message counts and the hash of
+// its tapes) as one JSON line, which CI compares across shard legs and
+// coordinator workers.
 //
 // Golden-run checkpointing is on by default: the golden run takes a
 // consistent snapshot of the cluster as it runs, at most every
 // -checkpoint-interval retired instructions (a floor: past -checkpoints
 // of them it keeps every other one and doubles the spacing), and each
-// experiment starts from the latest snapshot preceding its injection
-// trigger instead of from t=0.  A fixed-seed campaign produces
+// experiment starts from the latest snapshot at least 64 instructions
+// (the flight recorder's depth) before its injection instead of from
+// t=0.  A fixed-seed campaign produces
 // byte-identical tables, CSV and journals with checkpointing on or off —
 // it is purely a wall-clock optimization, for -adaptive rounds and a
-// -worker's leases too.  -checkpoint-interval 0 disables it;
-// -forensics also disables it, because a flight record must cover the
-// instructions leading up to the injection.
+// -worker's leases too.  -checkpoint-interval 0 disables it.
 //
 // -no-superblock runs every machine on the per-instruction interpreter
 // instead of the compiled superblock tier (internal/vm/superblock.go).
@@ -124,6 +121,7 @@ import (
 	"mpifault/internal/apps"
 	"mpifault/internal/coord"
 	"mpifault/internal/core"
+	"mpifault/internal/mpi"
 	"mpifault/internal/msgtrace"
 	"mpifault/internal/report"
 	"mpifault/internal/sampling"
@@ -180,18 +178,18 @@ func runWorker(url, name string, parallelism int, quiet bool) int {
 	}
 }
 
-// writeGoldenTrace records the golden trace's identity as one JSON
-// line.  The fields are all derived from the deterministic golden run,
-// so two legs of one campaign — shards, superblock on/off, coordinator
-// workers — must write byte-identical files; CI diffs them.
-func writeGoldenTrace(path, app string, seed uint64, tr *msgtrace.Trace) error {
+// writeGoldenTrace records the golden run's trace identity as one JSON
+// line.  The fields are all derived from its deterministic tapes, so two
+// legs of one campaign — shards, superblock on/off, coordinator workers —
+// must write byte-identical files; CI diffs them.
+func writeGoldenTrace(path, app string, seed uint64, tapes []mpi.Tape) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	_, err = fmt.Fprintf(f, "{\"app\":%q,\"seed\":%d,\"ranks\":%d,\"messages\":%d,\"hash\":\"%016x\"}\n",
-		app, seed, len(tr.Ranks), tr.Messages(), tr.Hash())
+		app, seed, len(tapes), msgtrace.Messages(tapes), msgtrace.Hash(tapes))
 	return err
 }
 
@@ -213,8 +211,8 @@ func run() int {
 	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics over HTTP on this address (/metrics Prometheus text, /metrics.json JSON)")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
 	forensics := flag.Bool("forensics", false, "record per-experiment fault forensics (last executed PCs, trap detail, manifestation latency) into the journal")
-	traceDiff := flag.Bool("trace-diff", false, "record per-rank message-digest streams and localize Incorrect/Hang/Crash outcomes by their first divergence from the golden trace")
-	traceOut := flag.String("trace-out", "", "write the golden trace's identity (app, seed, rank/message counts, digest hash) as JSON to this file (requires -trace-diff and a single -app)")
+	traceDiff := flag.Bool("trace-diff", false, "localize Incorrect/Hang/Crash outcomes by the first divergence of their ranks' outputs from the golden run's tapes")
+	traceOut := flag.String("trace-out", "", "write the golden run's trace identity (app, seed, rank/message counts, hash of its tapes) as JSON to this file (requires a single -app)")
 	statusEvery := flag.Duration("status", 0, "print a one-line campaign status to stderr at this interval (e.g. 2s; 0 = off)")
 	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "least golden-run instructions between the snapshots the golden run takes of itself; experiments start from the latest one before their trigger (0 = always start from t=0)")
 	ckptMax := flag.Int("checkpoints", 0, "maximum checkpoints the golden run keeps; a longer run widens the spacing instead (0 = default)")
@@ -251,29 +249,6 @@ func run() int {
 			return 1
 		}
 		return runWorker(*workerURL, *workerName, *par, *quiet)
-	}
-
-	ckptFlagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "checkpoint-interval" || f.Name == "checkpoints" {
-			ckptFlagSet = true
-		}
-	})
-	if *forensics && *ckptInterval > 0 && ckptFlagSet {
-		log.Print("-forensics disables checkpointing (flight records must cover the pre-injection prefix)")
-	}
-	if *traceDiff && ckptFlagSet {
-		// Unlike -forensics (which predates this rule and only warns),
-		// combining an explicit checkpointing request with -trace-diff is
-		// refused outright: a digest stream must observe every message
-		// from instruction 0, and a checkpoint-restored experiment skips
-		// its golden prefix, so one of the two flags would be a no-op.
-		log.Print("-trace-diff cannot be combined with -checkpoint-interval/-checkpoints: digest streams must observe the run from instruction 0, which checkpoint-restored experiments skip")
-		return 1
-	}
-	if *traceOut != "" && !*traceDiff {
-		log.Print("-trace-out requires -trace-diff")
-		return 1
 	}
 
 	nFlagSet := false
@@ -593,14 +568,16 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct, %d failed); %d re-run on all ranks\n",
 				name, so.Correct+so.Failed, so.Attempts(), so.Correct, so.Failed, so.Fallback)
 		}
-		if *traceDiff && res.Golden != nil && res.Golden.Trace != nil {
-			tr := res.Golden.Trace
-			if !*quiet {
+		// An adaptive campaign that runs no round (resumed from a converged
+		// journal, or stopped before its first) has no golden run.
+		if res.Golden != nil {
+			tapes := res.Golden.Result.Tapes
+			if *traceDiff && !*quiet {
 				fmt.Fprintf(os.Stderr, "%s: golden trace digest %016x (%d messages across %d ranks)\n",
-					name, tr.Hash(), tr.Messages(), len(tr.Ranks))
+					name, msgtrace.Hash(tapes), msgtrace.Messages(tapes), len(tapes))
 			}
 			if *traceOut != "" {
-				if err := writeGoldenTrace(*traceOut, name, *seed, tr); err != nil {
+				if err := writeGoldenTrace(*traceOut, name, *seed, tapes); err != nil {
 					log.Printf("trace-out: %v", err)
 					return 1
 				}

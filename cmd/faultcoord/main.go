@@ -63,7 +63,7 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "campaign seed (same seed => identical campaign)")
 	regions := flag.String("regions", "", "comma-separated region subset (reg,fp,bss,data,stack,text,heap,message)")
 	equivalence := flag.String("equivalence", "", "drive register injections by the static equivalence partition (annotate, prune or audit)")
-	traceDiff := flag.Bool("trace-diff", false, "make every worker record message-digest streams and localize Incorrect/Hang/Crash outcomes against the golden trace (faultcampaign -trace-diff)")
+	traceDiff := flag.Bool("trace-diff", false, "make every worker localize Incorrect/Hang/Crash outcomes by their first divergence from the golden run's tapes (faultcampaign -trace-diff)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: cut leases in deterministic planner rounds and stop each region at the CI target instead of the fixed -n (faultcampaign -adaptive)")
 	targetD := flag.Float64("d", core.DefaultTargetHalfWidth, "adaptive stopping target: per-region CI half-width (requires -adaptive)")
 	confidence := flag.Float64("confidence", core.DefaultConfidence, "adaptive CI confidence level (requires -adaptive)")

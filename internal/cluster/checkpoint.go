@@ -45,7 +45,8 @@ type RankSnapshot struct {
 	VM  *vm.Snapshot
 	MPI *mpi.ProcSnapshot
 	// TapePos is how many events of its tape the rank had recorded at the
-	// cut (Job.RecordTapes): where RunSolo resumes.
+	// cut (Job.RecordTapes): where RunSolo resumes, and where a restored
+	// job's recording of the rank starts.
 	TapePos  int
 	Finished bool
 	Result   RankResult
@@ -214,13 +215,13 @@ func (c *ckptRun) capture() {
 		rs := &s.Ranks[r]
 		rs.Stdout = append([]byte(nil), rk.io.stdout...)
 		rs.Stderr = append([]byte(nil), rk.io.stderr...)
+		rs.TapePos = len(rk.proc.Tape())
 		if rk.done {
 			rs.Finished = true
 			rs.Result = rk.result(c.heapBase)
 		} else {
 			rs.VM = rk.m.Snapshot()
 			rs.MPI = rk.proc.Snapshot()
-			rs.TapePos = len(rk.proc.Tape())
 		}
 		s.Queues[r] = c.world.DrainQueue(r)
 	}

@@ -23,11 +23,11 @@ func checkCuts(t *testing.T, res *Result) {
 	t.Helper()
 	n := len(res.Tapes)
 	for k, s := range res.Snapshots {
-		pos := func(r int) int {
-			if s.Ranks[r].Finished {
-				return len(res.Tapes[r])
+		pos := func(r int) int { return s.Ranks[r].TapePos }
+		for r := range res.Tapes {
+			if s.Ranks[r].Finished && pos(r) != len(res.Tapes[r]) {
+				t.Fatalf("snapshot %d: rank %d had finished at tape position %d of %d", k, r, pos(r), len(res.Tapes[r]))
 			}
-			return s.Ranks[r].TapePos
 		}
 		sent := make([][][]byte, n*n) // [src*n+dst], in src's program order
 		for src, tape := range res.Tapes {

@@ -53,7 +53,9 @@ type Job struct {
 	// before this field existed.
 	Metrics *telemetry.Registry
 	// RecordTapes makes every rank record its tape (mpi.Tape) into
-	// Result.Tapes: what RunSolo replays (golden recording runs only).
+	// Result.Tapes: what RunSolo replays (the golden run's), and what
+	// trace-diff compares with it (an experiment's).  A restored rank
+	// records from its snapshot's TapePos on.
 	RecordTapes bool
 	// Checkpoints makes a job that starts at t=0 snapshot itself into
 	// Result.Snapshots as it runs (see checkpoint.go).

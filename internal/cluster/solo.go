@@ -21,8 +21,10 @@ type SoloResult struct {
 	// or carries a nonzero code, the budget.  The job must then be run on
 	// all ranks.
 	Trap *vm.Trap
-	// Instrs is the rank's retired-instruction count when it stopped.
+	// Instrs is the rank's retired-instruction count when it stopped, and
+	// Pos how many events of the tape it had got through.
 	Instrs uint64
+	Pos    int
 }
 
 // RunSolo executes rank alone, on the caller's goroutine, with tape —
@@ -40,8 +42,8 @@ func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
 	m, _ := job.newRank(rank, proc, nil)
 	out := m.Run(job.Budget)
 
-	res := SoloResult{Trap: out.Trap, Instrs: m.Instrs}
 	left, departed := proc.Replayed()
+	res := SoloResult{Trap: out.Trap, Instrs: m.Instrs, Pos: len(tape) - left}
 	switch {
 	case departed || out.Reason == vm.StopBudget:
 		res.Trap = nil

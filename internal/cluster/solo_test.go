@@ -183,6 +183,41 @@ func TestRunSoloDepartures(t *testing.T) {
 	})
 }
 
+// TestRecvHookLeavesTapesAlone: a recording job's receive hook (the message
+// injector) flips a copy of the packet, not the bytes the sender's TapeSend
+// and the receiver's TapeRecv hold.
+func TestRecvHookLeavesTapesAlone(t *testing.T) {
+	job := Job{Image: buildRing(t, 8), Size: 4, Budget: 10_000_000}
+	clean, _ := record(t, job)
+	fired := false
+	job.RecordTapes = true
+	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
+		if r == 1 {
+			p.RecvHook = func(pkt []byte) {
+				if !fired && len(pkt) > mpi.HeaderBytes {
+					pkt[mpi.HeaderBytes] ^= 0xFF
+					fired = true
+				}
+			}
+		}
+	}
+	res := Run(job)
+	if !fired {
+		t.Fatal("the hook never fired")
+	}
+	// Rank 0 sends to rank 1 before it receives anything: its first send is
+	// the packet rank 1 pulled first, the one the hook flipped.
+	i := firstEvent(t, clean.Tapes[0], func(i int) bool { return clean.Tapes[0][i].Kind == mpi.TapeSend })
+	j := firstEvent(t, res.Tapes[1], func(i int) bool { return res.Tapes[1][i].Kind == mpi.TapeRecv })
+	want := clean.Tapes[0][i].Data
+	if got := res.Tapes[0][i].Data; string(got) != string(want) {
+		t.Errorf("the sender's tape holds % x, it sent % x", got[mpi.HeaderBytes:], want[mpi.HeaderBytes:])
+	}
+	if got := res.Tapes[1][j].Data; string(got) != string(want) {
+		t.Errorf("the receiver's tape holds % x, it was sent % x", got[mpi.HeaderBytes:], want[mpi.HeaderBytes:])
+	}
+}
+
 // TestRunSoloReportsOnTapeTrap: a fault that crashes the injected rank
 // before it says anything new gives, alone, the trap the whole job reports.
 func TestRunSoloReportsOnTapeTrap(t *testing.T) {

@@ -69,11 +69,11 @@ type Spec struct {
 	Seed        uint64   `json:"seed"`
 	Regions     []string `json:"regions,omitempty"`     // short names; empty = all eight
 	Equivalence string   `json:"equivalence,omitempty"` // "", annotate, prune or audit
-	// TraceDiff makes every worker record message-digest streams and
-	// localize Incorrect/Hang/Crash outcomes against its golden trace
-	// (faultcampaign -trace-diff).  The golden trace is a pure function
-	// of (app, seed, ranks), so every worker computes the identical
-	// digest — the e2e gate compares the hashes they log.
+	// TraceDiff makes every worker localize Incorrect/Hang/Crash outcomes
+	// against its golden run's tapes (faultcampaign -trace-diff).  The
+	// tapes are a pure function of (app, seed, ranks), so every worker
+	// computes the identical digest — the e2e gate compares the hashes
+	// they log.
 	TraceDiff bool `json:"trace_diff,omitempty"`
 	// Adaptive switches the campaign to the sequential-stopping planner
 	// (faultcampaign -adaptive): instead of pre-splitting the fixed plan,

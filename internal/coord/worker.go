@@ -13,6 +13,7 @@ import (
 	"mpifault/internal/apps"
 	"mpifault/internal/core"
 	"mpifault/internal/image"
+	"mpifault/internal/msgtrace"
 	"mpifault/internal/report"
 )
 
@@ -344,12 +345,6 @@ func (w *worker) runLease(grant leaseGrant) error {
 	}
 
 	golden := wa.golden
-	if spec.TraceDiff && golden != nil && golden.Trace == nil {
-		// The cached golden predates a trace-diff campaign (possible
-		// only across campaigns of one app); re-run it with the digest
-		// recorder attached rather than failing the lease.
-		golden = nil
-	}
 	cfg := core.Config{
 		Image:             wa.image,
 		Ranks:             grant.Ranks,
@@ -460,15 +455,16 @@ func (w *worker) runLease(grant leaseGrant) error {
 	}
 	if golden == nil && res.Golden != nil {
 		// This lease paid for the reference run; cache it for the app's
-		// later leases.  The digest line makes the golden-trace identity
-		// externally checkable: every worker of a trace-diff campaign
-		// must log the same hash, and it must match a single-process
-		// `faultcampaign -trace-out` of the same spec.
+		// later leases.  The digest line makes the golden-trace identity —
+		// the hash of its tapes — externally checkable: every worker of a
+		// trace-diff campaign must log the same hash, and it must match a
+		// single-process `faultcampaign -trace-out` of the same spec.
 		wa.golden = res.Golden
 		w.logf("golden run of %s done, cached for later leases", spec.App)
-		if tr := res.Golden.Trace; tr != nil {
+		if spec.TraceDiff {
+			tapes := res.Golden.Result.Tapes
 			w.logf("golden trace digest %016x (%d messages across %d ranks)",
-				tr.Hash(), tr.Messages(), len(tr.Ranks))
+				msgtrace.Hash(tapes), msgtrace.Messages(tapes), len(tapes))
 		}
 	}
 

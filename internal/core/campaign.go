@@ -12,7 +12,6 @@ import (
 	"mpifault/internal/cluster"
 	"mpifault/internal/image"
 	"mpifault/internal/mpi"
-	"mpifault/internal/msgtrace"
 	"mpifault/internal/rng"
 	"mpifault/internal/telemetry"
 	"mpifault/internal/vm"
@@ -30,14 +29,11 @@ type Golden struct {
 	Instrs    []uint64
 	RecvBytes []uint64
 	Result    *cluster.Result
-	// Trace is the reference per-rank message-digest stream, recorded
-	// only when the campaign runs with Config.TraceDiff; experiments
-	// diff their own streams against it to localize faults.
-	Trace *msgtrace.Trace
 
-	// tapes are the run's per-rank recordings, what an experiment replays
-	// its injected rank against (solo.go); the tape positions of the
-	// snapshots the run took of itself (Result.Snapshots) index them.
+	// tapes are the run's per-rank recordings (Result.Tapes): what an
+	// experiment replays its injected rank against (solo.go) and what
+	// trace-diff compares its ranks' outputs with; the tape positions of
+	// the snapshots the run took of itself (Result.Snapshots) index them.
 	tapes []mpi.Tape
 	// recvFrom[r][s] is how many of RecvBytes[r] rank r pulled from rank s,
 	// pulled[k][r][s] how many live rank r had at snapshot k; both are
@@ -64,28 +60,20 @@ func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 }
 
 // runGolden is RunGolden with what a campaign adds: its interpreter
-// escape hatch, the trace-diff digest recorder, and the snapshots the run
-// takes of itself when cfg.CheckpointInterval is set.  It is the one
-// place the fault-free job is executed.
+// escape hatch and the snapshots the run takes of itself when
+// cfg.CheckpointInterval is set.  It is the one place the fault-free job
+// is executed.
 func runGolden(cfg *Config) (*Golden, error) {
 	job := cluster.Job{
 		Image: cfg.Image, Size: cfg.Ranks, MPIConfig: cfg.MPIConfig, WallLimit: cfg.WallLimit,
 		RecordTapes: true, DisableSuperblocks: cfg.DisableSuperblocks,
 		Checkpoints: cluster.CheckpointSpec{Interval: cfg.CheckpointInterval, Max: cfg.MaxCheckpoints},
 	}
-	var mrec *msgtrace.Recorder
-	if cfg.TraceDiff {
-		mrec = msgtrace.NewRecorder(cfg.Ranks)
-		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) { mrec.Attach(p) }
-	}
 	res := cluster.Run(job)
 	if res.HangDetected {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
 	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes}
-	if mrec != nil {
-		g.Trace = mrec.Trace()
-	}
 	for r, rr := range res.Ranks {
 		if rr.Trap == nil || rr.Trap.Kind != vm.TrapExit || rr.Trap.Code != 0 {
 			return nil, fmt.Errorf("core: golden run rank %d failed: %v", r, rr.Trap)
@@ -223,20 +211,19 @@ type Config struct {
 	// injected rank and fills Experiment.Forensics: the last retired
 	// PCs, the trap detail, and the injection-to-manifestation
 	// instruction distance (§5.2's crash latency).  Off by default; it
-	// observes without perturbing, so outcomes are unchanged.
-	// Forensics disables checkpointing: a flight record must cover the
-	// instructions leading up to the injection, which a restored
-	// experiment would have skipped.
+	// observes without perturbing, so outcomes are unchanged.  It rides
+	// the one execution path: solo or whole job, restored or from t=0,
+	// the record is the same (every start point is at least the ring's
+	// depth before the injection, checkpoint.go).
 	Forensics bool
-	// TraceDiff records a per-rank message-digest stream (op, peer,
-	// tag, byte count, payload hash) for the golden run and every
-	// experiment, and, for Incorrect/Hang/Crash outcomes, attaches the
-	// first divergence from the golden trace to Experiment.Forensics —
-	// the Okita-style fault localization.  Like Forensics it disables
-	// checkpointing: a digest stream must cover the run from
-	// instruction 0, which a restored experiment would have skipped.
-	// The hook only observes; fixed-seed outcomes, CSV and journal
-	// order are identical with TraceDiff on or off.
+	// TraceDiff attaches, for Incorrect/Hang/Crash outcomes, the first
+	// divergence of what the experiment's ranks sent, wrote, opened and
+	// allocated from what the golden run's did to Experiment.Forensics —
+	// the Okita-style fault localization, read off the tapes
+	// (internal/msgtrace): a whole job records its ranks' tapes, a run
+	// decided on the injected rank alone is its golden tape up to where
+	// the rank stopped.  It only observes; fixed-seed outcomes, CSV and
+	// journal order are identical with TraceDiff on or off.
 	TraceDiff bool
 	// CheckpointInterval, when nonzero, enables golden-run
 	// checkpointing: the golden run takes a consistent snapshot of the
@@ -409,9 +396,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	ckptOn := cfg.CheckpointInterval > 0 || cfg.MaxCheckpoints > 0
-	if cfg.Forensics || cfg.TraceDiff {
-		ckptOn = false // flight records and digest streams must cover the whole prefix
-	}
 	if ckptOn {
 		if cfg.CheckpointInterval == 0 {
 			cfg.CheckpointInterval = DefaultCheckpointInterval
@@ -421,9 +405,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	} else {
 		cfg.CheckpointInterval = 0 // the golden run takes no snapshots
-	}
-	if cfg.Golden != nil && cfg.TraceDiff && cfg.Golden.Trace == nil {
-		return nil, fmt.Errorf("core: Golden reuse with TraceDiff requires a golden recorded with TraceDiff (its message trace is missing)")
 	}
 
 	met := newCampaignMeters(cfg.Metrics)
@@ -456,7 +437,6 @@ func Run(cfg Config) (*Result, error) {
 	if ckptOn {
 		cctx.snaps = golden.Result.Snapshots
 	}
-	cctx.soloFirst = !cfg.Forensics && !cfg.TraceDiff
 
 	experiments := make([]Experiment, len(entries))
 	finished := make([]bool, len(entries))
@@ -628,9 +608,9 @@ type campaignCtx struct {
 	base   *rng.Rand
 	// snaps are the golden run's snapshots; nil with checkpointing off.
 	snaps []*cluster.Snapshot
-	// soloFirst: an experiment first runs its injected rank alone, against the
-	// golden tapes; unset, the campaign's experiments all run whole jobs.
-	soloFirst bool
+	// wholeJobs skips solo runs: the reference arm of export_test.go's
+	// SoloDifferential.  Run never sets it.
+	wholeJobs bool
 	met       *campaignMeters
 
 	// Local (per-campaign) counters: the telemetry registry may be shared
@@ -641,13 +621,11 @@ type campaignCtx struct {
 }
 
 // expScratch is the pooled per-experiment scratch: the experiment and
-// fault RNG streams (re-seeded in place), the forensics flight recorder
-// (ring reset, storage kept) and the trace-diff digest recorder
-// (streams truncated, backing arrays kept).
+// fault RNG streams (re-seeded in place) and the forensics flight recorder
+// (ring reset, storage kept).
 type expScratch struct {
 	r, faultRng rng.Rand
 	rec         *vm.FlightRecorder
-	mrec        *msgtrace.Recorder
 }
 
 // bucketOf peeks at the checkpoint an experiment will restore from
@@ -720,7 +698,12 @@ func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInj
 	for from := g.recvFrom[rank]; mi.Offset >= from[mi.Sender]; mi.Sender++ {
 		mi.Offset -= from[mi.Sender]
 	}
-	ckpt, mi.seen = c.indexForMessage(rank, mi.Sender, mi.Offset)
+	// The injection clock is the rank's when it pulled the packet that
+	// holds the byte; the injector restored at a checkpoint starts from what
+	// the rank had pulled there.
+	if ckpt = c.indexForInstr(rank, g.tapes[rank].PullClock(mi.Sender, mi.Offset)); ckpt >= 0 {
+		mi.seen = g.pulled[ckpt][rank][mi.Sender]
+	}
 	return ckpt, mi
 }
 
@@ -783,7 +766,6 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		if sc.rec == nil {
 			sc.rec = vm.NewFlightRecorder(forensicsDepth)
 		}
-		sc.rec.Reset()
 		rec = sc.rec
 		job.Tracer = rec
 		job.TraceRank = e.Rank
@@ -831,31 +813,27 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			}
 		}
 	}
-	if c.soloFirst {
+	var from []int // where the job's ranks start on their tapes, for trace-diff
+	if cfg.TraceDiff {
+		from = tapeStarts(job.Restore, cfg.Ranks)
+	}
+	if !c.wholeJobs {
 		// Solo first; a departure runs the whole job below, arming the
 		// identical fault from the same stream.
 		stream := sc.faultRng
-		if decided = c.runSolo(e, job); !decided {
-			sc.faultRng = stream
+		if rec != nil {
+			rec.Reset()
 		}
-	}
-
-	// The digest recorder observes every rank (a fault on one rank
-	// diverges its peers' streams too), composing with the injector
-	// hook the region branch installed above.
-	var mrec *msgtrace.Recorder
-	if cfg.TraceDiff {
-		if sc.mrec == nil {
-			sc.mrec = msgtrace.NewRecorder(cfg.Ranks)
-		}
-		sc.mrec.Reset(cfg.Ranks)
-		mrec = sc.mrec
-		inner := job.Setup
-		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) {
-			mrec.Attach(p)
-			if inner != nil {
-				inner(rank, m, p)
+		var solo cluster.SoloResult
+		if solo, decided = c.runSolo(e, job); decided {
+			if rec != nil {
+				e.Forensics = buildForensics(e, rec, solo.Trap, solo.Instrs, vm.StopTrap)
 			}
+			if cfg.TraceDiff {
+				attachDivergence(e, golden.tapes, from, soloTapes(golden.tapes, from, e.Rank, solo.Pos), e.Rank)
+			}
+		} else {
+			sc.faultRng = stream
 		}
 	}
 
@@ -863,14 +841,19 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		if job.Restore != nil {
 			c.skip(job.Restore.TotalInstrs())
 		}
+		if rec != nil {
+			rec.Reset()
+		}
+		job.RecordTapes = cfg.TraceDiff
 		res := cluster.Run(job)
 		e.Outcome = classify.Classify(res, golden.Output)
 		e.Detail = res.FailureSummary()
 		if rec != nil {
-			e.Forensics = buildForensics(e, rec, res)
+			rr := &res.Ranks[e.Rank]
+			e.Forensics = buildForensics(e, rec, rr.Trap, rr.Instrs, rr.Reason)
 		}
-		if mrec != nil {
-			attachDivergence(e, golden.Trace, mrec.Trace())
+		if cfg.TraceDiff {
+			attachDivergence(e, golden.tapes, from, res.Tapes, failedRank(res))
 		}
 	}
 	if e.Region == RegionMessage {

@@ -49,30 +49,19 @@ type CheckpointStats struct {
 }
 
 // indexForInstr returns the latest checkpoint from which an experiment
-// injecting into rank at instruction-count trigger can start: the rank
-// must still be live and its retired count at the cut must not exceed
-// the trigger (equality is fine — the restored machine fires the trigger
-// before executing anything).  Returns -1 when no checkpoint qualifies.
-func (c *campaignCtx) indexForInstr(rank int, trigger uint64) int {
+// injecting into rank at instruction-count clock can start: the rank must
+// still be live there, and at least forensicsDepth instructions before
+// the clock — the injection trigger, or for a message fault the pull of
+// the packet holding its byte — so the injected rank retires as many
+// instructions before the fault as the flight recorder keeps, wherever it
+// started.  One rule for every campaign, observed or not.  Returns -1
+// when no checkpoint qualifies.
+func (c *campaignCtx) indexForInstr(rank int, clock uint64) int {
 	best := -1
 	for k, s := range c.snaps {
-		if s.RankLive(rank) && s.RankInstrs(rank) <= trigger {
+		if s.RankLive(rank) && s.RankInstrs(rank)+forensicsDepth <= clock {
 			best = k
 		}
 	}
 	return best
-}
-
-// indexForMessage is indexForInstr for the message region: the clock is
-// the bytes rank has pulled from sender (Golden.pulled, read off the
-// golden run's tapes).  pulled is the count an injector restored there
-// starts from.
-func (c *campaignCtx) indexForMessage(rank, sender int, offset uint64) (best int, pulled uint64) {
-	best = -1
-	for k := range c.snaps {
-		if from := c.golden.pulled[k][rank]; from != nil && from[sender] <= offset {
-			best, pulled = k, from[sender]
-		}
-	}
-	return best, pulled
 }

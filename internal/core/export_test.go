@@ -8,8 +8,9 @@ import (
 
 // SoloDifferential runs every entry of cfg's plan twice on one thread —
 // through the solo-first path, and as a whole job directly (runOne with
-// no tapes to replay, what a fallback executes) — against one golden run
-// and, when cfg.CheckpointInterval is set, one checkpoint set.
+// wholeJobs set, what a fallback executes) — against one golden run and,
+// when cfg.CheckpointInterval is set, one checkpoint set.  Observers
+// (cfg.Forensics, cfg.TraceDiff) ride both arms.
 func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 	cfg.WallLimit = 30 * time.Second
 	cfg.MaxCheckpoints = DefaultMaxCheckpoints
@@ -24,7 +25,7 @@ func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 		}
 	}
 	arms := [2]*campaignCtx{newCtx(), newCtx()}
-	arms[0].soloFirst = true
+	arms[1].wholeJobs = true
 	if cfg.CheckpointInterval > 0 {
 		arms[0].snaps, arms[1].snaps = golden.Result.Snapshots, golden.Result.Snapshots
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"mpifault/internal/classify"
 	"mpifault/internal/cluster"
+	"mpifault/internal/mpi"
 	"mpifault/internal/msgtrace"
 	"mpifault/internal/vm"
 )
@@ -35,7 +36,8 @@ type Forensics struct {
 	// target rank, oldest first.
 	LastPCs []uint32 `json:"last_pcs,omitempty"`
 	// Divergence localizes the fault in the message stream: the first
-	// digest at which the experiment departed from the golden trace.
+	// output at which the experiment's ranks departed from the golden
+	// tapes.
 	// Filled only when the campaign ran with Config.TraceDiff and the
 	// outcome was Incorrect, Hang or Crash; it stays the last field so
 	// PR-4-era journal lines (which predate it) re-marshal byte-
@@ -65,22 +67,24 @@ func (e *Experiment) Divergence() *msgtrace.Divergence {
 }
 
 // forensicsDepth is the flight-recorder ring size: enough PCs to see
-// the final call chain without bloating journal lines.
+// the final call chain without bloating journal lines.  It is also how far
+// before its injection every experiment starts (indexForInstr), so the
+// ring a restored run fills is the one a run from t=0 fills.
 const forensicsDepth = 64
 
 // buildForensics assembles the flight record for the injected rank from
-// the finished job.
-func buildForensics(e *Experiment, rec *vm.FlightRecorder, res *cluster.Result) *Forensics {
-	rr := res.Ranks[e.Rank]
+// how it stopped: trap (nil when stopped from outside), its retired
+// instructions and the reason.
+func buildForensics(e *Experiment, rec *vm.FlightRecorder, t *vm.Trap, instrs uint64, reason vm.StopReason) *Forensics {
 	f := &Forensics{
-		ManifestedAt:    rr.Instrs,
-		BudgetExhausted: rr.Reason == vm.StopBudget,
+		ManifestedAt:    instrs,
+		BudgetExhausted: reason == vm.StopBudget,
 		LastPCs:         rec.LastPCs(),
 	}
 	if e.Region != RegionMessage {
 		f.InjectedAt = e.Trigger
 	}
-	if t := rr.Trap; t != nil && t.Kind != vm.TrapExit {
+	if t != nil && t.Kind != vm.TrapExit {
 		f.TrapKind = t.Kind.String()
 		f.TrapPC = t.PC
 		f.TrapAddr = t.Addr
@@ -89,20 +93,23 @@ func buildForensics(e *Experiment, rec *vm.FlightRecorder, res *cluster.Result) 
 	return f
 }
 
-// attachDivergence diffs a finished experiment's digest streams against
-// the golden trace and attaches the first divergence for the outcomes
-// where localization is meaningful: Incorrect (whose corruption the
-// divergent payload hash pinpoints), Hang and Crash (whose truncated or
-// departing streams name the rank that stopped conversing).  A fresh
-// Forensics record is allocated when the campaign ran without the
-// flight recorder.
-func attachDivergence(e *Experiment, golden *msgtrace.Trace, observed *msgtrace.Trace) {
+// attachDivergence diffs what a finished experiment's ranks said —
+// observed[r], recorded from position from[r] of rank r's golden tape on —
+// against the golden tapes and attaches the first divergence for the
+// outcomes where localization is meaningful: Incorrect (whose corruption
+// the divergent output pinpoints), Hang and Crash (whose truncated or
+// departing streams name the rank that stopped conversing; in a Crash only
+// the crashed rank's truncation counts).  A fresh Forensics record is
+// allocated when the campaign ran without the flight recorder.
+func attachDivergence(e *Experiment, golden []mpi.Tape, from []int, observed []mpi.Tape, crashed int) {
 	switch e.Outcome {
-	case classify.Incorrect, classify.Hang, classify.Crash:
+	case classify.Incorrect, classify.Hang:
+		crashed = -1
+	case classify.Crash:
 	default:
 		return
 	}
-	d := msgtrace.Diff(golden, observed)
+	d := msgtrace.Diff(golden, from, observed, crashed)
 	if d == nil {
 		return
 	}
@@ -113,4 +120,17 @@ func attachDivergence(e *Experiment, golden *msgtrace.Trace, observed *msgtrace.
 		e.Forensics = &Forensics{}
 	}
 	e.Forensics.Divergence = d
+}
+
+// failedRank returns the rank whose trap is res's first failure, -1 for
+// none.
+func failedRank(res *cluster.Result) int {
+	if t := res.FirstFailure(); t != nil {
+		for r := range res.Ranks {
+			if res.Ranks[r].Trap == t {
+				return r
+			}
+		}
+	}
+	return -1
 }

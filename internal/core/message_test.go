@@ -5,13 +5,15 @@ import (
 
 	"mpifault/internal/cluster"
 	"mpifault/internal/mpi"
+	"mpifault/internal/vm"
 )
 
 // msgTape is rank 0's hand-built recording in a world of four: rank 1
 // sends it nothing, rank 2 an eager message, a barrier token and a
 // rendezvous (RTS in, CTS out, data in), rank 3 a CTS and two eager
 // messages.  order interleaves the two senders' packets; each sender's own
-// packets keep their order, as the Channel's FIFO queues guarantee.
+// packets keep their order, as the Channel's FIFO queues guarantee.  Event
+// i happens at clock 100(i+1), so a cut at position p is at clock 100p.
 func msgTape(order []int) (tape mpi.Tape, streams [4][][]byte) {
 	pkt := func(kind uint8, src int32, payload int) []byte {
 		return (&mpi.Packet{Kind: kind, Src: src, Payload: make([]byte, payload)}).Marshal()
@@ -26,6 +28,9 @@ func msgTape(order []int) (tape mpi.Tape, streams [4][][]byte) {
 		// Outputs between the pulls: they move tape positions, not bytes.
 		tape = append(tape, mpi.TapeEvent{Kind: mpi.TapeSend, Arg: int32(s), Data: pkt(mpi.KindCTS, 0, 0)})
 	}
+	for i := range tape {
+		tape[i].Instrs = 100 * uint64(i+1)
+	}
 	return tape, streams
 }
 
@@ -38,6 +43,9 @@ func msgCtx(tape mpi.Tape, cuts []int) *campaignCtx {
 	for _, pos := range cuts {
 		s := &cluster.Snapshot{Size: 4, Ranks: make([]cluster.RankSnapshot, 4)}
 		s.Ranks[0] = cluster.RankSnapshot{TapePos: pos, Finished: pos < 0}
+		if pos >= 0 {
+			s.Ranks[0].VM = (&vm.Machine{Instrs: 100 * uint64(pos), Heap: &vm.Allocator{}}).Snapshot()
+		}
 		c.snaps = append(c.snaps, s)
 	}
 	c.golden.Result.Snapshots = c.snaps
@@ -79,6 +87,13 @@ func TestMessageTargetResolves(t *testing.T) {
 		if mi.Sender != tc.sender || mi.Offset != tc.offset || ckpt != -1 || mi.seen != 0 {
 			t.Errorf("%s, no checkpoints: sender %d offset %d checkpoint %d pulled %d", tc.name, mi.Sender, mi.Offset, ckpt, mi.seen)
 		}
+	}
+	// The barrier token pulled fewer than forensicsDepth instructions after
+	// the cut at position 4 (clock 400): the cut before serves instead.
+	near := append(mpi.Tape(nil), tape...)
+	near[4].Instrs, near[5].Instrs = 420, 400+forensicsDepth-1
+	if ckpt, mi := msgCtx(near, cuts).messageTarget(0, 58); ckpt != 0 || mi.seen != 0 {
+		t.Errorf("a pull %d instructions past a cut: checkpoint %d with %d pulled, want 0 with 0", forensicsDepth-1, ckpt, mi.seen)
 	}
 }
 

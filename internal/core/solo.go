@@ -5,6 +5,7 @@ import (
 
 	"mpifault/internal/classify"
 	"mpifault/internal/cluster"
+	"mpifault/internal/mpi"
 	"mpifault/internal/vm"
 )
 
@@ -17,9 +18,10 @@ import (
 // before saying anything new — are decided at 1/ranks of the cost.  The
 // rest are re-run on all ranks, unchanged.
 //
-// There is no switch: whole jobs are chosen by what the code observes.  A
-// departure is one case.  Forensics and TraceDiff observe every rank from
-// t=0, so they forgo solo runs as they forgo restores.
+// There is no switch: whole jobs are chosen by what the code observes, and
+// a departure is the one case.  Observers ride along: the flight recorder
+// is on the injected rank whichever way it runs, and a trace-diff of a run
+// decided solo is read off the golden tapes (soloTapes).
 
 // SoloStats counts a campaign's solo runs.
 type SoloStats struct {
@@ -58,7 +60,7 @@ func (s *soloCounters) stats() SoloStats {
 // runSolo runs e's injected rank alone, from job's restore point with
 // job's fault armed, and reports whether that decided the experiment;
 // e.Outcome and e.Detail are then what the whole job would have produced.
-func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) bool {
+func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) (cluster.SoloResult, bool) {
 	// A rank still running past the count at which it exited in the
 	// recorded run has departed from it.
 	job.Budget = c.golden.Instrs[e.Rank] + 1
@@ -74,7 +76,7 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) bool {
 	case res.Trap == nil:
 		c.solo.fallback.Add(1)
 		c.met.soloFallback.Inc()
-		return false
+		return res, false
 	case res.Trap.Kind == vm.TrapExit:
 		c.solo.correct.Add(1)
 		c.met.soloCorrect.Inc()
@@ -85,5 +87,30 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) bool {
 		e.Outcome = classify.Failure(res.Trap)
 		e.Detail = res.Trap.Error()
 	}
-	return true
+	return res, true
+}
+
+// soloTapes is what the ranks of a job starting at tape positions from
+// record when rank stops at position pos of its golden tape, on it all the
+// way: its golden events up to there, and every other rank — which, proven
+// to see nothing but the golden run, was never run — all of its own.
+func soloTapes(golden []mpi.Tape, from []int, rank, pos int) []mpi.Tape {
+	tapes := make([]mpi.Tape, len(golden))
+	for r, t := range golden {
+		tapes[r] = t[from[r]:]
+	}
+	tapes[rank] = golden[rank][from[rank]:pos]
+	return tapes
+}
+
+// tapeStarts returns the tape position each rank of a job restored from
+// snap (t=0: nil) starts recording at.
+func tapeStarts(snap *cluster.Snapshot, ranks int) []int {
+	from := make([]int, ranks)
+	if snap != nil {
+		for r := range from {
+			from[r] = snap.Ranks[r].TapePos
+		}
+	}
+	return from
 }

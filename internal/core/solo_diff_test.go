@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"mpifault/internal/apps"
@@ -16,7 +17,10 @@ import (
 // experiment the whole job produces; for a message fault that includes
 // both arms corrupting the same byte of the same sender's stream, and a
 // protocol trap naming the same pc: the MPI call that pulls the corrupted
-// packet is the same in the recorded run and in every whole job.
+// packet is the same in the recorded run and in every whole job.  Both
+// arms run with Forensics and TraceDiff on, and the records must be equal
+// too: the flight record and the divergence read off the golden tapes for
+// a solo run are the ones the whole job records.
 func TestSoloDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign differential is slow")
@@ -27,6 +31,7 @@ func TestSoloDifferential(t *testing.T) {
 			solo, whole, err := core.SoloDifferential(core.Config{
 				Image: im, Ranks: ranks, Injections: 32, Seed: 2004, Regions: core.Regions(),
 				KeepExperiments: true, CheckpointInterval: core.DefaultCheckpointInterval,
+				Forensics: true, TraceDiff: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -34,10 +39,24 @@ func TestSoloDifferential(t *testing.T) {
 			if len(solo.Experiments) != 32*int(core.NumRegions) || len(whole.Experiments) != len(solo.Experiments) {
 				t.Fatalf("%d solo-first and %d whole-job experiments", len(solo.Experiments), len(whole.Experiments))
 			}
+			divergences := 0
 			for i, e := range solo.Experiments {
-				if !report.SameOutcome(e, whole.Experiments[i]) {
-					t.Errorf("%s:\nsolo first %+v\nwhole job  %+v", e.ID(), e, whole.Experiments[i])
+				w := whole.Experiments[i]
+				if !report.SameOutcome(e, w) {
+					t.Errorf("%s:\nsolo first %+v\nwhole job  %+v", e.ID(), e, w)
 				}
+				if !reflect.DeepEqual(e.Forensics, w.Forensics) {
+					t.Errorf("%s forensics:\nsolo first %+v %+v\nwhole job  %+v %+v", e.ID(), e.Forensics, e.Divergence(), w.Forensics, w.Divergence())
+				}
+				if e.Forensics == nil && !e.Unapplied() {
+					t.Errorf("%s: no flight record", e.ID())
+				}
+				if e.Divergence() != nil {
+					divergences++
+				}
+			}
+			if divergences == 0 {
+				t.Error("no experiment carries a divergence")
 			}
 			var a, b bytes.Buffer
 			report.WriteCampaignCSV(&a, app, solo)
@@ -90,59 +109,43 @@ func TestSoloOneRankWorld(t *testing.T) {
 	}
 }
 
-// TestSoloNeverForObservedCampaigns: the campaigns that must see every
-// rank attempt no solo run; every other experiment, in the message region
-// too, starts on one rank.  Observed or not, a message experiment names
-// the same byte.
-func TestSoloNeverForObservedCampaigns(t *testing.T) {
+// TestSoloForObservedCampaigns: observers ride the one execution path —
+// an observed campaign tries every experiment solo and restores, in the
+// message region too, and reports what an unobserved one does.
+func TestSoloForObservedCampaigns(t *testing.T) {
 	im, ranks := buildApp(t, "minimd")
-	base := core.Config{Image: im, Ranks: ranks, Injections: 4, Seed: 3, Parallelism: 2}
+	base := core.Config{Image: im, Ranks: ranks, Injections: 12, Seed: 3, Parallelism: 2,
+		Regions:         []core.Region{core.RegionRegularReg, core.RegionHeap, core.RegionMessage},
+		KeepExperiments: true, CheckpointInterval: core.DefaultCheckpointInterval}
+	plain, err := core.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := plain.Solo; st.Attempts() != 36 || st.Correct == 0 || st.Failed+st.Fallback == 0 {
+		t.Errorf("plain campaign: %+v, want all 36 experiments tried solo, some decided there and some not", st)
+	}
 	for name, edit := range map[string]func(*core.Config){
-		"forensics":  func(c *core.Config) { c.Regions = nonMessageRegions[:2]; c.Forensics = true },
-		"trace-diff": func(c *core.Config) { c.Regions = nonMessageRegions[:2]; c.TraceDiff = true },
+		"forensics":  func(c *core.Config) { c.Forensics = true },
+		"trace-diff": func(c *core.Config) { c.TraceDiff = true },
+		"both":       func(c *core.Config) { c.Forensics, c.TraceDiff = true, true },
 	} {
 		cfg := base
 		edit(&cfg)
-		res, err := core.Run(cfg)
+		observed, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Solo != (core.SoloStats{}) {
-			t.Errorf("%s: %+v, want no solo attempt", name, res.Solo)
+		if observed.Solo != plain.Solo {
+			t.Errorf("%s: %+v solo, the plain campaign %+v", name, observed.Solo, plain.Solo)
 		}
-	}
-	cfg := base
-	cfg.Regions = nonMessageRegions[:2]
-	res, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solo.Attempts() != 8 {
-		t.Errorf("plain campaign: %+v, want all 8 experiments tried solo", res.Solo)
-	}
-
-	msg := base
-	msg.Regions, msg.Injections, msg.KeepExperiments = []core.Region{core.RegionMessage}, 24, true
-	msg.CheckpointInterval = core.DefaultCheckpointInterval
-	plain, err := core.Run(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := plain.Solo; st.Attempts() != 24 || st.Correct == 0 || st.Failed+st.Fallback == 0 {
-		t.Errorf("message campaign: %+v, want all 24 experiments tried solo, some decided there and some not", st)
-	}
-	msg.Forensics = true
-	observed, err := core.Run(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observed.Solo != (core.SoloStats{}) {
-		t.Errorf("message campaign with forensics: %+v, want no solo attempt", observed.Solo)
-	}
-	for i, e := range plain.Experiments {
-		o := observed.Experiments[i]
-		if e.Rank != o.Rank || e.Trigger != o.Trigger || e.Desc != o.Desc || e.Outcome != o.Outcome {
-			t.Errorf("%s: solo first, restored %+v\nwhole job from t=0 with forensics %+v", e.ID(), e, o)
+		if *observed.Checkpoints != *plain.Checkpoints || observed.Checkpoints.Hits == 0 {
+			t.Errorf("%s: %+v restored, the plain campaign %+v", name, observed.Checkpoints, plain.Checkpoints)
+		}
+		for i, e := range plain.Experiments {
+			o := observed.Experiments[i]
+			if e.Rank != o.Rank || e.Trigger != o.Trigger || e.Desc != o.Desc || e.Outcome != o.Outcome {
+				t.Errorf("%s: %s plain %+v\nobserved %+v", name, e.ID(), e, o)
+			}
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"mpifault/internal/cluster"
+	"mpifault/internal/mpi"
 	"mpifault/internal/vm"
 )
 
@@ -61,4 +63,56 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestStartPointKeepsTheFlightRecord: a fault fewer than forensicsDepth
+// instructions past a snapshot, which traps at once, must leave the flight
+// record a run from t=0 leaves — the start-point rule backs off to a
+// snapshot the ring's depth before it.
+func TestStartPointKeepsTheFlightRecord(t *testing.T) {
+	im, ranks := buildApp(t, "wavetoy")
+	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
+		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: 8}
+	golden, err := runGolden(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &campaignCtx{golden: golden, snaps: golden.Result.Snapshots}
+	const rank = 0
+	k := len(c.snaps) - 1
+	for k >= 0 && !c.snaps[k].RankLive(rank) {
+		k--
+	}
+	if k < 0 {
+		t.Fatal("no snapshot with rank 0 live")
+	}
+	trigger := c.snaps[k].RankInstrs(rank) + forensicsDepth/4
+	lastPCs := func(snap *cluster.Snapshot) []uint32 {
+		rec := vm.NewFlightRecorder(forensicsDepth)
+		job := cluster.Job{Image: im, Size: ranks, Budget: golden.Instrs[rank] + 1, Restore: snap,
+			Tracer: rec, TraceRank: rank,
+			Setup: func(r int, m *vm.Machine, p *mpi.Proc) {
+				if r == rank {
+					m.TriggerAt = trigger
+					m.TriggerFn = func(m *vm.Machine) { m.PC = 0 } // nothing is mapped there
+				}
+			}}
+		res := cluster.RunSolo(job, rank, golden.tapes[rank])
+		if res.Trap == nil || res.Trap.Kind == vm.TrapExit || res.Instrs != trigger {
+			t.Fatalf("the fault did not trap at once: %v after %d instructions", res.Trap, res.Instrs)
+		}
+		return rec.LastPCs()
+	}
+	want := lastPCs(nil)
+	start := c.indexForInstr(rank, trigger)
+	if start >= k {
+		t.Errorf("the trigger %d instructions past snapshot %d starts from snapshot %d", forensicsDepth/4, k, start)
+	}
+	var snap *cluster.Snapshot
+	if start >= 0 {
+		snap = c.snaps[start]
+	}
+	if got := lastPCs(snap); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored from snapshot %d the flight record is\n%x\nfrom t=0\n%x", start, got, want)
+	}
 }

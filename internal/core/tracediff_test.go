@@ -1,49 +1,39 @@
 package core_test
 
 // Campaign-level invariants of trace-diff localization, enforced end to
-// end on all three guest applications: the digest recorder only
-// observes (fixed-seed instruction-axis output is byte-identical with
-// TraceDiff on or off), the golden trace is reproducible, and the
-// first-divergence diff actually localizes the paper's visible
-// outcomes — Incorrect and Hang experiments must overwhelmingly carry
-// a divergence naming a rank.
+// end on all three guest applications: observers only observe (fixed-seed
+// output is byte-identical with TraceDiff and Forensics on or off), their
+// records do not depend on where an experiment started, the golden trace
+// identity is reproducible, and the first-divergence diff actually
+// localizes the paper's visible outcomes — Incorrect and Hang experiments
+// must overwhelmingly carry a divergence naming a rank.
 
 import (
 	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
 	"mpifault/internal/classify"
 	"mpifault/internal/core"
 	"mpifault/internal/image"
+	"mpifault/internal/mpi"
+	"mpifault/internal/msgtrace"
 	"mpifault/internal/report"
 )
 
-// stripMessageRows drops the schedule-sensitive Message region's rows
-// from a campaign CSV so the remaining byte comparison is exact.
-func stripMessageRows(csv string) string {
-	lines := strings.Split(csv, "\n")
-	kept := lines[:0]
-	for _, line := range lines {
-		if f := strings.SplitN(line, ",", 3); len(f) >= 2 && f[1] == "Message" {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return strings.Join(kept, "\n")
-}
-
-// traceArtifacts runs one fixed-seed campaign and returns its CSV plus
-// the kept experiments.
-func traceArtifacts(t *testing.T, name string, im *image.Image, ranks, n int, traced bool) (string, *core.Result) {
+// traceArtifacts runs one fixed-seed campaign over all eight regions and
+// returns its CSV plus the kept experiments.
+func traceArtifacts(t *testing.T, name string, im *image.Image, ranks, n int, observed bool, interval uint64) (string, *core.Result) {
 	t.Helper()
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: n, Seed: 4242,
-		Parallelism:     2,
-		WallLimit:       60 * time.Second,
-		KeepExperiments: true,
-		TraceDiff:       traced,
+		Parallelism:        2,
+		WallLimit:          60 * time.Second,
+		KeepExperiments:    true,
+		TraceDiff:          observed,
+		Forensics:          observed,
+		CheckpointInterval: interval,
 	}
 	res, err := core.Run(cfg)
 	if err != nil {
@@ -54,63 +44,47 @@ func traceArtifacts(t *testing.T, name string, im *image.Image, ranks, n int, tr
 	return csv.String(), res
 }
 
-// TestTraceDiffCampaign runs the two campaign-level gates per guest
-// app on one pair of fixed-seed campaigns (they share the traced run
-// so the package stays inside CI's -race time budget on small hosts):
+// TestTraceDiffCampaign runs the campaign-level gates per guest app on
+// three fixed-seed campaigns, restored from checkpoints unless noted:
 //
-//   - observer effect: the same campaign with and without the digest
-//     recorder must produce the identical CSV, and every experiment
-//     must reach the identical outcome;
-//   - localization acceptance: at least 80% of the traced campaign's
-//     Incorrect and Hang outcomes must carry a divergence record
-//     naming an in-range rank.
+//   - observer effect: the campaign with and without TraceDiff and
+//     Forensics must produce the identical CSV, and every experiment
+//     must reach the identical outcome, message faults included;
+//   - one execution path: the observed campaign's records — flight record
+//     and divergence — must be the ones the same campaign makes with every
+//     experiment starting at t=0;
+//   - localization acceptance: at least 80% of the observed campaign's
+//     Incorrect and Hang outcomes must carry a divergence record naming
+//     an in-range rank.
 func TestTraceDiffCampaign(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two campaigns per guest app")
+		t.Skip("runs three campaigns per guest app")
 	}
 	for _, name := range []string{"wavetoy", "minimd", "minicam"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			im, ranks := buildApp(t, name)
-			refCSV, ref := traceArtifacts(t, name, im, ranks, 6, false)
-			gotCSV, got := traceArtifacts(t, name, im, ranks, 6, true)
-			// Message rows are excluded from the byte comparison, and the
-			// per-experiment check relaxes to the fault's identity there —
-			// rank, trigger and the byte flipped, the same observed or not
-			// (TestMessageTargetsReproducible).  The verdict of a whole
-			// job on it still races (Crash vs Hang: ROADMAP item 1A), and
-			// TraceDiff runs every experiment as one.  The real CLI gates
-			// (tier1 trace smoke, the CI merge gate's trace-identity step,
-			// coord_e2e) still diff full CSVs.
-			if sm, rm := stripMessageRows(gotCSV), stripMessageRows(refCSV); sm != rm {
-				t.Errorf("CSV differs with TraceDiff on:\n--- off ---\n%s\n--- on ---\n%s", rm, sm)
+			refCSV, ref := traceArtifacts(t, name, im, ranks, 6, false, core.DefaultCheckpointInterval)
+			gotCSV, got := traceArtifacts(t, name, im, ranks, 6, true, core.DefaultCheckpointInterval)
+			_, scratch := traceArtifacts(t, name, im, ranks, 6, true, 0)
+			if gotCSV != refCSV {
+				t.Errorf("CSV differs with observers on:\n--- off ---\n%s\n--- on ---\n%s", refCSV, gotCSV)
 			}
 			if len(ref.Experiments) != len(got.Experiments) {
 				t.Fatalf("experiment counts differ: %d vs %d", len(ref.Experiments), len(got.Experiments))
 			}
 			for i := range ref.Experiments {
 				p, r := ref.Experiments[i], got.Experiments[i]
-				if p.Region == core.RegionMessage {
-					if p.Index != r.Index || p.Rank != r.Rank || p.Trigger != r.Trigger {
-						t.Errorf("message experiment %s changed identity under TraceDiff: %+v vs %+v",
-							p.ID(), p, r)
-					}
-					continue
-				}
 				if !report.SameOutcome(p, r) {
-					t.Errorf("experiment %s outcome changed under TraceDiff: %+v vs %+v",
-						p.ID(), p, r)
+					t.Errorf("experiment %s outcome changed under observers: %+v vs %+v", p.ID(), p, r)
+				}
+				if s := scratch.Experiments[i]; !reflect.DeepEqual(r, s) {
+					t.Errorf("experiment %s restored:\n%+v %+v\nfrom t=0:\n%+v %+v", p.ID(), r, r.Forensics, s, s.Forensics)
 				}
 			}
-			if got.Golden.Trace == nil {
-				t.Fatal("TraceDiff campaign recorded no golden trace")
-			}
-			if got.Golden.Trace.Messages() == 0 {
-				t.Error("golden trace is empty — the app's traffic was not digested")
-			}
-			if ref.Golden.Trace != nil {
-				t.Error("untraced campaign recorded a golden trace")
+			if msgtrace.Messages(got.Golden.Result.Tapes) == 0 {
+				t.Error("the golden tapes hold no message")
 			}
 
 			visible, localized := 0, 0
@@ -143,57 +117,68 @@ func TestTraceDiffCampaign(t *testing.T) {
 }
 
 // TestGoldenTraceReproducible pins the golden trace identity: two
-// independent golden runs of one app must produce traces with the same
-// digest streams and hash — the property the CI shard/coordinator gates
-// build on.
+// independent golden runs of one app must hash their tapes alike — the
+// property the CI shard/coordinator gates build on.
 func TestGoldenTraceReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two golden executions")
 	}
 	im, ranks := buildApp(t, "wavetoy")
-	run := func() *core.Golden {
-		cfg := core.Config{
-			Image: im, Ranks: ranks, Injections: 1, Seed: 1,
-			Regions:   []core.Region{core.RegionRegularReg},
-			WallLimit: 60 * time.Second,
-			TraceDiff: true,
-		}
-		res, err := core.Run(cfg)
+	run := func() uint64 {
+		g, err := core.RunGolden(im, ranks, mpi.Config{}, 60*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Golden
+		return msgtrace.Hash(g.Result.Tapes)
 	}
-	a, b := run(), run()
-	if a.Trace == nil || b.Trace == nil {
-		t.Fatal("golden trace missing")
-	}
-	if a.Trace.Hash() != b.Trace.Hash() {
-		t.Errorf("golden trace hash differs across runs: %016x vs %016x",
-			a.Trace.Hash(), b.Trace.Hash())
+	if a, b := run(), run(); a != b {
+		t.Errorf("golden trace hash differs across runs: %016x vs %016x", a, b)
 	}
 }
 
-// TestGoldenReuseRequiresTrace: a cached golden without a recorded
-// trace cannot serve a TraceDiff campaign — the worker path must re-run
-// the golden instead, and core refuses the inconsistent configuration.
-func TestGoldenReuseRequiresTrace(t *testing.T) {
+// TestGoldenReuseServesObservers: a Golden from a plain campaign serves a
+// TraceDiff + Forensics campaign exactly as the one that campaign would
+// run itself — there is nothing an observer needs recorded beyond the
+// tapes every golden run keeps.
+func TestGoldenReuseServesObservers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a golden execution")
+		t.Skip("runs three campaigns")
 	}
-	im, ranks := buildApp(t, "wavetoy")
+	im, ranks := buildApp(t, "minimd")
 	cfg := core.Config{
-		Image: im, Ranks: ranks, Injections: 1, Seed: 1,
-		Regions:   []core.Region{core.RegionRegularReg},
-		WallLimit: 60 * time.Second,
+		Image: im, Ranks: ranks, Injections: 6, Seed: 1, KeepExperiments: true,
+		WallLimit: 60 * time.Second, CheckpointInterval: core.DefaultCheckpointInterval,
 	}
-	res, err := core.Run(cfg)
+	plain, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Golden = res.Golden // recorded without TraceDiff: no trace
-	cfg.TraceDiff = true
-	if _, err := core.Run(cfg); err == nil {
-		t.Error("Golden reuse without a trace was accepted for a TraceDiff campaign")
+	cfg.TraceDiff, cfg.Forensics = true, true
+	fresh, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Golden = plain.Golden
+	reused, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	report.WriteCampaignCSV(&a, "minimd", fresh)
+	report.WriteCampaignCSV(&b, "minimd", reused)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("CSV differs:\n--- fresh golden ---\n%s--- reused ---\n%s", a.Bytes(), b.Bytes())
+	}
+	if !reflect.DeepEqual(fresh.Experiments, reused.Experiments) {
+		t.Error("a reused plain golden changed the observed campaign's experiments")
+	}
+	forensics := 0
+	for _, e := range reused.Experiments {
+		if e.Forensics != nil {
+			forensics++
+		}
+	}
+	if forensics == 0 {
+		t.Error("the observed campaign recorded no forensics")
 	}
 }

@@ -221,8 +221,6 @@ func (p *Proc) Send(m *vm.Machine, buf uint32, count, dtype, dest, tag, comm int
 	}
 	p.recordComm(CommOp{Fn: "MPI_Send", Send: true, Peer: ci.world(dest), Tag: tag,
 		Bytes: uint32(len(payload)), Blocking: true})
-	p.recordTrace(m, CommOp{Fn: "MPI_Send", Send: true, Peer: ci.world(dest), Tag: tag,
-		Bytes: uint32(len(payload)), Data: payload})
 	return p.sendBytes(ci.world(dest), tag, ci.ctx, dtype, payload, m)
 }
 
@@ -235,8 +233,6 @@ func (p *Proc) Isend(m *vm.Machine, buf uint32, count, dtype, dest, tag, comm in
 	}
 	p.recordComm(CommOp{Fn: "MPI_Isend", Send: true, Peer: ci.world(dest), Tag: tag,
 		Bytes: uint32(len(payload))})
-	p.recordTrace(m, CommOp{Fn: "MPI_Isend", Send: true, Peer: ci.world(dest), Tag: tag,
-		Bytes: uint32(len(payload)), Data: payload})
 	r, t := p.startSend(m, payload, ci.world(dest), tag, ci.ctx, dtype)
 	if t != nil {
 		return 0, t
@@ -265,7 +261,6 @@ func (p *Proc) recvChecks(m *vm.Machine, count, dtype, source, tag, comm int32) 
 	return ci, nil
 }
 
-// worldSource maps a communicator source (or AnySource) to world terms.
 // CommOp records one point-to-point operation observed at the API
 // layer, in world-rank terms.  The static MPI lint matches the sends
 // and receives of a clean run against each other; wildcard receives
@@ -278,14 +273,6 @@ type CommOp struct {
 	Tag      int32  // abi.AnyTag on wildcard receives
 	Bytes    uint32 // payload bytes sent, or the receive buffer limit
 	Blocking bool   // the call cannot return before a partner shows up
-
-	// Data and Instrs are filled only on TraceHook events: the payload
-	// observed at the event (sent bytes, matched receive bytes, or a
-	// collective contribution; nil when the event moves no local data)
-	// and the rank's retired-instruction count when the event fired.
-	// CommHook events leave both zero.
-	Data   []byte
-	Instrs uint64
 }
 
 func (p *Proc) recordComm(op CommOp) {
@@ -295,22 +282,7 @@ func (p *Proc) recordComm(op CommOp) {
 	}
 }
 
-// recordTrace emits one digest event to the rank's TraceHook.  Receive
-// events are emitted from releaseRequest (completion order = program
-// order, matched envelope resolved); sends and collectives are emitted
-// at the API call site where the payload is in scope.
-func (p *Proc) recordTrace(m *vm.Machine, op CommOp) {
-	if p.TraceHook != nil {
-		op.Rank = p.rank
-		op.Instrs = m.Instrs
-		p.TraceHook(op)
-	}
-}
-
-// collNoRoot is the Peer recorded on trace events for rootless
-// collectives (Barrier, Allreduce, Allgather, Alltoall).
-const collNoRoot int32 = -1
-
+// worldSource maps a communicator source (or AnySource) to world terms.
 func worldSource(ci *commInfo, source int32) int32 {
 	if source == abi.AnySource {
 		return abi.AnySource
@@ -329,7 +301,7 @@ func (p *Proc) Recv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm i
 	limit := uint32(count) * abi.DTSize(dtype)
 	p.recordComm(CommOp{Fn: "MPI_Recv", Peer: worldSource(ci, source), Tag: tag,
 		Bytes: limit, Blocking: true})
-	r, t := p.startRecv(m, "MPI_Recv", buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, status)
+	r, t := p.startRecv(m, buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, status)
 	if t != nil {
 		return t
 	}
@@ -354,7 +326,7 @@ func (p *Proc) Irecv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm 
 	limit := uint32(count) * abi.DTSize(dtype)
 	p.recordComm(CommOp{Fn: "MPI_Irecv", Peer: worldSource(ci, source), Tag: tag,
 		Bytes: limit})
-	r, t := p.startRecv(m, "MPI_Irecv", buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, 0)
+	r, t := p.startRecv(m, buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, 0)
 	if t != nil {
 		return 0, t
 	}
@@ -380,7 +352,7 @@ func (p *Proc) Wait(m *vm.Machine, reqID int32, status uint32) *vm.Trap {
 			return t
 		}
 	}
-	p.releaseRequest(r, m)
+	p.releaseRequest(r)
 	return nil
 }
 
@@ -435,9 +407,7 @@ func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag in
 		Bytes: uint32(len(payload))})
 	p.recordComm(CommOp{Fn: "MPI_Sendrecv", Peer: worldSource(ci, source), Tag: rtag,
 		Bytes: limit})
-	p.recordTrace(m, CommOp{Fn: "MPI_Sendrecv", Send: true, Peer: ci.world(dest), Tag: stag,
-		Bytes: uint32(len(payload)), Data: payload})
-	rr, t := p.startRecv(m, "MPI_Sendrecv", rbuf, limit, dtype, worldSource(ci, source), rtag, ci.ctx, 0)
+	rr, t := p.startRecv(m, rbuf, limit, dtype, worldSource(ci, source), rtag, ci.ctx, 0)
 	if t != nil {
 		return t
 	}
@@ -454,8 +424,8 @@ func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag in
 			return t
 		}
 	}
-	p.releaseRequest(rr, m)
-	p.releaseRequest(sr, m)
+	p.releaseRequest(rr)
+	p.releaseRequest(sr)
 	return nil
 }
 
@@ -469,7 +439,6 @@ func (p *Proc) Barrier(m *vm.Machine, comm int32) *vm.Trap {
 	if t != nil {
 		return t
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Barrier", Peer: collNoRoot})
 	if ci.size() == 1 {
 		return nil
 	}
@@ -492,8 +461,6 @@ func (p *Proc) Bcast(m *vm.Machine, buf uint32, count, dtype, root, comm int32) 
 		}
 		payload = b
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Bcast", Send: ci.myRank == root,
-		Peer: ci.world(root), Bytes: n, Data: payload})
 	if ci.size() == 1 {
 		return nil
 	}
@@ -522,8 +489,6 @@ func (p *Proc) Reduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, root, 
 	if tr != nil {
 		return tr
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Reduce", Send: true,
-		Peer: ci.world(root), Bytes: n, Data: payload})
 	out, t := p.reduce(payload, dtype, op, root, ci, m)
 	if t != nil {
 		return t
@@ -549,8 +514,6 @@ func (p *Proc) Allreduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, com
 	if tr != nil {
 		return tr
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Allreduce", Send: true,
-		Peer: collNoRoot, Bytes: n, Data: payload})
 	out, t := p.reduce(payload, dtype, op, 0, ci, m)
 	if t != nil {
 		return t
@@ -574,8 +537,6 @@ func (p *Proc) Gather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint3
 	if tr != nil {
 		return tr
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Gather", Send: true,
-		Peer: ci.world(root), Bytes: n, Data: payload})
 	out, t := p.gather(payload, root, ci, dtype, m)
 	if t != nil {
 		return t
@@ -598,8 +559,6 @@ func (p *Proc) Allgather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf ui
 	if tr != nil {
 		return tr
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Allgather", Send: true,
-		Peer: collNoRoot, Bytes: n, Data: payload})
 	out, t := p.gather(payload, 0, ci, dtype, m)
 	if t != nil {
 		return t
@@ -628,8 +587,6 @@ func (p *Proc) Scatter(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint
 		}
 		payload = b
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Scatter", Send: ci.myRank == root,
-		Peer: ci.world(root), Bytes: n, Data: payload})
 	if ci.size() == 1 {
 		return m.WriteBytes(rbuf, payload)
 	}
@@ -652,8 +609,6 @@ func (p *Proc) Alltoall(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uin
 	if tr != nil {
 		return tr
 	}
-	p.recordTrace(m, CommOp{Fn: "MPI_Alltoall", Send: true,
-		Peer: collNoRoot, Bytes: n, Data: payload})
 	if ci.size() == 1 {
 		return m.WriteBytes(rbuf, payload)
 	}

@@ -39,13 +39,6 @@ type Request struct {
 	resTag int32
 	resLen uint32
 
-	// Trace state: fn is the API-layer call that posted a user receive,
-	// set only when the rank has a TraceHook armed; completeRecv then
-	// retains the matched payload so releaseRequest can emit the digest
-	// event in program order with the resolved envelope.
-	fn      string
-	resData []byte
-
 	// Send state (rendezvous in flight, waiting for CTS).
 	payload []byte
 	dst     int32
@@ -66,18 +59,9 @@ func (p *Proc) lookupRequest(id int32) (*Request, bool) {
 	return r, ok
 }
 
-// releaseRequest frees a completed handle (MPI_Wait semantics).  For a
-// traced user receive this is the digest-emission point: release
-// happens in rank program order regardless of how packet arrivals
-// interleaved, and the matched envelope (resSrc/resTag) is resolved by
-// now, so wildcard receives digest the actual peer and tag.
-func (p *Proc) releaseRequest(r *Request, m *vm.Machine) {
+// releaseRequest frees a completed handle (MPI_Wait semantics).
+func (p *Proc) releaseRequest(r *Request) {
 	delete(p.requests, r.id)
-	if r.fn != "" && r.done && !r.send {
-		p.recordTrace(m, CommOp{Fn: r.fn, Peer: r.resSrc, Tag: r.resTag,
-			Bytes: r.resLen, Data: r.resData})
-		r.resData = nil
-	}
 }
 
 func removeReq(list []*Request, r *Request) []*Request {
@@ -92,13 +76,10 @@ func removeReq(list []*Request, r *Request) []*Request {
 // startRecv posts a receive: it first claims any matching parked packet
 // (the unexpected queue), otherwise joins the pending list the dispatcher
 // completes as packets arrive.
-func (p *Proc) startRecv(m *vm.Machine, fn string, buf uint32, limit uint32, dtype, src, tag, ctx int32, status uint32) (*Request, *vm.Trap) {
+func (p *Proc) startRecv(m *vm.Machine, buf uint32, limit uint32, dtype, src, tag, ctx int32, status uint32) (*Request, *vm.Trap) {
 	r := p.newRequest(false)
 	r.buf, r.limit, r.dtype = buf, limit, dtype
 	r.src, r.tag, r.ctx, r.status = src, tag, ctx, status
-	if p.TraceHook != nil {
-		r.fn = fn
-	}
 
 	match := matchEnvelope(src, tag, ctx)
 	if i := p.findStored(match); i >= 0 {
@@ -140,9 +121,6 @@ func (p *Proc) grantRendezvous(r *Request, rts *Packet, m *vm.Machine) *vm.Trap 
 func (p *Proc) completeRecv(r *Request, pkt *Packet, payload []byte, m *vm.Machine) *vm.Trap {
 	r.resSrc, r.resTag, r.resLen = pkt.Src, pkt.Tag, uint32(len(payload))
 	r.done = true
-	if r.fn != "" {
-		r.resData = payload
-	}
 	if r.hostMode {
 		r.hostPayload = append([]byte(nil), payload...)
 		return nil
@@ -350,6 +328,6 @@ func (p *Proc) wait(r *Request, m *vm.Machine) *vm.Trap {
 	if t := p.progressUntil(m, r); t != nil {
 		return t
 	}
-	p.releaseRequest(r, m)
+	p.releaseRequest(r)
 	return nil
 }

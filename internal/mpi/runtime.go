@@ -106,15 +106,6 @@ type Proc struct {
 	// (internal/analysis.MPILint).
 	CommHook func(CommOp)
 
-	// TraceHook, when set, observes the rank's message-digest event
-	// stream for trace-diff localization (internal/msgtrace).  Unlike
-	// CommHook it fires for collectives too, carries the payload bytes
-	// (CommOp.Data) and the retired-instruction stamp, and emits receive
-	// events at completion with the *matched* envelope rather than at
-	// post time with wildcards.  Every event fires in the rank's program
-	// order, so the stream is deterministic for a deterministic guest.
-	TraceHook func(CommOp)
-
 	Stats Stats
 
 	// The rank's tape (tape.go): appended to while tapeMode is
@@ -229,8 +220,12 @@ func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
 		}
 
 		// §3.3: the injection point — after the Channel recv, before
-		// parsing.
+		// parsing.  A recorded packet is the sender's TapeSend too: the
+		// hook flips a copy, so neither tape holds bytes nobody sent.
 		if p.RecvHook != nil {
+			if p.tapeMode == tapeRecord {
+				raw = append([]byte(nil), raw...)
+			}
 			p.RecvHook(raw)
 		}
 

@@ -185,3 +185,18 @@ func (t Tape) PulledBytes(pos, n int) []uint64 {
 	}
 	return from
 }
+
+// PullClock returns the rank's retired-instruction count when the tape
+// pulled the packet holding byte offset of sender's stream to it, 0 when
+// the tape holds no such byte.
+func (t Tape) PullClock(sender int, offset uint64) uint64 {
+	for i := range t {
+		if ev := &t[i]; ev.Kind == TapeRecv && RawSource(ev.Data) == sender {
+			if offset < uint64(len(ev.Data)) {
+				return ev.Instrs
+			}
+			offset -= uint64(len(ev.Data))
+		}
+	}
+	return 0
+}

@@ -1,171 +1,46 @@
-// Package msgtrace records compact per-rank message digests over
-// mpi.Proc.TraceHook and binary-diffs an experiment's stream against
-// the golden run's — the trace-diff localization of Okita et al.: the
-// first divergent digest names the rank and message where a fault
-// stopped the run behaving like the reference.
+// Package msgtrace localizes a fault in the message stream — the
+// trace-diff of Okita et al.: the first place an experiment's ranks said
+// something the golden run's did not names the rank and the Channel event
+// where the fault stopped the run behaving like the reference.
 //
-// A digest is (op, peer, tag, byte count, FNV-1a payload hash).  The
-// retired-instruction stamp rides along for diagnostics but is excluded
-// from equality and from Trace.Hash: instruction counts shift with the
-// injected fault, the message *content* is what must match.
+// It is a view of the tapes (mpi.Tape) every run can record; there is no
+// recorder of its own.  What is compared is each rank's *outputs* — its
+// sends, writes, opens and context allocations, by kind, checked scalar
+// and bytes — in the rank's program order.  Receives are skipped: the
+// order a rank pulls packets from several senders follows the schedule,
+// which a fault may shift without anyone saying anything different.
+// Instruction stamps ride along for diagnostics and are never compared.
 package msgtrace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"mpifault/internal/mpi"
 )
 
-// FNV-1a 64-bit parameters (hash/fnv re-implemented locally so the hot
-// append path hashes without an interface allocation).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
-}
-
-func fnvUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xFF)) * fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
-}
-
-// Digest is one recorded message event.
-type Digest struct {
-	Op    string // MPI function, e.g. "MPI_Send"
-	Peer  int32  // matched peer (or root; -1 for rootless collectives)
-	Tag   int32  // matched tag; 0 for collectives
-	Bytes uint32 // payload bytes moved at this rank
-	Hash  uint64 // FNV-1a of the payload; fnvOffset when empty
-	// Instrs is the rank's retired-instruction count at the event.
-	// Diagnostic only: excluded from Equal and Trace.Hash.
-	Instrs uint64
-}
-
-// Equal compares the semantic fields (everything but Instrs).
-func (d Digest) Equal(o Digest) bool {
-	return d.Op == o.Op && d.Peer == o.Peer && d.Tag == o.Tag &&
-		d.Bytes == o.Bytes && d.Hash == o.Hash
-}
-
-// String renders the digest for forensics records and tables.
-func (d Digest) String() string {
-	return fmt.Sprintf("%s peer=%d tag=%d bytes=%d hash=%016x",
-		d.Op, d.Peer, d.Tag, d.Bytes, d.Hash)
-}
-
-// Trace is the full per-rank digest record of one run.
-type Trace struct {
-	Ranks [][]Digest `json:"ranks"`
-}
-
-// Messages returns the total digest count across ranks.
-func (t *Trace) Messages() int {
-	n := 0
-	for _, r := range t.Ranks {
-		n += len(r)
-	}
-	return n
-}
-
-// Hash folds every semantic digest field into one FNV-1a value — the
-// golden-trace fingerprint CI compares across shard legs, execution
-// tiers and the coordinator path.
-func (t *Trace) Hash() uint64 {
-	h := fnvUint(uint64(fnvOffset), uint64(len(t.Ranks)))
-	for _, ds := range t.Ranks {
-		h = fnvUint(h, uint64(len(ds)))
-		for _, d := range ds {
-			h = fnvString(h, d.Op)
-			h = fnvUint(h, uint64(uint32(d.Peer)))
-			h = fnvUint(h, uint64(uint32(d.Tag)))
-			h = fnvUint(h, uint64(d.Bytes))
-			h = fnvUint(h, d.Hash)
-		}
-	}
-	return h
-}
-
-// Recorder captures a Trace from a live world.  Each rank appends only
-// to its own stream, and a world runs one rank at a time, so recording
-// needs no locks.
-type Recorder struct {
-	ranks [][]Digest
-}
-
-// NewRecorder returns a recorder for a world of the given size.
-func NewRecorder(ranks int) *Recorder {
-	return &Recorder{ranks: make([][]Digest, ranks)}
-}
-
-// Reset re-arms the recorder for a fresh run of the same world size,
-// keeping the per-rank backing arrays (it is pooled per campaign
-// worker, like the forensics flight recorder).
-func (rec *Recorder) Reset(ranks int) {
-	if len(rec.ranks) != ranks {
-		rec.ranks = make([][]Digest, ranks)
-		return
-	}
-	for r := range rec.ranks {
-		rec.ranks[r] = rec.ranks[r][:0]
-	}
-}
-
-// Attach installs the digest hook on one rank's Proc (cluster.Job.Setup
-// calls it for every rank).
-func (rec *Recorder) Attach(p *mpi.Proc) {
-	p.TraceHook = func(op mpi.CommOp) {
-		rec.ranks[op.Rank] = append(rec.ranks[op.Rank], Digest{
-			Op:     op.Fn,
-			Peer:   op.Peer,
-			Tag:    op.Tag,
-			Bytes:  op.Bytes,
-			Hash:   fnvBytes(fnvOffset, op.Data),
-			Instrs: op.Instrs,
-		})
-	}
-}
-
-// Trace snapshots the recorded streams.  The digests are shared with
-// the recorder, so call it only after the run finished and before the
-// recorder is Reset.
-func (rec *Recorder) Trace() *Trace {
-	return &Trace{Ranks: rec.ranks}
-}
-
-// Divergence pinpoints where an experiment's message streams first
-// departed from the golden trace — the localization record attached to
+// Divergence pinpoints where an experiment's ranks first departed from
+// the golden run in what they said — the localization record attached to
 // core.Forensics and serialized in campaign journals.
 type Divergence struct {
-	// Rank is the implicated rank: the first whose stream diverges.
+	// Rank is the implicated rank.
 	Rank int `json:"rank"`
-	// MsgIndex is the position in that rank's stream (0-based).
+	// MsgIndex is the position in that rank's output stream (0-based,
+	// counted from t=0).
 	MsgIndex int `json:"msg_index"`
-	// Kind is "mismatch" (both runs produced a message here but they
+	// Kind is "mismatch" (both runs produced an output here but they
 	// differ), "missing" (the experiment's stream ended early), or
-	// "extra" (the experiment produced messages past the golden end).
+	// "extra" (the experiment produced outputs past the golden end).
 	Kind string `json:"kind"`
-	// Golden and Observed render the digest pair; one is empty for
-	// missing/extra divergences.
+	// Golden and Observed render the output pair (digest); one is empty
+	// for missing/extra divergences.
 	Golden   string `json:"golden,omitempty"`
 	Observed string `json:"observed,omitempty"`
 	// Instrs is the implicated rank's retired-instruction stamp at the
-	// divergent (or last observed) event.
+	// divergent output: the observed one for mismatch and extra, the
+	// golden one for missing.
 	Instrs uint64 `json:"instrs,omitempty"`
 	// InstrsSinceInjection is Instrs minus the injection trigger, filled
 	// by the campaign when the implicated rank is the injected rank and
@@ -180,81 +55,111 @@ const (
 	KindExtra    = "extra"
 )
 
-// kindPrio orders divergence kinds by how directly they implicate the
-// rank: content mismatches and extra messages are something the rank
-// actively did differently; a truncated stream can be collateral (job
-// teardown stops innocent ranks mid-conversation too).
-func kindPrio(kind string) int {
-	switch kind {
-	case KindMismatch:
-		return 0
-	case KindExtra:
-		return 1
-	default:
-		return 2
-	}
+var kindNames = [...]string{mpi.TapeSend: "send", mpi.TapeOpen: "open", mpi.TapeWrite: "write", mpi.TapeCtx: "ctx"}
+
+// digest renders one output for a divergence record.
+func digest(ev *mpi.TapeEvent) string {
+	h := fnv.New64a()
+	h.Write(ev.Data)
+	return fmt.Sprintf("%s arg=%d bytes=%d hash=%016x", kindNames[ev.Kind], ev.Arg, len(ev.Data), h.Sum64())
 }
 
-// Diff compares an observed trace against the golden one and returns
-// the first divergence, or nil when every rank's stream matches.  Among
-// ranks it prefers active divergences (mismatch, extra) over
-// truncations, then the lowest message index, then the lowest rank —
-// a deterministic choice for deterministic streams.
-func Diff(golden, observed *Trace) *Divergence {
-	if golden == nil || observed == nil {
-		return nil
+// next returns the index of t's first output at or after i, len(t) when
+// there is none.
+func next(t mpi.Tape, i int) int {
+	for i < len(t) && t[i].Kind == mpi.TapeRecv {
+		i++
 	}
+	return i
+}
+
+// Diff returns the first divergence of observed from golden, nil when
+// every rank said what it said in the golden run.  observed[r] is what
+// rank r recorded from position from[r] of its golden tape on.  An active
+// divergence (mismatch, extra) is preferred over a truncated stream, then
+// the earliest by (Instrs, rank).  crashed
+// is the rank whose trap ended a crashed job, -1 for any other outcome:
+// in a crash only its missing suffix counts — the other ranks were cut
+// short by the verdict, not by the fault.
+func Diff(golden []mpi.Tape, from []int, observed []mpi.Tape, crashed int) *Divergence {
 	var best *Divergence
-	n := len(golden.Ranks)
-	if len(observed.Ranks) < n {
-		n = len(observed.Ranks)
-	}
-	for rank := 0; rank < n; rank++ {
-		d := diffRank(rank, golden.Ranks[rank], observed.Ranks[rank])
-		if d == nil {
+	for r := range observed {
+		d := diffRank(r, golden[r], from[r], observed[r])
+		if d == nil || d.Kind == KindMissing && crashed >= 0 && r != crashed {
 			continue
 		}
-		if best == nil ||
-			kindPrio(d.Kind) < kindPrio(best.Kind) ||
-			(kindPrio(d.Kind) == kindPrio(best.Kind) && d.MsgIndex < best.MsgIndex) {
+		if best == nil {
+			best = d
+		} else if dm, bm := d.Kind == KindMissing, best.Kind == KindMissing; dm != bm {
+			if bm {
+				best = d
+			}
+		} else if d.Instrs < best.Instrs {
 			best = d
 		}
 	}
 	return best
 }
 
-// diffRank finds the first divergent index of one rank's stream.
-func diffRank(rank int, golden, observed []Digest) *Divergence {
-	n := len(golden)
-	if len(observed) < n {
-		n = len(observed)
+// diffRank finds the first divergence of one rank's outputs.
+func diffRank(rank int, golden mpi.Tape, from int, observed mpi.Tape) *Divergence {
+	idx := 0
+	for i := next(golden, 0); i < from; i = next(golden, i+1) {
+		idx++
 	}
-	for i := 0; i < n; i++ {
-		if !golden[i].Equal(observed[i]) {
-			return &Divergence{
-				Rank: rank, MsgIndex: i, Kind: KindMismatch,
-				Golden:   golden[i].String(),
-				Observed: observed[i].String(),
-				Instrs:   observed[i].Instrs,
+	g, o := golden[from:], observed
+	i, j := next(g, 0), next(o, 0)
+	for ; i < len(g) && j < len(o); i, j = next(g, i+1), next(o, j+1) {
+		if g[i].Kind != o[j].Kind || g[i].Arg != o[j].Arg || !bytes.Equal(g[i].Data, o[j].Data) {
+			return &Divergence{Rank: rank, MsgIndex: idx, Kind: KindMismatch,
+				Golden: digest(&g[i]), Observed: digest(&o[j]), Instrs: o[j].Instrs}
+		}
+		idx++
+	}
+	switch {
+	case j < len(o):
+		return &Divergence{Rank: rank, MsgIndex: idx, Kind: KindExtra,
+			Observed: digest(&o[j]), Instrs: o[j].Instrs}
+	case i < len(g):
+		return &Divergence{Rank: rank, MsgIndex: idx, Kind: KindMissing,
+			Golden: digest(&g[i]), Instrs: g[i].Instrs}
+	}
+	return nil
+}
+
+// Hash fingerprints a run's tapes — every event's kind, scalars and
+// bytes, not its instruction stamp — as the golden-trace identity CI
+// compares across shard legs, execution tiers and coordinator workers.
+func Hash(tapes []mpi.Tape) uint64 {
+	h := fnv.New64a()
+	var b [17]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(len(tapes)))
+	h.Write(b[:8])
+	for _, t := range tapes {
+		binary.LittleEndian.PutUint64(b[:8], uint64(len(t)))
+		h.Write(b[:8])
+		for i := range t {
+			ev := &t[i]
+			b[0] = byte(ev.Kind)
+			binary.LittleEndian.PutUint32(b[1:], uint32(ev.Arg))
+			binary.LittleEndian.PutUint32(b[5:], uint32(ev.Ret))
+			binary.LittleEndian.PutUint64(b[9:], uint64(len(ev.Data)))
+			h.Write(b[:])
+			h.Write(ev.Data)
+		}
+	}
+	return h.Sum64()
+}
+
+// Messages counts the Channel packets the tapes' ranks sent.
+func Messages(tapes []mpi.Tape) int {
+	n := 0
+	for _, t := range tapes {
+		for i := range t {
+			if t[i].Kind == mpi.TapeSend {
+				n++
 			}
 		}
 	}
-	switch {
-	case len(observed) > len(golden):
-		return &Divergence{
-			Rank: rank, MsgIndex: n, Kind: KindExtra,
-			Observed: observed[n].String(),
-			Instrs:   observed[n].Instrs,
-		}
-	case len(observed) < len(golden):
-		d := &Divergence{
-			Rank: rank, MsgIndex: n, Kind: KindMissing,
-			Golden: golden[n].String(),
-		}
-		if n > 0 {
-			d.Instrs = observed[n-1].Instrs
-		}
-		return d
-	}
-	return nil
+	return n
 }

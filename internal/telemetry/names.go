@@ -37,11 +37,11 @@ const (
 	MetricHangLatency  = "mpifault_hang_latency_instructions"
 
 	// Trace-diff localization (internal/core with TraceDiff enabled).
-	// Diffed counts the Incorrect/Hang/Crash experiments whose digest
-	// streams were compared against the golden trace; localized vs
+	// Diffed counts the Incorrect/Hang/Crash experiments whose ranks'
+	// outputs were compared against the golden tapes; localized vs
 	// unlocalized splits them by whether a first divergence was found.
 	// The histograms place the divergence on the message axis (index in
-	// the implicated rank's stream) and the instruction axis (distance
+	// the implicated rank's output stream) and the instruction axis (distance
 	// from the injection, when both lie on it).
 	MetricTraceDiffed        = "mpifault_trace_diffed_total"
 	MetricTraceLocalized     = "mpifault_trace_localized_total"
@@ -135,7 +135,7 @@ var LatencyBuckets = []uint64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000
 
 // TraceMessageBuckets is the bucket layout of the divergence
 // message-index histogram: decade buckets over the position in the
-// implicated rank's digest stream, so "the fault diverged the stream
+// implicated rank's output stream, so "the fault diverged the stream
 // within the first handful of messages" is readable off the low
 // buckets.
 var TraceMessageBuckets = []uint64{1, 10, 100, 1_000, 10_000}

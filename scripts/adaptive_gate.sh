@@ -12,10 +12,10 @@
 # which faultcampaign prints to stderr in -csv mode.
 #
 # The gate also asserts the determinism contract at the CLI level: the
-# first app is run twice and the CSVs must be byte-identical, and once
-# more on its seven non-message regions with and without
-# -checkpoint-interval 0 (rounds restore from the golden run's
-# checkpoints by default; the CSV must not show it).
+# first app is run twice and the CSVs must be byte-identical, and twice
+# more, all eight regions, with and without -checkpoint-interval 0
+# (rounds restore from the golden run's checkpoints by default; the CSV
+# must not show it).
 #
 # Usage: scripts/adaptive_gate.sh
 #   APPS       space-separated app list   (default: wavetoy minimd minicam)
@@ -76,15 +76,12 @@ diff -u "$WORK/$first.csv" "$WORK/$first.rerun.csv" \
 echo "   byte-identical"
 
 # Rounds restore from the golden run's checkpoints by default; the CSV
-# must not show it.  Non-message regions only: a message fault lands in
-# the same byte in every run, but the whole job a departing one is re-run
-# as can still race to Crash or Hang (ROADMAP item 1A).
+# must not show it, in any of the eight regions.
 echo "== checkpoint differential ($first) =="
 # Without -quiet, for the restore summary on stderr.
-STATE="reg,fp,bss,data,stack,text,heap"
-"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" -regions "$STATE" \
+"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" \
     -csv > "$WORK/$first.ckpt.csv" 2> "$WORK/$first.ckpt.err"
-"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" -regions "$STATE" \
+"$WORK/faultcampaign" -app "$first" -adaptive -d "$D" -seed "$SEED" \
     -csv -checkpoint-interval 0 > "$WORK/$first.scratch.csv" 2> /dev/null
 diff -u "$WORK/$first.ckpt.csv" "$WORK/$first.scratch.csv" \
     || { echo "FAIL: adaptive CSV differs with restores on and off" >&2; exit 1; }

@@ -9,15 +9,10 @@
 #
 # Both cluster legs run with -trace-diff, which adds two assertions: the
 # coordinator CSV must still match the single-process run *without*
-# tracing (the digest recorder only observes), and every worker's logged
+# tracing (trace-diff only observes), and every worker's logged
 # golden-trace digest must equal the hash a single-process
-# `faultcampaign -trace-out` computes — the trace is a pure function of
-# (app, seed, ranks), identical on every machine.  A traced campaign runs
-# every experiment as a whole job while the single-process reference
-# decides most of them on the injected rank alone (DESIGN.md §3.4), so
-# the gate doubles as a distributed solo-vs-whole-job differential — and
-# a whole job takes long enough that the victim is still mid-campaign
-# when the kill lands.
+# `faultcampaign -trace-out` computes — the golden tapes are a pure
+# function of (app, seed, ranks), identical on every machine.
 #
 # Environment:
 #   BIN_DIR   directory with prebuilt faultcoord/faultcampaign/faultmerge
