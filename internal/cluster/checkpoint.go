@@ -81,16 +81,6 @@ func (s *Snapshot) RankInstrs(r int) uint64 {
 	return s.Ranks[r].VM.Instrs()
 }
 
-// TotalInstrs sums the retired-instruction counts across ranks — the work
-// a job restored from this checkpoint does not repeat.
-func (s *Snapshot) TotalInstrs() uint64 {
-	var n uint64
-	for r := 0; r < s.Size; r++ {
-		n += s.RankInstrs(r)
-	}
-	return n
-}
-
 // MaxQueued returns the deepest per-rank queue in the snapshot, for
 // sizing the restored world's Channel queues.
 func (s *Snapshot) MaxQueued() int {
@@ -103,10 +93,10 @@ func (s *Snapshot) MaxQueued() int {
 
 // ckptRun takes a running job's snapshots.
 type ckptRun struct {
-	world    *mpi.World
-	ranks    []*rank
-	files    *fileStore
-	heapBase uint32
+	world *mpi.World
+	ranks []*rank
+	files *fileStore
+	job   *Job
 
 	spacing uint64 // CheckpointSpec.Interval, doubled each time the cap is hit
 	max     int
@@ -218,7 +208,7 @@ func (c *ckptRun) capture() {
 		rs.TapePos = len(rk.proc.Tape())
 		if rk.done {
 			rs.Finished = true
-			rs.Result = rk.result(c.heapBase)
+			rs.Result = rk.result(c.job)
 		} else {
 			rs.VM = rk.m.Snapshot()
 			rs.MPI = rk.proc.Snapshot()

@@ -66,6 +66,10 @@ type Job struct {
 	// are requeued.  The snapshot is shared read-only; any number of
 	// concurrent jobs may restore from one.
 	Restore *Snapshot
+	// Ghosts, when non-nil, starts every rank but one as a ghost of a
+	// recorded run (ghost.go).  Setup and Tracer reach a ghost when it
+	// materializes, PMPIHook never; Checkpoints is ignored.
+	Ghosts *Ghosts
 	// DisableSuperblocks forces every rank's machine onto the
 	// per-instruction interpreter (faultcampaign -no-superblock); the
 	// differential CI legs use it to cross-check compiled execution.
@@ -85,6 +89,14 @@ type RankResult struct {
 	// denominator for heap working-set percentages.
 	HeapUsed uint32
 	Stats    mpi.Stats
+	// Ghost reports that the rank executed nothing in this job: it stayed
+	// a ghost (Job.Ghosts), or it had exited before Job.Restore's cut.
+	// Its MinSP and heap marks are then the recorded run's at its end,
+	// zero before it.
+	Ghost bool
+	// From is the instruction count the rank's machine started at: its
+	// snapshot's, 0 from the image.  It executed Instrs − From.
+	From uint64
 }
 
 // Result is the outcome of a whole job.
@@ -143,12 +155,16 @@ func (r *Result) FailureSummary() string {
 	return ""
 }
 
-// rank is one live rank of a running job.
+// rank is one unfinished rank of a running job.
 type rank struct {
-	id   int
-	m    *vm.Machine
-	io   *rankIO
-	proc *mpi.Proc
+	id int
+	// m is the rank's machine, started at clock from; nil while the rank
+	// is a ghost.
+	m     *vm.Machine
+	from  uint64
+	ghost *ghost
+	io    *rankIO
+	proc  *mpi.Proc
 	// out is how the rank's execution ended; done is set once the
 	// scheduler has seen it end.
 	out  vm.RunResult
@@ -159,9 +175,17 @@ type rank struct {
 	due            uint64
 }
 
-// before orders ranks by virtual time: retired instructions, then rank.
+// clock is the rank's virtual time: its retired instructions.
+func (rk *rank) clock() uint64 {
+	if rk.m == nil {
+		return rk.ghost.clock
+	}
+	return rk.m.Instrs
+}
+
+// before orders ranks by virtual time, then rank.
 func (a *rank) before(b *rank) bool {
-	return a.m.Instrs < b.m.Instrs || a.m.Instrs == b.m.Instrs && a.id < b.id
+	return a.clock() < b.clock() || a.clock() == b.clock() && a.id < b.id
 }
 
 // fatal reports whether the way the rank ended ends the job: the budget,
@@ -185,10 +209,15 @@ func (rk *rank) kill() {
 }
 
 // killed is the end of a rank the verdict stops outside the MPI runtime;
-// inside it, the scheduling point the rank is suspended in traps.
+// inside it, the scheduling point the rank is suspended in traps.  A
+// ghost has no pc to report.
 func (rk *rank) killed() vm.RunResult {
+	var pc uint32
+	if rk.m != nil {
+		pc = rk.m.PC
+	}
 	return vm.RunResult{Reason: vm.StopTrap,
-		Trap: &vm.Trap{Kind: vm.TrapKilled, PC: rk.m.PC, Msg: "job terminated"}}
+		Trap: &vm.Trap{Kind: vm.TrapKilled, PC: pc, Msg: "job terminated"}}
 }
 
 // earliest returns the runnable rank that is first in virtual time and
@@ -199,7 +228,7 @@ func earliest(ranks []*rank, horizon *rank) *rank {
 		if rk == nil || rk.done || rk.parked || !rk.proc.Runnable() {
 			continue
 		}
-		if (min == nil || rk.m.Instrs < min.m.Instrs) && (horizon == nil || rk.before(horizon)) {
+		if (min == nil || rk.clock() < min.clock()) && (horizon == nil || rk.before(horizon)) {
 			min = rk
 		}
 	}
@@ -267,18 +296,27 @@ func Run(job Job) *Result {
 	ranks := make([]*rank, job.Size)
 	live := 0
 	for r := range ranks {
-		if job.Restore != nil && job.Restore.Ranks[r].Finished {
-			// This rank had already exited at the checkpoint: carry its
-			// terminal state over verbatim; nothing runs for it.
-			rs := &job.Restore.Ranks[r]
-			res.Ranks[r] = rs.Result
-			res.Stdout[r] = append([]byte(nil), rs.Stdout...)
-			res.Stderr[r] = append([]byte(nil), rs.Stderr...)
-			continue
-		}
 		rk := &rank{id: r, proc: world.Proc(r)}
-		rk.m, rk.io = job.newRank(r, rk.proc, files)
-		rk.m.Stop = &stop
+		rk.io = &rankIO{proc: rk.proc, files: files}
+		var rs *RankSnapshot
+		if job.Restore != nil {
+			rs = &job.Restore.Ranks[r]
+			rk.io.stdout = append([]byte(nil), rs.Stdout...)
+			rk.io.stderr = append([]byte(nil), rs.Stderr...)
+			if rs.Finished {
+				// This rank had already exited at the checkpoint: carry its
+				// terminal state over verbatim; nothing runs for it.
+				res.Ranks[r] = rs.Result
+				res.Ranks[r].Ghost = true
+				res.Stdout[r], res.Stderr[r] = rk.io.stdout, rk.io.stderr
+				continue
+			}
+		}
+		if g := job.Ghosts; g != nil && r != g.Live {
+			rk.ghost = newGhost(g.Golden.Tapes[r], rs)
+		} else {
+			rk.embody(&job, rs, &stop)
+		}
 		ranks[r] = rk
 		live++
 	}
@@ -291,8 +329,8 @@ func Run(job Job) *Result {
 	}
 
 	var ckpt *ckptRun
-	if spec := job.Checkpoints; spec.Interval > 0 && job.Restore == nil {
-		ckpt = &ckptRun{world: world, ranks: ranks, files: files, heapBase: job.Image.HeapBase,
+	if spec := job.Checkpoints; spec.Interval > 0 && job.Restore == nil && job.Ghosts == nil {
+		ckpt = &ckptRun{world: world, ranks: ranks, files: files, job: &job,
 			spacing: spec.Interval, max: spec.Max}
 		ckpt.release(spec.Interval)
 	}
@@ -301,7 +339,10 @@ func Run(job Job) *Result {
 			continue
 		}
 		body := func() { rk.out = rk.m.Run(job.Budget) }
-		if ckpt != nil {
+		switch {
+		case rk.ghost != nil:
+			body = func() { job.haunt(rk, &stop) }
+		case ckpt != nil:
 			rk.io.atExit = func() *vm.Trap { return ckpt.park(rk) }
 			body = func() { rk.out = ckpt.run(rk, job.Budget) }
 		}
@@ -365,14 +406,16 @@ func Run(job Job) *Result {
 		if rk == nil {
 			continue // restored-as-finished rank: results carried above
 		}
-		res.Ranks[r] = rk.result(job.Image.HeapBase)
+		res.Ranks[r] = rk.result(&job)
 		res.Stdout[r] = rk.io.stdout
 		res.Stderr[r] = rk.io.appendSignalBanner(rk.out.Trap)
 	}
 	if job.RecordTapes {
 		res.Tapes = make([]mpi.Tape, job.Size)
-		for r := range res.Tapes {
-			res.Tapes[r] = world.Proc(r).Tape()
+		for r, rk := range ranks {
+			if res.Tapes[r] = world.Proc(r).Tape(); rk != nil && rk.m == nil {
+				res.Tapes[r] = rk.ghost.recorded()
+			}
 		}
 	}
 	if ckpt != nil {
@@ -385,8 +428,17 @@ func Run(job Job) *Result {
 }
 
 // result collects the rank's terminal state.
-func (rk *rank) result(heapBase uint32) RankResult {
+func (rk *rank) result(job *Job) RankResult {
 	m := rk.m
+	if m == nil {
+		if rk.done { // at its tape's end
+			rr := job.Ghosts.Golden.Ranks[rk.id]
+			rr.Ghost = true
+			return rr
+		}
+		return RankResult{Trap: rk.out.Trap, Reason: rk.out.Reason, Instrs: rk.ghost.clock,
+			Stats: rk.ghost.tape.Traffic(rk.ghost.pos), Ghost: true}
+	}
 	return RankResult{
 		Trap:         rk.out.Trap,
 		Reason:       rk.out.Reason,
@@ -394,23 +446,27 @@ func (rk *rank) result(heapBase uint32) RankResult {
 		MinSP:        m.MinSP,
 		HeapPeakUser: m.Heap.PeakUser,
 		HeapPeakMPI:  m.Heap.PeakMPI,
-		HeapUsed:     m.Heap.Brk() - heapBase,
+		HeapUsed:     m.Heap.Brk() - job.Image.HeapBase,
 		Stats:        rk.proc.Stats,
+		From:         rk.from,
 	}
 }
 
-// newRank builds live rank r — its machine, from the image or from the
-// job's Restore snapshot, wired to its syscall handler and to proc, with
-// the job's tracer and Setup applied.  Run and RunSolo share it.
-func (job *Job) newRank(r int, proc *mpi.Proc, files *fileStore) (*vm.Machine, *rankIO) {
+// embody gives rk the machine newRank builds from rs (nil: the image).
+func (rk *rank) embody(job *Job, rs *RankSnapshot, stop *atomic.Bool) {
+	rk.m = job.newRank(rk.id, rk.proc, rk.io, rs)
+	rk.m.Stop, rk.from = stop, rk.m.Instrs
+}
+
+// newRank builds rank r's machine, from the image or from rs, wired to
+// its syscall handler io and to proc (restored from rs), with the job's
+// tracer and Setup applied.  Run, RunSolo and a ghost's materialization
+// share it.
+func (job *Job) newRank(r int, proc *mpi.Proc, io *rankIO, rs *RankSnapshot) *vm.Machine {
 	var m *vm.Machine
-	io := &rankIO{proc: proc, files: files}
-	if job.Restore != nil {
-		rs := &job.Restore.Ranks[r]
+	if rs != nil {
 		m = rs.VM.NewMachine()
 		proc.Restore(rs.MPI)
-		io.stdout = append([]byte(nil), rs.Stdout...)
-		io.stderr = append([]byte(nil), rs.Stderr...)
 	} else {
 		m = vm.New(job.Image)
 	}
@@ -424,7 +480,7 @@ func (job *Job) newRank(r int, proc *mpi.Proc, files *fileStore) (*vm.Machine, *
 	if job.Setup != nil {
 		job.Setup(r, m, proc)
 	}
-	return m, io
+	return m
 }
 
 // recordJobMetrics aggregates a finished job into the registry.  It
@@ -437,7 +493,9 @@ func recordJobMetrics(reg *telemetry.Registry, res *Result, switches uint64, que
 	var instrs, ctrl, data, hdr, payload uint64
 	for r := range res.Ranks {
 		rr := &res.Ranks[r]
-		instrs += rr.Instrs
+		if !rr.Ghost {
+			instrs += rr.Instrs
+		}
 		ctrl += rr.Stats.ControlMsgs
 		data += rr.Stats.DataMsgs
 		hdr += rr.Stats.HeaderBytes

@@ -13,7 +13,7 @@ import (
 )
 
 // buildProgram links libc+libmpi around the emitted main body.
-func buildProgram(t *testing.T, body func(m *asm.Module, f *asm.Func)) *image.Image {
+func buildProgram(t testing.TB, body func(m *asm.Module, f *asm.Func)) *image.Image {
 	t.Helper()
 	b := asm.NewBuilder()
 	guest.AddLibc(b)

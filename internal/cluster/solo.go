@@ -18,8 +18,8 @@ type SoloResult struct {
 	// the one Result.FirstFailure reports when the peers are only ever
 	// killed.  nil covers everything else: an output that is not the
 	// recorded one, a pull the tape cannot serve, an exit that leaves tape
-	// or carries a nonzero code, the budget.  The job must then be run on
-	// all ranks.
+	// or carries a nonzero code, the budget.  The job must then be run
+	// whole, the peers as ghosts (Job.Ghosts).
 	Trap *vm.Trap
 	// Instrs is the rank's retired-instruction count when it stopped, and
 	// Pos how many events of the tape it had got through.
@@ -34,12 +34,14 @@ type SoloResult struct {
 // job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer,
 // DisableSuperblocks and Metrics.
 func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
+	var rs *RankSnapshot
 	pos := 0
 	if job.Restore != nil {
-		pos = job.Restore.Ranks[rank].TapePos
+		rs = &job.Restore.Ranks[rank]
+		pos = rs.TapePos
 	}
 	proc := mpi.NewReplayProc(job.Size, job.MPIConfig, rank, tape, pos)
-	m, _ := job.newRank(rank, proc, nil)
+	m := job.newRank(rank, proc, &rankIO{proc: proc}, rs)
 	out := m.Run(job.Budget)
 
 	left, departed := proc.Replayed()

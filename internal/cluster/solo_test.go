@@ -16,7 +16,7 @@ import (
 // 0), collectives inside both, a Sendrecv ring, and every rank opening one
 // shared file — so the fd each gets depends on the others — and writing
 // its reduced sums to it and to the console.
-func buildCommFiles(t *testing.T) *image.Image {
+func buildCommFiles(t testing.TB) *image.Image {
 	return buildProgram(t, func(m *asm.Module, f *asm.Func) {
 		m.DataString("name", "sums.out")
 		m.BSS("myrank", 4)
@@ -121,7 +121,7 @@ func TestRunSoloReplaysEveryRank(t *testing.T) {
 }
 
 // firstEvent returns the index of the first event of tape satisfying ok.
-func firstEvent(t *testing.T, tape mpi.Tape, ok func(i int) bool) int {
+func firstEvent(t testing.TB, tape mpi.Tape, ok func(i int) bool) int {
 	t.Helper()
 	for i := range tape {
 		if ok(i) {

@@ -26,6 +26,15 @@ func (fs *fileStore) open(name string) int32 {
 	return abi.FdFileBase + int32(len(fs.names)-1)
 }
 
+// openAs opens name if that hands out fd; false changes nothing.
+func (fs *fileStore) openAs(name string, fd int32) bool {
+	if abi.FdFileBase+int32(len(fs.names)) != fd {
+		return false
+	}
+	fs.open(name)
+	return true
+}
+
 func (fs *fileStore) write(fd int32, b []byte) bool {
 	i := int(fd - abi.FdFileBase)
 	if i < 0 || i >= len(fs.names) {
@@ -81,17 +90,23 @@ func (io *rankIO) writeFd(m *vm.Machine, fd int32, b []byte) *vm.Trap {
 	if live, t := io.proc.TapeOutput(m, mpi.TapeWrite, fd, b); !live {
 		return t
 	}
+	if !io.write(fd, b) {
+		return &vm.Trap{Kind: vm.TrapSegv, PC: m.PC, Msg: "write to bad fd"}
+	}
+	return nil
+}
+
+// write performs writeFd's append; false for a bad fd.
+func (io *rankIO) write(fd int32, b []byte) bool {
 	switch fd {
 	case abi.FdStdout:
 		io.stdout = append(io.stdout, b...)
 	case abi.FdStderr:
 		io.stderr = append(io.stderr, b...)
 	default:
-		if !io.files.write(fd, b) {
-			return &vm.Trap{Kind: vm.TrapSegv, PC: m.PC, Msg: "write to bad fd"}
-		}
+		return io.files.write(fd, b)
 	}
-	return nil
+	return true
 }
 
 // arg fetches syscall argument i, mapping a bad stack read to the trap it

@@ -518,7 +518,8 @@ func (w *worker) runLease(grant leaseGrant) error {
 	if st := res.Checkpoints; st != nil {
 		restored = st.Hits
 	}
-	w.logf("lease %d done (%d experiments, %d restored from checkpoints, %d decided on the injected rank alone)",
-		grant.Lease, len(entries), restored, res.Solo.Correct+res.Solo.Failed)
+	so := res.Solo
+	w.logf("lease %d done (%d experiments, %d restored from checkpoints, %d decided on the injected rank alone; %d re-run: %d of %d peers materialized)",
+		grant.Lease, len(entries), restored, so.Correct+so.Failed, so.Fallback, so.Materialized, so.Peers)
 	return nil
 }

@@ -608,10 +608,15 @@ type campaignCtx struct {
 	base   *rng.Rand
 	// snaps are the golden run's snapshots; nil with checkpointing off.
 	snaps []*cluster.Snapshot
-	// wholeJobs skips solo runs: the reference arm of export_test.go's
-	// SoloDifferential.  Run never sets it.
+	// wholeJobs skips solo runs and runs every rank of a whole job live:
+	// the reference arm of export_test.go's SoloDifferential.  Run never
+	// sets it.
 	wholeJobs bool
-	met       *campaignMeters
+	// built, when set, is shown every machine an experiment builds, before
+	// it runs: export_test.go's MachineInstrs counts what they execute.
+	// Run never sets it.
+	built func(*vm.Machine)
+	met   *campaignMeters
 
 	// Local (per-campaign) counters: the telemetry registry may be shared
 	// across campaigns, so Result.Checkpoints and Result.Solo cannot be
@@ -724,8 +729,8 @@ func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
 	return c.snaps[k]
 }
 
-// skip accounts for n golden-prefix instructions a restored job did not
-// execute, although its ranks' final counts include them.
+// skip accounts for n golden-prefix instructions a restored machine did
+// not execute, although its final count includes them.
 func (c *campaignCtx) skip(n uint64) {
 	c.skipped.Add(n)
 	c.met.instrsSkipped.Add(int64(n))
@@ -813,13 +818,17 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			}
 		}
 	}
+	if c.built != nil {
+		setup := job.Setup
+		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) { c.built(m); setup(rank, m, p) }
+	}
 	var from []int // where the job's ranks start on their tapes, for trace-diff
 	if cfg.TraceDiff {
 		from = tapeStarts(job.Restore, cfg.Ranks)
 	}
 	if !c.wholeJobs {
-		// Solo first; a departure runs the whole job below, arming the
-		// identical fault from the same stream.
+		// Solo first; a departure runs the whole job below, its peers
+		// ghosts, arming the identical fault from the same stream.
 		stream := sc.faultRng
 		if rec != nil {
 			rec.Reset()
@@ -838,14 +847,15 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	}
 
 	if !decided {
-		if job.Restore != nil {
-			c.skip(job.Restore.TotalInstrs())
-		}
 		if rec != nil {
 			rec.Reset()
 		}
 		job.RecordTapes = cfg.TraceDiff
+		if !c.wholeJobs {
+			job.Ghosts = &cluster.Ghosts{Live: e.Rank, Golden: golden.Result, Snapshots: c.snaps}
+		}
 		res := cluster.Run(job)
+		c.ranWhole(e.Rank, res)
 		e.Outcome = classify.Classify(res, golden.Output)
 		e.Detail = res.FailureSummary()
 		if rec != nil {

@@ -4,44 +4,84 @@ import (
 	"time"
 
 	"mpifault/internal/rng"
+	"mpifault/internal/telemetry"
+	"mpifault/internal/vm"
 )
 
-// SoloDifferential runs every entry of cfg's plan twice on one thread —
-// through the solo-first path, and as a whole job directly (runOne with
-// wholeJobs set, what a fallback executes) — against one golden run and,
-// when cfg.CheckpointInterval is set, one checkpoint set.  Observers
-// (cfg.Forensics, cfg.TraceDiff) ride both arms.
-func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
+// testArm returns a campaign context for cfg's plan, as Run builds one,
+// with its golden run and, when cfg.CheckpointInterval is set, that run's
+// checkpoints.
+func testArm(cfg *Config, golden *Golden) *campaignCtx {
+	c := &campaignCtx{
+		cfg: cfg, golden: golden, dict: NewDictionary(cfg.Image),
+		budget: 4 * golden.MaxInstrs(), base: rng.New(cfg.Seed), met: newCampaignMeters(cfg.Metrics),
+	}
+	if cfg.CheckpointInterval > 0 {
+		c.snaps = golden.Result.Snapshots
+	}
+	return c
+}
+
+// runArm runs every entry of cfg's plan through c, in plan order, on one
+// thread.
+func runArm(c *campaignCtx, cfg *Config) *Result {
+	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
+	var ran []Experiment
+	var sc expScratch
+	for _, pe := range plan.Range(0, plan.Total()) {
+		e := Experiment{Region: pe.Region, Index: pe.Index}
+		c.base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
+		runOne(c, &e, &sc)
+		ran = append(ran, e)
+	}
+	res := &Result{Golden: c.golden, Solo: c.solo.stats()}
+	res.summarize(cfg, ran)
+	return res
+}
+
+// testGolden is runGolden at the settings the arms above assume.
+func testGolden(cfg *Config) (*Golden, error) {
 	cfg.WallLimit = 30 * time.Second
 	cfg.MaxCheckpoints = DefaultMaxCheckpoints
-	golden, err := runGolden(&cfg)
+	return runGolden(cfg)
+}
+
+// SoloDifferential runs every entry of cfg's plan twice on one thread —
+// through the solo-first path, whose fallbacks run their peers as ghosts,
+// and as an all-live whole job directly (runOne with wholeJobs set) —
+// against one golden run and, when cfg.CheckpointInterval is set, one
+// checkpoint set.  Observers (cfg.Forensics, cfg.TraceDiff) ride both arms.
+func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
+	golden, err := testGolden(&cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	newCtx := func() *campaignCtx {
-		return &campaignCtx{
-			cfg: &cfg, golden: golden, dict: NewDictionary(cfg.Image),
-			budget: 4 * golden.MaxInstrs(), base: rng.New(cfg.Seed), met: newCampaignMeters(nil),
-		}
+	ref := testArm(&cfg, golden)
+	ref.wholeJobs = true
+	return runArm(testArm(&cfg, golden), &cfg), runArm(ref, &cfg), nil
+}
+
+// MachineInstrs runs every entry of cfg's plan as SoloDifferential's
+// solo-first arm does, with telemetry on, and returns the instructions
+// the campaign's machines executed — each one's count at its end less its
+// count when built, read off the machines themselves — beside the
+// retired-instructions counter and the instructions skipped.
+func MachineInstrs(cfg Config) (res *Result, executed, retired, skipped uint64, err error) {
+	golden, err := testGolden(&cfg)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
-	arms := [2]*campaignCtx{newCtx(), newCtx()}
-	arms[1].wholeJobs = true
-	if cfg.CheckpointInterval > 0 {
-		arms[0].snaps, arms[1].snaps = golden.Result.Snapshots, golden.Result.Snapshots
+	cfg.Metrics = telemetry.New()
+	c := testArm(&cfg, golden)
+	type built struct {
+		m    *vm.Machine
+		from uint64
 	}
-	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
-	var out [2]*Result
-	for i, c := range arms {
-		var ran []Experiment
-		var sc expScratch
-		for _, pe := range plan.Range(0, plan.Total()) {
-			e := Experiment{Region: pe.Region, Index: pe.Index}
-			c.base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
-			runOne(c, &e, &sc)
-			ran = append(ran, e)
-		}
-		out[i] = &Result{Golden: golden, Solo: c.solo.stats()}
-		out[i].summarize(&cfg, ran)
+	var machines []built
+	c.built = func(m *vm.Machine) { machines = append(machines, built{m, m.Instrs}) }
+	res = runArm(c, &cfg)
+	for _, b := range machines {
+		executed += b.m.Instrs - b.from
 	}
-	return out[0], out[1], nil
+	return res, executed, cfg.Metrics.Counter(telemetry.MetricInstrsRetired).Value(), c.skipped.Load(), nil
 }

@@ -17,6 +17,7 @@ type campaignMeters struct {
 	instrsSkipped                       *telemetry.Gauge
 	soloCorrect, soloFailed             *telemetry.Counter
 	soloFallback, soloInstrs            *telemetry.Counter
+	peersMaterialized, peersGhost       *telemetry.Counter
 	inflight                            *telemetry.Gauge
 	outcomes                            [classify.NumOutcomes]*telemetry.Counter
 	crashLatency, hangLatency           *telemetry.Histogram
@@ -29,28 +30,30 @@ type campaignMeters struct {
 
 func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 	m := &campaignMeters{
-		planned:       reg.Counter(telemetry.MetricExperimentsPlanned),
-		resumed:       reg.Counter(telemetry.MetricExperimentsResumed),
-		started:       reg.Counter(telemetry.MetricExperimentsStarted),
-		finished:      reg.Counter(telemetry.MetricExperimentsFinished),
-		unapplied:     reg.Counter(telemetry.MetricUnapplied),
-		corrupted:     reg.Counter(telemetry.MetricMessagesCorrupted),
-		ckptTaken:     reg.Counter(telemetry.MetricCheckpointsTaken),
-		ckptHits:      reg.Counter(telemetry.MetricCheckpointHits),
-		ckptMisses:    reg.Counter(telemetry.MetricCheckpointMisses),
-		instrsSkipped: reg.Gauge(telemetry.MetricInstrsSkipped),
-		soloCorrect:   reg.Counter(telemetry.SoloMetric("correct")),
-		soloFailed:    reg.Counter(telemetry.SoloMetric("failed")),
-		soloFallback:  reg.Counter(telemetry.SoloMetric("fallback")),
-		soloInstrs:    reg.Counter(telemetry.MetricSoloInstrs),
-		inflight:      reg.Gauge(telemetry.MetricExperimentsInflight),
-		crashLatency:  reg.Histogram(telemetry.MetricCrashLatency, telemetry.LatencyBuckets),
-		hangLatency:   reg.Histogram(telemetry.MetricHangLatency, telemetry.LatencyBuckets),
-		traceDiffed:   reg.Counter(telemetry.MetricTraceDiffed),
-		traceLoc:      reg.Counter(telemetry.MetricTraceLocalized),
-		traceUnloc:    reg.Counter(telemetry.MetricTraceUnlocalized),
-		traceMsgIndex: reg.Histogram(telemetry.MetricTraceDivergenceMsg, telemetry.TraceMessageBuckets),
-		traceLatency:  reg.Histogram(telemetry.MetricTraceLatency, telemetry.LatencyBuckets),
+		planned:           reg.Counter(telemetry.MetricExperimentsPlanned),
+		resumed:           reg.Counter(telemetry.MetricExperimentsResumed),
+		started:           reg.Counter(telemetry.MetricExperimentsStarted),
+		finished:          reg.Counter(telemetry.MetricExperimentsFinished),
+		unapplied:         reg.Counter(telemetry.MetricUnapplied),
+		corrupted:         reg.Counter(telemetry.MetricMessagesCorrupted),
+		ckptTaken:         reg.Counter(telemetry.MetricCheckpointsTaken),
+		ckptHits:          reg.Counter(telemetry.MetricCheckpointHits),
+		ckptMisses:        reg.Counter(telemetry.MetricCheckpointMisses),
+		instrsSkipped:     reg.Gauge(telemetry.MetricInstrsSkipped),
+		soloCorrect:       reg.Counter(telemetry.SoloMetric("correct")),
+		soloFailed:        reg.Counter(telemetry.SoloMetric("failed")),
+		soloFallback:      reg.Counter(telemetry.SoloMetric("fallback")),
+		soloInstrs:        reg.Counter(telemetry.MetricSoloInstrs),
+		inflight:          reg.Gauge(telemetry.MetricExperimentsInflight),
+		peersMaterialized: reg.Counter(telemetry.PeerMetric("materialized")),
+		peersGhost:        reg.Counter(telemetry.PeerMetric("ghost")),
+		crashLatency:      reg.Histogram(telemetry.MetricCrashLatency, telemetry.LatencyBuckets),
+		hangLatency:       reg.Histogram(telemetry.MetricHangLatency, telemetry.LatencyBuckets),
+		traceDiffed:       reg.Counter(telemetry.MetricTraceDiffed),
+		traceLoc:          reg.Counter(telemetry.MetricTraceLocalized),
+		traceUnloc:        reg.Counter(telemetry.MetricTraceUnlocalized),
+		traceMsgIndex:     reg.Histogram(telemetry.MetricTraceDivergenceMsg, telemetry.TraceMessageBuckets),
+		traceLatency:      reg.Histogram(telemetry.MetricTraceLatency, telemetry.LatencyBuckets),
 	}
 	for o := classify.Outcome(0); o < classify.NumOutcomes; o++ {
 		m.outcomes[o] = reg.Counter(telemetry.OutcomeMetric(o.String()))

@@ -16,7 +16,9 @@ import (
 // equal the recording no other rank can have seen the fault, so most
 // experiments — the ones the tables call Correct, and the ones that crash
 // before saying anything new — are decided at 1/ranks of the cost.  The
-// rest are re-run on all ranks, unchanged.
+// rest are re-run as whole jobs in which the injected rank executes from
+// its restore point and every peer is a ghost of the golden run
+// (cluster.Ghosts), executing only once the fault reaches it.
 //
 // There is no switch: whole jobs are chosen by what the code observes, and
 // a departure is the one case.  Observers ride along: the flight recorder
@@ -28,12 +30,16 @@ type SoloStats struct {
 	// Correct and Failed experiments were decided on the injected rank
 	// alone: a clean run matching its whole tape, or a trap on it.
 	Correct, Failed uint64
-	// Fallback experiments departed from the tape and were re-run on all
-	// ranks.
+	// Fallback experiments departed from the tape and were re-run as whole
+	// jobs.
 	Fallback uint64
 	// Instrs is the guest instructions the solo runs executed, fallbacks'
 	// included.
 	Instrs uint64
+	// Peers counts the fallbacks' ranks but the injected one, Materialized
+	// those of them the fault reached: they executed, the rest stayed
+	// ghosts.
+	Peers, Materialized uint64
 }
 
 // Attempts returns how many experiments ran solo first.
@@ -45,16 +51,19 @@ func (s *SoloStats) add(other SoloStats) {
 	s.Failed += other.Failed
 	s.Fallback += other.Fallback
 	s.Instrs += other.Instrs
+	s.Peers += other.Peers
+	s.Materialized += other.Materialized
 }
 
 // soloCounters is SoloStats under concurrent workers.
 type soloCounters struct {
-	correct, failed, fallback, instrs atomic.Uint64
+	correct, failed, fallback, instrs, peers, materialized atomic.Uint64
 }
 
 func (s *soloCounters) stats() SoloStats {
 	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(),
-		Fallback: s.fallback.Load(), Instrs: s.instrs.Load()}
+		Fallback: s.fallback.Load(), Instrs: s.instrs.Load(),
+		Peers: s.peers.Load(), Materialized: s.materialized.Load()}
 }
 
 // runSolo runs e's injected rank alone, from job's restore point with
@@ -88,6 +97,28 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) (cluster.SoloResul
 		e.Detail = res.Trap.Error()
 	}
 	return res, true
+}
+
+// ranWhole accounts for a whole job run for the experiment on rank: the
+// snapshot clocks its machines started at are skipped, and in a fallback
+// it counts the peers that materialized.
+func (c *campaignCtx) ranWhole(rank int, res *cluster.Result) {
+	var materialized uint64
+	for r := range res.Ranks {
+		if rr := &res.Ranks[r]; !rr.Ghost {
+			c.skip(rr.From)
+			if r != rank {
+				materialized++
+			}
+		}
+	}
+	if !c.wholeJobs {
+		peers := uint64(len(res.Ranks) - 1)
+		c.solo.peers.Add(peers)
+		c.solo.materialized.Add(materialized)
+		c.met.peersMaterialized.Add(materialized)
+		c.met.peersGhost.Add(peers - materialized)
+	}
 }
 
 // soloTapes is what the ranks of a job starting at tape positions from

@@ -11,32 +11,71 @@ import (
 	"mpifault/internal/report"
 )
 
-// TestSoloDifferential is the soundness gate of solo-rank replay: on every
-// app and in all eight regions, every experiment decided on the injected
-// rank alone — and every one re-run after a departure — must be the
-// experiment the whole job produces; for a message fault that includes
-// both arms corrupting the same byte of the same sender's stream, and a
-// protocol trap naming the same pc: the MPI call that pulls the corrupted
-// packet is the same in the recorded run and in every whole job.  Both
-// arms run with Forensics and TraceDiff on, and the records must be equal
-// too: the flight record and the divergence read off the golden tapes for
-// a solo run are the ones the whole job records.
+// TestSoloDifferential is the soundness gate of solo-rank replay and of
+// ghost peers: on every app and in all eight regions, at 16 ranks on
+// message faults too, from checkpoints and from t=0, every experiment
+// decided on the injected rank alone — and every one re-run after a
+// departure, the peers ghosts until the fault reaches them — must be the
+// experiment the all-live whole job produces; for a message fault that
+// includes both arms corrupting the same byte of the same sender's stream,
+// and a protocol trap naming the same pc: the MPI call that pulls the
+// corrupted packet is the same in the recorded run and in every whole job.
+// Both arms run with Forensics and TraceDiff on, and the records must be
+// equal too: the flight record and the divergence read off the golden
+// tapes for a solo run, or off a ghost's cursor, are the ones the all-live
+// job records.
 func TestSoloDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign differential is slow")
 	}
-	for _, app := range []string{"wavetoy", "minimd", "minicam"} {
-		t.Run(app, func(t *testing.T) {
-			im, ranks := buildApp(t, app)
+	for _, tc := range []struct {
+		name, app    string
+		ranks, scale int // 0: the application's default
+		regions      []core.Region
+		interval     uint64
+		n            int // 0: 32 per region
+	}{
+		{name: "wavetoy", app: "wavetoy", interval: core.DefaultCheckpointInterval},
+		{name: "minimd", app: "minimd", interval: core.DefaultCheckpointInterval},
+		{name: "minicam", app: "minicam", interval: core.DefaultCheckpointInterval},
+		{name: "wavetoy/t=0", app: "wavetoy", n: 16},
+		{name: "minimd/t=0", app: "minimd", n: 16},
+		{name: "minicam/t=0", app: "minicam", n: 16},
+		{name: "minicam16-message", app: "minicam", ranks: 16, scale: 16,
+			regions: []core.Region{core.RegionMessage}, interval: core.DefaultCheckpointInterval},
+		{name: "minicam16-message/t=0", app: "minicam", ranks: 16, scale: 16,
+			regions: []core.Region{core.RegionMessage}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app, err := apps.Get(tc.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := app.Default
+			if tc.ranks > 0 {
+				build.Ranks, build.Scale = tc.ranks, int32(tc.scale)
+			}
+			im, err := app.Build(build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions := tc.regions
+			if regions == nil {
+				regions = core.Regions()
+			}
+			n := tc.n
+			if n == 0 {
+				n = 32
+			}
 			solo, whole, err := core.SoloDifferential(core.Config{
-				Image: im, Ranks: ranks, Injections: 32, Seed: 2004, Regions: core.Regions(),
-				KeepExperiments: true, CheckpointInterval: core.DefaultCheckpointInterval,
+				Image: im, Ranks: build.Ranks, Injections: n, Seed: 2004, Regions: regions,
+				KeepExperiments: true, CheckpointInterval: tc.interval,
 				Forensics: true, TraceDiff: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(solo.Experiments) != 32*int(core.NumRegions) || len(whole.Experiments) != len(solo.Experiments) {
+			if len(solo.Experiments) != n*len(regions) || len(whole.Experiments) != len(solo.Experiments) {
 				t.Fatalf("%d solo-first and %d whole-job experiments", len(solo.Experiments), len(whole.Experiments))
 			}
 			divergences := 0
@@ -59,19 +98,49 @@ func TestSoloDifferential(t *testing.T) {
 				t.Error("no experiment carries a divergence")
 			}
 			var a, b bytes.Buffer
-			report.WriteCampaignCSV(&a, app, solo)
-			report.WriteCampaignCSV(&b, app, whole)
+			report.WriteCampaignCSV(&a, tc.app, solo)
+			report.WriteCampaignCSV(&b, tc.app, whole)
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Errorf("CSV differs:\n--- solo first ---\n%s--- whole jobs ---\n%s", a.Bytes(), b.Bytes())
 			}
 			st := solo.Solo
+			t.Logf("%+v", st)
 			if st.Attempts() != uint64(len(solo.Experiments)) || 4*(st.Correct+st.Failed) < 3*st.Attempts() {
 				t.Errorf("%+v: want every experiment tried solo and three quarters decided there", st)
+			}
+			if st.Peers != st.Fallback*uint64(build.Ranks-1) || st.Materialized == 0 || st.Materialized == st.Peers {
+				t.Errorf("%+v: want every fallback's peers counted, some materialized and some not", st)
 			}
 			if whole.Solo != (core.SoloStats{}) {
 				t.Errorf("the reference arm ran solo: %+v", whole.Solo)
 			}
 		})
+	}
+}
+
+// TestExecutedInstrsAddUp: the instructions a campaign's machines really
+// execute — solo runs, whole jobs and the ghosts that materialize in them
+// — are the retired-instructions counter less CheckpointStats'
+// InstrsSkipped, restored or from t=0.  A ghost that never materializes
+// adds nothing to either.
+func TestExecutedInstrsAddUp(t *testing.T) {
+	im, ranks := buildApp(t, "minimd")
+	for _, interval := range []uint64{core.DefaultCheckpointInterval, 0} {
+		res, executed, retired, skipped, err := core.MachineInstrs(core.Config{
+			Image: im, Ranks: ranks, Injections: 12, Seed: 2004,
+			Regions:            []core.Region{core.RegionMessage, core.RegionHeap, core.RegionStack},
+			CheckpointInterval: interval,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if executed != retired-skipped || interval == 0 && skipped != 0 {
+			t.Errorf("interval %d: machines executed %d instructions; %d retired less %d skipped is %d",
+				interval, executed, retired, skipped, retired-skipped)
+		}
+		if st := res.Solo; st.Fallback < 4 || st.Materialized == 0 || st.Materialized == st.Peers {
+			t.Errorf("interval %d: %+v, want a few fallbacks, some peers materialized and some not", interval, st)
+		}
 	}
 }
 

@@ -50,10 +50,15 @@ func (p *Proc) barrier(ci *commInfo, m *vm.Machine) *vm.Trap {
 }
 
 // bcastHost distributes payload (authoritative only at the root, comm
-// rank 0) down a binomial tree and returns the payload every rank ends
-// up with.  Root selection is folded in by rotating the group; see bcast.
+// rank 0) down a binomial tree and returns the n bytes every rank ends up
+// with; a shorter message is a fatal library error.  Root selection is
+// folded in by rotating the group; see bcast.
 func (p *Proc) bcastHost(payload []byte, n uint32, ci *commInfo, m *vm.Machine) ([]byte, *vm.Trap) {
-	return p.bcast(payload, n, 0, ci, m)
+	b, t := p.bcast(payload, n, 0, ci, m)
+	if t == nil && uint32(len(b)) != n {
+		return nil, &vm.Trap{Kind: vm.TrapMPIFatal, PC: m.PC, Msg: "bcast: message shorter than buffer"}
+	}
+	return b, t
 }
 
 // bcast distributes payload (authoritative only at comm rank root) down

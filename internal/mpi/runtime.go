@@ -115,6 +115,11 @@ type Proc struct {
 	tapeMode uint8
 	tapePos  int
 	departed bool
+	// A rank rejoining the world (Rejoin) replays until tapePos is
+	// liveAt, and from there runs in liveMode, recording onto liveTape.
+	liveAt   int
+	liveMode uint8
+	liveTape Tape
 
 	errhandler uint32 // guest address of the registered error handler, 0 if none
 	inited     bool
@@ -151,17 +156,27 @@ func (p *Proc) deliver(dst int32, raw []byte, m *vm.Machine) *vm.Trap {
 	if live, t := p.TapeOutput(m, TapeSend, dst, raw); !live {
 		return t
 	}
-	q := p.w.procs[dst]
-	for q.queued() >= p.w.cfg.QueueDepth {
-		if !p.yield(waitSend, q) {
-			return killedTrap(m)
-		}
+	if uint(dst) >= uint(p.w.Size) {
+		// A group a corrupted packet built names a rank that does not exist.
+		return &vm.Trap{Kind: vm.TrapMPIFatal, PC: m.PC, Msg: "ch_p4 protocol failure: no such rank"}
 	}
-	q.enqueue(raw)
-	if !p.yield(waitNone, nil) {
+	if !p.send(dst, raw) {
 		return killedTrap(m)
 	}
 	return nil
+}
+
+// send is deliver's half on the world's side; false when the job is being
+// torn down.
+func (p *Proc) send(dst int32, raw []byte) bool {
+	q := p.w.procs[dst]
+	for q.queued() >= p.w.cfg.QueueDepth {
+		if !p.yield(waitSend, q) {
+			return false
+		}
+	}
+	q.enqueue(raw)
+	return p.yield(waitNone, nil)
 }
 
 func (p *Proc) queued() int { return len(p.queue) - p.qhead }
@@ -183,28 +198,42 @@ func (p *Proc) sendPacket(pkt *Packet, m *vm.Machine) *vm.Trap {
 // replaying rank — from its tape, as a copy, because the parsed payload
 // aliases the bytes and concurrent replays share the tape.
 func (p *Proc) receive(m *vm.Machine) ([]byte, *vm.Trap) {
-	if p.tapeMode == tapeReplay {
+	if p.replaying() {
 		ev, t := p.replay(m, TapeRecv, 0, nil)
 		if t != nil {
 			return nil, t
 		}
 		return append([]byte(nil), ev.Data...), nil
 	}
+	raw, alive := p.head()
+	if !alive {
+		return nil, killedTrap(m)
+	}
+	p.dequeue()
+	if p.tapeMode == tapeRecord {
+		p.record(m, TapeRecv, 0, 0, raw)
+	}
+	return raw, nil
+}
+
+// head waits for a packet in the rank's queue and returns it, leaving it
+// there; false when the job is being torn down.
+func (p *Proc) head() ([]byte, bool) {
 	for p.queued() == 0 {
 		if !p.yield(waitRecv, nil) {
-			return nil, killedTrap(m)
+			return nil, false
 		}
 	}
-	raw := p.queue[p.qhead]
+	return p.queue[p.qhead], true
+}
+
+// dequeue drops the packet at the head of the rank's queue.
+func (p *Proc) dequeue() {
 	p.queue[p.qhead] = nil
 	if p.qhead++; p.qhead == len(p.queue) {
 		p.queue, p.qhead = p.queue[:0], 0
 	}
 	p.w.queued--
-	if p.tapeMode == tapeRecord {
-		p.record(m, TapeRecv, 0, 0, raw)
-	}
-	return raw, nil
 }
 
 // pull blocks for the next raw packet, applies the injection hook, parses,

@@ -96,9 +96,37 @@ func NewReplayProc(size int, cfg Config, rank int, tape Tape, pos int) *Proc {
 		tape:     tape,
 		tapeMode: tapeReplay,
 		tapePos:  pos,
+		liveAt:   -1,
 	}
 	p.initComms()
 	return p
+}
+
+// Rejoin makes a world rank that has been standing in for itself without
+// executing — a ghost (GhostSend) — execute again: restored to where it
+// stood at event pos of tape, it replays the tape silently, performing
+// nothing, up to event at, and from there on crosses the world for real.
+// A recording rank's tape then holds its events from position from (where
+// its job started it) up to at, and what it records live after them.
+func (p *Proc) Rejoin(tape Tape, pos, at, from int) {
+	p.liveAt, p.liveMode = at, p.tapeMode
+	if p.tapeMode == tapeRecord {
+		p.liveTape = tape[from:at:at]
+	}
+	p.tape, p.tapeMode, p.tapePos = tape, tapeReplay, pos
+}
+
+// replaying reports whether the rank's next crossing is read from its tape.
+// A rejoining rank goes live on reaching its event.
+func (p *Proc) replaying() bool {
+	if p.tapeMode != tapeReplay {
+		return false
+	}
+	if p.tapePos != p.liveAt {
+		return true
+	}
+	p.tapeMode, p.tape = p.liveMode, p.liveTape
+	return false
 }
 
 // Replayed reports how a replaying rank stands against its tape: left is
@@ -133,11 +161,11 @@ func (p *Proc) replay(m *vm.Machine, kind TapeKind, arg int32, data []byte) (*Ta
 // nothing, and is stopped by t when the output is not the recorded one.
 // data must not be written to afterwards.
 func (p *Proc) TapeOutput(m *vm.Machine, kind TapeKind, arg int32, data []byte) (live bool, t *vm.Trap) {
-	switch p.tapeMode {
-	case tapeReplay:
+	if p.replaying() {
 		_, t = p.replay(m, kind, arg, data)
 		return false, t
-	case tapeRecord:
+	}
+	if p.tapeMode == tapeRecord {
 		p.record(m, kind, arg, 0, data)
 	}
 	return true, nil
@@ -147,7 +175,7 @@ func (p *Proc) TapeOutput(m *vm.Machine, kind TapeKind, arg int32, data []byte) 
 // through its tape: live performs it for real; a replaying rank gets the
 // recorded answer, provided it asked the recorded question.
 func (p *Proc) TapeInput(m *vm.Machine, kind TapeKind, arg int32, data []byte, live func() int32) (int32, *vm.Trap) {
-	if p.tapeMode == tapeReplay {
+	if p.replaying() {
 		ev, t := p.replay(m, kind, arg, data)
 		if t != nil {
 			return 0, t
@@ -159,6 +187,39 @@ func (p *Proc) TapeInput(m *vm.Machine, kind TapeKind, arg int32, data []byte, l
 		p.record(m, kind, arg, ret, data)
 	}
 	return ret, nil
+}
+
+// A ghost is a world rank that does not execute: cluster.Run drives it
+// along its recorded tape, and these are its crossings of the Channel and
+// of the context counter.  Each has the scheduling points of the live
+// rank's crossing, so a ghost is scheduled as the rank would be.
+
+// GhostSend hands a copy of raw, a recorded packet, to rank dst's queue,
+// as deliver does; false when the job is being torn down.
+func (p *Proc) GhostSend(dst int32, raw []byte) bool {
+	return p.send(dst, append([]byte(nil), raw...))
+}
+
+// GhostRecv waits, as receive does, for a packet in the rank's queue and
+// takes it if it is raw.  same is false, and the packet stays, when
+// another is at the head; alive is false when the job is being torn down.
+func (p *Proc) GhostRecv(raw []byte) (same, alive bool) {
+	head, alive := p.head()
+	if !alive || !bytes.Equal(head, raw) {
+		return false, alive
+	}
+	p.dequeue()
+	return true, true
+}
+
+// GhostCtx allocates n wire contexts, as allocCtx does, if the world's
+// counter hands out base; false leaves the counter as it is.
+func (p *Proc) GhostCtx(n, base int32) bool {
+	if int32(p.w.ctxCounter)+ctxDynamicBase != base {
+		return false
+	}
+	p.w.ctxCounter += int64(n)
+	return true
 }
 
 // RawSource returns the sending rank a raw Channel packet names (header
@@ -184,6 +245,18 @@ func (t Tape) PulledBytes(pos, n int) []uint64 {
 		}
 	}
 	return from
+}
+
+// Traffic returns the Stats of a rank that has pulled the packets of the
+// tape's first pos events.
+func (t Tape) Traffic(pos int) Stats {
+	var s Stats
+	for i := range t[:pos] {
+		if ev := &t[i]; ev.Kind == TapeRecv && len(ev.Data) >= HeaderBytes {
+			s.account(&Packet{Kind: ev.Data[4], Payload: ev.Data[HeaderBytes:]})
+		}
+	}
+	return s
 }
 
 // PullClock returns the rank's retired-instruction count when the tape

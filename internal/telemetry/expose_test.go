@@ -31,6 +31,8 @@ func goldenRegistry() *Registry {
 	reg.Counter(SoloMetric("correct")).Add(6)
 	reg.Counter(SoloMetric("fallback")).Inc()
 	reg.Counter(MetricSoloInstrs).Add(123456)
+	reg.Counter(PeerMetric("materialized")).Add(1033)
+	reg.Counter(PeerMetric("ghost")).Add(150)
 	reg.Counter(MetricSchedSwitches).Add(789)
 	reg.Gauge(MetricQueueDepthPeak).SetMax(12)
 	return reg
@@ -38,6 +40,9 @@ func goldenRegistry() *Registry {
 
 const goldenPrometheus = `# TYPE mpifault_experiments_finished_total counter
 mpifault_experiments_finished_total 3
+# TYPE mpifault_fallback_peers_total counter
+mpifault_fallback_peers_total{fate="ghost"} 150
+mpifault_fallback_peers_total{fate="materialized"} 1033
 # TYPE mpifault_sched_switches_total counter
 mpifault_sched_switches_total 789
 # TYPE mpifault_solo_experiments_total counter
@@ -78,6 +83,8 @@ mpifault_trace_divergence_msg_index_count 2
 const goldenJSON = `{
   "counters": {
     "mpifault_experiments_finished_total": 3,
+    "mpifault_fallback_peers_total{fate=\"ghost\"}": 150,
+    "mpifault_fallback_peers_total{fate=\"materialized\"}": 1033,
     "mpifault_sched_switches_total": 789,
     "mpifault_solo_experiments_total{verdict=\"correct\"}": 6,
     "mpifault_solo_experiments_total{verdict=\"fallback\"}": 1,

@@ -98,9 +98,16 @@ func OutcomeMetric(outcome string) string {
 
 // SoloMetric names the counter of experiments run on their injected rank
 // alone that ended with the given verdict: "correct" or "failed" (decided
-// there), or "fallback" (re-run on all ranks).
+// there), or "fallback" (re-run as a whole job, its peers ghosts).
 func SoloMetric(verdict string) string {
 	return "mpifault_solo_experiments_total{verdict=" + strconv.Quote(verdict) + "}"
+}
+
+// PeerMetric names the counter of the fallbacks' peer ranks — every rank
+// of a whole job but the injected one — by their fate: "materialized"
+// (the fault reached it and it executed) or "ghost" (it never did).
+func PeerMetric(fate string) string {
+	return "mpifault_fallback_peers_total{fate=" + strconv.Quote(fate) + "}"
 }
 
 // WorkerMetric names the per-worker ingested-result counter of the
