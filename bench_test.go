@@ -333,8 +333,9 @@ func BenchmarkInjectionSetup(b *testing.B) {
 		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank == 2 {
 				m.TriggerAt = 5000
-				m.TriggerFn = func(m *vm.Machine) {
+				m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 					core.ApplyStaticFault(m, dict, core.RegionData, r)
+					return nil
 				}
 			}
 		}

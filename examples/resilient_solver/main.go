@@ -301,10 +301,10 @@ func perturbSolution(name string, im *image.Image, nRanks, solutionChunks, trial
 					return
 				}
 				m.TriggerAt = trigger
-				m.TriggerFn = func(m *vm.Machine) {
+				m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 					chunks := m.Heap.Chunks()
 					if len(chunks) < solutionChunks {
-						return
+						return nil
 					}
 					c := chunks[r.Intn(solutionChunks)]
 					off := uint32(r.Intn(int(c.Size/8))) * 8
@@ -314,6 +314,7 @@ func perturbSolution(name string, im *image.Image, nRanks, solutionChunks, trial
 						buf[j] = byte(bits >> (8 * uint(j)))
 					}
 					m.RawWrite(c.Payload+off, buf[:])
+					return nil
 				}
 			},
 		})

@@ -150,10 +150,6 @@ func EquivalenceFor(im *image.Image) (*Equivalence, error) {
 // regSpaceBits mirrors core.RegisterSpaceBits: (8 GPRs + PC + flags) x 32.
 const regSpaceBits = (isa.NumGPR + 2) * 32
 
-// flagsReadableBits mirrors core: only Z/LT/UL/UN are architecturally
-// readable, so the upper 28 flag bits are benign even when flags are live.
-const flagsReadableBits = 4
-
 // benignBitCount is the number of provably-benign bits a partEntry mask
 // claims out of the 320-bit register space.
 func benignBitCount(mask uint16) int {
@@ -166,7 +162,7 @@ func benignBitCount(mask uint16) int {
 	if mask&(1<<isa.NumGPR) != 0 {
 		n += 32
 	} else {
-		n += 32 - flagsReadableBits
+		n += 32 - isa.FlagsReadableBits
 	}
 	return n
 }

@@ -118,7 +118,7 @@ func overwrite(job *Job, im *image.Image, rank int, clock uint64, sym string, v 
 	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
 		if r == rank {
 			m.TriggerAt = clock
-			m.TriggerFn = func(m *vm.Machine) { m.Store32(s.Addr, v) }
+			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Store32(s.Addr, v); return nil }
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestGhostNeverMaterializes(t *testing.T) {
 	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
 		if r == live {
 			m.TriggerAt = rec.Ranks[live].Instrs / 2
-			m.TriggerFn = func(m *vm.Machine) { m.Regs[isa.SP] = 0x10 }
+			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.SP] = 0x10; return nil }
 		}
 	}
 	crashed := haunted(t, job, live, rec)
@@ -172,7 +172,7 @@ func TestGhostMaterializesOnReorder(t *testing.T) {
 	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
 		if r == 0 {
 			m.TriggerAt = at
-			m.TriggerFn = func(m *vm.Machine) { m.Regs[isa.R4] -= 4000 }
+			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.R4] -= 4000; return nil }
 		}
 	}
 	res := haunted(t, job, 0, rec)

@@ -229,7 +229,7 @@ func TestRunSoloReportsOnTapeTrap(t *testing.T) {
 			return
 		}
 		m.TriggerAt = rec.Ranks[rank].Instrs / 2
-		m.TriggerFn = func(m *vm.Machine) { m.Regs[isa.SP] = 0x10 }
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.SP] = 0x10; return nil }
 	}
 	whole := Run(job).FirstFailure()
 	if whole == nil || whole.Kind != vm.TrapSegv {

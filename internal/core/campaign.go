@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,9 @@ type Golden struct {
 	recvOnce sync.Once
 	recvFrom [][]uint64
 	pulled   [][][]uint64
+	// reads[r] is rank r's read index (dead.go), built by the first
+	// experiment that asks whether a flip on r is ever read.
+	reads []rankReads
 }
 
 // MaxInstrs returns the largest per-rank instruction count.
@@ -73,7 +77,7 @@ func runGolden(cfg *Config) (*Golden, error) {
 	if res.HangDetected {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
-	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes}
+	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes, reads: make([]rankReads, len(res.Ranks))}
 	for r, rr := range res.Ranks {
 		if rr.Trap == nil || rr.Trap.Kind != vm.TrapExit || rr.Trap.Code != 0 {
 			return nil, fmt.Errorf("core: golden run rank %d failed: %v", r, rr.Trap)
@@ -371,8 +375,13 @@ func CountUnapplied(experiments []Experiment) int {
 
 // Run executes the campaign — or one shard of it — as a golden run
 // followed by independent fault-injection runs for every plan entry not
-// already present in cfg.Completed.
-func Run(cfg Config) (*Result, error) {
+// already present in cfg.Completed.  A host panic in an experiment fails
+// the campaign with an error naming the experiment; dispatching stops, and
+// the experiments that finished still reach OnExperiment.
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run with the campaignCtx.built test seam.
+func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	if cfg.Injections <= 0 {
 		cfg.Injections = 100
 	}
@@ -433,7 +442,7 @@ func Run(cfg Config) (*Result, error) {
 	met.traceDiff = cfg.TraceDiff
 	met.planned.Add(uint64(len(entries)))
 
-	cctx := &campaignCtx{cfg: &cfg, golden: golden, dict: dict, budget: budget, met: met}
+	cctx := &campaignCtx{cfg: &cfg, golden: golden, dict: dict, budget: budget, met: met, built: built}
 	if ckptOn {
 		cctx.snaps = golden.Result.Snapshots
 	}
@@ -479,6 +488,10 @@ func Run(cfg Config) (*Result, error) {
 		mu          sync.Mutex
 		total       = len(todo)
 		deliverNext int
+		// failure is the first experiment's panic; failed closes with it.
+		failure  error
+		failOnce sync.Once
+		failed   = make(chan struct{})
 	)
 	// deliverLocked hands finished experiments to OnExperiment in plan
 	// order; called with mu held.
@@ -501,9 +514,13 @@ func Run(cfg Config) (*Result, error) {
 				met.inflight.Add(1)
 				sc := scratch.Get().(*expScratch)
 				base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
-				runOne(cctx, e, sc)
+				err := cctx.runGuarded(e, sc)
 				scratch.Put(sc)
 				met.inflight.Add(-1)
+				if err != nil {
+					failOnce.Do(func() { failure = err; close(failed) })
+					return
+				}
 				met.observe(e)
 				mu.Lock()
 				finished[idx] = true
@@ -529,6 +546,8 @@ dispatch:
 		case <-cfg.Stop:
 			res.Interrupted = true
 			break dispatch
+		case <-failed:
+			break dispatch
 		case next <- idx:
 		}
 	}
@@ -542,6 +561,9 @@ dispatch:
 				cfg.OnExperiment(experiments[planOrder[deliverNext]])
 			}
 		}
+	}
+	if failure != nil {
+		return nil, failure
 	}
 	if ckptOn {
 		res.Checkpoints = &CheckpointStats{
@@ -736,6 +758,19 @@ func (c *campaignCtx) skip(n uint64) {
 	c.met.instrsSkipped.Add(int64(n))
 }
 
+// runGuarded is runOne with a host panic turned into an error naming the
+// experiment, so that the campaign fails loudly on it.
+func (c *campaignCtx) runGuarded(e *Experiment, sc *expScratch) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: experiment %s (seed %d, rank %d, trigger %d) panicked: %v\n%s",
+				e.ID(), c.cfg.Seed, e.Rank, e.Trigger, p, debug.Stack())
+		}
+	}()
+	runOne(c, e, sc)
+	return nil
+}
+
 // runOne performs a single injection experiment.
 func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	cfg, golden, r := c.cfg, c.golden, &sc.r
@@ -751,7 +786,9 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		candidates int
 		classID    uint64
 		benignBits int
-		decided    bool // by the injected rank alone
+		decided    bool     // by the injected rank alone
+		solo       bool     // a solo run is executing: its trigger looks for a dead flip
+		dead       deadRule // what that trigger found
 	)
 	job := cluster.Job{
 		Image:              cfg.Image,
@@ -793,28 +830,36 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				return
 			}
 			m.TriggerAt = e.Trigger
-			m.TriggerFn = func(m *vm.Machine) {
+			m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 				var d string
+				var site Site
 				var cand int
 				var cls uint64
 				var benign int
 				switch region {
 				case RegionRegularReg:
 					if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
-						d, cls, benign, cand = ApplyRegisterFaultEquiv(m, faultRng, cfg.Equivalence, cfg.EquivalencePolicy)
+						d, site, cls, benign, cand = ApplyRegisterFaultEquiv(m, faultRng, cfg.Equivalence, cfg.EquivalencePolicy)
 					} else {
-						d, cand = ApplyRegisterFault(m, faultRng), RegisterSpaceBits
+						d, site = ApplyRegisterFault(m, faultRng)
+						cand = RegisterSpaceBits
 					}
 				case RegionFPReg:
-					d = ApplyFPRegisterFault(m, faultRng)
+					d, site = ApplyFPRegisterFault(m, faultRng)
 				case RegionText, RegionData, RegionBSS:
-					d = ApplyStaticFault(m, c.dict, region, faultRng)
+					d, site = ApplyStaticFault(m, c.dict, region, faultRng)
 				case RegionHeap:
-					d = ApplyHeapFault(m, faultRng)
+					d, site = ApplyHeapFault(m, faultRng)
 				case RegionStack:
-					d = ApplyStackFault(m, faultRng)
+					d, site = ApplyStackFault(m, faultRng)
 				}
 				applied, candidates, classID, benignBits = d, cand, cls, benign
+				if solo {
+					if dead = c.deadAt(m, e.Rank, site); dead != notDead {
+						return &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "dead at injection"}
+					}
+				}
+				return nil
 			}
 		}
 	}
@@ -833,13 +878,18 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		if rec != nil {
 			rec.Reset()
 		}
-		var solo cluster.SoloResult
-		if solo, decided = c.runSolo(e, job); decided {
+		solo = true
+		res, ok := c.runSolo(e, job, &dead)
+		solo, decided = false, ok
+		if decided {
 			if rec != nil {
-				e.Forensics = buildForensics(e, rec, solo.Trap, solo.Instrs, vm.StopTrap)
+				if dead != notDead {
+					c.readIndex(e.Rank).replayEnd(rec)
+				}
+				e.Forensics = buildForensics(e, rec, res.Trap, res.Instrs, vm.StopTrap)
 			}
 			if cfg.TraceDiff {
-				attachDivergence(e, golden.tapes, from, soloTapes(golden.tapes, from, e.Rank, solo.Pos), e.Rank)
+				attachDivergence(e, golden.tapes, from, soloTapes(golden.tapes, from, e.Rank, res.Pos), e.Rank)
 			}
 		} else {
 			sc.faultRng = stream

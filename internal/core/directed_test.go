@@ -41,7 +41,7 @@ func TestDirectedPCCorruptionCrashes(t *testing.T) {
 			return
 		}
 		m.TriggerAt = 20_000
-		m.TriggerFn = func(m *vm.Machine) { m.PC ^= 1 << 30 }
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.PC ^= 1 << 30; return nil }
 	})
 	if got := classify.Classify(res, golden); got != classify.Crash {
 		t.Fatalf("outcome = %v, want Crash", got)
@@ -59,11 +59,12 @@ func TestDirectedLoopCounterHang(t *testing.T) {
 			return
 		}
 		m.TriggerAt = 30_000
-		m.TriggerFn = func(m *vm.Machine) {
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 			// Overwrite the next instruction with jmp-to-self: the
 			// classic non-terminating mode (§7's progress discussion).
 			in := isa.Instr{Op: isa.OpJmp, Imm: int32(m.PC)}
 			m.RawWrite(m.PC, in.Bytes())
+			return nil
 		}
 	})
 	if got := classify.Classify(res, golden); got != classify.Hang {
@@ -140,17 +141,18 @@ func TestDirectedStackRetAddrCorruption(t *testing.T) {
 			return
 		}
 		m.TriggerAt = 25_000
-		m.TriggerFn = func(m *vm.Machine) {
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 			frames := m.WalkFrames()
 			if len(frames) == 0 {
-				return
+				return nil
 			}
 			b, ok := m.RawRead(frames[0].FP+4, 4)
 			if !ok {
-				return
+				return nil
 			}
 			b[3] ^= 0x40 // high bit of the return address
 			m.RawWrite(frames[0].FP+4, b)
+			return nil
 		}
 	})
 	got := classify.Classify(res, golden)
@@ -167,10 +169,11 @@ func TestDirectedFPRegFlipMostlyBenign(t *testing.T) {
 			return
 		}
 		m.TriggerAt = 40_000
-		m.TriggerFn = func(m *vm.Machine) {
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 			top := m.FP.Top()
 			dead := (top + 6) & 7 // almost certainly an empty slot
 			m.FP.Regs[dead] = m.FP.Regs[dead] + 1e18
+			return nil
 		}
 	})
 	if got := classify.Classify(res, golden); got != classify.Correct {
@@ -196,7 +199,7 @@ func TestDirectedMinicamMoistureCheck(t *testing.T) {
 				return
 			}
 			m.TriggerAt = golden.Instrs[2] / 2
-			m.TriggerFn = func(m *vm.Machine) {
+			m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 				// Find a user heap chunk and flip the sign bit of many
 				// doubles — some will be the moisture field.
 				for _, c := range m.Heap.Chunks() {
@@ -211,6 +214,7 @@ func TestDirectedMinicamMoistureCheck(t *testing.T) {
 						m.RawWrite(c.Payload+off, []byte{b[0] | 0x80})
 					}
 				}
+				return nil
 			}
 		},
 	})

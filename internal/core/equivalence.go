@@ -22,7 +22,7 @@ import (
 // EquivalenceMap supplies the per-PC partition of the 320-bit register
 // target space from a static analysis.  benignMask marks fully-benign
 // targets (bits 0..NumGPR-1 the GPRs, bit NumGPR the flags word; a
-// non-benign flags word still has only its flagsReadableBits low bits
+// non-benign flags word still has only its isa.FlagsReadableBits low bits
 // consequential).  classIDs gives each target's equivalence-class
 // identity (0..7 the GPRs, 8 the PC, 9 the flags word) — nonzero for
 // every non-benign target, equal across sites whose corruption provably
@@ -96,7 +96,7 @@ func benignBitsOf(mask uint16) int {
 	if mask&(1<<isa.NumGPR) != 0 {
 		n += 32
 	} else {
-		n += 32 - flagsReadableBits
+		n += 32 - isa.FlagsReadableBits
 	}
 	return n
 }
@@ -113,18 +113,18 @@ func bitIsBenign(mask uint16, target int, bit uint) bool {
 		if mask&(1<<isa.NumGPR) != 0 {
 			return true
 		}
-		return bit >= flagsReadableBits
+		return bit >= isa.FlagsReadableBits
 	}
 }
 
 // ApplyRegisterFaultEquiv flips one register-context bit according to
 // the equivalence policy at the machine's current PC.  It returns the
-// flip description, the flipped bit's class ID (0 when the bit is
+// flip description and site, the flipped bit's class ID (0 when the bit is
 // benign or the site unpartitioned), the partition's benign-bit count at
 // the site, and the candidate-set size sampled from.  When the map has
 // no answer for the PC it falls back to the undirected baseline with
 // (classID, benignBits) = (0, 0) — "unannotated".
-func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, policy EquivalencePolicy) (desc string, classID uint64, benignBits, candidates int) {
+func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, policy EquivalencePolicy) (desc string, site Site, classID uint64, benignBits, candidates int) {
 	mask, ids, ok := em.PartitionAt(m.PC)
 	switch policy {
 	case EquivAnnotate:
@@ -132,19 +132,20 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 		// byte-identical flips and outcomes; only the annotation differs.
 		target := r.Intn(10)
 		bit := uint(r.Intn(32))
-		desc = flipRegisterBit(m, target, bit)
+		desc, site = flipRegisterBit(m, target, bit)
 		if !ok {
-			return desc, 0, 0, RegisterSpaceBits
+			return desc, site, 0, 0, RegisterSpaceBits
 		}
 		b := benignBitsOf(mask)
 		if bitIsBenign(mask, target, bit) {
-			return desc, 0, b, RegisterSpaceBits
+			return desc, site, 0, b, RegisterSpaceBits
 		}
-		return desc, ids[target], b, RegisterSpaceBits
+		return desc, site, ids[target], b, RegisterSpaceBits
 
 	case EquivPrune:
 		if !ok {
-			return ApplyRegisterFault(m, r), 0, 0, RegisterSpaceBits
+			desc, site = ApplyRegisterFault(m, r)
+			return desc, site, 0, 0, RegisterSpaceBits
 		}
 		b := benignBitsOf(mask)
 		type span struct {
@@ -160,7 +161,7 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 		}
 		spans = append(spans, span{isa.NumGPR, 32, 0, ids[8]})
 		if mask&(1<<isa.NumGPR) == 0 {
-			spans = append(spans, span{isa.NumGPR + 1, flagsReadableBits, 0, ids[9]})
+			spans = append(spans, span{isa.NumGPR + 1, isa.FlagsReadableBits, 0, ids[9]})
 		}
 		n := 0
 		for _, s := range spans {
@@ -173,7 +174,8 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 				continue
 			}
 			bit := uint(pick) + s.offset
-			return flipRegisterBit(m, s.target, bit) + " [equiv]", s.id, b, n
+			desc, site = flipRegisterBit(m, s.target, bit)
+			return desc + " [equiv]", site, s.id, b, n
 		}
 		panic("core: equivalence pick out of range")
 
@@ -183,7 +185,7 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 			// deliberately not one of the Unapplied sentinels: the run
 			// still classifies (necessarily Correct), mirroring the empty
 			// candidate set of the dead-directed policy.
-			return fmt.Sprintf("no partition at pc %#x", m.PC), 0, 0, 0
+			return fmt.Sprintf("no partition at pc %#x", m.PC), Site{}, 0, 0, 0
 		}
 		b := benignBitsOf(mask)
 		type span struct {
@@ -199,14 +201,14 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 		if mask&(1<<isa.NumGPR) != 0 {
 			spans = append(spans, span{isa.NumGPR + 1, 32, 0})
 		} else {
-			spans = append(spans, span{isa.NumGPR + 1, 32 - flagsReadableBits, flagsReadableBits})
+			spans = append(spans, span{isa.NumGPR + 1, 32 - isa.FlagsReadableBits, isa.FlagsReadableBits})
 		}
 		n := 0
 		for _, s := range spans {
 			n += s.bits
 		}
 		if n == 0 {
-			return fmt.Sprintf("no benign bits at pc %#x", m.PC), 0, 0, 0
+			return fmt.Sprintf("no benign bits at pc %#x", m.PC), Site{}, 0, 0, 0
 		}
 		pick := r.Intn(n)
 		for _, s := range spans {
@@ -215,12 +217,14 @@ func ApplyRegisterFaultEquiv(m *vm.Machine, r *rng.Rand, em EquivalenceMap, poli
 				continue
 			}
 			bit := uint(pick) + s.offset
-			return flipRegisterBit(m, s.target, bit) + " [equiv-benign]", 0, b, n
+			desc, site = flipRegisterBit(m, s.target, bit)
+			return desc + " [equiv-benign]", site, 0, b, n
 		}
 		panic("core: equivalence pick out of range")
 
 	default:
-		return ApplyRegisterFault(m, r), 0, 0, RegisterSpaceBits
+		desc, site = ApplyRegisterFault(m, r)
+		return desc, site, 0, 0, RegisterSpaceBits
 	}
 }
 

@@ -274,7 +274,7 @@ func TestApplyRegisterFaultEquivPolicies(t *testing.T) {
 
 	for seed := uint64(0); seed < 64; seed++ {
 		m := vm.New(im)
-		desc, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(seed), fake, EquivPrune)
+		desc, _, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(seed), fake, EquivPrune)
 		if !strings.HasSuffix(desc, " [equiv]") {
 			t.Fatalf("prune desc %q missing policy suffix", desc)
 		}
@@ -303,7 +303,7 @@ func TestApplyRegisterFaultEquivPolicies(t *testing.T) {
 
 	for seed := uint64(0); seed < 64; seed++ {
 		m := vm.New(im)
-		desc, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(seed), fake, EquivAudit)
+		desc, _, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(seed), fake, EquivAudit)
 		if !strings.HasSuffix(desc, " [equiv-benign]") {
 			t.Fatalf("audit desc %q missing policy suffix", desc)
 		}
@@ -315,7 +315,7 @@ func TestApplyRegisterFaultEquivPolicies(t *testing.T) {
 		case benignGPR(fields[0]):
 		case fields[0] == "flags":
 			var bit int
-			if _, err := fmt.Sscanf(desc, "flags bit %d", &bit); err != nil || bit < flagsReadableBits {
+			if _, err := fmt.Sscanf(desc, "flags bit %d", &bit); err != nil || bit < isa.FlagsReadableBits {
 				t.Fatalf("audit flipped readable flags bit: %q", desc)
 			}
 		default:
@@ -326,9 +326,9 @@ func TestApplyRegisterFaultEquivPolicies(t *testing.T) {
 	// Annotate must mutate the machine exactly like the baseline.
 	for seed := uint64(0); seed < 16; seed++ {
 		m1, m2 := vm.New(im), vm.New(im)
-		want := ApplyRegisterFault(m1, rng.New(seed))
-		desc, _, benignBits, cands := ApplyRegisterFaultEquiv(m2, rng.New(seed), fake, EquivAnnotate)
-		if desc != want {
+		want, wantSite := ApplyRegisterFault(m1, rng.New(seed))
+		desc, site, _, benignBits, cands := ApplyRegisterFaultEquiv(m2, rng.New(seed), fake, EquivAnnotate)
+		if desc != want || site != wantSite {
 			t.Fatalf("annotate desc %q, baseline %q", desc, want)
 		}
 		if m1.PC != m2.PC || m1.Flags != m2.Flags || m1.Regs != m2.Regs {
@@ -343,12 +343,12 @@ func TestApplyRegisterFaultEquivPolicies(t *testing.T) {
 	// the other policies degrade to the unannotated baseline.
 	noMap := &fakeEquivMap{ok: false}
 	m := vm.New(im)
-	desc, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(1), noMap, EquivAudit)
+	desc, _, classID, benignBits, cands := ApplyRegisterFaultEquiv(m, rng.New(1), noMap, EquivAudit)
 	if !strings.HasPrefix(desc, "no partition") || cands != 0 || classID != 0 || benignBits != 0 {
 		t.Errorf("audit without partition: %q classID=%d benign=%d cands=%d", desc, classID, benignBits, cands)
 	}
 	m = vm.New(im)
-	desc, classID, benignBits, cands = ApplyRegisterFaultEquiv(m, rng.New(1), noMap, EquivAnnotate)
+	desc, _, classID, benignBits, cands = ApplyRegisterFaultEquiv(m, rng.New(1), noMap, EquivAnnotate)
 	if classID != 0 || benignBits != 0 || cands != RegisterSpaceBits || strings.Contains(desc, "[") {
 		t.Errorf("annotate without partition: %q classID=%d benign=%d cands=%d", desc, classID, benignBits, cands)
 	}

@@ -61,15 +61,20 @@ func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 	return runArm(testArm(&cfg, golden), &cfg), runArm(ref, &cfg), nil
 }
 
+// RunBuilt is Run with every machine its experiments build — read-index
+// replays included — shown to built before it runs.
+func RunBuilt(cfg Config, built func(*vm.Machine)) (*Result, error) { return run(cfg, built) }
+
 // MachineInstrs runs every entry of cfg's plan as SoloDifferential's
 // solo-first arm does, with telemetry on, and returns the instructions
 // the campaign's machines executed — each one's count at its end less its
-// count when built, read off the machines themselves — beside the
-// retired-instructions counter and the instructions skipped.
-func MachineInstrs(cfg Config) (res *Result, executed, retired, skipped uint64, err error) {
+// count when built, read off the machines themselves, the read index's
+// replays included — beside the retired-instructions counter, the
+// instructions skipped and the read index's own counter.
+func MachineInstrs(cfg Config) (res *Result, executed, retired, skipped, indexed uint64, err error) {
 	golden, err := testGolden(&cfg)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, 0, 0, err
 	}
 	cfg.Metrics = telemetry.New()
 	c := testArm(&cfg, golden)
@@ -83,5 +88,6 @@ func MachineInstrs(cfg Config) (res *Result, executed, retired, skipped uint64, 
 	for _, b := range machines {
 		executed += b.m.Instrs - b.from
 	}
-	return res, executed, cfg.Metrics.Counter(telemetry.MetricInstrsRetired).Value(), c.skipped.Load(), nil
+	return res, executed, cfg.Metrics.Counter(telemetry.MetricInstrsRetired).Value(), c.skipped.Load(),
+		cfg.Metrics.Counter(telemetry.MetricReadIndexInstrs).Value(), nil
 }

@@ -112,14 +112,36 @@ func Regions() []Region {
 // PC + FLAGS, 32 bits each.
 const RegisterSpaceBits = (isa.NumGPR + 2) * 32
 
-// flagsReadableBits is how many flag bits the ISA ever reads back
-// (Z/LT/UL/UN); the remaining 28 are architecturally dead everywhere.
-const flagsReadableBits = 4
+// Site is what a fault flipped, in the terms of the dead-at-injection
+// rules (dead.go).
+type Site struct {
+	Kind SiteKind
+	// At is the flipped byte's address (SiteMemory) or the physical
+	// register (SiteFPData).
+	At uint32
+}
+
+// SiteKind sorts flips by the rule that can prove them unread.
+type SiteKind uint8
+
+const (
+	// SiteOther is a flip no rule reasons about — a GPR, the PC, a readable
+	// flags or TWD bit — or no flip at all.
+	SiteOther SiteKind = iota
+	// SiteMemory is a bit of one byte of guest memory, text included.
+	SiteMemory
+	// SiteFPData is a bit of an FP data register.
+	SiteFPData
+	// SiteWriteOnly is a bit no instruction reads (isa.FlagsReadableBits,
+	// isa.SWDTopMask).
+	SiteWriteOnly
+)
 
 // ApplyRegisterFault flips one uniformly chosen bit across the "regular"
 // register set: the eight GPRs, the program counter and the flags — the
-// x86's general-purpose context.  It returns a description of the flip.
-func ApplyRegisterFault(m *vm.Machine, r *rng.Rand) string {
+// x86's general-purpose context.  It returns a description of the flip and
+// its site.
+func ApplyRegisterFault(m *vm.Machine, r *rng.Rand) (string, Site) {
 	// 8 GPRs + PC + FLAGS, 32 bits each.
 	target := r.Intn(10)
 	bit := uint(r.Intn(32))
@@ -127,21 +149,25 @@ func ApplyRegisterFault(m *vm.Machine, r *rng.Rand) string {
 }
 
 // flipRegisterBit flips one bit of one register-context target (0..7 the
-// GPRs, 8 the PC, 9 the flags word) and returns the flip's description.
-// Every register-region injection path — uniform, liveness-directed, and
-// equivalence-driven — funnels through here so descriptions stay
+// GPRs, 8 the PC, 9 the flags word) and returns the flip's description and
+// site.  Every register-region injection path — uniform, liveness-directed,
+// and equivalence-driven — funnels through here so descriptions stay
 // identical across policies.
-func flipRegisterBit(m *vm.Machine, target int, bit uint) string {
+func flipRegisterBit(m *vm.Machine, target int, bit uint) (string, Site) {
 	switch {
 	case target < isa.NumGPR:
 		m.Regs[target] ^= 1 << bit
-		return fmt.Sprintf("%s bit %d", isa.GPRName(target), bit)
+		return fmt.Sprintf("%s bit %d", isa.GPRName(target), bit), Site{}
 	case target == isa.NumGPR:
 		m.PC ^= 1 << bit
-		return fmt.Sprintf("pc bit %d", bit)
+		return fmt.Sprintf("pc bit %d", bit), Site{}
 	default:
 		m.Flags ^= 1 << bit
-		return fmt.Sprintf("flags bit %d", bit)
+		var s Site
+		if bit >= isa.FlagsReadableBits {
+			s.Kind = SiteWriteOnly
+		}
+		return fmt.Sprintf("flags bit %d", bit), s
 	}
 }
 
@@ -149,7 +175,7 @@ func flipRegisterBit(m *vm.Machine, target int, bit uint) string {
 // floating-point environment: the eight 64-bit data registers and the
 // seven special registers (CWD, SWD, TWD, FIP, FCS, FOO, FOS), matching
 // the paper's x87 target set (§3.2, §6.1.1).
-func ApplyFPRegisterFault(m *vm.Machine, r *rng.Rand) string {
+func ApplyFPRegisterFault(m *vm.Machine, r *rng.Rand) (string, Site) {
 	const (
 		dataBits = isa.NumFPReg * 64 // 512
 		wordBits = 16                // CWD, SWD, TWD
@@ -157,25 +183,30 @@ func ApplyFPRegisterFault(m *vm.Machine, r *rng.Rand) string {
 	// Total: 512 data + 3*16 + 4*32 = 688 bits.
 	n := r.Intn(dataBits + 3*wordBits + 4*32)
 	e := &m.FP
+	writeOnly := Site{Kind: SiteWriteOnly}
 	switch {
 	case n < dataBits:
 		reg := n / 64
 		bit := uint(n % 64)
 		bits := math.Float64bits(e.Regs[reg]) ^ (1 << bit)
 		e.Regs[reg] = math.Float64frombits(bits)
-		return fmt.Sprintf("st-phys%d bit %d", reg, bit)
+		return fmt.Sprintf("st-phys%d bit %d", reg, bit), Site{Kind: SiteFPData, At: uint32(reg)}
 	case n < dataBits+wordBits:
 		bit := uint(n - dataBits)
 		e.CWD ^= 1 << bit
-		return fmt.Sprintf("CWD bit %d", bit)
+		return fmt.Sprintf("CWD bit %d", bit), writeOnly
 	case n < dataBits+2*wordBits:
 		bit := uint(n - dataBits - wordBits)
 		e.SWD ^= 1 << bit
-		return fmt.Sprintf("SWD bit %d", bit)
+		var s Site
+		if isa.SWDTopMask&(1<<bit) == 0 {
+			s = writeOnly
+		}
+		return fmt.Sprintf("SWD bit %d", bit), s
 	case n < dataBits+3*wordBits:
 		bit := uint(n - dataBits - 2*wordBits)
 		e.TWD ^= 1 << bit
-		return fmt.Sprintf("TWD bit %d", bit)
+		return fmt.Sprintf("TWD bit %d", bit), Site{}
 	default:
 		k := n - dataBits - 3*wordBits
 		reg := k / 32
@@ -183,16 +214,16 @@ func ApplyFPRegisterFault(m *vm.Machine, r *rng.Rand) string {
 		switch reg {
 		case 0:
 			e.FIP ^= 1 << bit
-			return fmt.Sprintf("FIP bit %d", bit)
+			return fmt.Sprintf("FIP bit %d", bit), writeOnly
 		case 1:
 			e.FCS ^= 1 << bit
-			return fmt.Sprintf("FCS bit %d", bit)
+			return fmt.Sprintf("FCS bit %d", bit), writeOnly
 		case 2:
 			e.FOO ^= 1 << bit
-			return fmt.Sprintf("FOO bit %d", bit)
+			return fmt.Sprintf("FOO bit %d", bit), writeOnly
 		default:
 			e.FOS ^= 1 << bit
-			return fmt.Sprintf("FOS bit %d", bit)
+			return fmt.Sprintf("FOS bit %d", bit), writeOnly
 		}
 	}
 }
@@ -209,7 +240,7 @@ func flipByte(m *vm.Machine, addr uint32, bit uint) bool {
 
 // ApplyStaticFault flips a bit at a dictionary-chosen address of the
 // text, data or BSS section.
-func ApplyStaticFault(m *vm.Machine, d *Dictionary, region Region, r *rng.Rand) string {
+func ApplyStaticFault(m *vm.Machine, d *Dictionary, region Region, r *rng.Rand) (string, Site) {
 	var addr uint32
 	var ok bool
 	switch region {
@@ -221,19 +252,19 @@ func ApplyStaticFault(m *vm.Machine, d *Dictionary, region Region, r *rng.Rand) 
 		addr, ok = d.RandBSS(r)
 	}
 	if !ok {
-		return "no target"
+		return "no target", Site{}
 	}
 	bit := uint(r.Intn(8))
 	if !flipByte(m, addr, bit) {
-		return "no target"
+		return "no target", Site{}
 	}
-	return fmt.Sprintf("%s 0x%08x bit %d", region, addr, bit)
+	return fmt.Sprintf("%s 0x%08x bit %d", region, addr, bit), Site{Kind: SiteMemory, At: addr}
 }
 
 // ApplyHeapFault scans the guest-resident chunk headers for user-tagged
 // chunks (the paper's malloc-wrapper identifiers) and flips one bit in a
 // uniformly chosen payload byte.
-func ApplyHeapFault(m *vm.Machine, r *rng.Rand) string {
+func ApplyHeapFault(m *vm.Machine, r *rng.Rand) (string, Site) {
 	chunks := m.Heap.Chunks()
 	var total uint64
 	for _, c := range chunks {
@@ -242,7 +273,7 @@ func ApplyHeapFault(m *vm.Machine, r *rng.Rand) string {
 		}
 	}
 	if total == 0 {
-		return "no target"
+		return "no target", Site{}
 	}
 	off := r.Uint64n(total)
 	for _, c := range chunks {
@@ -253,20 +284,21 @@ func ApplyHeapFault(m *vm.Machine, r *rng.Rand) string {
 			bit := uint(r.Intn(8))
 			// Include the chunk header region occasionally?  The paper
 			// flips bits in the located chunk's payload; stay faithful.
-			if !flipByte(m, c.Payload+uint32(off), bit) {
-				return "no target"
+			addr := c.Payload + uint32(off)
+			if !flipByte(m, addr, bit) {
+				return "no target", Site{}
 			}
-			return fmt.Sprintf("heap 0x%08x bit %d", c.Payload+uint32(off), bit)
+			return fmt.Sprintf("heap 0x%08x bit %d", addr, bit), Site{Kind: SiteMemory, At: addr}
 		}
 		off -= uint64(c.Size)
 	}
-	return "no target"
+	return "no target", Site{}
 }
 
 // ApplyStackFault walks the frame-pointer chain and flips a bit inside a
 // frame that is in user-application context — §3.2's criterion that the
 // frame's return address lie within user text.
-func ApplyStackFault(m *vm.Machine, r *rng.Rand) string {
+func ApplyStackFault(m *vm.Machine, r *rng.Rand) (string, Site) {
 	frames := m.WalkFrames()
 	type span struct{ lo, hi uint32 }
 	var spans []span
@@ -285,7 +317,7 @@ func ApplyStackFault(m *vm.Machine, r *rng.Rand) string {
 		lo = hi
 	}
 	if total == 0 {
-		return "no target"
+		return "no target", Site{}
 	}
 	off := r.Uint64n(total)
 	for _, s := range spans {
@@ -294,13 +326,13 @@ func ApplyStackFault(m *vm.Machine, r *rng.Rand) string {
 			addr := s.lo + uint32(off)
 			bit := uint(r.Intn(8))
 			if !flipByte(m, addr, bit) {
-				return "no target"
+				return "no target", Site{}
 			}
-			return fmt.Sprintf("stack 0x%08x bit %d", addr, bit)
+			return fmt.Sprintf("stack 0x%08x bit %d", addr, bit), Site{Kind: SiteMemory, At: addr}
 		}
 		off -= n
 	}
-	return "no target"
+	return "no target", Site{}
 }
 
 // MessageInjector corrupts one bit of one byte of the Channel stream a

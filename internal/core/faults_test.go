@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -94,10 +95,18 @@ func TestApplyRegisterFaultFlipsOneBit(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		m := vm.New(im)
 		before := snapshot(m)
-		desc := ApplyRegisterFault(m, rng.New(seed))
+		desc, site := ApplyRegisterFault(m, rng.New(seed))
 		after := snapshot(m)
 		if desc == "" {
 			t.Fatal("no description")
+		}
+		var want Site
+		var bit uint
+		if _, err := fmt.Sscanf(desc, "flags bit %d", &bit); err == nil && bit >= isa.FlagsReadableBits {
+			want.Kind = SiteWriteOnly
+		}
+		if site != want {
+			t.Fatalf("seed %d: %s at %+v, want %+v", seed, desc, site, want)
 		}
 		diff := 0
 		for i := range before {
@@ -131,7 +140,7 @@ func TestApplyFPRegisterFaultFlipsOneBit(t *testing.T) {
 		m := vm.New(im)
 		m.FP.Regs[3] = 1.5
 		before := fpSnapshot(m)
-		desc := ApplyFPRegisterFault(m, rng.New(seed))
+		desc, _ := ApplyFPRegisterFault(m, rng.New(seed))
 		after := fpSnapshot(m)
 		diff := 0
 		for i := range before {
@@ -169,9 +178,12 @@ func TestApplyStaticFaultHitsOnlyUserMemory(t *testing.T) {
 	for seed := uint64(0); seed < 100; seed++ {
 		for _, region := range []Region{RegionText, RegionData, RegionBSS} {
 			m := vm.New(im)
-			desc := ApplyStaticFault(m, d, region, rng.New(seed+uint64(region)*1000))
+			desc, site := ApplyStaticFault(m, d, region, rng.New(seed+uint64(region)*1000))
 			if desc == "no target" {
 				t.Fatalf("region %s: no target", region)
+			}
+			if want := fmt.Sprintf("%s 0x%08x", region, site.At); site.Kind != SiteMemory || !strings.HasPrefix(desc, want) {
+				t.Fatalf("%s at %+v", desc, site)
 			}
 		}
 	}
@@ -201,8 +213,11 @@ func TestApplyHeapFaultTargetsUserChunks(t *testing.T) {
 	r := rng.New(3)
 	flips := 0
 	for i := 0; i < 200; i++ {
-		if desc := ApplyHeapFault(m, r); desc != "no target" {
+		if desc, site := ApplyHeapFault(m, r); desc != "no target" {
 			flips++
+			if site.Kind != SiteMemory || site.At < userChunk || site.At >= userChunk+256 {
+				t.Fatalf("%s at %+v", desc, site)
+			}
 		}
 	}
 	if flips != 200 {
@@ -230,7 +245,7 @@ func TestApplyHeapFaultTargetsUserChunks(t *testing.T) {
 func TestApplyHeapFaultNoChunks(t *testing.T) {
 	im := faultTestImage(t)
 	m := vm.New(im)
-	if desc := ApplyHeapFault(m, rng.New(1)); desc != "no target" {
+	if desc, _ := ApplyHeapFault(m, rng.New(1)); desc != "no target" {
 		t.Fatalf("empty heap produced %q", desc)
 	}
 }
@@ -245,12 +260,12 @@ func TestApplyStackFaultTargetsUserFrames(t *testing.T) {
 			t.Fatalf("setup trap: %v", tr)
 		}
 	}
-	desc := ApplyStackFault(m, rng.New(5))
+	desc, site := ApplyStackFault(m, rng.New(5))
 	if desc == "no target" {
 		t.Fatal("no user frame found; the walk is broken")
 	}
-	if !strings.HasPrefix(desc, "stack 0x") {
-		t.Fatalf("desc = %q", desc)
+	if !strings.HasPrefix(desc, fmt.Sprintf("stack 0x%08x", site.At)) || site.Kind != SiteMemory {
+		t.Fatalf("desc = %q at %+v", desc, site)
 	}
 }
 

@@ -17,6 +17,8 @@ type campaignMeters struct {
 	instrsSkipped                       *telemetry.Gauge
 	soloCorrect, soloFailed             *telemetry.Counter
 	soloFallback, soloInstrs            *telemetry.Counter
+	soloDead                            [numDeadRules]*telemetry.Counter
+	readIndexInstrs                     *telemetry.Counter
 	peersMaterialized, peersGhost       *telemetry.Counter
 	inflight                            *telemetry.Gauge
 	outcomes                            [classify.NumOutcomes]*telemetry.Counter
@@ -44,6 +46,7 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 		soloFailed:        reg.Counter(telemetry.SoloMetric("failed")),
 		soloFallback:      reg.Counter(telemetry.SoloMetric("fallback")),
 		soloInstrs:        reg.Counter(telemetry.MetricSoloInstrs),
+		readIndexInstrs:   reg.Counter(telemetry.MetricReadIndexInstrs),
 		inflight:          reg.Gauge(telemetry.MetricExperimentsInflight),
 		peersMaterialized: reg.Counter(telemetry.PeerMetric("materialized")),
 		peersGhost:        reg.Counter(telemetry.PeerMetric("ghost")),
@@ -57,6 +60,9 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 	}
 	for o := classify.Outcome(0); o < classify.NumOutcomes; o++ {
 		m.outcomes[o] = reg.Counter(telemetry.OutcomeMetric(o.String()))
+	}
+	for r := deadUnread; r < numDeadRules; r++ {
+		m.soloDead[r] = reg.Counter(telemetry.SoloDeadMetric(deadRuleNames[r]))
 	}
 	return m
 }

@@ -30,11 +30,14 @@ type SoloStats struct {
 	// Correct and Failed experiments were decided on the injected rank
 	// alone: a clean run matching its whole tape, or a trap on it.
 	Correct, Failed uint64
+	// Dead of the Correct ones stopped at their injection: nothing reads
+	// the flipped bits again (dead.go).
+	Dead uint64
 	// Fallback experiments departed from the tape and were re-run as whole
 	// jobs.
 	Fallback uint64
 	// Instrs is the guest instructions the solo runs executed, fallbacks'
-	// included.
+	// included; a run stopped at a dead flip counts up to its injection.
 	Instrs uint64
 	// Peers counts the fallbacks' ranks but the injected one, Materialized
 	// those of them the fault reached: they executed, the rest stayed
@@ -49,6 +52,7 @@ func (s SoloStats) Attempts() uint64 { return s.Correct + s.Failed + s.Fallback 
 func (s *SoloStats) add(other SoloStats) {
 	s.Correct += other.Correct
 	s.Failed += other.Failed
+	s.Dead += other.Dead
 	s.Fallback += other.Fallback
 	s.Instrs += other.Instrs
 	s.Peers += other.Peers
@@ -57,11 +61,11 @@ func (s *SoloStats) add(other SoloStats) {
 
 // soloCounters is SoloStats under concurrent workers.
 type soloCounters struct {
-	correct, failed, fallback, instrs, peers, materialized atomic.Uint64
+	correct, failed, dead, fallback, instrs, peers, materialized atomic.Uint64
 }
 
 func (s *soloCounters) stats() SoloStats {
-	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(),
+	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(), Dead: s.dead.Load(),
 		Fallback: s.fallback.Load(), Instrs: s.instrs.Load(),
 		Peers: s.peers.Load(), Materialized: s.materialized.Load()}
 }
@@ -69,7 +73,9 @@ func (s *soloCounters) stats() SoloStats {
 // runSolo runs e's injected rank alone, from job's restore point with
 // job's fault armed, and reports whether that decided the experiment;
 // e.Outcome and e.Detail are then what the whole job would have produced.
-func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) (cluster.SoloResult, bool) {
+// A trigger that finds its flip dead sets *dead and halts the rank; the
+// result is then the golden run's end, which the full run would reach.
+func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, dead *deadRule) (cluster.SoloResult, bool) {
 	// A rank still running past the count at which it exited in the
 	// recorded run has departed from it.
 	job.Budget = c.golden.Instrs[e.Rank] + 1
@@ -78,9 +84,15 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job) (cluster.SoloResul
 		from = job.Restore.RankInstrs(e.Rank)
 		c.skip(from)
 	}
-	res := cluster.RunSolo(job, e.Rank, c.golden.tapes[e.Rank])
+	tape := c.golden.tapes[e.Rank]
+	res := cluster.RunSolo(job, e.Rank, tape)
 	c.solo.instrs.Add(res.Instrs - from)
 	c.met.soloInstrs.Add(res.Instrs - from)
+	if *dead != notDead {
+		c.solo.dead.Add(1)
+		c.met.soloDead[*dead].Inc()
+		res = cluster.SoloResult{Trap: c.golden.Result.Ranks[e.Rank].Trap, Instrs: c.golden.Instrs[e.Rank], Pos: len(tape)}
+	}
 	switch {
 	case res.Trap == nil:
 		c.solo.fallback.Add(1)

@@ -9,6 +9,7 @@ import (
 	"mpifault/internal/classify"
 	"mpifault/internal/core"
 	"mpifault/internal/report"
+	"mpifault/internal/telemetry"
 )
 
 // TestSoloDifferential is the soundness gate of solo-rank replay and of
@@ -23,7 +24,10 @@ import (
 // Both arms run with Forensics and TraceDiff on, and the records must be
 // equal too: the flight record and the divergence read off the golden
 // tapes for a solo run, or off a ghost's cursor, are the ones the all-live
-// job records.
+// job records.  The all-live arm runs every experiment to its end, so this
+// is also the audit of dead at injection (dead.go): every solo run stopped
+// at its trigger must be the Correct experiment the whole job produces,
+// and in every app the memory regions must have stopped some.
 func TestSoloDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign differential is slow")
@@ -67,10 +71,11 @@ func TestSoloDifferential(t *testing.T) {
 			if n == 0 {
 				n = 32
 			}
+			reg := telemetry.New()
 			solo, whole, err := core.SoloDifferential(core.Config{
 				Image: im, Ranks: build.Ranks, Injections: n, Seed: 2004, Regions: regions,
 				KeepExperiments: true, CheckpointInterval: tc.interval,
-				Forensics: true, TraceDiff: true,
+				Forensics: true, TraceDiff: true, Metrics: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -114,19 +119,28 @@ func TestSoloDifferential(t *testing.T) {
 			if whole.Solo != (core.SoloStats{}) {
 				t.Errorf("the reference arm ran solo: %+v", whole.Solo)
 			}
+			unread := reg.Counter(telemetry.SoloDeadMetric("unread")).Value()
+			indexed := reg.Counter(telemetry.MetricReadIndexInstrs).Value()
+			if tc.regions == nil && (unread == 0 || st.Dead < unread || st.Dead > st.Correct) {
+				t.Errorf("%+v, %d unread: want some memory flips stopped at their injection, all of them Correct", st, unread)
+			}
+			if tc.regions != nil && (st.Dead != 0 || indexed != 0) {
+				t.Errorf("%+v, read index %d instructions: a message campaign needs no read index", st, indexed)
+			}
 		})
 	}
 }
 
 // TestExecutedInstrsAddUp: the instructions a campaign's machines really
-// execute — solo runs, whole jobs and the ghosts that materialize in them
-// — are the retired-instructions counter less CheckpointStats'
-// InstrsSkipped, restored or from t=0.  A ghost that never materializes
-// adds nothing to either.
+// execute — solo runs, whole jobs, the ghosts that materialize in them and
+// the read index's replays — are the retired-instructions counter less
+// CheckpointStats' InstrsSkipped, restored or from t=0.  A ghost that never
+// materializes adds nothing to either, and a solo run stopped at a dead
+// flip adds what it ran up to its injection.
 func TestExecutedInstrsAddUp(t *testing.T) {
 	im, ranks := buildApp(t, "minimd")
 	for _, interval := range []uint64{core.DefaultCheckpointInterval, 0} {
-		res, executed, retired, skipped, err := core.MachineInstrs(core.Config{
+		res, executed, retired, skipped, indexed, err := core.MachineInstrs(core.Config{
 			Image: im, Ranks: ranks, Injections: 12, Seed: 2004,
 			Regions:            []core.Region{core.RegionMessage, core.RegionHeap, core.RegionStack},
 			CheckpointInterval: interval,
@@ -138,8 +152,11 @@ func TestExecutedInstrsAddUp(t *testing.T) {
 			t.Errorf("interval %d: machines executed %d instructions; %d retired less %d skipped is %d",
 				interval, executed, retired, skipped, retired-skipped)
 		}
-		if st := res.Solo; st.Fallback < 4 || st.Materialized == 0 || st.Materialized == st.Peers {
-			t.Errorf("interval %d: %+v, want a few fallbacks, some peers materialized and some not", interval, st)
+		if st := res.Solo; st.Fallback < 4 || st.Materialized == 0 || st.Materialized == st.Peers || st.Dead == 0 {
+			t.Errorf("interval %d: %+v, want a few fallbacks, some peers materialized and some not, some flips dead", interval, st)
+		}
+		if indexed == 0 || indexed > executed {
+			t.Errorf("interval %d: read index %d of %d executed instructions", interval, indexed, executed)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 			Setup: func(r int, m *vm.Machine, p *mpi.Proc) {
 				if r == rank {
 					m.TriggerAt = trigger
-					m.TriggerFn = func(m *vm.Machine) { m.PC = 0 } // nothing is mapped there
+					m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.PC = 0; return nil } // nothing is mapped there
 				}
 			}}
 		res := cluster.RunSolo(job, rank, golden.tapes[rank])

@@ -95,6 +95,16 @@ const (
 	NumFPEnv
 )
 
+// Write-only bits: no instruction reads them back, so a flip in one changes
+// nothing a program does.  Branches test only the low FlagsReadableBits
+// flag bits (Z/LT/UL/UN).  Of the FP environment, only TWD and SWD's stack
+// top (SWDTopMask, bits 11-13) are read; CWD, the rest of SWD, FIP, FCS, FOO
+// and FOS are written and never read.
+const (
+	FlagsReadableBits = 4
+	SWDTopMask        = 7 << 11
+)
+
 // FPEnvName returns the x87-style name of a special FP register.
 func FPEnvName(i int) string {
 	switch i {

@@ -31,6 +31,10 @@ func goldenRegistry() *Registry {
 	reg.Counter(SoloMetric("correct")).Add(6)
 	reg.Counter(SoloMetric("fallback")).Inc()
 	reg.Counter(MetricSoloInstrs).Add(123456)
+	reg.Counter(SoloDeadMetric("unread")).Add(411)
+	reg.Counter(SoloDeadMetric("fp_tag")).Add(46)
+	reg.Counter(SoloDeadMetric("write_only")).Add(34)
+	reg.Counter(MetricReadIndexInstrs).Add(2345678)
 	reg.Counter(PeerMetric("materialized")).Add(1033)
 	reg.Counter(PeerMetric("ghost")).Add(150)
 	reg.Counter(MetricSchedSwitches).Add(789)
@@ -43,8 +47,14 @@ mpifault_experiments_finished_total 3
 # TYPE mpifault_fallback_peers_total counter
 mpifault_fallback_peers_total{fate="ghost"} 150
 mpifault_fallback_peers_total{fate="materialized"} 1033
+# TYPE mpifault_read_index_instrs_total counter
+mpifault_read_index_instrs_total 2345678
 # TYPE mpifault_sched_switches_total counter
 mpifault_sched_switches_total 789
+# TYPE mpifault_solo_dead_total counter
+mpifault_solo_dead_total{rule="fp_tag"} 46
+mpifault_solo_dead_total{rule="unread"} 411
+mpifault_solo_dead_total{rule="write_only"} 34
 # TYPE mpifault_solo_experiments_total counter
 mpifault_solo_experiments_total{verdict="correct"} 6
 mpifault_solo_experiments_total{verdict="fallback"} 1
@@ -85,7 +95,11 @@ const goldenJSON = `{
     "mpifault_experiments_finished_total": 3,
     "mpifault_fallback_peers_total{fate=\"ghost\"}": 150,
     "mpifault_fallback_peers_total{fate=\"materialized\"}": 1033,
+    "mpifault_read_index_instrs_total": 2345678,
     "mpifault_sched_switches_total": 789,
+    "mpifault_solo_dead_total{rule=\"fp_tag\"}": 46,
+    "mpifault_solo_dead_total{rule=\"unread\"}": 411,
+    "mpifault_solo_dead_total{rule=\"write_only\"}": 34,
     "mpifault_solo_experiments_total{verdict=\"correct\"}": 6,
     "mpifault_solo_experiments_total{verdict=\"fallback\"}": 1,
     "mpifault_solo_instrs_total": 123456,

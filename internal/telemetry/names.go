@@ -28,8 +28,11 @@ const (
 
 	// Solo-rank replay (internal/core): the guest instructions executed
 	// by experiments run on their injected rank alone; SoloMetric counts
-	// those experiments by how the solo run ended.
-	MetricSoloInstrs = "mpifault_solo_instrs_total"
+	// those experiments by how the solo run ended, SoloDeadMetric the
+	// Correct ones stopped at their injection.  The read index that proves
+	// a flip dead replays each golden rank once, counted apart.
+	MetricSoloInstrs      = "mpifault_solo_instrs_total"
+	MetricReadIndexInstrs = "mpifault_read_index_instrs_total"
 
 	// Fault-forensics latency histograms (injection to manifestation,
 	// in retired instructions — the §5.2 axis).
@@ -101,6 +104,13 @@ func OutcomeMetric(outcome string) string {
 // there), or "fallback" (re-run as a whole job, its peers ghosts).
 func SoloMetric(verdict string) string {
 	return "mpifault_solo_experiments_total{verdict=" + strconv.Quote(verdict) + "}"
+}
+
+// SoloDeadMetric names the counter of experiments decided Correct at their
+// injection, by the rule that found nothing reads the flipped bits again:
+// "unread", "fp_tag" or "write_only".
+func SoloDeadMetric(rule string) string {
+	return "mpifault_solo_dead_total{rule=" + strconv.Quote(rule) + "}"
 }
 
 // PeerMetric names the counter of the fallbacks' peer ranks — every rank

@@ -21,38 +21,97 @@ import (
 // float64), instruction slots for text.
 const lineShift = 3
 
+// A lineTable holds one last-access time per line of the 32-bit address
+// space, 0 for a line never accessed (every access happens inside an
+// instruction, at time 1 or later).  It is a two-level radix over 4 KiB
+// pages, so an access costs two indexed loads and the table grows only with
+// the pages touched.
+type (
+	linePage  [1 << (pageShift - lineShift)]uint64
+	pageDir   [1 << (dirShift - pageShift)]*linePage
+	lineTable [1 << (32 - dirShift)]*pageDir
+)
+
+const (
+	pageShift = 12
+	dirShift  = 22 // each directory covers 4 MiB
+)
+
+func (lt *lineTable) set(addr uint32, t uint64) {
+	d := lt[addr>>dirShift]
+	if d == nil {
+		d = new(pageDir)
+		lt[addr>>dirShift] = d
+	}
+	p := d[addr>>pageShift%uint32(len(d))]
+	if p == nil {
+		p = new(linePage)
+		d[addr>>pageShift%uint32(len(d))] = p
+	}
+	p[addr>>lineShift%uint32(len(p))] = t
+}
+
+func (lt *lineTable) at(addr uint32) uint64 {
+	if d := lt[addr>>dirShift]; d != nil {
+		if p := d[addr>>pageShift%uint32(len(d))]; p != nil {
+			return p[addr>>lineShift%uint32(len(p))]
+		}
+	}
+	return 0
+}
+
+// each calls fn with the address and last-access time of every line
+// accessed, in address order.
+func (lt *lineTable) each(fn func(addr uint32, last uint64)) {
+	for i, d := range lt {
+		if d == nil {
+			continue
+		}
+		for j, p := range d {
+			if p == nil {
+				continue
+			}
+			base := uint32(i)<<dirShift | uint32(j)<<pageShift
+			for k, last := range p {
+				if last != 0 {
+					fn(base|uint32(k)<<lineShift, last)
+				}
+			}
+		}
+	}
+}
+
 // WorkingSetTracer records, for every touched text slot and data line,
 // the last time (in retired instructions — the analogue of the paper's
 // basic-block counts) it was accessed.  It implements vm.Tracer.
+//
+// Attached from t=0, it is also a read index: LastAccess says whether
+// anything reads a byte after a given instruction (DESIGN.md §3.4 "Dead at
+// injection").
 type WorkingSetTracer struct {
 	// TrackStores widens the data trace to include writes; the paper's
 	// measurement uses loads only ("data accesses, which are memory
 	// loads"), so it defaults to false.
 	TrackStores bool
 
-	now      uint64
-	textLast map[uint32]uint64
-	dataLast map[uint32]uint64
+	now  uint64
+	text lineTable
+	data lineTable
 }
 
 // New returns an empty tracer.
-func New() *WorkingSetTracer {
-	return &WorkingSetTracer{
-		textLast: make(map[uint32]uint64),
-		dataLast: make(map[uint32]uint64),
-	}
-}
+func New() *WorkingSetTracer { return &WorkingSetTracer{} }
 
 // Exec records an instruction fetch.
 func (t *WorkingSetTracer) Exec(pc uint32) {
 	t.now++
-	t.textLast[pc>>lineShift] = t.now
+	t.text.set(pc, t.now)
 }
 
 // Load records a data load of size bytes at addr.
 func (t *WorkingSetTracer) Load(addr uint32, size int) {
 	for line := addr >> lineShift; line <= (addr+uint32(size)-1)>>lineShift; line++ {
-		t.dataLast[line] = t.now
+		t.data.set(line<<lineShift, t.now)
 	}
 }
 
@@ -65,6 +124,14 @@ func (t *WorkingSetTracer) Store(addr uint32, size int) {
 
 // Now returns the tracer's current time (instructions observed).
 func (t *WorkingSetTracer) Now() uint64 { return t.now }
+
+// LastAccess returns the time of the last fetch or load of the line holding
+// addr: the count of instructions observed up to and including the one that
+// accessed it, 0 for never.  Nothing reads the line after instruction n
+// (n retired) exactly when LastAccess is at most n.
+func (t *WorkingSetTracer) LastAccess(addr uint32) uint64 {
+	return max(t.text.at(addr), t.data.at(addr))
+}
 
 // Series is a sampled set of working-set curves, each in percent of its
 // section's size — the data behind one of the paper's Tables 5-7.
@@ -91,14 +158,12 @@ func (t *WorkingSetTracer) Analyze(im *image.Image, heapUsed uint32, n int) *Ser
 
 	// Bucket last-access times by section.
 	var textLasts, dataLasts, bssLasts, heapLasts []uint64
-	for line, last := range t.textLast {
-		addr := line << lineShift
+	t.text.each(func(addr uint32, last uint64) {
 		if addr >= image.TextBase && addr < im.TextEnd() {
 			textLasts = append(textLasts, last)
 		}
-	}
-	for line, last := range t.dataLast {
-		addr := line << lineShift
+	})
+	t.data.each(func(addr uint32, last uint64) {
 		switch {
 		case addr >= im.DataBase && addr < im.DataEnd():
 			dataLasts = append(dataLasts, last)
@@ -107,7 +172,7 @@ func (t *WorkingSetTracer) Analyze(im *image.Image, heapUsed uint32, n int) *Ser
 		case addr >= im.HeapBase && addr < im.HeapLimit:
 			heapLasts = append(heapLasts, last)
 		}
-	}
+	})
 	for _, s := range [][]uint64{textLasts, dataLasts, bssLasts, heapLasts} {
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	}

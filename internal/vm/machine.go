@@ -158,8 +158,9 @@ type Machine struct {
 	// TriggerAt, when nonzero, invokes TriggerFn once just before the
 	// instruction at which Instrs == TriggerAt executes.  The fault
 	// injector uses it as the analogue of the paper's periodic ptrace stop.
+	// A Trap it returns ends Run there, with no further instruction retired.
 	TriggerAt uint64
-	TriggerFn func(*Machine)
+	TriggerFn func(*Machine) *Trap
 
 	// Stop, when non-nil, is polled periodically by Run; once set, the
 	// machine halts with TrapKilled.  The cluster uses it to tear down
@@ -357,12 +358,15 @@ func (m *Machine) Run(budget uint64) RunResult {
 			m.TriggerAt = 0
 			m.TriggerFn = nil
 			if fn != nil {
-				fn(m)
+				t := fn(m)
 				// fn may have corrupted SP (register-fault injection);
 				// probe MinSP here so both execution tiers observe the
 				// corrupted value even if the next instruction
 				// overwrites it.
 				m.updateMinSP()
+				if t != nil {
+					return RunResult{Reason: StopTrap, Trap: t}
+				}
 			}
 			continue // fn may re-arm the trigger or alter state; recompute
 		}

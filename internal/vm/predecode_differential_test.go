@@ -106,7 +106,7 @@ func runDiff(t *testing.T, name string, mode int, flipText bool) diffRun {
 
 // flipTextBits corrupts a deterministic spread of text bytes, covering
 // opcode, operand and immediate slots of several instruction words.
-func flipTextBits(m *vm.Machine) {
+func flipTextBits(m *vm.Machine) *vm.Trap {
 	lo, hi, ok := m.SegmentRange("text")
 	if !ok {
 		panic("no text segment")
@@ -129,6 +129,7 @@ func flipTextBits(m *vm.Machine) {
 			panic("text write failed")
 		}
 	}
+	return nil
 }
 
 func (a diffRun) compare(t *testing.T, b diffRun, label string) {

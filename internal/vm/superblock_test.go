@@ -162,9 +162,10 @@ func TestSuperblockMidBlockTriggerSplit(t *testing.T) {
 		}
 		var at seen
 		m.TriggerAt = trig
-		m.TriggerFn = func(m *Machine) {
+		m.TriggerFn = func(m *Machine) *Trap {
 			at = seen{m.Instrs, m.PC}
 			m.Regs[isa.R1] ^= 1 << 9 // inject: downstream must diverge identically
+			return nil
 		}
 		m.Handler = &testHandler{}
 		out := m.Run(100_000)
@@ -287,11 +288,12 @@ func TestSuperblockTextFlipMidRun(t *testing.T) {
 			m.DisableSuperblocks()
 		}
 		m.TriggerAt = trig
-		m.TriggerFn = func(m *Machine) {
+		m.TriggerFn = func(m *Machine) *Trap {
 			// Overwrite the instruction the machine is about to execute.
 			if !m.RawWrite(m.PC, []byte{0xff}) {
 				t.Error("text write failed")
 			}
+			return nil
 		}
 		m.Handler = &testHandler{}
 		out := m.Run(1_000_000)
@@ -435,7 +437,7 @@ func TestRunStopLatency(t *testing.T) {
 		var stop atomic.Bool
 		m.Stop = &stop
 		m.TriggerAt = 5000
-		m.TriggerFn = func(*Machine) { stop.Store(true) }
+		m.TriggerFn = func(*Machine) *Trap { stop.Store(true); return nil }
 		out := m.Run(0)
 		if out.Trap == nil || out.Trap.Kind != TrapKilled {
 			t.Fatalf("mid-run stop (disable=%v): %+v, want TrapKilled", disable, out)

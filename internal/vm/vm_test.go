@@ -457,9 +457,10 @@ func TestTriggerFiresExactlyOnce(t *testing.T) {
 	fired := 0
 	var atInstr uint64
 	m.TriggerAt = 500
-	m.TriggerFn = func(m *Machine) {
+	m.TriggerFn = func(m *Machine) *Trap {
 		fired++
 		atInstr = m.Instrs
+		return nil
 	}
 	m.Run(1_000_000)
 	if fired != 1 {
@@ -467,6 +468,38 @@ func TestTriggerFiresExactlyOnce(t *testing.T) {
 	}
 	if atInstr != 500 {
 		t.Fatalf("trigger fired at instruction %d, want 500", atInstr)
+	}
+}
+
+// TestTriggerHalts: a trigger that returns a trap ends Run on the spot,
+// with that trap and no further instruction retired or fetched, on the
+// superblock tier and on Step alike — here at instruction 500, inside a
+// three-instruction loop body.
+func TestTriggerHalts(t *testing.T) {
+	im := assemble(t, func(m *asm.Module, f *asm.Func) {
+		f.Movi(isa.R1, 0)
+		loop := f.NewLabel()
+		f.Label(loop)
+		f.Addi(isa.R1, isa.R1, 1)
+		f.Cmpi(isa.R1, 1000)
+		f.Blt(loop)
+	})
+	for _, disable := range []bool{false, true} {
+		m := New(im)
+		if disable {
+			m.DisableSuperblocks()
+		}
+		m.Handler = &testHandler{}
+		rec := &pcRecorder{}
+		m.Tracer = rec
+		halt := &Trap{Kind: TrapKilled, Msg: "halted by trigger"}
+		m.TriggerAt = 500
+		m.TriggerFn = func(*Machine) *Trap { return halt }
+		out := m.Run(1_000_000)
+		if out.Reason != StopTrap || out.Trap != halt || m.Instrs != 500 || len(rec.pcs) != 500 {
+			t.Errorf("interpreter only %v: %+v after %d instructions, %d fetched; want the trigger's trap at 500",
+				disable, out, m.Instrs, len(rec.pcs))
+		}
 	}
 }
 
