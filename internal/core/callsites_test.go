@@ -12,11 +12,12 @@ import (
 
 // TestOneGoldenPass counts the package's job executions where they are
 // written: whole jobs run in runGolden (the fault-free one, once) and
-// runOne (an experiment's), single ranks in runSolo and readIndex, and
+// runOne (an experiment's), single ranks in runSolo and replayGolden, and
 // nowhere else — a second golden pass would be a third cluster.Run call
-// site.  readIndex is not one: it replays a single rank, fault-free, on the
-// golden run's own tape, lazily and once per rank, to trace what that rank
-// reads; it records nothing the golden run has not and takes no snapshot.
+// site.  replayGolden is not one: it replays a single rank, fault-free, on
+// the golden run's own tape, lazily and once per rank, to trace what that
+// rank reads or how it ends; it records nothing the golden run has not and
+// takes no snapshot.
 func TestOneGoldenPass(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
 	if err != nil {
@@ -45,7 +46,7 @@ func TestOneGoldenPass(t *testing.T) {
 		}
 	}
 	sort.Strings(got)
-	want := []string{"readIndex calls cluster.RunSolo", "runGolden calls cluster.Run", "runOne calls cluster.Run", "runSolo calls cluster.RunSolo"}
+	want := []string{"replayGolden calls cluster.RunSolo", "runGolden calls cluster.Run", "runOne calls cluster.Run", "runSolo calls cluster.RunSolo"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("job executions in package core:\n%q\nwant\n%q", got, want)
 	}

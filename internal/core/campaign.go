@@ -42,8 +42,8 @@ type Golden struct {
 	recvOnce sync.Once
 	recvFrom [][]uint64
 	pulled   [][][]uint64
-	// reads[r] is rank r's read index (dead.go), built by the first
-	// experiment that asks whether a flip on r is ever read.
+	// reads[r] is rank r's read index and its last PCs (dead.go), each
+	// built by the first experiment that needs it.
 	reads []rankReads
 }
 
@@ -728,7 +728,8 @@ func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInj
 	// The injection clock is the rank's when it pulled the packet that
 	// holds the byte; the injector restored at a checkpoint starts from what
 	// the rank had pulled there.
-	if ckpt = c.indexForInstr(rank, g.tapes[rank].PullClock(mi.Sender, mi.Offset)); ckpt >= 0 {
+	mi.at = g.tapes[rank].PullClock(mi.Sender, mi.Offset)
+	if ckpt = c.indexForInstr(rank, mi.at); ckpt >= 0 {
 		mi.seen = g.pulled[ckpt][rank][mi.Sender]
 	}
 	return ckpt, mi
@@ -787,8 +788,8 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		classID    uint64
 		benignBits int
 		decided    bool     // by the injected rank alone
-		solo       bool     // a solo run is executing: its trigger looks for a dead flip
-		dead       deadRule // what that trigger found
+		solo       bool     // a solo run is executing: its trigger may halt it early
+		end        earlyEnd // why it did
 	)
 	job := cluster.Job{
 		Image:              cfg.Image,
@@ -819,6 +820,10 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				// A fresh injector on the same byte for each run of the job.
 				mi = armed
 				p.RecvHook = mi.Hook
+				if solo {
+					end.injected = mi.at
+					c.converge(m, p, e.Rank, &end)
+				}
 			}
 		}
 	} else {
@@ -855,9 +860,11 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				}
 				applied, candidates, classID, benignBits = d, cand, cls, benign
 				if solo {
-					if dead = c.deadAt(m, e.Rank, site); dead != notDead {
+					if end.dead = c.deadAt(m, e.Rank, site); end.dead != notDead {
 						return &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "dead at injection"}
 					}
+					end.injected = m.Instrs
+					c.converge(m, p, e.Rank, &end)
 				}
 				return nil
 			}
@@ -879,12 +886,12 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			rec.Reset()
 		}
 		solo = true
-		res, ok := c.runSolo(e, job, &dead)
+		res, ok := c.runSolo(e, job, &end)
 		solo, decided = false, ok
 		if decided {
 			if rec != nil {
-				if dead != notDead {
-					c.readIndex(e.Rank).replayEnd(rec)
+				if end.dead != notDead || end.converged {
+					c.replayEnd(e.Rank, rec)
 				}
 				e.Forensics = buildForensics(e, rec, res.Trap, res.Instrs, vm.StopTrap)
 			}

@@ -50,67 +50,71 @@ func (c *campaignCtx) deadAt(m *vm.Machine, rank int, site Site) deadRule {
 			return deadFPTag
 		}
 	case SiteMemory:
-		if c.readIndex(rank).ws.LastAccess(site.At) <= m.Instrs {
+		if c.readIndex(rank).LastAccess(site.At) <= m.Instrs {
 			return deadUnread
 		}
 	}
 	return notDead
 }
 
-// rankReads is what one golden rank reads and when: the working set of a
-// fault-free replay of its tape, and the last PCs it retired — the flight
-// record of any run of the rank that ends as the golden run did.  once
-// builds it (readIndex).
+// rankReads is what one golden rank reads and how it ends: the working set
+// of a fault-free replay of its tape (readIndex), and the last PCs it
+// retired — the flight record of any run of the rank that ends as the
+// golden run did (replayEnd).  Each is built the first time any experiment
+// of any campaign sharing the golden run asks.
 type rankReads struct {
-	once    sync.Once
-	ws      *trace.WorkingSetTracer
-	lastPCs []uint32
+	index, end sync.Once
+	ws         *trace.WorkingSetTracer
+	lastPCs    []uint32
 }
 
-// readsTracer feeds one replay to the working-set trace and the flight
-// recorder.
-type readsTracer struct {
-	*trace.WorkingSetTracer
-	rec *vm.FlightRecorder
-}
-
-func (t readsTracer) Exec(pc uint32) {
-	t.WorkingSetTracer.Exec(pc)
-	t.rec.Exec(pc)
-}
-
-// readIndex returns rank's rankReads, replaying the rank alone on its golden
-// tape from t=0 the first time any experiment of any campaign sharing the
-// golden run asks.
-func (c *campaignCtx) readIndex(rank int) *rankReads {
-	g := c.golden
-	r := &g.reads[rank]
-	r.once.Do(func() {
-		ws := trace.New()
-		rec := vm.NewFlightRecorder(forensicsDepth)
-		job := cluster.Job{
-			Image: c.cfg.Image, Size: c.cfg.Ranks, MPIConfig: c.cfg.MPIConfig,
-			Budget: g.Instrs[rank] + 1, Metrics: c.cfg.Metrics, DisableSuperblocks: c.cfg.DisableSuperblocks,
-			Tracer: readsTracer{ws, rec}, TraceRank: rank,
-		}
+// readIndex returns rank's working set, replaying the rank alone on its
+// golden tape from t=0.
+func (c *campaignCtx) readIndex(rank int) *trace.WorkingSetTracer {
+	r := &c.golden.reads[rank]
+	r.index.Do(func() {
+		r.ws = trace.New()
+		job := cluster.Job{Tracer: r.ws, Metrics: c.cfg.Metrics}
 		if c.built != nil {
 			job.Setup = func(_ int, m *vm.Machine, _ *mpi.Proc) { c.built(m) }
 		}
-		res := cluster.RunSolo(job, rank, g.tapes[rank])
-		if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != g.Instrs[rank] {
-			panic(fmt.Sprintf("core: rank %d's fault-free replay stopped at %d instructions (%v); the golden run exited at %d",
-				rank, res.Instrs, res.Trap, g.Instrs[rank]))
-		}
-		c.met.readIndexInstrs.Add(res.Instrs)
-		r.ws, r.lastPCs = ws, rec.LastPCs()
+		c.replayGolden(job, rank)
+		c.met.readIndexInstrs.Add(c.golden.Instrs[rank])
 	})
-	return r
+	return r.ws
 }
 
-// replayEnd fills rec with the golden rank's last PCs.
-func (r *rankReads) replayEnd(rec *vm.FlightRecorder) {
+// replayEnd fills rec with the golden rank's last PCs, replaying the rank
+// from the latest snapshot at least the ring's depth before its end.  That
+// replay is the flight recorder's cost, and like the recorder it is left
+// out of the campaign's instruction counts.
+func (c *campaignCtx) replayEnd(rank int, rec *vm.FlightRecorder) {
+	g := c.golden
+	r := &g.reads[rank]
+	r.end.Do(func() {
+		end := vm.NewFlightRecorder(forensicsDepth)
+		job := cluster.Job{Tracer: end}
+		if k := c.indexForInstr(rank, g.Instrs[rank]); k >= 0 {
+			job.Restore = c.snaps[k]
+		}
+		c.replayGolden(job, rank)
+		r.lastPCs = end.LastPCs()
+	})
 	rec.Reset()
 	for _, pc := range r.lastPCs {
 		rec.Exec(pc)
+	}
+}
+
+// replayGolden runs rank alone and fault-free on its golden tape, with
+// job's Restore, Tracer, Setup and Metrics, to its exit.
+func (c *campaignCtx) replayGolden(job cluster.Job, rank int) {
+	g := c.golden
+	job.Image, job.Size, job.MPIConfig, job.DisableSuperblocks = c.cfg.Image, c.cfg.Ranks, c.cfg.MPIConfig, c.cfg.DisableSuperblocks
+	job.Budget, job.TraceRank = g.Instrs[rank]+1, rank
+	res := cluster.RunSolo(job, rank, g.tapes[rank])
+	if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != g.Instrs[rank] {
+		panic(fmt.Sprintf("core: rank %d's fault-free replay stopped at %d instructions (%v); the golden run exited at %d",
+			rank, res.Instrs, res.Trap, g.Instrs[rank]))
 	}
 }

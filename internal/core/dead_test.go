@@ -123,21 +123,21 @@ func (f *firstFetch) Store(uint32, int) {}
 // stops where deadAt finds the flip unread, and to the end.  It returns the
 // rule found and the two results.
 func soloBothWays(c *campaignCtx, rank int, at uint64, flip func(*vm.Machine) Site) (deadRule, cluster.SoloResult, cluster.SoloResult) {
-	arm := func(halt bool, dead *deadRule) cluster.Job {
+	arm := func(halt bool, end *earlyEnd) cluster.Job {
 		return cluster.Job{Image: c.cfg.Image, Size: c.cfg.Ranks, Budget: c.golden.Instrs[rank] + 1,
 			Setup: func(_ int, m *vm.Machine, _ *mpi.Proc) {
 				m.TriggerAt = at
 				m.TriggerFn = func(m *vm.Machine) *vm.Trap {
-					if *dead = c.deadAt(m, rank, flip(m)); halt && *dead != notDead {
+					if end.dead = c.deadAt(m, rank, flip(m)); halt && end.dead != notDead {
 						return &vm.Trap{Kind: vm.TrapKilled, Msg: "dead at injection"}
 					}
 					return nil
 				}
 			}}
 	}
-	var rule, ignored deadRule
-	early, _ := c.runSolo(&Experiment{Rank: rank, Trigger: at}, arm(true, &rule), &rule)
-	return rule, early, cluster.RunSolo(arm(false, &ignored), rank, c.golden.tapes[rank])
+	var end, ignored earlyEnd
+	early, _ := c.runSolo(&Experiment{Rank: rank, Trigger: at}, arm(true, &end), &end)
+	return end.dead, early, cluster.RunSolo(arm(false, &ignored), rank, c.golden.tapes[rank])
 }
 
 // fpSites maps each FP-environment flip description to the site

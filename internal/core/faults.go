@@ -346,6 +346,7 @@ type MessageInjector struct {
 	Bit    uint   // bit to flip within it
 
 	seen     uint64 // Sender's bytes already pulled
+	at       uint64 // the rank's clock when it pulls the packet holding the byte
 	injected bool
 	desc     string
 }

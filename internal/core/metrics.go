@@ -18,7 +18,8 @@ type campaignMeters struct {
 	soloCorrect, soloFailed             *telemetry.Counter
 	soloFallback, soloInstrs            *telemetry.Counter
 	soloDead                            [numDeadRules]*telemetry.Counter
-	readIndexInstrs                     *telemetry.Counter
+	soloConverged, readIndexInstrs      *telemetry.Counter
+	faultLifetime                       *telemetry.Histogram
 	peersMaterialized, peersGhost       *telemetry.Counter
 	inflight                            *telemetry.Gauge
 	outcomes                            [classify.NumOutcomes]*telemetry.Counter
@@ -46,6 +47,8 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 		soloFailed:        reg.Counter(telemetry.SoloMetric("failed")),
 		soloFallback:      reg.Counter(telemetry.SoloMetric("fallback")),
 		soloInstrs:        reg.Counter(telemetry.MetricSoloInstrs),
+		soloConverged:     reg.Counter(telemetry.MetricSoloConverged),
+		faultLifetime:     reg.Histogram(telemetry.MetricFaultLifetime, telemetry.LatencyBuckets),
 		readIndexInstrs:   reg.Counter(telemetry.MetricReadIndexInstrs),
 		inflight:          reg.Gauge(telemetry.MetricExperimentsInflight),
 		peersMaterialized: reg.Counter(telemetry.PeerMetric("materialized")),

@@ -20,6 +20,10 @@ import (
 // its restore point and every peer is a ghost of the golden run
 // (cluster.Ghosts), executing only once the fault reaches it.
 //
+// A solo run can stop before its rank's exit, Correct: at its injection,
+// when nothing reads the flip again (dead.go), or at a later snapshot, back
+// in the golden state (converge).
+//
 // There is no switch: whole jobs are chosen by what the code observes, and
 // a departure is the one case.  Observers ride along: the flight recorder
 // is on the injected rank whichever way it runs, and a trace-diff of a run
@@ -31,13 +35,14 @@ type SoloStats struct {
 	// alone: a clean run matching its whole tape, or a trap on it.
 	Correct, Failed uint64
 	// Dead of the Correct ones stopped at their injection: nothing reads
-	// the flipped bits again (dead.go).
-	Dead uint64
+	// the flipped bits again (dead.go).  Converged ones stopped at a later
+	// snapshot clock, back in the golden state (converge).
+	Dead, Converged uint64
 	// Fallback experiments departed from the tape and were re-run as whole
 	// jobs.
 	Fallback uint64
 	// Instrs is the guest instructions the solo runs executed, fallbacks'
-	// included; a run stopped at a dead flip counts up to its injection.
+	// included; a run stopped early counts up to where it stopped.
 	Instrs uint64
 	// Peers counts the fallbacks' ranks but the injected one, Materialized
 	// those of them the fault reached: they executed, the rest stayed
@@ -53,6 +58,7 @@ func (s *SoloStats) add(other SoloStats) {
 	s.Correct += other.Correct
 	s.Failed += other.Failed
 	s.Dead += other.Dead
+	s.Converged += other.Converged
 	s.Fallback += other.Fallback
 	s.Instrs += other.Instrs
 	s.Peers += other.Peers
@@ -61,21 +67,59 @@ func (s *SoloStats) add(other SoloStats) {
 
 // soloCounters is SoloStats under concurrent workers.
 type soloCounters struct {
-	correct, failed, dead, fallback, instrs, peers, materialized atomic.Uint64
+	correct, failed, dead, converged, fallback, instrs, peers, materialized atomic.Uint64
 }
 
 func (s *soloCounters) stats() SoloStats {
 	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(), Dead: s.dead.Load(),
-		Fallback: s.fallback.Load(), Instrs: s.instrs.Load(),
+		Converged: s.converged.Load(), Fallback: s.fallback.Load(), Instrs: s.instrs.Load(),
 		Peers: s.peers.Load(), Materialized: s.materialized.Load()}
+}
+
+// earlyEnd is why a solo run's trigger halted the rank before its exit:
+// its flip was dead at injection (dead.go), or the rank converged — it was
+// back in the golden state at a snapshot (converge).
+type earlyEnd struct {
+	dead      deadRule
+	converged bool
+	// injected is the rank's clock at the injection: the trigger's, or a
+	// message fault's pull of its packet.
+	injected uint64
+}
+
+// converge arms m's trigger at the next clock, past the rank's own and no
+// earlier than end.injected, at which a golden snapshot caught rank live,
+// to compare the rank's machine and runtime there with that snapshot
+// (DESIGN.md §3.4 "Converged"); a check that fails re-arms it.  One that
+// passes sets end.converged and halts the rank: its state is the golden
+// run's, and so are its inputs — the same tape from the same position — so
+// the rest of the run is the golden run's.
+func (c *campaignCtx) converge(m *vm.Machine, p *mpi.Proc, rank int, end *earlyEnd) {
+	from := max(end.injected, m.Instrs+1)
+	for _, s := range c.snaps {
+		rs := &s.Ranks[rank]
+		if rs.Finished || rs.VM.Instrs() < from {
+			continue
+		}
+		m.TriggerAt = rs.VM.Instrs()
+		m.TriggerFn = func(m *vm.Machine) *vm.Trap {
+			if m.Matches(rs.VM) && p.Matches(rs.MPI, rs.TapePos) {
+				end.converged = true
+				return &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "converged"}
+			}
+			c.converge(m, p, rank, end)
+			return nil
+		}
+		return
+	}
 }
 
 // runSolo runs e's injected rank alone, from job's restore point with
 // job's fault armed, and reports whether that decided the experiment;
 // e.Outcome and e.Detail are then what the whole job would have produced.
-// A trigger that finds its flip dead sets *dead and halts the rank; the
-// result is then the golden run's end, which the full run would reach.
-func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, dead *deadRule) (cluster.SoloResult, bool) {
+// A trigger that halts the rank early says why in *end; the result is then
+// the golden run's end, which the full run would reach.
+func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, end *earlyEnd) (cluster.SoloResult, bool) {
 	// A rank still running past the count at which it exited in the
 	// recorded run has departed from it.
 	job.Budget = c.golden.Instrs[e.Rank] + 1
@@ -88,9 +132,16 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, dead *deadRule) (c
 	res := cluster.RunSolo(job, e.Rank, tape)
 	c.solo.instrs.Add(res.Instrs - from)
 	c.met.soloInstrs.Add(res.Instrs - from)
-	if *dead != notDead {
+	switch {
+	case end.dead != notDead:
 		c.solo.dead.Add(1)
-		c.met.soloDead[*dead].Inc()
+		c.met.soloDead[end.dead].Inc()
+	case end.converged:
+		c.solo.converged.Add(1)
+		c.met.soloConverged.Inc()
+		c.met.faultLifetime.Observe(res.Instrs - end.injected)
+	}
+	if end.dead != notDead || end.converged {
 		res = cluster.SoloResult{Trap: c.golden.Result.Ranks[e.Rank].Trap, Instrs: c.golden.Instrs[e.Rank], Pos: len(tape)}
 	}
 	switch {

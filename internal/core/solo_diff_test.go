@@ -25,9 +25,11 @@ import (
 // equal too: the flight record and the divergence read off the golden
 // tapes for a solo run, or off a ghost's cursor, are the ones the all-live
 // job records.  The all-live arm runs every experiment to its end, so this
-// is also the audit of dead at injection (dead.go): every solo run stopped
-// at its trigger must be the Correct experiment the whole job produces,
-// and in every app the memory regions must have stopped some.
+// is also the audit of every early stop: of dead at injection (dead.go),
+// where in every app the memory regions must have stopped some, and of
+// convergence (converge), which must have stopped some in every arm that
+// restores and none from t=0 — each must be the Correct experiment the
+// whole job produces.
 func TestSoloDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign differential is slow")
@@ -127,6 +129,13 @@ func TestSoloDifferential(t *testing.T) {
 			if tc.regions != nil && (st.Dead != 0 || indexed != 0) {
 				t.Errorf("%+v, read index %d instructions: a message campaign needs no read index", st, indexed)
 			}
+			// Only a golden snapshot is a state to converge to.
+			lifetimes := reg.Histogram(telemetry.MetricFaultLifetime, telemetry.LatencyBuckets).Count()
+			if converged := st.Converged > 0; converged != (tc.interval > 0) || st.Dead+st.Converged > st.Correct ||
+				reg.Counter(telemetry.MetricSoloConverged).Value() != st.Converged || lifetimes != st.Converged {
+				t.Errorf("%+v, %d lifetimes: want some runs converged, all of them Correct and each with its lifetime, exactly when restoring",
+					st, lifetimes)
+			}
 		})
 	}
 }
@@ -135,8 +144,8 @@ func TestSoloDifferential(t *testing.T) {
 // execute — solo runs, whole jobs, the ghosts that materialize in them and
 // the read index's replays — are the retired-instructions counter less
 // CheckpointStats' InstrsSkipped, restored or from t=0.  A ghost that never
-// materializes adds nothing to either, and a solo run stopped at a dead
-// flip adds what it ran up to its injection.
+// materializes adds nothing to either, and a solo run stopped early — at a
+// dead flip, or converged — adds what it ran up to where it stopped.
 func TestExecutedInstrsAddUp(t *testing.T) {
 	im, ranks := buildApp(t, "minimd")
 	for _, interval := range []uint64{core.DefaultCheckpointInterval, 0} {
@@ -152,8 +161,9 @@ func TestExecutedInstrsAddUp(t *testing.T) {
 			t.Errorf("interval %d: machines executed %d instructions; %d retired less %d skipped is %d",
 				interval, executed, retired, skipped, retired-skipped)
 		}
-		if st := res.Solo; st.Fallback < 4 || st.Materialized == 0 || st.Materialized == st.Peers || st.Dead == 0 {
-			t.Errorf("interval %d: %+v, want a few fallbacks, some peers materialized and some not, some flips dead", interval, st)
+		if st := res.Solo; st.Fallback < 4 || st.Materialized == 0 || st.Materialized == st.Peers || st.Dead == 0 ||
+			(st.Converged > 0) != (interval > 0) {
+			t.Errorf("interval %d: %+v, want a few fallbacks, some peers materialized and some not, some flips dead, some runs converged when restoring", interval, st)
 		}
 		if indexed == 0 || indexed > executed {
 			t.Errorf("interval %d: read index %d of %d executed instructions", interval, indexed, executed)

@@ -14,9 +14,11 @@ import (
 // TestSoloFromEveryStartOnSharedTapes replays every rank alone, fault-free,
 // against the golden run's tape, from t=0 and from every snapshot that run
 // took: each must run to the golden rank's clean exit, at its instruction
-// count, with the whole tape matched.  Eight goroutines share the tapes
-// and snapshots the way campaign workers do, so under -race this is also
-// the check that a replay only reads them.
+// count, with the whole tape matched, and, checked for convergence, stop
+// converged at the next snapshot that caught the rank live.  Eight
+// goroutines share the tapes and snapshots the way campaign workers do, so
+// under -race this is also the check that a replay and a convergence
+// check only read them.
 func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
 	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
@@ -43,6 +45,7 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 			}
 		}
 	}
+	c := &campaignCtx{golden: golden, snaps: snaps}
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -58,6 +61,23 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 				if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != golden.Instrs[st.rank] {
 					t.Errorf("rank %d from %v: %v after %d instructions, want a verified exit after %d",
 						st.rank, st.snap != nil, res.Trap, res.Instrs, golden.Instrs[st.rank])
+				}
+				var end earlyEnd
+				job.Setup = func(_ int, m *vm.Machine, p *mpi.Proc) { c.converge(m, p, st.rank, &end) }
+				res = cluster.RunSolo(job, st.rank, golden.tapes[st.rank])
+				var start uint64
+				if st.snap != nil {
+					start = st.snap.RankInstrs(st.rank)
+				}
+				want := golden.Instrs[st.rank] // no snapshot left to converge at: the exit
+				for _, s := range snaps {
+					if s.RankLive(st.rank) && s.RankInstrs(st.rank) > start {
+						want = s.RankInstrs(st.rank)
+						break
+					}
+				}
+				if end.converged != (want < golden.Instrs[st.rank]) || res.Instrs != want {
+					t.Errorf("rank %d from %v: converged %v at %d, want a stop at %d", st.rank, st.snap != nil, end.converged, res.Instrs, want)
 				}
 			}
 		}(w)

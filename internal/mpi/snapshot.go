@@ -1,6 +1,9 @@
 package mpi
 
-import "sort"
+import (
+	"reflect"
+	"sort"
+)
 
 // This file is the MPI half of cluster checkpointing: ProcSnapshot
 // captures one rank's complete runtime state (unexpected queue, request
@@ -170,6 +173,14 @@ func (p *Proc) Snapshot() *ProcSnapshot {
 		})
 	}
 	return ps
+}
+
+// Matches reports whether a replaying rank, still on its tape, stands
+// where the recorded rank stood when ps was taken at event pos of that
+// tape: the same runtime state, compared in Snapshot's canonical form,
+// and the same inputs from here on.
+func (p *Proc) Matches(ps *ProcSnapshot, pos int) bool {
+	return p.tapeMode == tapeReplay && !p.departed && p.tapePos == pos && reflect.DeepEqual(p.Snapshot(), ps)
 }
 
 // Restore rebuilds the rank's runtime state from a snapshot.  Call on a

@@ -90,6 +90,36 @@ func TestProcSnapshotRoundtrip(t *testing.T) {
 	}
 }
 
+// TestProcMatches: a replaying rank restored from a snapshot matches it at
+// the snapshot's tape position, and stops matching with one more packet on
+// its unexpected queue, at another position, or once it has departed.
+func TestProcMatches(t *testing.T) {
+	_, p := buildBusyProc(t)
+	snap := p.Snapshot()
+	tape := Tape{{Kind: TapeRecv}, {Kind: TapeRecv}}
+	replay := func() *Proc {
+		q := NewReplayProc(2, Config{}, 0, tape, 1)
+		q.Restore(snap)
+		return q
+	}
+	if q := replay(); !q.Matches(snap, 1) || q.Matches(snap, 0) {
+		t.Error("a restored rank must match its snapshot at its tape position, and only there")
+	}
+	if p.Matches(snap, 0) {
+		t.Error("a rank that is not replaying matched")
+	}
+	q := replay()
+	q.unexpected = append(q.unexpected, &stored{pkt: &Packet{Kind: KindEager, Src: 1, Tag: 9}})
+	if q.Matches(snap, 1) {
+		t.Error("an extra unexpected packet matched")
+	}
+	q = replay()
+	q.departed = true
+	if q.Matches(snap, 1) {
+		t.Error("a departed rank matched")
+	}
+}
+
 func TestProcSnapshotSharedAcrossRestores(t *testing.T) {
 	_, p := buildBusyProc(t)
 	snap := p.Snapshot()

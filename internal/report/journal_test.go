@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -424,4 +425,51 @@ func TestResumeAfterCancelEqualsUninterrupted(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), merged.Bytes()) {
 		t.Error("merged resumed journal differs from uninterrupted CSV")
 	}
+}
+
+// FuzzParseSegment feeds torn and mutated journals to the parser a resume
+// and the coordinator's ingestion share, seeded from a real campaign's
+// journal with flight records and divergences.  It must never panic, and
+// the valid prefix it reports must parse to the same header and
+// experiments, with nothing left over.
+func FuzzParseSegment(f *testing.F) {
+	im, ranks := buildWavetoy(f)
+	cfg := core.Config{Image: im, Ranks: ranks, Injections: 6, Seed: 7,
+		Regions:   []core.Region{core.RegionRegularReg, core.RegionMessage},
+		Forensics: true, TraceDiff: true, CheckpointInterval: core.DefaultCheckpointInterval}
+	path := filepath.Join(f.TempDir(), "j.jsonl")
+	j, err := CreateJournal(path, CampaignHeader("wavetoy", cfg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg.OnExperiment = func(e core.Experiment) {
+		if err := j.Append(e); err != nil {
+			f.Error(err)
+		}
+	}
+	if _, err := core.Run(cfg); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)-7])
+	f.Add(data[:bytes.IndexByte(data, '\n')+1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, completed, valid, err := ParseSegment(data)
+		if err != nil {
+			return
+		}
+		if valid > len(data) || valid > 0 && data[valid-1] != '\n' {
+			t.Fatalf("valid prefix of %d bytes in %d, not at a line end", valid, len(data))
+		}
+		h2, completed2, valid2, err := ParseSegment(data[:valid])
+		if err != nil || valid2 != valid || !reflect.DeepEqual(h, h2) || !reflect.DeepEqual(completed, completed2) {
+			t.Fatalf("re-parsing the %d-byte valid prefix: %v, %d valid, header %v, %d of %d experiments",
+				valid, err, valid2, reflect.DeepEqual(h, h2), len(completed2), len(completed))
+		}
+	})
 }

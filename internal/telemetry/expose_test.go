@@ -35,6 +35,11 @@ func goldenRegistry() *Registry {
 	reg.Counter(SoloDeadMetric("fp_tag")).Add(46)
 	reg.Counter(SoloDeadMetric("write_only")).Add(34)
 	reg.Counter(MetricReadIndexInstrs).Add(2345678)
+	reg.Counter(MetricSoloConverged).Add(242)
+	lt := reg.Histogram(MetricFaultLifetime, LatencyBuckets)
+	lt.Observe(300)
+	lt.Observe(12500)
+	lt.Observe(25000)
 	reg.Counter(PeerMetric("materialized")).Add(1033)
 	reg.Counter(PeerMetric("ghost")).Add(150)
 	reg.Counter(MetricSchedSwitches).Add(789)
@@ -51,6 +56,8 @@ mpifault_fallback_peers_total{fate="materialized"} 1033
 mpifault_read_index_instrs_total 2345678
 # TYPE mpifault_sched_switches_total counter
 mpifault_sched_switches_total 789
+# TYPE mpifault_solo_converged_total counter
+mpifault_solo_converged_total 242
 # TYPE mpifault_solo_dead_total counter
 mpifault_solo_dead_total{rule="fp_tag"} 46
 mpifault_solo_dead_total{rule="unread"} 411
@@ -79,6 +86,16 @@ mpifault_crash_latency_instructions_bucket{le="100"} 2
 mpifault_crash_latency_instructions_bucket{le="+Inf"} 3
 mpifault_crash_latency_instructions_sum 555
 mpifault_crash_latency_instructions_count 3
+# TYPE mpifault_fault_lifetime_instructions histogram
+mpifault_fault_lifetime_instructions_bucket{le="100"} 0
+mpifault_fault_lifetime_instructions_bucket{le="1000"} 1
+mpifault_fault_lifetime_instructions_bucket{le="10000"} 1
+mpifault_fault_lifetime_instructions_bucket{le="100000"} 3
+mpifault_fault_lifetime_instructions_bucket{le="1000000"} 3
+mpifault_fault_lifetime_instructions_bucket{le="10000000"} 3
+mpifault_fault_lifetime_instructions_bucket{le="+Inf"} 3
+mpifault_fault_lifetime_instructions_sum 37800
+mpifault_fault_lifetime_instructions_count 3
 # TYPE mpifault_trace_divergence_msg_index histogram
 mpifault_trace_divergence_msg_index_bucket{le="1"} 0
 mpifault_trace_divergence_msg_index_bucket{le="10"} 1
@@ -97,6 +114,7 @@ const goldenJSON = `{
     "mpifault_fallback_peers_total{fate=\"materialized\"}": 1033,
     "mpifault_read_index_instrs_total": 2345678,
     "mpifault_sched_switches_total": 789,
+    "mpifault_solo_converged_total": 242,
     "mpifault_solo_dead_total{rule=\"fp_tag\"}": 46,
     "mpifault_solo_dead_total{rule=\"unread\"}": 411,
     "mpifault_solo_dead_total{rule=\"write_only\"}": 34,
@@ -125,6 +143,27 @@ const goldenJSON = `{
         1
       ],
       "sum": 555,
+      "count": 3
+    },
+    "mpifault_fault_lifetime_instructions": {
+      "bounds": [
+        100,
+        1000,
+        10000,
+        100000,
+        1000000,
+        10000000
+      ],
+      "counts": [
+        0,
+        1,
+        0,
+        2,
+        0,
+        0,
+        0
+      ],
+      "sum": 37800,
       "count": 3
     },
     "mpifault_trace_divergence_msg_index": {

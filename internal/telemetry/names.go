@@ -29,9 +29,15 @@ const (
 	// Solo-rank replay (internal/core): the guest instructions executed
 	// by experiments run on their injected rank alone; SoloMetric counts
 	// those experiments by how the solo run ended, SoloDeadMetric the
-	// Correct ones stopped at their injection.  The read index that proves
-	// a flip dead replays each golden rank once, counted apart.
+	// Correct ones stopped at their injection, and converged those stopped
+	// at a later snapshot clock, back in the golden state; the lifetime
+	// histogram puts that clock's distance from the injection on the
+	// instruction axis (an upper bound on how long the masked fault lived).
+	// The read index that proves a flip dead replays each golden rank once,
+	// counted apart.
 	MetricSoloInstrs      = "mpifault_solo_instrs_total"
+	MetricSoloConverged   = "mpifault_solo_converged_total"
+	MetricFaultLifetime   = "mpifault_fault_lifetime_instructions"
 	MetricReadIndexInstrs = "mpifault_read_index_instrs_total"
 
 	// Fault-forensics latency histograms (injection to manifestation,

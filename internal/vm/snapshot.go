@@ -1,6 +1,10 @@
 package vm
 
 import (
+	"maps"
+	"math"
+	"slices"
+
 	"mpifault/internal/image"
 	"mpifault/internal/isa"
 )
@@ -121,3 +125,55 @@ func (s *Snapshot) NewMachine() *Machine {
 
 // Instrs returns the retired-instruction count at the capture point.
 func (s *Snapshot) Instrs() uint64 { return s.instrs }
+
+// Matches reports whether the machine is in the state s captured: the
+// same registers, PC, flags, FPU environment (data registers bit for
+// bit), retired-instruction count, memory byte for byte and allocator
+// bookkeeping — everything NewMachine restores that an instruction or the
+// host on the machine's behalf reads.  Left out: MinSP and the heap's peak
+// marks, which are statistics, and the predecode dirty bitmap, which only
+// makes a machine re-decode bytes that are the same.  A machine that
+// matches executes on, given the same inputs, exactly as one restored
+// from s.
+func (m *Machine) Matches(s *Snapshot) bool {
+	if m.Image != s.im || m.Regs != s.regs || m.PC != s.pc || m.Flags != s.flags || m.Instrs != s.instrs {
+		return false
+	}
+	a, b := m.FP, s.fp
+	for i := range a.Regs {
+		if math.Float64bits(a.Regs[i]) != math.Float64bits(b.Regs[i]) {
+			return false
+		}
+	}
+	a.Regs, b.Regs = [isa.NumFPReg]float64{}, [isa.NumFPReg]float64{} // == would miss NaN and ±0
+	if a != b {
+		return false
+	}
+	for i, seg := range m.segments() {
+		if !samePages(seg.pages, s.segs[i]) {
+			return false
+		}
+	}
+	h := m.Heap
+	return h.brk == s.heap.brk && h.liveUser == s.heap.liveUser && h.liveMPI == s.heap.liveMPI &&
+		slices.Equal(h.free, s.heap.free) && maps.Equal(h.allocated, s.heap.allocated)
+}
+
+// samePages reports whether two page tables hold the same bytes: a page
+// shared by pointer is equal, and a nil page, or one past a table's end,
+// reads as zeros.
+func samePages(a, b []*page) bool {
+	for i := range max(len(a), len(b)) {
+		p, q := &zeroPage, &zeroPage
+		if i < len(a) && a[i] != nil {
+			p = a[i]
+		}
+		if i < len(b) && b[i] != nil {
+			q = b[i]
+		}
+		if p != q && *p != *q {
+			return false
+		}
+	}
+	return true
+}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 
 	"mpifault/internal/abi"
@@ -175,6 +176,88 @@ func TestSnapshotCOWIsolation(t *testing.T) {
 	}
 	r3 := snap.NewMachine()
 	checkState(t, r3, heapAddr)
+}
+
+// TestSamePages: page tables compare by content, whatever shares what — a
+// nil page and a zero page are equal, as are a page shared by pointer and
+// a private copy of it, and a table that runs out equals one that goes on
+// in zeros.
+func TestSamePages(t *testing.T) {
+	p, q := new(page), new(page)
+	p[7] = 1
+	*q = *p
+	for _, tc := range []struct {
+		name string
+		a, b []*page
+		want bool
+	}{
+		{"nil and zero page", []*page{nil}, []*page{new(page)}, true},
+		{"shared pointer", []*page{p}, []*page{p}, true},
+		{"private copy", []*page{p}, []*page{q}, true},
+		{"one byte", []*page{p}, []*page{new(page)}, false},
+		{"shorter table, zero tail", []*page{p}, []*page{p, nil, new(page)}, true},
+		{"shorter table, nonzero tail", []*page{p}, []*page{p, nil, q}, false},
+		{"empty and nil tables", nil, []*page{}, true},
+	} {
+		if got := samePages(tc.a, tc.b); got != tc.want || samePages(tc.b, tc.a) != tc.want {
+			t.Errorf("%s: %v, want %v both ways", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMachineMatches: a machine matches a snapshot of itself and a machine
+// restored from one, whatever its statistics say, and stops matching on
+// any change to what an instruction reads.
+func TestMachineMatches(t *testing.T) {
+	im := snapImage(t)
+	m := New(im)
+	heapAddr := pokeState(t, m)
+	m.FP.Regs[3] = math.NaN()
+	snap := m.Snapshot()
+	if !m.Matches(snap) || !snap.NewMachine().Matches(snap) {
+		t.Fatal("a machine does not match its own snapshot")
+	}
+	dataBase, _, _ := m.SegmentRange("data")
+	textBase, _, _ := m.SegmentRange("text")
+	for _, tc := range []struct {
+		name   string
+		change func(*Machine)
+		want   bool
+	}{
+		{"MinSP", func(m *Machine) { m.MinSP -= 4 }, true},
+		{"heap peaks", func(m *Machine) { m.Heap.PeakUser++; m.Heap.PeakMPI++ }, true},
+		{"a dirty text slot holding equal bytes", func(m *Machine) {
+			b, _ := m.RawRead(textBase, 8)
+			m.RawWrite(textBase, b)
+		}, true},
+		{"a data byte written back", func(m *Machine) { flip(m, dataBase); flip(m, dataBase) }, true},
+		{"a data byte", func(m *Machine) { flip(m, dataBase) }, false},
+		{"a heap byte", func(m *Machine) { flip(m, heapAddr) }, false},
+		{"a stack byte", func(m *Machine) { flip(m, m.Image.StackBase()+4) }, false},
+		{"a text byte", func(m *Machine) { flip(m, textBase) }, false},
+		{"a GPR", func(m *Machine) { m.Regs[5] ^= 1 }, false},
+		{"the PC", func(m *Machine) { m.PC ^= 4 }, false},
+		{"the flags", func(m *Machine) { m.Flags ^= 1 << 20 }, false},
+		{"the instruction count", func(m *Machine) { m.Instrs++ }, false},
+		{"an FP register's sign at zero", func(m *Machine) { m.FP.Regs[0] = math.Copysign(0, -1) }, false},
+		{"an FP register's NaN payload", func(m *Machine) {
+			m.FP.Regs[3] = math.Float64frombits(math.Float64bits(m.FP.Regs[3]) ^ 1)
+		}, false},
+		{"the FP status word", func(m *Machine) { m.FP.SWD ^= 1 }, false},
+		{"the heap break", func(m *Machine) { m.Heap.brk += 8 }, false},
+		{"a free", func(m *Machine) { m.Heap.Free(heapAddr) }, false},
+	} {
+		r := snap.NewMachine()
+		tc.change(r)
+		if got := r.Matches(snap); got != tc.want {
+			t.Errorf("%s: matches %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func flip(m *Machine, addr uint32) {
+	b, _ := m.RawRead(addr, 1)
+	m.RawWrite(addr, []byte{b[0] ^ 0x10})
 }
 
 // TestSnapshotMidRun snapshots a machine stopped on a budget inside real
