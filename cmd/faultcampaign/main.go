@@ -8,7 +8,7 @@
 //	              [-regions reg,fp,...] [-csv] [-quiet]
 //	              [-shard i/K] [-journal path] [-resume]
 //	              [-worker http://host:8700] [-worker-name w1]
-//	              [-equivalence annotate|prune|audit] [-predict]
+//	              [-predict]
 //	              [-metrics-addr :9090] [-metrics-out snapshot.json]
 //	              [-status 2s] [-forensics]
 //	              [-trace-diff] [-trace-out trace.json]
@@ -19,7 +19,7 @@
 // -worker turns the process into a campaign engine for a faultcoord
 // control plane: it pulls bounded leases from the coordinator at the
 // given URL, runs their experiments (the campaign spec — app, seed,
-// injections, regions, equivalence policy — arrives with each lease),
+// injections, regions — arrives with each lease),
 // streams the journal segments back over HTTP, and exits when the
 // coordinator reports the campaign complete.  A worker holds its leases
 // by heartbeat; one that dies or stalls simply forfeits them to other
@@ -88,14 +88,6 @@
 //
 // -predict prints the static AVF forecast of internal/analysis next to
 // the campaign's measured manifestation rates.
-//
-// -equivalence drives register injections by the dataflow equivalence
-// partition: "prune" samples only bits the analysis cannot prove benign
-// and prints Horvitz–Thompson reweighted rates alongside the raw
-// tables, "annotate" runs the byte-identical full campaign but stamps
-// each register experiment with its equivalence class and validates
-// every static claim against the outcomes, and "audit" samples only
-// provably-benign bits (everything must classify Correct).
 //
 // Exit status: 0 on a clean campaign, 1 if any experiment failed to
 // classify (no fault was actually applied, so its row is meaningless —
@@ -204,7 +196,6 @@ func run() int {
 	shardSpec := flag.String("shard", "", "run only shard i of K (format i/K, e.g. 0/3); merge journals with faultmerge")
 	journalPath := flag.String("journal", "", "append finished experiments to this JSONL checkpoint journal (single -app only)")
 	resume := flag.Bool("resume", false, "skip experiments already recorded in -journal instead of starting fresh")
-	equivalence := flag.String("equivalence", "", "drive register injections by the static equivalence partition (annotate, prune or audit)")
 	predict := flag.Bool("predict", false, "print the static AVF prediction next to the measured rates")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -237,7 +228,7 @@ func run() int {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "shard", "journal", "resume", "app", "n", "seed", "regions",
-				"csv", "equivalence", "predict", "forensics",
+				"csv", "predict", "forensics",
 				"trace-diff", "trace-out",
 				"checkpoint-interval", "checkpoints",
 				"adaptive", "d", "confidence", "round", "ranks", "scale":
@@ -385,12 +376,6 @@ func run() int {
 		return 1
 	}
 
-	eqPolicy, err := core.ParseEquivalencePolicy(*equivalence)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-
 	names := []string{"wavetoy", "minimd", "minicam"}
 	if *app != "all" {
 		names = []string{*app}
@@ -500,16 +485,6 @@ func run() int {
 				}
 			}
 		}
-		if eqPolicy != core.EquivOff {
-			eq, err := analysis.EquivalenceFor(im)
-			if err != nil {
-				log.Printf("%s: %v", name, err)
-				return 1
-			}
-			cfg.Equivalence, cfg.EquivalencePolicy = eq, eqPolicy
-			// The reweighted tables need the per-experiment annotations.
-			cfg.KeepExperiments = true
-		}
 		if !*quiet {
 			cfg.Progress = func(done, total int) {
 				if done%50 == 0 || done == total {
@@ -613,35 +588,12 @@ func run() int {
 		}
 		if st := res.Adaptive; st != nil {
 			if !*csv {
-				report.WriteRates(os.Stdout, name, res, st.Confidence, st.Target, eqPolicy == core.EquivPrune)
+				report.WriteRates(os.Stdout, name, res, st.Confidence, st.Target)
 				fmt.Println()
 			}
 			fmt.Fprintf(prose, "%s: adaptive stopping converged in %d rounds: %d experiments vs %d fixed-n (%.2fx of the worst case)\n\n",
 				name, st.Rounds, st.TotalExecuted(), st.FixedTotal(),
 				float64(st.TotalExecuted())/float64(st.FixedTotal()))
-		}
-		if s := res.Equivalence; s != nil && s.Experiments > 0 {
-			fmt.Fprintf(prose, "%s: equivalence %s register sampling: %.1f%% of the %d-bit space provably benign, %d classes sampled\n",
-				name, s.Policy, 100*s.BenignFraction(), core.RegisterSpaceBits, s.Classes)
-			if s.Policy == core.EquivPrune {
-				if *csv {
-					report.WriteReweightedCSV(os.Stdout, name, res)
-				} else {
-					report.WriteReweighted(os.Stdout, name, res)
-				}
-			}
-			if s.Policy == core.EquivAudit || s.Policy == core.EquivAnnotate {
-				findings := core.ValidateEquivalence(cfg.Equivalence, res.Experiments)
-				if len(findings) > 0 {
-					for _, f := range findings {
-						log.Printf("%s: %s", name, f)
-					}
-					log.Printf("%s: %d equivalence claims contradicted by the campaign — analyzer bug", name, len(findings))
-					return 1
-				}
-				fmt.Fprintf(prose, "%s: all equivalence claims held against the campaign\n", name)
-			}
-			fmt.Fprintln(prose)
 		}
 		if *predict {
 			rep, err := analysis.StaticAVF(im)

@@ -8,7 +8,7 @@
 //
 //	faultcoord -addr :8700 [-addr-file path]
 //	           [-app wavetoy -n 500 -seed 1 [-regions reg,fp,...]
-//	            [-equivalence annotate|prune|audit] [-trace-diff]]
+//	            [-trace-diff]]
 //	           [-lease-size 32] [-lease-ttl 15s]
 //	           [-dir spool/] [-wait] [-out final.csv]
 //	           [-status 5s] [-quiet]
@@ -62,7 +62,6 @@ func run() int {
 	n := flag.Int("n", 500, "injections per region")
 	seed := flag.Uint64("seed", 1, "campaign seed (same seed => identical campaign)")
 	regions := flag.String("regions", "", "comma-separated region subset (reg,fp,bss,data,stack,text,heap,message)")
-	equivalence := flag.String("equivalence", "", "drive register injections by the static equivalence partition (annotate, prune or audit)")
 	traceDiff := flag.Bool("trace-diff", false, "make every worker localize Incorrect/Hang/Crash outcomes by their first divergence from the golden run's tapes (faultcampaign -trace-diff)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: cut leases in deterministic planner rounds and stop each region at the CI target instead of the fixed -n (faultcampaign -adaptive)")
 	targetD := flag.Float64("d", core.DefaultTargetHalfWidth, "adaptive stopping target: per-region CI half-width (requires -adaptive)")
@@ -118,7 +117,6 @@ func run() int {
 			Injections:     *n,
 			Seed:           *seed,
 			Regions:        shorts,
-			Equivalence:    *equivalence,
 			TraceDiff:      *traceDiff,
 			LeaseSize:      *leaseSize,
 			LeaseTTLMillis: leaseTTL.Milliseconds(),

@@ -11,10 +11,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden -json reports under testdata/")
 
 // TestGoldenJSON locks the -json lint report of every guest app byte for
-// byte.  The report is pure static analysis (no MPI run, no profile, no
-// validation campaigns), so any drift means the analyzer's findings,
-// AVF forecast, or equivalence partition changed — which must be a
-// deliberate, reviewed change.  Regenerate with:
+// byte.  The report is pure static analysis (no MPI run, no profile),
+// so any drift means the analyzer's findings or AVF forecast changed —
+// which must be a deliberate, reviewed change.  Regenerate with:
 //
 //	go test ./cmd/faultlint -run TestGoldenJSON -update
 func TestGoldenJSON(t *testing.T) {

@@ -5,21 +5,10 @@
 // floating-point stack imbalance, register-liveness inconsistencies,
 // dataflow/liveness disagreements, and — with -mpi — mismatches in the
 // recorded point-to-point traffic.  It also prints the static AVF
-// prediction table and the equivalence-partition summary: the per-region
-// fault-sensitive fraction the analyzer forecasts, and how much of the
-// injection space its def-use classes prove benign.
+// prediction table: the per-region fault-sensitive fraction the analyzer
+// forecasts.
 //
-// With -equivalence it additionally runs fixed-seed validation
-// campaigns per app and holds the partition to account: an annotated
-// full campaign (register, data, BSS) where every provably-benign draw
-// must classify Correct and same-class pilots must agree, an audit
-// campaign sampling only provably-benign bits (all must be Correct),
-// and a pruned campaign whose reweighted register rate must agree with
-// the full campaign within the combined sampling error.  Any violation
-// is an analyzer bug and a finding.
-//
-// Exit status: 0 clean, 1 findings (static or validation), 2
-// operational error.
+// Exit status: 0 clean, 1 findings, 2 operational error.
 //
 // Usage:
 //
@@ -28,7 +17,6 @@
 //	faultlint -json                # machine-readable report on stdout
 //	faultlint -mpi                 # also lint recorded MPI traffic
 //	faultlint -profile             # measured denominators for the AVF table
-//	faultlint -equivalence -eqn 64 # campaign-validate the static claims
 package main
 
 import (
@@ -42,19 +30,13 @@ import (
 
 	"mpifault/internal/analysis"
 	"mpifault/internal/apps"
-	"mpifault/internal/core"
-	"mpifault/internal/image"
 	"mpifault/internal/mpi"
 	"mpifault/internal/profile"
-	"mpifault/internal/sampling"
 )
 
 type options struct {
 	withMPI, withProfile, verbose bool
 	jsonOut                       bool
-	equivalence                   bool
-	eqn                           int
-	eqseed                        uint64
 }
 
 func main() {
@@ -64,9 +46,6 @@ func main() {
 	flag.BoolVar(&opts.withProfile, "profile", false, "measure the app to refine the AVF denominators")
 	flag.BoolVar(&opts.verbose, "v", false, "per-function liveness and ABI statistics")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit a machine-readable JSON report on stdout")
-	flag.BoolVar(&opts.equivalence, "equivalence", false, "validate the equivalence partition with fixed-seed campaigns")
-	flag.IntVar(&opts.eqn, "eqn", 48, "injections per region for -equivalence validation campaigns")
-	flag.Uint64Var(&opts.eqseed, "eqseed", 1, "seed for -equivalence validation campaigns")
 	flag.Parse()
 
 	os.Exit(run(*app, opts, os.Stdout))
@@ -92,7 +71,7 @@ func run(app string, opts options, w io.Writer) int {
 			fmt.Fprintf(os.Stderr, "faultlint: %s: %v\n", name, err)
 			return 2
 		}
-		if len(rep.Findings) > 0 || (rep.Validation != nil && len(rep.Validation.Findings) > 0) {
+		if len(rep.Findings) > 0 {
 			findings = true
 		}
 		reports = append(reports, rep)
@@ -120,18 +99,15 @@ func run(app string, opts options, w io.Writer) int {
 // serialization, so everything in it is deterministic: findings are
 // stable-sorted and all table quantities are integers.
 type appReport struct {
-	App        string                `json:"app"`
-	Functions  int                   `json:"functions"`
-	Reachable  int                   `json:"reachable"`
-	Findings   []findingJSON         `json:"findings"`
-	AVF        []avfRowJSON          `json:"avf"`
-	Equiv      analysis.EquivSummary `json:"equivalence"`
-	MPI        *mpiJSON              `json:"mpi,omitempty"`
-	Validation *validationReport     `json:"validation,omitempty"`
+	App       string        `json:"app"`
+	Functions int           `json:"functions"`
+	Reachable int           `json:"reachable"`
+	Findings  []findingJSON `json:"findings"`
+	AVF       []avfRowJSON  `json:"avf"`
+	MPI       *mpiJSON      `json:"mpi,omitempty"`
 
 	// unserialized internals for the human report
 	avf      *analysis.AVFReport
-	eq       *analysis.Equivalence
 	live     *analysis.Liveness
 	prog     *analysis.Program
 	abiStats map[string]analysis.ABIStats
@@ -155,24 +131,7 @@ type mpiJSON struct {
 	Matched int `json:"matched"`
 }
 
-// validationReport is the -equivalence campaign evidence.
-type validationReport struct {
-	Injections int      `json:"injections"`
-	Seed       uint64   `json:"seed"`
-	Findings   []string `json:"findings"`
-	// FullRegRatePct / PrunedRegRatePct: the register-region error rate
-	// of the annotated full campaign and the reweighted rate of the
-	// pruned campaign; AgreementBoundPct is the combined sampling error
-	// the two may differ by (using Kish's effective n for the pruned
-	// side).
-	FullRegRatePct    float64 `json:"full_reg_rate_pct"`
-	PrunedRegRatePct  float64 `json:"pruned_reg_rate_pct"`
-	AgreementBoundPct float64 `json:"agreement_bound_pct"`
-	EffectiveN        float64 `json:"effective_n"`
-}
-
-// lintApp runs all passes (and optionally the validation campaigns)
-// over one app.
+// lintApp runs all passes over one app.
 func lintApp(name string, opts options) (*appReport, error) {
 	a, err := apps.Get(name)
 	if err != nil {
@@ -190,7 +149,6 @@ func lintApp(name string, opts options) (*appReport, error) {
 	live := analysis.ComputeLiveness(prog)
 	abiFindings, abiStats := analysis.ABICheck(prog)
 	flow := analysis.ComputeDataflow(prog, live)
-	eq := analysis.ComputeEquivalence(prog, live, flow, abiStats)
 
 	findings := append([]analysis.Finding(nil), prog.Findings...)
 	findings = append(findings, live.Findings...)
@@ -200,9 +158,6 @@ func lintApp(name string, opts options) (*appReport, error) {
 	rep := &appReport{
 		App:       name,
 		Functions: len(prog.Funcs),
-		Equiv:     eq.Summary,
-		avf:       nil,
-		eq:        eq,
 		live:      live,
 		prog:      prog,
 		abiStats:  abiStats,
@@ -248,97 +203,7 @@ func lintApp(name string, opts options) (*appReport, error) {
 	for _, r := range rep.avf.Rows {
 		rep.AVF = append(rep.AVF, avfRowJSON{Region: r.Region, Sensitive: r.Sensitive, Total: r.Total})
 	}
-
-	if opts.equivalence {
-		val, err := validateApp(im, a.Default.Ranks, eq, opts)
-		if err != nil {
-			return nil, fmt.Errorf("equivalence validation: %v", err)
-		}
-		rep.Validation = val
-	}
 	return rep, nil
-}
-
-// validateApp runs the fixed-seed validation campaigns and checks every
-// static claim against their outcomes.
-func validateApp(im *image.Image, ranks int, eq *analysis.Equivalence, opts options) (*validationReport, error) {
-	val := &validationReport{Injections: opts.eqn, Seed: opts.eqseed}
-
-	base := core.Config{
-		Image:           im,
-		Ranks:           ranks,
-		Injections:      opts.eqn,
-		Seed:            opts.eqseed,
-		KeepExperiments: true,
-		Equivalence:     eq,
-	}
-
-	// Annotated full campaign over the regions the partition makes
-	// claims about: the ground truth.
-	full := base
-	full.EquivalencePolicy = core.EquivAnnotate
-	full.Regions = []core.Region{core.RegionRegularReg, core.RegionData, core.RegionBSS}
-	fullRes, err := core.Run(full)
-	if err != nil {
-		return nil, err
-	}
-
-	// Audit campaign: sample only provably-benign register bits.
-	audit := base
-	audit.EquivalencePolicy = core.EquivAudit
-	audit.Regions = []core.Region{core.RegionRegularReg}
-	auditRes, err := core.Run(audit)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pruned campaign: the accelerator whose reweighted rate must match.
-	prune := base
-	prune.EquivalencePolicy = core.EquivPrune
-	prune.Regions = []core.Region{core.RegionRegularReg}
-	pruneRes, err := core.Run(prune)
-	if err != nil {
-		return nil, err
-	}
-
-	var exps []core.Experiment
-	exps = append(exps, fullRes.Experiments...)
-	exps = append(exps, auditRes.Experiments...)
-	exps = append(exps, pruneRes.Experiments...)
-	for _, f := range core.ValidateEquivalence(eq, exps) {
-		val.Findings = append(val.Findings, f.String())
-	}
-
-	// Rate agreement: annotated-full vs pruned-reweighted register rate,
-	// within the combined sampling error of the two estimates.
-	fullTally, _ := fullRes.Tally(core.RegionRegularReg)
-	val.FullRegRatePct = fullTally.ErrorRate()
-	weighted := core.ReweightTallies([]core.Region{core.RegionRegularReg}, pruneRes.Experiments)
-	val.PrunedRegRatePct = weighted[0].ErrorRate()
-
-	var wts []float64
-	for i := range pruneRes.Experiments {
-		e := &pruneRes.Experiments[i]
-		if e.Region == core.RegionRegularReg {
-			wts = append(wts, float64(core.RegisterSpaceBits-e.BenignBits)/float64(core.RegisterSpaceBits))
-		}
-	}
-	neff, err := sampling.EffectiveSampleSize(wts)
-	if err != nil {
-		return nil, err
-	}
-	val.EffectiveN = neff
-	bound, err := sampling.DifferenceBound(0.95, fullTally.Executions, int(neff))
-	if err != nil {
-		return nil, err
-	}
-	val.AgreementBoundPct = 100 * bound
-	if diff := val.FullRegRatePct - val.PrunedRegRatePct; diff > val.AgreementBoundPct || -diff > val.AgreementBoundPct {
-		val.Findings = append(val.Findings, fmt.Sprintf(
-			"rate-disagreement: full %.1f%% vs pruned-reweighted %.1f%% exceeds the %.1f%% sampling bound (n=%d, n_eff=%.0f)",
-			val.FullRegRatePct, val.PrunedRegRatePct, val.AgreementBoundPct, fullTally.Executions, neff))
-	}
-	return val, nil
 }
 
 // write renders the human report for one app.
@@ -372,16 +237,5 @@ func (rep *appReport) write(w io.Writer, verbose bool) {
 
 	fmt.Fprintf(w, "%s: static fault-sensitivity prediction:\n", rep.App)
 	rep.avf.WriteAVF(w, nil)
-	fmt.Fprintf(w, "%s: equivalence partition:\n", rep.App)
-	rep.eq.WriteReport(w)
-
-	if v := rep.Validation; v != nil {
-		fmt.Fprintf(w, "%s: validation (n=%d per region, seed %d): full reg %.1f%% vs pruned-reweighted %.1f%% (bound %.1f%%, n_eff %.0f), %d findings\n",
-			rep.App, v.Injections, v.Seed, v.FullRegRatePct, v.PrunedRegRatePct,
-			v.AgreementBoundPct, v.EffectiveN, len(v.Findings))
-		for _, f := range v.Findings {
-			fmt.Fprintf(w, "  %s\n", f)
-		}
-	}
 	fmt.Fprintln(w)
 }

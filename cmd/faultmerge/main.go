@@ -86,7 +86,7 @@ func run() int {
 			// The merge has already replayed the planner over the recorded
 			// outcomes, so the contract it prints is the one the rounds
 			// actually stopped on.
-			report.WriteRates(os.Stdout, m.App, m.Result, m.Confidence, m.Target, m.Equivalence == "prune")
+			report.WriteRates(os.Stdout, m.App, m.Result, m.Confidence, m.Target)
 			fmt.Println()
 		}
 		report.WriteLatencyHistogram(os.Stdout, m.Result.Experiments)

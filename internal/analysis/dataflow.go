@@ -16,8 +16,7 @@ import (
 // injection sites whose corrupted bit provably flows into the same first
 // uses are equivalent for fault-sensitivity purposes; a site with no
 // first use at all is provably benign.  internal/analysis/equivalence.go
-// turns these sets into the per-PC equivalence partition the campaign
-// samples from.
+// turns these sets into a per-PC equivalence partition.
 //
 // The pass reuses the CFG and the interprocedural call summaries the
 // liveness pass computed (mayUse/mustDef/retLive), so the two analyses

@@ -1,32 +1,25 @@
 package analysis
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"text/tabwriter"
 
 	"mpifault/internal/image"
 	"mpifault/internal/isa"
 )
 
-// The equivalence pass turns the dataflow pass's first-use sets into the
-// partition of the injection space that internal/core samples from: at
-// every reachable instruction boundary it splits the 320-bit register
-// target space into provably-benign bits (flipping them cannot change
-// the execution) and equivalence classes (bits whose corruption flows
-// into the same first uses, so one pilot injection per class stands in
-// for all its members).  It also carries the static benign claims for
-// the data/BSS and stack regions: unreferenced user symbols and dead
-// local slots.
+// The equivalence pass turns the dataflow pass's first-use sets into a
+// partition of the register injection space: at every reachable
+// instruction boundary it splits the 320-bit register target space into
+// provably-benign bits (flipping them cannot change the execution) and
+// equivalence classes (bits whose corruption flows into the same first
+// uses).  It also carries the static benign claims for the data/BSS and
+// stack regions: unreferenced user symbols and dead local slots.
 //
-// Everything here is a *claim* to be validated: core.ValidateEquivalence
-// checks a fixed-seed campaign against the partition, and any benign
-// site that manifests or class whose pilots disagree is an analyzer bug,
-// not an acceptable approximation.
+// No campaign samples from the partition: register faults are drawn
+// uniformly (core.ApplyRegisterFault), as in the paper.  The pass stays
+// because the benchmark's static-analysis probe times it.
 
-// partEntry is the per-PC partition in the exact shape the
-// core.EquivalenceMap interface exposes: a benign mask (bits 0..NumGPR-1
+// partEntry is the per-PC partition: a benign mask (bits 0..NumGPR-1
 // mark fully-benign GPRs, bit NumGPR a fully-benign flags word) and a
 // class identity per injection target (0..7 the GPRs, 8 the PC, 9 the
 // flags word; zero for benign targets).
@@ -64,16 +57,14 @@ type EquivSummary struct {
 	BSSBenignBytes  uint64 `json:"bss_benign_bytes"`
 }
 
-// Equivalence is the computed partition for one program.  It implements
-// core.EquivalenceMap.
+// Equivalence is the computed partition for one program.
 type Equivalence struct {
 	Prog *Program
 	Live *Liveness
 	Flow *Dataflow
 
-	// Stack holds the per-function dead-slot analysis (report-only: the
-	// campaign's stack injector is validated against the data/register
-	// claims, while slot claims feed the summary and faultlint output).
+	// Stack holds the per-function dead-slot analysis, which feeds the
+	// summary.
 	Stack []StackSlotInfo
 
 	Summary EquivSummary
@@ -126,25 +117,6 @@ func ComputeEquivalence(prog *Program, live *Liveness, flow *Dataflow, abiStats 
 	eq.computeStack(abiStats)
 	eq.computeData()
 	return eq
-}
-
-// EquivalenceFor runs the whole static pipeline over an image — CFG,
-// liveness, ABI audit, dataflow, partition — and returns the map an
-// equivalence-driven campaign injects by.  Unlike StaticAVF, findings
-// are fatal: a partition built on an analysis the lint passes dispute
-// would make benign claims nobody can trust.
-func EquivalenceFor(im *image.Image) (*Equivalence, error) {
-	prog, err := Analyze(im)
-	if err != nil {
-		return nil, err
-	}
-	live := ComputeLiveness(prog)
-	abiFindings, abiStats := ABICheck(prog)
-	flow := ComputeDataflow(prog, live)
-	if n := len(prog.Findings) + len(live.Findings) + len(abiFindings) + len(flow.Findings); n > 0 {
-		return nil, fmt.Errorf("static analysis reported %d findings; run faultlint", n)
-	}
-	return ComputeEquivalence(prog, live, flow, abiStats), nil
 }
 
 // regSpaceBits mirrors core.RegisterSpaceBits: (8 GPRs + PC + flags) x 32.
@@ -217,7 +189,7 @@ func (eq *Equivalence) computeStack(abiStats map[string]ABIStats) {
 
 // computeData collects the unreferenced user data/BSS symbols — the same
 // referenced-set the AVF estimator uses, inverted into benign address
-// spans the campaign validator can query per fault address.
+// spans StaticBenignAt queries per fault address.
 func (eq *Equivalence) computeData() {
 	referenced := referencedDataSyms(eq.Prog)
 	for _, sym := range eq.Prog.Image.Symbols {
@@ -245,7 +217,8 @@ func (eq *Equivalence) computeData() {
 	sort.Slice(eq.benignData, func(i, j int) bool { return eq.benignData[i].lo < eq.benignData[j].lo })
 }
 
-// PartitionAt implements core.EquivalenceMap.
+// PartitionAt returns the benign mask and class identities at pc, and
+// whether pc was partitioned.
 func (eq *Equivalence) PartitionAt(pc uint32) (benignMask uint16, classIDs [10]uint64, ok bool) {
 	p, ok := eq.parts[pc]
 	if !ok {
@@ -254,33 +227,10 @@ func (eq *Equivalence) PartitionAt(pc uint32) (benignMask uint16, classIDs [10]u
 	return p.benign, p.ids, true
 }
 
-// StaticBenignAt implements core.EquivalenceMap: it reports whether addr
+// StaticBenignAt reports whether addr
 // falls inside a user data/BSS symbol the analysis claims is benign
 // (never referenced by reachable code).
 func (eq *Equivalence) StaticBenignAt(addr uint32) bool {
 	i := sort.Search(len(eq.benignData), func(i int) bool { return eq.benignData[i].hi > addr })
 	return i < len(eq.benignData) && eq.benignData[i].lo <= addr
-}
-
-// WriteReport prints the partition summary as a table: per region, the
-// provably-benign portion of the injection space and the pruning the
-// class structure buys.
-func (eq *Equivalence) WriteReport(w io.Writer) {
-	s := eq.Summary
-	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "region\tbenign\ttotal\tprovably benign\t")
-	row := func(name string, benign, total uint64, unit string) {
-		if total == 0 {
-			return
-		}
-		fmt.Fprintf(tw, "%s\t%d %s\t%d %s\t%.1f%%\t\n", name, benign, unit, total, unit,
-			100*float64(benign)/float64(total))
-	}
-	row("Regular Reg.", s.RegBenignBits, s.RegTotalBits, "bits")
-	row("Stack (locals)", s.StackDeadBytes, s.StackFrameBytes, "bytes")
-	row("Data", s.DataBenignBytes, s.DataBytes, "bytes")
-	row("BSS", s.BSSBenignBytes, s.BSSBytes, "bytes")
-	tw.Flush()
-	fmt.Fprintf(w, "equivalence: %d register classes over %d sites (%.1f bits/site benign)\n",
-		s.RegClasses, s.Sites, float64(s.RegBenignBits)/float64(max(1, s.Sites)))
 }

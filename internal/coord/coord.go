@@ -64,11 +64,10 @@ import (
 // final CSV is byte-comparable to a single-process run of the same
 // parameters.
 type Spec struct {
-	App         string   `json:"app"`
-	Injections  int      `json:"injections"`
-	Seed        uint64   `json:"seed"`
-	Regions     []string `json:"regions,omitempty"`     // short names; empty = all eight
-	Equivalence string   `json:"equivalence,omitempty"` // "", annotate, prune or audit
+	App        string   `json:"app"`
+	Injections int      `json:"injections"`
+	Seed       uint64   `json:"seed"`
+	Regions    []string `json:"regions,omitempty"` // short names; empty = all eight
 	// TraceDiff makes every worker localize Incorrect/Hang/Crash outcomes
 	// against its golden run's tapes (faultcampaign -trace-diff).  The
 	// tapes are a pure function of (app, seed, ranks), so every worker
@@ -278,12 +277,11 @@ func priorsMap(regions []core.Region, priors []float64) map[core.Region]float64 
 
 // specHeader builds the journal header a worker running this spec
 // produces, without building the app image: the adaptive estimation
-// contract comes from the spec, and the equivalence policy is recorded
-// by name exactly as report.CampaignHeader does when a worker attaches
-// its computed map.  Coordinator ingestion compares worker segment
-// headers against this, so the two constructions must never drift.
-func specHeader(spec Spec, ranks int, regions []core.Region) (report.JournalHeader, error) {
-	h := report.CampaignHeader(spec.App, core.Config{
+// contract comes from the spec.  Coordinator ingestion compares worker
+// segment headers against this, so the two constructions must never
+// drift.
+func specHeader(spec Spec, ranks int, regions []core.Region) report.JournalHeader {
+	return report.CampaignHeader(spec.App, core.Config{
 		Ranks:           ranks,
 		Injections:      spec.Injections,
 		Regions:         regions,
@@ -294,14 +292,6 @@ func specHeader(spec Spec, ranks int, regions []core.Region) (report.JournalHead
 		RoundSize:       spec.RoundSize,
 		AVFPriors:       priorsMap(regions, spec.Priors),
 	})
-	pol, err := core.ParseEquivalencePolicy(spec.Equivalence)
-	if err != nil {
-		return h, err
-	}
-	if pol != core.EquivOff {
-		h.Equivalence = pol.String()
-	}
-	return h, nil
 }
 
 // Submit installs the campaign.  A coordinator runs exactly one
@@ -378,15 +368,11 @@ func (co *Coordinator) Submit(spec Spec) error {
 		short[i] = r.Short()
 	}
 	spec.Regions = short
-	header, err := specHeader(spec, a.Default.Ranks, regions)
-	if err != nil {
-		return err
-	}
 	c := &campaign{
 		spec:    spec,
 		ranks:   a.Default.Ranks,
 		ttl:     ttl,
-		header:  header,
+		header:  specHeader(spec, a.Default.Ranks, regions),
 		results: map[string]core.Experiment{},
 		workers: map[string]*workerState{},
 		done:    make(chan struct{}),
@@ -961,7 +947,7 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 
 // Handler returns the coordinator's HTTP mux:
 //
-//	POST /api/campaign        submit a Spec (409 when one is loaded)
+//	POST /api/campaign        submit a Spec (400 naming an unknown field, 409 when one is loaded)
 //	GET  /api/campaign        the loaded Spec
 //	POST /api/lease/acquire   {"worker":W} -> leaseGrant | 204 retry | 410 done
 //	POST /api/lease/renew     {"worker":W,"lease":L,"gen":G} -> 204 | 409 lost
@@ -990,8 +976,13 @@ func (co *Coordinator) Handler() http.Handler {
 			}
 			writeJSON(w, http.StatusOK, c.spec)
 		case http.MethodPost:
+			// A field this version does not know (a misspelling, or an
+			// option it no longer runs) would otherwise be dropped and a
+			// different campaign run: refuse it by name.
 			var spec Spec
-			if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+			dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}

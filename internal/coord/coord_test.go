@@ -426,6 +426,50 @@ func TestRepeatedFailuresFailCampaign(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownFields: a spec field this version does not know
+// — an option it no longer runs, or a misspelling — is a 400 naming the
+// field, and no campaign is installed.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	co := New(Config{Metrics: telemetry.New(), Now: newFakeClock().Now})
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+
+	for field, body := range map[string]string{
+		"equivalence": `{"app":"wavetoy","injections":8,"seed":3,"regions":["reg"],"equivalence":"prune"}`,
+		"injection":   `{"app":"wavetoy","injection":8,"seed":3}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/campaign", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), `"`+field+`"`) {
+			t.Errorf("spec with %q: %s %q; want 400 naming the field", field, resp.Status, msg)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/api/campaign")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("a rejected spec installed a campaign: GET /api/campaign %s", resp.Status)
+	}
+	data, err := json.Marshal(testSpec(8, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = http.Post(srv.URL+"/api/campaign", "application/json", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("a known spec after the rejections: %s", resp.Status)
+	}
+}
+
 // TestHandlerProtocol drives the HTTP surface end to end with hand-built
 // segments: submit, acquire, renew fencing, offset negotiation over the
 // wire, completion, and the status/result/metrics documents.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"mpifault/internal/analysis"
 	"mpifault/internal/apps"
 	"mpifault/internal/core"
 	"mpifault/internal/image"
@@ -51,13 +50,10 @@ type worker struct {
 }
 
 // workerApp caches the expensive per-application state across leases:
-// the built image, the golden reference run, and (when the campaign
-// asks for it) the static equivalence partition.
+// the built image and the golden reference run.
 type workerApp struct {
-	image       *image.Image
-	golden      *core.Golden
-	equivalence core.EquivalenceMap
-	eqPolicy    core.EquivalencePolicy
+	image  *image.Image
+	golden *core.Golden
 }
 
 // maxConsecutiveAcquireFailures bounds how long a worker retries an
@@ -190,7 +186,7 @@ func (w *worker) fail(grant leaseGrant, cause error) {
 
 // app returns the cached per-application state, building it on first use.
 func (w *worker) app(spec Spec) (*workerApp, error) {
-	wa := w.apps[spec.App+"/"+spec.Equivalence]
+	wa := w.apps[spec.App]
 	if wa != nil {
 		return wa, nil
 	}
@@ -203,18 +199,7 @@ func (w *worker) app(spec Spec) (*workerApp, error) {
 		return nil, fmt.Errorf("build %s: %v", spec.App, err)
 	}
 	wa = &workerApp{image: im}
-	pol, err := core.ParseEquivalencePolicy(spec.Equivalence)
-	if err != nil {
-		return nil, err
-	}
-	if pol != core.EquivOff {
-		eq, err := analysis.EquivalenceFor(im)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", spec.App, err)
-		}
-		wa.equivalence, wa.eqPolicy = eq, pol
-	}
-	w.apps[spec.App+"/"+spec.Equivalence] = wa
+	w.apps[spec.App] = wa
 	return wa, nil
 }
 
@@ -346,17 +331,15 @@ func (w *worker) runLease(grant leaseGrant) error {
 
 	golden := wa.golden
 	cfg := core.Config{
-		Image:             wa.image,
-		Ranks:             grant.Ranks,
-		Injections:        spec.Injections,
-		Regions:           regions,
-		Seed:              spec.Seed,
-		Parallelism:       w.opt.Parallelism,
-		Entries:           entries,
-		Golden:            golden,
-		Equivalence:       wa.equivalence,
-		EquivalencePolicy: wa.eqPolicy,
-		TraceDiff:         spec.TraceDiff,
+		Image:       wa.image,
+		Ranks:       grant.Ranks,
+		Injections:  spec.Injections,
+		Regions:     regions,
+		Seed:        spec.Seed,
+		Parallelism: w.opt.Parallelism,
+		Entries:     entries,
+		Golden:      golden,
+		TraceDiff:   spec.TraceDiff,
 
 		// Adaptive campaigns: core.Run ignores these (the coordinator
 		// asks the frontier), but the journal header derives from them,

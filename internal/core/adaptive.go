@@ -246,7 +246,7 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 // exactly those entries, record them, and ask again until nothing is
 // missing.  The golden run is executed once and reused, so round 1
 // captures its checkpoints and every round restores.  Composable with
-// checkpointing, Forensics, TraceDiff and equivalence policies;
+// checkpointing, Forensics and TraceDiff;
 // NormalizeAdaptive refuses sharding and explicit entries.
 func RunAdaptive(cfg Config) (*Result, error) {
 	if _, err := NormalizeAdaptive(&cfg); err != nil {

@@ -100,18 +100,10 @@ type Experiment struct {
 	// (hang cause or failing trap), for logs and journals; empty for a
 	// clean run.
 	Detail string
-	// Candidates is the register-bit candidate-set size the injection
-	// sampled from: 320 undirected, fewer under an equivalence policy.
+	// Candidates is the size of the space a register injection sampled
+	// from, RegisterSpaceBits once its trigger fired; 0 in every other
+	// region.
 	Candidates int
-	// ClassID is the flipped bit's equivalence-class identity when the
-	// campaign ran with an EquivalenceMap; 0 for benign bits and
-	// unannotated experiments (see BenignBits to tell the two apart).
-	ClassID uint64
-	// BenignBits is the partition's provably-benign bit count at the
-	// injection site; 0 when the site was not partitioned.  An
-	// experiment with ClassID == 0 and BenignBits > 0 flipped a
-	// provably-benign bit and must classify Correct.
-	BenignBits int
 	// Forensics is the flight record of the injected rank, present only
 	// when the campaign ran with Config.Forensics.
 	Forensics *Forensics
@@ -155,13 +147,6 @@ type Config struct {
 	Progress func(done, total int)
 	// KeepExperiments retains the per-injection records in the result.
 	KeepExperiments bool
-	// Equivalence, when non-nil, drives register-region injections by
-	// the static site partition it reports (see internal/analysis) and
-	// annotates every register experiment with its class.
-	Equivalence EquivalenceMap
-	// EquivalencePolicy selects annotate/prune/audit sampling;
-	// meaningful only with Equivalence set.
-	EquivalencePolicy EquivalencePolicy
 	// Shard/NumShards restrict the run to shard Shard of the
 	// NumShards-way partition of the entry list in force — the plan, or
 	// Entries when set: every NumShards-th entry starting at Shard (see
@@ -310,9 +295,6 @@ type Result struct {
 	Tallies     []Tally
 	Golden      *Golden
 	Experiments []Experiment
-	// Equivalence summarizes the class sampling when the campaign ran
-	// with an equivalence map; nil otherwise.
-	Equivalence *EquivalenceStats
 	// Unclassified counts experiments that finished without applying a
 	// fault (see Experiment.Unapplied) — they carry no manifestation, so
 	// callers should treat a nonzero count as a failed campaign.
@@ -586,38 +568,13 @@ dispatch:
 	return res, nil
 }
 
-// summarize fills the result's tallies and sampling summaries from the
-// experiments that ran.
+// summarize fills the result's tallies from the experiments that ran.
 func (res *Result) summarize(cfg *Config, ran []Experiment) {
-	if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
-		res.Equivalence = equivalenceStatsFor(cfg.EquivalencePolicy, ran)
-	}
 	res.Tallies = TallyExperiments(cfg.Regions, ran)
 	res.Unclassified = CountUnapplied(ran)
 	if cfg.KeepExperiments {
 		res.Experiments = ran
 	}
-}
-
-// equivalenceStatsFor aggregates the class-sampling summary of an
-// equivalence-driven campaign from its finished experiments.
-func equivalenceStatsFor(policy EquivalencePolicy, ran []Experiment) *EquivalenceStats {
-	s := &EquivalenceStats{Policy: policy}
-	classes := make(map[uint64]bool)
-	for i := range ran {
-		if ran[i].Region != RegionRegularReg {
-			continue
-		}
-		s.Experiments++
-		s.Candidates += uint64(ran[i].Candidates)
-		s.BenignBits += uint64(ran[i].BenignBits)
-		s.Total += RegisterSpaceBits
-		if ran[i].ClassID != 0 {
-			classes[ran[i].ClassID] = true
-		}
-	}
-	s.Classes = len(classes)
-	return s
 }
 
 // campaignCtx bundles the per-campaign immutable state the workers share,
@@ -785,8 +742,6 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		mi         MessageInjector // read once the run that used it has returned
 		applied    string
 		candidates int
-		classID    uint64
-		benignBits int
 		decided    bool     // by the injected rank alone
 		solo       bool     // a solo run is executing: its trigger may halt it early
 		end        earlyEnd // why it did
@@ -836,29 +791,20 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			}
 			m.TriggerAt = e.Trigger
 			m.TriggerFn = func(m *vm.Machine) *vm.Trap {
-				var d string
 				var site Site
-				var cand int
-				var cls uint64
-				var benign int
 				switch region {
 				case RegionRegularReg:
-					if cfg.Equivalence != nil && cfg.EquivalencePolicy != EquivOff {
-						d, site, cls, benign, cand = ApplyRegisterFaultEquiv(m, faultRng, cfg.Equivalence, cfg.EquivalencePolicy)
-					} else {
-						d, site = ApplyRegisterFault(m, faultRng)
-						cand = RegisterSpaceBits
-					}
+					applied, site = ApplyRegisterFault(m, faultRng)
+					candidates = RegisterSpaceBits
 				case RegionFPReg:
-					d, site = ApplyFPRegisterFault(m, faultRng)
+					applied, site = ApplyFPRegisterFault(m, faultRng)
 				case RegionText, RegionData, RegionBSS:
-					d, site = ApplyStaticFault(m, c.dict, region, faultRng)
+					applied, site = ApplyStaticFault(m, c.dict, region, faultRng)
 				case RegionHeap:
-					d, site = ApplyHeapFault(m, faultRng)
+					applied, site = ApplyHeapFault(m, faultRng)
 				case RegionStack:
-					d, site = ApplyStackFault(m, faultRng)
+					applied, site = ApplyStackFault(m, faultRng)
 				}
-				applied, candidates, classID, benignBits = d, cand, cls, benign
 				if solo {
 					if end.dead = c.deadAt(m, e.Rank, site); end.dead != notDead {
 						return &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "dead at injection"}
@@ -928,7 +874,5 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	} else {
 		e.Desc = applied
 		e.Candidates = candidates
-		e.ClassID = classID
-		e.BenignBits = benignBits
 	}
 }

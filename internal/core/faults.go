@@ -150,9 +150,8 @@ func ApplyRegisterFault(m *vm.Machine, r *rng.Rand) (string, Site) {
 
 // flipRegisterBit flips one bit of one register-context target (0..7 the
 // GPRs, 8 the PC, 9 the flags word) and returns the flip's description and
-// site.  Every register-region injection path — uniform, liveness-directed,
-// and equivalence-driven — funnels through here so descriptions stay
-// identical across policies.
+// site.  ApplyRegisterFault draws the target and bit; tests flip chosen
+// ones.
 func flipRegisterBit(m *vm.Machine, target int, bit uint) (string, Site) {
 	switch {
 	case target < isa.NumGPR:

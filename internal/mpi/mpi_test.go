@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -103,6 +104,61 @@ func TestParseFailureModes(t *testing.T) {
 		p, drop, err := ParsePacket(b, 1, 8)
 		if err != nil || drop || p.Tag == 5 {
 			t.Fatal("tag flip must parse with the altered tag")
+		}
+	})
+}
+
+// FuzzParsePacket feeds arbitrary bytes and world sizes to the Channel
+// parser, the first host code a corrupted peer's header reaches.  It
+// must never panic; a drop carries no packet; and a packet it accepts
+// names a source inside the world and re-marshals to the input, except
+// for the pad (bytes 5-7) and reserved (36-47) bytes the parser never
+// reads, which Marshal writes as zeros.
+func FuzzParsePacket(f *testing.F) {
+	kinds := []uint8{KindEager, KindRTS, KindCTS, KindRdvData, KindBarrier}
+	for i, kind := range kinds {
+		p := &Packet{Kind: kind, Src: int32(i), Dst: 3, Tag: 5, Comm: abi.CommWorld, Seq: uint32(i)}
+		if !p.IsControl() {
+			p.Payload = []byte{1, 2, 3, 4}
+		}
+		f.Add(p.Marshal(), 8)
+	}
+	base := (&Packet{Kind: KindEager, Src: 2, Dst: 1, Tag: 5, Comm: abi.CommWorld,
+		Payload: []byte{1, 2, 3, 4}}).Marshal()
+	for _, mutate := range []func(b []byte){
+		func(b []byte) { b[0] ^= 0x40 },
+		func(b []byte) { b[4] = 200 },
+		func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 99) },
+		func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 6) },
+		func(b []byte) { binary.LittleEndian.PutUint32(b[32:], 4096) },
+		func(b []byte) { binary.LittleEndian.PutUint32(b[32:], 1) },
+		func(b []byte) { b[16] ^= 0x80 },
+		func(b []byte) { b[40] = 0xff },
+	} {
+		b := append([]byte(nil), base...)
+		mutate(b)
+		f.Add(b, 8)
+	}
+	f.Add(base[:20], 8)
+	f.Add(base, 0)
+	f.Add(base, -1)
+
+	f.Fuzz(func(t *testing.T, b []byte, worldSize int) {
+		p, drop, err := ParsePacket(b, 0, worldSize)
+		if drop && p != nil {
+			t.Fatalf("drop with a packet: %+v", p)
+		}
+		if err != nil || drop {
+			return
+		}
+		if p.Src < 0 || int(p.Src) >= worldSize {
+			t.Fatalf("accepted source %d in a world of %d", p.Src, worldSize)
+		}
+		want := append([]byte(nil), b...)
+		clear(want[5:8])
+		clear(want[36:HeaderBytes])
+		if got := p.Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("re-marshal differs:\n got %x\nwant %x", got, want)
 		}
 	})
 }

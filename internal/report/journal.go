@@ -55,13 +55,6 @@ type JournalHeader struct {
 	Confidence float64   `json:"confidence,omitempty"`
 	RoundSize  int       `json:"round_size,omitempty"`
 	Priors     []float64 `json:"priors,omitempty"` // effective pilot priors, plan order
-
-	// Equivalence records the class-sampling policy (annotate/prune/
-	// audit) when the campaign ran with an equivalence map.  Pruning
-	// changes which bits experiments flip, so journals only merge when
-	// they agree on it; recording it also lets faultmerge decide whether
-	// the Horvitz–Thompson reweighted columns are sound (prune only).
-	Equivalence string `json:"equivalence,omitempty"`
 }
 
 // CampaignHeader builds the journal header for one application campaign.
@@ -98,9 +91,6 @@ func CampaignHeader(app string, cfg core.Config) JournalHeader {
 		h.RoundSize = cfg.RoundSize
 		h.Priors = core.EffectivePriors(regions, cfg.AVFPriors)
 	}
-	if cfg.Equivalence != nil && cfg.EquivalencePolicy != core.EquivOff {
-		h.Equivalence = cfg.EquivalencePolicy.String()
-	}
 	return h
 }
 
@@ -119,7 +109,7 @@ func (h JournalHeader) SameCampaign(o JournalHeader) bool {
 	}
 	if h.Adaptive != o.Adaptive || h.Target != o.Target ||
 		h.Confidence != o.Confidence || h.RoundSize != o.RoundSize ||
-		h.Equivalence != o.Equivalence || len(h.Priors) != len(o.Priors) {
+		len(h.Priors) != len(o.Priors) {
 		return false
 	}
 	for i := range h.Priors {
@@ -156,8 +146,6 @@ type JournalEntry struct {
 	Outcome    string          `json:"outcome"`
 	Detail     string          `json:"detail,omitempty"`
 	Candidates int             `json:"candidates,omitempty"`
-	ClassID    uint64          `json:"class_id,omitempty"`
-	BenignBits int             `json:"benign_bits,omitempty"`
 	Forensics  *core.Forensics `json:"forensics,omitempty"`
 }
 
@@ -173,8 +161,6 @@ func EntryFromExperiment(e core.Experiment) JournalEntry {
 		Outcome:    e.Outcome.String(),
 		Detail:     e.Detail,
 		Candidates: e.Candidates,
-		ClassID:    e.ClassID,
-		BenignBits: e.BenignBits,
 		Forensics:  e.Forensics,
 	}
 }
@@ -198,8 +184,6 @@ func (je JournalEntry) Experiment() (core.Experiment, error) {
 		Outcome:    outcome,
 		Detail:     je.Detail,
 		Candidates: je.Candidates,
-		ClassID:    je.ClassID,
-		BenignBits: je.BenignBits,
 		Forensics:  je.Forensics,
 	}, nil
 }
@@ -326,8 +310,20 @@ func ParseSegment(data []byte) (h JournalHeader, completed map[string]core.Exper
 	if !ok {
 		return h, nil, 0, fmt.Errorf("missing journal header")
 	}
-	if err := json.Unmarshal(hdr, &h); err != nil {
+	// Versions before this one could sample register faults by an
+	// equivalence partition ("equivalence" in the header).  Such a
+	// journal's register rows over-represent non-benign bits, so read as
+	// a plain campaign it would report wrong rates: refuse it.
+	var hv struct {
+		JournalHeader
+		Equivalence string `json:"equivalence"`
+	}
+	if err := json.Unmarshal(hdr, &hv); err != nil {
 		return h, nil, 0, fmt.Errorf("bad journal header: %v", err)
+	}
+	h = hv.JournalHeader
+	if hv.Equivalence != "" {
+		return h, nil, 0, fmt.Errorf("journal ran equivalence policy %q, which this version no longer runs; its register rows are not a uniform sample", hv.Equivalence)
 	}
 	if h.Format != JournalFormat || h.Version != JournalVersion {
 		return h, nil, 0, fmt.Errorf("not a %s v%d journal (format %q version %d)",
@@ -388,9 +384,6 @@ type Merged struct {
 	Adaptive   bool
 	Confidence float64
 	Target     float64
-	// Equivalence is the recorded class-sampling policy name ("" when
-	// the campaign ran without an equivalence map).
-	Equivalence string
 	// Result carries the merged tallies and experiments; rendering it
 	// with WriteCampaignCSV / WriteCampaign reproduces the
 	// single-process campaign's output byte for byte.
@@ -465,17 +458,16 @@ func MergeJournals(paths []string) (*Merged, error) {
 		return nil, err
 	}
 	return &Merged{
-		App:         base.App,
-		Seed:        base.Seed,
-		Injections:  base.Injections,
-		Ranks:       base.Ranks,
-		Regions:     regions,
-		Journals:    len(paths),
-		Adaptive:    base.Adaptive,
-		Confidence:  base.Confidence,
-		Target:      base.Target,
-		Equivalence: base.Equivalence,
-		Result:      res,
+		App:        base.App,
+		Seed:       base.Seed,
+		Injections: base.Injections,
+		Ranks:      base.Ranks,
+		Regions:    regions,
+		Journals:   len(paths),
+		Adaptive:   base.Adaptive,
+		Confidence: base.Confidence,
+		Target:     base.Target,
+		Result:     res,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -83,6 +84,61 @@ func TestJournalRoundTrip(t *testing.T) {
 		if completed[e.ID()] != e {
 			t.Errorf("entry %s: got %+v want %+v", e.ID(), completed[e.ID()], e)
 		}
+	}
+
+	// A plain journal as the previous version wrote it: register lines
+	// carry "candidates":320.  It parses and re-marshals byte for byte.
+	parent := `{"format":"mpifault-campaign-journal","version":1,"app":"wavetoy","seed":5,"injections":3,"regions":["reg","heap"],"ranks":8,"shard":0,"num_shards":1}
+{"id":"reg/0","rank":1,"trigger":82663,"desc":"r5 bit 18","outcome":"Correct","candidates":320}
+{"id":"reg/1","rank":0,"trigger":69193,"desc":"r2 bit 2","outcome":"Incorrect","candidates":320}
+{"id":"reg/2","rank":4,"trigger":75673,"desc":"r2 bit 21","outcome":"Incorrect","candidates":320}
+{"id":"heap/0","rank":7,"trigger":12418,"desc":"heap 0x080533cc bit 6","outcome":"Correct"}
+{"id":"heap/1","rank":1,"trigger":47394,"desc":"heap 0x08054076 bit 2","outcome":"Correct"}
+{"id":"heap/2","rank":3,"trigger":106487,"desc":"heap 0x08054722 bit 2","outcome":"Correct"}
+`
+	ph, exps, valid, err := ParseSegment([]byte(parent))
+	if err != nil || valid != len(parent) || len(exps) != 6 {
+		t.Fatalf("parent journal: %d entries, %d of %d bytes valid, %v", len(exps), valid, len(parent), err)
+	}
+	line, err := json.Marshal(ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := string(line) + "\n"
+	for _, id := range []string{"reg/0", "reg/1", "reg/2", "heap/0", "heap/1", "heap/2"} {
+		if line, err = json.Marshal(EntryFromExperiment(exps[id])); err != nil {
+			t.Fatal(err)
+		}
+		again += string(line) + "\n"
+	}
+	if again != parent {
+		t.Errorf("parent journal re-marshals differently:\n%s\nwant\n%s", again, parent)
+	}
+}
+
+// TestParseSegmentRefusesEquivalence: a journal from a version that ran
+// equivalence-directed register sampling is refused by name, not merged
+// or resumed as a uniform sample.
+func TestParseSegmentRefusesEquivalence(t *testing.T) {
+	seg := `{"format":"mpifault-campaign-journal","version":1,"app":"wavetoy","seed":5,"injections":2,"regions":["reg"],"ranks":8,"shard":0,"num_shards":1,"equivalence":"prune"}
+{"id":"reg/0","rank":1,"trigger":82663,"desc":"r1 bit 17 [equiv]","outcome":"Incorrect","candidates":192,"class_id":3621665325898578467,"benign_bits":128}
+`
+	_, exps, valid, err := ParseSegment([]byte(seg))
+	if err == nil || exps != nil || valid != 0 {
+		t.Fatalf("parsed %d entries, %d bytes valid, err %v; want a refusal", len(exps), valid, err)
+	}
+	if !strings.Contains(err.Error(), `"prune"`) || !strings.Contains(err.Error(), "no longer") {
+		t.Errorf("error %q does not name the policy and say it is no longer run", err)
+	}
+	path := filepath.Join(t.TempDir(), "prune.jsonl")
+	if err := os.WriteFile(path, []byte(seg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeJournals([]string{path}); err == nil {
+		t.Error("merge accepted an equivalence journal")
+	}
+	if _, _, err := ResumeJournal(path, JournalHeader{}); err == nil {
+		t.Error("resume accepted an equivalence journal")
 	}
 }
 

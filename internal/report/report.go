@@ -114,47 +114,3 @@ func WriteCampaignCSV(w io.Writer, app string, res *core.Result) {
 			t.Outcomes[classify.MPIDetected], t.Outcomes[classify.Correct])
 	}
 }
-
-// WriteReweighted renders the Horvitz–Thompson reweighted rates of an
-// equivalence-pruned campaign next to the raw (pruned-sample) rates, one
-// row per region.  Only the register region's rows differ between the
-// two columns — pruning touches nothing else — but printing every region
-// keeps the table shape aligned with Tables 2-4.
-func WriteReweighted(w io.Writer, app string, res *core.Result) {
-	if res.Experiments == nil {
-		fmt.Fprintf(w, "(reweighted rates unavailable: campaign ran without KeepExperiments)\n")
-		return
-	}
-	regions := make([]core.Region, len(res.Tallies))
-	for i, t := range res.Tallies {
-		regions[i] = t.Region
-	}
-	weighted := core.ReweightTallies(regions, res.Experiments)
-	fmt.Fprintf(w, "Equivalence-Reweighted Rates (%s)\n", app)
-	fmt.Fprintf(w, "%-14s %10s %12s %14s\n", "Region", "Executions", "Raw Errors%", "Reweighted%")
-	for i, t := range res.Tallies {
-		fmt.Fprintf(w, "%-14s %10d %12.1f %14.1f\n",
-			t.Region, t.Executions, t.ErrorRate(), weighted[i].ErrorRate())
-	}
-}
-
-// WriteReweightedCSV is WriteReweighted in CSV form, written as a
-// separate block so the standard campaign CSV stays byte-identical
-// whether or not equivalence pruning ran.
-func WriteReweightedCSV(w io.Writer, app string, res *core.Result) {
-	if res.Experiments == nil {
-		return
-	}
-	regions := make([]core.Region, len(res.Tallies))
-	for i, t := range res.Tallies {
-		regions[i] = t.Region
-	}
-	weighted := core.ReweightTallies(regions, res.Experiments)
-	fmt.Fprintf(w, "app,region,executions,raw_error_rate_pct,reweighted_error_mass,total_mass,reweighted_error_rate_pct\n")
-	for i, t := range res.Tallies {
-		wt := weighted[i]
-		fmt.Fprintf(w, "%s,%s,%d,%.2f,%d,%d,%.2f\n",
-			app, t.Region, t.Executions, t.ErrorRate(),
-			wt.Errors(), wt.TotalMass, wt.ErrorRate())
-	}
-}

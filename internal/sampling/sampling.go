@@ -103,45 +103,6 @@ func ConfidenceInterval(confidence float64, p float64, n int) (lo, hi float64, e
 	return math.Max(0, p-half), math.Min(1, p+half), nil
 }
 
-// EffectiveSampleSize returns Kish's effective sample size for a set of
-// unequal sampling weights: n_eff = (Σw)² / Σw².  An equivalence-pruned
-// campaign estimates the full-space rate from experiments whose
-// candidate masses differ per site, so its estimator behaves like a
-// uniform sample of n_eff ≤ n draws; error bounds for reweighted rates
-// must use n_eff, not n.
-func EffectiveSampleSize(weights []float64) (float64, error) {
-	var sum, sumSq float64
-	for _, w := range weights {
-		if w < 0 {
-			return 0, fmt.Errorf("sampling: negative weight %v", w)
-		}
-		sum += w
-		sumSq += w * w
-	}
-	if sumSq == 0 {
-		return 0, fmt.Errorf("sampling: all weights zero")
-	}
-	return sum * sum / sumSq, nil
-}
-
-// DifferenceBound returns the worst-case half-width of the difference
-// between two independently estimated proportions at the given
-// confidence, with the paper's P = 0.5 oversampling on both sides:
-// z * sqrt(0.25/n1 + 0.25/n2).  This is the sound gate for "does the
-// pruned campaign's reweighted rate agree with the full campaign's" —
-// each estimate carries its own sampling error, so their difference is
-// wider than either alone.
-func DifferenceBound(confidence float64, n1, n2 int) (float64, error) {
-	if n1 <= 0 || n2 <= 0 {
-		return 0, fmt.Errorf("sampling: sample sizes must be positive")
-	}
-	z, err := ZForConfidence(confidence)
-	if err != nil {
-		return 0, err
-	}
-	return z * math.Sqrt(0.25/float64(n1)+0.25/float64(n2)), nil
-}
-
 // normQuantile computes the standard normal quantile function via the
 // Acklam rational approximation (relative error < 1.15e-9), refined by
 // one Halley step against erfc, which is plenty for experiment sizing.

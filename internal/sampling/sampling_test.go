@@ -163,65 +163,3 @@ func TestErrorPaths(t *testing.T) {
 		t.Error("p>1 must error")
 	}
 }
-
-func TestEffectiveSampleSize(t *testing.T) {
-	// Equal weights: n_eff equals n exactly, whatever the scale.
-	for _, w := range []float64{0.1, 1, 320} {
-		weights := []float64{w, w, w, w}
-		n, err := EffectiveSampleSize(weights)
-		if err != nil || math.Abs(n-4) > 1e-12 {
-			t.Errorf("equal weights %v: n_eff = %v, %v; want 4", w, n, err)
-		}
-	}
-	// Unequal weights shrink n_eff: (1+1+2)^2 / (1+1+4) = 16/6.
-	n, err := EffectiveSampleSize([]float64{1, 1, 2})
-	if err != nil || math.Abs(n-16.0/6.0) > 1e-12 {
-		t.Errorf("n_eff = %v, %v; want 16/6", n, err)
-	}
-	// A zero weight contributes nothing: one live draw out of two.
-	n, err = EffectiveSampleSize([]float64{1, 0})
-	if err != nil || n != 1 {
-		t.Errorf("n_eff with a zero weight = %v, %v; want 1", n, err)
-	}
-	// n_eff never exceeds len(weights) (Cauchy–Schwarz).
-	if n, _ := EffectiveSampleSize([]float64{3, 1, 0.5, 7}); n > 4 {
-		t.Errorf("n_eff = %v exceeds the sample count", n)
-	}
-	if _, err := EffectiveSampleSize([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := EffectiveSampleSize(nil); err == nil {
-		t.Error("empty weight set accepted")
-	}
-	if _, err := EffectiveSampleSize([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-}
-
-func TestDifferenceBound(t *testing.T) {
-	// Equal sizes: the bound is sqrt(2) times a single estimate's error.
-	d1, err := EstimationError(0.95, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := DifferenceBound(0.95, 400, 400)
-	if err != nil || math.Abs(d2-d1*math.Sqrt2) > 1e-12 {
-		t.Errorf("DifferenceBound(400,400) = %v, %v; want sqrt(2)*%v", d2, err, d1)
-	}
-	// The bound is symmetric and dominated by the smaller sample.
-	a, _ := DifferenceBound(0.95, 400, 100)
-	b, _ := DifferenceBound(0.95, 100, 400)
-	if a != b {
-		t.Errorf("asymmetric: %v vs %v", a, b)
-	}
-	single, _ := EstimationError(0.95, 100)
-	if a <= single {
-		t.Errorf("difference bound %v not wider than the weaker estimate's %v", a, single)
-	}
-	if _, err := DifferenceBound(0.95, 0, 400); err == nil {
-		t.Error("n1 = 0 accepted")
-	}
-	if _, err := DifferenceBound(1.5, 400, 400); err == nil {
-		t.Error("confidence outside (0,1) accepted")
-	}
-}

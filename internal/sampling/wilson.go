@@ -53,26 +53,6 @@ func WilsonHalfWidth(confidence float64, x, n int) (float64, error) {
 	return half, nil
 }
 
-// WilsonHalfWidthAt returns the Wilson half-width for a (possibly
-// non-integer) effective sample size n at proportion p.  Reweighted
-// estimators over unequal Horvitz–Thompson masses behave like uniform
-// samples of Kish's n_eff ≤ n draws, so their intervals are computed at
-// n_eff rather than the raw count.
-func WilsonHalfWidthAt(confidence, p, n float64) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("sampling: n must be positive")
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("sampling: proportion %v outside [0,1]", p)
-	}
-	z, err := ZForConfidence(confidence)
-	if err != nil {
-		return 0, err
-	}
-	_, half := wilson(z, p, n)
-	return half, nil
-}
-
 // NeededSamples returns the smallest n whose Wilson half-width at a
 // fixed proportion p is at most d.  Because the Wilson half-width at
 // p=0.5 is strictly below the Wald bound z·sqrt(0.25/n), the answer

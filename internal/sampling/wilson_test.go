@@ -84,7 +84,11 @@ func TestWilsonCapMeetsPaperTarget(t *testing.T) {
 func TestNeededSamplesKnownValues(t *testing.T) {
 	// At the paper contract (95 %, d=4.9 %): worst case near 400, benign
 	// strata an order of magnitude cheaper.  Values confirmed against a
-	// direct scan of WilsonHalfWidthAt.
+	// direct scan of the Wilson half-width.
+	z, err := ZForConfidence(0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		p    float64
 		want int
@@ -105,11 +109,11 @@ func TestNeededSamplesKnownValues(t *testing.T) {
 		}
 		// The binary search must land exactly on the boundary: n meets the
 		// target, n-1 does not.
-		if hw, _ := WilsonHalfWidthAt(0.95, c.p, float64(n)); hw > 0.049 {
+		if _, hw := wilson(z, c.p, float64(n)); hw > 0.049 {
 			t.Errorf("p=%v: n=%d does not meet the target (hw %v)", c.p, n, hw)
 		}
 		if n > 1 {
-			if hw, _ := WilsonHalfWidthAt(0.95, c.p, float64(n-1)); hw <= 0.049 {
+			if _, hw := wilson(z, c.p, float64(n-1)); hw <= 0.049 {
 				t.Errorf("p=%v: n=%d already meets the target, NeededSamples overshot", c.p, n-1)
 			}
 		}
@@ -140,12 +144,6 @@ func TestWilsonErrorPaths(t *testing.T) {
 	}
 	if _, err := WilsonHalfWidth(0.95, -1, 4); err == nil {
 		t.Error("x<0 accepted")
-	}
-	if _, err := WilsonHalfWidthAt(0.95, 1.5, 10); err == nil {
-		t.Error("p>1 accepted")
-	}
-	if _, err := WilsonHalfWidthAt(0.95, 0.5, 0); err == nil {
-		t.Error("n=0 accepted")
 	}
 	if _, err := NeededSamples(0.95, 0.049, -0.1); err == nil {
 		t.Error("p<0 accepted")
