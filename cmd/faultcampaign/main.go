@@ -12,8 +12,7 @@
 //	              [-metrics-addr :9090] [-metrics-out snapshot.json]
 //	              [-status 2s] [-forensics]
 //	              [-trace-diff] [-trace-out trace.json]
-//	              [-checkpoint-interval 12500] [-checkpoints 32]
-//	              [-no-superblock]
+//	              [-checkpoint-interval 12500]
 //	              [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // -worker turns the process into a campaign engine for a faultcoord
@@ -56,21 +55,14 @@
 //
 // Golden-run checkpointing is on by default: the golden run takes a
 // consistent snapshot of the cluster as it runs, at most every
-// -checkpoint-interval retired instructions (a floor: past -checkpoints
-// of them it keeps every other one and doubles the spacing), and each
+// -checkpoint-interval retired instructions (a floor: past 32 of them it
+// keeps every other one and doubles the spacing), and each
 // experiment starts from the latest snapshot at least 64 instructions
 // (the flight recorder's depth) before its injection instead of from
 // t=0.  A fixed-seed campaign produces
 // byte-identical tables, CSV and journals with checkpointing on or off —
 // it is purely a wall-clock optimization, for -adaptive rounds and a
 // -worker's leases too.  -checkpoint-interval 0 disables it.
-//
-// -no-superblock runs every machine on the per-instruction interpreter
-// instead of the compiled superblock tier (internal/vm/superblock.go).
-// A fixed-seed campaign produces byte-identical tables, CSV and
-// journals with superblocks on or off; the flag exists so differential
-// CI legs can prove that equivalence and so a miscompiled block can be
-// bisected away from an interpreter bug.
 //
 // -shard i/K runs only shard i of the K-way partition of the campaign
 // plan.  Because every experiment's random stream is derived from
@@ -206,8 +198,6 @@ func run() int {
 	traceOut := flag.String("trace-out", "", "write the golden run's trace identity (app, seed, rank/message counts, hash of its tapes) as JSON to this file (requires a single -app)")
 	statusEvery := flag.Duration("status", 0, "print a one-line campaign status to stderr at this interval (e.g. 2s; 0 = off)")
 	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "least golden-run instructions between the snapshots the golden run takes of itself; experiments start from the latest one before their trigger (0 = always start from t=0)")
-	ckptMax := flag.Int("checkpoints", 0, "maximum checkpoints the golden run keeps; a longer run widens the spacing instead (0 = default)")
-	noSuperblock := flag.Bool("no-superblock", false, "run the per-instruction interpreter instead of the compiled superblock tier (differential CI legs, bisection); fixed-seed output is byte-identical either way")
 	workerURL := flag.String("worker", "", "run as a lease-pulling worker for the faultcoord coordinator at this URL; the campaign spec comes from the coordinator")
 	workerName := flag.String("worker-name", "", "worker identity in the coordinator's cluster view (default host-pid)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: run each region in deterministic rounds and stop once its Wilson CI half-width reaches -d, instead of the fixed worst-case -n everywhere")
@@ -230,7 +220,7 @@ func run() int {
 			case "shard", "journal", "resume", "app", "n", "seed", "regions",
 				"csv", "predict", "forensics",
 				"trace-diff", "trace-out",
-				"checkpoint-interval", "checkpoints",
+				"checkpoint-interval",
 				"adaptive", "d", "confidence", "round", "ranks", "scale":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
@@ -453,11 +443,6 @@ func run() int {
 			TraceDiff:   *traceDiff,
 
 			CheckpointInterval: *ckptInterval,
-			MaxCheckpoints:     *ckptMax,
-			DisableSuperblocks: *noSuperblock,
-		}
-		if *ckptInterval == 0 {
-			cfg.MaxCheckpoints = 0 // -checkpoint-interval 0 means fully off
 		}
 		if *adaptive {
 			cfg.Injections = 0 // the planner sizes the plan itself

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := core.Run(core.Config{
-		Image: im, Ranks: a.Default.Ranks,
+		Image: im, Ranks: a.Default.Ranks, Golden: golden,
 		Injections: 1, Regions: []core.Region{r}, Seed: *seed,
 		KeepExperiments: true,
 	})

@@ -33,7 +33,7 @@ func measure(withChecksums bool, injections int) (overheadInstrs uint64, tally c
 		log.Fatal(err)
 	}
 	res, err := core.Run(core.Config{
-		Image: im, Ranks: cfg.Ranks,
+		Image: im, Ranks: cfg.Ranks, Golden: golden,
 		Injections: injections,
 		Regions:    []core.Region{core.RegionMessage},
 		Seed:       11,

@@ -122,7 +122,7 @@ func main() {
 
 	// A small campaign over three regions of the new program.
 	res, err := core.Run(core.Config{
-		Image: im, Ranks: ranks, Injections: 40, Seed: 3,
+		Image: im, Ranks: ranks, Golden: golden, Injections: 40, Seed: 3,
 		Regions: []core.Region{core.RegionRegularReg, core.RegionFPReg, core.RegionMessage},
 	})
 	if err != nil {

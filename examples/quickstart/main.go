@@ -44,6 +44,7 @@ func main() {
 	res, err := core.Run(core.Config{
 		Image:           im,
 		Ranks:           app.Default.Ranks,
+		Golden:          golden,
 		Injections:      10,
 		Regions:         []core.Region{core.RegionRegularReg},
 		Seed:            2004, // the year of the paper; any seed works

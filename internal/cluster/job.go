@@ -42,8 +42,6 @@ type Job struct {
 	// instruments "a randomly selected MPI process").
 	Tracer    vm.Tracer
 	TraceRank int
-	// PMPIHook, when non-nil, observes every API-layer MPI call.
-	PMPIHook mpi.PMPIHook
 	// Metrics, when non-nil, receives job telemetry: retired
 	// instructions, traps by signal, budget exhaustions, MPI message
 	// and byte counts, hang verdicts by cause, scheduler switches and
@@ -68,12 +66,8 @@ type Job struct {
 	Restore *Snapshot
 	// Ghosts, when non-nil, starts every rank but one as a ghost of a
 	// recorded run (ghost.go).  Setup and Tracer reach a ghost when it
-	// materializes, PMPIHook never; Checkpoints is ignored.
+	// materializes; Checkpoints is ignored.
 	Ghosts *Ghosts
-	// DisableSuperblocks forces every rank's machine onto the
-	// per-instruction interpreter (faultcampaign -no-superblock); the
-	// differential CI legs use it to cross-check compiled execution.
-	DisableSuperblocks bool
 }
 
 // RankResult is the terminal state of one rank.
@@ -270,10 +264,6 @@ func Run(job Job) *Result {
 	if job.Restore != nil {
 		world.SetCtxCounter(job.Restore.CtxCounter)
 	}
-	if job.PMPIHook != nil {
-		world.SetPMPIHook(job.PMPIHook)
-	}
-
 	res := &Result{
 		Ranks:  make([]RankResult, job.Size),
 		Stdout: make([][]byte, job.Size),
@@ -469,9 +459,6 @@ func (job *Job) newRank(r int, proc *mpi.Proc, io *rankIO, rs *RankSnapshot) *vm
 		proc.Restore(rs.MPI)
 	} else {
 		m = vm.New(job.Image)
-	}
-	if job.DisableSuperblocks {
-		m.DisableSuperblocks()
 	}
 	m.Handler = io
 	if job.Tracer != nil && r == job.TraceRank {

@@ -255,29 +255,6 @@ func TestAnySourceAnyTag(t *testing.T) {
 	}
 }
 
-// TestPMPIHookObservesCalls: the profiling-interface hook sees every
-// API-layer entry, as the paper's PMPI wrappers do.
-func TestPMPIHookObservesCalls(t *testing.T) {
-	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
-		f.CallArgs("MPI_Init")
-		f.CallArgs("MPI_Barrier", asm.Imm(abi.CommWorld))
-		f.CallArgs("MPI_Finalize")
-	})
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	calls := map[string]int{}
-	res := Run(Job{Image: im, Size: 2, Budget: 10_000_000,
-		PMPIHook: func(rank int, fn string) {
-			<-mu
-			calls[fn]++
-			mu <- struct{}{}
-		}})
-	mustExitClean(t, res)
-	if calls["MPI_Init"] != 2 || calls["MPI_Barrier"] != 2 || calls["MPI_Finalize"] != 2 {
-		t.Fatalf("hook observed %v", calls)
-	}
-}
-
 // TestFileStoreMultipleFiles: named output files are collected per name.
 func TestFileStoreMultipleFiles(t *testing.T) {
 	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {

@@ -31,8 +31,8 @@ type SoloResult struct {
 // that rank's recording from the run job.Restore was captured in, or from
 // any recorded run of the job when starting at t=0 — standing in for every
 // other rank: no peer machines, coroutines, queues or scheduler.  Of the
-// job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer,
-// DisableSuperblocks and Metrics.
+// job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer and
+// Metrics.
 func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
 	var rs *RankSnapshot
 	pos := 0

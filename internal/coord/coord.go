@@ -114,6 +114,11 @@ const (
 	DefaultLeaseTTL  = 15 * time.Second
 )
 
+// maxLeaseFailures bounds how often one lease may be explicitly failed by
+// workers before the campaign is declared failed (a deterministically
+// failing lease would otherwise retry forever).
+const maxLeaseFailures = 8
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Metrics receives the cluster telemetry (lease state, ingestion
@@ -126,11 +131,6 @@ type Config struct {
 	Dir string
 	// Now is the clock; nil means time.Now.  Injectable for tests.
 	Now func() time.Time
-	// MaxLeaseFailures bounds how often one lease may be explicitly
-	// failed by workers before the campaign is declared failed (a
-	// deterministically failing lease would otherwise retry forever).
-	// 0 means 8.
-	MaxLeaseFailures int
 }
 
 type leaseState int
@@ -208,9 +208,6 @@ type Coordinator struct {
 func New(cfg Config) *Coordinator {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.MaxLeaseFailures <= 0 {
-		cfg.MaxLeaseFailures = 8
 	}
 	return &Coordinator{cfg: cfg, met: newCoordMeters(cfg.Metrics)}
 }
@@ -849,7 +846,7 @@ func (co *Coordinator) Fail(idx, gen int, worker, cause string) error {
 	}
 	co.touchWorkerLocked(worker)
 	l.failures++
-	if l.failures >= co.cfg.MaxLeaseFailures {
+	if l.failures >= maxLeaseFailures {
 		co.failLocked(fmt.Errorf("lease %d failed %d times (last: %s)", idx, l.failures, cause))
 		return nil
 	}

@@ -404,11 +404,11 @@ func TestWorkerJoinsAfterQueueDrains(t *testing.T) {
 // TestRepeatedFailuresFailCampaign: a deterministically unrunnable lease
 // must surface as campaign failure, not retry forever.
 func TestRepeatedFailuresFailCampaign(t *testing.T) {
-	co := New(Config{Metrics: telemetry.New(), Now: newFakeClock().Now, MaxLeaseFailures: 3})
+	co := New(Config{Metrics: telemetry.New(), Now: newFakeClock().Now})
 	if err := co.Submit(testSpec(8, time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxLeaseFailures; i++ {
 		g, ok, err := co.Acquire("w1")
 		if err != nil {
 			break

@@ -281,7 +281,7 @@ func TestNormalizeAdaptiveValidation(t *testing.T) {
 		t.Error("explicit entries accepted")
 	}
 	cfg = base()
-	cfg.CheckpointInterval, cfg.MaxCheckpoints = 1000, 4
+	cfg.CheckpointInterval = 1000
 	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		t.Errorf("checkpointing refused (rounds restore from the golden's checkpoints): %v", err)
 	}

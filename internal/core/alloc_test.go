@@ -29,8 +29,8 @@ func TestRestoredJobAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := &Config{Image: im, Ranks: 16, WallLimit: 30 * time.Second,
-		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: DefaultMaxCheckpoints}
-	golden, err := runGolden(cfg)
+		CheckpointInterval: DefaultCheckpointInterval}
+	golden, err := runGolden(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

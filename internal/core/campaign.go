@@ -60,18 +60,22 @@ func (g *Golden) MaxInstrs() uint64 {
 
 // RunGolden executes the fault-free reference run.
 func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration) (*Golden, error) {
-	return runGolden(&Config{Image: im, Ranks: ranks, MPIConfig: mpiCfg, WallLimit: wall})
+	return runGolden(&Config{Image: im, Ranks: ranks, MPIConfig: mpiCfg, WallLimit: wall}, nil)
 }
 
-// runGolden is RunGolden with what a campaign adds: its interpreter
-// escape hatch and the snapshots the run takes of itself when
-// cfg.CheckpointInterval is set.  It is the one place the fault-free job
-// is executed.
-func runGolden(cfg *Config) (*Golden, error) {
+// runGolden is RunGolden with what a campaign adds: the snapshots the
+// run takes of itself when cfg.CheckpointInterval is set, at most
+// DefaultMaxCheckpoints of them.  It is the one place the fault-free job
+// is executed; built, when non-nil, sees every rank's machine before it
+// runs (the campaignCtx.built test seam).
+func runGolden(cfg *Config, built func(*vm.Machine)) (*Golden, error) {
 	job := cluster.Job{
 		Image: cfg.Image, Size: cfg.Ranks, MPIConfig: cfg.MPIConfig, WallLimit: cfg.WallLimit,
-		RecordTapes: true, DisableSuperblocks: cfg.DisableSuperblocks,
-		Checkpoints: cluster.CheckpointSpec{Interval: cfg.CheckpointInterval, Max: cfg.MaxCheckpoints},
+		RecordTapes: true,
+		Checkpoints: cluster.CheckpointSpec{Interval: cfg.CheckpointInterval, Max: DefaultMaxCheckpoints},
+	}
+	if built != nil {
+		job.Setup = func(_ int, m *vm.Machine, _ *mpi.Proc) { built(m) }
 	}
 	res := cluster.Run(job)
 	if res.HangDetected {
@@ -138,9 +142,6 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds concurrently executing jobs; 0 picks a default.
 	Parallelism int
-	// BudgetMultiplier scales the golden max instruction count into the
-	// per-rank livelock budget; 0 means 4x.
-	BudgetMultiplier int
 	// WallLimit is the per-run wall-clock fallback; 0 means 10s.
 	WallLimit time.Duration
 	// Progress, when non-nil, is called after every finished experiment.
@@ -222,15 +223,6 @@ type Config struct {
 	// outcomes, CSV and journal are byte-identical with checkpointing on
 	// or off.
 	CheckpointInterval uint64
-	// MaxCheckpoints caps how many checkpoints the golden run keeps; 0
-	// means DefaultMaxCheckpoints when checkpointing is enabled.
-	MaxCheckpoints int
-	// DisableSuperblocks runs every machine — golden and experiment — on
-	// the per-instruction interpreter instead of the
-	// compiled superblock tier (faultcampaign -no-superblock).  Fixed-seed
-	// outcomes, CSV and journal are byte-identical either way; the flag
-	// exists so CI legs and bisection can prove exactly that.
-	DisableSuperblocks bool
 	// Adaptive selects the sequential-stopping planner (see adaptive.go
 	// and internal/sampling): the campaign runs in deterministic rounds
 	// and stops each region once its Wilson CI half-width reaches
@@ -370,9 +362,6 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	if len(cfg.Regions) == 0 {
 		cfg.Regions = Regions()
 	}
-	if cfg.BudgetMultiplier <= 0 {
-		cfg.BudgetMultiplier = 4
-	}
 	if cfg.WallLimit == 0 {
 		cfg.WallLimit = 10 * time.Second
 	}
@@ -386,29 +375,18 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 		return nil, fmt.Errorf("core: shard %d/%d out of range", cfg.Shard, cfg.NumShards)
 	}
 
-	ckptOn := cfg.CheckpointInterval > 0 || cfg.MaxCheckpoints > 0
-	if ckptOn {
-		if cfg.CheckpointInterval == 0 {
-			cfg.CheckpointInterval = DefaultCheckpointInterval
-		}
-		if cfg.MaxCheckpoints <= 0 {
-			cfg.MaxCheckpoints = DefaultMaxCheckpoints
-		}
-	} else {
-		cfg.CheckpointInterval = 0 // the golden run takes no snapshots
-	}
-
+	ckptOn := cfg.CheckpointInterval > 0
 	met := newCampaignMeters(cfg.Metrics)
 	golden := cfg.Golden
 	if golden == nil {
 		var err error
-		if golden, err = runGolden(&cfg); err != nil {
+		if golden, err = runGolden(&cfg, built); err != nil {
 			return nil, err
 		}
 		met.ckptTaken.Add(uint64(len(golden.Result.Snapshots)))
 	}
 	dict := NewDictionary(cfg.Image)
-	budget := golden.MaxInstrs() * uint64(cfg.BudgetMultiplier)
+	budget := golden.MaxInstrs() * budgetMultiplier
 
 	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
 	entries := cfg.Entries
@@ -747,14 +725,13 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		end        earlyEnd // why it did
 	)
 	job := cluster.Job{
-		Image:              cfg.Image,
-		Size:               cfg.Ranks,
-		MPIConfig:          cfg.MPIConfig,
-		Budget:             c.budget,
-		WallLimit:          cfg.WallLimit,
-		Metrics:            cfg.Metrics,
-		DisableSuperblocks: cfg.DisableSuperblocks,
-		Restore:            c.startPoint(ckpt),
+		Image:     cfg.Image,
+		Size:      cfg.Ranks,
+		MPIConfig: cfg.MPIConfig,
+		Budget:    c.budget,
+		WallLimit: cfg.WallLimit,
+		Metrics:   cfg.Metrics,
+		Restore:   c.startPoint(ckpt),
 	}
 
 	// The flight recorder rides the existing Tracer hook on the injected

@@ -23,12 +23,17 @@ package core
 const (
 	// DefaultCheckpointInterval is the golden-run instruction spacing
 	// between cluster checkpoints.  It is a floor: a run that would take
-	// more than MaxCheckpoints at it keeps every other one and doubles the
-	// spacing, so they cover the whole execution instead of its start.
+	// more than DefaultMaxCheckpoints at it keeps every other one and
+	// doubles the spacing, so they cover the whole execution instead of
+	// its start.
 	DefaultCheckpointInterval = 12_500
 	// DefaultMaxCheckpoints caps the number of checkpoints per campaign;
 	// memory is bounded by checkpoints × touched pages (COW-shared).
 	DefaultMaxCheckpoints = 32
+	// budgetMultiplier scales the golden run's longest rank into the
+	// per-rank livelock budget: a rank that retires four times as many
+	// instructions is a Hang.
+	budgetMultiplier = 4
 )
 
 // CheckpointStats summarizes checkpoint usage for one campaign.

@@ -14,7 +14,7 @@ import (
 func testArm(cfg *Config, golden *Golden) *campaignCtx {
 	c := &campaignCtx{
 		cfg: cfg, golden: golden, dict: NewDictionary(cfg.Image),
-		budget: 4 * golden.MaxInstrs(), base: rng.New(cfg.Seed), met: newCampaignMeters(cfg.Metrics),
+		budget: budgetMultiplier * golden.MaxInstrs(), base: rng.New(cfg.Seed), met: newCampaignMeters(cfg.Metrics),
 	}
 	if cfg.CheckpointInterval > 0 {
 		c.snaps = golden.Result.Snapshots
@@ -42,8 +42,7 @@ func runArm(c *campaignCtx, cfg *Config) *Result {
 // testGolden is runGolden at the settings the arms above assume.
 func testGolden(cfg *Config) (*Golden, error) {
 	cfg.WallLimit = 30 * time.Second
-	cfg.MaxCheckpoints = DefaultMaxCheckpoints
-	return runGolden(cfg)
+	return runGolden(cfg, nil)
 }
 
 // SoloDifferential runs every entry of cfg's plan twice on one thread —
@@ -61,8 +60,9 @@ func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 	return runArm(testArm(&cfg, golden), &cfg), runArm(ref, &cfg), nil
 }
 
-// RunBuilt is Run with every machine its experiments build — read-index
-// replays included — shown to built before it runs.
+// RunBuilt is Run with every machine it builds — the golden run's, its
+// experiments' and the read index's replays — shown to built before it
+// runs.
 func RunBuilt(cfg Config, built func(*vm.Machine)) (*Result, error) { return run(cfg, built) }
 
 // MachineInstrs runs every entry of cfg's plan as SoloDifferential's

@@ -59,12 +59,12 @@ func goldenTapesReproducible(t *testing.T, interval uint64) {
 			t.Fatal(err)
 		}
 		cfg := Config{Image: im, Ranks: tc.ranks, MPIConfig: defaultMPI(), WallLimit: 30 * time.Second,
-			CheckpointInterval: interval, MaxCheckpoints: DefaultMaxCheckpoints}
+			CheckpointInterval: interval}
 		var first *Golden
 		for i := 0; i < 20; i++ {
 			procs := []int{1, 2, 8}[i%3]
 			runtime.GOMAXPROCS(procs)
-			g, err := runGolden(&cfg)
+			g, err := runGolden(&cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestExperimentPanicFailsLoudly: a host panic inside one experiment — here
-// raised as the campaign builds its eighth machine — fails the campaign
+// raised as the campaign builds its eighth machine after the golden run's
+// one per rank — fails the campaign
 // with an error naming that experiment's region/index, seed, rank and
 // trigger, where the process would otherwise die with a bare stack.  On one
 // worker, the experiments before it still reach OnExperiment, in plan
@@ -32,7 +33,7 @@ func TestExperimentPanicFailsLoudly(t *testing.T) {
 			built++
 			n := built
 			mu.Unlock()
-			if n == 8 {
+			if n == ranks+8 {
 				panic("host bug")
 			}
 		})

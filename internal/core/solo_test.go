@@ -22,8 +22,8 @@ import (
 func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
 	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
-		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: 8}
-	golden, err := runGolden(&cfg)
+		CheckpointInterval: DefaultCheckpointInterval}
+	golden, err := runGolden(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
 	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
-		CheckpointInterval: DefaultCheckpointInterval, MaxCheckpoints: 8}
-	golden, err := runGolden(&cfg)
+		CheckpointInterval: DefaultCheckpointInterval}
+	golden, err := runGolden(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

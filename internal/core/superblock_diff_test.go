@@ -4,15 +4,17 @@ package core_test
 // all three guest applications: a fixed-seed campaign — register, memory
 // and message faults across every region — must produce byte-identical
 // artifacts (campaign CSV and JSONL journal) with compiled superblock
-// execution on, off (the faultcampaign -no-superblock escape hatch), and
-// under checkpointed restore with superblocks on.  Like checkpointing,
-// the tier is a pure wall-clock optimization; any observable difference
-// is a bug.  The vm-level differential suite covers the third execution
-// mode (DisablePredecode, full byte-decode) at per-instruction
-// granularity.
+// execution on, off — every machine, the golden run's included, on the
+// per-instruction interpreter through core.RunBuilt — and under
+// checkpointed restore with superblocks on.  Like checkpointing, the tier
+// is a pure wall-clock optimization; any observable difference is a bug.
+// The vm-level differential suite and FuzzSuperblockLockstep cover it
+// instruction by instruction, and the third execution mode
+// (DisablePredecode, full byte-decode) too.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,6 +24,7 @@ import (
 	"mpifault/internal/core"
 	"mpifault/internal/image"
 	"mpifault/internal/report"
+	"mpifault/internal/vm"
 )
 
 func buildApp(t testing.TB, name string) (*image.Image, int) {
@@ -37,16 +40,16 @@ func buildApp(t testing.TB, name string) (*image.Image, int) {
 	return im, a.Default.Ranks
 }
 
-// sbArtifacts runs one fixed-seed campaign and returns its CSV report and
-// raw journal bytes.
-func sbArtifacts(t *testing.T, name string, im *image.Image, ranks int, noSB bool, interval uint64) (string, []byte) {
+// sbArtifacts runs one fixed-seed campaign and returns its CSV report, raw
+// journal bytes and its golden run's output and per-rank instruction
+// counts.
+func sbArtifacts(t *testing.T, name string, im *image.Image, ranks int, noSB bool, interval uint64) (string, []byte, string) {
 	t.Helper()
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: 6, Seed: 4242,
 		Parallelism:        2,
 		WallLimit:          60 * time.Second,
 		KeepExperiments:    true,
-		DisableSuperblocks: noSB,
 		CheckpointInterval: interval,
 	}
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -59,7 +62,11 @@ func sbArtifacts(t *testing.T, name string, im *image.Image, ranks int, noSB boo
 			t.Errorf("journal append: %v", err)
 		}
 	}
-	res, err := core.Run(cfg)
+	var built func(*vm.Machine)
+	if noSB {
+		built = (*vm.Machine).DisableSuperblocks
+	}
+	res, err := core.RunBuilt(cfg, built)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +79,7 @@ func sbArtifacts(t *testing.T, name string, im *image.Image, ranks int, noSB boo
 	}
 	var csv bytes.Buffer
 	report.WriteCampaignCSV(&csv, name, res)
-	return csv.String(), raw
+	return csv.String(), raw, fmt.Sprintf("%q %v", res.Golden.Output, res.Golden.Instrs)
 }
 
 func TestSuperblockCampaignDifferential(t *testing.T) {
@@ -84,7 +91,7 @@ func TestSuperblockCampaignDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			im, ranks := buildApp(t, name)
-			refCSV, refJournal := sbArtifacts(t, name, im, ranks, false, 0)
+			refCSV, refJournal, refGolden := sbArtifacts(t, name, im, ranks, false, 0)
 			for _, tc := range []struct {
 				label    string
 				noSB     bool
@@ -93,7 +100,10 @@ func TestSuperblockCampaignDifferential(t *testing.T) {
 				{"superblocks-off", true, 0},
 				{"checkpointed", false, core.DefaultCheckpointInterval},
 			} {
-				csv, journal := sbArtifacts(t, name, im, ranks, tc.noSB, tc.interval)
+				csv, journal, golden := sbArtifacts(t, name, im, ranks, tc.noSB, tc.interval)
+				if golden != refGolden {
+					t.Errorf("%s: golden run differs from superblocks-on run", tc.label)
+				}
 				if csv != refCSV {
 					t.Errorf("%s: CSV differs from superblocks-on run:\n--- on ---\n%s\n--- %s ---\n%s",
 						tc.label, refCSV, tc.label, csv)

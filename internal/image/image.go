@@ -164,17 +164,6 @@ func (im *Image) Lookup(name string) (Symbol, bool) {
 	return Symbol{}, false
 }
 
-// SymbolsOwnedBy returns all symbols of the given owner and kind.
-func (im *Image) SymbolsOwnedBy(owner Owner, kind SymKind) []Symbol {
-	var out []Symbol
-	for _, s := range im.Symbols {
-		if s.Owner == owner && s.Kind == kind {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // InUserText reports whether addr lies inside a user-owned function —
 // the test the stack walker applies to return addresses (§3.2).
 func (im *Image) InUserText(addr uint32) bool {

@@ -59,16 +59,6 @@ func TestInUserText(t *testing.T) {
 	}
 }
 
-func TestSymbolsOwnedBy(t *testing.T) {
-	im := testImage()
-	if got := im.SymbolsOwnedBy(OwnerUser, SymFunc); len(got) != 1 || got[0].Name != "main" {
-		t.Fatalf("user funcs = %+v", got)
-	}
-	if got := im.SymbolsOwnedBy(OwnerMPI, SymData); len(got) != 1 || got[0].Name != "mdata" {
-		t.Fatalf("mpi data = %+v", got)
-	}
-}
-
 func TestSectionSizes(t *testing.T) {
 	im := testImage()
 	sizes := im.SectionSizes()

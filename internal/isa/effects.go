@@ -188,9 +188,6 @@ func (op Op) WritesFlags() bool { return op.writesOp(OperandFlags) }
 // model must assume r0-r3 read and nothing usefully defined.
 func (op Op) IsSyscall() bool { return op.effects().syscall }
 
-// UsesSP reports whether op implicitly reads or adjusts the stack pointer.
-func (op Op) UsesSP() bool { return op.readsOp(OperandSP) || op.writesOp(OperandSP) }
-
 // HasEffects reports whether the effects table defines op.  Every opcode
 // below opMax is defined (TestEffectsComplete enforces it); the method
 // exists so that test and future extensions can check explicitly.

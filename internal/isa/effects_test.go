@@ -75,9 +75,6 @@ func TestEffectsSpotChecks(t *testing.T) {
 	if !OpSys.IsSyscall() || OpMovi.IsSyscall() {
 		t.Error("IsSyscall misclassifies")
 	}
-	if !OpPush.UsesSP() || !OpRet.UsesSP() || OpAdd.UsesSP() {
-		t.Error("UsesSP misclassifies")
-	}
 
 	// Instr-level register extraction, including the Rc slot sharing.
 	st := Instr{Op: OpSt, Ra: R1, Rb: RegNone, Imm: 8}

@@ -138,11 +138,6 @@ func TestRegisterNames(t *testing.T) {
 	if GPRName(99) != "r?" {
 		t.Fatal("out-of-range register must name as r?")
 	}
-	for i := 0; i < NumFPEnv; i++ {
-		if FPEnvName(i) == "FP?" {
-			t.Errorf("FP env register %d unnamed", i)
-		}
-	}
 }
 
 func TestTagConstants(t *testing.T) {

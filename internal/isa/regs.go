@@ -104,25 +104,3 @@ const (
 	FlagsReadableBits = 4
 	SWDTopMask        = 7 << 11
 )
-
-// FPEnvName returns the x87-style name of a special FP register.
-func FPEnvName(i int) string {
-	switch i {
-	case FPEnvCWD:
-		return "CWD"
-	case FPEnvSWD:
-		return "SWD"
-	case FPEnvTWD:
-		return "TWD"
-	case FPEnvFIP:
-		return "FIP"
-	case FPEnvFCS:
-		return "FCS"
-	case FPEnvFOO:
-		return "FOO"
-	case FPEnvFOS:
-		return "FOS"
-	default:
-		return "FP?"
-	}
-}

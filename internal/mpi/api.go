@@ -19,23 +19,6 @@ import (
 // the job the way MPICH's signal/error handling does, which the harness
 // classifies as a Crash.
 
-// PMPIHook observes every API-layer entry, mirroring the paper's use of
-// the MPI profiling interface to interpose wrappers.
-type PMPIHook func(rank int, fn string)
-
-// SetPMPIHook installs hook on every rank of the world.
-func (w *World) SetPMPIHook(hook PMPIHook) {
-	for _, p := range w.procs {
-		p.pmpi = hook
-	}
-}
-
-func (p *Proc) enter(fn string) {
-	if p.pmpi != nil {
-		p.pmpi(p.rank, fn)
-	}
-}
-
 // apiError reports an argument-check failure.  With a registered handler
 // the run is labelled MPI-Detected (TrapMPIHandler); otherwise MPICH's
 // default MPI_ERRORS_ARE_FATAL aborts the job (TrapMPIFatal).
@@ -94,7 +77,6 @@ func (p *Proc) checkUserTag(m *vm.Machine, tag int32, wildcardOK bool) *vm.Trap 
 
 // Init implements MPI_Init.
 func (p *Proc) Init(m *vm.Machine) *vm.Trap {
-	p.enter("MPI_Init")
 	if p.inited {
 		return p.apiError(m, abi.ErrOther, "MPI_Init called twice")
 	}
@@ -104,7 +86,6 @@ func (p *Proc) Init(m *vm.Machine) *vm.Trap {
 
 // Finalize implements MPI_Finalize.
 func (p *Proc) Finalize(m *vm.Machine) *vm.Trap {
-	p.enter("MPI_Finalize")
 	if t := p.checkInited(m); t != nil {
 		return t
 	}
@@ -122,7 +103,6 @@ func (p *Proc) Finalize(m *vm.Machine) *vm.Trap {
 
 // CommRank implements MPI_Comm_rank.
 func (p *Proc) CommRank(m *vm.Machine, comm int32) (int32, *vm.Trap) {
-	p.enter("MPI_Comm_rank")
 	if t := p.checkInited(m); t != nil {
 		return 0, t
 	}
@@ -135,7 +115,6 @@ func (p *Proc) CommRank(m *vm.Machine, comm int32) (int32, *vm.Trap) {
 
 // CommSize implements MPI_Comm_size.
 func (p *Proc) CommSize(m *vm.Machine, comm int32) (int32, *vm.Trap) {
-	p.enter("MPI_Comm_size")
 	if t := p.checkInited(m); t != nil {
 		return 0, t
 	}
@@ -150,7 +129,6 @@ func (p *Proc) CommSize(m *vm.Machine, comm int32) (int32, *vm.Trap) {
 // address of the user callback.  As in the paper, invoking the handler
 // labels the run "MPI Detected".
 func (p *Proc) ErrhandlerSet(m *vm.Machine, comm int32, handler uint32) *vm.Trap {
-	p.enter("MPI_Errhandler_set")
 	if _, t := p.resolveComm(m, comm); t != nil {
 		return t
 	}
@@ -161,7 +139,6 @@ func (p *Proc) ErrhandlerSet(m *vm.Machine, comm int32, handler uint32) *vm.Trap
 // CommSplit implements MPI_Comm_split, returning the new handle (0 for
 // MPI_UNDEFINED colors).
 func (p *Proc) CommSplit(m *vm.Machine, comm, color, key int32) (int32, *vm.Trap) {
-	p.enter("MPI_Comm_split")
 	if t := p.checkInited(m); t != nil {
 		return 0, t
 	}
@@ -174,7 +151,6 @@ func (p *Proc) CommSplit(m *vm.Machine, comm, color, key int32) (int32, *vm.Trap
 
 // CommDup implements MPI_Comm_dup.
 func (p *Proc) CommDup(m *vm.Machine, comm int32) (int32, *vm.Trap) {
-	p.enter("MPI_Comm_dup")
 	if t := p.checkInited(m); t != nil {
 		return 0, t
 	}
@@ -214,7 +190,6 @@ func (p *Proc) sendChecks(m *vm.Machine, buf uint32, count, dtype, dest, tag, co
 
 // Send implements MPI_Send.
 func (p *Proc) Send(m *vm.Machine, buf uint32, count, dtype, dest, tag, comm int32) *vm.Trap {
-	p.enter("MPI_Send")
 	ci, payload, t := p.sendChecks(m, buf, count, dtype, dest, tag, comm)
 	if t != nil {
 		return t
@@ -226,7 +201,6 @@ func (p *Proc) Send(m *vm.Machine, buf uint32, count, dtype, dest, tag, comm int
 
 // Isend implements MPI_Isend; the request handle is returned.
 func (p *Proc) Isend(m *vm.Machine, buf uint32, count, dtype, dest, tag, comm int32) (int32, *vm.Trap) {
-	p.enter("MPI_Isend")
 	ci, payload, t := p.sendChecks(m, buf, count, dtype, dest, tag, comm)
 	if t != nil {
 		return 0, t
@@ -293,7 +267,6 @@ func worldSource(ci *commInfo, source int32) int32 {
 // Recv implements MPI_Recv.  status, when nonzero, receives
 // {source, tag, count} as three 32-bit words.
 func (p *Proc) Recv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm int32, status uint32) *vm.Trap {
-	p.enter("MPI_Recv")
 	ci, t := p.recvChecks(m, count, dtype, source, tag, comm)
 	if t != nil {
 		return t
@@ -318,7 +291,6 @@ func (p *Proc) Recv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm i
 
 // Irecv implements MPI_Irecv; the request handle is returned.
 func (p *Proc) Irecv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm int32) (int32, *vm.Trap) {
-	p.enter("MPI_Irecv")
 	ci, t := p.recvChecks(m, count, dtype, source, tag, comm)
 	if t != nil {
 		return 0, t
@@ -336,7 +308,6 @@ func (p *Proc) Irecv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm 
 
 // Wait implements MPI_Wait on a request handle.
 func (p *Proc) Wait(m *vm.Machine, reqID int32, status uint32) *vm.Trap {
-	p.enter("MPI_Wait")
 	if t := p.checkInited(m); t != nil {
 		return t
 	}
@@ -359,7 +330,6 @@ func (p *Proc) Wait(m *vm.Machine, reqID int32, status uint32) *vm.Trap {
 // Waitall implements MPI_Waitall: reqArray holds count handles; statuses
 // (when nonzero) is an array of count 12-byte status blocks.
 func (p *Proc) Waitall(m *vm.Machine, count int32, reqArray, statuses uint32) *vm.Trap {
-	p.enter("MPI_Waitall")
 	if t := p.checkInited(m); t != nil {
 		return t
 	}
@@ -386,7 +356,6 @@ func (p *Proc) Waitall(m *vm.Machine, count int32, reqArray, statuses uint32) *v
 // blocking send — the deadlock-free halo-exchange primitive.
 func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag int32,
 	rbuf uint32, rcount, source, rtag, comm int32, status uint32) *vm.Trap {
-	p.enter("MPI_Sendrecv")
 	ci, payload, t := p.sendChecks(m, sbuf, scount, dtype, dest, stag, comm)
 	if t != nil {
 		return t
@@ -431,7 +400,6 @@ func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag in
 
 // Barrier implements MPI_Barrier.
 func (p *Proc) Barrier(m *vm.Machine, comm int32) *vm.Trap {
-	p.enter("MPI_Barrier")
 	if t := p.checkInited(m); t != nil {
 		return t
 	}
@@ -447,7 +415,6 @@ func (p *Proc) Barrier(m *vm.Machine, comm int32) *vm.Trap {
 
 // Bcast implements MPI_Bcast.
 func (p *Proc) Bcast(m *vm.Machine, buf uint32, count, dtype, root, comm int32) *vm.Trap {
-	p.enter("MPI_Bcast")
 	ci, t := p.commonCollChecks(m, count, dtype, root, comm)
 	if t != nil {
 		return t
@@ -476,7 +443,6 @@ func (p *Proc) Bcast(m *vm.Machine, buf uint32, count, dtype, root, comm int32) 
 
 // Reduce implements MPI_Reduce.
 func (p *Proc) Reduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, root, comm int32) *vm.Trap {
-	p.enter("MPI_Reduce")
 	ci, t := p.commonCollChecks(m, count, dtype, root, comm)
 	if t != nil {
 		return t
@@ -501,7 +467,6 @@ func (p *Proc) Reduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, root, 
 
 // Allreduce implements MPI_Allreduce as reduce-to-zero plus broadcast.
 func (p *Proc) Allreduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, comm int32) *vm.Trap {
-	p.enter("MPI_Allreduce")
 	ci, t := p.commonCollChecks(m, count, dtype, 0, comm)
 	if t != nil {
 		return t
@@ -527,7 +492,6 @@ func (p *Proc) Allreduce(m *vm.Machine, sbuf, rbuf uint32, count, dtype, op, com
 
 // Gather implements MPI_Gather (equal send/recv types and counts).
 func (p *Proc) Gather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint32, root, comm int32) *vm.Trap {
-	p.enter("MPI_Gather")
 	ci, t := p.commonCollChecks(m, count, dtype, root, comm)
 	if t != nil {
 		return t
@@ -549,7 +513,6 @@ func (p *Proc) Gather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint3
 
 // Allgather implements MPI_Allgather as gather-to-zero plus broadcast.
 func (p *Proc) Allgather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint32, comm int32) *vm.Trap {
-	p.enter("MPI_Allgather")
 	ci, t := p.commonCollChecks(m, count, dtype, 0, comm)
 	if t != nil {
 		return t
@@ -573,7 +536,6 @@ func (p *Proc) Allgather(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf ui
 
 // Scatter implements MPI_Scatter (equal send/recv types and counts).
 func (p *Proc) Scatter(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint32, root, comm int32) *vm.Trap {
-	p.enter("MPI_Scatter")
 	ci, t := p.commonCollChecks(m, count, dtype, root, comm)
 	if t != nil {
 		return t
@@ -599,7 +561,6 @@ func (p *Proc) Scatter(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint
 
 // Alltoall implements MPI_Alltoall (equal send/recv types and counts).
 func (p *Proc) Alltoall(m *vm.Machine, sbuf uint32, count, dtype int32, rbuf uint32, comm int32) *vm.Trap {
-	p.enter("MPI_Alltoall")
 	ci, t := p.commonCollChecks(m, count, dtype, 0, comm)
 	if t != nil {
 		return t

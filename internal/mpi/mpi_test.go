@@ -191,8 +191,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("header bytes = %d", s.HeaderBytes)
 	}
 	wantHdr := 100 * float64(4*HeaderBytes) / float64(4*HeaderBytes+1000)
-	if math.Abs(s.HeaderPercent()-wantHdr) > 1e-9 {
-		t.Fatalf("header%% = %v, want %v", s.HeaderPercent(), wantHdr)
+	if got := 100 * float64(s.HeaderBytes) / float64(s.TotalBytes()); math.Abs(got-wantHdr) > 1e-9 {
+		t.Fatalf("header%% = %v, want %v", got, wantHdr)
 	}
 	var agg Stats
 	agg.Add(s)

@@ -124,7 +124,6 @@ type Proc struct {
 	errhandler uint32 // guest address of the registered error handler, 0 if none
 	inited     bool
 	finalized  bool
-	pmpi       PMPIHook
 }
 
 // stored is a packet parked in the unexpected queue.  Eager payload bytes

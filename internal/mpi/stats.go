@@ -24,16 +24,6 @@ func (s *Stats) account(p *Packet) {
 // TotalBytes returns all bytes received at the Channel layer.
 func (s *Stats) TotalBytes() uint64 { return s.HeaderBytes + s.PayloadBytes }
 
-// HeaderPercent returns the share of received volume that is header —
-// the "Header" column of Table 1's message distribution.
-func (s *Stats) HeaderPercent() float64 {
-	t := s.TotalBytes()
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(s.HeaderBytes) / float64(t)
-}
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.ControlMsgs += other.ControlMsgs

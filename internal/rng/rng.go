@@ -66,11 +66,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -114,17 +109,6 @@ func (r *Rand) DeriveInto(dst *Rand, labels ...uint64) {
 		s = mix(s ^ (l + gamma))
 	}
 	dst.state = s
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 func mix(z uint64) uint64 {

@@ -114,27 +114,6 @@ func TestDeriveIsStableAndLabelled(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		m := int(n%64) + 1
-		p := New(seed).Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var r Rand
 	_ = r.Uint64()

@@ -22,10 +22,7 @@
 // over the recorded outcomes.
 package sampling
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Default knobs of the round schedule.  They are compile-time constants
 // rather than configuration so that a journal header pinning
@@ -264,9 +261,3 @@ func (p *Planner) TotalExecuted() int {
 // FixedTotal returns the experiment count the fixed-n design would have
 // spent on the same strata.
 func (p *Planner) FixedTotal() int { return p.cap * len(p.strata) }
-
-// Savings returns the adaptive campaign's cost as a fraction of the
-// fixed-n design (1.0 = no savings), for progress reporting.
-func (p *Planner) Savings() float64 {
-	return float64(p.TotalExecuted()) / math.Max(1, float64(p.FixedTotal()))
-}

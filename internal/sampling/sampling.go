@@ -43,22 +43,6 @@ func SampleSize(confidence, d float64) (int, error) {
 	return int(math.Ceil(0.25 * (z / d) * (z / d))), nil
 }
 
-// SampleSizeFor returns the minimum n for a known (or assumed) population
-// proportion P: n >= P(1-P)(z/d)^2.
-func SampleSizeFor(confidence, d, p float64) (int, error) {
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("sampling: proportion %v outside [0,1]", p)
-	}
-	if d <= 0 || d >= 1 {
-		return 0, fmt.Errorf("sampling: error bound %v outside (0,1)", d)
-	}
-	z, err := ZForConfidence(confidence)
-	if err != nil {
-		return 0, err
-	}
-	return int(math.Ceil(p * (1 - p) * (z / d) * (z / d))), nil
-}
-
 // EstimationError returns the error bound d achieved by n samples at the
 // given confidence with oversampling: d = z * sqrt(0.25/n).  For the
 // paper's n in [400, 500] at 95 % confidence this is 4.4-4.9 %.
@@ -84,23 +68,6 @@ func Describe(confidence float64, n int) (string, error) {
 	}
 	return fmt.Sprintf("n=%d per region -> estimation error %.1f%% at %.0f%% confidence",
 		n, 100*d, 100*confidence), nil
-}
-
-// ConfidenceInterval returns the Wald interval [lo, hi] (clamped to
-// [0, 1]) for a sample proportion p observed over n samples.
-func ConfidenceInterval(confidence float64, p float64, n int) (lo, hi float64, err error) {
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("sampling: n must be positive")
-	}
-	if p < 0 || p > 1 {
-		return 0, 0, fmt.Errorf("sampling: proportion %v outside [0,1]", p)
-	}
-	z, err := ZForConfidence(confidence)
-	if err != nil {
-		return 0, 0, err
-	}
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	return math.Max(0, p-half), math.Min(1, p+half), nil
 }
 
 // normQuantile computes the standard normal quantile function via the

@@ -64,18 +64,6 @@ func TestPaperSection43Numbers(t *testing.T) {
 	}
 }
 
-func TestSampleSizeForOversamplingIsWorstCase(t *testing.T) {
-	f := func(p100 uint8) bool {
-		p := float64(p100%101) / 100
-		nP, err1 := SampleSizeFor(0.95, 0.05, p)
-		nMax, err2 := SampleSize(0.95, 0.05)
-		return err1 == nil && err2 == nil && nP <= nMax
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEstimationErrorInvertsSampleSize(t *testing.T) {
 	// Round trip: sample size for error d achieves error <= d.
 	for _, d := range []float64{0.02, 0.044, 0.05, 0.1} {
@@ -107,24 +95,6 @@ func TestEstimationErrorDecreasesWithN(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	lo, hi, err := ConfidenceInterval(0.95, 0.5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lo-0.402) > 0.001 || math.Abs(hi-0.598) > 0.001 {
-		t.Fatalf("CI = [%v, %v], want ~[0.402, 0.598]", lo, hi)
-	}
-	// Degenerate proportions clamp to [0,1].
-	lo, hi, err = ConfidenceInterval(0.95, 0.0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 0 || hi != 0 {
-		t.Fatalf("CI at p=0 should collapse, got [%v, %v]", lo, hi)
-	}
-}
-
 func TestQuantileSymmetry(t *testing.T) {
 	f := func(u uint16) bool {
 		p := (float64(u%9998) + 1) / 10000 // (0, 1)
@@ -150,16 +120,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := SampleSize(0.95, 0); err == nil {
 		t.Error("d=0 must error")
 	}
-	if _, err := SampleSizeFor(0.95, 0.05, 1.5); err == nil {
-		t.Error("p>1 must error")
-	}
 	if _, err := EstimationError(0.95, 0); err == nil {
 		t.Error("n=0 must error")
-	}
-	if _, _, err := ConfidenceInterval(0.95, 0.5, 0); err == nil {
-		t.Error("n=0 must error")
-	}
-	if _, _, err := ConfidenceInterval(0.95, 2, 10); err == nil {
-		t.Error("p>1 must error")
 	}
 }

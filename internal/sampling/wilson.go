@@ -1,5 +1,4 @@
-// Wilson score intervals.  The Wald interval in ConfidenceInterval is
-// what the paper quotes, but it degenerates at the proportions fault
+// Wilson score intervals.  The Wald interval is what the paper quotes, but it degenerates at the proportions fault
 // campaigns actually meet (p near 0 for text/heap faults: the Wald
 // half-width collapses to zero at p=0 no matter how few samples ran).
 // The adaptive planner's sequential stopping rule therefore gates on the

@@ -42,8 +42,8 @@ func benchImage(b *testing.B) *image.Image {
 
 // BenchmarkStep measures per-retired-instruction cost of the
 // per-instruction interpreter (superblocks disabled): one benchmark op is
-// one instruction.  This is the floor the -no-superblock escape hatch and
-// the bail/dirty-slot fallback paths run at.
+// one instruction.  This is the floor the bail/dirty-slot/unaligned-PC
+// fallback paths run at.
 func BenchmarkStep(b *testing.B) {
 	im := benchImage(b)
 	m := New(im)

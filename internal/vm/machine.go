@@ -76,12 +76,6 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("%s at pc=0x%08x addr=0x%08x", t.Kind, t.PC, t.Addr)
 }
 
-// IsSignal reports whether the trap corresponds to a hardware signal the
-// MPI library's handler would catch (the paper's Crash category).
-func (t *Trap) IsSignal() bool {
-	return t.Kind == TrapSegv || t.Kind == TrapIll || t.Kind == TrapFpe
-}
-
 // Tracer observes memory activity for working-set analysis (§6.1.2).
 // Implementations must be cheap; the hooks run on every instruction.
 type Tracer interface {

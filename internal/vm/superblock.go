@@ -325,9 +325,9 @@ func compileSuperblocks(instrs []isa.Instr) ([]uop, []uint32) {
 }
 
 // DisableSuperblocks forces the machine back onto the per-instruction
-// interpreter (still through the predecode cache).  The differential
-// tests and the faultcampaign -no-superblock escape hatch use it to
-// check that compiled execution is semantically invisible.
+// interpreter (still through the predecode cache).  It is the reference
+// arm of the differential tests and FuzzSuperblockLockstep, which check
+// that compiled execution is semantically invisible; no campaign sets it.
 func (m *Machine) DisableSuperblocks() {
 	m.sbProg, m.sbEnd, m.sbEndOwned = nil, nil, false
 }
