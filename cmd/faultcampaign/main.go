@@ -485,6 +485,9 @@ func run() int {
 		resumed := 0
 		if *journalPath != "" {
 			hdr := report.CampaignHeader(name, cfg)
+			if build.Scale != a.Default.Scale {
+				hdr.Scale = int(build.Scale) // a different problem: not mixable with default-scale shards
+			}
 			if *resume {
 				var completed map[string]core.Experiment
 				journal, completed, err = report.ResumeJournal(*journalPath, hdr)

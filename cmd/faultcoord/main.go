@@ -6,22 +6,23 @@
 //
 // Usage:
 //
-//	faultcoord -addr :8700 [-addr-file path]
-//	           [-app wavetoy -n 500 -seed 1 [-regions reg,fp,...]
-//	            [-trace-diff]]
+//	faultcoord -app wavetoy [-n 500 | -adaptive [-d 0.049] [-confidence 0.95] [-round N]]
+//	           [-seed 1] [-regions reg,fp,...] [-trace-diff]
+//	           [-addr :8700] [-addr-file path]
 //	           [-lease-size 32] [-lease-ttl 15s]
 //	           [-dir spool/] [-wait] [-out final.csv]
 //	           [-status 5s] [-quiet]
 //
-// With campaign flags (-app and friends) the campaign is loaded at
-// startup; without them the coordinator waits for a POST /api/campaign.
-// Workers need nothing but the URL: every lease grant carries the full
-// spec, so `faultcampaign -worker http://host:8700` on any number of
-// machines is the whole cluster.  Slow or dead workers forfeit their
-// leases after -lease-ttl without a heartbeat; the lease returns to the
-// queue and the next worker re-runs it, with duplicate results resolved
-// idempotently — every experiment's outcome is a pure function of
-// (seed, region, index), so the re-run must agree byte for byte.
+// The campaign is loaded at startup from the flags; -app is required.
+// Workers need nothing but the URL: every lease grant carries the
+// campaign's journal header — the first line `faultcampaign -journal`
+// writes at the same flags — so `faultcampaign -worker http://host:8700`
+// on any number of machines is the whole cluster.  Slow or dead workers
+// forfeit their leases after -lease-ttl without a heartbeat; the lease
+// returns to the queue and the next worker re-runs it, with duplicate
+// results resolved idempotently — every experiment's outcome is a pure
+// function of (seed, region, index), so the re-run must agree byte for
+// byte.
 //
 // -wait blocks until the campaign completes, writes the final CSV to
 // -out (default stdout) and exits.  The CSV is byte-identical to
@@ -58,7 +59,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", ":8700", "listen address (host:port; port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the coordinator base URL to this file once listening (for scripts that use -addr :0)")
-	app := flag.String("app", "", "campaign application (wavetoy, minimd, minicam); empty waits for POST /api/campaign")
+	app := flag.String("app", "", "campaign application (wavetoy, minimd, minicam; required)")
 	n := flag.Int("n", 500, "injections per region")
 	seed := flag.Uint64("seed", 1, "campaign seed (same seed => identical campaign)")
 	regions := flag.String("regions", "", "comma-separated region subset (reg,fp,bss,data,stack,text,heap,message)")
@@ -78,9 +79,10 @@ func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("faultcoord: ")
 
-	metrics := telemetry.New()
-	co := coord.New(coord.Config{Metrics: metrics, Dir: *dir})
-
+	if *app == "" {
+		log.Print("-app is required: the coordinator serves the campaign its flags define")
+		return 1
+	}
 	nFlagSet := false
 	var adaptiveOnly []string
 	flag.Visit(func(f *flag.Flag) {
@@ -100,41 +102,32 @@ func run() int {
 		return 1
 	}
 
-	if *app != "" {
-		var shorts []string
-		if *regions != "" {
-			for _, s := range strings.Split(*regions, ",") {
-				r, err := core.ParseRegion(strings.TrimSpace(s))
-				if err != nil {
-					log.Print(err)
-					return 1
-				}
-				shorts = append(shorts, r.Short())
-			}
+	spec := coord.Spec{
+		App:            *app,
+		Injections:     *n,
+		Seed:           *seed,
+		TraceDiff:      *traceDiff,
+		LeaseSize:      *leaseSize,
+		LeaseTTLMillis: leaseTTL.Milliseconds(),
+	}
+	if *regions != "" {
+		for _, s := range strings.Split(*regions, ",") {
+			spec.Regions = append(spec.Regions, strings.TrimSpace(s))
 		}
-		spec := coord.Spec{
-			App:            *app,
-			Injections:     *n,
-			Seed:           *seed,
-			Regions:        shorts,
-			TraceDiff:      *traceDiff,
-			LeaseSize:      *leaseSize,
-			LeaseTTLMillis: leaseTTL.Milliseconds(),
-		}
-		if *adaptive {
-			// The planner sizes the plan; Submit normalizes the contract
-			// and computes the AVF priors the rounds are seeded with.
-			spec.Injections = 0
-			spec.Adaptive = true
-			spec.TargetHalfWidth = *targetD
-			spec.Confidence = *confidence
-			spec.RoundSize = *roundSize
-		}
-		err := co.Submit(spec)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
+	}
+	if *adaptive {
+		// The planner sizes the plan; Submit normalizes the contract
+		// and computes the AVF priors the rounds are seeded with.
+		spec.Injections = 0
+		spec.Adaptive = true
+		spec.TargetHalfWidth = *targetD
+		spec.Confidence = *confidence
+		spec.RoundSize = *roundSize
+	}
+	co := coord.New(coord.Config{Metrics: telemetry.New(), Dir: *dir})
+	if err := co.Submit(spec); err != nil {
+		log.Print(err)
+		return 1
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -157,7 +150,6 @@ func run() int {
 	defer srv.Close()
 
 	if *statusEvery > 0 {
-		start := time.Now()
 		tick := time.NewTicker(*statusEvery)
 		statusDone := make(chan struct{})
 		go func() {
@@ -167,7 +159,7 @@ func run() int {
 				case <-statusDone:
 					return
 				case <-tick.C:
-					fmt.Fprintln(os.Stderr, telemetry.ClusterStatusLine(metrics.Snapshot(), time.Since(start)))
+					fmt.Fprintln(os.Stderr, co.Status())
 				}
 			}
 		}()
@@ -186,24 +178,10 @@ func run() int {
 		return 0
 	}
 
-	// -wait: the campaign may not be loaded yet (POST arrives later), so
-	// poll for its Done channel, then block on it.
-	var done <-chan struct{}
-	for done == nil {
-		done = co.Done()
-		if done != nil {
-			break
-		}
-		select {
-		case <-sigc:
-			return 130
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 	select {
 	case <-sigc:
 		return 130
-	case <-done:
+	case <-co.Done():
 	}
 
 	csv, unclassified, err := co.ResultCSV()

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,11 +18,18 @@ func runGolden(t *testing.T, name string) *cluster.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := a.Build(a.Default)
+	return runBuilt(t, name, a, a.Default)
+}
+
+// runBuilt builds and executes an app at cfg, failing t unless every
+// rank exits cleanly.
+func runBuilt(t *testing.T, name string, a App, cfg Config) *cluster.Result {
+	t.Helper()
+	im, err := a.Build(cfg)
 	if err != nil {
 		t.Fatalf("build %s: %v", name, err)
 	}
-	res := cluster.Run(cluster.Job{Image: im, Size: a.Default.Ranks, Budget: 500_000_000})
+	res := cluster.Run(cluster.Job{Image: im, Size: cfg.Ranks, Budget: 500_000_000})
 	if res.HangDetected {
 		t.Fatalf("%s: hang: %s", name, res.HangCause)
 	}
@@ -81,6 +89,24 @@ func TestMiniMDGolden(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") || strings.Contains(out, "nan") {
 		t.Fatalf("golden run produced NaN: %q", out)
+	}
+}
+
+// TestMiniMDGoldenAtScale: positions start at their global particle
+// index, so minimd's sanity bound must grow with the world — these
+// worlds of 1 000 particles and more used to abort fault-free.
+func TestMiniMDGoldenAtScale(t *testing.T) {
+	a, err := Get("minimd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		ranks int
+		scale int32
+	}{{11, 96}, {16, 96}, {64, 8}, {128, 8}} {
+		cfg := a.Default
+		cfg.Ranks, cfg.Scale = w.ranks, w.scale
+		runBuilt(t, fmt.Sprintf("minimd %d×%d", w.ranks, w.scale), a, cfg)
 	}
 }
 

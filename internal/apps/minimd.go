@@ -88,7 +88,11 @@ func BuildMiniMD(cfg Config) (*image.Image, error) {
 	buildMiniMDInit(m, n)
 	buildMiniMDPack(m, n, cfg.Checksums)
 	buildMiniMDVerify(m, n, cfg.Checksums)
-	buildMiniMDForces(m, n, window, kSpr, dt, cfg.Checks)
+	// Positions start at their global particle index, so the sanity bound
+	// grows with the world: 1e3 up to ~800 particles, 1.25 × their count
+	// beyond.
+	bound := max(1e3, 1.25*float64(n)*float64(cfg.Ranks))
+	buildMiniMDForces(m, n, window, kSpr, dt, bound, cfg.Checks)
 
 	f := m.Func("main")
 	f.Prologue(64)
@@ -352,7 +356,7 @@ func buildMiniMDVerify(m *asm.Module, n int32, checksums bool) {
 // neighbours read from the allgathered blocks, updates velocities and
 // positions, applies the optional bound check, and accumulates kinetic
 // energy.
-func buildMiniMDForces(m *asm.Module, n, window int32, kSpr, dt float64, checks bool) {
+func buildMiniMDForces(m *asm.Module, n, window int32, kSpr, dt, bound float64, checks bool) {
 	f := m.Func("minimd_forces")
 	f.Prologue(64)
 	f.Fldz()
@@ -431,13 +435,13 @@ func buildMiniMDForces(m *asm.Module, n, window int32, kSpr, dt float64, checks 
 	f.Fldx(isa.R1, isa.R4, 0) // [q, dtv]
 	f.Faddp()                 // [q']
 	if checks {
-		// Bound check: |q'| must stay under 1e3.
+		// Bound check: |q'| must stay under bound.
 		f.Fldst(0)
-		f.Fabs()        // [|q|, q']
-		f.FldConst(1e3) // [1e3, |q|, q']
-		f.Fcomp()       // flags from 1e3 vs |q|; pops both -> [q']
+		f.Fabs()          // [|q|, q']
+		f.FldConst(bound) // [bound, |q|, q']
+		f.Fcomp()         // flags from bound vs |q|; pops both -> [q']
 		okb := f.NewLabel()
-		f.Bge(okb) // 1e3 >= |q| is fine
+		f.Bge(okb) // bound >= |q| is fine
 		f.CallArgs("app_abort", asm.Sym("s_bound"), asm.Imm(50))
 		f.Label(okb)
 	}

@@ -28,16 +28,21 @@
 //     records must agree (report.SameOutcome), and a disagreement fails
 //     the campaign loudly, because it means determinism itself broke.
 //
-// The coordinator holds no campaign state beyond the results it has
-// ingested.  When every lease has completed, an adaptive campaign asks
-// core.AdaptiveContract.Frontier what those results still lack and cuts
-// it into the next round's leases — the same question a single-process
-// core.RunAdaptive asks between rounds, so the two run the same rounds.
-// When nothing is missing, report.Assemble — the check faultmerge runs —
-// accepts the result set and the final tables are rendered exactly as a
-// single-process campaign would: the /result.csv bytes are identical to
-// `faultcampaign -csv -quiet` at the same spec — the determinism gate's
-// cluster twin.
+// The campaign is defined once: Submit builds its report.JournalHeader
+// with report.CampaignHeader, as `faultcampaign -journal` does, and every
+// lease grant carries it; workers write it verbatim as their segment
+// header and derive their core.Config from it.  Beyond that header the
+// coordinator holds only the results it has ingested.  At each barrier
+// (every lease cut so far completed) it asks the header's Frontier what
+// those results still lack and cuts it into leases: a fixed-n campaign
+// is the one-round frontier (the whole plan once, then nothing), an
+// adaptive one asks core.AdaptiveContract.Frontier — the question a
+// single-process core.RunAdaptive asks between rounds, so the two run
+// the same rounds.  When nothing is missing, report.Assemble — the check
+// faultmerge runs — accepts the result set and the final tables are
+// rendered exactly as a single-process campaign would: the /result.csv
+// bytes are identical to `faultcampaign -csv -quiet` at the same spec —
+// the determinism gate's cluster twin.
 package coord
 
 import (
@@ -49,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,16 +70,16 @@ import (
 // final CSV is byte-comparable to a single-process run of the same
 // parameters.
 type Spec struct {
-	App        string   `json:"app"`
-	Injections int      `json:"injections"`
-	Seed       uint64   `json:"seed"`
-	Regions    []string `json:"regions,omitempty"` // short names; empty = all eight
+	App        string
+	Injections int
+	Seed       uint64
+	Regions    []string // short names; empty = all eight
 	// TraceDiff makes every worker localize Incorrect/Hang/Crash outcomes
 	// against its golden run's tapes (faultcampaign -trace-diff).  The
 	// tapes are a pure function of (app, seed, ranks), so every worker
 	// computes the identical digest — the e2e gate compares the hashes
 	// they log.
-	TraceDiff bool `json:"trace_diff,omitempty"`
+	TraceDiff bool
 	// Adaptive switches the campaign to the sequential-stopping planner
 	// (faultcampaign -adaptive): instead of pre-splitting the fixed plan,
 	// leases are cut round by round from core.AdaptiveContract.Frontier
@@ -85,27 +91,23 @@ type Spec struct {
 	// is byte-identical to a single-process adaptive run of the same
 	// spec, whatever the worker count.  The campaign stops each region
 	// once its Wilson CI half-width reaches TargetHalfWidth.  Injections
-	// must be zero on submission; Submit sizes it to the fixed-n cap.
-	Adaptive bool `json:"adaptive,omitempty"`
+	// must be zero on submission; Submit sizes it to the fixed-n cap and
+	// seeds the pilot round with the app's static AVF priors.
+	Adaptive bool
 	// Confidence, TargetHalfWidth and RoundSize pin the estimation
 	// contract; zero values take the core defaults (95 %, 4.9 %,
 	// sampling.DefaultRoundSize).
-	Confidence      float64 `json:"confidence,omitempty"`
-	TargetHalfWidth float64 `json:"target_half_width,omitempty"`
-	RoundSize       int     `json:"round_size,omitempty"`
-	// Priors are the effective pilot priors in region order.  Submit
-	// fills them from the app's static AVF estimates when absent; they
-	// ride in every lease grant so worker journal headers record the
-	// same contract the coordinator's frontier replays.
-	Priors []float64 `json:"priors,omitempty"`
+	Confidence      float64
+	TargetHalfWidth float64
+	RoundSize       int
 	// LeaseSize bounds how many plan entries one lease carries; small
 	// leases steal cheaply, large leases amortize the worker's golden
 	// run.  0 means DefaultLeaseSize.
-	LeaseSize int `json:"lease_size,omitempty"`
+	LeaseSize int
 	// LeaseTTLMillis is the lease deadline: a worker that has not
 	// renewed within this long forfeits the lease.  0 means
 	// DefaultLeaseTTL.
-	LeaseTTLMillis int64 `json:"lease_ttl_ms,omitempty"`
+	LeaseTTLMillis int64
 }
 
 // Defaults for unset Spec fields.
@@ -141,8 +143,8 @@ const (
 	leaseDone
 )
 
-// lease is one bounded list of plan entries, cut from the plan (fixed-n)
-// or from one adaptive round's frontier.
+// lease is one bounded list of plan entries, cut from a frontier: the
+// whole plan of a fixed-n campaign, or one adaptive round.
 type lease struct {
 	idx      int
 	start    int              // offset of entries[0] in the list the lease was cut from
@@ -172,11 +174,10 @@ type workerState struct {
 
 // campaign is the coordinator's single active campaign.
 type campaign struct {
-	spec     Spec
-	ranks    int
-	header   report.JournalHeader
-	contract core.AdaptiveContract // adaptive campaigns: what Frontier replays
-	ttl      time.Duration
+	header    report.JournalHeader // the campaign definition every grant carries
+	traceDiff bool
+	leaseSize int
+	ttl       time.Duration
 
 	leases  []*lease
 	queue   []int // pending lease indices, FIFO
@@ -203,8 +204,7 @@ type Coordinator struct {
 	c  *campaign
 }
 
-// New returns an idle coordinator; submit a campaign with Submit or via
-// POST /api/campaign.
+// New returns an idle coordinator; load its campaign with Submit.
 func New(cfg Config) *Coordinator {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -259,38 +259,6 @@ func (m *coordMeters) worker(name string) *telemetry.Counter {
 	return c
 }
 
-// priorsMap rebuilds the region-keyed prior map from the spec's
-// region-ordered slice; nil when the lengths disagree (no priors yet).
-func priorsMap(regions []core.Region, priors []float64) map[core.Region]float64 {
-	if len(priors) != len(regions) {
-		return nil
-	}
-	m := make(map[core.Region]float64, len(regions))
-	for i, r := range regions {
-		m[r] = priors[i]
-	}
-	return m
-}
-
-// specHeader builds the journal header a worker running this spec
-// produces, without building the app image: the adaptive estimation
-// contract comes from the spec.  Coordinator ingestion compares worker
-// segment headers against this, so the two constructions must never
-// drift.
-func specHeader(spec Spec, ranks int, regions []core.Region) report.JournalHeader {
-	return report.CampaignHeader(spec.App, core.Config{
-		Ranks:           ranks,
-		Injections:      spec.Injections,
-		Regions:         regions,
-		Seed:            spec.Seed,
-		Adaptive:        spec.Adaptive,
-		Confidence:      spec.Confidence,
-		TargetHalfWidth: spec.TargetHalfWidth,
-		RoundSize:       spec.RoundSize,
-		AVFPriors:       priorsMap(regions, spec.Priors),
-	})
-}
-
 // Submit installs the campaign.  A coordinator runs exactly one
 // campaign; a second submission is rejected.
 func (co *Coordinator) Submit(spec Spec) error {
@@ -298,16 +266,13 @@ func (co *Coordinator) Submit(spec Spec) error {
 	if err != nil {
 		return err
 	}
-	regions := core.Regions()
-	if len(spec.Regions) > 0 {
-		regions = regions[:0]
-		for _, s := range spec.Regions {
-			r, err := core.ParseRegion(s)
-			if err != nil {
-				return err
-			}
-			regions = append(regions, r)
+	cfg := core.Config{Ranks: a.Default.Ranks, Injections: spec.Injections, Seed: spec.Seed}
+	for _, s := range spec.Regions {
+		r, err := core.ParseRegion(s)
+		if err != nil {
+			return err
 		}
+		cfg.Regions = append(cfg.Regions, r)
 	}
 	if spec.LeaseSize <= 0 {
 		spec.LeaseSize = DefaultLeaseSize
@@ -316,86 +281,56 @@ func (co *Coordinator) Submit(spec Spec) error {
 	if spec.LeaseTTLMillis > 0 {
 		ttl = time.Duration(spec.LeaseTTLMillis) * time.Millisecond
 	}
-	spec.LeaseTTLMillis = ttl.Milliseconds()
 
 	if spec.Adaptive {
-		// Normalize the estimation contract exactly like a single-process
-		// RunAdaptive would, so the header — and hence every worker's
-		// round schedule — pins the same numbers.
-		ccfg := core.Config{
-			Adaptive:        true,
-			Injections:      spec.Injections,
-			Regions:         regions,
-			Confidence:      spec.Confidence,
-			TargetHalfWidth: spec.TargetHalfWidth,
-			RoundSize:       spec.RoundSize,
+		// Normalize the estimation contract and seed it with the app's
+		// static AVF priors exactly as faultcampaign -adaptive does, so
+		// the header — and hence the round schedule — pins the same
+		// numbers however the campaign is executed.
+		cfg.Adaptive = true
+		cfg.Confidence = spec.Confidence
+		cfg.TargetHalfWidth = spec.TargetHalfWidth
+		cfg.RoundSize = spec.RoundSize
+		if _, err := core.NormalizeAdaptive(&cfg); err != nil {
+			return err
 		}
-		cap, err := core.NormalizeAdaptive(&ccfg)
+		im, err := a.Build(a.Default)
+		if err != nil {
+			return fmt.Errorf("coord: build %s: %v", spec.App, err)
+		}
+		labels, err := analysis.AVFPriors(im)
 		if err != nil {
 			return err
 		}
-		spec.Injections = cap
-		spec.Confidence = ccfg.Confidence
-		spec.TargetHalfWidth = ccfg.TargetHalfWidth
-		spec.RoundSize = ccfg.RoundSize
-		if len(spec.Priors) != len(regions) {
-			// The pilot priors come from the app's static AVF estimates —
-			// the same pipeline faultcampaign -adaptive runs, so the
-			// schedules agree however the campaign is executed.
-			im, err := a.Build(a.Default)
-			if err != nil {
-				return fmt.Errorf("coord: build %s: %v", spec.App, err)
-			}
-			labels, err := analysis.AVFPriors(im)
-			if err != nil {
-				return err
-			}
-			m, err := core.PriorsFromLabels(labels)
-			if err != nil {
-				return err
-			}
-			spec.Priors = core.EffectivePriors(regions, m)
+		if cfg.AVFPriors, err = core.PriorsFromLabels(labels); err != nil {
+			return err
 		}
 	} else if spec.Injections <= 0 {
 		return fmt.Errorf("coord: injections must be positive")
 	}
 
-	short := make([]string, len(regions))
-	for i, r := range regions {
-		short[i] = r.Short()
-	}
-	spec.Regions = short
 	c := &campaign{
-		spec:    spec,
-		ranks:   a.Default.Ranks,
-		ttl:     ttl,
-		header:  specHeader(spec, a.Default.Ranks, regions),
-		results: map[string]core.Experiment{},
-		workers: map[string]*workerState{},
-		done:    make(chan struct{}),
-		started: co.cfg.Now(),
+		header:    report.CampaignHeader(spec.App, cfg),
+		traceDiff: spec.TraceDiff,
+		leaseSize: spec.LeaseSize,
+		ttl:       ttl,
+		results:   map[string]core.Experiment{},
+		workers:   map[string]*workerState{},
+		done:      make(chan struct{}),
+		started:   co.cfg.Now(),
 	}
-	var entries []core.PlanEntry
-	if spec.Adaptive {
-		c.contract = core.AdaptiveContract{
-			Confidence: spec.Confidence, Target: spec.TargetHalfWidth, RoundSize: spec.RoundSize,
-			Regions: regions, Priors: spec.Priors,
-		}
-		// Cut only the pilot round; later rounds are cut at the barrier
-		// in finishLeaseLocked, once this round's results are in.
-		if _, entries, _, err = c.contract.Frontier(core.RecordedIn(c.results)); err != nil {
-			return err
-		}
-	} else {
-		plan := core.Plan{Regions: regions, Injections: spec.Injections}
-		entries = plan.Range(0, plan.Total())
+	// Cut the first frontier: the whole plan, or the adaptive pilot
+	// round (later rounds are cut at the barrier in finishLeaseLocked).
+	_, entries, _, err := c.header.Frontier(core.RecordedIn(c.results))
+	if err != nil {
+		return err
 	}
 	c.cutLeases(entries)
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.c != nil {
-		return fmt.Errorf("coord: a campaign is already loaded (app %s seed %d)", co.c.spec.App, co.c.spec.Seed)
+		return fmt.Errorf("coord: a campaign is already loaded (app %s seed %d)", co.c.header.App, co.c.header.Seed)
 	}
 	if co.cfg.Dir != "" {
 		if err := os.MkdirAll(co.cfg.Dir, 0o755); err != nil {
@@ -408,13 +343,13 @@ func (co *Coordinator) Submit(spec Spec) error {
 	return nil
 }
 
-// cutLeases queues entries — the whole plan, or one adaptive round's
-// frontier — as leases of at most LeaseSize entries each, in order: the
-// order a single-process campaign executes them.
+// cutLeases queues one frontier — the whole plan, or one adaptive round
+// — as leases of at most leaseSize entries each, in order: the order a
+// single-process campaign executes them.
 func (c *campaign) cutLeases(entries []core.PlanEntry) {
 	c.planned += len(entries)
-	for start := 0; start < len(entries); start += c.spec.LeaseSize {
-		end := start + c.spec.LeaseSize
+	for start := 0; start < len(entries); start += c.leaseSize {
+		end := start + c.leaseSize
 		if end > len(entries) {
 			end = len(entries)
 		}
@@ -569,10 +504,11 @@ func (co *Coordinator) failLocked(err error) {
 }
 
 // finishLeaseLocked marks a lease done and, when it was the last one
-// cut, crosses the barrier: an adaptive campaign asks the frontier what
-// the results still lack and cuts it into the next round's leases; when
-// nothing is missing, report.Assemble accepts the result set and the
-// final CSV is rendered.  Called with co.mu held.
+// cut, crosses the barrier: it asks the header's frontier what the
+// results still lack and cuts it into the next round's leases (a fixed-n
+// campaign finds nothing missing); when nothing is missing,
+// report.Assemble accepts the result set and the final CSV is rendered.
+// Called with co.mu held.
 func (co *Coordinator) finishLeaseLocked(l *lease) {
 	c := co.c
 	l.state = leaseDone
@@ -585,19 +521,17 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 	if c.doneLeases < len(c.leases) {
 		return
 	}
-	if c.spec.Adaptive {
-		_, missing, _, err := c.contract.Frontier(core.RecordedIn(c.results))
-		if err != nil {
-			co.failLocked(err)
-			return
-		}
-		if len(missing) > 0 {
-			before := len(c.leases)
-			c.cutLeases(missing)
-			co.met.leases.Add(uint64(len(c.leases) - before))
-			co.met.planned.Add(uint64(len(missing)))
-			return
-		}
+	_, missing, _, err := c.header.Frontier(core.RecordedIn(c.results))
+	if err != nil {
+		co.failLocked(err)
+		return
+	}
+	if len(missing) > 0 {
+		before := len(c.leases)
+		c.cutLeases(missing)
+		co.met.leases.Add(uint64(len(c.leases) - before))
+		co.met.planned.Add(uint64(len(missing)))
+		return
 	}
 	res, err := report.Assemble(c.header, c.results)
 	if err != nil {
@@ -606,14 +540,14 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 	}
 	c.unclassified = res.Unclassified
 	var buf bytes.Buffer
-	report.WriteCampaignCSV(&buf, c.spec.App, res)
+	report.WriteCampaignCSV(&buf, c.header.App, res)
 	c.csv = buf.Bytes()
 	close(c.done)
 }
 
-// leaseGrant is the acquire response: the lease's entries plus the full
-// campaign spec, so a bare `faultcampaign -worker <url>` needs no other
-// configuration.
+// leaseGrant is the acquire response: the lease's entries plus the
+// campaign's journal header — its whole definition — so a bare
+// `faultcampaign -worker <url>` needs no other configuration.
 type leaseGrant struct {
 	Lease int `json:"lease"`
 	Gen   int `json:"gen"`
@@ -621,11 +555,13 @@ type leaseGrant struct {
 	// lease's entries sit in the list they were cut from, which for a
 	// fixed-n campaign is the plan range [Start, End) and for an adaptive
 	// one just a position within the round.
-	Start int   `json:"start"`
-	End   int   `json:"end"`
-	TTLMs int64 `json:"ttl_ms"`
-	Ranks int   `json:"ranks"`
-	Spec  Spec  `json:"spec"`
+	Start  int                  `json:"start"`
+	End    int                  `json:"end"`
+	TTLMs  int64                `json:"ttl_ms"`
+	Header report.JournalHeader `json:"header"`
+	// TraceDiff is the one worker option outside the campaign identity
+	// (it only observes): Spec.TraceDiff.
+	TraceDiff bool `json:"trace_diff,omitempty"`
 	// Entries is the plan-entry ID list the lease runs, in order.
 	Entries []string `json:"entries"`
 }
@@ -675,23 +611,21 @@ func (co *Coordinator) Status() ClusterStatus {
 	}
 	s := ClusterStatus{
 		State:       "running",
-		App:         c.spec.App,
-		Seed:        c.spec.Seed,
-		Injections:  c.spec.Injections,
+		App:         c.header.App,
+		Seed:        c.header.Seed,
+		Injections:  c.header.Injections,
 		PlanTotal:   c.planned,
 		Results:     len(c.results),
 		Duplicates:  c.duplicates,
 		LeasesTotal: len(c.leases),
 		LeasesDone:  c.doneLeases,
 	}
-	if c.spec.Adaptive {
-		if _, missing, stats, err := c.contract.Frontier(core.RecordedIn(c.results)); err == nil {
-			s.Round = stats.Rounds
-			if len(missing) > 0 {
-				s.Round++
-			}
-			s.Adaptive = stats.StatusSuffix()
+	if _, missing, stats, err := c.header.Frontier(core.RecordedIn(c.results)); err == nil && stats != nil {
+		s.Round = stats.Rounds
+		if len(missing) > 0 {
+			s.Round++
 		}
+		s.Adaptive = stats.StatusSuffix()
 	}
 	for _, l := range c.leases {
 		switch l.state {
@@ -724,6 +658,28 @@ func (co *Coordinator) Status() ClusterStatus {
 		s.State = "complete"
 	}
 	return s
+}
+
+// String renders the status as the one line faultcoord -status prints:
+//
+//	leases 5/8 done (2 active, 1 stolen) | 23/32 results | 3 workers | 12.3/s | ETA 1s
+func (s ClusterStatus) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "leases %d/%d done (%d active", s.LeasesDone, s.LeasesTotal, s.LeasesActive)
+	if s.LeasesStolen > 0 {
+		fmt.Fprintf(&b, ", %d stolen", s.LeasesStolen)
+	}
+	fmt.Fprintf(&b, ") | %d/%d results", s.Results, s.PlanTotal)
+	if len(s.Workers) > 0 {
+		fmt.Fprintf(&b, " | %d workers", len(s.Workers))
+	}
+	if s.RatePerSec > 0 {
+		fmt.Fprintf(&b, " | %.1f/s", s.RatePerSec)
+		if s.ETASeconds > 0 {
+			fmt.Fprintf(&b, " | ETA %s", time.Duration(s.ETASeconds*float64(time.Second)).Round(time.Second))
+		}
+	}
+	return b.String()
 }
 
 func sortWorkers(ws []WorkerStatus) {
@@ -791,7 +747,7 @@ func (co *Coordinator) Acquire(worker string) (leaseGrant, bool, error) {
 	co.met.active.Add(1)
 	grant := leaseGrant{
 		Lease: l.idx, Gen: l.gen, Start: l.start, End: l.start + len(l.entries),
-		TTLMs: c.ttl.Milliseconds(), Ranks: c.ranks, Spec: c.spec,
+		TTLMs: c.ttl.Milliseconds(), Header: c.header, TraceDiff: c.traceDiff,
 		Entries: make([]string, len(l.entries)),
 	}
 	for i, pe := range l.entries {
@@ -852,22 +808,6 @@ func (co *Coordinator) Fail(idx, gen int, worker, cause string) error {
 	}
 	co.requeueLocked(l)
 	return nil
-}
-
-// SegmentOffset returns how many bytes of (lease, gen)'s segment the
-// coordinator holds — the resume point for an interrupted upload.
-func (co *Coordinator) SegmentOffset(idx, gen int) (int, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c := co.c
-	if c == nil || idx < 0 || idx >= len(c.leases) {
-		return 0, fmt.Errorf("unknown lease %d", idx)
-	}
-	seg := c.leases[idx].segs[gen]
-	if seg == nil {
-		return 0, fmt.Errorf("lease %d has no generation %d", idx, gen)
-	}
-	return len(seg.data), nil
 }
 
 // AppendSegment appends chunk at byte offset to (lease, gen)'s segment.
@@ -944,13 +884,10 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 
 // Handler returns the coordinator's HTTP mux:
 //
-//	POST /api/campaign        submit a Spec (400 naming an unknown field, 409 when one is loaded)
-//	GET  /api/campaign        the loaded Spec
-//	POST /api/lease/acquire   {"worker":W} -> leaseGrant | 204 retry | 410 done
+//	POST /api/lease/acquire   {"worker":W} -> leaseGrant (entries + journal header) | 204 retry | 410 done
 //	POST /api/lease/renew     {"worker":W,"lease":L,"gen":G} -> 204 | 409 lost
 //	POST /api/lease/fail      {"worker":W,"lease":L,"gen":G,"error":E}
-//	GET  /api/segment?lease=L&gen=G            -> {"offset":N}
-//	POST /api/segment?lease=L&gen=G&worker=W&offset=N  (raw chunk body)
+//	POST /api/segment?lease=L&gen=G&worker=W&offset=N  (raw chunk body) -> {"offset":N} | 409 {"offset":current}
 //	POST /api/lease/complete  {"worker":W,"lease":L,"gen":G}
 //	GET  /status              ClusterStatus JSON
 //	GET  /result.csv          final CSV (409 until complete)
@@ -960,38 +897,6 @@ func (co *Coordinator) Handler() http.Handler {
 	metricsHandler := telemetry.Handler(co.cfg.Metrics)
 	mux.Handle("/metrics", metricsHandler)
 	mux.Handle("/metrics.json", metricsHandler)
-
-	mux.HandleFunc("/api/campaign", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			co.mu.Lock()
-			c := co.c
-			co.mu.Unlock()
-			if c == nil {
-				http.Error(w, "no campaign loaded", http.StatusNotFound)
-				return
-			}
-			writeJSON(w, http.StatusOK, c.spec)
-		case http.MethodPost:
-			// A field this version does not know (a misspelling, or an
-			// option it no longer runs) would otherwise be dropped and a
-			// different campaign run: refuse it by name.
-			var spec Spec
-			dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&spec); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if err := co.Submit(spec); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			w.WriteHeader(http.StatusCreated)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
 
 	type leaseReq struct {
 		Worker string `json:"worker"`
@@ -1066,45 +971,33 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("/api/segment", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
 		q := r.URL.Query()
 		idx, err1 := strconv.Atoi(q.Get("lease"))
 		gen, err2 := strconv.Atoi(q.Get("gen"))
-		if err1 != nil || err2 != nil {
-			http.Error(w, "lease and gen query parameters required", http.StatusBadRequest)
+		offset, err3 := strconv.Atoi(q.Get("offset"))
+		if err1 != nil || err2 != nil || err3 != nil {
+			http.Error(w, "lease, gen and offset query parameters required", http.StatusBadRequest)
 			return
 		}
-		switch r.Method {
-		case http.MethodGet:
-			off, err := co.SegmentOffset(idx, gen)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]int{"offset": off})
-		case http.MethodPost:
-			offset, err := strconv.Atoi(q.Get("offset"))
-			if err != nil {
-				http.Error(w, "offset query parameter required", http.StatusBadRequest)
-				return
-			}
-			chunk, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-			if err != nil {
-				// The chunk died mid-flight; nothing was appended.  The
-				// worker re-syncs via GET and resends.
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			off, err := co.AppendSegment(idx, gen, q.Get("worker"), offset, chunk)
-			switch {
-			case err == errOffsetMismatch:
-				writeJSON(w, http.StatusConflict, map[string]int{"offset": off})
-			case err != nil:
-				http.Error(w, err.Error(), http.StatusConflict)
-			default:
-				writeJSON(w, http.StatusOK, map[string]int{"offset": off})
-			}
+		chunk, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		if err != nil {
+			// The chunk died mid-flight; nothing was appended.  The
+			// worker's next chunk at the same offset resends it.
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		off, err := co.AppendSegment(idx, gen, q.Get("worker"), offset, chunk)
+		switch {
+		case err == errOffsetMismatch:
+			writeJSON(w, http.StatusConflict, map[string]int{"offset": off})
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusConflict)
 		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			writeJSON(w, http.StatusOK, map[string]int{"offset": off})
 		}
 	})
 

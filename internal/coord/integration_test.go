@@ -57,9 +57,9 @@ func waitDone(t *testing.T, co *Coordinator, timeout time.Duration) {
 }
 
 // TestCoordinatorSmoke is the tier-1 cluster gate: a coordinator behind
-// a real HTTP server, the campaign submitted over the wire, two
-// in-process workers pulling leases, and the final CSV compared byte for
-// byte against the single-process run.
+// a real HTTP server, two in-process workers pulling leases over the
+// wire, and the final CSV compared byte for byte against the
+// single-process run.
 func TestCoordinatorSmoke(t *testing.T) {
 	im, ranks := buildWavetoy(t)
 	regions := []core.Region{core.RegionRegularReg, core.RegionMessage}
@@ -68,24 +68,14 @@ func TestCoordinatorSmoke(t *testing.T) {
 	want := singleProcessCSV(t, im, ranks, injections, seed, regions)
 
 	co := New(Config{Metrics: telemetry.New()})
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-
-	spec, err := json.Marshal(Spec{
+	if err := co.Submit(Spec{
 		App: "wavetoy", Injections: injections, Seed: seed,
 		Regions: []string{"reg", "message"}, LeaseSize: 2, LeaseTTLMillis: 10_000,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/api/campaign", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: %s", resp.Status)
-	}
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
 
 	var wg sync.WaitGroup
 	defer wg.Wait()

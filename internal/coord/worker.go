@@ -185,21 +185,21 @@ func (w *worker) fail(grant leaseGrant, cause error) {
 }
 
 // app returns the cached per-application state, building it on first use.
-func (w *worker) app(spec Spec) (*workerApp, error) {
-	wa := w.apps[spec.App]
+func (w *worker) app(name string) (*workerApp, error) {
+	wa := w.apps[name]
 	if wa != nil {
 		return wa, nil
 	}
-	a, err := apps.Get(spec.App)
+	a, err := apps.Get(name)
 	if err != nil {
 		return nil, err
 	}
 	im, err := a.Build(a.Default)
 	if err != nil {
-		return nil, fmt.Errorf("build %s: %v", spec.App, err)
+		return nil, fmt.Errorf("build %s: %v", name, err)
 	}
 	wa = &workerApp{image: im}
-	w.apps[spec.App] = wa
+	w.apps[name] = wa
 	return wa, nil
 }
 
@@ -306,19 +306,18 @@ func (w *worker) flush(grant leaseGrant, s *segmentWriter) error {
 // lease (heartbeat rejected) or opt.Stop abandons it silently — the
 // coordinator re-issues it, and duplicate results resolve idempotently.
 func (w *worker) runLease(grant leaseGrant) error {
-	spec := grant.Spec
-	wa, err := w.app(spec)
+	h := grant.Header
+	wa, err := w.app(h.App)
 	if err != nil {
 		return err
 	}
-	regions := make([]core.Region, len(spec.Regions))
-	for i, s := range spec.Regions {
-		if regions[i], err = core.ParseRegion(s); err != nil {
-			return err
-		}
+	regions, err := h.PlanRegions()
+	if err != nil {
+		return err
 	}
 	// A lease names its entries; core.Run holds each one to the
-	// campaign's region list and injection count.
+	// campaign's region list and injection count (an adaptive campaign's
+	// fixed-n cap).
 	if len(grant.Entries) == 0 {
 		return fmt.Errorf("lease %d names no entries", grant.Lease)
 	}
@@ -332,31 +331,23 @@ func (w *worker) runLease(grant leaseGrant) error {
 	golden := wa.golden
 	cfg := core.Config{
 		Image:       wa.image,
-		Ranks:       grant.Ranks,
-		Injections:  spec.Injections,
+		Ranks:       h.Ranks,
+		Injections:  h.Injections,
 		Regions:     regions,
-		Seed:        spec.Seed,
+		Seed:        h.Seed,
 		Parallelism: w.opt.Parallelism,
 		Entries:     entries,
 		Golden:      golden,
-		TraceDiff:   spec.TraceDiff,
-
-		// Adaptive campaigns: core.Run ignores these (the coordinator
-		// asks the frontier), but the journal header derives from them,
-		// so the segment this worker streams back must pin the identical
-		// estimation contract the coordinator and the merge replay.
-		Adaptive:        spec.Adaptive,
-		Confidence:      spec.Confidence,
-		TargetHalfWidth: spec.TargetHalfWidth,
-		RoundSize:       spec.RoundSize,
-		AVFPriors:       priorsMap(regions, spec.Priors),
+		TraceDiff:   grant.TraceDiff,
 
 		// The lease that runs the golden run gets its snapshots with it,
 		// and every lease restores from them.
 		CheckpointInterval: core.DefaultCheckpointInterval,
 	}
+	// The segment opens with the coordinator's header, verbatim: the
+	// campaign definition is built once, in Submit.
 	seg := &segmentWriter{}
-	seg.appendLine(report.CampaignHeader(spec.App, cfg))
+	seg.appendLine(h)
 	cfg.OnExperiment = func(e core.Experiment) {
 		seg.appendLine(report.EntryFromExperiment(e))
 	}
@@ -443,8 +434,8 @@ func (w *worker) runLease(grant leaseGrant) error {
 		// trace-diff campaign must log the same hash, and it must match a
 		// single-process `faultcampaign -trace-out` of the same spec.
 		wa.golden = res.Golden
-		w.logf("golden run of %s done, cached for later leases", spec.App)
-		if spec.TraceDiff {
+		w.logf("golden run of %s done, cached for later leases", h.App)
+		if grant.TraceDiff {
 			tapes := res.Golden.Result.Tapes
 			w.logf("golden trace digest %016x (%d messages across %d ranks)",
 				msgtrace.Hash(tapes), msgtrace.Messages(tapes), len(tapes))

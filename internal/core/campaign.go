@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,10 +84,20 @@ func runGolden(cfg *Config, built func(*vm.Machine)) (*Golden, error) {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
 	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes, reads: make([]rankReads, len(res.Ranks))}
-	for r, rr := range res.Ranks {
-		if rr.Trap == nil || rr.Trap.Kind != vm.TrapExit || rr.Trap.Code != 0 {
-			return nil, fmt.Errorf("core: golden run rank %d failed: %v", r, rr.Trap)
-		}
+	// Name the rank whose failure ended the job, not a peer it took down.
+	first := res.FirstFailure()
+	culprit := slices.IndexFunc(res.Ranks, func(rr cluster.RankResult) bool { return first != nil && rr.Trap == first })
+	if culprit < 0 {
+		culprit = slices.IndexFunc(res.Ranks, func(rr cluster.RankResult) bool {
+			return rr.Trap == nil || rr.Trap.Kind != vm.TrapExit || rr.Trap.Code != 0
+		})
+	}
+	if culprit >= 0 {
+		stderr := bytes.Split(bytes.TrimRight(res.Stderr[culprit], "\n"), []byte("\n"))
+		return nil, fmt.Errorf("core: golden run rank %d failed: %v (last stderr line: %q)",
+			culprit, res.Ranks[culprit].Trap, stderr[len(stderr)-1])
+	}
+	for _, rr := range res.Ranks {
 		g.Instrs = append(g.Instrs, rr.Instrs)
 		g.RecvBytes = append(g.RecvBytes, rr.Stats.TotalBytes())
 	}

@@ -84,12 +84,10 @@ func shardOf(entries []PlanEntry, shard, of int) []PlanEntry {
 	return out
 }
 
-// Range returns the contiguous plan entries [start, end), the
-// enumeration unit of coordinator leases: a lease is a bounded range of
-// the global plan, and because every experiment's random stream is
-// derived from (seed, region, index) alone, any worker can run any
-// range and produce the identical outcomes.  Bounds are clamped to the
-// plan.
+// Range returns the contiguous plan entries [start, end) in plan order.
+// Because every experiment's random stream is derived from (seed,
+// region, index) alone, any caller can run any range and produce the
+// identical outcomes.  Bounds are clamped to the plan.
 func (p Plan) Range(start, end int) []PlanEntry {
 	if start < 0 {
 		start = 0

@@ -16,12 +16,13 @@ import (
 
 // A campaign journal is an append-only JSONL checkpoint of finished
 // experiments: one header line identifying the campaign (app, seed,
-// injections, regions, ranks, shard), then one line per completed
-// experiment.  Journals make campaigns restartable — a killed run
-// resumes by replaying its journal into core.Config.Completed — and
-// mergeable: the union of K disjoint shard journals reconstructs the
-// single-process campaign exactly, because every experiment's outcome
-// is a pure function of (seed, region, index).
+// injections, regions, ranks, a non-default scale, shard), then one
+// line per completed experiment.  Journals make campaigns restartable —
+// a killed run resumes by replaying its journal into
+// core.Config.Completed — and mergeable: the union of K disjoint shard
+// journals reconstructs the single-process campaign exactly, because
+// every experiment's outcome is a pure function of (seed, region,
+// index).
 
 // JournalFormat and JournalVersion identify the on-disk format.
 const (
@@ -41,6 +42,9 @@ type JournalHeader struct {
 	Ranks      int      `json:"ranks"`
 	Shard      int      `json:"shard"`
 	NumShards  int      `json:"num_shards"`
+	// Scale is the per-rank problem size when it differs from the app's
+	// default (faultcampaign -scale); default-scale journals omit it.
+	Scale int `json:"scale,omitempty"`
 
 	// Adaptive campaigns (core.RunAdaptive) pin their whole estimation
 	// contract in the header: with the confidence, target half-width,
@@ -99,7 +103,7 @@ func CampaignHeader(app string, cfg core.Config) JournalHeader {
 // the adaptive estimation contract when present).
 func (h JournalHeader) SameCampaign(o JournalHeader) bool {
 	if h.App != o.App || h.Seed != o.Seed || h.Injections != o.Injections ||
-		h.Ranks != o.Ranks || len(h.Regions) != len(o.Regions) {
+		h.Ranks != o.Ranks || h.Scale != o.Scale || len(h.Regions) != len(o.Regions) {
 		return false
 	}
 	for i := range h.Regions {
@@ -471,58 +475,65 @@ func MergeJournals(paths []string) (*Merged, error) {
 	}, nil
 }
 
+// Frontier asks what the campaign h describes still lacks, given the
+// experiments lookup records — the one question the coordinator, a merge
+// and a resume ask of a campaign definition.  A fixed-n campaign is a
+// single round: executed is Injections per region and missing the
+// unrecorded plan entries in plan order (stats is nil).  An adaptive one
+// replays its contract's planner (core.AdaptiveContract.Frontier).
+func (h JournalHeader) Frontier(lookup func(core.PlanEntry) (manifested, recorded bool)) (executed []int, missing []core.PlanEntry, stats *core.AdaptiveStats, err error) {
+	regions, err := h.PlanRegions()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if h.Adaptive {
+		return core.AdaptiveContract{
+			Confidence: h.Confidence, Target: h.Target, RoundSize: h.RoundSize,
+			Regions: regions, Priors: h.Priors,
+		}.Frontier(lookup)
+	}
+	executed = make([]int, len(regions))
+	for ri, r := range regions {
+		executed[ri] = h.Injections
+		for idx := 0; idx < h.Injections; idx++ {
+			pe := core.PlanEntry{Region: r, Index: idx}
+			if _, ok := lookup(pe); !ok {
+				missing = append(missing, pe)
+			}
+		}
+	}
+	return executed, missing, nil, nil
+}
+
 // Assemble decides whether the experiments in byID are the finished
 // campaign h describes and, if so, returns it in plan order (region
 // order, index ascending) — the one place a result set is accepted,
-// shared by MergeJournals and the coordinator.  A fixed-n campaign must
-// cover its plan.  An adaptive one must be exactly what its contract's
-// planner asks for: core.AdaptiveContract.Frontier replayed over the
-// recorded outcomes dictates which (region, index) pairs the campaign
-// contains, missing ones fail, and extras mean the set was not produced
-// by the recorded contract.
+// shared by MergeJournals and the coordinator.  The campaign is what
+// h.Frontier says it consists of, and missing entries fail.  An adaptive
+// campaign must be exactly that: extras mean the set was not produced by
+// the recorded contract's planner.
 func Assemble(h JournalHeader, byID map[string]core.Experiment) (*core.Result, error) {
 	regions, err := h.PlanRegions()
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{}
-	var executed []int // per-region prefix length the campaign consists of
-	if h.Adaptive {
-		var missing []core.PlanEntry
-		executed, missing, res.Adaptive, err = core.AdaptiveContract{
-			Confidence: h.Confidence, Target: h.Target, RoundSize: h.RoundSize,
-			Regions: regions, Priors: h.Priors,
-		}.Frontier(core.RecordedIn(byID))
-		if err != nil {
-			return nil, err
-		}
-		if len(missing) > 0 {
-			return nil, fmt.Errorf("report: merge incomplete: the adaptive planner requires %s, which no journal records", missing[0].ID())
-		}
-		if total := res.Adaptive.TotalExecuted(); total != len(byID) {
-			return nil, fmt.Errorf("report: journals record %d experiments but the adaptive planner replay expects %d — not a completed campaign under the recorded contract",
-				len(byID), total)
-		}
-	} else {
-		executed = make([]int, len(regions))
-		for i := range executed {
-			executed[i] = h.Injections
-		}
-	}
-	var missing []string
-	for ri, n := range executed {
-		for idx := 0; idx < n; idx++ {
-			id := core.PlanEntry{Region: regions[ri], Index: idx}.ID()
-			if e, ok := byID[id]; ok {
-				res.Experiments = append(res.Experiments, e)
-			} else {
-				missing = append(missing, id)
-			}
-		}
+	executed, missing, stats, err := h.Frontier(core.RecordedIn(byID))
+	if err != nil {
+		return nil, err
 	}
 	if len(missing) > 0 {
-		return nil, fmt.Errorf("report: merge incomplete: %d of %d experiments missing (first: %s) — rerun the missing shards or resume them from their journals",
-			len(missing), len(missing)+len(res.Experiments), missing[0])
+		return nil, fmt.Errorf("report: merge incomplete: the planner requires %s, which no journal records (%d missing) — rerun the missing shards or resume them from their journals",
+			missing[0].ID(), len(missing))
+	}
+	res := &core.Result{Adaptive: stats}
+	for ri, n := range executed {
+		for idx := 0; idx < n; idx++ {
+			res.Experiments = append(res.Experiments, byID[core.PlanEntry{Region: regions[ri], Index: idx}.ID()])
+		}
+	}
+	if h.Adaptive && len(res.Experiments) != len(byID) {
+		return nil, fmt.Errorf("report: journals record %d experiments but the adaptive planner replay expects %d — not a completed campaign under the recorded contract",
+			len(byID), len(res.Experiments))
 	}
 	res.Tallies = core.TallyExperiments(regions, res.Experiments)
 	res.Unclassified = core.CountUnapplied(res.Experiments)

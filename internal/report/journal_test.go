@@ -281,15 +281,15 @@ func TestAssemble(t *testing.T) {
 	}{
 		{"fixed complete", fixed, set(4, classify.Crash), 4, ""},
 		{"fixed missing", fixed, without(set(4, classify.Crash), "reg/2"), 0,
-			"merge incomplete: 1 of 4 experiments missing (first: reg/2)"},
+			"merge incomplete: the planner requires reg/2, which no journal records (1 missing)"},
 		{"fixed beyond the plan ignored", fixed, set(6, classify.Crash), 4, ""},
 		{"adaptive complete", adaptive, set(96, classify.Correct), 96, ""},
 		{"adaptive missing", adaptive, without(set(96, classify.Correct), "reg/17"), 0,
-			"the adaptive planner requires reg/17, which no journal records"},
+			"the planner requires reg/17, which no journal records"},
 		{"adaptive extra", adaptive, set(97, classify.Correct), 0,
 			"journals record 97 experiments but the adaptive planner replay expects 96"},
 		{"adaptive stopped early", adaptive, set(96, classify.Correct, classify.Crash), 0,
-			"the adaptive planner requires reg/96, which no journal records"},
+			"the planner requires reg/96, which no journal records"},
 	} {
 		res, err := Assemble(tc.h, tc.byID)
 		if tc.wantErr != "" {

@@ -46,39 +46,6 @@ func StatusLine(s Snapshot, elapsed time.Duration) string {
 	return b.String()
 }
 
-// ClusterStatusLine renders the coordinator's periodic one-line cluster
-// status from a snapshot: lease queue state, result throughput, stolen
-// leases and the ETA over the remaining plan.
-//
-//	leases 5/8 done (2 active, 1 stolen) | 23/32 results | 3 workers | 12.3/s | ETA 1s
-func ClusterStatusLine(s Snapshot, elapsed time.Duration) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "leases %d/%d done (%d active",
-		s.Counters[MetricCoordLeasesCompleted], s.Counters[MetricCoordLeases],
-		s.Gauges[MetricCoordLeasesActive])
-	if stolen := s.Counters[MetricCoordLeasesStolen]; stolen > 0 {
-		fmt.Fprintf(&b, ", %d stolen", stolen)
-	}
-	b.WriteString(")")
-
-	results := s.Counters[MetricCoordResults]
-	planned := s.Counters[MetricCoordPlanTotal]
-	fmt.Fprintf(&b, " | %d/%d results", results, planned)
-	if w := s.Gauges[MetricCoordWorkers]; w > 0 {
-		fmt.Fprintf(&b, " | %d workers", w)
-	}
-	secs := elapsed.Seconds()
-	if secs > 0 && results > 0 {
-		rate := float64(results) / secs
-		fmt.Fprintf(&b, " | %.1f/s", rate)
-		if planned > results {
-			eta := time.Duration(float64(planned-results) / rate * float64(time.Second)).Round(time.Second)
-			fmt.Fprintf(&b, " | ETA %s", eta)
-		}
-	}
-	return b.String()
-}
-
 // outcomeMix renders the per-outcome counters as "Correct 290 Crash 31
 // ...", outcomes sorted by descending count then name.
 func outcomeMix(s Snapshot) string {

@@ -7,6 +7,10 @@
 # fixed-n campaign, then an adaptive one, where the dead worker's leases
 # hold up a round barrier until a survivor re-runs them.
 #
+# Every spool file must open with the exact header line a single-process
+# `faultcampaign -journal` writes at the same spec: the coordinator
+# defines the campaign once and its lease grants carry that header.
+#
 # Both cluster legs run with -trace-diff, which adds two assertions: the
 # coordinator CSV must still match the single-process run *without*
 # tracing (trace-diff only observes), and every worker's logged
@@ -68,8 +72,17 @@ fi
 grep -q "drop -shard" "$WORK/conflict.err"
 echo "refused with: $(cat "$WORK/conflict.err")"
 
-echo "== single-process golden CSV =="
-"$FAULTCAMPAIGN" -app "$APP" -n "$N" -seed "$SEED" -csv -quiet >"$WORK/golden.csv"
+echo "== faultcoord without -app exits nonzero naming -app =="
+if "$FAULTCOORD" -addr 127.0.0.1:0 -wait 2>"$WORK/noapp.err"; then
+	echo "FAIL: faultcoord without -app was accepted" >&2
+	exit 1
+fi
+grep -q -- "-app" "$WORK/noapp.err"
+echo "refused with: $(cat "$WORK/noapp.err")"
+
+echo "== single-process golden CSV and journal =="
+"$FAULTCAMPAIGN" -app "$APP" -n "$N" -seed "$SEED" -csv -quiet \
+	-journal "$WORK/golden.jsonl" >"$WORK/golden.csv"
 
 echo "== single-process traced CSV must be byte-identical =="
 "$FAULTCAMPAIGN" -app "$APP" -n "$N" -seed "$SEED" -csv -quiet \
@@ -158,11 +171,27 @@ cluster() {
 	fi
 }
 
+# same_headers LEG REFERENCE: every spool file of LEG opens with the
+# header line of the single-process journal REFERENCE.
+same_headers() {
+	want=$(head -n 1 "$2")
+	count=0
+	for seg in "$WORK/$1.spool"/*.jsonl; do
+		if [ "$(head -n 1 "$seg")" != "$want" ]; then
+			echo "FAIL: $seg opens with $(head -n 1 "$seg"), not the single-process journal header $want" >&2
+			exit 1
+		fi
+		count=$((count + 1))
+	done
+	echo "all $count $1 spool files open with the single-process journal header"
+}
+
 cluster fixed -n "$N" -trace-diff
 
 echo "== final CSV must be byte-identical to the single-process run =="
 diff -u "$WORK/golden.csv" "$WORK/fixed.csv"
 echo "coordinator CSV is byte-identical to the single-process campaign"
+same_headers fixed "$WORK/golden.jsonl"
 
 echo "== spool reconstruction through faultmerge -coord =="
 "$FAULTMERGE" -csv -coord "$WORK/fixed.spool" >"$WORK/merged.csv"
@@ -189,12 +218,13 @@ echo "every worker computed golden trace digest $WANT"
 # the rounds must be the ones a single process runs.
 echo "== single-process adaptive CSV =="
 "$FAULTCAMPAIGN" -app "$APP" -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -seed "$SEED" \
-	-regions "$ADAPTIVE_REGIONS" -csv -quiet >"$WORK/adaptive-golden.csv"
+	-regions "$ADAPTIVE_REGIONS" -csv -quiet -journal "$WORK/adaptive-golden.jsonl" >"$WORK/adaptive-golden.csv"
 
 cluster adaptive -adaptive -d "$ADAPTIVE_D" -round "$ADAPTIVE_ROUND" -regions "$ADAPTIVE_REGIONS" -trace-diff
 
 echo "== adaptive CSV must be byte-identical to the single-process run =="
 diff -u "$WORK/adaptive-golden.csv" "$WORK/adaptive.csv"
+same_headers adaptive "$WORK/adaptive-golden.jsonl"
 echo "== adaptive spool reconstruction through faultmerge -coord =="
 "$FAULTMERGE" -csv -coord "$WORK/adaptive.spool" >"$WORK/adaptive-merged.csv"
 diff -u "$WORK/adaptive-golden.csv" "$WORK/adaptive-merged.csv"
