@@ -203,7 +203,7 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAdaptive(core.Config{
+		res, err := core.Run(core.Config{
 			Image: im, Ranks: cfg.Ranks, Regions: benchAdaptiveRegions,
 			Seed: 7, Adaptive: true, TargetHalfWidth: benchAdaptiveTargetD,
 			AVFPriors: priors,

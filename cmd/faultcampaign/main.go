@@ -507,12 +507,7 @@ func run() int {
 			}
 		}
 
-		var res *core.Result
-		if *adaptive {
-			res, err = core.RunAdaptive(cfg)
-		} else {
-			res, err = core.Run(cfg)
-		}
+		res, err := core.Run(cfg)
 		if journal != nil {
 			if cerr := journal.Close(); cerr != nil {
 				log.Printf("journal: %v", cerr)
@@ -531,8 +526,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct: %d at injection, %d converged; %d failed); %d re-run: %d of %d peers materialized\n",
 				name, so.Correct+so.Failed, so.Attempts(), so.Correct, so.Dead, so.Converged, so.Failed, so.Fallback, so.Materialized, so.Peers)
 		}
-		// An adaptive campaign that runs no round (resumed from a converged
-		// journal, or stopped before its first) has no golden run.
+		// A campaign that runs no round (resumed from a finished journal,
+		// or stopped before its first) has no golden run.
+		if res.Golden == nil && *traceOut != "" {
+			log.Printf("%s: no experiment left to run, so no golden run: -trace-out not written", name)
+		}
 		if res.Golden != nil {
 			tapes := res.Golden.Result.Tapes
 			if *traceDiff && !*quiet {
@@ -551,8 +549,13 @@ func run() int {
 			for _, t := range res.Tallies {
 				done += t.Executions
 			}
-			log.Printf("%s: interrupted after %d experiments; resume with -resume -journal %s",
-				name, done, *journalPath)
+			if *journalPath != "" {
+				log.Printf("%s: interrupted after %d experiments; resume with -resume -journal %s",
+					name, done, *journalPath)
+			} else {
+				log.Printf("%s: interrupted after %d experiments; nothing was recorded (no -journal), so a rerun starts over",
+					name, done)
+			}
 			interrupted = true
 			break
 		}
@@ -576,7 +579,7 @@ func run() int {
 		}
 		if st := res.Adaptive; st != nil {
 			if !*csv {
-				report.WriteRates(os.Stdout, name, res, st.Confidence, st.Target)
+				report.WriteRates(os.Stdout, name, res)
 				fmt.Println()
 			}
 			fmt.Fprintf(prose, "%s: adaptive stopping converged in %d rounds: %d experiments vs %d fixed-n (%.2fx of the worst case)\n\n",

@@ -68,25 +68,26 @@ func run() int {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "faultmerge: %s seed %d: %d experiments from %d journals\n",
-			m.App, m.Seed, len(m.Result.Experiments), m.Journals)
+			m.Header.App, m.Header.Seed, len(m.Result.Experiments), m.Journals)
 	}
 
 	if *csv {
 		// CSV mode stays byte-identical to `faultcampaign -csv` — the
 		// determinism gate diffs it — so the forensics and trace-diff
 		// localization summaries are table-mode only.
-		report.WriteCampaignCSV(os.Stdout, m.App, m.Result)
+		report.WriteCampaignCSV(os.Stdout, m.Header.App, m.Result)
 	} else {
-		label := m.App
-		if a, err := apps.Get(m.App); err == nil {
-			label = fmt.Sprintf("%s, stands in for %s", m.App, a.Paper)
+		app := m.Header.App
+		label := app
+		if a, err := apps.Get(app); err == nil {
+			label = fmt.Sprintf("%s, stands in for %s", app, a.Paper)
 		}
 		report.WriteCampaign(os.Stdout, label, m.Result)
-		if m.Adaptive {
+		if m.Result.Adaptive != nil {
 			// The merge has already replayed the planner over the recorded
 			// outcomes, so the contract it prints is the one the rounds
 			// actually stopped on.
-			report.WriteRates(os.Stdout, m.App, m.Result, m.Confidence, m.Target)
+			report.WriteRates(os.Stdout, app, m.Result)
 			fmt.Println()
 		}
 		report.WriteLatencyHistogram(os.Stdout, m.Result.Experiments)

@@ -18,7 +18,7 @@ import (
 // TestCoordinatorAdaptiveByteIdentity is the distributed half of the
 // adaptive determinism contract: a coordinator cutting round-barrier
 // leases to three workers must reproduce, byte for byte, the CSV of the
-// single-process RunAdaptive at the same (seed, contract) — and the
+// single-process adaptive core.Run at the same (seed, contract) — and the
 // spool directory must reconstruct the same bytes through faultmerge's
 // replay-validating path.
 func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
@@ -40,7 +40,7 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunAdaptive(core.Config{
+	res, err := core.Run(core.Config{
 		Image: im, Ranks: ranks, Regions: regions, Seed: seed,
 		Adaptive: true, TargetHalfWidth: targetD, AVFPriors: priors,
 	})
@@ -110,7 +110,7 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 		t.Fatalf("%d unclassified experiments", unclassified)
 	}
 	if !bytes.Equal(csv, want.Bytes()) {
-		t.Fatalf("adaptive cluster CSV differs from single-process RunAdaptive:\n--- cluster\n%s--- single\n%s",
+		t.Fatalf("adaptive cluster CSV differs from the single-process adaptive run:\n--- cluster\n%s--- single\n%s",
 			csv, want.Bytes())
 	}
 	st := co.Status()
@@ -149,11 +149,11 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Adaptive {
+	if !m.Header.Adaptive {
 		t.Error("spool merge did not recognize the adaptive contract")
 	}
 	var merged bytes.Buffer
-	report.WriteCampaignCSV(&merged, m.App, m.Result)
+	report.WriteCampaignCSV(&merged, m.Header.App, m.Result)
 	if !bytes.Equal(merged.Bytes(), want.Bytes()) {
 		t.Fatalf("faultmerge -coord reconstruction differs:\n--- merged\n%s--- single\n%s",
 			merged.Bytes(), want.Bytes())

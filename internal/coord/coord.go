@@ -33,16 +33,16 @@
 // lease grant carries it; workers write it verbatim as their segment
 // header and derive their core.Config from it.  Beyond that header the
 // coordinator holds only the results it has ingested.  At each barrier
-// (every lease cut so far completed) it asks the header's Frontier what
-// those results still lack and cuts it into leases: a fixed-n campaign
-// is the one-round frontier (the whole plan once, then nothing), an
-// adaptive one asks core.AdaptiveContract.Frontier — the question a
-// single-process core.RunAdaptive asks between rounds, so the two run
-// the same rounds.  When nothing is missing, report.Assemble — the check
-// faultmerge runs — accepts the result set and the final tables are
-// rendered exactly as a single-process campaign would: the /result.csv
-// bytes are identical to `faultcampaign -csv -quiet` at the same spec —
-// the determinism gate's cluster twin.
+// (every lease cut so far completed) it asks the header's
+// core.Contract what those results still lack (Frontier) and cuts it
+// into leases: a fixed-n campaign is the one-round frontier (the whole
+// plan once, then nothing), an adaptive one a planner round — the
+// question a single-process core.Run asks between rounds, so the two
+// run the same rounds.  When nothing is missing, the contract's Assemble
+// — the check faultmerge runs — accepts the result set and the final
+// tables are rendered exactly as a single-process campaign would: the
+// /result.csv bytes are identical to `faultcampaign -csv -quiet` at the
+// same spec — the determinism gate's cluster twin.
 package coord
 
 import (
@@ -82,8 +82,8 @@ type Spec struct {
 	TraceDiff bool
 	// Adaptive switches the campaign to the sequential-stopping planner
 	// (faultcampaign -adaptive): instead of pre-splitting the fixed plan,
-	// leases are cut round by round from core.AdaptiveContract.Frontier
-	// over the results ingested so far.  Each round is a barrier — its
+	// leases are cut round by round from core.Contract.Frontier over the
+	// results ingested so far.  Each round is a barrier — its
 	// leases must all complete before the frontier is asked again — and
 	// the coordinator keeps no planner between barriers: what runs next
 	// is a pure function of (contract, recorded outcomes), and every
@@ -175,6 +175,7 @@ type workerState struct {
 // campaign is the coordinator's single active campaign.
 type campaign struct {
 	header    report.JournalHeader // the campaign definition every grant carries
+	contract  core.Contract        // header.Contract(): its frontier and assembler
 	traceDiff bool
 	leaseSize int
 	ttl       time.Duration
@@ -309,8 +310,14 @@ func (co *Coordinator) Submit(spec Spec) error {
 		return fmt.Errorf("coord: injections must be positive")
 	}
 
+	header := report.CampaignHeader(spec.App, cfg)
+	contract, err := header.Contract()
+	if err != nil {
+		return err
+	}
 	c := &campaign{
-		header:    report.CampaignHeader(spec.App, cfg),
+		header:    header,
+		contract:  contract,
 		traceDiff: spec.TraceDiff,
 		leaseSize: spec.LeaseSize,
 		ttl:       ttl,
@@ -321,7 +328,7 @@ func (co *Coordinator) Submit(spec Spec) error {
 	}
 	// Cut the first frontier: the whole plan, or the adaptive pilot
 	// round (later rounds are cut at the barrier in finishLeaseLocked).
-	_, entries, _, err := c.header.Frontier(core.RecordedIn(c.results))
+	_, entries, _, err := c.contract.Frontier(c.results)
 	if err != nil {
 		return err
 	}
@@ -504,10 +511,11 @@ func (co *Coordinator) failLocked(err error) {
 }
 
 // finishLeaseLocked marks a lease done and, when it was the last one
-// cut, crosses the barrier: it asks the header's frontier what the
+// cut, crosses the barrier: it asks the contract's Frontier what the
 // results still lack and cuts it into the next round's leases (a fixed-n
-// campaign finds nothing missing); when nothing is missing,
-// report.Assemble accepts the result set and the final CSV is rendered.
+// campaign finds nothing missing); when nothing is missing, the
+// contract's Assemble accepts the result set and the final CSV is
+// rendered.
 // Called with co.mu held.
 func (co *Coordinator) finishLeaseLocked(l *lease) {
 	c := co.c
@@ -521,7 +529,7 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 	if c.doneLeases < len(c.leases) {
 		return
 	}
-	_, missing, _, err := c.header.Frontier(core.RecordedIn(c.results))
+	_, missing, _, err := c.contract.Frontier(c.results)
 	if err != nil {
 		co.failLocked(err)
 		return
@@ -533,7 +541,7 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 		co.met.planned.Add(uint64(len(missing)))
 		return
 	}
-	res, err := report.Assemble(c.header, c.results)
+	res, err := c.contract.Assemble(c.results)
 	if err != nil {
 		co.failLocked(err)
 		return
@@ -620,7 +628,7 @@ func (co *Coordinator) Status() ClusterStatus {
 		LeasesTotal: len(c.leases),
 		LeasesDone:  c.doneLeases,
 	}
-	if _, missing, stats, err := c.header.Frontier(core.RecordedIn(c.results)); err == nil && stats != nil {
+	if _, missing, stats, err := c.contract.Frontier(c.results); err == nil && stats != nil {
 		s.Round = stats.Rounds
 		if len(missing) > 0 {
 			s.Round++

@@ -117,14 +117,14 @@ func segmentBytes(t *testing.T, h report.JournalHeader, exps []core.Experiment) 
 func expectedCSV(t *testing.T) []byte {
 	t.Helper()
 	plan := core.Plan{Regions: testRegions, Injections: testInjections}
-	exps := make([]core.Experiment, plan.Total())
-	for g := range exps {
-		exps[g] = testExperiment(g)
+	byID := make(map[string]core.Experiment, plan.Total())
+	for g := 0; g < plan.Total(); g++ {
+		e := testExperiment(g)
+		byID[e.ID()] = e
 	}
-	res := &core.Result{
-		Tallies:      core.TallyExperiments(testRegions, exps),
-		Experiments:  exps,
-		Unclassified: core.CountUnapplied(exps),
+	res, err := core.Contract{Regions: testRegions, Injections: testInjections}.Assemble(byID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	report.WriteCampaignCSV(&buf, "wavetoy", res)

@@ -111,6 +111,38 @@ func TestCoordinatorSmoke(t *testing.T) {
 	}
 }
 
+// TestWorkerNameNeedsEscaping: a worker's name travels in the segment
+// upload's query string, so one holding query syntax ("a+b&c") must reach
+// the coordinator intact, or its uploads never match its lease.
+func TestWorkerNameNeedsEscaping(t *testing.T) {
+	co := New(Config{})
+	if err := co.Submit(Spec{App: "wavetoy", Injections: 2, Seed: 5, Regions: []string{"reg"}, LeaseSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	const name = "a+b&c"
+	go func() {
+		done <- RunWorker(WorkerOptions{URL: srv.URL, Name: name, Poll: 25 * time.Millisecond, Stop: stop})
+	}()
+	select {
+	case <-co.Done():
+	case <-time.After(2 * time.Minute):
+		close(stop)
+		<-done
+		t.Fatalf("the campaign did not complete: %+v", co.Status())
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := co.Status()
+	if st.State != "complete" || len(st.Workers) != 1 || st.Workers[0].Name != name || st.Workers[0].Results != 2 {
+		t.Fatalf("final status %+v, want worker %q with both results", st, name)
+	}
+}
+
 // TestCoordinatorWorkerDeathByteIdentity is the acceptance gate: three
 // workers, one dies mid-campaign after uploading half a lease, the
 // survivors steal the lease and re-run it, and the final CSV is still
@@ -220,7 +252,7 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
-	report.WriteCampaignCSV(&merged, m.App, m.Result)
+	report.WriteCampaignCSV(&merged, m.Header.App, m.Result)
 	if !bytes.Equal(merged.Bytes(), want) {
 		t.Fatalf("faultmerge -coord reconstruction differs from single-process run:\n--- merged\n%s--- single\n%s", merged.Bytes(), want)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -268,9 +270,11 @@ func (w *worker) flush(grant leaseGrant, s *segmentWriter) error {
 	if len(chunk) == 0 {
 		return nil
 	}
-	url := fmt.Sprintf("%s/api/segment?lease=%d&gen=%d&worker=%s&offset=%d",
-		w.opt.URL, grant.Lease, grant.Gen, w.opt.Name, off)
-	resp, err := w.client.Post(url, "application/jsonl", bytes.NewReader(chunk))
+	q := url.Values{
+		"lease": {strconv.Itoa(grant.Lease)}, "gen": {strconv.Itoa(grant.Gen)},
+		"worker": {w.opt.Name}, "offset": {strconv.Itoa(off)},
+	}
+	resp, err := w.client.Post(w.opt.URL+"/api/segment?"+q.Encode(), "application/jsonl", bytes.NewReader(chunk))
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@ package core
 // The crucial property making adaptivity compatible with the repo's
 // byte-identity gates is that every experiment's outcome is a pure
 // function of (Seed, Region, Index) — the planner only decides WHICH
-// indices run, never what they do.  RunAdaptive therefore executes, for
+// indices run, never what they do.  An adaptive Run therefore executes, for
 // each region, a gapless prefix [0, n_r) of the same per-region
 // experiment sequence the fixed-n campaign would draw, extending the
 // prefixes round by round until every region's Wilson CI half-width
@@ -22,9 +22,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"mpifault/internal/classify"
 	"mpifault/internal/sampling"
 	"mpifault/internal/telemetry"
 )
@@ -121,96 +119,11 @@ func PriorsFromLabels(labels map[string]float64) (map[Region]float64, error) {
 	return out, nil
 }
 
-// AdaptiveContract pins an adaptive campaign's round schedule — exactly
-// what a journal header records.  Every outcome is a pure function of
-// (seed, region, index) and the planner's next round is a pure function
-// of the tallies, so what the campaign must run next is a pure function
-// of (contract, outcomes recorded so far): nobody holds planner state,
-// they ask Frontier.
-type AdaptiveContract struct {
-	Confidence float64
-	Target     float64
-	RoundSize  int
-	Regions    []Region
-	Priors     []float64 // effective pilot priors, region order (EffectivePriors)
-}
-
-// RecordedIn adapts an ID-keyed experiment set (Config.Completed, a
-// parsed journal, the coordinator's results) to Frontier's lookup.
-func RecordedIn(byID map[string]Experiment) func(PlanEntry) (manifested, recorded bool) {
-	return func(pe PlanEntry) (bool, bool) {
-		e, ok := byID[pe.ID()]
-		return e.Outcome != classify.Correct, ok
-	}
-}
-
-// Frontier replays the planner over the recorded outcomes, round by
-// round, and returns the unrecorded entries of the first incomplete
-// round — regions in campaign order, indices ascending, the order the
-// round executes and journals them; nil means the campaign converged.
-// executed is the per-region prefix length at the last complete round
-// and stats the planner's state there.  lookup is consulted only for
-// entries the planner actually allocates.
-func (c AdaptiveContract) Frontier(lookup func(PlanEntry) (manifested, recorded bool)) (executed []int, missing []PlanEntry, stats *AdaptiveStats, err error) {
-	if len(c.Priors) != len(c.Regions) {
-		return nil, nil, nil, fmt.Errorf("core: %d priors for %d regions", len(c.Priors), len(c.Regions))
-	}
-	strata := make([]sampling.Stratum, len(c.Regions))
-	for i, r := range c.Regions {
-		strata[i] = sampling.Stratum{Name: r.Short(), Prior: c.Priors[i]}
-	}
-	planner, err := sampling.NewPlanner(sampling.PlannerConfig{
-		Confidence: c.Confidence, Target: c.Target, RoundSize: c.RoundSize,
-	}, strata)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats = &AdaptiveStats{
-		Confidence: c.Confidence, Target: c.Target, RoundSize: c.RoundSize, Cap: planner.Cap(),
-	}
-	executed = make([]int, len(c.Regions))
-	errors := make([]int, len(c.Regions))
-	for {
-		allocs := planner.NextRound()
-		manifested := make([]int, len(c.Regions))
-		allocated := false
-		for i, a := range allocs {
-			for k := 0; k < a; k++ {
-				allocated = true
-				pe := PlanEntry{Region: c.Regions[i], Index: executed[i] + k}
-				if m, ok := lookup(pe); !ok {
-					missing = append(missing, pe)
-				} else if m {
-					manifested[i]++
-				}
-			}
-		}
-		if !allocated || missing != nil {
-			break
-		}
-		for i, a := range allocs {
-			executed[i] += a
-			errors[i] += manifested[i]
-			if err := planner.SetTally(i, errors[i], executed[i]); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		stats.Rounds++
-	}
-	for i, s := range planner.Snapshot() {
-		stats.Strata = append(stats.Strata, AdaptiveStratum{
-			Region: c.Regions[i], Prior: s.Prior, Executed: s.Executed,
-			Errors: s.Errors, HalfWidth: s.HalfWidth, Closed: s.Closed,
-		})
-	}
-	return executed, missing, stats, nil
-}
-
 // NormalizeAdaptive applies the adaptive defaults to a config in place,
 // validates the combination, and sizes Injections to the per-stratum
 // fixed-n cap (the plan the journal header records).  It is idempotent,
-// so callers may normalize once to build a header and again inside
-// RunAdaptive.  Returns the cap.
+// so callers may normalize once to build a header and Run again.
+// Returns the cap.
 func NormalizeAdaptive(cfg *Config) (int, error) {
 	if cfg.Confidence == 0 {
 		cfg.Confidence = DefaultConfidence
@@ -241,104 +154,54 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 	return cap, nil
 }
 
-// RunAdaptive executes an adaptive campaign: ask the contract's Frontier
-// what the recorded outcomes (cfg.Completed on a resume) still lack, Run
-// exactly those entries, record them, and ask again until nothing is
-// missing.  The golden run is executed once and reused, so round 1
-// captures its checkpoints and every round restores.  Composable with
-// checkpointing, Forensics and TraceDiff;
-// NormalizeAdaptive refuses sharding and explicit entries.
+// roundMeters announce each adaptive round the frontier has passed to
+// the planner metrics and Config.OnRound.
+type roundMeters struct {
+	onRound   func(AdaptiveStats)
+	rounds    *telemetry.Counter
+	open      *telemetry.Gauge
+	halfWidth []*telemetry.Gauge
+	reported  int // rounds already announced
+}
+
+func newRoundMeters(cfg *Config) *roundMeters {
+	m := &roundMeters{
+		onRound: cfg.OnRound,
+		rounds:  cfg.Metrics.Counter(telemetry.MetricAdaptiveRounds),
+		open:    cfg.Metrics.Gauge(telemetry.MetricAdaptiveOpen),
+	}
+	for _, r := range cfg.Regions {
+		m.halfWidth = append(m.halfWidth, cfg.Metrics.Gauge(telemetry.AdaptiveHalfWidthMetric(r.Short())))
+	}
+	m.open.Set(int64(len(cfg.Regions)))
+	return m
+}
+
+// announce reports stats if it completed rounds not yet announced.
+func (m *roundMeters) announce(stats *AdaptiveStats) {
+	if stats.Rounds <= m.reported {
+		return
+	}
+	m.rounds.Add(uint64(stats.Rounds - m.reported))
+	m.reported = stats.Rounds
+	open := 0
+	for i := range stats.Strata {
+		m.halfWidth[i].Set(int64(stats.Strata[i].HalfWidth * 10_000))
+		if !stats.Strata[i].Closed {
+			open++
+		}
+	}
+	m.open.Set(int64(open))
+	if m.onRound != nil {
+		m.onRound(*stats)
+	}
+}
+
+// RunAdaptive runs cfg as an adaptive campaign.  Run does all of it; the
+// next benchmark change deletes this wrapper.
 func RunAdaptive(cfg Config) (*Result, error) {
-	if _, err := NormalizeAdaptive(&cfg); err != nil {
-		return nil, err
-	}
-	contract := AdaptiveContract{
-		Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
-		Regions: cfg.Regions, Priors: EffectivePriors(cfg.Regions, cfg.AVFPriors),
-	}
-
-	roundsCtr := cfg.Metrics.Counter(telemetry.MetricAdaptiveRounds)
-	openGauge := cfg.Metrics.Gauge(telemetry.MetricAdaptiveOpen)
-	halfWidthGauges := make([]*telemetry.Gauge, len(cfg.Regions))
-	for i, r := range cfg.Regions {
-		halfWidthGauges[i] = cfg.Metrics.Gauge(telemetry.AdaptiveHalfWidthMetric(r.Short()))
-	}
-	openGauge.Set(int64(len(cfg.Regions)))
-	// Resumed experiments never reach Run; account for them the way it
-	// would have, so the -status line counts them as done.
-	cfg.Metrics.Counter(telemetry.MetricExperimentsPlanned).Add(uint64(len(cfg.Completed)))
-	cfg.Metrics.Counter(telemetry.MetricExperimentsResumed).Add(uint64(len(cfg.Completed)))
-
-	recorded := make(map[string]Experiment, len(cfg.Completed))
-	for id, e := range cfg.Completed {
-		recorded[id] = e
-	}
-	out := &Result{Golden: cfg.Golden}
-	reported := 0 // rounds already announced to the metrics and OnRound
-	for {
-		_, missing, stats, err := contract.Frontier(RecordedIn(recorded))
-		if err != nil {
-			return nil, err
-		}
-		if stats.Rounds > reported {
-			roundsCtr.Add(uint64(stats.Rounds - reported))
-			reported = stats.Rounds
-			open := 0
-			for i := range stats.Strata {
-				halfWidthGauges[i].Set(int64(stats.Strata[i].HalfWidth * 10_000))
-				if !stats.Strata[i].Closed {
-					open++
-				}
-			}
-			openGauge.Set(int64(open))
-			if cfg.OnRound != nil {
-				cfg.OnRound(*stats)
-			}
-		}
-		out.Adaptive = stats
-		if len(missing) == 0 {
-			break
-		}
-		if out.Interrupted || stopped(cfg.Stop) {
-			out.Interrupted = true
-			break
-		}
-
-		sub := cfg // Run ignores the adaptive fields
-		sub.Progress = nil
-		sub.Completed = nil // missing is by construction unrecorded
-		sub.Entries = missing
-		sub.Golden = out.Golden
-		sub.KeepExperiments = true
-		res, err := Run(sub)
-		if err != nil {
-			return nil, err
-		}
-		out.Golden = res.Golden
-		out.Interrupted = res.Interrupted
-		if st := res.Checkpoints; st != nil {
-			if out.Checkpoints == nil { // Taken belongs to the golden
-				out.Checkpoints = &CheckpointStats{Taken: st.Taken}
-			}
-			out.Checkpoints.Hits += st.Hits
-			out.Checkpoints.Misses += st.Misses
-			out.Checkpoints.InstrsSkipped += st.InstrsSkipped
-		}
-		out.Solo.add(res.Solo)
-		for _, e := range res.Experiments {
-			recorded[e.ID()] = e
-		}
-	}
-
-	// Everything that finished, in plan order: the executed prefixes of a
-	// converged campaign, plus an interrupted round's stragglers.
-	all := make([]Experiment, 0, len(recorded))
-	for _, e := range recorded {
-		all = append(all, e)
-	}
-	SortExperimentsByPlan(cfg.Regions, all)
-	out.summarize(&cfg, all)
-	return out, nil
+	cfg.Adaptive = true
+	return Run(cfg)
 }
 
 // regionOrdinal returns the position of region in the campaign's region
@@ -360,21 +223,4 @@ func stopped(stop <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// SortExperimentsByPlan orders experiments by (region order, index) —
-// the fixed-n plan order, and the order report.Assemble returns.
-// (region, index) is unique per campaign, so the result is one order.
-func SortExperimentsByPlan(regions []Region, experiments []Experiment) {
-	ord := make(map[Region]int, len(regions))
-	for i, r := range regions {
-		ord[r] = i
-	}
-	sort.Slice(experiments, func(a, b int) bool {
-		ra, rb := ord[experiments[a].Region], ord[experiments[b].Region]
-		if ra != rb {
-			return ra < rb
-		}
-		return experiments[a].Index < experiments[b].Index
-	})
 }

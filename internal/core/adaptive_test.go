@@ -23,7 +23,7 @@ func runAdaptiveTest(t testing.TB, app string, regions []Region, seed uint64) (*
 		Adaptive: true, TargetHalfWidth: testTargetD,
 		KeepExperiments: true,
 	}
-	res, err := RunAdaptive(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,13 @@ func TestAdaptiveMatchesFixedCampaign(t *testing.T) {
 					t.Fatalf("experiment %s desc diverged: %q vs %q", e.ID(), e.Desc, f.Desc)
 				}
 			}
-			// ... and per region it is a gapless prefix [0, n_r).
+			// ... and per region it is a gapless prefix [0, n_r), in plan
+			// order.
 			next := make(map[Region]int)
-			sorted := append([]Experiment(nil), adaptive.Experiments...)
-			SortExperimentsByPlan(adaptiveTestRegions, sorted)
-			for _, e := range sorted {
+			for i, e := range adaptive.Experiments {
+				if i > 0 && regionOrdinal(adaptiveTestRegions, e.Region) < regionOrdinal(adaptiveTestRegions, adaptive.Experiments[i-1].Region) {
+					t.Fatalf("%s follows %s: not plan order", e.ID(), adaptive.Experiments[i-1].ID())
+				}
 				if e.Index != next[e.Region] {
 					t.Fatalf("%s: index %d breaks the prefix (want %d)", e.Region, e.Index, next[e.Region])
 				}
@@ -152,9 +154,8 @@ func TestAdaptiveRerunByteIdentical(t *testing.T) {
 
 // TestAdaptiveReplayMatchesRecorded: the journal self-validation
 // property — Frontier over the recorded outcomes must land on exactly
-// the executed counts the campaign recorded, ask for the pilot round
-// when nothing is recorded, and ask again for any entry that goes
-// missing.
+// the experiments the campaign recorded, ask for the pilot round when
+// nothing is recorded, and ask again for any entry that goes missing.
 func TestAdaptiveReplayMatchesRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
@@ -164,9 +165,10 @@ func TestAdaptiveReplayMatchesRecorded(t *testing.T) {
 	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	contract := AdaptiveContract{
-		Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
-		Regions: regions, Priors: EffectivePriors(regions, cfg.AVFPriors),
+	contract := Contract{
+		Regions: regions, Injections: cfg.Injections,
+		Adaptive: true, Confidence: cfg.Confidence, Target: cfg.TargetHalfWidth, RoundSize: cfg.RoundSize,
+		Priors: EffectivePriors(regions, cfg.AVFPriors),
 	}
 	recorded := make(map[string]Experiment, len(res.Experiments))
 	for _, e := range res.Experiments {
@@ -191,56 +193,62 @@ func TestAdaptiveReplayMatchesRecorded(t *testing.T) {
 			pilot = append(pilot, PlanEntry{Region: regions[i], Index: k})
 		}
 	}
-	executed, missing, stats, err := contract.Frontier(RecordedIn(nil))
+	done, missing, stats, err := contract.Frontier(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(missing, pilot) {
-		t.Errorf("empty lookup: missing %v, want the pilot round %v", missing, pilot)
+		t.Errorf("nothing recorded: missing %v, want the pilot round %v", missing, pilot)
 	}
-	if stats.Rounds != 0 || !reflect.DeepEqual(executed, []int{0, 0}) {
-		t.Errorf("empty lookup: %d rounds, executed %v", stats.Rounds, executed)
+	if stats.Rounds != 0 || done != nil {
+		t.Errorf("nothing recorded: %d rounds, done %v", stats.Rounds, done)
 	}
 
-	// Everything recorded: converged exactly where the campaign stopped,
-	// consulting only entries the campaign ran.
-	executed, missing, stats, err = contract.Frontier(func(pe PlanEntry) (bool, bool) {
-		e, ok := recorded[pe.ID()]
-		if !ok {
-			t.Errorf("replay consulted unrecorded experiment %s", pe.ID())
-		}
-		return e.Outcome != classify.Correct, ok
-	})
+	// Everything recorded, plus an experiment the planner never
+	// allocates: converged exactly where the campaign stopped, on exactly
+	// the experiments it ran, in plan order.
+	recorded["reg/999"] = Experiment{Region: RegionRegularReg, Index: 999, Outcome: classify.Crash}
+	done, missing, stats, err = contract.Frontier(recorded)
+	delete(recorded, "reg/999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if missing != nil {
-		t.Errorf("full lookup: still missing %v", missing)
+		t.Errorf("full record: still missing %v", missing)
 	}
 	if !reflect.DeepEqual(stats, res.Adaptive) {
-		t.Errorf("full lookup: stats %+v, campaign recorded %+v", stats, res.Adaptive)
+		t.Errorf("full record: stats %+v, campaign recorded %+v", stats, res.Adaptive)
 	}
-	for i, s := range res.Adaptive.Strata {
-		if executed[i] != s.Executed {
-			t.Errorf("%s: replay derived %d executed, campaign recorded %d", s.Region, executed[i], s.Executed)
+	if len(done) != len(res.Experiments) {
+		t.Fatalf("full record: %d done, campaign ran %d", len(done), len(res.Experiments))
+	}
+	for i, pe := range done {
+		if e := res.Experiments[i]; pe.Region != e.Region || pe.Index != e.Index {
+			t.Fatalf("full record: done[%d] is %s, the campaign's %s", i, pe.ID(), e.ID())
 		}
 	}
 
-	// Any one entry dropped: it is what is missing, and the replay stops
-	// at the round before the one that needs it.
+	// Any one entry dropped: it is what is missing, the replay stops at
+	// the round before the one that needs it, and what it has done is
+	// everything else that round and the ones before it ran.
 	for _, drop := range res.Experiments {
 		delete(recorded, drop.ID())
-		executed, missing, stats, err := contract.Frontier(RecordedIn(recorded))
+		done, missing, stats, err := contract.Frontier(recorded)
 		recorded[drop.ID()] = drop
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []PlanEntry{{Region: drop.Region, Index: drop.Index}}; !reflect.DeepEqual(missing, want) {
+		dropped := PlanEntry{Region: drop.Region, Index: drop.Index}
+		if !reflect.DeepEqual(missing, []PlanEntry{dropped}) {
 			t.Fatalf("dropped %s: missing %v", drop.ID(), missing)
 		}
-		ri := regionOrdinal(regions, drop.Region)
-		if executed[ri] > drop.Index || stats.Rounds >= res.Adaptive.Rounds {
-			t.Fatalf("dropped %s: replay ran past it (executed %v, %d rounds)", drop.ID(), executed, stats.Rounds)
+		if stats.Rounds >= res.Adaptive.Rounds {
+			t.Fatalf("dropped %s: replay ran past it (%d rounds)", drop.ID(), stats.Rounds)
+		}
+		for _, pe := range done {
+			if pe == dropped {
+				t.Fatalf("dropped %s: still done", drop.ID())
+			}
 		}
 	}
 }
@@ -261,7 +269,7 @@ func TestNormalizeAdaptiveValidation(t *testing.T) {
 	if cfg.Injections != cap {
 		t.Errorf("Injections %d, want the cap %d", cfg.Injections, cap)
 	}
-	// Idempotent: a second normalization (RunAdaptive's own) is a no-op.
+	// Idempotent: a second normalization (Run's own) is a no-op.
 	snapshot := cfg
 	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		t.Fatal(err)

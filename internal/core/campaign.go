@@ -156,7 +156,9 @@ type Config struct {
 	Parallelism int
 	// WallLimit is the per-run wall-clock fallback; 0 means 10s.
 	WallLimit time.Duration
-	// Progress, when non-nil, is called after every finished experiment.
+	// Progress, when non-nil, is called after every finished experiment:
+	// done counts this Run's finished experiments, total adds what the
+	// current round has left (the whole campaign, for fixed n).
 	Progress func(done, total int)
 	// KeepExperiments retains the per-injection records in the result.
 	KeepExperiments bool
@@ -170,10 +172,10 @@ type Config struct {
 	Shard     int
 	NumShards int
 	// Entries, when non-nil, runs exactly these plan entries instead of
-	// the whole plan — what a coordinator lease and an adaptive round
-	// hand to Run: any process running the same entries at the same Seed
-	// produces the identical experiments.  Every entry must lie inside
-	// the plan (Region listed in Regions, 0 <= Index < Injections).
+	// the whole plan — what a coordinator lease hands to Run: any process
+	// running the same entries at the same Seed produces the identical
+	// experiments.  Every entry must lie inside the plan (Region listed in
+	// Regions, 0 <= Index < Injections).
 	Entries []PlanEntry
 	// Golden, when non-nil, reuses a previously computed golden run
 	// instead of re-executing it — a worker holding many leases of one
@@ -191,12 +193,12 @@ type Config struct {
 	// OnExperiment, when non-nil, is called once for each newly finished
 	// experiment (never for Completed ones).  Calls are serialized, so a
 	// journal append needs no extra locking, and are delivered in *plan
-	// order* — an experiment finishing out of order is held until its
-	// predecessors are delivered — so a fixed-seed campaign journal is
-	// byte-identical regardless of parallelism, dispatch order or
-	// checkpointing.  On interruption, finished experiments past the
-	// first unfinished entry are flushed, still in plan order, before
-	// Run returns.
+	// order*, round by round — an experiment finishing out of order is
+	// held until its predecessors are delivered — so a fixed-seed
+	// campaign journal is byte-identical regardless of parallelism,
+	// dispatch order or checkpointing.  On interruption, finished
+	// experiments past the first unfinished entry are flushed, still in
+	// plan order, before Run returns.
 	OnExperiment func(Experiment)
 	// Stop, when non-nil and closed, stops dispatching new experiments;
 	// in-flight ones finish (and still reach OnExperiment).  The Result
@@ -239,11 +241,9 @@ type Config struct {
 	// and internal/sampling): the campaign runs in deterministic rounds
 	// and stops each region once its Wilson CI half-width reaches
 	// TargetHalfWidth, instead of spending the fixed worst-case count
-	// everywhere.  Adaptive campaigns go through RunAdaptive, which sizes
-	// Injections itself (the fixed-n cap) — callers leave it zero — and
-	// hands every round one Golden, so checkpoints are captured once.
-	// Run ignores this field; it only labels the configuration for
-	// journal headers and validation.
+	// everywhere.  Run sizes Injections itself (the fixed-n cap,
+	// NormalizeAdaptive) — callers leave it zero — and its rounds share
+	// one Golden, so checkpoints are captured once.
 	Adaptive bool
 	// TargetHalfWidth is the adaptive stopping target d; 0 means
 	// DefaultTargetHalfWidth (the paper's 4.9 %).
@@ -327,47 +327,25 @@ func (r *Result) Tally(region Region) (Tally, bool) {
 	return Tally{}, false
 }
 
-// TallyExperiments aggregates finished experiments into per-region
-// tallies in the given region order — the exact aggregation Run
-// performs, exported so that merging shard journals reproduces the
-// single-process tables byte for byte.
-func TallyExperiments(regions []Region, experiments []Experiment) []Tally {
-	tallies := make([]Tally, 0, len(regions))
-	for _, region := range regions {
-		t := Tally{Region: region}
-		for i := range experiments {
-			if experiments[i].Region != region {
-				continue
-			}
-			t.Executions++
-			t.Outcomes[experiments[i].Outcome]++
-		}
-		tallies = append(tallies, t)
-	}
-	return tallies
-}
-
-// CountUnapplied returns how many experiments finished without actually
-// injecting a fault (see Experiment.Unapplied).
-func CountUnapplied(experiments []Experiment) int {
-	n := 0
-	for i := range experiments {
-		if experiments[i].Unapplied() {
-			n++
-		}
-	}
-	return n
-}
-
-// Run executes the campaign — or one shard of it — as a golden run
-// followed by independent fault-injection runs for every plan entry not
-// already present in cfg.Completed.  A host panic in an experiment fails
-// the campaign with an error naming the experiment; dispatching stops, and
-// the experiments that finished still reach OnExperiment.
+// Run executes the campaign cfg defines — the fixed-n plan, narrowed by
+// Entries and then the shard filter, or adaptive rounds — as one loop:
+// ask the campaign's Contract what the recorded experiments (Completed,
+// on a resume) still lack, run exactly those, record them, and ask again
+// until nothing is missing or Stop fires.  A fixed-n campaign is the
+// one-round case.  The golden run starts before the first round with
+// work, and every round shares it and its checkpoints.  A host panic in
+// an experiment fails the campaign with an error naming the experiment;
+// dispatching stops, and the experiments that finished still reach
+// OnExperiment.
 func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
 
 // run is Run with the campaignCtx.built test seam.
 func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
+	if cfg.Adaptive {
+		if _, err := NormalizeAdaptive(&cfg); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Injections <= 0 {
 		cfg.Injections = 100
 	}
@@ -387,66 +365,116 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 		return nil, fmt.Errorf("core: shard %d/%d out of range", cfg.Shard, cfg.NumShards)
 	}
 
-	ckptOn := cfg.CheckpointInterval > 0
+	contract := Contract{Regions: cfg.Regions, Injections: cfg.Injections, Entries: cfg.Entries}
+	if cfg.Adaptive {
+		contract.Adaptive, contract.Confidence, contract.Target, contract.RoundSize =
+			true, cfg.Confidence, cfg.TargetHalfWidth, cfg.RoundSize
+		contract.Priors = EffectivePriors(cfg.Regions, cfg.AVFPriors)
+	} else if cfg.NumShards > 1 {
+		if contract.Entries == nil {
+			contract.Entries = Plan{Regions: cfg.Regions, Injections: cfg.Injections}.Range(0, len(cfg.Regions)*cfg.Injections)
+		}
+		contract.Entries = shardOf(contract.Entries, cfg.Shard, cfg.NumShards)
+	}
+
 	met := newCampaignMeters(cfg.Metrics)
+	met.traceDiff = cfg.TraceDiff
+	var rounds *roundMeters
+	if cfg.Adaptive {
+		rounds = newRoundMeters(&cfg)
+	}
+	recorded := make(map[string]Experiment, len(cfg.Completed))
+	for id, e := range cfg.Completed {
+		recorded[id] = e
+	}
+	var cctx *campaignCtx
+	for first := true; ; first = false {
+		done, missing, stats, err := contract.Frontier(recorded)
+		if err != nil {
+			return nil, err
+		}
+		if first {
+			// Resumed experiments never run; count them as planned and done.
+			met.planned.Add(uint64(len(done)))
+			met.resumed.Add(uint64(len(done)))
+		}
+		if rounds != nil {
+			rounds.announce(stats)
+		}
+		if len(missing) > 0 && !stopped(cfg.Stop) {
+			if cctx == nil {
+				if cctx, err = newCampaignCtx(&cfg, met, built); err != nil {
+					return nil, err
+				}
+			}
+			met.planned.Add(uint64(len(missing)))
+			if err := cctx.runRound(missing, recorded); err != nil {
+				return nil, err
+			}
+			continue
+		}
+
+		res := contract.collect(done, recorded, stats)
+		res.Golden, res.Interrupted = cfg.Golden, len(missing) > 0
+		if cctx != nil {
+			res.Golden = cctx.golden
+			if cfg.CheckpointInterval > 0 {
+				res.Checkpoints = &CheckpointStats{
+					Taken: len(cctx.snaps), Hits: cctx.hits.Load(), Misses: cctx.misses.Load(),
+					InstrsSkipped: cctx.skipped.Load(),
+				}
+			}
+			res.Solo = cctx.solo.stats()
+		}
+		if !cfg.KeepExperiments {
+			res.Experiments = nil
+		}
+		return res, nil
+	}
+}
+
+// newCampaignCtx readies the state a campaign's rounds share: cfg.Golden,
+// or a golden run of its own with its checkpoints, and what derives from
+// it.
+func newCampaignCtx(cfg *Config, met *campaignMeters, built func(*vm.Machine)) (*campaignCtx, error) {
 	golden := cfg.Golden
 	if golden == nil {
 		var err error
-		if golden, err = runGolden(&cfg, built); err != nil {
+		if golden, err = runGolden(cfg, built); err != nil {
 			return nil, err
 		}
 		met.ckptTaken.Add(uint64(len(golden.Result.Snapshots)))
 	}
-	dict := NewDictionary(cfg.Image)
-	budget := golden.MaxInstrs() * budgetMultiplier
-
-	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
-	entries := cfg.Entries
-	if entries == nil {
-		entries = plan.Range(0, plan.Total())
+	c := &campaignCtx{
+		cfg: cfg, golden: golden, dict: NewDictionary(cfg.Image), budget: golden.MaxInstrs() * budgetMultiplier,
+		base: rng.New(cfg.Seed), met: met, built: built,
 	}
-	for _, pe := range cfg.Entries {
-		if regionOrdinal(cfg.Regions, pe.Region) < 0 || pe.Index < 0 || pe.Index >= cfg.Injections {
-			return nil, fmt.Errorf("core: entry %s outside the plan", pe.ID())
-		}
+	if cfg.CheckpointInterval > 0 {
+		c.snaps = golden.Result.Snapshots
 	}
-	entries = shardOf(entries, cfg.Shard, cfg.NumShards)
-	met.traceDiff = cfg.TraceDiff
-	met.planned.Add(uint64(len(entries)))
+	return c, nil
+}
 
-	cctx := &campaignCtx{cfg: &cfg, golden: golden, dict: dict, budget: budget, met: met, built: built}
-	if ckptOn {
-		cctx.snaps = golden.Result.Snapshots
-	}
-
+// runRound runs one frontier's entries and records every experiment that
+// finishes in recorded.  OnExperiment sees them in the frontier's order
+// (the plan's own, the order a serial campaign produces); dispatch order
+// is free to differ: with checkpoints available, experiments are grouped
+// by the checkpoint they restore from, so concurrent jobs share one
+// snapshot's backing pages and the residual prefixes they replay.  Stop
+// ends dispatching; a panic fails the round.
+func (c *campaignCtx) runRound(entries []PlanEntry, recorded map[string]Experiment) error {
+	cfg, met := c.cfg, c.met
 	experiments := make([]Experiment, len(entries))
 	finished := make([]bool, len(entries))
-	var todo []int
+	todo := make([]int, len(entries))
 	for i, pe := range entries {
-		if prev, ok := cfg.Completed[pe.ID()]; ok {
-			prev.Region, prev.Index = pe.Region, pe.Index
-			experiments[i] = prev
-			finished[i] = true
-			continue
-		}
 		experiments[i] = Experiment{Region: pe.Region, Index: pe.Index}
-		todo = append(todo, i)
+		todo[i] = i
 	}
-	met.resumed.Add(uint64(len(entries) - len(todo)))
-
-	base := rng.New(cfg.Seed)
-	cctx.base = base
-
-	// planOrder is the journal-delivery order (the plan's own order, the
-	// same one a serial campaign would produce).  Dispatch order is free
-	// to differ: with checkpoints available, experiments are grouped by
-	// the checkpoint they restore from, so concurrent jobs share one
-	// snapshot's backing pages and the residual prefixes they replay.
-	planOrder := append([]int(nil), todo...)
-	if len(cctx.snaps) > 0 {
-		bucket := make(map[int]int, len(todo))
-		for _, idx := range todo {
-			bucket[idx] = cctx.bucketOf(&experiments[idx])
+	if len(c.snaps) > 0 {
+		bucket := make([]int, len(entries))
+		for i := range experiments {
+			bucket[i] = c.bucketOf(&experiments[i])
 		}
 		sort.SliceStable(todo, func(i, j int) bool {
 			return bucket[todo[i]] < bucket[todo[j]]
@@ -456,23 +484,21 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	var (
 		wg          sync.WaitGroup
 		next        = make(chan int)
-		done        int
 		mu          sync.Mutex
-		total       = len(todo)
+		total       = c.progressed + len(entries)
 		deliverNext int
 		// failure is the first experiment's panic; failed closes with it.
 		failure  error
 		failOnce sync.Once
 		failed   = make(chan struct{})
 	)
-	// deliverLocked hands finished experiments to OnExperiment in plan
-	// order; called with mu held.
+	// deliverLocked hands finished experiments to OnExperiment in order;
+	// called with mu held.
 	deliverLocked := func() {
-		for deliverNext < len(planOrder) && finished[planOrder[deliverNext]] {
+		for ; deliverNext < len(entries) && finished[deliverNext]; deliverNext++ {
 			if cfg.OnExperiment != nil {
-				cfg.OnExperiment(experiments[planOrder[deliverNext]])
+				cfg.OnExperiment(experiments[deliverNext])
 			}
-			deliverNext++
 		}
 	}
 	scratch := sync.Pool{New: func() any { return &expScratch{} }}
@@ -485,8 +511,8 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 				met.started.Inc()
 				met.inflight.Add(1)
 				sc := scratch.Get().(*expScratch)
-				base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
-				err := cctx.runGuarded(e, sc)
+				c.base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
+				err := c.runGuarded(e, sc)
 				scratch.Put(sc)
 				met.inflight.Add(-1)
 				if err != nil {
@@ -496,8 +522,8 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 				met.observe(e)
 				mu.Lock()
 				finished[idx] = true
-				done++
-				d := done
+				c.progressed++
+				d := c.progressed
 				deliverLocked()
 				mu.Unlock()
 				if cfg.Progress != nil {
@@ -506,17 +532,14 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 			}
 		}()
 	}
-	res := &Result{Golden: golden}
 dispatch:
 	for _, idx := range todo {
 		// Poll Stop first so a fired stop wins over a ready worker.
 		if stopped(cfg.Stop) {
-			res.Interrupted = true
-			break dispatch
+			break
 		}
 		select {
 		case <-cfg.Stop:
-			res.Interrupted = true
 			break dispatch
 		case <-failed:
 			break dispatch
@@ -526,45 +549,21 @@ dispatch:
 	close(next)
 	wg.Wait()
 	// Flush finished-but-undelivered experiments (an interrupt leaves
-	// gaps in the plan): still plan order, unfinished entries skipped.
-	if cfg.OnExperiment != nil {
-		for ; deliverNext < len(planOrder); deliverNext++ {
-			if finished[planOrder[deliverNext]] {
-				cfg.OnExperiment(experiments[planOrder[deliverNext]])
-			}
+	// gaps): still in order, unfinished entries skipped.
+	for ; deliverNext < len(entries); deliverNext++ {
+		if finished[deliverNext] && cfg.OnExperiment != nil {
+			cfg.OnExperiment(experiments[deliverNext])
 		}
 	}
 	if failure != nil {
-		return nil, failure
+		return failure
 	}
-	if ckptOn {
-		res.Checkpoints = &CheckpointStats{
-			Taken: len(cctx.snaps), Hits: cctx.hits.Load(), Misses: cctx.misses.Load(),
-			InstrsSkipped: cctx.skipped.Load(),
+	for i := range experiments {
+		if finished[i] {
+			recorded[experiments[i].ID()] = experiments[i]
 		}
 	}
-	res.Solo = cctx.solo.stats()
-
-	ran := experiments
-	if res.Interrupted {
-		ran = ran[:0]
-		for i := range experiments {
-			if finished[i] {
-				ran = append(ran, experiments[i])
-			}
-		}
-	}
-	res.summarize(&cfg, ran)
-	return res, nil
-}
-
-// summarize fills the result's tallies from the experiments that ran.
-func (res *Result) summarize(cfg *Config, ran []Experiment) {
-	res.Tallies = TallyExperiments(cfg.Regions, ran)
-	res.Unclassified = CountUnapplied(ran)
-	if cfg.KeepExperiments {
-		res.Experiments = ran
-	}
+	return nil
 }
 
 // campaignCtx bundles the per-campaign immutable state the workers share,
@@ -592,6 +591,9 @@ type campaignCtx struct {
 	// read back from it.
 	hits, misses, skipped atomic.Uint64
 	solo                  soloCounters
+	// progressed counts the experiments finished across rounds, for
+	// Config.Progress.
+	progressed int
 }
 
 // expScratch is the pooled per-experiment scratch: the experiment and

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"mpifault/internal/rng"
 	"mpifault/internal/telemetry"
 	"mpifault/internal/vm"
 )
@@ -12,30 +11,28 @@ import (
 // with its golden run and, when cfg.CheckpointInterval is set, that run's
 // checkpoints.
 func testArm(cfg *Config, golden *Golden) *campaignCtx {
-	c := &campaignCtx{
-		cfg: cfg, golden: golden, dict: NewDictionary(cfg.Image),
-		budget: budgetMultiplier * golden.MaxInstrs(), base: rng.New(cfg.Seed), met: newCampaignMeters(cfg.Metrics),
-	}
-	if cfg.CheckpointInterval > 0 {
-		c.snaps = golden.Result.Snapshots
-	}
+	cfg.Golden = golden
+	c, _ := newCampaignCtx(cfg, newCampaignMeters(cfg.Metrics), nil) // handed a Golden, it cannot fail
 	return c
 }
 
 // runArm runs every entry of cfg's plan through c, in plan order, on one
 // thread.
 func runArm(c *campaignCtx, cfg *Config) *Result {
-	plan := Plan{Regions: cfg.Regions, Injections: cfg.Injections}
-	var ran []Experiment
+	contract := Contract{Regions: cfg.Regions, Injections: cfg.Injections}
+	ran := make(map[string]Experiment)
 	var sc expScratch
-	for _, pe := range plan.Range(0, plan.Total()) {
+	for _, pe := range (Plan{Regions: cfg.Regions, Injections: cfg.Injections}).Range(0, len(cfg.Regions)*cfg.Injections) {
 		e := Experiment{Region: pe.Region, Index: pe.Index}
 		c.base.DeriveInto(&sc.r, uint64(e.Region), uint64(e.Index))
 		runOne(c, &e, &sc)
-		ran = append(ran, e)
+		ran[e.ID()] = e
 	}
-	res := &Result{Golden: c.golden, Solo: c.solo.stats()}
-	res.summarize(cfg, ran)
+	res, _ := contract.Assemble(ran) // every entry ran
+	res.Golden, res.Solo = c.golden, c.solo.stats()
+	if !cfg.KeepExperiments {
+		res.Experiments = nil
+	}
 	return res
 }
 

@@ -67,7 +67,7 @@ func adaptiveArtifacts(t *testing.T, app string, regions []core.Region, d float6
 			t.Errorf("journal append: %v", err)
 		}
 	}
-	res, err := core.RunAdaptive(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 			}
 			onAppend()
 		}
-		res, err := core.RunAdaptive(cfg)
+		res, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var csv bytes.Buffer
-	report.WriteCampaignCSV(&csv, m.App, m.Result)
+	report.WriteCampaignCSV(&csv, m.Header.App, m.Result)
 	if csv.String() != wantCSV {
 		t.Errorf("journal merge differs from the uninterrupted campaign:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", csv.String(), wantCSV)
 	}
@@ -267,31 +267,38 @@ func TestGoldenCarriesCheckpoints(t *testing.T) {
 		return res
 	}
 
-	// One golden pass: the execution that produced the reference output
-	// and the tapes is the one that took the snapshots.
+	// Nothing to run, nothing run: the golden run starts with the first
+	// round that has work.
 	all := plan.Range(0, plan.Total())
 	done := make(map[string]core.Experiment, len(all))
 	for _, pe := range all {
-		done[pe.ID()] = core.Experiment{}
+		done[pe.ID()] = core.Experiment{Region: pe.Region, Index: pe.Index}
 	}
 	nothing := base
 	nothing.Completed = done
-	empty := run(nothing, 0, plan.Total())
-	if n := reg.Counter(telemetry.MetricJobs).Value(); n != 0 {
-		t.Fatalf("a Run with every entry completed ran %d experiment jobs", n)
+	empty, err := core.Run(nothing)
+	if err != nil {
+		t.Fatal(err)
 	}
-	job := empty.Golden.Result
-	if empty.Checkpoints.Taken == 0 || len(job.Snapshots) != empty.Checkpoints.Taken || len(job.Tapes) != ranks {
+	if n := reg.Counter(telemetry.MetricJobs).Value(); n != 0 || empty.Golden != nil || empty.Checkpoints != nil || captured.Value() != 0 {
+		t.Fatalf("a Run with every entry completed ran %d experiment jobs, golden %v, checkpoints %+v",
+			n, empty.Golden != nil, empty.Checkpoints)
+	}
+
+	// One golden pass: the execution that produced the reference output
+	// and the tapes is the one that took the snapshots.
+	first := run(base, 0, 8)
+	job := first.Golden.Result
+	if first.Checkpoints.Taken == 0 || len(job.Snapshots) != first.Checkpoints.Taken || len(job.Tapes) != ranks {
 		t.Fatalf("%d checkpoints, but the golden job recorded %d snapshots and %d tapes",
-			empty.Checkpoints.Taken, len(job.Snapshots), len(job.Tapes))
+			first.Checkpoints.Taken, len(job.Snapshots), len(job.Tapes))
 	}
-	taken := uint64(empty.Checkpoints.Taken)
+	taken := uint64(first.Checkpoints.Taken)
 	if captured.Value() != taken {
 		t.Fatalf("the golden run took %d checkpoints, telemetry counted %d", taken, captured.Value())
 	}
 
-	base.Golden = empty.Golden
-	first := run(base, 0, 8)
+	base.Golden = first.Golden
 	second := run(base, 8, 16)
 	if captured.Value() != taken {
 		t.Errorf("Runs handed a Golden captured again (%d checkpoints, want %d)", captured.Value(), taken)

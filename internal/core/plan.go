@@ -31,7 +31,7 @@ type PlanEntry struct {
 // ID returns the entry's stable string identity, e.g. "reg/17", used as
 // the experiment key in checkpoint journals.
 func (e PlanEntry) ID() string {
-	return fmt.Sprintf("%s/%d", e.Region.Short(), e.Index)
+	return e.Region.Short() + "/" + strconv.Itoa(e.Index)
 }
 
 // ParseEntryID inverts PlanEntry.ID.

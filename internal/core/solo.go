@@ -53,18 +53,6 @@ type SoloStats struct {
 // Attempts returns how many experiments ran solo first.
 func (s SoloStats) Attempts() uint64 { return s.Correct + s.Failed + s.Fallback }
 
-// add accumulates other into s.
-func (s *SoloStats) add(other SoloStats) {
-	s.Correct += other.Correct
-	s.Failed += other.Failed
-	s.Dead += other.Dead
-	s.Converged += other.Converged
-	s.Fallback += other.Fallback
-	s.Instrs += other.Instrs
-	s.Peers += other.Peers
-	s.Materialized += other.Materialized
-}
-
 // soloCounters is SoloStats under concurrent workers.
 type soloCounters struct {
 	correct, failed, dead, converged, fallback, instrs, peers, materialized atomic.Uint64

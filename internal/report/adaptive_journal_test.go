@@ -37,7 +37,7 @@ func runAdaptiveJournal(t testing.TB, path string) *core.Result {
 			t.Errorf("append: %v", err)
 		}
 	}
-	res, err := core.RunAdaptive(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +78,15 @@ func TestAdaptiveJournalByteIdenticalAndMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Adaptive {
+	if !m.Header.Adaptive {
 		t.Error("merge did not recognize the adaptive header")
 	}
-	if m.Confidence != core.DefaultConfidence || m.Target != 0.15 {
-		t.Errorf("merged contract (%v, %v) differs from the recorded one", m.Confidence, m.Target)
+	if m.Header.Confidence != core.DefaultConfidence || m.Header.Target != 0.15 {
+		t.Errorf("merged contract (%v, %v) differs from the recorded one", m.Header.Confidence, m.Header.Target)
 	}
 	var want, got bytes.Buffer
 	WriteCampaignCSV(&want, "wavetoy", res)
-	WriteCampaignCSV(&got, m.App, m.Result)
+	WriteCampaignCSV(&got, m.Header.App, m.Result)
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Errorf("merged CSV differs from the single-process CSV:\n-- single --\n%s\n-- merged --\n%s",
 			want.Bytes(), got.Bytes())

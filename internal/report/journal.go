@@ -46,10 +46,10 @@ type JournalHeader struct {
 	// default (faultcampaign -scale); default-scale journals omit it.
 	Scale int `json:"scale,omitempty"`
 
-	// Adaptive campaigns (core.RunAdaptive) pin their whole estimation
-	// contract in the header: with the confidence, target half-width,
-	// round size and pilot priors recorded, a merge can replay the
-	// deterministic planner over the journal's outcomes and verify the
+	// Adaptive campaigns pin their whole estimation contract in the
+	// header: with the confidence, target half-width, round size and
+	// pilot priors recorded, a merge can replay the deterministic planner
+	// over the journal's outcomes (Contract().Assemble) and verify the
 	// recorded per-region counts are exactly where the stopping rule
 	// landed.  Injections then holds the per-stratum fixed-n cap.
 	// Fixed-n journals omit all four fields, so old journals parse
@@ -376,18 +376,11 @@ func SameOutcome(a, b core.Experiment) bool {
 // Merged is the reconstruction of a complete campaign from shard
 // journals.
 type Merged struct {
-	App        string
-	Seed       uint64
-	Injections int
-	Ranks      int
-	Regions    []core.Region
-	Journals   int
-	// Adaptive campaigns carry their estimation contract through so the
-	// rate table can label its CI columns; Injections is then the
-	// per-stratum cap, not the executed count.
-	Adaptive   bool
-	Confidence float64
-	Target     float64
+	// Header is the campaign's, as its first journal records it; an
+	// adaptive one's Injections is the per-stratum cap, not the executed
+	// count.
+	Header   JournalHeader
+	Journals int
 	// Result carries the merged tallies and experiments; rendering it
 	// with WriteCampaignCSV / WriteCampaign reproduces the
 	// single-process campaign's output byte for byte.
@@ -453,89 +446,27 @@ func MergeJournals(paths []string) (*Merged, error) {
 		}
 	}
 
-	regions, err := base.PlanRegions()
+	contract, err := base.Contract()
 	if err != nil {
 		return nil, err
 	}
-	res, err := Assemble(base, byID)
+	res, err := contract.Assemble(byID)
 	if err != nil {
 		return nil, err
 	}
-	return &Merged{
-		App:        base.App,
-		Seed:       base.Seed,
-		Injections: base.Injections,
-		Ranks:      base.Ranks,
-		Regions:    regions,
-		Journals:   len(paths),
-		Adaptive:   base.Adaptive,
-		Confidence: base.Confidence,
-		Target:     base.Target,
-		Result:     res,
+	return &Merged{Header: base, Journals: len(paths), Result: res}, nil
+}
+
+// Contract is the campaign h describes, as core.Contract: what Frontier
+// replays and Assemble accepts.  It is the whole campaign, whichever
+// shard h itself covers.
+func (h JournalHeader) Contract() (core.Contract, error) {
+	regions, err := h.PlanRegions()
+	if err != nil {
+		return core.Contract{}, err
+	}
+	return core.Contract{
+		Regions: regions, Injections: h.Injections,
+		Adaptive: h.Adaptive, Confidence: h.Confidence, Target: h.Target, RoundSize: h.RoundSize, Priors: h.Priors,
 	}, nil
-}
-
-// Frontier asks what the campaign h describes still lacks, given the
-// experiments lookup records — the one question the coordinator, a merge
-// and a resume ask of a campaign definition.  A fixed-n campaign is a
-// single round: executed is Injections per region and missing the
-// unrecorded plan entries in plan order (stats is nil).  An adaptive one
-// replays its contract's planner (core.AdaptiveContract.Frontier).
-func (h JournalHeader) Frontier(lookup func(core.PlanEntry) (manifested, recorded bool)) (executed []int, missing []core.PlanEntry, stats *core.AdaptiveStats, err error) {
-	regions, err := h.PlanRegions()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if h.Adaptive {
-		return core.AdaptiveContract{
-			Confidence: h.Confidence, Target: h.Target, RoundSize: h.RoundSize,
-			Regions: regions, Priors: h.Priors,
-		}.Frontier(lookup)
-	}
-	executed = make([]int, len(regions))
-	for ri, r := range regions {
-		executed[ri] = h.Injections
-		for idx := 0; idx < h.Injections; idx++ {
-			pe := core.PlanEntry{Region: r, Index: idx}
-			if _, ok := lookup(pe); !ok {
-				missing = append(missing, pe)
-			}
-		}
-	}
-	return executed, missing, nil, nil
-}
-
-// Assemble decides whether the experiments in byID are the finished
-// campaign h describes and, if so, returns it in plan order (region
-// order, index ascending) — the one place a result set is accepted,
-// shared by MergeJournals and the coordinator.  The campaign is what
-// h.Frontier says it consists of, and missing entries fail.  An adaptive
-// campaign must be exactly that: extras mean the set was not produced by
-// the recorded contract's planner.
-func Assemble(h JournalHeader, byID map[string]core.Experiment) (*core.Result, error) {
-	regions, err := h.PlanRegions()
-	if err != nil {
-		return nil, err
-	}
-	executed, missing, stats, err := h.Frontier(core.RecordedIn(byID))
-	if err != nil {
-		return nil, err
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("report: merge incomplete: the planner requires %s, which no journal records (%d missing) — rerun the missing shards or resume them from their journals",
-			missing[0].ID(), len(missing))
-	}
-	res := &core.Result{Adaptive: stats}
-	for ri, n := range executed {
-		for idx := 0; idx < n; idx++ {
-			res.Experiments = append(res.Experiments, byID[core.PlanEntry{Region: regions[ri], Index: idx}.ID()])
-		}
-	}
-	if h.Adaptive && len(res.Experiments) != len(byID) {
-		return nil, fmt.Errorf("report: journals record %d experiments but the adaptive planner replay expects %d — not a completed campaign under the recorded contract",
-			len(byID), len(res.Experiments))
-	}
-	res.Tallies = core.TallyExperiments(regions, res.Experiments)
-	res.Unclassified = core.CountUnapplied(res.Experiments)
-	return res, nil
 }

@@ -251,7 +251,8 @@ func TestMergeValidation(t *testing.T) {
 }
 
 // TestAssemble: the one place a result set is accepted as a finished
-// campaign, with the error texts faultmerge and the coordinator report.
+// campaign — a header's Contract().Assemble — with the error texts
+// faultmerge and the coordinator report.
 func TestAssemble(t *testing.T) {
 	set := func(n int, outcomes ...classify.Outcome) map[string]core.Experiment {
 		byID := make(map[string]core.Experiment, n)
@@ -291,7 +292,11 @@ func TestAssemble(t *testing.T) {
 		{"adaptive stopped early", adaptive, set(96, classify.Correct, classify.Crash), 0,
 			"the planner requires reg/96, which no journal records"},
 	} {
-		res, err := Assemble(tc.h, tc.byID)
+		contract, err := tc.h.Contract()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := contract.Assemble(tc.byID)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
@@ -366,8 +371,8 @@ func TestMergedShardsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotCSV, gotTable bytes.Buffer
-	WriteCampaignCSV(&gotCSV, m.App, m.Result)
-	WriteCampaign(&gotTable, m.App, m.Result)
+	WriteCampaignCSV(&gotCSV, m.Header.App, m.Result)
+	WriteCampaign(&gotTable, m.Header.App, m.Result)
 
 	if !bytes.Equal(wantCSV.Bytes(), gotCSV.Bytes()) {
 		t.Errorf("merged CSV differs from single-process CSV:\n-- single --\n%s\n-- merged --\n%s",
@@ -477,9 +482,100 @@ func TestResumeAfterCancelEqualsUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
-	WriteCampaignCSV(&merged, m.App, m.Result)
+	WriteCampaignCSV(&merged, m.Header.App, m.Result)
 	if !bytes.Equal(want.Bytes(), merged.Bytes()) {
 		t.Error("merged resumed journal differs from uninterrupted CSV")
+	}
+}
+
+// TestShardedResumeByteIdentical cuts a shard's journal mid-run, resumes
+// it, and requires the journal bytes and the shard's tallies to equal an
+// uninterrupted run of the shard: the shard filter narrows the plan
+// before the frontier drops the entries the journal records.
+func TestShardedResumeByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test is slow")
+	}
+	im, ranks := buildWavetoy(t)
+	base := core.Config{
+		Image: im, Ranks: ranks, Injections: 9, Seed: 11, Shard: 1, NumShards: 3,
+		Regions:     []core.Region{core.RegionRegularReg, core.RegionHeap},
+		Parallelism: 1, // finishes in plan order, so the cut is a prefix
+	}
+	hdr := CampaignHeader("wavetoy", base)
+	dir := t.TempDir()
+	// session runs cfg with every experiment appended to j; after cut
+	// appends it stops dispatching (0: never).
+	session := func(cfg core.Config, j *Journal, cut int) (*core.Result, int) {
+		t.Helper()
+		stop := make(chan struct{})
+		ran := 0
+		cfg.Stop = stop
+		cfg.OnExperiment = func(e core.Experiment) {
+			if err := j.Append(e); err != nil {
+				t.Errorf("append: %v", err)
+			}
+			if ran++; ran == cut {
+				close(stop)
+			}
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res, ran
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	fullPath := filepath.Join(dir, "full.jsonl")
+	j, err := CreateJournal(fullPath, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, shardSize := session(base, j, 0)
+	if shardSize != 6 || full.Interrupted {
+		t.Fatalf("shard 1/3 of 18 entries ran %d (interrupted %v), want 6", shardSize, full.Interrupted)
+	}
+
+	cutPath := filepath.Join(dir, "cut.jsonl")
+	if j, err = CreateJournal(cutPath, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if part, _ := session(base, j, 2); !part.Interrupted {
+		t.Fatal("the stop did not interrupt the shard")
+	}
+	j, completed, err := ResumeJournal(cutPath, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(completed) != 2 {
+		t.Fatalf("the cut journal records %d experiments, want 2", len(completed))
+	}
+	cfg := base
+	cfg.Completed = completed
+	resumed, rerun := session(cfg, j, 0)
+	if rerun != shardSize-len(completed) || resumed.Interrupted {
+		t.Fatalf("the resume ran %d experiments (interrupted %v), want the %d the journal lacked",
+			rerun, resumed.Interrupted, shardSize-len(completed))
+	}
+	if got, want := read(cutPath), read(fullPath); !bytes.Equal(got, want) {
+		t.Errorf("resumed shard journal differs from the uninterrupted one:\n-- resumed --\n%s\n-- uninterrupted --\n%s", got, want)
+	}
+	var got, want bytes.Buffer
+	WriteCampaignCSV(&got, "wavetoy", resumed)
+	WriteCampaignCSV(&want, "wavetoy", full)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("resumed shard tallies differ:\n%s\nwant\n%s", got.Bytes(), want.Bytes())
 	}
 }
 

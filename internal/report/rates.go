@@ -8,13 +8,15 @@ import (
 	"mpifault/internal/sampling"
 )
 
-// WriteRates renders the per-region manifestation-rate estimates with
-// Wilson score CI half-width columns — the estimation-quality view the
-// adaptive planner stops on, printed for fixed-n campaigns too.
+// WriteRates renders an adaptive campaign's per-region manifestation-rate
+// estimates with Wilson score CI half-width columns — the estimation-
+// quality view its planner stops on, at the confidence and target
+// res.Adaptive records.
 //
 // This table is advisory output; the campaign CSV stays byte-identical
 // with or without it (it is never emitted in -csv mode).
-func WriteRates(w io.Writer, app string, res *core.Result, confidence, target float64) {
+func WriteRates(w io.Writer, app string, res *core.Result) {
+	confidence := res.Adaptive.Confidence
 	fmt.Fprintf(w, "Estimated Manifestation Rates (%s)\n", app)
 	fmt.Fprintf(w, "%-14s %10s %8s %8s\n", "Region", "Executions", "Errors%", "±CI%")
 	for _, t := range res.Tallies {
@@ -28,9 +30,6 @@ func WriteRates(w io.Writer, app string, res *core.Result, confidence, target fl
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "(Wilson score intervals at %.0f%% confidence", 100*confidence)
-	if target > 0 {
-		fmt.Fprintf(w, "; adaptive stopping target d=%.1f%%", 100*target)
-	}
-	fmt.Fprintf(w, ")\n")
+	fmt.Fprintf(w, "(Wilson score intervals at %.0f%% confidence; adaptive stopping target d=%.1f%%)\n",
+		100*confidence, 100*res.Adaptive.Target)
 }

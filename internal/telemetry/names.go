@@ -88,7 +88,7 @@ const (
 	MetricCoordWorkers         = "mpifault_coord_workers"
 	MetricCoordPlanTotal       = "mpifault_coord_plan_experiments_total"
 
-	// Adaptive sequential-stopping planner (internal/core RunAdaptive).
+	// Adaptive sequential-stopping planner (an adaptive internal/core Run).
 	// Rounds counts planner barriers crossed; the open gauge tracks how
 	// many strata still miss their CI target (0 = converged).
 	MetricAdaptiveRounds = "mpifault_adaptive_rounds_total"
