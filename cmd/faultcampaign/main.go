@@ -19,7 +19,8 @@
 // control plane: it pulls bounded leases from the coordinator at the
 // given URL, runs their experiments (the campaign spec — app, seed,
 // injections, regions — arrives with each lease),
-// streams the journal segments back over HTTP, and exits when the
+// uploads each lease's journal segment once, when its experiments have
+// run, and exits when the
 // coordinator reports the campaign complete.  A worker holds its leases
 // by heartbeat; one that dies or stalls simply forfeits them to other
 // workers.  Worker mode takes the campaign definition from the

@@ -1,8 +1,9 @@
 // Command faultcoord is the campaign-as-a-service control plane: a
 // long-running coordinator that splits a fault-injection campaign into
 // bounded leases, hands them to `faultcampaign -worker <url>` processes
-// via pull-based work-stealing, ingests the JSONL journal segments the
-// workers stream back, and serves the live cluster view.
+// via pull-based work-stealing, ingests the JSONL journal segment a
+// worker uploads once per completed lease, and serves the live cluster
+// view.
 //
 // Usage:
 //
@@ -19,17 +20,18 @@
 // writes at the same flags — so `faultcampaign -worker http://host:8700`
 // on any number of machines is the whole cluster.  Slow or dead workers
 // forfeit their leases after -lease-ttl without a heartbeat; the lease
-// returns to the queue and the next worker re-runs it, with duplicate
-// results resolved idempotently — every experiment's outcome is a pure
-// function of (seed, region, index), so the re-run must agree byte for
-// byte.
+// returns to the queue, whatever its owner uploaded is dropped, and the
+// next worker re-runs it whole — every experiment's outcome is a pure
+// function of (seed, region, index), so it does not matter which worker
+// ran it.
 //
 // -wait blocks until the campaign completes, writes the final CSV to
 // -out (default stdout) and exits.  The CSV is byte-identical to
 // `faultcampaign -csv -quiet` at the same parameters — the determinism
 // gate CI enforces with a plain diff, even when a worker is SIGKILLed
-// mid-campaign.  -dir spools every ingested segment to disk in the
-// layout `faultmerge -coord <dir>` reconstructs the campaign from.
+// mid-campaign.  -dir spools each accepted lease segment to disk, once,
+// when its lease completes: the layout `faultmerge -coord <dir>`
+// reconstructs the campaign from.
 //
 // Exit status (with -wait): 0 on a clean campaign, 1 when the campaign
 // failed or any experiment failed to classify.
@@ -70,7 +72,7 @@ func run() int {
 	roundSize := flag.Int("round", 0, "adaptive per-region per-round experiment bound (0 = default; requires -adaptive)")
 	leaseSize := flag.Int("lease-size", coord.DefaultLeaseSize, "plan entries per lease (small leases steal cheaply, large ones amortize the worker's golden run)")
 	leaseTTL := flag.Duration("lease-ttl", coord.DefaultLeaseTTL, "lease deadline; a worker that has not heartbeat within this long forfeits the lease")
-	dir := flag.String("dir", "", "spool ingested journal segments to this directory (merge with faultmerge -coord)")
+	dir := flag.String("dir", "", "spool each completed lease's journal segment to this directory (merge with faultmerge -coord)")
 	wait := flag.Bool("wait", false, "block until the campaign completes, write the final CSV and exit")
 	out := flag.String("out", "", "write the final CSV to this file instead of stdout (with -wait)")
 	statusEvery := flag.Duration("status", 0, "print a one-line cluster status to stderr at this interval (e.g. 5s; 0 = off)")
@@ -205,8 +207,8 @@ func run() int {
 	}
 	st := co.Status()
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "campaign complete: %d experiments over %d leases (%d stolen, %d duplicate results resolved)\n",
-			st.Results, st.LeasesTotal, st.LeasesStolen, st.Duplicates)
+		fmt.Fprintf(os.Stderr, "campaign complete: %d experiments over %d leases (%d stolen)\n",
+			st.Results, st.LeasesTotal, st.LeasesStolen)
 	}
 	if unclassified > 0 {
 		log.Printf("%d experiments failed to classify (no fault was applied); results are incomplete", unclassified)

@@ -15,10 +15,9 @@
 // gate CI enforces with a plain diff.
 //
 // -coord merges a faultcoord spool directory instead: one journal file
-// per lease segment (stolen leases leave one file per generation, whose
-// intact lines the merge resolves as duplicates; torn tails from killed
-// workers are tolerated).  The same disjoint/complete validation and
-// byte-identity guarantee apply.
+// per completed lease, named after the lease generation that completed
+// it (a dead worker's partial upload is never spooled).  The same
+// disjoint/complete validation and byte-identity guarantee apply.
 //
 // Exit status: 0 on a clean merge, 1 when the journals are incomplete,
 // inconsistent, or contain experiments that failed to classify.

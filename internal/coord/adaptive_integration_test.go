@@ -52,12 +52,40 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 
 	spool := t.TempDir()
 	co := New(Config{Metrics: telemetry.New(), Dir: spool})
-	// The server records every grant on its way to a worker.
+	// After every completion — so at every barrier — the round and stratum
+	// summary Status reports must be what a replay of the frontier over the
+	// results ingested so far says.
+	rounds := map[int]bool{}
+	checkStatus := func() {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		_, missing, stats, err := co.c.contract.Frontier(co.c.results)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		round := stats.Rounds
+		if len(missing) > 0 {
+			round++
+		}
+		if co.c.round != round || co.c.adaptive != stats.StatusSuffix() {
+			t.Errorf("status after %d results: round %d %q, the frontier says round %d %q",
+				len(co.c.results), co.c.round, co.c.adaptive, round, stats.StatusSuffix())
+		}
+		rounds[round] = true
+	}
+	// The server also records every grant on its way to a worker.
 	var grantsMu sync.Mutex
 	grants := map[int]leaseGrant{}
 	handler := co.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/api/lease/acquire" {
+		switch r.URL.Path {
+		case "/api/lease/complete":
+			handler.ServeHTTP(w, r)
+			checkStatus()
+			return
+		case "/api/lease/acquire":
+		default:
 			handler.ServeHTTP(w, r)
 			return
 		}
@@ -83,6 +111,7 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	checkStatus() // the pilot round, before any completion
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -117,8 +146,14 @@ func TestCoordinatorAdaptiveByteIdentity(t *testing.T) {
 	if st.State != "complete" || len(st.Workers) != 3 {
 		t.Fatalf("final status %+v", st)
 	}
-	if st.Round < 1 || st.Adaptive == "" {
-		t.Fatalf("adaptive status not surfaced: %+v", st)
+	if st.Round != res.Adaptive.Rounds || st.Adaptive == "" {
+		t.Fatalf("adaptive status %+v, want round %d of the single-process run", st, res.Adaptive.Rounds)
+	}
+	co.mu.Lock()
+	seen := len(rounds)
+	co.mu.Unlock()
+	if seen != res.Adaptive.Rounds {
+		t.Errorf("status named %d distinct rounds across completions, the campaign ran %d", seen, res.Adaptive.Rounds)
 	}
 	// Every stratum's spend stayed within the fixed-n cap the planner
 	// advertises in the spec.

@@ -1,9 +1,10 @@
 // Package coord is the campaign control plane: a long-running
 // coordinator that accepts a campaign spec, splits the core.Plan into
 // bounded leases, hands them to pull-based workers over HTTP, ingests
-// the JSONL journal segments the workers stream back, and serves a live
-// cluster view — the FINJ-style "orchestrator plus injection engines"
-// architecture for running millions of experiments across machines.
+// the JSONL journal segment a worker uploads for each lease it
+// completes, and serves a live cluster view — the FINJ-style
+// "orchestrator plus injection engines" architecture for running
+// millions of experiments across machines.
 //
 // The correctness anchor is the same one sharding established: every
 // experiment's random stream is derived from (seed, region, index)
@@ -17,16 +18,15 @@
 //     to the next worker that asks — work-stealing with no fencing
 //     beyond a per-lease generation counter that invalidates stale
 //     renewals and uploads.
-//   - Results arrive as append-only JSONL journal segments (the exact
-//     bytes a single-process campaign journal contains), uploaded in
-//     chunks addressed by byte offset, so an interrupted upload resumes
-//     where it left off.  Ingestion reuses internal/report's
-//     truncation-tolerant parser: the torn tail of a dead worker's last
-//     chunk is discarded, its intact lines are kept.
-//   - Duplicate results — a stolen lease re-runs experiments its dead
-//     owner may already have uploaded — resolve idempotently: the
-//     records must agree (report.SameOutcome), and a disagreement fails
-//     the campaign loudly, because it means determinism itself broke.
+//   - A lease's results arrive once: when its entries have run, the
+//     worker uploads the lease's JSONL journal segment (the exact bytes a
+//     single-process campaign journal holds for those entries) in one
+//     request at offset 0, then completes the lease.  Completion ingests
+//     the segment only if it covers every entry of the lease; a stolen
+//     lease is re-granted whole, so whatever its dead owner ran is simply
+//     run again and nothing of an expired generation is ever ingested.
+//   - An experiment therefore reaches the results once.  One arriving a
+//     second time means the protocol broke, and fails the campaign.
 //
 // The campaign is defined once: Submit builds its report.JournalHeader
 // with report.CampaignHeader, as `faultcampaign -journal` does, and every
@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -126,10 +127,11 @@ type Config struct {
 	// Metrics receives the cluster telemetry (lease state, ingestion
 	// counters, per-worker throughput).  Nil records nothing.
 	Metrics *telemetry.Registry
-	// Dir, when non-empty, spools every ingested segment to
-	// <Dir>/lease-NNNN.genG.jsonl — each file a valid (possibly
-	// truncated) campaign journal, so `faultmerge -coord <Dir>`
-	// reconstructs the campaign from the coordinator's own layout.
+	// Dir, when non-empty, spools every accepted segment to
+	// <Dir>/lease-NNNN.genG.jsonl, written once when its lease completes
+	// — each file a campaign journal of one lease, together exactly the
+	// ingested results, so `faultmerge -coord <Dir>` reconstructs the
+	// campaign from the coordinator's own layout.
 	Dir string
 	// Now is the clock; nil means time.Now.  Injectable for tests.
 	Now func() time.Time
@@ -157,13 +159,7 @@ type lease struct {
 	expired  bool // had an owner and timed out; next grant counts as stolen
 	stolen   int
 	failures int
-	segs     map[int]*segment // per-generation upload buffers
-}
-
-// segment is the append-only upload buffer of one lease generation.
-type segment struct {
-	data []byte
-	path string // spool file, "" when in-memory only
+	seg      []byte // the current generation's upload, reset at every grant
 }
 
 type workerState struct {
@@ -186,9 +182,12 @@ type campaign struct {
 	workers map[string]*workerState
 
 	planned int // total entries cut into leases so far (grows by the round when adaptive)
+	// round and adaptive are what Status reports of an adaptive campaign,
+	// as of the last barrier (results change only when a lease completes).
+	round    int
+	adaptive string
 
 	doneLeases   int
-	duplicates   int
 	unclassified int
 	started      time.Time
 	failedErr    error
@@ -215,20 +214,18 @@ func New(cfg Config) *Coordinator {
 
 // coordMeters pre-resolves the cluster metrics (nil-safe registry).
 type coordMeters struct {
-	reg            *telemetry.Registry
-	leases         *telemetry.Counter
-	granted        *telemetry.Counter
-	completed      *telemetry.Counter
-	expired        *telemetry.Counter
-	stolen         *telemetry.Counter
-	active         *telemetry.Gauge
-	results        *telemetry.Counter
-	duplicates     *telemetry.Counter
-	segmentBytes   *telemetry.Counter
-	workers        *telemetry.Gauge
-	planned        *telemetry.Counter
-	perWorker      map[string]*telemetry.Counter
-	perWorkerMutex sync.Mutex
+	reg          *telemetry.Registry
+	leases       *telemetry.Counter
+	granted      *telemetry.Counter
+	completed    *telemetry.Counter
+	expired      *telemetry.Counter
+	stolen       *telemetry.Counter
+	active       *telemetry.Gauge
+	results      *telemetry.Counter
+	segmentBytes *telemetry.Counter
+	workers      *telemetry.Gauge
+	planned      *telemetry.Counter
+	perWorker    map[string]*telemetry.Counter // read and written with Coordinator.mu held
 }
 
 func newCoordMeters(reg *telemetry.Registry) *coordMeters {
@@ -241,7 +238,6 @@ func newCoordMeters(reg *telemetry.Registry) *coordMeters {
 		stolen:       reg.Counter(telemetry.MetricCoordLeasesStolen),
 		active:       reg.Gauge(telemetry.MetricCoordLeasesActive),
 		results:      reg.Counter(telemetry.MetricCoordResults),
-		duplicates:   reg.Counter(telemetry.MetricCoordDuplicates),
 		segmentBytes: reg.Counter(telemetry.MetricCoordSegmentBytes),
 		workers:      reg.Gauge(telemetry.MetricCoordWorkers),
 		planned:      reg.Counter(telemetry.MetricCoordPlanTotal),
@@ -250,8 +246,6 @@ func newCoordMeters(reg *telemetry.Registry) *coordMeters {
 }
 
 func (m *coordMeters) worker(name string) *telemetry.Counter {
-	m.perWorkerMutex.Lock()
-	defer m.perWorkerMutex.Unlock()
 	c := m.perWorker[name]
 	if c == nil {
 		c = m.reg.Counter(telemetry.WorkerMetric(name))
@@ -328,11 +322,9 @@ func (co *Coordinator) Submit(spec Spec) error {
 	}
 	// Cut the first frontier: the whole plan, or the adaptive pilot
 	// round (later rounds are cut at the barrier in finishLeaseLocked).
-	_, entries, _, err := c.contract.Frontier(c.results)
-	if err != nil {
+	if _, err := c.cutFrontier(); err != nil {
 		return err
 	}
-	c.cutLeases(entries)
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -350,10 +342,23 @@ func (co *Coordinator) Submit(spec Spec) error {
 	return nil
 }
 
-// cutLeases queues one frontier — the whole plan, or one adaptive round
-// — as leases of at most leaseSize entries each, in order: the order a
-// single-process campaign executes them.
-func (c *campaign) cutLeases(entries []core.PlanEntry) {
+// cutFrontier asks the contract what the results still lack — the whole
+// plan, one adaptive round, or nothing — and queues it as leases of at
+// most leaseSize entries each, in order: the order a single-process
+// campaign executes them.  It returns how many entries it cut, and
+// records the round it starts for Status.
+func (c *campaign) cutFrontier() (int, error) {
+	_, entries, stats, err := c.contract.Frontier(c.results)
+	if err != nil {
+		return 0, err
+	}
+	if stats != nil {
+		c.round = stats.Rounds
+		if len(entries) > 0 {
+			c.round++
+		}
+		c.adaptive = stats.StatusSuffix()
+	}
 	c.planned += len(entries)
 	for start := 0; start < len(entries); start += c.leaseSize {
 		end := start + c.leaseSize
@@ -361,13 +366,14 @@ func (c *campaign) cutLeases(entries []core.PlanEntry) {
 			end = len(entries)
 		}
 		l := &lease{idx: len(c.leases), start: start, entries: entries[start:end],
-			ids: make(map[string]bool, end-start), segs: map[int]*segment{}}
+			ids: make(map[string]bool, end-start)}
 		for _, pe := range l.entries {
 			l.ids[pe.ID()] = true
 		}
 		c.leases = append(c.leases, l)
 		c.queue = append(c.queue, l.idx)
 	}
+	return len(entries), nil
 }
 
 // Done returns a channel closed when the campaign completes or fails.
@@ -402,9 +408,8 @@ func (co *Coordinator) ResultCSV() ([]byte, int, error) {
 func (co *Coordinator) now() time.Time { return co.cfg.Now() }
 
 // sweepLocked returns every active lease whose deadline has passed to
-// the queue, ingesting the intact lines of its partial segment first —
-// a dead worker's finished experiments are not lost, and the re-run of
-// the stolen lease resolves them as duplicates.  Called with co.mu held.
+// the queue.  Whatever its owner uploaded is dropped with it: the next
+// grant runs the whole lease again.  Called with co.mu held.
 func (co *Coordinator) sweepLocked() {
 	c := co.c
 	if c == nil || c.failedErr != nil {
@@ -412,14 +417,9 @@ func (co *Coordinator) sweepLocked() {
 	}
 	now := co.now()
 	for _, l := range c.leases {
-		if l.state != leaseActive || now.Before(l.deadline) {
-			continue
+		if l.state == leaseActive && !now.Before(l.deadline) {
+			co.requeueLocked(l)
 		}
-		co.ingestSegmentLocked(l, l.gen, false)
-		if c.failedErr != nil {
-			return
-		}
-		co.requeueLocked(l)
 	}
 }
 
@@ -438,65 +438,54 @@ func (co *Coordinator) requeueLocked(l *lease) {
 	co.met.active.Add(-1)
 }
 
-// ingestSegmentLocked parses one generation's segment bytes and merges
-// its experiments into the campaign results.  strict rejects entries
-// outside the lease and a short parse (lease completion); the
-// opportunistic expiry path tolerates both.  Called with co.mu held.
-func (co *Coordinator) ingestSegmentLocked(l *lease, gen int, strict bool) error {
+// ingestSegmentLocked accepts the segment a lease's current generation
+// uploaded: it must parse, describe this campaign and carry exactly the
+// lease's entries, or the error it returns sends the lease back to the
+// queue.  Only an accepted segment is spooled (Config.Dir) and merged into
+// the results.  An experiment already in the results fails the campaign:
+// a lease completes once and frontiers are disjoint, so one arriving twice
+// means the protocol broke.  Called with co.mu held.
+func (co *Coordinator) ingestSegmentLocked(l *lease) error {
 	c := co.c
-	seg := l.segs[gen]
-	if seg == nil || len(seg.data) == 0 {
-		if strict {
-			return fmt.Errorf("lease %d gen %d: no segment uploaded", l.idx, gen)
-		}
-		return nil
-	}
-	h, exps, _, err := report.ParseSegment(seg.data)
+	h, exps, _, err := report.ParseSegment(l.seg)
 	if err != nil {
-		if strict {
-			return fmt.Errorf("lease %d gen %d: %v", l.idx, gen, err)
-		}
-		return nil
+		return fmt.Errorf("lease %d gen %d: %v", l.idx, l.gen, err)
 	}
 	if !h.SameCampaign(c.header) {
-		err := fmt.Errorf("lease %d gen %d: segment header describes a different campaign (app %s seed %d n %d)",
-			l.idx, gen, h.App, h.Seed, h.Injections)
-		if strict {
+		return fmt.Errorf("lease %d gen %d: segment header describes a different campaign (app %s seed %d n %d)",
+			l.idx, l.gen, h.App, h.Seed, h.Injections)
+	}
+	for id := range exps {
+		if !l.ids[id] {
+			return fmt.Errorf("lease %d gen %d: experiment %s outside the lease", l.idx, l.gen, id)
+		}
+		if _, dup := c.results[id]; dup {
+			err := fmt.Errorf("lease %d gen %d: experiment %s was already ingested", l.idx, l.gen, id)
+			co.failLocked(err)
 			return err
 		}
-		co.failLocked(err)
-		return err
+	}
+	for _, pe := range l.entries {
+		if _, ok := exps[pe.ID()]; !ok {
+			return fmt.Errorf("lease %d gen %d: segment missing entry %s", l.idx, l.gen, pe.ID())
+		}
+	}
+	if co.cfg.Dir != "" {
+		path := filepath.Join(co.cfg.Dir, fmt.Sprintf("lease-%04d.gen%d.jsonl", l.idx, l.gen))
+		if err := os.WriteFile(path, l.seg, 0o644); err != nil {
+			co.failLocked(err)
+			return err
+		}
 	}
 	for id, e := range exps {
-		if !l.ids[id] {
-			if strict {
-				return fmt.Errorf("lease %d gen %d: experiment %s outside the lease", l.idx, gen, id)
-			}
-			continue
-		}
-		if prev, dup := c.results[id]; dup {
-			if !report.SameOutcome(prev, e) {
-				err := fmt.Errorf("experiment %s disagrees between workers (%s vs %s) — campaign is not deterministic",
-					id, prev.Outcome, e.Outcome)
-				co.failLocked(err)
-				return err
-			}
-			c.duplicates++
-			co.met.duplicates.Inc()
-			continue
-		}
 		c.results[id] = e
-		if e.Unapplied() {
-			c.unclassified++
-		}
-		co.met.results.Inc()
-		if l.worker != "" {
-			co.met.worker(l.worker).Inc()
-			if w := c.workers[l.worker]; w != nil {
-				w.results++
-			}
-		}
 	}
+	co.met.results.Add(uint64(len(exps)))
+	co.met.worker(l.worker).Add(uint64(len(exps)))
+	if w := c.workers[l.worker]; w != nil {
+		w.results += len(exps)
+	}
+	l.seg = nil
 	return nil
 }
 
@@ -529,16 +518,15 @@ func (co *Coordinator) finishLeaseLocked(l *lease) {
 	if c.doneLeases < len(c.leases) {
 		return
 	}
-	_, missing, _, err := c.contract.Frontier(c.results)
+	before := len(c.leases)
+	n, err := c.cutFrontier()
 	if err != nil {
 		co.failLocked(err)
 		return
 	}
-	if len(missing) > 0 {
-		before := len(c.leases)
-		c.cutLeases(missing)
+	if n > 0 {
 		co.met.leases.Add(uint64(len(c.leases) - before))
-		co.met.planned.Add(uint64(len(missing)))
+		co.met.planned.Add(uint64(n))
 		return
 	}
 	res, err := c.contract.Assemble(c.results)
@@ -590,7 +578,6 @@ type ClusterStatus struct {
 	Injections    int            `json:"injections,omitempty"`
 	PlanTotal     int            `json:"plan_total,omitempty"`
 	Results       int            `json:"results_ingested"`
-	Duplicates    int            `json:"duplicate_results"`
 	LeasesTotal   int            `json:"leases_total"`
 	LeasesPending int            `json:"leases_pending"`
 	LeasesActive  int            `json:"leases_active"`
@@ -624,16 +611,10 @@ func (co *Coordinator) Status() ClusterStatus {
 		Injections:  c.header.Injections,
 		PlanTotal:   c.planned,
 		Results:     len(c.results),
-		Duplicates:  c.duplicates,
 		LeasesTotal: len(c.leases),
 		LeasesDone:  c.doneLeases,
-	}
-	if _, missing, stats, err := c.contract.Frontier(c.results); err == nil && stats != nil {
-		s.Round = stats.Rounds
-		if len(missing) > 0 {
-			s.Round++
-		}
-		s.Adaptive = stats.StatusSuffix()
+		Round:       c.round,
+		Adaptive:    c.adaptive,
 	}
 	for _, l := range c.leases {
 		switch l.state {
@@ -651,7 +632,7 @@ func (co *Coordinator) Status() ClusterStatus {
 			LastSeenMs: now.Sub(w.lastSeen).Milliseconds(),
 		})
 	}
-	sortWorkers(s.Workers)
+	slices.SortFunc(s.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.Name, b.Name) })
 	if elapsed := now.Sub(c.started).Seconds(); elapsed > 0 && s.Results > 0 {
 		s.RatePerSec = float64(s.Results) / elapsed
 		if s.PlanTotal > s.Results {
@@ -688,14 +669,6 @@ func (s ClusterStatus) String() string {
 		}
 	}
 	return b.String()
-}
-
-func sortWorkers(ws []WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].Name < ws[j-1].Name; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }
 
 // touchWorkerLocked records worker liveness.  Called with co.mu held.
@@ -741,10 +714,7 @@ func (co *Coordinator) Acquire(worker string) (leaseGrant, bool, error) {
 	l.state = leaseActive
 	l.worker = worker
 	l.deadline = co.now().Add(c.ttl)
-	l.segs[l.gen] = &segment{}
-	if co.cfg.Dir != "" {
-		l.segs[l.gen].path = filepath.Join(co.cfg.Dir, fmt.Sprintf("lease-%04d.gen%d.jsonl", l.idx, l.gen))
-	}
+	l.seg = nil
 	if l.expired {
 		l.expired = false
 		l.stolen++
@@ -818,10 +788,11 @@ func (co *Coordinator) Fail(idx, gen int, worker, cause string) error {
 	return nil
 }
 
-// AppendSegment appends chunk at byte offset to (lease, gen)'s segment.
-// A mismatched offset returns the current one without appending, so the
-// worker re-synchronizes and resends — at-least-once chunk delivery
-// composes to exactly-once bytes.
+// AppendSegment appends chunk at byte offset to (lease, gen)'s segment;
+// a worker sends the whole segment as one chunk at offset 0.  A
+// mismatched offset returns the current one without appending: a worker
+// whose upload's response was lost retries, and learns from
+// offset == len(segment) that the first attempt arrived.
 func (co *Coordinator) AppendSegment(idx, gen int, worker string, offset int, chunk []byte) (int, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -831,33 +802,19 @@ func (co *Coordinator) AppendSegment(idx, gen int, worker string, offset int, ch
 		return 0, err
 	}
 	co.touchWorkerLocked(worker)
-	seg := l.segs[gen]
-	if offset != len(seg.data) {
-		return len(seg.data), errOffsetMismatch
+	if offset != len(l.seg) {
+		return len(l.seg), errOffsetMismatch
 	}
-	seg.data = append(seg.data, chunk...)
+	l.seg = append(l.seg, chunk...)
 	co.met.segmentBytes.Add(uint64(len(chunk)))
-	if seg.path != "" {
-		f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return 0, err
-		}
-		_, werr := f.Write(chunk)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return 0, werr
-		}
-	}
-	return len(seg.data), nil
+	return len(l.seg), nil
 }
 
 var errOffsetMismatch = fmt.Errorf("segment offset mismatch")
 
 // Complete finishes a lease: the uploaded segment must parse cleanly
-// and carry a result for every entry of the lease.  An incomplete or
-// malformed segment returns the lease to the queue.
+// and carry a result for every entry of the lease (ingestSegmentLocked).
+// An incomplete or malformed segment returns the lease to the queue.
 func (co *Coordinator) Complete(idx, gen int, worker string) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -867,22 +824,12 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 		return err
 	}
 	co.touchWorkerLocked(worker)
-	if err := co.ingestSegmentLocked(l, gen, true); err != nil {
-		if co.c.failedErr != nil {
-			return err
-		}
-		// Re-queue: the segment was unusable but the campaign survives.
-		co.requeueLocked(l)
-		return err
-	}
-	if co.c.failedErr != nil {
-		return co.c.failedErr
-	}
-	for _, pe := range l.entries {
-		if _, ok := co.c.results[pe.ID()]; !ok {
+	if err := co.ingestSegmentLocked(l); err != nil {
+		if co.c.failedErr == nil {
+			// Re-queue: the segment was unusable but the campaign survives.
 			co.requeueLocked(l)
-			return fmt.Errorf("lease %d gen %d: segment missing entry %s", idx, gen, pe.ID())
 		}
+		return err
 	}
 	co.finishLeaseLocked(l)
 	return nil
@@ -895,7 +842,7 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 //	POST /api/lease/acquire   {"worker":W} -> leaseGrant (entries + journal header) | 204 retry | 410 done
 //	POST /api/lease/renew     {"worker":W,"lease":L,"gen":G} -> 204 | 409 lost
 //	POST /api/lease/fail      {"worker":W,"lease":L,"gen":G,"error":E}
-//	POST /api/segment?lease=L&gen=G&worker=W&offset=N  (raw chunk body) -> {"offset":N} | 409 {"offset":current}
+//	POST /api/segment?lease=L&gen=G&worker=W&offset=0  (the whole segment) -> {"offset":N} | 409 {"offset":current}
 //	POST /api/lease/complete  {"worker":W,"lease":L,"gen":G}
 //	GET  /status              ClusterStatus JSON
 //	GET  /result.csv          final CSV (409 until complete)
@@ -993,8 +940,8 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		chunk, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 		if err != nil {
-			// The chunk died mid-flight; nothing was appended.  The
-			// worker's next chunk at the same offset resends it.
+			// The upload died mid-flight; nothing was appended, so the
+			// worker's retry at the same offset is accepted.
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -82,7 +82,7 @@ func testHeader(t *testing.T) report.JournalHeader {
 
 // testExperiment fabricates the deterministic outcome of global plan
 // entry g: the same g always yields the same record, mimicking the
-// derived-stream determinism the duplicate resolution relies on.
+// derived-stream determinism that lets any worker run any entry.
 func testExperiment(g int) core.Experiment {
 	plan := core.Plan{Regions: testRegions, Injections: testInjections}
 	pe := plan.Entry(g)
@@ -156,11 +156,12 @@ func checkFixedGrant(t *testing.T, g leaseGrant) {
 	}
 }
 
-// TestLeaseExpiryStealDuplicates walks the whole steal path: a worker
-// uploads half its lease and dies; the sweep keeps the intact lines and
-// re-queues the lease; the thief re-runs it and its overlapping results
-// resolve as duplicates; the final CSV is the single-process bytes.
-func TestLeaseExpiryStealDuplicates(t *testing.T) {
+// TestLeaseExpirySteal walks the whole steal path: a worker uploads half
+// its lease and dies; the sweep re-queues the lease and drops the partial
+// upload unread; stale renewals and uploads of the dead generation are
+// fenced; the thief re-runs the whole lease, and the final CSV is the
+// single-process bytes.
+func TestLeaseExpirySteal(t *testing.T) {
 	clk := newFakeClock()
 	co := New(Config{Metrics: telemetry.New(), Now: clk.Now})
 	if err := co.Submit(testSpec(4, time.Second)); err != nil {
@@ -188,8 +189,8 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	}
 	clk.Advance(1100 * time.Millisecond)
 
-	// w2 arrives after the deadline: the sweep must have ingested the
-	// partial segment and re-queued lease 0 behind lease 1.
+	// w2 arrives after the deadline: the sweep must have re-queued lease 0
+	// behind lease 1, without ingesting anything of the partial segment.
 	g2, ok, err := co.Acquire("w2")
 	if err != nil || !ok {
 		t.Fatalf("acquire after expiry: ok=%v err=%v", ok, err)
@@ -198,14 +199,17 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 		t.Fatalf("expected lease 1 first from the queue, got %d", g2.Lease)
 	}
 	checkFixedGrant(t, g2)
-	if st := co.Status(); st.Results != 2 {
-		t.Fatalf("partial segment not ingested: %d results", st.Results)
+	if st := co.Status(); st.Results != 0 {
+		t.Fatalf("an expired generation's partial segment was ingested: %d results", st.Results)
 	}
 	if err := co.Renew(g1.Lease, g1.Gen, "w1"); err == nil {
 		t.Fatal("stale renew of an expired lease must fail")
 	}
 	if _, err := co.AppendSegment(g1.Lease, g1.Gen, "w1", len(partial), []byte("x\n")); err == nil {
 		t.Fatal("stale upload to an expired generation must fail")
+	}
+	if err := co.Complete(g1.Lease, g1.Gen, "w1"); err == nil {
+		t.Fatal("stale completion of an expired generation must fail")
 	}
 
 	g3, ok, err := co.Acquire("w2")
@@ -216,18 +220,21 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 		t.Fatalf("expected stolen lease 0 gen 2, got %+v", g3)
 	}
 	checkFixedGrant(t, g3)
-	if st := co.Status(); st.LeasesStolen != 1 {
-		t.Fatalf("stolen count = %d, want 1", st.LeasesStolen)
+	if st := co.Status(); st.LeasesStolen != 1 || st.Results != 0 {
+		t.Fatalf("after the steal: status %+v, want 1 stolen lease and no results", st)
 	}
 
-	// The thief re-runs the whole lease: entries 0 and 1 are duplicates
-	// and must agree; 2 and 3 are new.
+	// The thief re-runs the whole lease; its segment starts empty, so it
+	// uploads at offset 0 like any first generation.
 	full0 := segmentBytes(t, h, []core.Experiment{
 		testExperiment(0), testExperiment(1), testExperiment(2), testExperiment(3),
 	})
 	mustAppend(t, co, g3, "w2", 0, full0)
 	if err := co.Complete(g3.Lease, g3.Gen, "w2"); err != nil {
 		t.Fatalf("complete stolen lease: %v", err)
+	}
+	if st := co.Status(); st.Results != 4 {
+		t.Fatalf("after the thief completed: %d results, want 4", st.Results)
 	}
 	full1 := segmentBytes(t, h, []core.Experiment{
 		testExperiment(4), testExperiment(5), testExperiment(6), testExperiment(7),
@@ -238,7 +245,7 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	}
 
 	st := co.Status()
-	if st.State != "complete" || st.Duplicates != 2 || st.Results != 8 {
+	if st.State != "complete" || st.Results != 8 {
 		t.Fatalf("final status %+v", st)
 	}
 	select {
@@ -255,49 +262,40 @@ func TestLeaseExpiryStealDuplicates(t *testing.T) {
 	}
 }
 
-// TestDuplicateDisagreementFailsCampaign: a stolen lease's re-run must
-// reproduce the dead owner's uploaded outcomes bit for bit; a
-// disagreement means determinism broke and the campaign fails loudly.
-func TestDuplicateDisagreementFailsCampaign(t *testing.T) {
-	clk := newFakeClock()
-	co := New(Config{Metrics: telemetry.New(), Now: clk.Now})
-	if err := co.Submit(testSpec(8, time.Second)); err != nil {
+// TestIngestedTwiceFailsCampaign: a lease completes once and frontiers are
+// disjoint, so an experiment can reach the results only once.  One that
+// arrives a second time means the protocol broke: the campaign fails
+// loudly instead of choosing between the records.
+func TestIngestedTwiceFailsCampaign(t *testing.T) {
+	co := New(Config{Metrics: telemetry.New(), Now: newFakeClock().Now})
+	if err := co.Submit(testSpec(8, time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	h := testHeader(t)
-
-	g1, ok, err := co.Acquire("w1")
+	g, ok, err := co.Acquire("w1")
 	if err != nil || !ok {
 		t.Fatalf("acquire: ok=%v err=%v", ok, err)
 	}
 	all := make([]core.Experiment, 8)
-	for g := range all {
-		all[g] = testExperiment(g)
+	for i := range all {
+		all[i] = testExperiment(i)
 	}
-	mustAppend(t, co, g1, "w1", 0, segmentBytes(t, h, all))
-	clk.Advance(2 * time.Second) // w1 dies without completing
-
-	g2, ok, err := co.Acquire("w2")
-	if err != nil || !ok || g2.Gen != 2 {
-		t.Fatalf("steal acquire: %+v ok=%v err=%v", g2, ok, err)
-	}
-	flipped := make([]core.Experiment, len(all))
-	copy(flipped, all)
-	flipped[3].Outcome = classify.MPIDetected // disagrees with w1's upload
-	mustAppend(t, co, g2, "w2", 0, segmentBytes(t, h, flipped))
-	if err := co.Complete(g2.Lease, g2.Gen, "w2"); err == nil {
-		t.Fatal("disagreeing duplicate must fail completion")
+	co.mu.Lock()
+	co.c.results[all[3].ID()] = all[3] // as if another lease had carried it
+	co.mu.Unlock()
+	mustAppend(t, co, g, "w1", 0, segmentBytes(t, testHeader(t), all))
+	if err := co.Complete(g.Lease, g.Gen, "w1"); err == nil {
+		t.Fatal("a segment repeating an ingested experiment must fail completion")
 	}
 	st := co.Status()
-	if st.State != "failed" || !strings.Contains(st.Error, "not deterministic") {
-		t.Fatalf("status after disagreement: %+v", st)
+	if st.State != "failed" || !strings.Contains(st.Error, "already ingested") {
+		t.Fatalf("status after a repeated experiment: %+v", st)
 	}
 	select {
 	case <-co.Done():
 	default:
 		t.Fatal("Done channel not closed on failure")
 	}
-	if _, _, err := co.Acquire("w3"); err == nil {
+	if _, _, err := co.Acquire("w2"); err == nil {
 		t.Fatal("acquire on a failed campaign must error so workers exit")
 	}
 }

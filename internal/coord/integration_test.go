@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,11 +147,142 @@ func TestWorkerNameNeedsEscaping(t *testing.T) {
 	}
 }
 
+// TestOneUploadPerLease: a worker sends each lease's journal segment
+// once — one POST /api/segment at offset 0, before it completes the lease
+// — however long the lease runs.  The server counts the uploads per lease
+// generation on their way in; the lease is sized to run well past a
+// quarter second, so a worker that also uploaded on a timer would show.
+func TestOneUploadPerLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test is slow")
+	}
+	const injections = 200
+	co := New(Config{})
+	if err := co.Submit(Spec{
+		App: "minimd", Injections: injections, Seed: 3, Regions: []string{"reg", "stack"},
+		LeaseSize: 2 * injections, LeaseTTLMillis: 60_000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type leaseGen struct{ lease, gen int }
+	var (
+		mu        sync.Mutex
+		uploads   = map[leaseGen][]int{} // offsets, in arrival order
+		completed = map[leaseGen]bool{}
+		acquired  time.Time
+		finished  time.Time
+	)
+	handler := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		switch r.URL.Path {
+		case "/api/lease/acquire":
+			if acquired.IsZero() {
+				acquired = time.Now()
+			}
+		case "/api/segment":
+			q := r.URL.Query()
+			lease, _ := strconv.Atoi(q.Get("lease"))
+			gen, _ := strconv.Atoi(q.Get("gen"))
+			off, err := strconv.Atoi(q.Get("offset"))
+			if err != nil {
+				t.Errorf("segment upload without an offset: %s", r.URL)
+			}
+			k := leaseGen{lease, gen}
+			if completed[k] {
+				t.Errorf("lease %d gen %d: upload after completion", lease, gen)
+			}
+			uploads[k] = append(uploads[k], off)
+		case "/api/lease/complete":
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var req struct{ Lease, Gen int }
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Error(err)
+			}
+			completed[leaseGen{req.Lease, req.Gen}] = true
+			finished = time.Now()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		mu.Unlock()
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	if err := RunWorker(WorkerOptions{URL: srv.URL, Name: "w1", Parallelism: 1, Poll: 25 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if st := co.Status(); st.State != "complete" || st.Results != 2*injections {
+		t.Fatalf("final status %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ran := finished.Sub(acquired); ran < 300*time.Millisecond {
+		t.Fatalf("the lease ran %v: too short to show a periodic upload", ran)
+	}
+	if len(completed) != 1 || len(uploads) != 1 {
+		t.Fatalf("%d completed lease generations, uploads to %d, want one each", len(completed), len(uploads))
+	}
+	for k, offs := range uploads {
+		if !completed[k] || len(offs) != 1 || offs[0] != 0 {
+			t.Errorf("lease %d gen %d: uploads at offsets %v (completed %v), want exactly one at 0", k.lease, k.gen, offs, completed[k])
+		}
+	}
+}
+
+// TestUploadResponseLost: the coordinator appends a worker's segment but
+// the response never arrives.  The worker's retry at offset 0 is answered
+// 409 with offset == len(segment), which tells it the first attempt was
+// delivered, and it completes the lease.
+func TestUploadResponseLost(t *testing.T) {
+	co := New(Config{})
+	if err := co.Submit(Spec{App: "wavetoy", Injections: 2, Seed: 5, Regions: []string{"reg"}, LeaseSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		codes []int // status of every segment upload the coordinator answered
+	)
+	handler := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/segment" {
+			handler.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		mu.Lock()
+		codes = append(codes, rec.Code)
+		first := len(codes) == 1
+		mu.Unlock()
+		if first {
+			panic(http.ErrAbortHandler) // appended, but the connection drops
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+	if err := RunWorker(WorkerOptions{URL: srv.URL, Name: "w1", Poll: 25 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if st := co.Status(); st.State != "complete" || st.LeasesStolen != 0 {
+		t.Fatalf("final status %+v, want the one lease completed by its first generation", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(codes) != 2 || codes[0] != http.StatusOK || codes[1] != http.StatusConflict {
+		t.Fatalf("segment uploads answered %v, want [200 409]", codes)
+	}
+}
+
 // TestCoordinatorWorkerDeathByteIdentity is the acceptance gate: three
 // workers, one dies mid-campaign after uploading half a lease, the
-// survivors steal the lease and re-run it, and the final CSV is still
-// byte-identical to the single-process run — with the spool directory
-// independently reconstructing the same bytes via faultmerge's path.
+// survivors steal the lease and re-run it whole, and the final CSV is
+// still byte-identical to the single-process run — with the spool
+// directory, which holds only accepted segments, independently
+// reconstructing the same bytes via faultmerge's path.
 func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("worker-death integration test is not short")
@@ -171,8 +306,8 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 
 	// The doomed worker grabs the first lease over the wire, uploads a
 	// genuine half-segment, and vanishes without ever heartbeating: the
-	// lease must expire, its partial results must survive, and the
-	// re-run must agree with them.
+	// lease must expire and be re-run whole, and its partial segment must
+	// reach neither the results nor the spool.
 	g3, ok, err := co.Acquire("doomed")
 	if err != nil || !ok {
 		t.Fatalf("doomed acquire: ok=%v err=%v", ok, err)
@@ -241,8 +376,9 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 	if st.LeasesStolen < 1 {
 		t.Fatalf("expected at least one stolen lease, status %+v", st)
 	}
-	if st.Duplicates < 1 {
-		t.Fatalf("expected the re-run to resolve duplicates, status %+v", st)
+	doomed := filepath.Join(spool, fmt.Sprintf("lease-%04d.gen%d.jsonl", g3.Lease, g3.Gen))
+	if _, err := os.Stat(doomed); !os.IsNotExist(err) {
+		t.Fatalf("the dead generation's partial segment reached the spool (%s): %v", doomed, err)
 	}
 
 	// The spool directory is an independent reconstruction path: the
@@ -325,13 +461,12 @@ func TestWorkerRestoresOnEveryLease(t *testing.T) {
 	}
 }
 
-// TestDuplicateMessageResultsAgree: two workers that run the same Message
-// lease — one from t=0 on one host thread, the thief restoring from
-// checkpoints on eight, each against its own golden run — upload records
-// that pass report.SameOutcome, protocol traps' pcs included.  Before the
-// scheduler a protocol trap named the MPI call that happened to pull the
-// corrupted packet in that worker's run, and a duplicate could fail the
-// campaign.
+// TestDuplicateMessageResultsAgree: two hosts that run the same Message
+// entries — one from t=0 on one host thread, the other restoring from
+// checkpoints on eight, each against its own golden run — record outcomes
+// that pass report.SameOutcome, protocol traps' pcs included, so any
+// worker may run any lease.  Before the scheduler a protocol trap named
+// the MPI call that happened to pull the corrupted packet in that run.
 func TestDuplicateMessageResultsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
@@ -350,49 +485,34 @@ func TestDuplicateMessageResultsAgree(t *testing.T) {
 		Image: im, Ranks: a.Default.Ranks, Injections: injections, Seed: seed,
 		Regions: []core.Region{core.RegionMessage}, KeepExperiments: true,
 	}
-	header := report.CampaignHeader("minicam", cfg)
-
-	clk := newFakeClock()
-	co := New(Config{Metrics: telemetry.New(), Now: clk.Now})
-	if err := co.Submit(Spec{
-		App: "minicam", Injections: injections, Seed: seed, Regions: []string{"message"},
-		LeaseSize: injections, LeaseTTLMillis: 1_000,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	var runs [2]map[string]core.Experiment
 	protocolTraps := 0
-	for gen, w := range []struct {
-		name     string
+	for i, host := range []struct {
 		procs    int
 		interval uint64
-	}{{"w1", 1, 0}, {"w2", 8, core.DefaultCheckpointInterval}} {
-		g, ok, err := co.Acquire(w.name)
-		if err != nil || !ok || g.Gen != gen+1 || len(g.Entries) != injections {
-			t.Fatalf("%s acquire: %+v ok=%v err=%v", w.name, g, ok, err)
-		}
-		runtime.GOMAXPROCS(w.procs)
+	}{{1, 0}, {8, core.DefaultCheckpointInterval}} {
+		runtime.GOMAXPROCS(host.procs)
 		run := cfg
-		run.CheckpointInterval = w.interval
+		run.CheckpointInterval = host.interval
 		res, err := core.Run(run)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runs[i] = make(map[string]core.Experiment, len(res.Experiments))
 		for _, e := range res.Experiments {
+			runs[i][e.ID()] = e
 			if strings.Contains(e.Detail, "protocol failure") {
 				protocolTraps++
 			}
 		}
-		mustAppend(t, co, g, w.name, 0, segmentBytes(t, header, res.Experiments))
-		if gen == 0 {
-			clk.Advance(2 * time.Second) // w1 dies without completing
-			continue
-		}
-		if err := co.Complete(g.Lease, g.Gen, w.name); err != nil {
-			t.Fatalf("the thief's duplicates were refused: %v", err)
-		}
 	}
-	if st := co.Status(); st.State != "complete" || st.Duplicates != injections {
-		t.Fatalf("final status %+v", st)
+	if len(runs[0]) != injections || len(runs[1]) != injections {
+		t.Fatalf("runs recorded %d and %d experiments, want %d each", len(runs[0]), len(runs[1]), injections)
+	}
+	for id, e := range runs[0] {
+		if !report.SameOutcome(e, runs[1][id]) {
+			t.Errorf("experiment %s differs between hosts:\n  1 thread, t=0:      %+v\n  8 threads, restored: %+v", id, e, runs[1][id])
+		}
 	}
 	if protocolTraps < 2 {
 		t.Fatalf("%d protocol traps in two runs: the campaign does not exercise the pc that used to differ", protocolTraps)

@@ -31,8 +31,6 @@ type WorkerOptions struct {
 	// drains keeps polling: leases return via expiry, and the campaign
 	// end is an explicit protocol answer, not an empty queue.
 	Poll time.Duration
-	// Client is the HTTP client; nil uses a default with timeouts.
-	Client *http.Client
 	// Stop, when closed, makes the worker abandon its current lease
 	// (in-flight experiments stop dispatching) and return.
 	Stop <-chan struct{}
@@ -42,9 +40,10 @@ type WorkerOptions struct {
 
 // worker is the pull-based campaign engine: it acquires leases from the
 // coordinator, runs their plan entries through core.Run exactly as a
-// single-process campaign would, and streams the resulting journal
-// bytes back.  All campaign parameters come from the lease grant, so a
-// bare `faultcampaign -worker <url>` is a complete engine.
+// single-process campaign would, and uploads each lease's journal
+// segment once, when its entries have run.  All campaign parameters come
+// from the lease grant, so a bare `faultcampaign -worker <url>` is a
+// complete engine.
 type worker struct {
 	opt    WorkerOptions
 	client *http.Client
@@ -74,10 +73,7 @@ func RunWorker(opt WorkerOptions) error {
 	if opt.Poll <= 0 {
 		opt.Poll = 300 * time.Millisecond
 	}
-	w := &worker{opt: opt, client: opt.Client, apps: map[string]*workerApp{}}
-	if w.client == nil {
-		w.client = &http.Client{Timeout: 30 * time.Second}
-	}
+	w := &worker{opt: opt, client: &http.Client{Timeout: 30 * time.Second}, apps: map[string]*workerApp{}}
 	failures := 0
 	for {
 		select {
@@ -205,110 +201,44 @@ func (w *worker) app(name string) (*workerApp, error) {
 	return wa, nil
 }
 
-// segmentWriter accumulates the lease's journal bytes (header line plus
-// one line per finished experiment, in plan order — the identical bytes
-// a single-process campaign journal would hold) and tracks how much the
-// coordinator has acknowledged.
-type segmentWriter struct {
-	mu       sync.Mutex
-	buf      []byte
-	uploaded int
-	err      error
-}
+// maxUploadAttempts bounds how often a segment upload that failed in
+// transit is retried before the lease is given back.
+const maxUploadAttempts = 3
 
-func (s *segmentWriter) appendLine(v any) {
-	line, err := json.Marshal(v)
-	if err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Lock()
-	s.buf = append(s.buf, line...)
-	s.buf = append(s.buf, '\n')
-	s.mu.Unlock()
-}
-
-// pending returns the unacknowledged suffix and its offset.
-func (s *segmentWriter) pending() (off int, chunk []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.uploaded, append([]byte(nil), s.buf[s.uploaded:]...)
-}
-
-func (s *segmentWriter) ack(n int) {
-	s.mu.Lock()
-	if n > s.uploaded && n <= len(s.buf) {
-		s.uploaded = n
-	}
-	s.mu.Unlock()
-}
-
-// resync resets the acknowledged mark to the coordinator's offset.
-func (s *segmentWriter) resync(off int) {
-	s.mu.Lock()
-	if off >= 0 && off <= len(s.buf) {
-		s.uploaded = off
-	}
-	s.mu.Unlock()
-}
-
-func (s *segmentWriter) drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.uploaded == len(s.buf)
-}
-
-// flush uploads the pending suffix as one chunk.  A 409 re-synchronizes
-// the offset (the chunk is resent next flush); network errors are left
-// for the next attempt.
-func (w *worker) flush(grant leaseGrant, s *segmentWriter) error {
-	off, chunk := s.pending()
-	if len(chunk) == 0 {
-		return nil
-	}
+// upload sends a lease's whole journal segment in one request at offset
+// 0, retrying one that failed in transit.  A retry answered with 409 and
+// offset == len(seg) means an earlier attempt arrived and only its
+// response was lost: the segment is delivered.
+func (w *worker) upload(grant leaseGrant, seg []byte) error {
 	q := url.Values{
 		"lease": {strconv.Itoa(grant.Lease)}, "gen": {strconv.Itoa(grant.Gen)},
-		"worker": {w.opt.Name}, "offset": {strconv.Itoa(off)},
+		"worker": {w.opt.Name}, "offset": {"0"},
 	}
-	resp, err := w.client.Post(w.opt.URL+"/api/segment?"+q.Encode(), "application/jsonl", bytes.NewReader(chunk))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var ack struct {
-			Offset int `json:"offset"`
+	for attempt := 1; ; attempt++ {
+		resp, err := w.client.Post(w.opt.URL+"/api/segment?"+q.Encode(), "application/jsonl", bytes.NewReader(seg))
+		if err != nil {
+			if attempt == maxUploadAttempts || !w.sleep(w.opt.Poll) {
+				return err
+			}
+			continue
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-			return err
-		}
-		s.ack(ack.Offset)
-		return nil
-	case http.StatusConflict:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
 		var cur struct {
 			Offset int `json:"offset"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&cur); err == nil {
-			s.resync(cur.Offset)
+		if resp.StatusCode == http.StatusOK ||
+			resp.StatusCode == http.StatusConflict && json.Unmarshal(msg, &cur) == nil && cur.Offset == len(seg) {
 			return nil
 		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("segment upload rejected: %s", bytes.TrimSpace(msg))
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("segment upload: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 }
 
-// runLease executes one lease end to end: run the entries, stream the
-// journal segment, heartbeat the lease, then complete it.  Losing the
-// lease (heartbeat rejected) or opt.Stop abandons it silently — the
-// coordinator re-issues it, and duplicate results resolve idempotently.
+// runLease executes one lease end to end: run the entries while
+// heartbeating the lease, upload the journal segment, then complete it.
+// Losing the lease (heartbeat rejected) or opt.Stop abandons it silently
+// — the coordinator re-issues it whole.
 func (w *worker) runLease(grant leaseGrant) error {
 	h := grant.Header
 	wa, err := w.app(h.App)
@@ -349,19 +279,20 @@ func (w *worker) runLease(grant leaseGrant) error {
 		CheckpointInterval: core.DefaultCheckpointInterval,
 	}
 	// The segment opens with the coordinator's header, verbatim: the
-	// campaign definition is built once, in Submit.
-	seg := &segmentWriter{}
-	seg.appendLine(h)
+	// campaign definition is built once, in Submit.  OnExperiment calls
+	// are serialized and in plan order: the bytes of a journal.
+	var seg bytes.Buffer
+	enc := json.NewEncoder(&seg)
+	encErr := enc.Encode(h)
 	cfg.OnExperiment = func(e core.Experiment) {
-		seg.appendLine(report.EntryFromExperiment(e))
+		if err := enc.Encode(report.EntryFromExperiment(e)); err != nil && encErr == nil {
+			encErr = err
+		}
 	}
 
 	// Lease lost (stale heartbeat) or external stop both stop the run.
-	lost := make(chan struct{})
-	var lostOnce sync.Once
+	lost := make(chan struct{}) // closed by the heartbeat
 	stopRun := make(chan struct{})
-	var stopOnce sync.Once
-	closeStop := func() { stopOnce.Do(func() { close(stopRun) }) }
 	cfg.Stop = stopRun
 	bg := make(chan struct{})
 	var wg sync.WaitGroup
@@ -372,11 +303,11 @@ func (w *worker) runLease(grant leaseGrant) error {
 	go func() {
 		select {
 		case <-w.opt.Stop:
-			closeStop()
 		case <-lost:
-			closeStop()
 		case <-bg:
+			return
 		}
+		close(stopRun)
 	}()
 
 	ttl := time.Duration(grant.TTLMs) * time.Millisecond
@@ -401,28 +332,9 @@ func (w *worker) runLease(grant leaseGrant) error {
 				code := resp.StatusCode
 				resp.Body.Close()
 				if code == http.StatusConflict {
-					lostOnce.Do(func() { close(lost) })
+					close(lost)
 					return
 				}
-			}
-		}
-	}()
-
-	flushEvery := beat
-	if flushEvery > 250*time.Millisecond {
-		flushEvery = 250 * time.Millisecond
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(flushEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-bg:
-				return
-			case <-tick.C:
-				w.flush(grant, seg) // errors retried next tick
 			}
 		}
 	}()
@@ -457,26 +369,11 @@ func (w *worker) runLease(grant leaseGrant) error {
 	if res.Interrupted {
 		return nil
 	}
-	if seg.err != nil {
-		return seg.err
+	if encErr != nil {
+		return encErr
 	}
-
-	// Drain the segment, then complete the lease.
-	for attempt := 0; !seg.drained(); attempt++ {
-		if attempt > 50 {
-			return fmt.Errorf("lease %d: segment upload did not drain", grant.Lease)
-		}
-		if err := w.flush(grant, seg); err != nil {
-			w.logf("lease %d: flush: %v (retrying)", grant.Lease, err)
-			if !w.sleep(100 * time.Millisecond) {
-				return nil
-			}
-		}
-		select {
-		case <-lost:
-			return nil
-		default:
-		}
+	if err := w.upload(grant, seg.Bytes()); err != nil {
+		return err
 	}
 	resp, err := w.postJSON("/api/lease/complete", leaseRef{Worker: w.opt.Name, Lease: grant.Lease, Gen: grant.Gen})
 	if err != nil {

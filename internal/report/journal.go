@@ -294,10 +294,8 @@ func ReadJournal(path string) (JournalHeader, map[string]core.Experiment, error)
 // after it are treated as the truncated tail of a killed run
 // (valid < len(data)).  A defective header is a hard error — there is
 // nothing to resume.  ResumeJournal and the coordinator's ingestion share
-// it: an uploaded lease segment is a byte prefix of a worker's journal,
-// so a worker killed mid-chunk leaves a segment whose intact lines are
-// still usable and whose torn tail is simply re-covered when the lease
-// is re-run.
+// it; the coordinator accepts a lease's segment only when it carries
+// every entry of the lease.
 func ParseSegment(data []byte) (h JournalHeader, completed map[string]core.Experiment, valid int, err error) {
 	off := 0
 	line := func() ([]byte, bool) {
@@ -361,7 +359,7 @@ func ParseSegment(data []byte) (h JournalHeader, completed map[string]core.Exper
 }
 
 // SameOutcome reports whether two records of one experiment agree — the
-// duplicate-resolution predicate for merges and coordinator ingestion.
+// duplicate-resolution predicate for merging journals.
 // Any two workers running the same (seed, region, index) must produce
 // the identical outcome, so a disagreement means the campaign is not
 // deterministic and the duplicate cannot be resolved.  Forensics is
@@ -388,8 +386,7 @@ type Merged struct {
 }
 
 // MergeDir merges every .jsonl journal under dir — the coordinator's
-// spool layout, one file per lease segment (stolen leases leave one file
-// per generation; their intact lines are duplicates the merge resolves).
+// spool layout, one file per completed lease.
 func MergeDir(dir string) (*Merged, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {

@@ -73,9 +73,8 @@ const (
 	// Campaign control plane (internal/coord).  Leases are bounded
 	// ranges of the plan handed to pull-based workers; an expired lease
 	// (slow or dead worker) returns to the queue and is counted as
-	// stolen when another worker re-acquires it.  Results ingested vs
-	// duplicate separates first arrivals from the idempotent re-runs of
-	// stolen leases.
+	// stolen when another worker re-acquires it.  A lease's results are
+	// ingested once, when it completes.
 	MetricCoordLeases          = "mpifault_coord_leases_total"
 	MetricCoordLeasesGranted   = "mpifault_coord_leases_granted_total"
 	MetricCoordLeasesCompleted = "mpifault_coord_leases_completed_total"
@@ -83,7 +82,6 @@ const (
 	MetricCoordLeasesStolen    = "mpifault_coord_leases_stolen_total"
 	MetricCoordLeasesActive    = "mpifault_coord_leases_active"
 	MetricCoordResults         = "mpifault_coord_results_ingested_total"
-	MetricCoordDuplicates      = "mpifault_coord_results_duplicate_total"
 	MetricCoordSegmentBytes    = "mpifault_coord_segment_bytes_total"
 	MetricCoordWorkers         = "mpifault_coord_workers"
 	MetricCoordPlanTotal       = "mpifault_coord_plan_experiments_total"
