@@ -15,10 +15,16 @@
 //	              [-checkpoint-interval 12500]
 //	              [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
+// Each campaign is built once, as the journal header report.NewCampaign
+// makes of the flags — app, seed, regions, -n or the adaptive terms,
+// -ranks/-scale, -shard — and the run derives from that header
+// (JournalHeader.Config); -journal writes it as the journal's first line.
+//
 // -worker turns the process into a campaign engine for a faultcoord
 // control plane: it pulls bounded leases from the coordinator at the
-// given URL, runs their experiments (the campaign spec — app, seed,
-// injections, regions — arrives with each lease),
+// given URL, runs their experiments (each lease grant carries the
+// campaign's journal header, and the worker runs what it defines — the
+// app at its ranks and scale — with the lease's entries),
 // uploads each lease's journal segment once, when its experiments have
 // run, and exits when the
 // coordinator reports the campaign complete.  A worker holds its leases
@@ -202,8 +208,8 @@ func run() int {
 	workerURL := flag.String("worker", "", "run as a lease-pulling worker for the faultcoord coordinator at this URL; the campaign spec comes from the coordinator")
 	workerName := flag.String("worker-name", "", "worker identity in the coordinator's cluster view (default host-pid)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: run each region in deterministic rounds and stop once its Wilson CI half-width reaches -d, instead of the fixed worst-case -n everywhere")
-	targetD := flag.Float64("d", core.DefaultTargetHalfWidth, "adaptive stopping target: per-region CI half-width (paper parity 0.049)")
-	confidence := flag.Float64("confidence", core.DefaultConfidence, "adaptive CI confidence level")
+	targetD := flag.Float64("d", 0, "adaptive stopping target: per-region CI half-width (0 = 0.049, paper parity)")
+	confidence := flag.Float64("confidence", 0, "adaptive CI confidence level (0 = 0.95)")
 	roundSize := flag.Int("round", 0, "adaptive per-region per-round experiment bound (0 = default)")
 	ranksOverride := flag.Int("ranks", 0, "override the application's MPI world size (rank-count sweeps; 0 = app default)")
 	scaleOverride := flag.Int("scale", 0, "override the application's per-rank problem size (0 = app default)")
@@ -233,28 +239,19 @@ func run() int {
 		return runWorker(*workerURL, *workerName, *par, *quiet)
 	}
 
-	nFlagSet := false
-	var adaptiveOnly []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "n":
-			nFlagSet = true
-		case "d", "confidence", "round":
-			adaptiveOnly = append(adaptiveOnly, "-"+f.Name)
-		}
-	})
+	injections := *n
 	if *adaptive {
 		// The adaptive planner sizes each region from its own tallies, so
 		// a raw count contradicts it (and -n has a nonzero default, which
-		// core could not tell from a request).  core.NormalizeAdaptive
-		// refuses -shard.
+		// report.NewCampaign could not tell from a request).  NewCampaign
+		// refuses -shard, and the adaptive terms without -adaptive.
+		injections = 0
+		nFlagSet := false
+		flag.Visit(func(f *flag.Flag) { nFlagSet = nFlagSet || f.Name == "n" })
 		if nFlagSet {
 			log.Print("-adaptive sizes the campaign itself (stopping at the CI target); it cannot be combined with -n")
 			return 1
 		}
-	} else if len(adaptiveOnly) > 0 {
-		log.Printf("%s require -adaptive", strings.Join(adaptiveOnly, ", "))
-		return 1
 	}
 
 	if *cpuprofile != "" {
@@ -341,16 +338,9 @@ func run() int {
 		defer close(statusDone)
 	}
 
-	var regionList []core.Region
+	var regionNames []string
 	if *regions != "" {
-		for _, s := range strings.Split(*regions, ",") {
-			r, err := core.ParseRegion(strings.TrimSpace(s))
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			regionList = append(regionList, r)
-		}
+		regionNames = strings.Split(*regions, ",")
 	}
 
 	shard, numShards := 0, 1
@@ -398,72 +388,36 @@ func run() int {
 	if *csv {
 		prose = os.Stderr
 	}
-	if !*quiet {
-		if *adaptive {
-			if cap, err := sampling.SampleSize(*confidence, *targetD); err == nil {
-				fmt.Fprintf(prose, "sampling: adaptive sequential stopping at d<=%.1f%% (%.0f%% confidence), fixed-n cap %d/region\n",
-					100**targetD, 100**confidence, cap)
-			}
-		} else if s, err := sampling.Describe(0.95, *n); err == nil {
-			fmt.Fprintf(prose, "sampling: %s\n", s)
-		}
-	}
-
 	unclassified, interrupted := 0, false
-	for _, name := range names {
-		a, err := apps.Get(name)
+	for i, name := range names {
+		// The campaign is defined once, as the header its journal records;
+		// this process's run derives from it like every other's.
+		hdr, im, err := report.NewCampaign(report.JournalHeader{
+			App: name, Seed: *seed, Injections: injections, Regions: regionNames,
+			Ranks: *ranksOverride, Scale: *scaleOverride, Shard: shard, NumShards: numShards,
+			Adaptive: *adaptive, Target: *targetD, Confidence: *confidence, RoundSize: *roundSize,
+		})
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		build := a.Default
-		if *ranksOverride > 0 {
-			build.Ranks = *ranksOverride
+		if i == 0 && !*quiet {
+			if hdr.Adaptive {
+				fmt.Fprintf(prose, "sampling: adaptive sequential stopping at d<=%.1f%% (%.0f%% confidence), fixed-n cap %d/region\n",
+					100*hdr.Target, 100*hdr.Confidence, hdr.Injections)
+			} else if s, err := sampling.Describe(0.95, *n); err == nil {
+				fmt.Fprintf(prose, "sampling: %s\n", s)
+			}
 		}
-		if *scaleOverride > 0 {
-			build.Scale = int32(*scaleOverride)
-		}
-		im, err := a.Build(build)
+		cfg, err := hdr.Config(im)
 		if err != nil {
-			log.Printf("build %s: %v", name, err)
+			log.Print(err)
 			return 1
 		}
 		start := time.Now()
-		cfg := core.Config{
-			Image:       im,
-			Ranks:       build.Ranks,
-			Injections:  *n,
-			Regions:     regionList,
-			Seed:        *seed,
-			Parallelism: *par,
-			Shard:       shard,
-			NumShards:   numShards,
-			Stop:        stop,
-			Metrics:     metrics,
-			Forensics:   *forensics,
-			TraceDiff:   *traceDiff,
-
-			CheckpointInterval: *ckptInterval,
-		}
-		if *adaptive {
-			cfg.Injections = 0 // the planner sizes the plan itself
-			cfg.Adaptive = true
-			cfg.TargetHalfWidth = *targetD
-			cfg.Confidence = *confidence
-			cfg.RoundSize = *roundSize
-			labels, err := analysis.AVFPriors(im)
-			if err != nil {
-				log.Printf("avf priors %s: %v", name, err)
-				return 1
-			}
-			if cfg.AVFPriors, err = core.PriorsFromLabels(labels); err != nil {
-				log.Print(err)
-				return 1
-			}
-			if _, err := core.NormalizeAdaptive(&cfg); err != nil {
-				log.Print(err)
-				return 1
-			}
+		cfg.Parallelism, cfg.Stop, cfg.Metrics = *par, stop, metrics
+		cfg.Forensics, cfg.TraceDiff, cfg.CheckpointInterval = *forensics, *traceDiff, *ckptInterval
+		if hdr.Adaptive {
 			cfg.OnRound = func(st core.AdaptiveStats) {
 				adaptiveStatus.Store(st.StatusSuffix())
 				if !*quiet {
@@ -485,10 +439,6 @@ func run() int {
 		var journal *report.Journal
 		resumed := 0
 		if *journalPath != "" {
-			hdr := report.CampaignHeader(name, cfg)
-			if build.Scale != a.Default.Scale {
-				hdr.Scale = int(build.Scale) // a different problem: not mixable with default-scale shards
-			}
 			if *resume {
 				var completed map[string]core.Experiment
 				journal, completed, err = report.ResumeJournal(*journalPath, hdr)
@@ -545,11 +495,11 @@ func run() int {
 				}
 			}
 		}
+		done := 0
+		for _, t := range res.Tallies {
+			done += t.Executions
+		}
 		if res.Interrupted {
-			done := 0
-			for _, t := range res.Tallies {
-				done += t.Executions
-			}
 			if *journalPath != "" {
 				log.Printf("%s: interrupted after %d experiments; resume with -resume -journal %s",
 					name, done, *journalPath)
@@ -561,20 +511,17 @@ func run() int {
 			break
 		}
 
-		if numShards > 1 {
+		if hdr.NumShards > 1 {
 			// A shard's tables would be misleading fragments; the result
 			// is the journal, merged across shards by faultmerge.
-			done := 0
-			for _, t := range res.Tallies {
-				done += t.Executions
-			}
 			fmt.Printf("%s: shard %d/%d complete: %d experiments (%d resumed from journal)\n",
-				name, shard, numShards, done, resumed)
+				name, hdr.Shard, hdr.NumShards, done, resumed)
 			continue
 		}
 		if *csv {
 			report.WriteCampaignCSV(os.Stdout, name, res)
 		} else {
+			a, _ := apps.Get(name) // NewCampaign found it
 			report.WriteCampaign(os.Stdout, fmt.Sprintf("%s, stands in for %s", name, a.Paper), res)
 			fmt.Printf("(campaign wall time %.1fs)\n\n", time.Since(start).Seconds())
 		}
@@ -588,7 +535,7 @@ func run() int {
 				float64(st.TotalExecuted())/float64(st.FixedTotal()))
 		}
 		if *predict {
-			rep, err := analysis.StaticAVF(im)
+			rep, err := analysis.StaticAVF(cfg.Image)
 			if err != nil {
 				log.Printf("avf %s: %v", name, err)
 				return 1

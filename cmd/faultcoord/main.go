@@ -15,8 +15,11 @@
 //	           [-status 5s] [-quiet]
 //
 // The campaign is loaded at startup from the flags; -app is required.
-// Workers need nothing but the URL: every lease grant carries the
-// campaign's journal header — the first line `faultcampaign -journal`
+// It is built once, as its journal header (report.NewCampaign, which
+// faultcampaign builds its campaigns with), and every run derives from
+// that header.  faultcoord has no -ranks or -scale: its campaigns run at
+// the app's defaults.  Workers need nothing but the URL: every lease
+// grant carries the header — the first line `faultcampaign -journal`
 // writes at the same flags — so `faultcampaign -worker http://host:8700`
 // on any number of machines is the whole cluster.  Slow or dead workers
 // forfeit their leases after -lease-ttl without a heartbeat; the lease
@@ -50,7 +53,6 @@ import (
 	"time"
 
 	"mpifault/internal/coord"
-	"mpifault/internal/core"
 	"mpifault/internal/telemetry"
 )
 
@@ -67,8 +69,8 @@ func run() int {
 	regions := flag.String("regions", "", "comma-separated region subset (reg,fp,bss,data,stack,text,heap,message)")
 	traceDiff := flag.Bool("trace-diff", false, "make every worker localize Incorrect/Hang/Crash outcomes by their first divergence from the golden run's tapes (faultcampaign -trace-diff)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: cut leases in deterministic planner rounds and stop each region at the CI target instead of the fixed -n (faultcampaign -adaptive)")
-	targetD := flag.Float64("d", core.DefaultTargetHalfWidth, "adaptive stopping target: per-region CI half-width (requires -adaptive)")
-	confidence := flag.Float64("confidence", core.DefaultConfidence, "adaptive CI confidence level (requires -adaptive)")
+	targetD := flag.Float64("d", 0, "adaptive stopping target: per-region CI half-width (0 = 0.049; requires -adaptive)")
+	confidence := flag.Float64("confidence", 0, "adaptive CI confidence level (0 = 0.95; requires -adaptive)")
 	roundSize := flag.Int("round", 0, "adaptive per-region per-round experiment bound (0 = default; requires -adaptive)")
 	leaseSize := flag.Int("lease-size", coord.DefaultLeaseSize, "plan entries per lease (small leases steal cheaply, large ones amortize the worker's golden run)")
 	leaseTTL := flag.Duration("lease-ttl", coord.DefaultLeaseTTL, "lease deadline; a worker that has not heartbeat within this long forfeits the lease")
@@ -85,46 +87,32 @@ func run() int {
 		log.Print("-app is required: the coordinator serves the campaign its flags define")
 		return 1
 	}
-	nFlagSet := false
-	var adaptiveOnly []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "n":
-			nFlagSet = true
-		case "d", "confidence", "round":
-			adaptiveOnly = append(adaptiveOnly, "-"+f.Name)
-		}
-	})
-	if *adaptive && nFlagSet {
-		log.Print("-adaptive sizes the campaign itself (stopping at the CI target); it cannot be combined with -n")
-		return 1
-	}
-	if !*adaptive && len(adaptiveOnly) > 0 {
-		log.Printf("%s require -adaptive", strings.Join(adaptiveOnly, ", "))
-		return 1
-	}
-
+	// Submit defines the campaign (report.NewCampaign), which refuses the
+	// adaptive terms without -adaptive; -n has a nonzero default, which
+	// it could not tell from a request.
 	spec := coord.Spec{
-		App:            *app,
-		Injections:     *n,
-		Seed:           *seed,
-		TraceDiff:      *traceDiff,
-		LeaseSize:      *leaseSize,
-		LeaseTTLMillis: leaseTTL.Milliseconds(),
+		App:             *app,
+		Injections:      *n,
+		Seed:            *seed,
+		TraceDiff:       *traceDiff,
+		Adaptive:        *adaptive,
+		TargetHalfWidth: *targetD,
+		Confidence:      *confidence,
+		RoundSize:       *roundSize,
+		LeaseSize:       *leaseSize,
+		LeaseTTLMillis:  leaseTTL.Milliseconds(),
 	}
 	if *regions != "" {
-		for _, s := range strings.Split(*regions, ",") {
-			spec.Regions = append(spec.Regions, strings.TrimSpace(s))
-		}
+		spec.Regions = strings.Split(*regions, ",")
 	}
 	if *adaptive {
-		// The planner sizes the plan; Submit normalizes the contract
-		// and computes the AVF priors the rounds are seeded with.
 		spec.Injections = 0
-		spec.Adaptive = true
-		spec.TargetHalfWidth = *targetD
-		spec.Confidence = *confidence
-		spec.RoundSize = *roundSize
+		nFlagSet := false
+		flag.Visit(func(f *flag.Flag) { nFlagSet = nFlagSet || f.Name == "n" })
+		if nFlagSet {
+			log.Print("-adaptive sizes the campaign itself (stopping at the CI target); it cannot be combined with -n")
+			return 1
+		}
 	}
 	co := coord.New(coord.Config{Metrics: telemetry.New(), Dir: *dir})
 	if err := co.Submit(spec); err != nil {

@@ -33,7 +33,8 @@ type Job struct {
 	// minute beyond expected completion").  0 means unlimited.
 	Budget uint64
 	// WallLimit is the host-safety limit on real time, for a guest that
-	// spins with no budget; default 30s.
+	// spins with no budget.  0 means 30s for a job without a Budget and no
+	// limit for one with: its verdict then never reads the host clock.
 	WallLimit time.Duration
 	// Setup, when non-nil, runs for every rank before execution starts —
 	// the fault injector arms triggers and hooks here.
@@ -248,7 +249,7 @@ func earliest(ranks []*rank, horizon *rank) *rank {
 // unfinished rank while none is runnable.  WallLimit halts the executing
 // machine through Machine.Stop and is checked between resumes.
 func Run(job Job) *Result {
-	if job.WallLimit == 0 {
+	if job.WallLimit == 0 && job.Budget == 0 {
 		job.WallLimit = 30 * time.Second
 	}
 	mpiCfg := job.MPIConfig
@@ -281,7 +282,9 @@ func Run(job Job) *Result {
 	// stop halts a machine within 4096 instructions.  Before the verdict
 	// only the wall-clock limit sets it.
 	var stop atomic.Bool
-	defer time.AfterFunc(job.WallLimit, func() { stop.Store(true) }).Stop()
+	if job.WallLimit > 0 {
+		defer time.AfterFunc(job.WallLimit, func() { stop.Store(true) }).Stop()
+	}
 
 	ranks := make([]*rank, job.Size)
 	live := 0

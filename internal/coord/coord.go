@@ -28,12 +28,14 @@
 //   - An experiment therefore reaches the results once.  One arriving a
 //     second time means the protocol broke, and fails the campaign.
 //
-// The campaign is defined once: Submit builds its report.JournalHeader
-// with report.CampaignHeader, as `faultcampaign -journal` does, and every
-// lease grant carries it; workers write it verbatim as their segment
-// header and derive their core.Config from it.  Beyond that header the
-// coordinator holds only the results it has ingested.  At each barrier
-// (every lease cut so far completed) it asks the header's
+// The campaign is built once and every run derives from its header:
+// Submit builds its report.JournalHeader with report.NewCampaign, the
+// constructor faultcampaign builds its campaigns with, and every lease
+// grant carries it; a worker writes it verbatim as its segment header and
+// runs the core.Config it defines (JournalHeader.Config) — the header's
+// app at its ranks and scale — with the lease's entries.  Beyond that
+// header the coordinator holds only the results it has ingested.  At
+// each barrier (every lease cut so far completed) it asks the header's
 // core.Contract what those results still lack (Frontier) and cuts it
 // into leases: a fixed-n campaign is the one-round frontier (the whole
 // plan once, then nothing), an adaptive one a planner round — the
@@ -59,17 +61,17 @@ import (
 	"sync"
 	"time"
 
-	"mpifault/internal/analysis"
-	"mpifault/internal/apps"
 	"mpifault/internal/core"
 	"mpifault/internal/report"
 	"mpifault/internal/telemetry"
 )
 
 // Spec is a campaign submission: what to run and how to slice it.  It
-// deliberately mirrors the faultcampaign flags so the coordinator's
-// final CSV is byte-comparable to a single-process run of the same
-// parameters.
+// deliberately mirrors the faultcampaign flags, and Submit defines the
+// campaign with the constructor faultcampaign uses (report.NewCampaign),
+// so the coordinator's final CSV is byte-comparable to a single-process
+// run of the same parameters.  Its campaigns run at the app's default
+// ranks and scale.
 type Spec struct {
 	App        string
 	Injections int
@@ -97,7 +99,7 @@ type Spec struct {
 	Adaptive bool
 	// Confidence, TargetHalfWidth and RoundSize pin the estimation
 	// contract; zero values take the core defaults (95 %, 4.9 %,
-	// sampling.DefaultRoundSize).
+	// sampling.DefaultRoundSize), and a fixed-n campaign leaves them zero.
 	Confidence      float64
 	TargetHalfWidth float64
 	RoundSize       int
@@ -257,17 +259,12 @@ func (m *coordMeters) worker(name string) *telemetry.Counter {
 // Submit installs the campaign.  A coordinator runs exactly one
 // campaign; a second submission is rejected.
 func (co *Coordinator) Submit(spec Spec) error {
-	a, err := apps.Get(spec.App)
+	header, _, err := report.NewCampaign(report.JournalHeader{
+		App: spec.App, Seed: spec.Seed, Injections: spec.Injections, Regions: spec.Regions,
+		Adaptive: spec.Adaptive, Target: spec.TargetHalfWidth, Confidence: spec.Confidence, RoundSize: spec.RoundSize,
+	})
 	if err != nil {
 		return err
-	}
-	cfg := core.Config{Ranks: a.Default.Ranks, Injections: spec.Injections, Seed: spec.Seed}
-	for _, s := range spec.Regions {
-		r, err := core.ParseRegion(s)
-		if err != nil {
-			return err
-		}
-		cfg.Regions = append(cfg.Regions, r)
 	}
 	if spec.LeaseSize <= 0 {
 		spec.LeaseSize = DefaultLeaseSize
@@ -276,35 +273,6 @@ func (co *Coordinator) Submit(spec Spec) error {
 	if spec.LeaseTTLMillis > 0 {
 		ttl = time.Duration(spec.LeaseTTLMillis) * time.Millisecond
 	}
-
-	if spec.Adaptive {
-		// Normalize the estimation contract and seed it with the app's
-		// static AVF priors exactly as faultcampaign -adaptive does, so
-		// the header — and hence the round schedule — pins the same
-		// numbers however the campaign is executed.
-		cfg.Adaptive = true
-		cfg.Confidence = spec.Confidence
-		cfg.TargetHalfWidth = spec.TargetHalfWidth
-		cfg.RoundSize = spec.RoundSize
-		if _, err := core.NormalizeAdaptive(&cfg); err != nil {
-			return err
-		}
-		im, err := a.Build(a.Default)
-		if err != nil {
-			return fmt.Errorf("coord: build %s: %v", spec.App, err)
-		}
-		labels, err := analysis.AVFPriors(im)
-		if err != nil {
-			return err
-		}
-		if cfg.AVFPriors, err = core.PriorsFromLabels(labels); err != nil {
-			return err
-		}
-	} else if spec.Injections <= 0 {
-		return fmt.Errorf("coord: injections must be positive")
-	}
-
-	header := report.CampaignHeader(spec.App, cfg)
 	contract, err := header.Contract()
 	if err != nil {
 		return err

@@ -518,3 +518,71 @@ func TestDuplicateMessageResultsAgree(t *testing.T) {
 		t.Fatalf("%d protocol traps in two runs: the campaign does not exercise the pc that used to differ", protocolTraps)
 	}
 }
+
+// TestWorkerRunsHeaderRanksAndScale: a worker runs the campaign its
+// grant's header defines — here wavetoy at 4 ranks and scale 512, which
+// no Submit produces — so the segment it uploads is the journal a
+// single-process core.Run of the lease's entries at those ranks and that
+// scale writes.
+func TestWorkerRunsHeaderRanksAndScale(t *testing.T) {
+	h, _, err := report.NewCampaign(report.JournalHeader{
+		App: "wavetoy", Seed: 11, Injections: 6, Regions: []string{"reg", "message"}, Ranks: 4, Scale: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Ranks != 4 || h.Scale != 512 {
+		t.Fatalf("header at ranks %d scale %d, want 4 and 512", h.Ranks, h.Scale)
+	}
+	entries := []core.PlanEntry{
+		{Region: core.RegionMessage, Index: 5}, {Region: core.RegionRegularReg, Index: 0},
+		{Region: core.RegionRegularReg, Index: 3}, {Region: core.RegionMessage, Index: 1},
+	}
+	cfg, err := h.Config(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Entries = entries
+	var want []core.Experiment
+	cfg.OnExperiment = func(e core.Experiment) { want = append(want, e) }
+	if _, err := core.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	wantSeg := segmentBytes(t, h, want)
+
+	ids := make([]string, len(entries))
+	for i, pe := range entries {
+		ids[i] = pe.ID()
+	}
+	var (
+		mu      sync.Mutex
+		granted bool
+		got     []byte
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/api/lease/acquire":
+			if granted {
+				w.WriteHeader(http.StatusGone)
+				return
+			}
+			granted = true
+			json.NewEncoder(w).Encode(leaseGrant{Lease: 0, Gen: 1, End: len(ids), TTLMs: 60_000, Header: h, Entries: ids})
+		case "/api/segment":
+			got, _ = io.ReadAll(r.Body)
+		case "/api/lease/complete":
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}))
+	defer srv.Close()
+	if err := RunWorker(WorkerOptions{URL: srv.URL, Name: "w1", Poll: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(got, wantSeg) {
+		t.Fatalf("the worker uploaded\n%s\nwant\n%s", got, wantSeg)
+	}
+}

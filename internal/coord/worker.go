@@ -11,9 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"mpifault/internal/apps"
 	"mpifault/internal/core"
-	"mpifault/internal/image"
 	"mpifault/internal/msgtrace"
 	"mpifault/internal/report"
 )
@@ -47,14 +45,11 @@ type WorkerOptions struct {
 type worker struct {
 	opt    WorkerOptions
 	client *http.Client
-	apps   map[string]*workerApp
-}
-
-// workerApp caches the expensive per-application state across leases:
-// the built image and the golden reference run.
-type workerApp struct {
-	image  *image.Image
-	golden *core.Golden
+	// header is the campaign of the last grant and cfg the run it defines
+	// (report.JournalHeader.Config), kept across that campaign's leases
+	// with the golden run the first of them paid for.
+	header report.JournalHeader
+	cfg    *core.Config
 }
 
 // maxConsecutiveAcquireFailures bounds how long a worker retries an
@@ -73,7 +68,7 @@ func RunWorker(opt WorkerOptions) error {
 	if opt.Poll <= 0 {
 		opt.Poll = 300 * time.Millisecond
 	}
-	w := &worker{opt: opt, client: &http.Client{Timeout: 30 * time.Second}, apps: map[string]*workerApp{}}
+	w := &worker{opt: opt, client: &http.Client{Timeout: 30 * time.Second}}
 	failures := 0
 	for {
 		select {
@@ -182,25 +177,6 @@ func (w *worker) fail(grant leaseGrant, cause error) {
 	}
 }
 
-// app returns the cached per-application state, building it on first use.
-func (w *worker) app(name string) (*workerApp, error) {
-	wa := w.apps[name]
-	if wa != nil {
-		return wa, nil
-	}
-	a, err := apps.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	im, err := a.Build(a.Default)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %v", name, err)
-	}
-	wa = &workerApp{image: im}
-	w.apps[name] = wa
-	return wa, nil
-}
-
 // maxUploadAttempts bounds how often a segment upload that failed in
 // transit is retried before the lease is given back.
 const maxUploadAttempts = 3
@@ -241,43 +217,33 @@ func (w *worker) upload(grant leaseGrant, seg []byte) error {
 // — the coordinator re-issues it whole.
 func (w *worker) runLease(grant leaseGrant) error {
 	h := grant.Header
-	wa, err := w.app(h.App)
-	if err != nil {
-		return err
-	}
-	regions, err := h.PlanRegions()
-	if err != nil {
-		return err
-	}
 	// A lease names its entries; core.Run holds each one to the
 	// campaign's region list and injection count (an adaptive campaign's
-	// fixed-n cap).
+	// fixed-n cap), and runs exactly them, whether the campaign is fixed-n
+	// or adaptive.
 	if len(grant.Entries) == 0 {
 		return fmt.Errorf("lease %d names no entries", grant.Lease)
 	}
 	entries := make([]core.PlanEntry, len(grant.Entries))
 	for i, id := range grant.Entries {
+		var err error
 		if entries[i], err = core.ParseEntryID(id); err != nil {
 			return err
 		}
 	}
-
-	golden := wa.golden
-	cfg := core.Config{
-		Image:       wa.image,
-		Ranks:       h.Ranks,
-		Injections:  h.Injections,
-		Regions:     regions,
-		Seed:        h.Seed,
-		Parallelism: w.opt.Parallelism,
-		Entries:     entries,
-		Golden:      golden,
-		TraceDiff:   grant.TraceDiff,
-
-		// The lease that runs the golden run gets its snapshots with it,
-		// and every lease restores from them.
-		CheckpointInterval: core.DefaultCheckpointInterval,
+	if w.cfg == nil || !h.SameCampaign(w.header) {
+		cfg, err := h.Config(nil)
+		if err != nil {
+			return err
+		}
+		w.header, w.cfg = h, &cfg
 	}
+	cfg := *w.cfg
+	golden := cfg.Golden
+	cfg.Parallelism, cfg.Entries, cfg.TraceDiff = w.opt.Parallelism, entries, grant.TraceDiff
+	// The lease that runs the golden run gets its snapshots with it, and
+	// every lease restores from them.
+	cfg.CheckpointInterval = core.DefaultCheckpointInterval
 	// The segment opens with the coordinator's header, verbatim: the
 	// campaign definition is built once, in Submit.  OnExperiment calls
 	// are serialized and in plan order: the bytes of a journal.
@@ -349,7 +315,7 @@ func (w *worker) runLease(grant leaseGrant) error {
 		// the hash of its tapes — externally checkable: every worker of a
 		// trace-diff campaign must log the same hash, and it must match a
 		// single-process `faultcampaign -trace-out` of the same spec.
-		wa.golden = res.Golden
+		w.cfg.Golden = res.Golden
 		w.logf("golden run of %s done, cached for later leases", h.App)
 		if grant.TraceDiff {
 			tapes := res.Golden.Result.Tapes

@@ -140,9 +140,6 @@ func NormalizeAdaptive(cfg *Config) (int, error) {
 	if cfg.Shard != 0 || cfg.NumShards > 1 {
 		return 0, fmt.Errorf("core: adaptive campaigns cannot be sharded (rounds own the plan); use the coordinator for distribution")
 	}
-	if cfg.Entries != nil {
-		return 0, fmt.Errorf("core: adaptive campaigns and explicit Entries are mutually exclusive")
-	}
 	cap, err := sampling.SampleSize(cfg.Confidence, cfg.TargetHalfWidth)
 	if err != nil {
 		return 0, err

@@ -284,11 +284,6 @@ func TestNormalizeAdaptiveValidation(t *testing.T) {
 		t.Error("sharded adaptive accepted")
 	}
 	cfg = base()
-	cfg.Entries = []PlanEntry{{Region: RegionRegularReg}}
-	if _, err := NormalizeAdaptive(&cfg); err == nil {
-		t.Error("explicit entries accepted")
-	}
-	cfg = base()
 	cfg.CheckpointInterval = 1000
 	if _, err := NormalizeAdaptive(&cfg); err != nil {
 		t.Errorf("checkpointing refused (rounds restore from the golden's checkpoints): %v", err)
@@ -297,5 +292,43 @@ func TestNormalizeAdaptiveValidation(t *testing.T) {
 	cfg.Injections = 17
 	if _, err := NormalizeAdaptive(&cfg); err == nil {
 		t.Error("foreign injection count accepted")
+	}
+}
+
+// TestAdaptiveEntriesRunExactly: with Entries set, an adaptive campaign
+// runs exactly those entries, in their order, as a fixed-n campaign at
+// its cap does — a lease of an adaptive campaign is a list.
+func TestAdaptiveEntriesRunExactly(t *testing.T) {
+	im, ranks := buildApp(t, "wavetoy")
+	entries := []PlanEntry{
+		{Region: RegionHeap, Index: 7}, {Region: RegionRegularReg, Index: 0}, {Region: RegionRegularReg, Index: 30},
+	}
+	cfg := Config{
+		Image: im, Ranks: ranks, Regions: []Region{RegionRegularReg, RegionHeap}, Seed: 4,
+		Adaptive: true, TargetHalfWidth: testTargetD, Entries: entries, KeepExperiments: true,
+	}
+	adaptive, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Adaptive, cfg.TargetHalfWidth, cfg.Golden = false, 0, adaptive.Golden
+	cfg.Injections, err = sampling.SampleSize(DefaultConfidence, testTargetD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(adaptive.Experiments) != len(entries) {
+		t.Fatalf("ran %d experiments, want the %d entries", len(adaptive.Experiments), len(entries))
+	}
+	for i, e := range adaptive.Experiments {
+		if e.Region != entries[i].Region || e.Index != entries[i].Index {
+			t.Errorf("experiment %d is %s, want %s", i, e.ID(), entries[i].ID())
+		}
+	}
+	if !reflect.DeepEqual(adaptive.Experiments, fixed.Experiments) {
+		t.Errorf("adaptive entries ran\n%+v\nthe fixed-n campaign at its cap\n%+v", adaptive.Experiments, fixed.Experiments)
 	}
 }

@@ -28,9 +28,9 @@ func TestRestoredJobAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &Config{Image: im, Ranks: 16, WallLimit: 30 * time.Second,
+	cfg := &Config{Image: im, Ranks: 16,
 		CheckpointInterval: DefaultCheckpointInterval}
-	golden, err := runGolden(cfg, nil)
+	golden, err := runGolden(cfg, defaultMPI(), 30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRestoredJobAllocation(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
-	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: cfg.WallLimit, Restore: snaps[len(snaps)/2]}
+	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: 30 * time.Second, Restore: snaps[len(snaps)/2]}
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -69,7 +69,7 @@ func TestRestoredJobAllocation(t *testing.T) {
 // set-up time and RSS are measured on — builds neither.
 func TestMessageTablesAreLazy(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
-	cfg := Config{Image: im, Ranks: ranks, Injections: 2, Seed: 5, MPIConfig: defaultMPI(),
+	cfg := Config{Image: im, Ranks: ranks, Injections: 2, Seed: 5,
 		Regions: []Region{RegionRegularReg}, CheckpointInterval: DefaultCheckpointInterval}
 	res, err := Run(cfg)
 	if err != nil {

@@ -25,13 +25,16 @@ import (
 // instruction counts and received message volumes that parameterize the
 // injection-space sampling (§4.3's b, m and t axes).  It carries the
 // snapshots that execution took of itself (checkpoint.go), so Runs
-// sharing one — concurrently too — restore from the same set.  Do not
-// copy it.
+// sharing one — concurrently too — restore from the same set, and the
+// mpi.Config it ran with, which every job of theirs runs with too.  Do
+// not copy it.
 type Golden struct {
 	Output    []byte
 	Instrs    []uint64
 	RecvBytes []uint64
 	Result    *cluster.Result
+
+	mpiCfg mpi.Config
 
 	// tapes are the run's per-rank recordings (Result.Tapes): what an
 	// experiment replays its injected rank against (solo.go) and what
@@ -60,9 +63,14 @@ func (g *Golden) MaxInstrs() uint64 {
 	return max
 }
 
-// RunGolden executes the fault-free reference run.
+// goldenWallLimit is the wall-clock limit of a campaign's golden run, the
+// one job it runs with no instruction budget (cluster.Job.WallLimit).
+const goldenWallLimit = 10 * time.Second
+
+// RunGolden executes the fault-free reference run under mpiCfg, with wall
+// as its wall-clock limit.
 func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration) (*Golden, error) {
-	return runGolden(&Config{Image: im, Ranks: ranks, MPIConfig: mpiCfg, WallLimit: wall}, nil)
+	return runGolden(&Config{Image: im, Ranks: ranks}, mpiCfg, wall, nil)
 }
 
 // runGolden is RunGolden with what a campaign adds: the snapshots the
@@ -70,9 +78,9 @@ func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 // DefaultMaxCheckpoints of them.  It is the one place the fault-free job
 // is executed; built, when non-nil, sees every rank's machine before it
 // runs (the campaignCtx.built test seam).
-func runGolden(cfg *Config, built func(*vm.Machine)) (*Golden, error) {
+func runGolden(cfg *Config, mpiCfg mpi.Config, wall time.Duration, built func(*vm.Machine)) (*Golden, error) {
 	job := cluster.Job{
-		Image: cfg.Image, Size: cfg.Ranks, MPIConfig: cfg.MPIConfig, WallLimit: cfg.WallLimit,
+		Image: cfg.Image, Size: cfg.Ranks, MPIConfig: mpiCfg, WallLimit: wall,
 		RecordTapes: true,
 		Checkpoints: cluster.CheckpointSpec{Interval: cfg.CheckpointInterval, Max: DefaultMaxCheckpoints},
 	}
@@ -83,7 +91,7 @@ func runGolden(cfg *Config, built func(*vm.Machine)) (*Golden, error) {
 	if res.HangDetected {
 		return nil, fmt.Errorf("core: golden run hung: %s", res.HangCause)
 	}
-	g := &Golden{Output: res.CanonicalOutput(), Result: res, tapes: res.Tapes, reads: make([]rankReads, len(res.Ranks))}
+	g := &Golden{Output: res.CanonicalOutput(), Result: res, mpiCfg: mpiCfg, tapes: res.Tapes, reads: make([]rankReads, len(res.Ranks))}
 	// Name the rank whose failure ended the job, not a peer it took down.
 	first := res.FirstFailure()
 	culprit := slices.IndexFunc(res.Ranks, func(rr cluster.RankResult) bool { return first != nil && rr.Trap == first })
@@ -142,9 +150,8 @@ func (e *Experiment) Unapplied() bool {
 
 // Config parameterizes an injection campaign for one application image.
 type Config struct {
-	Image     *image.Image
-	Ranks     int
-	MPIConfig mpi.Config
+	Image *image.Image
+	Ranks int
 	// Injections is the per-region experiment count (the paper uses
 	// 400-1000 per region, 2000 for some message rows).
 	Injections int
@@ -154,8 +161,6 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds concurrently executing jobs; 0 picks a default.
 	Parallelism int
-	// WallLimit is the per-run wall-clock fallback; 0 means 10s.
-	WallLimit time.Duration
 	// Progress, when non-nil, is called after every finished experiment:
 	// done counts this Run's finished experiments, total adds what the
 	// current round has left (the whole campaign, for fixed n).
@@ -172,10 +177,11 @@ type Config struct {
 	Shard     int
 	NumShards int
 	// Entries, when non-nil, runs exactly these plan entries instead of
-	// the whole plan — what a coordinator lease hands to Run: any process
-	// running the same entries at the same Seed produces the identical
-	// experiments.  Every entry must lie inside the plan (Region listed in
-	// Regions, 0 <= Index < Injections).
+	// the whole plan or, for an adaptive campaign, its rounds — a shard
+	// or a coordinator lease: any process running the same entries at the
+	// same Seed produces the identical experiments.  Every entry must lie
+	// inside the plan (Region listed in Regions, 0 <= Index < Injections,
+	// an adaptive campaign's fixed-n cap).
 	Entries []PlanEntry
 	// Golden, when non-nil, reuses a previously computed golden run
 	// instead of re-executing it — a worker holding many leases of one
@@ -183,7 +189,8 @@ type Config struct {
 	// experiments restore from the snapshots it carries (those of a
 	// Result.Golden whose Run had checkpointing on) and start at t=0 when
 	// it carries none.  The golden must come from the identical
-	// Image/Ranks/MPIConfig (the caller's contract).
+	// Image/Ranks (the caller's contract); the campaign's jobs run with
+	// its mpi.Config.
 	Golden *Golden
 	// Completed maps experiment IDs (Experiment.ID) to already-finished
 	// experiments, typically read back from a checkpoint journal.  Plan
@@ -327,8 +334,9 @@ func (r *Result) Tally(region Region) (Tally, bool) {
 	return Tally{}, false
 }
 
-// Run executes the campaign cfg defines — the fixed-n plan, narrowed by
-// Entries and then the shard filter, or adaptive rounds — as one loop:
+// Run executes the campaign cfg defines — an entry list (Entries when
+// set, fixed-n and adaptive campaigns alike, else the fixed-n plan)
+// narrowed by the shard filter, or else the adaptive rounds — as one loop:
 // ask the campaign's Contract what the recorded experiments (Completed,
 // on a resume) still lack, run exactly those, record them, and ask again
 // until nothing is missing or Stop fires.  A fixed-n campaign is the
@@ -352,9 +360,6 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	if len(cfg.Regions) == 0 {
 		cfg.Regions = Regions()
 	}
-	if cfg.WallLimit == 0 {
-		cfg.WallLimit = 10 * time.Second
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)/2 + 1
 	}
@@ -366,7 +371,7 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	}
 
 	contract := Contract{Regions: cfg.Regions, Injections: cfg.Injections, Entries: cfg.Entries}
-	if cfg.Adaptive {
+	if cfg.Adaptive && cfg.Entries == nil {
 		contract.Adaptive, contract.Confidence, contract.Target, contract.RoundSize =
 			true, cfg.Confidence, cfg.TargetHalfWidth, cfg.RoundSize
 		contract.Priors = EffectivePriors(cfg.Regions, cfg.AVFPriors)
@@ -380,7 +385,7 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 	met := newCampaignMeters(cfg.Metrics)
 	met.traceDiff = cfg.TraceDiff
 	var rounds *roundMeters
-	if cfg.Adaptive {
+	if contract.Adaptive {
 		rounds = newRoundMeters(&cfg)
 	}
 	recorded := make(map[string]Experiment, len(cfg.Completed))
@@ -440,7 +445,7 @@ func newCampaignCtx(cfg *Config, met *campaignMeters, built func(*vm.Machine)) (
 	golden := cfg.Golden
 	if golden == nil {
 		var err error
-		if golden, err = runGolden(cfg, built); err != nil {
+		if golden, err = runGolden(cfg, mpi.Config{}, goldenWallLimit, built); err != nil {
 			return nil, err
 		}
 		met.ckptTaken.Add(uint64(len(golden.Result.Snapshots)))
@@ -741,9 +746,8 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 	job := cluster.Job{
 		Image:     cfg.Image,
 		Size:      cfg.Ranks,
-		MPIConfig: cfg.MPIConfig,
+		MPIConfig: golden.mpiCfg,
 		Budget:    c.budget,
-		WallLimit: cfg.WallLimit,
 		Metrics:   cfg.Metrics,
 		Restore:   c.startPoint(ckpt),
 	}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"mpifault/internal/apps"
 	"mpifault/internal/core"
@@ -39,7 +38,6 @@ func runArtifacts(t *testing.T, im *image.Image, ranks int, interval uint64) (st
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: 6, Seed: 1234,
 		Parallelism:        2,
-		WallLimit:          30 * time.Second,
 		KeepExperiments:    true,
 		CheckpointInterval: interval,
 	}

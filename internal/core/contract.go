@@ -23,7 +23,8 @@ type Contract struct {
 	Injections int
 	// Entries, when non-nil, is a fixed-n campaign's exact entry list, in
 	// execution order; each must lie inside the plan.  Adaptive campaigns
-	// ignore it.
+	// ignore it (Run runs an adaptive campaign's Entries as a fixed-n
+	// list).
 	Entries []PlanEntry
 
 	Adaptive   bool

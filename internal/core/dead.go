@@ -110,7 +110,7 @@ func (c *campaignCtx) replayEnd(rank int, rec *vm.FlightRecorder) {
 // job's Restore, Tracer, Setup and Metrics, to its exit.
 func (c *campaignCtx) replayGolden(job cluster.Job, rank int) {
 	g := c.golden
-	job.Image, job.Size, job.MPIConfig = c.cfg.Image, c.cfg.Ranks, c.cfg.MPIConfig
+	job.Image, job.Size, job.MPIConfig = c.cfg.Image, c.cfg.Ranks, g.mpiCfg
 	job.Budget, job.TraceRank = g.Instrs[rank]+1, rank
 	res := cluster.RunSolo(job, rank, g.tapes[rank])
 	if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != g.Instrs[rank] {

@@ -26,9 +26,8 @@ func runWavetoyWithFault(t *testing.T, setup func(rank int, m *vm.Machine, p *mp
 	}
 	res := cluster.Run(cluster.Job{
 		Image: im, Size: ranks,
-		Budget:    golden.MaxInstrs() * 4,
-		WallLimit: 20 * time.Second,
-		Setup:     setup,
+		Budget: golden.MaxInstrs() * 4,
+		Setup:  setup,
 	})
 	return res, golden.Output
 }
@@ -82,8 +81,7 @@ func TestDirectedMessageTagFlipHangs(t *testing.T) {
 	}
 	res := cluster.Run(cluster.Job{
 		Image: im, Size: ranks,
-		Budget:    golden.MaxInstrs() * 4,
-		WallLimit: 20 * time.Second,
+		Budget: golden.MaxInstrs() * 4,
 		Setup: func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank != 3 {
 				return
@@ -112,8 +110,7 @@ func TestDirectedPayloadLSBMaskedByTextOutput(t *testing.T) {
 	}
 	res := cluster.Run(cluster.Job{
 		Image: im, Size: ranks,
-		Budget:    golden.MaxInstrs() * 4,
-		WallLimit: 20 * time.Second,
+		Budget: golden.MaxInstrs() * 4,
 		Setup: func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank != 4 {
 				return
@@ -192,8 +189,7 @@ func TestDirectedMinicamMoistureCheck(t *testing.T) {
 	}
 	res := cluster.Run(cluster.Job{
 		Image: im, Size: ranks,
-		Budget:    golden.MaxInstrs() * 4,
-		WallLimit: 30 * time.Second,
+		Budget: golden.MaxInstrs() * 4,
 		Setup: func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank != 2 {
 				return
@@ -236,8 +232,7 @@ func TestDirectedMinimdChecksumCatchesPayloadFlip(t *testing.T) {
 	}
 	res := cluster.Run(cluster.Job{
 		Image: im, Size: ranks,
-		Budget:    golden.MaxInstrs() * 4,
-		WallLimit: 30 * time.Second,
+		Budget: golden.MaxInstrs() * 4,
 		Setup: func(rank int, m *vm.Machine, p *mpi.Proc) {
 			if rank != 1 {
 				return
@@ -278,7 +273,7 @@ func TestDirectedSeedsReproduce(t *testing.T) {
 	dict := NewDictionary(im)
 	run := func() classify.Outcome {
 		e := &Experiment{Region: RegionRegularReg, Index: 4}
-		cfg := Config{Image: im, Ranks: ranks, WallLimit: 20 * time.Second}
+		cfg := Config{Image: im, Ranks: ranks}
 		cctx := &campaignCtx{
 			cfg: &cfg, golden: golden, dict: dict,
 			budget: golden.MaxInstrs() * 4,

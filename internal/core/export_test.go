@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mpifault/internal/mpi"
 	"mpifault/internal/telemetry"
 	"mpifault/internal/vm"
 )
@@ -38,8 +39,7 @@ func runArm(c *campaignCtx, cfg *Config) *Result {
 
 // testGolden is runGolden at the settings the arms above assume.
 func testGolden(cfg *Config) (*Golden, error) {
-	cfg.WallLimit = 30 * time.Second
-	return runGolden(cfg, nil)
+	return runGolden(cfg, mpi.Config{}, 30*time.Second, nil)
 }
 
 // SoloDifferential runs every entry of cfg's plan twice on one thread —

@@ -41,7 +41,7 @@ func adaptiveConfig(t *testing.T, app string, regions []core.Region, d float64, 
 	cfg := core.Config{
 		Image: im, Ranks: a.Default.Ranks, Regions: regions, Seed: 2004,
 		Adaptive: true, TargetHalfWidth: d, RoundSize: 8, Parallelism: 2,
-		WallLimit: 30 * time.Second, KeepExperiments: true,
+		KeepExperiments:    true,
 		CheckpointInterval: interval, Metrics: reg,
 	}
 	if _, err := core.NormalizeAdaptive(&cfg); err != nil {

@@ -58,13 +58,13 @@ func goldenTapesReproducible(t *testing.T, interval uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Image: im, Ranks: tc.ranks, MPIConfig: defaultMPI(), WallLimit: 30 * time.Second,
+		cfg := Config{Image: im, Ranks: tc.ranks,
 			CheckpointInterval: interval}
 		var first *Golden
 		for i := 0; i < 20; i++ {
 			procs := []int{1, 2, 8}[i%3]
 			runtime.GOMAXPROCS(procs)
-			g, err := runGolden(&cfg, nil)
+			g, err := runGolden(&cfg, defaultMPI(), 30*time.Second, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

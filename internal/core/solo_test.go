@@ -21,9 +21,9 @@ import (
 // check only read them.
 func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
-	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
+	cfg := Config{Image: im, Ranks: ranks,
 		CheckpointInterval: DefaultCheckpointInterval}
-	golden, err := runGolden(&cfg, nil)
+	golden, err := runGolden(&cfg, defaultMPI(), 30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,9 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 // snapshot the ring's depth before it.
 func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 	im, ranks := buildApp(t, "wavetoy")
-	cfg := Config{Image: im, Ranks: ranks, WallLimit: 30 * time.Second,
+	cfg := Config{Image: im, Ranks: ranks,
 		CheckpointInterval: DefaultCheckpointInterval}
-	golden, err := runGolden(&cfg, nil)
+	golden, err := runGolden(&cfg, defaultMPI(), 30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

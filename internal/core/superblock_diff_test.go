@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"mpifault/internal/apps"
 	"mpifault/internal/core"
@@ -48,7 +47,6 @@ func sbArtifacts(t *testing.T, name string, im *image.Image, ranks int, noSB boo
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: 6, Seed: 4242,
 		Parallelism:        2,
-		WallLimit:          60 * time.Second,
 		KeepExperiments:    true,
 		CheckpointInterval: interval,
 	}

@@ -29,7 +29,6 @@ func traceArtifacts(t *testing.T, name string, im *image.Image, ranks, n int, ob
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: n, Seed: 4242,
 		Parallelism:        2,
-		WallLimit:          60 * time.Second,
 		KeepExperiments:    true,
 		TraceDiff:          observed,
 		Forensics:          observed,
@@ -147,7 +146,7 @@ func TestGoldenReuseServesObservers(t *testing.T) {
 	im, ranks := buildApp(t, "minimd")
 	cfg := core.Config{
 		Image: im, Ranks: ranks, Injections: 6, Seed: 1, KeepExperiments: true,
-		WallLimit: 60 * time.Second, CheckpointInterval: core.DefaultCheckpointInterval,
+		CheckpointInterval: core.DefaultCheckpointInterval,
 	}
 	plain, err := core.Run(cfg)
 	if err != nil {

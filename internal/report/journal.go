@@ -8,10 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
+	"mpifault/internal/analysis"
+	"mpifault/internal/apps"
 	"mpifault/internal/classify"
 	"mpifault/internal/core"
+	"mpifault/internal/image"
 )
 
 // A campaign journal is an append-only JSONL checkpoint of finished
@@ -98,6 +102,125 @@ func CampaignHeader(app string, cfg core.Config) JournalHeader {
 	return h
 }
 
+// NewCampaign defines a campaign.  spec names what is asked for — App,
+// Seed, Regions (any names core.ParseRegion takes; none means all eight),
+// Ranks and Scale (0: the app's default), Shard/NumShards, and either
+// Injections or Adaptive with its Target, Confidence and RoundSize (0:
+// the defaults) — and h is the header that records it: the definition
+// every run of the campaign derives from (Config), in faultcampaign and
+// the coordinator alike.  h has Ranks filled in, Scale only where it
+// differs from the app's default, short region names, and for an
+// adaptive campaign its terms normalized (core.NormalizeAdaptive), which
+// sizes Injections to the fixed-n cap, and the static AVF priors of its
+// image.  im is that image, built for the priors; nil for a fixed-n
+// campaign, whose image Config builds.  An adaptive campaign cannot be
+// sharded, and a fixed-n one takes no adaptive terms.
+func NewCampaign(spec JournalHeader) (h JournalHeader, im *image.Image, err error) {
+	a, err := apps.Get(spec.App)
+	if err != nil {
+		return h, nil, err
+	}
+	cfg := core.Config{
+		Ranks: a.Default.Ranks, Injections: spec.Injections, Seed: spec.Seed, Shard: spec.Shard, NumShards: spec.NumShards,
+		Adaptive: spec.Adaptive, TargetHalfWidth: spec.Target, Confidence: spec.Confidence, RoundSize: spec.RoundSize,
+	}
+	if spec.Ranks > 0 {
+		cfg.Ranks = spec.Ranks
+	}
+	for _, s := range spec.Regions {
+		r, err := core.ParseRegion(strings.TrimSpace(s))
+		if err != nil {
+			return h, nil, err
+		}
+		cfg.Regions = append(cfg.Regions, r)
+	}
+	switch {
+	case spec.Adaptive:
+		if _, err := core.NormalizeAdaptive(&cfg); err != nil {
+			return h, nil, err
+		}
+	case spec.Target != 0 || spec.Confidence != 0 || spec.RoundSize != 0:
+		return h, nil, fmt.Errorf("report: a target half-width, confidence or round size is a term of an adaptive campaign")
+	case spec.Injections <= 0:
+		return h, nil, fmt.Errorf("report: injections must be positive")
+	}
+	h = CampaignHeader(spec.App, cfg)
+	if spec.Scale > 0 && spec.Scale != int(a.Default.Scale) {
+		h.Scale = spec.Scale // a different problem: not mixable with default-scale shards
+	}
+	if !h.Adaptive {
+		return h, nil, nil
+	}
+	if im, err = h.build(); err != nil {
+		return h, nil, err
+	}
+	labels, err := analysis.AVFPriors(im)
+	if err != nil {
+		return h, nil, fmt.Errorf("avf priors %s: %v", h.App, err)
+	}
+	priors, err := core.PriorsFromLabels(labels)
+	if err != nil {
+		return h, nil, err
+	}
+	h.Priors = core.EffectivePriors(cfg.Regions, priors)
+	return h, im, nil
+}
+
+// Config is the run h defines: its image (im, as NewCampaign returned
+// it, or built from App, Ranks and Scale when nil), ranks, regions,
+// injections and seed; a shard's entries (Plan.Shard); an adaptive
+// campaign's terms, with the priors h records.  How a process runs it —
+// parallelism, observers, checkpointing, callbacks, a lease's Entries —
+// is the caller's to add.
+func (h JournalHeader) Config(im *image.Image) (core.Config, error) {
+	regions, err := h.planRegions()
+	if err != nil {
+		return core.Config{}, err
+	}
+	if h.NumShards > 1 && (h.Shard < 0 || h.Shard >= h.NumShards) {
+		return core.Config{}, fmt.Errorf("report: journal header: shard %d/%d out of range", h.Shard, h.NumShards)
+	}
+	if h.Adaptive && len(h.Priors) != len(regions) {
+		return core.Config{}, fmt.Errorf("report: journal header: %d priors for %d regions", len(h.Priors), len(regions))
+	}
+	if im == nil {
+		if im, err = h.build(); err != nil {
+			return core.Config{}, err
+		}
+	}
+	cfg := core.Config{Image: im, Ranks: h.Ranks, Injections: h.Injections, Regions: regions, Seed: h.Seed}
+	if h.NumShards > 1 {
+		cfg.Entries = core.Plan{Regions: regions, Injections: h.Injections}.Shard(h.Shard, h.NumShards)
+	}
+	if h.Adaptive {
+		cfg.Adaptive, cfg.TargetHalfWidth, cfg.Confidence, cfg.RoundSize = true, h.Target, h.Confidence, h.RoundSize
+		cfg.AVFPriors = make(map[core.Region]float64, len(regions))
+		for i, r := range regions {
+			cfg.AVFPriors[r] = h.Priors[i]
+		}
+	}
+	return cfg, nil
+}
+
+// build builds the image h runs: App at Ranks and, when h records one,
+// Scale.
+func (h JournalHeader) build() (*image.Image, error) {
+	a, err := apps.Get(h.App)
+	if err != nil {
+		return nil, err
+	}
+	b := a.Default
+	b.Ranks = h.Ranks
+	if h.Scale > 0 {
+		b.Scale = int32(h.Scale)
+	}
+	im, err := a.Build(b)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %v", h.App, err)
+	}
+	return im, nil
+}
+
 // SameCampaign reports whether two headers describe shards of the same
 // campaign (everything but the shard coordinates must match, including
 // the adaptive estimation contract when present).
@@ -124,8 +247,8 @@ func (h JournalHeader) SameCampaign(o JournalHeader) bool {
 	return true
 }
 
-// PlanRegions parses the header's region list back into core regions.
-func (h JournalHeader) PlanRegions() ([]core.Region, error) {
+// planRegions parses the header's region list back into core regions.
+func (h JournalHeader) planRegions() ([]core.Region, error) {
 	regions := make([]core.Region, len(h.Regions))
 	for i, s := range h.Regions {
 		r, err := core.ParseRegion(s)
@@ -458,7 +581,7 @@ func MergeJournals(paths []string) (*Merged, error) {
 // replays and Assemble accepts.  It is the whole campaign, whichever
 // shard h itself covers.
 func (h JournalHeader) Contract() (core.Contract, error) {
-	regions, err := h.PlanRegions()
+	regions, err := h.planRegions()
 	if err != nil {
 		return core.Contract{}, err
 	}
