@@ -125,23 +125,6 @@ func ComputeDataflow(prog *Program, live *Liveness) *Dataflow {
 	return d
 }
 
-// FirstUses returns the first-use set of register reg (0..NumGPR-1, or
-// FlagsBit for the flags word) at an instruction boundary; ok is false
-// when pc is not a known reachable instruction.  An empty set with
-// ok=true proves the register's value cannot reach any use.
-func (d *Dataflow) FirstUses(pc uint32, reg int) ([]UseRef, bool) {
-	entry, ok := d.firstUse[pc]
-	if !ok || reg < 0 || reg >= nTrackedRegs {
-		return nil, false
-	}
-	set := entry[reg]
-	out := make([]UseRef, len(set))
-	for i, p := range set {
-		out[i] = unpackRef(p)
-	}
-	return out, true
-}
-
 // ClassID returns the equivalence-class identity of (pc, reg): a stable
 // nonzero hash of the register and its first-use set, equal exactly for
 // sites whose corrupted value flows into the same uses through the same

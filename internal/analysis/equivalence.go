@@ -189,7 +189,7 @@ func (eq *Equivalence) computeStack(abiStats map[string]ABIStats) {
 
 // computeData collects the unreferenced user data/BSS symbols — the same
 // referenced-set the AVF estimator uses, inverted into benign address
-// spans StaticBenignAt queries per fault address.
+// spans.
 func (eq *Equivalence) computeData() {
 	referenced := referencedDataSyms(eq.Prog)
 	for _, sym := range eq.Prog.Image.Symbols {
@@ -215,22 +215,4 @@ func (eq *Equivalence) computeData() {
 		}
 	}
 	sort.Slice(eq.benignData, func(i, j int) bool { return eq.benignData[i].lo < eq.benignData[j].lo })
-}
-
-// PartitionAt returns the benign mask and class identities at pc, and
-// whether pc was partitioned.
-func (eq *Equivalence) PartitionAt(pc uint32) (benignMask uint16, classIDs [10]uint64, ok bool) {
-	p, ok := eq.parts[pc]
-	if !ok {
-		return 0, classIDs, false
-	}
-	return p.benign, p.ids, true
-}
-
-// StaticBenignAt reports whether addr
-// falls inside a user data/BSS symbol the analysis claims is benign
-// (never referenced by reachable code).
-func (eq *Equivalence) StaticBenignAt(addr uint32) bool {
-	i := sort.Search(len(eq.benignData), func(i int) bool { return eq.benignData[i].hi > addr })
-	return i < len(eq.benignData) && eq.benignData[i].lo <= addr
 }

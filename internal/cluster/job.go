@@ -219,12 +219,13 @@ func (rk *rank) killed() vm.RunResult {
 // before horizon (when non-nil), or nil.
 func earliest(ranks []*rank, horizon *rank) *rank {
 	var min *rank
+	var at uint64
 	for _, rk := range ranks {
 		if rk == nil || rk.done || rk.parked || !rk.proc.Runnable() {
 			continue
 		}
-		if (min == nil || rk.clock() < min.clock()) && (horizon == nil || rk.before(horizon)) {
-			min = rk
+		if c := rk.clock(); (min == nil || c < at) && (horizon == nil || rk.before(horizon)) {
+			min, at = rk, c
 		}
 	}
 	return min
@@ -429,8 +430,12 @@ func (rk *rank) result(job *Job) RankResult {
 			rr.Ghost = true
 			return rr
 		}
-		return RankResult{Trap: rk.out.Trap, Reason: rk.out.Reason, Instrs: rk.ghost.clock,
-			Stats: rk.ghost.tape.Traffic(rk.ghost.pos), Ghost: true}
+		g := rk.ghost
+		st := g.tape.Traffic(g.pos)
+		for _, a := range g.aside {
+			st.Add(g.tape[a.at : a.at+1].Traffic(1))
+		}
+		return RankResult{Trap: rk.out.Trap, Reason: rk.out.Reason, Instrs: g.clock, Stats: st, Ghost: true}
 	}
 	return RankResult{
 		Trap:         rk.out.Trap,

@@ -51,6 +51,7 @@ func TestSoloDifferential(t *testing.T) {
 			regions: []core.Region{core.RegionMessage}, interval: core.DefaultCheckpointInterval},
 		{name: "minicam16-message/t=0", app: "minicam", ranks: 16, scale: 16,
 			regions: []core.Region{core.RegionMessage}},
+		{name: "wavetoy64", app: "wavetoy", ranks: 64, interval: core.DefaultCheckpointInterval, n: 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			app, err := apps.Get(tc.app)
@@ -59,7 +60,10 @@ func TestSoloDifferential(t *testing.T) {
 			}
 			build := app.Default
 			if tc.ranks > 0 {
-				build.Ranks, build.Scale = tc.ranks, int32(tc.scale)
+				build.Ranks = tc.ranks
+			}
+			if tc.scale > 0 {
+				build.Scale = int32(tc.scale)
 			}
 			im, err := app.Build(build)
 			if err != nil {

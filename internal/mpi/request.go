@@ -80,6 +80,11 @@ func (p *Proc) startRecv(m *vm.Machine, buf uint32, limit uint32, dtype, src, ta
 	r := p.newRequest(false)
 	r.buf, r.limit, r.dtype = buf, limit, dtype
 	r.src, r.tag, r.ctx, r.status = src, tag, ctx, status
+	if src == abi.AnySource {
+		if _, t := p.TapeOutput(m, TapeAny, 0, nil); t != nil {
+			return nil, t
+		}
+	}
 
 	match := matchEnvelope(src, tag, ctx)
 	if i := p.findStored(match); i >= 0 {

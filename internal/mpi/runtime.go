@@ -74,7 +74,7 @@ type Proc struct {
 	waitDst *Proc
 	// awaits is the rank whose packet the blocking call in progress needs
 	// next, AnySource when it names none; it means something only while
-	// the rank waits on its queue.
+	// the rank pulls from its queue, and is recorded with each pull.
 	awaits int32
 
 	// unexpected holds arrived-but-unmatched packets; payloads of eager
@@ -210,7 +210,7 @@ func (p *Proc) receive(m *vm.Machine) ([]byte, *vm.Trap) {
 	}
 	p.dequeue()
 	if p.tapeMode == tapeRecord {
-		p.record(m, TapeRecv, 0, 0, raw)
+		p.record(m, TapeRecv, 0, p.awaits, raw)
 	}
 	return raw, nil
 }
@@ -248,12 +248,11 @@ func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
 		}
 
 		// §3.3: the injection point — after the Channel recv, before
-		// parsing.  A recorded packet is the sender's TapeSend too: the
-		// hook flips a copy, so neither tape holds bytes nobody sent.
+		// parsing.  A packet from the Channel may be a tape's bytes (a
+		// sender's TapeSend, or a ghost's): the hook flips a copy, so no
+		// tape holds bytes nobody sent.
 		if p.RecvHook != nil {
-			if p.tapeMode == tapeRecord {
-				raw = append([]byte(nil), raw...)
-			}
+			raw = append([]byte(nil), raw...)
 			p.RecvHook(raw)
 		}
 

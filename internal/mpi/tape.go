@@ -29,7 +29,9 @@ import (
 type TapeKind uint8
 
 const (
-	// TapeRecv is a packet pulled from the Channel: Data is fed.
+	// TapeRecv is a packet pulled from the Channel: Data is fed, and Ret
+	// is the source the blocking call that pulled it awaited
+	// (abi.AnySource: none).
 	TapeRecv TapeKind = iota + 1
 	// TapeSend is a packet handed to the Channel: Arg (the destination
 	// rank) and Data are checked.
@@ -43,6 +45,10 @@ const (
 	// TapeCtx is a wire-context allocation: Arg (how many) is checked,
 	// Ret (the base the world handed out) is fed.
 	TapeCtx
+	// TapeAny is the posting of a receive that names no source: what it
+	// matches depends on the order packets from several senders arrive
+	// in.  Nothing is checked or fed.
+	TapeAny
 )
 
 // TapeEvent is one crossing.  Instrs is the rank's retired-instruction
@@ -194,22 +200,31 @@ func (p *Proc) TapeInput(m *vm.Machine, kind TapeKind, arg int32, data []byte, l
 // of the context counter.  Each has the scheduling points of the live
 // rank's crossing, so a ghost is scheduled as the rank would be.
 
-// GhostSend hands a copy of raw, a recorded packet, to rank dst's queue,
-// as deliver does; false when the job is being torn down.
+// GhostSend hands raw, a recorded packet, to rank dst's queue, as
+// deliver does (pull copies it before a RecvHook flips it); false when
+// the job is being torn down.
 func (p *Proc) GhostSend(dst int32, raw []byte) bool {
-	return p.send(dst, append([]byte(nil), raw...))
+	return p.send(dst, raw)
 }
 
-// GhostRecv waits, as receive does, for a packet in the rank's queue and
-// takes it if it is raw.  same is false, and the packet stays, when
-// another is at the head; alive is false when the job is being torn down.
-func (p *Proc) GhostRecv(raw []byte) (same, alive bool) {
-	head, alive := p.head()
-	if !alive || !bytes.Equal(head, raw) {
-		return false, alive
+// GhostPull takes the packet at the head of the rank's queue.  On an
+// empty queue it waits for one, as receive does, if wait holds, and
+// returns nil if not; alive is false when the job is being torn down.
+func (p *Proc) GhostPull(wait bool) (raw []byte, alive bool) {
+	if p.queued() == 0 && !wait {
+		return nil, true
 	}
-	p.dequeue()
-	return true, true
+	if raw, alive = p.head(); alive {
+		p.dequeue()
+	}
+	return raw, alive
+}
+
+// GhostUnpull puts raws, packets GhostPull took, back at the head of the
+// rank's queue in their order.
+func (p *Proc) GhostUnpull(raws [][]byte) {
+	p.queue, p.qhead = append(raws[:len(raws):len(raws)], p.queue[p.qhead:]...), 0
+	p.w.queued += len(raws)
 }
 
 // GhostCtx allocates n wire contexts, as allocCtx does, if the world's

@@ -55,7 +55,7 @@ const (
 	KindExtra    = "extra"
 )
 
-var kindNames = [...]string{mpi.TapeSend: "send", mpi.TapeOpen: "open", mpi.TapeWrite: "write", mpi.TapeCtx: "ctx"}
+var kindNames = [...]string{mpi.TapeSend: "send", mpi.TapeOpen: "open", mpi.TapeWrite: "write", mpi.TapeCtx: "ctx", mpi.TapeAny: "any"}
 
 // digest renders one output for a divergence record.
 func digest(ev *mpi.TapeEvent) string {

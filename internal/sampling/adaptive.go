@@ -216,9 +216,9 @@ func (p *Planner) NextRound() []int {
 	return allocs
 }
 
-// neededAt is NeededSamples against the planner's own z and target,
-// with the proportion's contribution evaluated exactly like halfWidth
-// so the search agrees with the stopping rule.
+// neededAt is the smallest n whose Wilson half-width at prop is within
+// the planner's target, evaluated exactly like halfWidth so the search
+// agrees with the stopping rule.
 func (p *Planner) neededAt(prop float64) int {
 	lo, hi := 1, p.cap
 	for lo < hi {

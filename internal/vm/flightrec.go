@@ -44,9 +44,6 @@ func (f *FlightRecorder) Store(addr uint32, size int) {}
 // not allocate a fresh ring per injection.
 func (f *FlightRecorder) Reset() { f.n = 0 }
 
-// Seen returns how many instructions the recorder has observed.
-func (f *FlightRecorder) Seen() uint64 { return f.n }
-
 // LastPCs returns the recorded program counters in execution order,
 // oldest first; the final element is the PC of the last retired
 // instruction.  An empty or partially filled ring returns only what was

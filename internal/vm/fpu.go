@@ -95,16 +95,3 @@ func (m *Machine) fset(i int, v float64) {
 	e.SetTag(p, classify(v))
 	e.FIP = m.PC
 }
-
-// FPDepth returns how many slots are currently non-empty, which the
-// register-usage analysis uses to confirm the paper's observation that
-// generated code keeps only a few live FP stack slots.
-func (m *Machine) FPDepth() int {
-	n := 0
-	for p := 0; p < isa.NumFPReg; p++ {
-		if m.FP.Tag(p) != isa.TagEmpty {
-			n++
-		}
-	}
-	return n
-}

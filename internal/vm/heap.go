@@ -169,14 +169,6 @@ func (a *Allocator) Chunks() []Chunk {
 	return out
 }
 
-// LiveBytes returns currently allocated payload bytes for the given tag.
-func (a *Allocator) LiveBytes(tag uint32) uint32 {
-	if tag == abi.ChunkMPI {
-		return a.liveMPI
-	}
-	return a.liveUser
-}
-
 // Brk returns the current top of the heap.
 func (a *Allocator) Brk() uint32 { return a.brk }
 

@@ -677,27 +677,6 @@ func (m *Machine) RawWrite(addr uint32, data []byte) bool {
 	return true
 }
 
-// SegmentRange returns [base, end) of the named segment for injector
-// targeting.  Valid names: text, data, bss, heap, stack.
-func (m *Machine) SegmentRange(name string) (uint32, uint32, bool) {
-	var s *segment
-	switch name {
-	case "text":
-		s = &m.text
-	case "data":
-		s = &m.data
-	case "bss":
-		s = &m.bss
-	case "heap":
-		s = &m.heap
-	case "stack":
-		s = &m.stack
-	default:
-		return 0, 0, false
-	}
-	return s.base, s.base + s.length, true
-}
-
 // Arg returns syscall argument i under the ABI convention (r0-r3, then the
 // guest stack).
 func (m *Machine) Arg(i int) (uint32, *Trap) {

@@ -47,15 +47,6 @@ func predecodeFor(im *image.Image) *predecoded {
 	}).(*predecoded)
 }
 
-// DisablePredecode forces the machine back onto the per-instruction
-// byte-decode fetch path.  The differential tests use it to check that
-// predecoded execution is semantically invisible.  Superblocks are
-// compiled from the predecoded table, so they go with it.
-func (m *Machine) DisablePredecode() {
-	m.pre = nil
-	m.DisableSuperblocks()
-}
-
 // markTextDirty records that text bytes [off, off+n) were overwritten, so
 // the predecode slots covering them must be byte-decoded from now on.
 func (m *Machine) markTextDirty(off uint32, n int) {

@@ -6,7 +6,7 @@
 #
 # A campaign is a pure function of (app, seed, ranks, contract), so the
 # files are the same bytes on any host at any GOMAXPROCS.  The one line
-# that is not, "(campaign wall time …)", is dropped.  About 20 s of
+# that is not, "(campaign wall time …)", is dropped.  About a minute of
 # campaigns on 2 cores, plus the builds.
 set -eu
 cd "$(dirname "$0")/.."
@@ -38,3 +38,22 @@ for app in wavetoy:256 minimd:96 minicam:192; do
 	done
 done
 sed '/^(campaign wall time /d' "$tmp/out" >results_adaptive.txt
+
+# The 64-rank paper-contract tables (EXPERIMENTS.md "Ghosts per sender"),
+# one per app at seed 2004, and the scale gate: wavetoy's and minicam's
+# again without checkpoints and on one OS thread must be the same bytes.
+table() {
+	"$tmp/faultcampaign" -ranks 64 -adaptive -seed 2004 "$@" 2>/dev/null | sed '/^(campaign wall time /d'
+}
+: >"$tmp/out"
+for app in wavetoy minimd minicam; do
+	table -app "$app" >"$tmp/$app"
+	cat "$tmp/$app" >>"$tmp/out"
+done
+cp "$tmp/out" results_scale.txt
+for app in wavetoy minicam; do
+	table -app "$app" -checkpoint-interval 0 >"$tmp/$app.t0"
+	GOMAXPROCS=1 table -app "$app" >"$tmp/$app.p1"
+	cmp "$tmp/$app" "$tmp/$app.t0"
+	cmp "$tmp/$app" "$tmp/$app.p1"
+done
