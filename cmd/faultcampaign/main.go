@@ -30,8 +30,9 @@
 // coordinator reports the campaign complete.  A worker holds its leases
 // by heartbeat; one that dies or stalls simply forfeits them to other
 // workers.  Worker mode takes the campaign definition from the
-// coordinator, so it refuses the local campaign flags (-shard, -journal,
-// -resume, -app and the rest) rather than silently ignoring them.
+// coordinator and reads only -worker-name, -parallel and -quiet, so it
+// refuses every other flag (-shard, -journal, -app, -metrics-out and the
+// rest) rather than silently ignoring it.
 //
 // -metrics-addr serves live campaign telemetry over HTTP while the
 // campaign runs (/metrics in the Prometheus text format, /metrics.json
@@ -219,16 +220,13 @@ func run() int {
 
 	if *workerURL != "" {
 		// Worker mode takes its whole campaign definition from the
-		// coordinator; combining it with local campaign flags would
-		// silently ignore one side, so refuse loudly instead.
+		// coordinator and reads only the flags below; any other flag
+		// would be silently ignored, so refuse loudly instead.
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "shard", "journal", "resume", "app", "n", "seed", "regions",
-				"csv", "predict", "forensics",
-				"trace-diff", "trace-out",
-				"checkpoint-interval",
-				"adaptive", "d", "confidence", "round", "ranks", "scale":
+			case "worker", "worker-name", "parallel", "quiet":
+			default:
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})

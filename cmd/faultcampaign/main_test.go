@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"flag"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"mpifault/internal/report"
 )
@@ -31,6 +34,28 @@ func campaign(t *testing.T, args ...string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return code, b
+}
+
+// TestWorkerRefusesFlagsItIgnores: a worker reads only -worker,
+// -worker-name, -parallel and -quiet, so any other flag — -metrics-out
+// here, which a worker would silently drop — exits 1 before it polls the
+// coordinator, naming the flag.
+func TestWorkerRefusesFlagsItIgnores(t *testing.T) {
+	var stderr bytes.Buffer
+	log.SetOutput(&stderr)
+	defer log.SetOutput(os.Stderr)
+	start := time.Now()
+	code, _ := campaign(t, "-worker", "http://127.0.0.1:1", "-parallel", "1", "-quiet",
+		"-metrics-out", filepath.Join(t.TempDir(), "x"))
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("refusal took %v; it must not poll the coordinator first", d)
+	}
+	if !strings.Contains(stderr.String(), "drop -metrics-out") {
+		t.Errorf("stderr %q does not name -metrics-out", stderr.String())
+	}
 }
 
 // TestResumeConvergedAdaptiveJournal: resuming an adaptive campaign whose

@@ -1,7 +1,9 @@
 // Package abi pins down the guest/host binary interface: system-call
 // numbers, MPI handle constants, datatypes and reduction operators.  The
 // guest MPI library (written in the assembler DSL) and the host MPI runtime
-// both import this package, so the two sides cannot drift apart.
+// both import this package, so the two sides cannot drift apart: MPICalls
+// is the one statement of the MPI calling convention, the table the guest
+// stubs are emitted from and the host decoder reads argument counts from.
 //
 // System-call convention: the SYS instruction carries the call number in
 // its immediate.  Arguments 1-4 travel in r0-r3; arguments beyond the
@@ -23,31 +25,83 @@ const (
 	SysMalloc      = 9  // malloc(size) -> addr, 0 on exhaustion
 	SysFree        = 10 // free(addr)
 	SysClock       = 11 // clock() -> low 32 bits of retired-instruction count
-
-	SysMPIInit          = 32
-	SysMPIFinalize      = 33
-	SysMPICommRank      = 34 // (comm) -> rank
-	SysMPICommSize      = 35 // (comm) -> size
-	SysMPISend          = 36 // (buf, count, dtype, dest, tag, comm)
-	SysMPIRecv          = 37 // (buf, count, dtype, source, tag, comm, statusAddr)
-	SysMPIBarrier       = 38 // (comm)
-	SysMPIBcast         = 39 // (buf, count, dtype, root, comm)
-	SysMPIReduce        = 40 // (sbuf, rbuf, count, dtype, op, root, comm)
-	SysMPIAllreduce     = 41 // (sbuf, rbuf, count, dtype, op, comm)
-	SysMPIGather        = 42 // (sbuf, count, dtype, rbuf, root, comm)
-	SysMPIAllgather     = 43 // (sbuf, count, dtype, rbuf, comm)
-	SysMPIScatter       = 44 // (sbuf, count, dtype, rbuf, root, comm)
-	SysMPIAlltoall      = 45 // (sbuf, count, dtype, rbuf, comm)
-	SysMPIErrhandlerSet = 46 // (comm, handlerAddr)
-	SysMPIWtime         = 47 // (resultAddr) — stores f64 seconds of virtual time
-	SysMPIIsend         = 48 // (buf, count, dtype, dest, tag, comm, reqAddr)
-	SysMPIIrecv         = 49 // (buf, count, dtype, source, tag, comm, reqAddr)
-	SysMPIWait          = 50 // (reqAddr, statusAddr)
-	SysMPIWaitall       = 51 // (count, reqArrayAddr, statusArrayAddr)
-	SysMPISendrecv      = 52 // (sbuf, scount, dtype, dest, stag, rbuf, rcount, source, rtag, comm, statusAddr)
-	SysMPICommSplit     = 53 // (comm, color, key, newcommAddr)
-	SysMPICommDup       = 54 // (comm, newcommAddr)
 )
+
+// MPI system-call numbers, in MPICalls order.
+const (
+	SysMPIInit = 32 + iota
+	SysMPIFinalize
+	SysMPICommRank
+	SysMPICommSize
+	SysMPISend
+	SysMPIRecv
+	SysMPIBarrier
+	SysMPIBcast
+	SysMPIReduce
+	SysMPIAllreduce
+	SysMPIGather
+	SysMPIAllgather
+	SysMPIScatter
+	SysMPIAlltoall
+	SysMPIErrhandlerSet
+	SysMPIWtime
+	SysMPIIsend
+	SysMPIIrecv
+	SysMPIWait
+	SysMPIWaitall
+	SysMPISendrecv
+	SysMPICommSplit
+	SysMPICommDup
+)
+
+// MPICall is one entry point of the guest MPI library: its C name, the
+// syscall number its stub issues and how many arguments it passes.
+type MPICall struct {
+	Name string
+	Num  int32
+	Args int
+}
+
+// MPICalls is the MPI calling convention, stated once: every MPI call in
+// syscall order.  guest.AddLibMPI emits one stub per entry, and the host
+// decoder fetches each call's arguments by the same count (MPIArgs).
+var MPICalls = [...]MPICall{
+	{"MPI_Init", SysMPIInit, 0},
+	{"MPI_Finalize", SysMPIFinalize, 0},
+	{"MPI_Comm_rank", SysMPICommRank, 1},           // (comm) -> rank
+	{"MPI_Comm_size", SysMPICommSize, 1},           // (comm) -> size
+	{"MPI_Send", SysMPISend, 6},                    // (buf, count, dtype, dest, tag, comm)
+	{"MPI_Recv", SysMPIRecv, 7},                    // (buf, count, dtype, source, tag, comm, statusAddr)
+	{"MPI_Barrier", SysMPIBarrier, 1},              // (comm)
+	{"MPI_Bcast", SysMPIBcast, 5},                  // (buf, count, dtype, root, comm)
+	{"MPI_Reduce", SysMPIReduce, 7},                // (sbuf, rbuf, count, dtype, op, root, comm)
+	{"MPI_Allreduce", SysMPIAllreduce, 6},          // (sbuf, rbuf, count, dtype, op, comm)
+	{"MPI_Gather", SysMPIGather, 6},                // (sbuf, count, dtype, rbuf, root, comm)
+	{"MPI_Allgather", SysMPIAllgather, 5},          // (sbuf, count, dtype, rbuf, comm)
+	{"MPI_Scatter", SysMPIScatter, 6},              // (sbuf, count, dtype, rbuf, root, comm)
+	{"MPI_Alltoall", SysMPIAlltoall, 5},            // (sbuf, count, dtype, rbuf, comm)
+	{"MPI_Errhandler_set", SysMPIErrhandlerSet, 2}, // (comm, handlerAddr)
+	{"MPI_Wtime", SysMPIWtime, 1},                  // (resultAddr) — stores f64 seconds of virtual time
+	{"MPI_Isend", SysMPIIsend, 7},                  // (buf, count, dtype, dest, tag, comm, reqAddr)
+	{"MPI_Irecv", SysMPIIrecv, 7},                  // (buf, count, dtype, source, tag, comm, reqAddr)
+	{"MPI_Wait", SysMPIWait, 2},                    // (reqAddr, statusAddr)
+	{"MPI_Waitall", SysMPIWaitall, 3},              // (count, reqArrayAddr, statusArrayAddr)
+	{"MPI_Sendrecv", SysMPISendrecv, 11},           // (sbuf, scount, dtype, dest, stag, rbuf, rcount, source, rtag, comm, statusAddr)
+	{"MPI_Comm_split", SysMPICommSplit, 4},         // (comm, color, key, newcommAddr)
+	{"MPI_Comm_dup", SysMPICommDup, 2},             // (comm, newcommAddr)
+}
+
+// MaxMPIArgs is the largest argument count in MPICalls (MPI_Sendrecv's).
+const MaxMPIArgs = 11
+
+// MPIArgs returns how many arguments MPI call num passes, and 0 for a
+// number outside MPICalls.
+func MPIArgs(num int32) int {
+	if i := num - SysMPIInit; i >= 0 && int(i) < len(MPICalls) {
+		return MPICalls[i].Args
+	}
+	return 0
+}
 
 // Standard file descriptors.
 const (

@@ -150,7 +150,7 @@ func staticDataRows(prog *Program) (data, bss AVFRow) {
 // referencedDataSyms returns the user data/BSS symbols whose address
 // appears in a reachable instruction's immediate.  Both the AVF
 // estimator and the equivalence pass key their data-region claims on
-// this one set, so the forecast and the benign partition cannot drift
+// this one set, so the forecast and the benign summary cannot drift
 // apart.
 func referencedDataSyms(prog *Program) map[string]bool {
 	referenced := make(map[string]bool)

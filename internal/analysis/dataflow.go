@@ -15,8 +15,8 @@ import (
 // corrupted register value can reach before being overwritten.  Two
 // injection sites whose corrupted bit provably flows into the same first
 // uses are equivalent for fault-sensitivity purposes; a site with no
-// first use at all is provably benign.  internal/analysis/equivalence.go
-// turns these sets into a per-PC equivalence partition.
+// first use at all is provably benign.  Campaigns sample register faults
+// uniformly, as in the paper, so the sets feed only the cross-check below.
 //
 // The pass reuses the CFG and the interprocedural call summaries the
 // liveness pass computed (mayUse/mustDef/retLive), so the two analyses
@@ -123,48 +123,6 @@ func ComputeDataflow(prog *Program, live *Liveness) *Dataflow {
 	}
 	d.crossCheck()
 	return d
-}
-
-// ClassID returns the equivalence-class identity of (pc, reg): a stable
-// nonzero hash of the register and its first-use set, equal exactly for
-// sites whose corrupted value flows into the same uses through the same
-// operands.  It returns (0, true) when the set is empty — the site is
-// provably benign and belongs to no class — and ok=false for unknown pcs.
-func (d *Dataflow) ClassID(pc uint32, reg int) (uint64, bool) {
-	entry, ok := d.firstUse[pc]
-	if !ok || reg < 0 || reg >= nTrackedRegs {
-		return 0, false
-	}
-	set := entry[reg]
-	if len(set) == 0 {
-		return 0, true
-	}
-	return classHash(reg, set), true
-}
-
-// classHash is FNV-1a over the register index and the packed, sorted
-// first-use set, forced nonzero so that 0 can mean "no class".
-func classHash(reg int, set []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(reg))
-	for _, p := range set {
-		mix(p)
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }
 
 // flowReg runs the backward first-use fixpoint for one register over one

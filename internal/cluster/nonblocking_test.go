@@ -194,6 +194,53 @@ func TestCommSplit(t *testing.T) {
 	}
 }
 
+// TestUnexpectedRecvStatusInComm: a receive matched from the unexpected
+// queue reports its source as a rank of the receive's communicator, not
+// of the world.  Key = -rank reverses a 2-rank split, so world rank 1 is
+// subrank 0; it sends tags 1 then 2, and world rank 0 receives tag 2
+// first, which parks tag 1 for the second receive to claim.
+func TestUnexpectedRecvStatusInComm(t *testing.T) {
+	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
+		m.BSS("newcomm", 4)
+		m.BSS("buf", 4)
+		m.BSS("status", 12)
+		f.CallArgs("MPI_Init")
+		f.CallArgs("MPI_Comm_rank", asm.Imm(abi.CommWorld))
+		f.Neg(isa.R2, isa.R0)
+		f.CallArgs("MPI_Comm_split", asm.Imm(abi.CommWorld), asm.Imm(0),
+			asm.Reg(isa.R2), asm.Sym("newcomm"))
+		f.LdSym(isa.R3, "newcomm", 0)
+		f.CallArgs("MPI_Comm_rank", asm.Reg(isa.R3))
+		recv := f.NewLabel()
+		done := f.NewLabel()
+		f.Cmpi(isa.R0, 0)
+		f.Bne(recv)
+		for _, tag := range []int32{1, 2} {
+			f.LdSym(isa.R3, "newcomm", 0)
+			f.CallArgs("MPI_Send", asm.Sym("buf"), asm.Imm(1), asm.Imm(abi.DTInt32),
+				asm.Imm(1), asm.Imm(tag), asm.Reg(isa.R3))
+		}
+		f.Jmp(done)
+		f.Label(recv)
+		for _, tag := range []int32{2, 1} {
+			f.LdSym(isa.R3, "newcomm", 0)
+			f.CallArgs("MPI_Recv", asm.Sym("buf"), asm.Imm(1), asm.Imm(abi.DTInt32),
+				asm.Imm(abi.AnySource), asm.Imm(tag), asm.Reg(isa.R3), asm.Sym("status"))
+		}
+		f.LdSym(isa.R1, "status", 0)
+		f.CallArgs("print_int", asm.Imm(abi.FdStdout), asm.Reg(isa.R1))
+		f.LdSym(isa.R1, "status", 4)
+		f.CallArgs("print_int", asm.Imm(abi.FdStdout), asm.Reg(isa.R1))
+		f.Label(done)
+		f.CallArgs("MPI_Finalize")
+	})
+	res := Run(Job{Image: im, Size: 2, Budget: 20_000_000})
+	mustExitClean(t, res)
+	if got := string(res.Stdout[0]); got != "01" {
+		t.Fatalf("rank 0 printed %q, want 01 (subrank 0, tag 1)", got)
+	}
+}
+
 // TestCommDup: a duplicated communicator works for collectives and is
 // distinct from its parent.
 func TestCommDup(t *testing.T) {

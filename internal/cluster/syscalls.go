@@ -109,10 +109,6 @@ func (io *rankIO) write(fd int32, b []byte) bool {
 	return true
 }
 
-// arg fetches syscall argument i, mapping a bad stack read to the trap it
-// would raise.
-func arg(m *vm.Machine, i int) (uint32, *vm.Trap) { return m.Arg(i) }
-
 // Syscall implements vm.SyscallHandler.
 func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
 	t := io.syscall(m, num)
@@ -195,17 +191,23 @@ func (io *rankIO) syscall(m *vm.Machine, num int32) *vm.Trap {
 	case abi.SysClock:
 		m.Regs[0] = uint32(m.Instrs)
 		return nil
-
-	case abi.SysMPIWtime:
-		// Virtual time: one nanosecond per retired instruction.
-		return m.StoreF64(m.Regs[0], float64(m.Instrs)*1e-9)
 	}
 
 	return io.mpiCall(m, num)
 }
 
-// mpiCall decodes MPI syscall arguments and dispatches to the API layer.
+// mpiCall fetches an MPI call's arguments, as many as abi.MPICalls says
+// its stub passes and in order (so on a corrupted sp the first stack
+// load that faults is the trap), then dispatches to the API layer.
 func (io *rankIO) mpiCall(m *vm.Machine, num int32) *vm.Trap {
+	var a [abi.MaxMPIArgs]uint32
+	for i := range abi.MPIArgs(num) {
+		v, t := m.Arg(i)
+		if t != nil {
+			return t
+		}
+		a[i] = v
+	}
 	p := io.proc
 	switch num {
 	case abi.SysMPIInit:
@@ -214,197 +216,93 @@ func (io *rankIO) mpiCall(m *vm.Machine, num int32) *vm.Trap {
 	case abi.SysMPIFinalize:
 		return p.Finalize(m)
 
-	case abi.SysMPICommRank:
-		r, t := p.CommRank(m, int32(m.Regs[0]))
+	case abi.SysMPICommRank, abi.SysMPICommSize:
+		get := p.CommRank
+		if num == abi.SysMPICommSize {
+			get = p.CommSize
+		}
+		r, t := get(m, int32(a[0]))
 		if t != nil {
 			return t
 		}
 		m.Regs[0] = uint32(r)
 		return nil
 
-	case abi.SysMPICommSize:
-		s, t := p.CommSize(m, int32(m.Regs[0]))
-		if t != nil {
-			return t
-		}
-		m.Regs[0] = uint32(s)
-		return nil
-
 	case abi.SysMPIErrhandlerSet:
-		return p.ErrhandlerSet(m, int32(m.Regs[0]), m.Regs[1])
+		return p.ErrhandlerSet(m, int32(a[0]), a[1])
+
+	case abi.SysMPIWtime:
+		// Virtual time: one nanosecond per retired instruction.
+		return m.StoreF64(a[0], float64(m.Instrs)*1e-9)
 
 	case abi.SysMPISend:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		return p.Send(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			int32(m.Regs[3]), int32(a4), int32(a5))
+		return p.Send(m, a[0], int32(a[1]), int32(a[2]), int32(a[3]), int32(a[4]), int32(a[5]))
 
 	case abi.SysMPIRecv:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		a6, t := arg(m, 6)
-		if t != nil {
-			return t
-		}
-		return p.Recv(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			int32(m.Regs[3]), int32(a4), int32(a5), a6)
+		return p.Recv(m, a[0], int32(a[1]), int32(a[2]), int32(a[3]), int32(a[4]), int32(a[5]), a[6])
 
 	case abi.SysMPIBarrier:
-		return p.Barrier(m, int32(m.Regs[0]))
+		return p.Barrier(m, int32(a[0]))
 
 	case abi.SysMPIBcast:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		return p.Bcast(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			int32(m.Regs[3]), int32(a4))
+		return p.Bcast(m, a[0], int32(a[1]), int32(a[2]), int32(a[3]), int32(a[4]))
 
 	case abi.SysMPIReduce:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		a6, t := arg(m, 6)
-		if t != nil {
-			return t
-		}
-		return p.Reduce(m, m.Regs[0], m.Regs[1], int32(m.Regs[2]),
-			int32(m.Regs[3]), int32(a4), int32(a5), int32(a6))
+		return p.Reduce(m, a[0], a[1], int32(a[2]), int32(a[3]), int32(a[4]), int32(a[5]), int32(a[6]))
 
 	case abi.SysMPIAllreduce:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		return p.Allreduce(m, m.Regs[0], m.Regs[1], int32(m.Regs[2]),
-			int32(m.Regs[3]), int32(a4), int32(a5))
+		return p.Allreduce(m, a[0], a[1], int32(a[2]), int32(a[3]), int32(a[4]), int32(a[5]))
 
 	case abi.SysMPIGather:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		return p.Gather(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			m.Regs[3], int32(a4), int32(a5))
+		return p.Gather(m, a[0], int32(a[1]), int32(a[2]), a[3], int32(a[4]), int32(a[5]))
 
 	case abi.SysMPIAllgather:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		return p.Allgather(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			m.Regs[3], int32(a4))
+		return p.Allgather(m, a[0], int32(a[1]), int32(a[2]), a[3], int32(a[4]))
 
 	case abi.SysMPIScatter:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		return p.Scatter(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			m.Regs[3], int32(a4), int32(a5))
+		return p.Scatter(m, a[0], int32(a[1]), int32(a[2]), a[3], int32(a[4]), int32(a[5]))
 
 	case abi.SysMPIAlltoall:
-		a4, t := arg(m, 4)
-		if t != nil {
-			return t
-		}
-		return p.Alltoall(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-			m.Regs[3], int32(a4))
+		return p.Alltoall(m, a[0], int32(a[1]), int32(a[2]), a[3], int32(a[4]))
 
 	case abi.SysMPIIsend, abi.SysMPIIrecv:
-		a4, t := arg(m, 4)
+		start := p.Isend
+		if num == abi.SysMPIIrecv {
+			start = p.Irecv
+		}
+		id, t := start(m, a[0], int32(a[1]), int32(a[2]), int32(a[3]), int32(a[4]), int32(a[5]))
 		if t != nil {
 			return t
 		}
-		a5, t := arg(m, 5)
-		if t != nil {
-			return t
-		}
-		reqAddr, t := arg(m, 6)
-		if t != nil {
-			return t
-		}
-		var id int32
-		var tr *vm.Trap
-		if num == abi.SysMPIIsend {
-			id, tr = p.Isend(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-				int32(m.Regs[3]), int32(a4), int32(a5))
-		} else {
-			id, tr = p.Irecv(m, m.Regs[0], int32(m.Regs[1]), int32(m.Regs[2]),
-				int32(m.Regs[3]), int32(a4), int32(a5))
-		}
-		if tr != nil {
-			return tr
-		}
-		return m.Store32(reqAddr, uint32(id))
+		return m.Store32(a[6], uint32(id))
 
 	case abi.SysMPIWait:
-		reqAddr, status := m.Regs[0], m.Regs[1]
-		id, t := m.Load32(reqAddr)
+		id, t := m.Load32(a[0])
 		if t != nil {
 			return t
 		}
-		return p.Wait(m, int32(id), status)
+		return p.Wait(m, int32(id), a[1])
 
 	case abi.SysMPIWaitall:
-		return p.Waitall(m, int32(m.Regs[0]), m.Regs[1], m.Regs[2])
+		return p.Waitall(m, int32(a[0]), a[1], a[2])
 
 	case abi.SysMPISendrecv:
-		var a [11]uint32
-		for i := 0; i < 11; i++ {
-			v, t := arg(m, i)
-			if t != nil {
-				return t
-			}
-			a[i] = v
-		}
 		return p.Sendrecv(m, a[0], int32(a[1]), int32(a[2]), int32(a[3]), int32(a[4]),
 			a[5], int32(a[6]), int32(a[7]), int32(a[8]), int32(a[9]), a[10])
 
 	case abi.SysMPICommSplit:
-		newAddr := m.Regs[3]
-		h, tr := p.CommSplit(m, int32(m.Regs[0]), int32(m.Regs[1]), int32(m.Regs[2]))
-		if tr != nil {
-			return tr
+		h, t := p.CommSplit(m, int32(a[0]), int32(a[1]), int32(a[2]))
+		if t != nil {
+			return t
 		}
-		return m.Store32(newAddr, uint32(h))
+		return m.Store32(a[3], uint32(h))
 
 	case abi.SysMPICommDup:
-		newAddr := m.Regs[1]
-		h, tr := p.CommDup(m, int32(m.Regs[0]))
-		if tr != nil {
-			return tr
+		h, t := p.CommDup(m, int32(a[0]))
+		if t != nil {
+			return t
 		}
-		return m.Store32(newAddr, uint32(h))
+		return m.Store32(a[1], uint32(h))
 	}
 
 	// An unknown syscall number — most plausibly a corrupted SYS

@@ -159,6 +159,68 @@ func TestMPIStubsMarshalAllSevenArguments(t *testing.T) {
 	}
 }
 
+// argRecorder is a host that services each MPI call by recording the
+// arguments abi.MPICalls says its stub passes, read through vm.Machine.Arg.
+type argRecorder map[int32][]uint32
+
+func (h argRecorder) Syscall(m *vm.Machine, num int32) *vm.Trap {
+	if num == abi.SysExit {
+		return &vm.Trap{Kind: vm.TrapExit, PC: m.PC, Code: int32(m.Regs[0])}
+	}
+	var args []uint32
+	for i := range abi.MPIArgs(num) {
+		v, t := m.Arg(i)
+		if t != nil {
+			return t
+		}
+		args = append(args, v)
+	}
+	h[num] = args
+	return nil
+}
+
+// TestMPIStubsMarshalEveryCall: every MPI stub hands the host the
+// arguments its caller passed, in order and as many as abi.MPICalls says.
+func TestMPIStubsMarshalEveryCall(t *testing.T) {
+	want := func(c abi.MPICall, i int) uint32 { return uint32(c.Num)<<8 | uint32(i+1) }
+	b := asm.NewBuilder()
+	AddLibc(b)
+	AddLibMPI(b)
+	f := b.Module("app", image.OwnerUser).Func("main")
+	f.Prologue(0)
+	for _, c := range abi.MPICalls {
+		args := make([]asm.Arg, c.Args)
+		for i := range args {
+			args[i] = asm.Imm(int32(want(c, i)))
+		}
+		f.CallArgs(c.Name, args...)
+	}
+	f.Movi(isa.R0, 0)
+	f.Epilogue()
+	im, err := b.Link(asm.LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := argRecorder{}
+	m := vm.New(im)
+	m.Handler = got
+	if out := m.Run(1_000_000); out.Trap == nil || out.Trap.Kind != vm.TrapExit || out.Trap.Code != 0 {
+		t.Fatalf("guest ended with %+v", out)
+	}
+	for _, c := range abi.MPICalls {
+		args, ok := got[c.Num]
+		if !ok {
+			t.Errorf("%s never issued syscall %d", c.Name, c.Num)
+			continue
+		}
+		for i, v := range args {
+			if v != want(c, i) {
+				t.Errorf("%s argument %d = %#x, want %#x", c.Name, i, v, want(c, i))
+			}
+		}
+	}
+}
+
 func TestMPIModuleOwnsItsSymbols(t *testing.T) {
 	b := asm.NewBuilder()
 	AddLibc(b)

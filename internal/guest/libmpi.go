@@ -20,8 +20,9 @@ import (
 // stack arguments into the syscall ABI (r0-r3 plus pushed extras) and
 // issues the SYS instruction.  This is the analogue of the paper's PMPI
 // wrapper functions — the seam between application and library.
-func mpiStub(m *asm.Module, name string, sysnum int32, nargs int) {
-	f := m.Func(name)
+func mpiStub(m *asm.Module, c abi.MPICall) {
+	f := m.Func(c.Name)
+	nargs := c.Args
 	extras := nargs - 4
 	if extras < 0 {
 		extras = 0
@@ -43,14 +44,15 @@ func mpiStub(m *asm.Module, name string, sysnum int32, nargs int) {
 	f.LdSym(isa.R4, "__mpi_calls", 0)
 	f.Addi(isa.R4, isa.R4, 1)
 	f.StSym("__mpi_calls", 0, isa.R4)
-	f.Sys(sysnum)
+	f.Sys(c.Num)
 	if extras > 0 {
 		f.Addi(isa.SP, isa.SP, 4*int32(extras))
 	}
 	f.Ret()
 }
 
-// AddLibMPI adds the guest MPI library module to the builder.
+// AddLibMPI adds the guest MPI library module to the builder: one stub
+// per abi.MPICalls entry, in syscall order.
 func AddLibMPI(b *asm.Builder) *asm.Module {
 	m := b.Module("libmpi", image.OwnerMPI)
 
@@ -60,29 +62,8 @@ func AddLibMPI(b *asm.Builder) *asm.Module {
 	m.BSS("__mpi_calls", 4)
 	m.BSS("__mpi_scratch", 64)
 
-	mpiStub(m, "MPI_Init", abi.SysMPIInit, 0)
-	mpiStub(m, "MPI_Finalize", abi.SysMPIFinalize, 0)
-	mpiStub(m, "MPI_Comm_rank", abi.SysMPICommRank, 1)
-	mpiStub(m, "MPI_Comm_size", abi.SysMPICommSize, 1)
-	mpiStub(m, "MPI_Send", abi.SysMPISend, 6)
-	mpiStub(m, "MPI_Recv", abi.SysMPIRecv, 7)
-	mpiStub(m, "MPI_Barrier", abi.SysMPIBarrier, 1)
-	mpiStub(m, "MPI_Bcast", abi.SysMPIBcast, 5)
-	mpiStub(m, "MPI_Reduce", abi.SysMPIReduce, 7)
-	mpiStub(m, "MPI_Allreduce", abi.SysMPIAllreduce, 6)
-	mpiStub(m, "MPI_Gather", abi.SysMPIGather, 6)
-	mpiStub(m, "MPI_Allgather", abi.SysMPIAllgather, 5)
-	mpiStub(m, "MPI_Scatter", abi.SysMPIScatter, 6)
-	mpiStub(m, "MPI_Alltoall", abi.SysMPIAlltoall, 5)
-	mpiStub(m, "MPI_Errhandler_set", abi.SysMPIErrhandlerSet, 2)
-	mpiStub(m, "MPI_Wtime", abi.SysMPIWtime, 1)
-	mpiStub(m, "MPI_Isend", abi.SysMPIIsend, 7)
-	mpiStub(m, "MPI_Irecv", abi.SysMPIIrecv, 7)
-	mpiStub(m, "MPI_Wait", abi.SysMPIWait, 2)
-	mpiStub(m, "MPI_Waitall", abi.SysMPIWaitall, 3)
-	mpiStub(m, "MPI_Sendrecv", abi.SysMPISendrecv, 11)
-	mpiStub(m, "MPI_Comm_split", abi.SysMPICommSplit, 4)
-	mpiStub(m, "MPI_Comm_dup", abi.SysMPICommDup, 2)
-
+	for _, c := range abi.MPICalls {
+		mpiStub(m, c)
+	}
 	return m
 }

@@ -274,17 +274,9 @@ func (p *Proc) Recv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm i
 	limit := uint32(count) * abi.DTSize(dtype)
 	p.recordComm(CommOp{Fn: "MPI_Recv", Peer: worldSource(ci, source), Tag: tag,
 		Bytes: limit, Blocking: true})
-	r, t := p.startRecv(m, buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, status)
+	r, t := p.startRecv(m, ci, buf, limit, dtype, source, tag, status)
 	if t != nil {
 		return t
-	}
-	r.ci = ci
-	if r.done && status != 0 {
-		// Completed from the unexpected queue before ci was attached;
-		// rewrite the status with communicator-rank translation.
-		if t := p.writeStatus(r, status, m); t != nil {
-			return t
-		}
 	}
 	return p.wait(r, m)
 }
@@ -298,11 +290,10 @@ func (p *Proc) Irecv(m *vm.Machine, buf uint32, count, dtype, source, tag, comm 
 	limit := uint32(count) * abi.DTSize(dtype)
 	p.recordComm(CommOp{Fn: "MPI_Irecv", Peer: worldSource(ci, source), Tag: tag,
 		Bytes: limit})
-	r, t := p.startRecv(m, buf, limit, dtype, worldSource(ci, source), tag, ci.ctx, 0)
+	r, t := p.startRecv(m, ci, buf, limit, dtype, source, tag, 0)
 	if t != nil {
 		return 0, t
 	}
-	r.ci = ci
 	return r.id, nil
 }
 
@@ -376,11 +367,10 @@ func (p *Proc) Sendrecv(m *vm.Machine, sbuf uint32, scount, dtype, dest, stag in
 		Bytes: uint32(len(payload))})
 	p.recordComm(CommOp{Fn: "MPI_Sendrecv", Peer: worldSource(ci, source), Tag: rtag,
 		Bytes: limit})
-	rr, t := p.startRecv(m, rbuf, limit, dtype, worldSource(ci, source), rtag, ci.ctx, 0)
+	rr, t := p.startRecv(m, ci, rbuf, limit, dtype, source, rtag, 0)
 	if t != nil {
 		return t
 	}
-	rr.ci = ci
 	sr, t := p.startSend(m, payload, ci.world(dest), stag, ci.ctx, dtype)
 	if t != nil {
 		return t

@@ -73,39 +73,39 @@ func removeReq(list []*Request, r *Request) []*Request {
 	return list
 }
 
-// startRecv posts a receive: it first claims any matching parked packet
-// (the unexpected queue), otherwise joins the pending list the dispatcher
-// completes as packets arrive.
-func (p *Proc) startRecv(m *vm.Machine, buf uint32, limit uint32, dtype, src, tag, ctx int32, status uint32) (*Request, *vm.Trap) {
+// startRecv posts a user receive of source (a rank in ci, or AnySource)
+// into guest memory.  ci translates the source a status reports.
+func (p *Proc) startRecv(m *vm.Machine, ci *commInfo, buf, limit uint32, dtype, source, tag int32, status uint32) (*Request, *vm.Trap) {
 	r := p.newRequest(false)
-	r.buf, r.limit, r.dtype = buf, limit, dtype
-	r.src, r.tag, r.ctx, r.status = src, tag, ctx, status
-	if src == abi.AnySource {
+	r.buf, r.limit, r.dtype, r.status, r.ci = buf, limit, dtype, status, ci
+	r.src, r.tag, r.ctx = worldSource(ci, source), tag, ci.ctx
+	if r.src == abi.AnySource {
 		if _, t := p.TapeOutput(m, TapeAny, 0, nil); t != nil {
 			return nil, t
 		}
 	}
+	return r, p.post(r, m)
+}
 
-	match := matchEnvelope(src, tag, ctx)
-	if i := p.findStored(match); i >= 0 {
+// post serves every receive.  It claims a matching parked packet (the
+// unexpected queue): an eager one completes r, an RTS grants the
+// rendezvous.  Otherwise, or after the grant, r pends for the dispatcher
+// to complete as packets arrive.
+func (p *Proc) post(r *Request, m *vm.Machine) *vm.Trap {
+	if i := p.findStored(matchEnvelope(r.src, r.tag, r.ctx)); i >= 0 {
 		pkt, payload, t := p.takeStored(i, m)
 		if t != nil {
-			return nil, t
+			return t
 		}
-		if pkt.Kind == KindRTS {
-			if t := p.grantRendezvous(r, pkt, m); t != nil {
-				return nil, t
-			}
-			p.pendingRecvs = append(p.pendingRecvs, r)
-			return r, nil
+		if pkt.Kind != KindRTS {
+			return p.completeRecv(r, pkt, payload, m)
 		}
-		if t := p.completeRecv(r, pkt, payload, m); t != nil {
-			return nil, t
+		if t := p.grantRendezvous(r, pkt, m); t != nil {
+			return t
 		}
-		return r, nil
 	}
 	p.pendingRecvs = append(p.pendingRecvs, r)
-	return r, nil
+	return nil
 }
 
 // grantRendezvous answers a matched RTS with a CTS and arms the request
@@ -163,35 +163,6 @@ func (p *Proc) writeStatus(r *Request, addr uint32, m *vm.Machine) *vm.Trap {
 		return t
 	}
 	return m.Store32(addr+8, r.resLen/ds)
-}
-
-// startRecvHost posts an internal receive that lands in a host buffer.
-func (p *Proc) startRecvHost(m *vm.Machine, src, tag, ctx int32) (*Request, *vm.Trap) {
-	r := p.newRequest(false)
-	r.hostMode = true
-	r.src, r.tag, r.ctx = src, tag, ctx
-	r.limit = ^uint32(0)
-
-	match := matchEnvelope(src, tag, ctx)
-	if i := p.findStored(match); i >= 0 {
-		pkt, payload, t := p.takeStored(i, m)
-		if t != nil {
-			return nil, t
-		}
-		if pkt.Kind == KindRTS {
-			if t := p.grantRendezvous(r, pkt, m); t != nil {
-				return nil, t
-			}
-			p.pendingRecvs = append(p.pendingRecvs, r)
-			return r, nil
-		}
-		if t := p.completeRecv(r, pkt, payload, m); t != nil {
-			return nil, t
-		}
-		return r, nil
-	}
-	p.pendingRecvs = append(p.pendingRecvs, r)
-	return r, nil
 }
 
 // startSend begins a send.  Eager messages (and all self-sends, which

@@ -391,8 +391,9 @@ type recvResult struct {
 // recvBytes implements the ADI-level blocking receive into a host-side
 // buffer (used by the collectives and the communicator machinery).
 func (p *Proc) recvBytes(src, tag, ctx int32, m *vm.Machine) (recvResult, *vm.Trap) {
-	r, t := p.startRecvHost(m, src, tag, ctx)
-	if t != nil {
+	r := p.newRequest(false)
+	r.src, r.tag, r.ctx, r.limit, r.hostMode = src, tag, ctx, ^uint32(0), true
+	if t := p.post(r, m); t != nil {
 		return recvResult{}, t
 	}
 	if t := p.wait(r, m); t != nil {
