@@ -25,8 +25,8 @@
 // given URL, runs their experiments (each lease grant carries the
 // campaign's journal header, and the worker runs what it defines — the
 // app at its ranks and scale — with the lease's entries),
-// uploads each lease's journal segment once, when its experiments have
-// run, and exits when the
+// completes each lease with one request carrying its journal segment,
+// when its experiments have run, and exits when the
 // coordinator reports the campaign complete.  A worker holds its leases
 // by heartbeat; one that dies or stalls simply forfeits them to other
 // workers.  Worker mode takes the campaign definition from the
@@ -185,6 +185,18 @@ func writeGoldenTrace(path, app string, seed uint64, tapes []mpi.Tape) error {
 	return err
 }
 
+// writeHeapProfile writes the heap as of a fresh collection: what the
+// process still references at the call, not what it has allocated.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
+}
+
 func run() int {
 	app := flag.String("app", "all", "application to inject into (wavetoy, minimd, minicam, all)")
 	n := flag.Int("n", 500, "injections per region (paper: 400-1000, 2000 for some message rows)")
@@ -198,7 +210,7 @@ func run() int {
 	resume := flag.Bool("resume", false, "skip experiments already recorded in -journal instead of starting fresh")
 	predict := flag.Bool("predict", false, "print the static AVF prediction next to the measured rates")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file when a campaign's run returns, while its golden run, tapes and snapshots are still held (with -app all, the last app's)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics over HTTP on this address (/metrics Prometheus text, /metrics.json JSON)")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
 	forensics := flag.Bool("forensics", false, "record per-experiment fault forensics (last executed PCs, trap detail, manifestation latency) into the journal")
@@ -263,20 +275,6 @@ func run() int {
 			return 1
 		}
 		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Printf("memprofile: %v", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Printf("memprofile: %v", err)
-			}
-		}()
 	}
 
 	// The registry exists only when some consumer asked for it; with all
@@ -465,6 +463,11 @@ func run() int {
 		if err != nil {
 			log.Printf("campaign %s: %v", name, err)
 			return 1
+		}
+		if *memprofile != "" {
+			if err := writeHeapProfile(*memprofile); err != nil {
+				log.Printf("memprofile: %v", err)
+			}
 		}
 		unclassified += res.Unclassified
 		if st := res.Checkpoints; st != nil && !*quiet {

@@ -1,9 +1,8 @@
 // Command faultcoord is the campaign-as-a-service control plane: a
 // long-running coordinator that splits a fault-injection campaign into
 // bounded leases, hands them to `faultcampaign -worker <url>` processes
-// via pull-based work-stealing, ingests the JSONL journal segment a
-// worker uploads once per completed lease, and serves the live cluster
-// view.
+// via pull-based work-stealing, ingests the JSONL journal segment each
+// lease's completion request carries, and serves the live cluster view.
 //
 // Usage:
 //

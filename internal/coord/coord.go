@@ -17,14 +17,14 @@
 //     passes (slow or dead worker) returns to the queue and is re-issued
 //     to the next worker that asks — work-stealing with no fencing
 //     beyond a per-lease generation counter that invalidates stale
-//     renewals and uploads.
+//     renewals, failures and completions.
 //   - A lease's results arrive once: when its entries have run, the
-//     worker uploads the lease's JSONL journal segment (the exact bytes a
-//     single-process campaign journal holds for those entries) in one
-//     request at offset 0, then completes the lease.  Completion ingests
-//     the segment only if it covers every entry of the lease; a stolen
-//     lease is re-granted whole, so whatever its dead owner ran is simply
-//     run again and nothing of an expired generation is ever ingested.
+//     worker completes the lease with one request whose body is the
+//     lease's JSONL journal segment (the exact bytes a single-process
+//     campaign journal holds for those entries).  Completion ingests the
+//     segment only if it covers every entry of the lease; a stolen lease
+//     is re-granted whole, so whatever its dead owner ran is simply run
+//     again and nothing of an expired generation is ever ingested.
 //   - An experiment therefore reaches the results once.  One arriving a
 //     second time means the protocol broke, and fails the campaign.
 //
@@ -756,11 +756,10 @@ func (co *Coordinator) Fail(idx, gen int, worker, cause string) error {
 	return nil
 }
 
-// AppendSegment appends chunk at byte offset to (lease, gen)'s segment;
-// a worker sends the whole segment as one chunk at offset 0.  A
-// mismatched offset returns the current one without appending: a worker
-// whose upload's response was lost retries, and learns from
-// offset == len(segment) that the first attempt arrived.
+// AppendSegment appends chunk at byte offset to (lease, gen)'s segment,
+// which Complete then ingests; the completion request appends its whole
+// body at offset 0.  A mismatched offset returns the current one without
+// appending.
 func (co *Coordinator) AppendSegment(idx, gen int, worker string, offset int, chunk []byte) (int, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -805,51 +804,62 @@ func (co *Coordinator) Complete(idx, gen int, worker string) error {
 
 // ---- HTTP surface ----
 
-// Handler returns the coordinator's HTTP mux:
+// Handler returns the coordinator's HTTP mux.  Every lease request is a
+// POST naming its worker, lease and generation in the query (acquire
+// names only the worker); a 409 answers one whose (lease, gen) the worker
+// no longer holds:
 //
-//	POST /api/lease/acquire   {"worker":W} -> leaseGrant (entries + journal header) | 204 retry | 410 done
-//	POST /api/lease/renew     {"worker":W,"lease":L,"gen":G} -> 204 | 409 lost
-//	POST /api/lease/fail      {"worker":W,"lease":L,"gen":G,"error":E}
-//	POST /api/segment?lease=L&gen=G&worker=W&offset=0  (the whole segment) -> {"offset":N} | 409 {"offset":current}
-//	POST /api/lease/complete  {"worker":W,"lease":L,"gen":G}
+//	POST /api/lease/acquire?worker=W            -> leaseGrant (entries + journal header) | 204 retry | 410 done
+//	POST /api/lease/renew?worker=W&lease=L&gen=G    -> 204 | 409 lost
+//	POST /api/lease/fail?worker=W&lease=L&gen=G     body: the error text -> 204 | 409 lost
+//	POST /api/lease/complete?worker=W&lease=L&gen=G body: the whole segment -> 204 | 409 lost or refused
 //	GET  /status              ClusterStatus JSON
 //	GET  /result.csv          final CSV (409 until complete)
 //	GET  /metrics[.json]      the telemetry registry
+//
+// Completion is AppendSegment at offset 0 and Complete, the calls an
+// in-process caller makes.  A completion whose response was lost is
+// answered 409 when retried, as the lease is done (or, if its segment was
+// refused, re-queued whole), so nothing is ingested twice.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	metricsHandler := telemetry.Handler(co.cfg.Metrics)
 	mux.Handle("/metrics", metricsHandler)
 	mux.Handle("/metrics.json", metricsHandler)
 
-	type leaseReq struct {
-		Worker string `json:"worker"`
-		Lease  int    `json:"lease"`
-		Gen    int    `json:"gen"`
-		Error  string `json:"error,omitempty"`
+	handleLease := func(path string, serve func(w http.ResponseWriter, worker string, idx, gen int, body []byte)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost {
+				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+				return
+			}
+			q := r.URL.Query()
+			idx, err1 := strconv.Atoi(q.Get("lease"))
+			gen, err2 := strconv.Atoi(q.Get("gen"))
+			if q.Get("worker") == "" || path != "/api/lease/acquire" && (err1 != nil || err2 != nil) {
+				http.Error(w, "worker, lease and gen query parameters required", http.StatusBadRequest)
+				return
+			}
+			body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+			if err != nil {
+				// The request died mid-flight and nothing was recorded, so
+				// the worker's retry is accepted.
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			serve(w, q.Get("worker"), idx, gen, body)
+		})
 	}
-	readReq := func(w http.ResponseWriter, r *http.Request) (leaseReq, bool) {
-		var req leaseReq
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return req, false
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return req, false
-		}
-		if req.Worker == "" {
-			http.Error(w, "missing worker name", http.StatusBadRequest)
-			return req, false
-		}
-		return req, true
-	}
-
-	mux.HandleFunc("/api/lease/acquire", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readReq(w, r)
-		if !ok {
+	reply := func(w http.ResponseWriter, err error) {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		grant, ok, err := co.Acquire(req.Worker)
+		w.WriteHeader(http.StatusNoContent)
+	}
+
+	handleLease("/api/lease/acquire", func(w http.ResponseWriter, worker string, _, _ int, _ []byte) {
+		grant, ok, err := co.Acquire(worker)
 		switch {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusGone)
@@ -859,69 +869,18 @@ func (co *Coordinator) Handler() http.Handler {
 			writeJSON(w, http.StatusOK, grant)
 		}
 	})
-	mux.HandleFunc("/api/lease/renew", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readReq(w, r)
-		if !ok {
-			return
-		}
-		if err := co.Renew(req.Lease, req.Gen, req.Worker); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+	handleLease("/api/lease/renew", func(w http.ResponseWriter, worker string, idx, gen int, _ []byte) {
+		reply(w, co.Renew(idx, gen, worker))
 	})
-	mux.HandleFunc("/api/lease/fail", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readReq(w, r)
-		if !ok {
-			return
-		}
-		if err := co.Fail(req.Lease, req.Gen, req.Worker, req.Error); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+	handleLease("/api/lease/fail", func(w http.ResponseWriter, worker string, idx, gen int, body []byte) {
+		reply(w, co.Fail(idx, gen, worker, string(body)))
 	})
-	mux.HandleFunc("/api/lease/complete", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readReq(w, r)
-		if !ok {
-			return
+	handleLease("/api/lease/complete", func(w http.ResponseWriter, worker string, idx, gen int, body []byte) {
+		_, err := co.AppendSegment(idx, gen, worker, 0, body)
+		if err == nil {
+			err = co.Complete(idx, gen, worker)
 		}
-		if err := co.Complete(req.Lease, req.Gen, req.Worker); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.HandleFunc("/api/segment", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		q := r.URL.Query()
-		idx, err1 := strconv.Atoi(q.Get("lease"))
-		gen, err2 := strconv.Atoi(q.Get("gen"))
-		offset, err3 := strconv.Atoi(q.Get("offset"))
-		if err1 != nil || err2 != nil || err3 != nil {
-			http.Error(w, "lease, gen and offset query parameters required", http.StatusBadRequest)
-			return
-		}
-		chunk, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			// The upload died mid-flight; nothing was appended, so the
-			// worker's retry at the same offset is accepted.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		off, err := co.AppendSegment(idx, gen, q.Get("worker"), offset, chunk)
-		switch {
-		case err == errOffsetMismatch:
-			writeJSON(w, http.StatusConflict, map[string]int{"offset": off})
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusConflict)
-		default:
-			writeJSON(w, http.StatusOK, map[string]int{"offset": off})
-		}
+		reply(w, err)
 	})
 
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {

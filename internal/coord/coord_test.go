@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -423,24 +425,41 @@ func TestRepeatedFailuresFailCampaign(t *testing.T) {
 
 // TestHandlerProtocol drives the HTTP surface end to end with hand-built
 // segments: acquire (the grant carries the campaign's journal header),
-// renew fencing, offset negotiation over the wire, completion, and the
-// status/result/metrics documents.
+// every lease request naming (worker, lease, gen) in its query, fencing of
+// stale generations and foreign workers, a failed lease re-granted, the
+// completion that carries the segment, a replayed completion refused, and
+// the status/result/metrics documents.
 func TestHandlerProtocol(t *testing.T) {
 	co := New(Config{Metrics: telemetry.New(), Now: newFakeClock().Now})
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
 
-	postJSON := func(path string, body any) *http.Response {
+	post := func(path string, q url.Values, body []byte) int {
 		t.Helper()
-		data, err := json.Marshal(body)
+		resp, err := http.Post(srv.URL+path+"?"+q.Encode(), "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(data))
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	ref := func(worker string, lease, gen int) url.Values {
+		return url.Values{"worker": {worker}, "lease": {strconv.Itoa(lease)}, "gen": {strconv.Itoa(gen)}}
+	}
+	acquire := func(worker string) (leaseGrant, int) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/lease/acquire?worker="+worker, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
+		defer resp.Body.Close()
+		var g leaseGrant
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g, resp.StatusCode
 	}
 
 	// Before submission: /status says waiting, acquire says poll again.
@@ -456,10 +475,8 @@ func TestHandlerProtocol(t *testing.T) {
 	if st.State != "waiting" {
 		t.Fatalf("pre-submission state %q", st.State)
 	}
-	resp = postJSON("/api/lease/acquire", map[string]string{"worker": "w1"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("acquire before campaign: %s", resp.Status)
+	if _, code := acquire("w1"); code != http.StatusNoContent {
+		t.Fatalf("acquire before campaign: %d", code)
 	}
 
 	if err := co.Submit(testSpec(8, time.Minute)); err != nil {
@@ -469,18 +486,30 @@ func TestHandlerProtocol(t *testing.T) {
 		t.Fatal("a second submit must be rejected")
 	}
 
-	resp = postJSON("/api/lease/acquire", map[string]string{"worker": "w1"})
-	var grant leaseGrant
-	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
+	// A lease request without its worker, or one past acquire without its
+	// lease and gen, is malformed; a GET is no lease request at all.
+	if code := post("/api/lease/acquire", nil, nil); code != http.StatusBadRequest {
+		t.Fatalf("acquire without a worker: %d", code)
+	}
+	if code := post("/api/lease/renew", url.Values{"worker": {"w1"}, "lease": {"0"}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("renew without a gen: %d", code)
+	}
+	resp, err = http.Get(srv.URL + "/api/lease/acquire?worker=w1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || grant.End != 8 {
-		t.Fatalf("grant %+v (%s)", grant, resp.Status)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET acquire: %s", resp.Status)
+	}
+
+	failed, code := acquire("w1")
+	if code != http.StatusOK || failed.End != 8 || failed.Gen != 1 {
+		t.Fatalf("grant %+v (%d)", failed, code)
 	}
 	// The grant's header is the campaign definition: the exact line a
 	// single-process journal of the same spec opens with.
-	got, err := json.Marshal(grant.Header)
+	got, err := json.Marshal(failed.Header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,12 +520,22 @@ func TestHandlerProtocol(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("grant header %s, want %s", got, want)
 	}
+	// A failed lease goes back to the queue and its next grant is a new
+	// generation.
+	if code := post("/api/lease/fail", ref("w1", failed.Lease, failed.Gen), []byte("image build exploded")); code != http.StatusNoContent {
+		t.Fatalf("fail: %d", code)
+	}
+	grant, code := acquire("w1")
+	if code != http.StatusOK || grant.Lease != failed.Lease || grant.Gen != 2 {
+		t.Fatalf("grant after a failure %+v (%d), want lease %d gen 2", grant, code, failed.Lease)
+	}
 
-	// Renew with a stale generation is a 409.
-	resp = postJSON("/api/lease/renew", map[string]any{"worker": "w1", "lease": grant.Lease, "gen": grant.Gen + 7})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale renew: %s", resp.Status)
+	// Renew: the current generation is live, a stale one is a 409.
+	if code := post("/api/lease/renew", ref("w1", grant.Lease, grant.Gen), nil); code != http.StatusNoContent {
+		t.Fatalf("renew: %d", code)
+	}
+	if code := post("/api/lease/renew", ref("w1", grant.Lease, grant.Gen+7), nil); code != http.StatusConflict {
+		t.Fatalf("stale renew: %d", code)
 	}
 
 	all := make([]core.Experiment, 8)
@@ -504,45 +543,16 @@ func TestHandlerProtocol(t *testing.T) {
 		all[g] = testExperiment(g)
 	}
 	full := segmentBytes(t, testHeader(t), all)
-	cut := len(full) / 3
 
-	segURL := func(offset int) string {
-		return fmt.Sprintf("%s/api/segment?lease=%d&gen=%d&worker=w1&offset=%d", srv.URL, grant.Lease, grant.Gen, offset)
+	// Completions fenced out: the failed generation, a foreign worker.
+	if code := post("/api/lease/complete", ref("w1", failed.Lease, failed.Gen), full); code != http.StatusConflict {
+		t.Fatalf("completion by the failed generation: %d", code)
 	}
-	resp, err = http.Post(segURL(0), "application/jsonl", bytes.NewReader(full[:cut]))
-	if err != nil {
-		t.Fatal(err)
+	if code := post("/api/lease/complete", ref("w2", grant.Lease, grant.Gen), full); code != http.StatusConflict {
+		t.Fatalf("completion by a worker that holds no lease: %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first chunk: %s", resp.Status)
-	}
-	// Wrong offset: 409 carrying the authoritative offset.
-	resp, err = http.Post(segURL(0), "application/jsonl", bytes.NewReader(full[:cut]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("replayed chunk: %s", resp.Status)
-	}
-	var cur struct {
-		Offset int `json:"offset"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if cur.Offset != cut {
-		t.Fatalf("409 offset %d, want %d", cur.Offset, cut)
-	}
-	// The upload resumes at the offset the 409 named.
-	resp, err = http.Post(segURL(cut), "application/jsonl", bytes.NewReader(full[cut:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resumed chunk: %s", resp.Status)
+	if st := co.Status(); st.Results != 0 || st.LeasesActive != 1 {
+		t.Fatalf("fenced completions changed the campaign: %+v", st)
 	}
 
 	// /result.csv is a 409 until the campaign completes.
@@ -555,15 +565,17 @@ func TestHandlerProtocol(t *testing.T) {
 		t.Fatalf("premature result.csv: %s", resp.Status)
 	}
 
-	resp = postJSON("/api/lease/complete", map[string]any{"worker": "w1", "lease": grant.Lease, "gen": grant.Gen})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("complete: %s", resp.Status)
+	if code := post("/api/lease/complete", ref("w1", grant.Lease, grant.Gen), full); code != http.StatusNoContent {
+		t.Fatalf("complete: %d", code)
 	}
-	resp = postJSON("/api/lease/acquire", map[string]string{"worker": "w2"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("acquire after completion must 410, got %s", resp.Status)
+	// The same completion again, as a worker whose response was lost
+	// retries it: the lease is done, so it is refused and nothing is
+	// ingested twice.
+	if code := post("/api/lease/complete", ref("w1", grant.Lease, grant.Gen), full); code != http.StatusConflict {
+		t.Fatalf("replayed completion: %d", code)
+	}
+	if _, code := acquire("w2"); code != http.StatusGone {
+		t.Fatalf("acquire after completion must 410, got %d", code)
 	}
 
 	resp, err = http.Get(srv.URL + "/result.csv")

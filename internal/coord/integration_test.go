@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -115,19 +115,52 @@ func TestCoordinatorSmoke(t *testing.T) {
 	}
 }
 
-// TestWorkerNameNeedsEscaping: a worker's name travels in the segment
-// upload's query string, so one holding query syntax ("a+b&c") must reach
-// the coordinator intact, or its uploads never match its lease.
+// TestWorkerNameNeedsEscaping: a worker's name travels in the query of
+// every lease request, so one holding query syntax ("a+b&c") must reach
+// the coordinator intact in each of them, or its renewals, failures and
+// completions never match its lease.  The first completion is held until
+// the worker has heartbeated and then answered 500, so the worker fails
+// the lease, runs it again and completes it.
 func TestWorkerNameNeedsEscaping(t *testing.T) {
 	co := New(Config{})
-	if err := co.Submit(Spec{App: "wavetoy", Injections: 2, Seed: 5, Regions: []string{"reg"}, LeaseSize: 2}); err != nil {
+	if err := co.Submit(Spec{
+		App: "wavetoy", Injections: 2, Seed: 5, Regions: []string{"reg"}, LeaseSize: 2, LeaseTTLMillis: 300,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(co.Handler())
+	const name = "a+b&c"
+	var (
+		mu      sync.Mutex
+		named   = map[string]int{} // lease requests per path that named the worker intact
+		renewed = make(chan struct{})
+	)
+	handler := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if got := r.URL.Query().Get("worker"); got != name {
+			t.Errorf("%s named worker %q, want %q", r.URL.Path, got, name)
+		}
+		named[r.URL.Path]++
+		n := named[r.URL.Path]
+		mu.Unlock()
+		switch {
+		case r.URL.Path == "/api/lease/renew" && n == 1:
+			close(renewed)
+		case r.URL.Path == "/api/lease/complete" && n == 1:
+			// The worker heartbeats until its completion is answered.
+			select {
+			case <-renewed:
+			case <-time.After(time.Minute):
+				t.Error("no renewal while the completion was held")
+			}
+			http.Error(w, "refused once", http.StatusInternalServerError)
+			return
+		}
+		handler.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
-	const name = "a+b&c"
 	go func() {
 		done <- RunWorker(WorkerOptions{URL: srv.URL, Name: name, Poll: 25 * time.Millisecond, Stop: stop})
 	}()
@@ -145,13 +178,21 @@ func TestWorkerNameNeedsEscaping(t *testing.T) {
 	if st.State != "complete" || len(st.Workers) != 1 || st.Workers[0].Name != name || st.Workers[0].Results != 2 {
 		t.Fatalf("final status %+v, want worker %q with both results", st, name)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, path := range []string{"/api/lease/acquire", "/api/lease/renew", "/api/lease/fail", "/api/lease/complete"} {
+		if named[path] == 0 {
+			t.Errorf("the worker sent no %s request (%v)", path, named)
+		}
+	}
 }
 
-// TestOneUploadPerLease: a worker sends each lease's journal segment
-// once — one POST /api/segment at offset 0, before it completes the lease
-// — however long the lease runs.  The server counts the uploads per lease
-// generation on their way in; the lease is sized to run well past a
-// quarter second, so a worker that also uploaded on a timer would show.
+// TestOneUploadPerLease: a worker completes each lease with one request
+// that carries the lease's whole journal segment — nothing before it
+// uploads, nothing after it names the lease — however long the lease
+// runs.  The server records every request that names a lease generation
+// on its way in; the lease is sized to run well past a quarter second, so
+// a worker that also uploaded on a timer would show.
 func TestOneUploadPerLease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
@@ -164,47 +205,37 @@ func TestOneUploadPerLease(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	type leaseGen struct{ lease, gen int }
+	type leaseGen struct{ lease, gen string }
 	var (
 		mu        sync.Mutex
-		uploads   = map[leaseGen][]int{} // offsets, in arrival order
-		completed = map[leaseGen]bool{}
+		completes = map[leaseGen][][]byte{} // completion bodies, in arrival order
 		acquired  time.Time
 		finished  time.Time
 	)
 	handler := co.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		k := leaseGen{q.Get("lease"), q.Get("gen")}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		mu.Lock()
 		switch r.URL.Path {
 		case "/api/lease/acquire":
 			if acquired.IsZero() {
 				acquired = time.Now()
 			}
-		case "/api/segment":
-			q := r.URL.Query()
-			lease, _ := strconv.Atoi(q.Get("lease"))
-			gen, _ := strconv.Atoi(q.Get("gen"))
-			off, err := strconv.Atoi(q.Get("offset"))
-			if err != nil {
-				t.Errorf("segment upload without an offset: %s", r.URL)
+		case "/api/lease/renew":
+			if len(completes[k]) > 0 {
+				t.Errorf("lease %s gen %s: renewed after its completion", k.lease, k.gen)
 			}
-			k := leaseGen{lease, gen}
-			if completed[k] {
-				t.Errorf("lease %d gen %d: upload after completion", lease, gen)
-			}
-			uploads[k] = append(uploads[k], off)
 		case "/api/lease/complete":
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-			}
-			var req struct{ Lease, Gen int }
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Error(err)
-			}
-			completed[leaseGen{req.Lease, req.Gen}] = true
+			completes[k] = append(completes[k], body)
 			finished = time.Now()
-			r.Body = io.NopCloser(bytes.NewReader(body))
+		default:
+			t.Errorf("request to %s", r.URL.Path)
 		}
 		mu.Unlock()
 		handler.ServeHTTP(w, r)
@@ -222,20 +253,25 @@ func TestOneUploadPerLease(t *testing.T) {
 	if ran := finished.Sub(acquired); ran < 300*time.Millisecond {
 		t.Fatalf("the lease ran %v: too short to show a periodic upload", ran)
 	}
-	if len(completed) != 1 || len(uploads) != 1 {
-		t.Fatalf("%d completed lease generations, uploads to %d, want one each", len(completed), len(uploads))
+	if len(completes) != 1 {
+		t.Fatalf("completions of %d lease generations, want one", len(completes))
 	}
-	for k, offs := range uploads {
-		if !completed[k] || len(offs) != 1 || offs[0] != 0 {
-			t.Errorf("lease %d gen %d: uploads at offsets %v (completed %v), want exactly one at 0", k.lease, k.gen, offs, completed[k])
+	for k, bodies := range completes {
+		if len(bodies) != 1 {
+			t.Fatalf("lease %s gen %s: %d completion requests, want one", k.lease, k.gen, len(bodies))
+		}
+		_, exps, _, err := report.ParseSegment(bodies[0])
+		if err != nil || len(exps) != 2*injections {
+			t.Errorf("lease %s gen %s: the completion carried %d experiments (%v), want the whole segment's %d",
+				k.lease, k.gen, len(exps), err, 2*injections)
 		}
 	}
 }
 
-// TestUploadResponseLost: the coordinator appends a worker's segment but
-// the response never arrives.  The worker's retry at offset 0 is answered
-// 409 with offset == len(segment), which tells it the first attempt was
-// delivered, and it completes the lease.
+// TestUploadResponseLost: the coordinator completes a worker's lease but
+// the response never arrives.  The worker's retry is answered 409, which
+// tells it the lease is no longer its to complete; it does not give the
+// lease back, so nothing runs again and nothing is ingested twice.
 func TestUploadResponseLost(t *testing.T) {
 	co := New(Config{})
 	if err := co.Submit(Spec{App: "wavetoy", Injections: 2, Seed: 5, Regions: []string{"reg"}, LeaseSize: 2}); err != nil {
@@ -243,11 +279,11 @@ func TestUploadResponseLost(t *testing.T) {
 	}
 	var (
 		mu    sync.Mutex
-		codes []int // status of every segment upload the coordinator answered
+		codes []int // status of every completion the coordinator answered
 	)
 	handler := co.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/api/segment" {
+		if r.URL.Path != "/api/lease/complete" {
 			handler.ServeHTTP(w, r)
 			return
 		}
@@ -258,7 +294,7 @@ func TestUploadResponseLost(t *testing.T) {
 		first := len(codes) == 1
 		mu.Unlock()
 		if first {
-			panic(http.ErrAbortHandler) // appended, but the connection drops
+			panic(http.ErrAbortHandler) // completed, but the connection drops
 		}
 		w.WriteHeader(rec.Code)
 		w.Write(rec.Body.Bytes())
@@ -267,21 +303,21 @@ func TestUploadResponseLost(t *testing.T) {
 	if err := RunWorker(WorkerOptions{URL: srv.URL, Name: "w1", Poll: 25 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if st := co.Status(); st.State != "complete" || st.LeasesStolen != 0 {
-		t.Fatalf("final status %+v, want the one lease completed by its first generation", st)
+	if st := co.Status(); st.State != "complete" || st.LeasesStolen != 0 || st.Results != 2 || st.Workers[0].Results != 2 {
+		t.Fatalf("final status %+v, want the one lease's two results ingested once, by its first generation", st)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(codes) != 2 || codes[0] != http.StatusOK || codes[1] != http.StatusConflict {
-		t.Fatalf("segment uploads answered %v, want [200 409]", codes)
+	if len(codes) != 2 || codes[0] != http.StatusNoContent || codes[1] != http.StatusConflict {
+		t.Fatalf("completions answered %v, want [204 409]", codes)
 	}
 }
 
 // TestCoordinatorWorkerDeathByteIdentity is the acceptance gate: three
-// workers, one dies mid-campaign after uploading half a lease, the
-// survivors steal the lease and re-run it whole, and the final CSV is
-// still byte-identical to the single-process run — with the spool
-// directory, which holds only accepted segments, independently
+// workers, one dies mid-campaign halfway through sending a lease's
+// completion, the survivors steal the lease and re-run it whole, and the
+// final CSV is still byte-identical to the single-process run — with the
+// spool directory, which holds only accepted segments, independently
 // reconstructing the same bytes via faultmerge's path.
 func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 	if testing.Short() {
@@ -304,45 +340,36 @@ func TestCoordinatorWorkerDeathByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The doomed worker grabs the first lease over the wire, uploads a
-	// genuine half-segment, and vanishes without ever heartbeating: the
-	// lease must expire and be re-run whole, and its partial segment must
-	// reach neither the results nor the spool.
+	// The doomed worker grabs the first lease, runs it, and dies halfway
+	// through sending its completion, without ever heartbeating: the
+	// coordinator reads a cut body and records nothing, so the lease must
+	// expire and be re-run whole, and no byte of the doomed segment may
+	// reach the results or the spool.
 	g3, ok, err := co.Acquire("doomed")
 	if err != nil || !ok {
 		t.Fatalf("doomed acquire: ok=%v err=%v", ok, err)
 	}
 	plan := core.Plan{Regions: regions, Injections: injections}
-	partialRes, err := core.Run(core.Config{
+	doomedRes, err := core.Run(core.Config{
 		Image: im, Ranks: ranks, Injections: injections, Seed: seed, Regions: regions,
-		Entries: plan.Range(g3.Start, g3.Start+1), KeepExperiments: true,
+		Entries: plan.Range(g3.Start, g3.End), KeepExperiments: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seg bytes.Buffer
-	enc := json.NewEncoder(&seg)
-	if err := enc.Encode(report.CampaignHeader("wavetoy", core.Config{
+	seg := segmentBytes(t, report.CampaignHeader("wavetoy", core.Config{
 		Ranks: ranks, Injections: injections, Regions: regions, Seed: seed,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if len(partialRes.Experiments) != 1 {
-		t.Fatalf("partial run produced %d experiments, want 1", len(partialRes.Experiments))
-	}
-	if err := enc.Encode(report.EntryFromExperiment(partialRes.Experiments[0])); err != nil {
-		t.Fatal(err)
-	}
-	url := fmt.Sprintf("%s/api/segment?lease=%d&gen=%d&worker=doomed&offset=0", srv.URL, g3.Lease, g3.Gen)
-	resp, err := http.Post(url, "application/jsonl", &seg)
+	}), doomedRes.Experiments)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("doomed upload: %s", resp.Status)
+	head := fmt.Sprintf("POST /api/lease/complete?worker=doomed&lease=%d&gen=%d HTTP/1.1\r\nHost: coord\r\nContent-Length: %d\r\n\r\n",
+		g3.Lease, g3.Gen, len(seg))
+	if _, err := conn.Write(append([]byte(head), seg[:len(seg)/2]...)); err != nil {
+		t.Fatal(err)
 	}
-	// SIGKILL equivalent: no renew, no complete, no further traffic.
+	conn.Close() // SIGKILL equivalent: no renew, no rest of the body, no further traffic.
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -523,7 +550,7 @@ func TestDuplicateMessageResultsAgree(t *testing.T) {
 // grant's header defines — here wavetoy at 4 ranks and scale 512, which
 // no Submit produces — so the segment it uploads is the journal a
 // single-process core.Run of the lease's entries at those ranks and that
-// scale writes.
+// scale writes, and it carries that segment as the lease's completion.
 func TestWorkerRunsHeaderRanksAndScale(t *testing.T) {
 	h, _, err := report.NewCampaign(report.JournalHeader{
 		App: "wavetoy", Seed: 11, Injections: 6, Regions: []string{"reg", "message"}, Ranks: 4, Scale: 512,
@@ -570,9 +597,8 @@ func TestWorkerRunsHeaderRanksAndScale(t *testing.T) {
 			}
 			granted = true
 			json.NewEncoder(w).Encode(leaseGrant{Lease: 0, Gen: 1, End: len(ids), TTLMs: 60_000, Header: h, Entries: ids})
-		case "/api/segment":
-			got, _ = io.ReadAll(r.Body)
 		case "/api/lease/complete":
+			got, _ = io.ReadAll(r.Body)
 			w.WriteHeader(http.StatusNoContent)
 		}
 	}))

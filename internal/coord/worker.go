@@ -38,8 +38,8 @@ type WorkerOptions struct {
 
 // worker is the pull-based campaign engine: it acquires leases from the
 // coordinator, runs their plan entries through core.Run exactly as a
-// single-process campaign would, and uploads each lease's journal
-// segment once, when its entries have run.  All campaign parameters come
+// single-process campaign would, and completes each lease with one
+// request that carries its journal segment.  All campaign parameters come
 // from the lease grant, so a bare `faultcampaign -worker <url>` is a
 // complete engine.
 type worker struct {
@@ -124,28 +124,20 @@ func (w *worker) sleep(d time.Duration) bool {
 	}
 }
 
-func (w *worker) postJSON(path string, body any) (*http.Response, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
+// post sends one lease request: the worker, lease and generation in the
+// query (acquire, with no grant yet, names only the worker) and body as
+// its content.
+func (w *worker) post(path string, grant leaseGrant, body []byte) (*http.Response, error) {
+	q := url.Values{"worker": {w.opt.Name}}
+	if grant.Gen > 0 {
+		q.Set("lease", strconv.Itoa(grant.Lease))
+		q.Set("gen", strconv.Itoa(grant.Gen))
 	}
-	req, err := http.NewRequest(http.MethodPost, w.opt.URL+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return w.client.Do(req)
-}
-
-type leaseRef struct {
-	Worker string `json:"worker"`
-	Lease  int    `json:"lease"`
-	Gen    int    `json:"gen"`
-	Error  string `json:"error,omitempty"`
+	return w.client.Post(w.opt.URL+path+"?"+q.Encode(), "application/octet-stream", bytes.NewReader(body))
 }
 
 func (w *worker) acquire() (grant leaseGrant, ok, done bool, err error) {
-	resp, err := w.postJSON("/api/lease/acquire", leaseRef{Worker: w.opt.Name})
+	resp, err := w.post("/api/lease/acquire", leaseGrant{}, nil)
 	if err != nil {
 		return grant, false, false, err
 	}
@@ -169,50 +161,47 @@ func (w *worker) acquire() (grant leaseGrant, ok, done bool, err error) {
 }
 
 func (w *worker) fail(grant leaseGrant, cause error) {
-	resp, err := w.postJSON("/api/lease/fail", leaseRef{
-		Worker: w.opt.Name, Lease: grant.Lease, Gen: grant.Gen, Error: cause.Error(),
-	})
+	resp, err := w.post("/api/lease/fail", grant, []byte(cause.Error()))
 	if err == nil {
 		resp.Body.Close()
 	}
 }
 
-// maxUploadAttempts bounds how often a segment upload that failed in
+// maxCompleteAttempts bounds how often a completion that failed in
 // transit is retried before the lease is given back.
-const maxUploadAttempts = 3
+const maxCompleteAttempts = 3
 
-// upload sends a lease's whole journal segment in one request at offset
-// 0, retrying one that failed in transit.  A retry answered with 409 and
-// offset == len(seg) means an earlier attempt arrived and only its
-// response was lost: the segment is delivered.
-func (w *worker) upload(grant leaseGrant, seg []byte) error {
-	q := url.Values{
-		"lease": {strconv.Itoa(grant.Lease)}, "gen": {strconv.Itoa(grant.Gen)},
-		"worker": {w.opt.Name}, "offset": {"0"},
-	}
+// complete sends the lease's whole journal segment as its completion,
+// retrying one that failed in transit, and reports whether the
+// coordinator accepted it.  A 409 means this generation no longer holds
+// the lease: an earlier attempt completed it and only its response was
+// lost, or the coordinator re-queued it to be run again whole.  Either
+// way there is nothing left for this worker to do with it.
+func (w *worker) complete(grant leaseGrant, seg []byte) (bool, error) {
 	for attempt := 1; ; attempt++ {
-		resp, err := w.client.Post(w.opt.URL+"/api/segment?"+q.Encode(), "application/jsonl", bytes.NewReader(seg))
+		resp, err := w.post("/api/lease/complete", grant, seg)
 		if err != nil {
-			if attempt == maxUploadAttempts || !w.sleep(w.opt.Poll) {
-				return err
+			if attempt == maxCompleteAttempts || !w.sleep(w.opt.Poll) {
+				return false, err
 			}
 			continue
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		var cur struct {
-			Offset int `json:"offset"`
+		switch resp.StatusCode {
+		case http.StatusNoContent:
+			return true, nil
+		case http.StatusConflict:
+			w.logf("lease %d: completion answered %s (%s): completed by an earlier attempt, or re-issued by the coordinator",
+				grant.Lease, resp.Status, bytes.TrimSpace(msg))
+			return false, nil
 		}
-		if resp.StatusCode == http.StatusOK ||
-			resp.StatusCode == http.StatusConflict && json.Unmarshal(msg, &cur) == nil && cur.Offset == len(seg) {
-			return nil
-		}
-		return fmt.Errorf("segment upload: %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return false, fmt.Errorf("complete: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 }
 
 // runLease executes one lease end to end: run the entries while
-// heartbeating the lease, upload the journal segment, then complete it.
+// heartbeating the lease, then complete it with the journal segment.
 // Losing the lease (heartbeat rejected) or opt.Stop abandons it silently
 // — the coordinator re-issues it whole.
 func (w *worker) runLease(grant leaseGrant) error {
@@ -291,7 +280,7 @@ func (w *worker) runLease(grant leaseGrant) error {
 			case <-bg:
 				return
 			case <-tick.C:
-				resp, err := w.postJSON("/api/lease/renew", leaseRef{Worker: w.opt.Name, Lease: grant.Lease, Gen: grant.Gen})
+				resp, err := w.post("/api/lease/renew", grant, nil)
 				if err != nil {
 					continue // transient; the lease may still be renewed next beat
 				}
@@ -338,22 +327,8 @@ func (w *worker) runLease(grant leaseGrant) error {
 	if encErr != nil {
 		return encErr
 	}
-	if err := w.upload(grant, seg.Bytes()); err != nil {
+	if ok, err := w.complete(grant, seg.Bytes()); !ok {
 		return err
-	}
-	resp, err := w.postJSON("/api/lease/complete", leaseRef{Worker: w.opt.Name, Lease: grant.Lease, Gen: grant.Gen})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		w.logf("lease %d: completion rejected (%s); coordinator will re-issue it", grant.Lease, bytes.TrimSpace(msg))
-		return nil
-	}
-	if resp.StatusCode != http.StatusNoContent {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("complete: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	var restored uint64
 	if st := res.Checkpoints; st != nil {
