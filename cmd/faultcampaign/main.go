@@ -475,8 +475,8 @@ func run() int {
 				name, st.Taken, st.Hits, st.Hits+st.Misses, float64(st.InstrsSkipped)/1e6)
 		}
 		if so := res.Solo; so.Attempts() > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct: %d at injection, %d converged; %d failed); %d re-run: %d of %d peers materialized\n",
-				name, so.Correct+so.Failed, so.Attempts(), so.Correct, so.Dead, so.Converged, so.Failed, so.Fallback, so.Materialized, so.Peers)
+			fmt.Fprintf(os.Stderr, "%s: %d/%d experiments decided on the injected rank alone (%d correct: %d at injection, %d converged; %d failed; %d deadlocked); %d re-run: %d of %d peers materialized\n",
+				name, so.Decided(), so.Attempts(), so.Correct, so.Dead, so.Converged, so.Failed, so.Deadlock, so.Fallback, so.Materialized, so.Peers)
 		}
 		// A campaign that runs no round (resumed from a finished journal,
 		// or stopped before its first) has no golden run.

@@ -114,7 +114,7 @@ func (g *ghost) pull(p *mpi.Proc, size int) (ok, alive bool) {
 		}
 		// The rank answers a rendezvous packet the moment it pulls one, so
 		// the ghost pulls those only where the rank would.
-		answered := len(raw) > 4 && (raw[4] == mpi.KindRTS || raw[4] == mpi.KindCTS)
+		answered := mpi.Answered(raw)
 		src := mpi.RawSource(raw)
 		if src == mpi.RawSource(ev.Data) || g.inArrivalOrder(size) {
 			if bytes.Equal(raw, ev.Data) && !(ended && answered) {

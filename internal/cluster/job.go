@@ -71,6 +71,9 @@ type Job struct {
 	Ghosts *Ghosts
 }
 
+// Deadlock is the hang cause of a job in which no unfinished rank can run.
+const Deadlock = "distributed deadlock"
+
 // RankResult is the terminal state of one rank.
 type RankResult struct {
 	Trap   *vm.Trap
@@ -107,8 +110,11 @@ type Result struct {
 	Stderr [][]byte
 	// Files maps named output files (written via SysOpen) to contents.
 	Files map[string][]byte
-	// Tapes are the per-rank recordings of a Job.RecordTapes run.
+	// Tapes are the per-rank recordings of a Job.RecordTapes run, and
+	// Needs where each rank needed the packets it pulled (mpi.Proc.Needs;
+	// nil for a rank that stayed a ghost).
 	Tapes []mpi.Tape
+	Needs [][]int32
 	// Snapshots are the checkpoints of a Job.Checkpoints run, in the order
 	// taken; their tape positions index Tapes.
 	Snapshots []*Snapshot
@@ -352,7 +358,7 @@ func Run(job Job) *Result {
 		}
 		if rk == nil {
 			if first == nil {
-				res.HangDetected, res.HangCause = true, "distributed deadlock"
+				res.HangDetected, res.HangCause = true, Deadlock
 			}
 			break
 		}
@@ -405,10 +411,10 @@ func Run(job Job) *Result {
 		res.Stderr[r] = rk.io.appendSignalBanner(rk.out.Trap)
 	}
 	if job.RecordTapes {
-		res.Tapes = make([]mpi.Tape, job.Size)
+		res.Tapes, res.Needs = make([]mpi.Tape, job.Size), make([][]int32, job.Size)
 		for r, rk := range ranks {
-			if res.Tapes[r] = world.Proc(r).Tape(); rk != nil && rk.m == nil {
-				res.Tapes[r] = rk.ghost.recorded()
+			if res.Tapes[r], res.Needs[r] = world.Proc(r).Tape(), world.Proc(r).Needs(); rk != nil && rk.m == nil {
+				res.Tapes[r], res.Needs[r] = rk.ghost.recorded(), nil
 			}
 		}
 	}

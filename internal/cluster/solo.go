@@ -21,6 +21,10 @@ type SoloResult struct {
 	// or carries a nonzero code, the budget.  The job must then be run
 	// whole, the peers as ghosts (Job.Ghosts).
 	Trap *vm.Trap
+	// Hang is set when the rank starved and blocked for good, having said
+	// nothing new (mpi.Proc.Blocked): the job's verdict is a distributed
+	// deadlock, and Trap is what that verdict kills the rank with.
+	Hang bool
 	// Instrs is the rank's retired-instruction count when it stopped, and
 	// Pos how many events of the tape it had got through.
 	Instrs uint64
@@ -32,7 +36,7 @@ type SoloResult struct {
 // any recorded run of the job when starting at t=0 — standing in for every
 // other rank: no peer machines, coroutines, queues or scheduler.  Of the
 // job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer and
-// Metrics.
+// Metrics; Setup may set the rank's Starve.
 func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
 	var rs *RankSnapshot
 	pos := 0
@@ -45,7 +49,7 @@ func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
 	out := m.Run(job.Budget)
 
 	left, departed := proc.Replayed()
-	res := SoloResult{Trap: out.Trap, Instrs: m.Instrs, Pos: len(tape) - left}
+	res := SoloResult{Trap: out.Trap, Instrs: m.Instrs, Pos: len(tape) - left, Hang: proc.Blocked()}
 	switch {
 	case departed || out.Reason == vm.StopBudget:
 		res.Trap = nil
@@ -57,6 +61,9 @@ func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
 	if reg := job.Metrics; reg != nil {
 		reg.Counter(telemetry.MetricJobs).Inc()
 		reg.Counter(telemetry.MetricInstrsRetired).Add(m.Instrs)
+		if res.Hang {
+			reg.Counter(telemetry.HangMetric(Deadlock)).Inc()
+		}
 	}
 	return res
 }

@@ -335,7 +335,7 @@ func (w *worker) runLease(grant leaseGrant) error {
 		restored = st.Hits
 	}
 	so := res.Solo
-	w.logf("lease %d done (%d experiments, %d restored from checkpoints, %d decided on the injected rank alone (%d correct: %d at injection, %d converged; %d failed); %d re-run: %d of %d peers materialized)",
-		grant.Lease, len(entries), restored, so.Correct+so.Failed, so.Correct, so.Dead, so.Converged, so.Failed, so.Fallback, so.Materialized, so.Peers)
+	w.logf("lease %d done (%d experiments, %d restored from checkpoints, %d decided on the injected rank alone (%d correct: %d at injection, %d converged; %d failed; %d deadlocked); %d re-run: %d of %d peers materialized)",
+		grant.Lease, len(entries), restored, so.Decided(), so.Correct, so.Dead, so.Converged, so.Failed, so.Deadlock, so.Fallback, so.Materialized, so.Peers)
 	return nil
 }

@@ -50,6 +50,10 @@ type Golden struct {
 	// reads[r] is rank r's read index and its last PCs (dead.go), each
 	// built by the first experiment that needs it.
 	reads []rankReads
+	// deps orders the tapes' events, for deciding deadlocks solo; built by
+	// the first solo run that starves.
+	depsOnce sync.Once
+	deps     *mpi.Deps
 }
 
 // MaxInstrs returns the largest per-rank instruction count.
@@ -837,7 +841,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				e.Forensics = buildForensics(e, rec, res.Trap, res.Instrs, vm.StopTrap)
 			}
 			if cfg.TraceDiff {
-				attachDivergence(e, golden.tapes, from, soloTapes(golden.tapes, from, e.Rank, res.Pos), e.Rank)
+				attachDivergence(e, golden.tapes, from, c.soloTapes(from, e.Rank, res), e.Rank)
 			}
 		} else {
 			sc.faultRng = stream

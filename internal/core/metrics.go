@@ -16,6 +16,7 @@ type campaignMeters struct {
 	ckptTaken, ckptHits, ckptMisses     *telemetry.Counter
 	instrsSkipped                       *telemetry.Gauge
 	soloCorrect, soloFailed             *telemetry.Counter
+	soloDeadlock                        *telemetry.Counter
 	soloFallback, soloInstrs            *telemetry.Counter
 	soloDead                            [numDeadRules]*telemetry.Counter
 	soloConverged, readIndexInstrs      *telemetry.Counter
@@ -45,6 +46,7 @@ func newCampaignMeters(reg *telemetry.Registry) *campaignMeters {
 		instrsSkipped:     reg.Gauge(telemetry.MetricInstrsSkipped),
 		soloCorrect:       reg.Counter(telemetry.SoloMetric("correct")),
 		soloFailed:        reg.Counter(telemetry.SoloMetric("failed")),
+		soloDeadlock:      reg.Counter(telemetry.SoloMetric("deadlock")),
 		soloFallback:      reg.Counter(telemetry.SoloMetric("fallback")),
 		soloInstrs:        reg.Counter(telemetry.MetricSoloInstrs),
 		soloConverged:     reg.Counter(telemetry.MetricSoloConverged),

@@ -22,7 +22,10 @@ import (
 //
 // A solo run can stop before its rank's exit, Correct: at its injection,
 // when nothing reads the flip again (dead.go), or at a later snapshot, back
-// in the golden state (converge).
+// in the golden state (converge).  It also decides a Hang: a rank that
+// starves — asks for a packet where its tape holds an output, or nothing —
+// is fed what its peers still send it (mpi.Deps), and if it then asks for
+// more, having said nothing, the job deadlocks.
 //
 // There is no switch: whole jobs are chosen by what the code observes, and
 // a departure is the one case.  Observers ride along: the flight recorder
@@ -38,6 +41,9 @@ type SoloStats struct {
 	// the flipped bits again (dead.go).  Converged ones stopped at a later
 	// snapshot clock, back in the golden state (converge).
 	Dead, Converged uint64
+	// Deadlock experiments were decided Hang on the injected rank alone: it
+	// starved and blocked for good.
+	Deadlock uint64
 	// Fallback experiments departed from the tape and were re-run as whole
 	// jobs.
 	Fallback uint64
@@ -50,18 +56,21 @@ type SoloStats struct {
 	Peers, Materialized uint64
 }
 
+// Decided returns how many experiments the solo runs decided.
+func (s SoloStats) Decided() uint64 { return s.Correct + s.Failed + s.Deadlock }
+
 // Attempts returns how many experiments ran solo first.
-func (s SoloStats) Attempts() uint64 { return s.Correct + s.Failed + s.Fallback }
+func (s SoloStats) Attempts() uint64 { return s.Decided() + s.Fallback }
 
 // soloCounters is SoloStats under concurrent workers.
 type soloCounters struct {
-	correct, failed, dead, converged, fallback, instrs, peers, materialized atomic.Uint64
+	correct, failed, dead, converged, deadlock, fallback, instrs, peers, materialized atomic.Uint64
 }
 
 func (s *soloCounters) stats() SoloStats {
 	return SoloStats{Correct: s.correct.Load(), Failed: s.failed.Load(), Dead: s.dead.Load(),
-		Converged: s.converged.Load(), Fallback: s.fallback.Load(), Instrs: s.instrs.Load(),
-		Peers: s.peers.Load(), Materialized: s.materialized.Load()}
+		Converged: s.converged.Load(), Deadlock: s.deadlock.Load(), Fallback: s.fallback.Load(),
+		Instrs: s.instrs.Load(), Peers: s.peers.Load(), Materialized: s.materialized.Load()}
 }
 
 // earlyEnd is why a solo run's trigger halted the rank before its exit:
@@ -117,6 +126,11 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, end *earlyEnd) (cl
 		c.skip(from)
 	}
 	tape := c.golden.tapes[e.Rank]
+	setup := job.Setup
+	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
+		p.Starve = func(pos int) ([][]byte, bool) { return c.deps().Starved(e.Rank, pos) }
+		setup(r, m, p)
+	}
 	res := cluster.RunSolo(job, e.Rank, tape)
 	c.solo.instrs.Add(res.Instrs - from)
 	c.met.soloInstrs.Add(res.Instrs - from)
@@ -137,6 +151,11 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, end *earlyEnd) (cl
 		c.solo.fallback.Add(1)
 		c.met.soloFallback.Inc()
 		return res, false
+	case res.Hang:
+		c.solo.deadlock.Add(1)
+		c.met.soloDeadlock.Inc()
+		e.Outcome = classify.Hang
+		e.Detail = "hang: " + cluster.Deadlock
 	case res.Trap.Kind == vm.TrapExit:
 		c.solo.correct.Add(1)
 		c.met.soloCorrect.Inc()
@@ -173,16 +192,36 @@ func (c *campaignCtx) ranWhole(rank int, res *cluster.Result) {
 }
 
 // soloTapes is what the ranks of a job starting at tape positions from
-// record when rank stops at position pos of its golden tape, on it all the
-// way: its golden events up to there, and every other rank — which, proven
-// to see nothing but the golden run, was never run — all of its own.
-func soloTapes(golden []mpi.Tape, from []int, rank, pos int) []mpi.Tape {
+// record when the solo run res of rank decides it: each rank's golden
+// events up to where it stops.  The rank stops at res.Pos, on its tape all
+// the way.  Every other rank, proven to see nothing but the golden run,
+// was never run: it runs to its tape's end or, when the rank deadlocked,
+// to its cut (mpi.Deps.Cuts).
+func (c *campaignCtx) soloTapes(from []int, rank int, res cluster.SoloResult) []mpi.Tape {
+	golden := c.golden.tapes
+	var cuts []int
+	if res.Hang {
+		cuts = c.deps().Cuts(rank, res.Pos)
+	}
 	tapes := make([]mpi.Tape, len(golden))
 	for r, t := range golden {
-		tapes[r] = t[from[r]:]
+		to := len(t)
+		if cuts != nil {
+			to = cuts[r]
+		} else if r == rank {
+			to = res.Pos
+		}
+		tapes[r] = t[from[r]:to]
 	}
-	tapes[rank] = golden[rank][from[rank]:pos]
 	return tapes
+}
+
+// deps returns the golden run's happens-before index, built by the first
+// solo run that starves.
+func (c *campaignCtx) deps() *mpi.Deps {
+	g := c.golden
+	g.depsOnce.Do(func() { g.deps = mpi.NewDeps(g.tapes, g.Result.Needs) })
+	return g.deps
 }
 
 // tapeStarts returns the tape position each rank of a job restored from

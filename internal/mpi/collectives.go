@@ -36,6 +36,7 @@ func (p *Proc) barrier(ci *commInfo, m *vm.Machine) *vm.Trap {
 				q.Comm == ctx && q.Seq == epoch
 		}
 		if i := p.findStored(match); i >= 0 {
+			p.need(p.unexpected[i].at)
 			if _, _, t := p.takeStored(i, m); t != nil {
 				return t
 			}

@@ -38,6 +38,9 @@ type Request struct {
 	resSrc int32
 	resTag int32
 	resLen uint32
+	// at is where the tape pulled the packet that completed the receive
+	// (Proc.need): the rank needs it once it waits for the request.
+	at int32
 
 	// Send state (rendezvous in flight, waiting for CTS).
 	payload []byte
@@ -93,13 +96,15 @@ func (p *Proc) startRecv(m *vm.Machine, ci *commInfo, buf, limit uint32, dtype, 
 // to complete as packets arrive.
 func (p *Proc) post(r *Request, m *vm.Machine) *vm.Trap {
 	if i := p.findStored(matchEnvelope(r.src, r.tag, r.ctx)); i >= 0 {
+		at := p.unexpected[i].at
 		pkt, payload, t := p.takeStored(i, m)
 		if t != nil {
 			return t
 		}
 		if pkt.Kind != KindRTS {
-			return p.completeRecv(r, pkt, payload, m)
+			return p.completeRecv(r, pkt, payload, at, m)
 		}
+		p.need(at)
 		if t := p.grantRendezvous(r, pkt, m); t != nil {
 			return t
 		}
@@ -121,10 +126,10 @@ func (p *Proc) grantRendezvous(r *Request, rts *Packet, m *vm.Machine) *vm.Trap 
 	return nil
 }
 
-// completeRecv finishes a receive request: truncation check, buffer copy
-// and status write-back.
-func (p *Proc) completeRecv(r *Request, pkt *Packet, payload []byte, m *vm.Machine) *vm.Trap {
-	r.resSrc, r.resTag, r.resLen = pkt.Src, pkt.Tag, uint32(len(payload))
+// completeRecv finishes a receive request with a packet pulled at at:
+// truncation check, buffer copy and status write-back.
+func (p *Proc) completeRecv(r *Request, pkt *Packet, payload []byte, at int32, m *vm.Machine) *vm.Trap {
+	r.resSrc, r.resTag, r.resLen, r.at = pkt.Src, pkt.Tag, uint32(len(payload)), at
 	r.done = true
 	if r.hostMode {
 		r.hostPayload = append([]byte(nil), payload...)
@@ -176,10 +181,10 @@ func (p *Proc) startSend(m *vm.Machine, payload []byte, dst, tag, ctx, dtype int
 		if int(dst) == p.rank {
 			// Loop back through our own unexpected queue (or a posted
 			// receive) without touching the Channel.
-			if consumed, t := p.dispatch(pkt, m); t != nil {
+			if consumed, t := p.dispatch(pkt, 0, m); t != nil {
 				return nil, t
 			} else if !consumed {
-				if t := p.park(pkt, m); t != nil {
+				if t := p.park(pkt, 0, m); t != nil {
 					return nil, t
 				}
 			}
@@ -201,6 +206,7 @@ func (p *Proc) startSend(m *vm.Machine, payload []byte, dst, tag, ctx, dtype int
 	}
 	// The CTS may already be parked if another operation pulled it.
 	if i := p.findStored(func(q *Packet) bool { return q.Kind == KindCTS && q.Seq == r.seq }); i >= 0 {
+		p.need(p.unexpected[i].at)
 		if _, _, t := p.takeStored(i, m); t != nil {
 			return nil, t
 		}
@@ -223,14 +229,15 @@ func (p *Proc) finishRendezvousSend(r *Request, m *vm.Machine) *vm.Trap {
 	return nil
 }
 
-// dispatch routes an incoming packet to the pending requests.  It
-// returns true if the packet was consumed.
-func (p *Proc) dispatch(pkt *Packet, m *vm.Machine) (bool, *vm.Trap) {
+// dispatch routes an incoming packet, pulled at at, to the pending
+// requests.  It returns true if the packet was consumed.
+func (p *Proc) dispatch(pkt *Packet, at int32, m *vm.Machine) (bool, *vm.Trap) {
 	switch pkt.Kind {
 	case KindCTS:
 		for _, r := range p.pendingSends {
 			if r.seq == pkt.Seq {
 				p.pendingSends = removeReq(p.pendingSends, r)
+				p.need(at)
 				return true, p.finishRendezvousSend(r, m)
 			}
 		}
@@ -240,7 +247,7 @@ func (p *Proc) dispatch(pkt *Packet, m *vm.Machine) (bool, *vm.Trap) {
 		for _, r := range p.pendingRecvs {
 			if r.rdvActive && r.rdvSeq == pkt.Seq {
 				p.pendingRecvs = removeReq(p.pendingRecvs, r)
-				return true, p.completeRecv(r, pkt, pkt.Payload, m)
+				return true, p.completeRecv(r, pkt, pkt.Payload, at, m)
 			}
 		}
 		return false, nil
@@ -252,7 +259,7 @@ func (p *Proc) dispatch(pkt *Packet, m *vm.Machine) (bool, *vm.Trap) {
 			}
 			if matchEnvelope(r.src, r.tag, r.ctx)(pkt) {
 				p.pendingRecvs = removeReq(p.pendingRecvs, r)
-				return true, p.completeRecv(r, pkt, pkt.Payload, m)
+				return true, p.completeRecv(r, pkt, pkt.Payload, at, m)
 			}
 		}
 		return false, nil
@@ -263,6 +270,7 @@ func (p *Proc) dispatch(pkt *Packet, m *vm.Machine) (bool, *vm.Trap) {
 				continue
 			}
 			if matchEnvelope(r.src, r.tag, r.ctx)(pkt) {
+				p.need(at)
 				return true, p.grantRendezvous(r, pkt, m)
 			}
 		}
@@ -281,20 +289,21 @@ func (p *Proc) progressUntil(m *vm.Machine, reqs ...*Request) *vm.Trap {
 			if p.awaits = r.src; r.send {
 				p.awaits = r.dst
 			}
-			pkt, t := p.pull(m)
+			pkt, at, t := p.pull(m)
 			if t != nil {
 				return t
 			}
-			consumed, t := p.dispatch(pkt, m)
+			consumed, t := p.dispatch(pkt, at, m)
 			if t != nil {
 				return t
 			}
 			if !consumed {
-				if t := p.park(pkt, m); t != nil {
+				if t := p.park(pkt, at, m); t != nil {
 					return t
 				}
 			}
 		}
+		p.need(r.at)
 	}
 	return nil
 }

@@ -112,6 +112,7 @@ type Proc struct {
 	// tapeRecord; read from tapePos on, in place of the Channel, while it
 	// is tapeReplay.
 	tape     Tape
+	needs    []int32 // beside tape while recording (Needs)
 	tapeMode uint8
 	tapePos  int
 	departed bool
@@ -120,6 +121,14 @@ type Proc struct {
 	liveAt   int
 	liveMode uint8
 	liveTape Tape
+	// Starve, when set, answers a replaying rank that starves at tape
+	// position pos (replayRecv): the packets its peers still send it, and
+	// whether it can tell (Deps.Starved).  starved is set once it has
+	// answered, feed holds what is left of its packets, and blocked is set
+	// when the rank asked for more.
+	Starve           func(pos int) (feed [][]byte, ok bool)
+	starved, blocked bool
+	feed             [][]byte
 
 	errhandler uint32 // guest address of the registered error handler, 0 if none
 	inited     bool
@@ -133,6 +142,7 @@ type stored struct {
 	pkt      *Packet
 	heapAddr uint32
 	heapLen  uint32
+	at       int32 // where the tape pulled it (Proc.need)
 }
 
 // Proc returns the per-rank runtime state.
@@ -194,15 +204,10 @@ func (p *Proc) sendPacket(pkt *Packet, m *vm.Machine) *vm.Trap {
 }
 
 // receive blocks for the next raw packet: from the Channel, or — a
-// replaying rank — from its tape, as a copy, because the parsed payload
-// aliases the bytes and concurrent replays share the tape.
+// replaying rank — from its tape (replayRecv).
 func (p *Proc) receive(m *vm.Machine) ([]byte, *vm.Trap) {
 	if p.replaying() {
-		ev, t := p.replay(m, TapeRecv, 0, nil)
-		if t != nil {
-			return nil, t
-		}
-		return append([]byte(nil), ev.Data...), nil
+		return p.replayRecv(m)
 	}
 	raw, alive := p.head()
 	if !alive {
@@ -236,15 +241,20 @@ func (p *Proc) dequeue() {
 }
 
 // pull blocks for the next raw packet, applies the injection hook, parses,
-// validates and accounts for it.  A validation failure is a fatal
-// MPICH-level error (Crash manifestation); a starved frame (length field
-// beyond the framed bytes) silently drops the packet, which eventually
-// surfaces as a Hang.
-func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
+// validates and accounts for it, and returns it with where the rank's tape
+// recorded it (Proc.need).  A validation failure is a fatal MPICH-level
+// error (Crash manifestation); a starved frame (length field beyond the
+// framed bytes) silently drops the packet, which eventually surfaces as a
+// Hang.
+func (p *Proc) pull(m *vm.Machine) (*Packet, int32, *vm.Trap) {
 	for {
 		raw, t := p.receive(m)
 		if t != nil {
-			return nil, t
+			return nil, 0, t
+		}
+		var at int32
+		if p.tapeMode == tapeRecord {
+			at = int32(len(p.tape))
 		}
 
 		// §3.3: the injection point — after the Channel recv, before
@@ -258,7 +268,7 @@ func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
 
 		pkt, drop, err := ParsePacket(raw, p.rank, p.w.Size)
 		if err != nil {
-			return nil, &vm.Trap{
+			return nil, 0, &vm.Trap{
 				Kind: vm.TrapMPIFatal, PC: m.PC,
 				Msg: "ch_p4 protocol failure: " + err.Error(),
 			}
@@ -267,14 +277,14 @@ func (p *Proc) pull(m *vm.Machine) (*Packet, *vm.Trap) {
 			continue
 		}
 		p.Stats.account(pkt)
-		return pkt, nil
+		return pkt, at, nil
 	}
 }
 
-// park stores an unmatched packet on the unexpected queue, buffering any
-// payload into an MPI-tagged guest heap chunk.
-func (p *Proc) park(pkt *Packet, m *vm.Machine) *vm.Trap {
-	s := &stored{pkt: pkt}
+// park stores an unmatched packet, pulled at at, on the unexpected queue,
+// buffering any payload into an MPI-tagged guest heap chunk.
+func (p *Proc) park(pkt *Packet, at int32, m *vm.Machine) *vm.Trap {
+	s := &stored{pkt: pkt, at: at}
 	if n := uint32(len(pkt.Payload)); n > 0 {
 		addr := m.Heap.Alloc(n, abi.ChunkMPI)
 		if addr == 0 {
@@ -329,21 +339,22 @@ func (p *Proc) findStored(match matchFn) int {
 // unexpected queue.
 func (p *Proc) waitMatch(match matchFn, m *vm.Machine) (*Packet, *vm.Trap) {
 	for {
-		pkt, t := p.pull(m)
+		pkt, at, t := p.pull(m)
 		if t != nil {
 			return nil, t
 		}
 		if match(pkt) {
+			p.need(at)
 			return pkt, nil
 		}
-		consumed, t := p.dispatch(pkt, m)
+		consumed, t := p.dispatch(pkt, at, m)
 		if t != nil {
 			return nil, t
 		}
 		if consumed {
 			continue
 		}
-		if t := p.park(pkt, m); t != nil {
+		if t := p.park(pkt, at, m); t != nil {
 			return nil, t
 		}
 	}

@@ -180,7 +180,7 @@ func (p *Proc) Snapshot() *ProcSnapshot {
 // tape: the same runtime state, compared in Snapshot's canonical form,
 // and the same inputs from here on.
 func (p *Proc) Matches(ps *ProcSnapshot, pos int) bool {
-	return p.tapeMode == tapeReplay && !p.departed && p.tapePos == pos && reflect.DeepEqual(p.Snapshot(), ps)
+	return p.tapeMode == tapeReplay && !p.departed && !p.starved && p.tapePos == pos && reflect.DeepEqual(p.Snapshot(), ps)
 }
 
 // Restore rebuilds the rank's runtime state from a snapshot.  Call on a

@@ -88,6 +88,19 @@ func (p *Proc) Tape() Tape {
 	return p.tape
 }
 
+// Needs returns, beside Tape, where the rank needed each packet it pulled:
+// for the TapeRecv at i, the position of the first event it could not have
+// recorded without the packet — where it waited for it, or answered it (an
+// RTS with a CTS, a CTS with the data) — and 0 when it never needed it, or
+// pulled it before it rejoined (Rejoin).  A packet pulled while the rank
+// waited for another is needed later, or never.
+func (p *Proc) Needs() []int32 {
+	if p.tapeMode != tapeRecord {
+		return nil
+	}
+	return p.needs
+}
+
 // NewReplayProc returns rank's runtime state for a world of size ranks in
 // which it is the only rank that exists: the tape, from event pos on,
 // stands in for the Channel, the job's files and the world's context
@@ -132,18 +145,26 @@ func (p *Proc) replaying() bool {
 		return true
 	}
 	p.tapeMode, p.tape = p.liveMode, p.liveTape
+	p.needs = make([]int32, len(p.tape))
 	return false
 }
 
 // Replayed reports how a replaying rank stands against its tape: left is
 // the number of recorded events it has not reached, departed whether it
-// did something the recorded run did not.
+// did something the recorded run did not — once it has starved, anything
+// but blocking for good (Blocked).
 func (p *Proc) Replayed() (left int, departed bool) {
-	return len(p.tape) - p.tapePos, p.departed
+	return len(p.tape) - p.tapePos, p.departed || p.starved && !p.blocked
 }
+
+// Blocked reports whether a replaying rank starved and then, with every
+// packet Starve fed it taken and nothing said, asked for another: it is
+// blocked for good, and the job deadlocks (deps.go).
+func (p *Proc) Blocked() bool { return p.blocked }
 
 func (p *Proc) record(m *vm.Machine, kind TapeKind, arg, ret int32, data []byte) {
 	p.tape = append(p.tape, TapeEvent{Kind: kind, Arg: arg, Ret: ret, Instrs: m.Instrs, Data: data})
+	p.needs = append(p.needs, 0)
 }
 
 // replay steps over the tape's next event if it is this crossing: the same
@@ -151,7 +172,7 @@ func (p *Proc) record(m *vm.Machine, kind TapeKind, arg, ret int32, data []byte)
 // same bytes.  Anything else — the tape's end included — is a departure,
 // which stops the rank.
 func (p *Proc) replay(m *vm.Machine, kind TapeKind, arg int32, data []byte) (*TapeEvent, *vm.Trap) {
-	if p.tapePos < len(p.tape) {
+	if p.tapePos < len(p.tape) && !p.starved {
 		ev := &p.tape[p.tapePos]
 		if ev.Kind == kind && ev.Arg == arg && (kind == TapeRecv || bytes.Equal(ev.Data, data)) {
 			p.tapePos++
@@ -160,6 +181,42 @@ func (p *Proc) replay(m *vm.Machine, kind TapeKind, arg int32, data []byte) (*Ta
 	}
 	p.departed = true
 	return nil, &vm.Trap{Kind: vm.TrapKilled, PC: m.PC, Msg: "departed from the recorded run"}
+}
+
+// replayRecv is receive for a replaying rank: the tape's next packet, as a
+// copy, because the parsed payload aliases the bytes and concurrent
+// replays share the tape.  A rank that asks where the tape's next event is
+// an output, or its end, starves: it is fed what Starve says its peers
+// still send it, and once that is spent it is killed where it waits, as
+// the job's deadlock verdict kills it.  Without Starve, or when Starve
+// cannot tell, starving departs.
+func (p *Proc) replayRecv(m *vm.Machine) ([]byte, *vm.Trap) {
+	if !p.starved && p.Starve != nil && (p.tapePos == len(p.tape) || p.tape[p.tapePos].Kind != TapeRecv) {
+		p.feed, p.starved = p.Starve(p.tapePos)
+	}
+	if !p.starved {
+		ev, t := p.replay(m, TapeRecv, 0, nil)
+		if t != nil {
+			return nil, t
+		}
+		return append([]byte(nil), ev.Data...), nil
+	}
+	if len(p.feed) == 0 {
+		p.blocked = true
+		return nil, killedTrap(m)
+	}
+	raw := p.feed[0]
+	p.feed = p.feed[1:]
+	return append([]byte(nil), raw...), nil
+}
+
+// need marks the packet the tape pulled at position at-1 as needed from
+// here on (Needs), if nothing has yet; at is 0 for a packet no tape
+// recorded.
+func (p *Proc) need(at int32) {
+	if at > 0 && p.tapeMode == tapeRecord && p.needs[at-1] == 0 {
+		p.needs[at-1] = int32(len(p.tape))
+	}
 }
 
 // TapeOutput passes something the rank emits through its tape.  live

@@ -134,7 +134,7 @@ func TestTapeDepartures(t *testing.T) {
 	t.Run("pull past the end returns at once", func(t *testing.T) {
 		p := NewReplayProc(2, Config{}, 0, nil, 0)
 		done := make(chan *vm.Trap, 1)
-		go func() { _, tr := p.pull(&vm.Machine{}); done <- tr }()
+		go func() { _, _, tr := p.pull(&vm.Machine{}); done <- tr }()
 		select {
 		case tr := <-done:
 			if tr == nil || tr.Kind != vm.TrapKilled {

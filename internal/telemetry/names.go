@@ -104,8 +104,9 @@ func OutcomeMetric(outcome string) string {
 }
 
 // SoloMetric names the counter of experiments run on their injected rank
-// alone that ended with the given verdict: "correct" or "failed" (decided
-// there), or "fallback" (re-run as a whole job, its peers ghosts).
+// alone that ended with the given verdict: "correct", "failed" or
+// "deadlock" (decided there), or "fallback" (re-run as a whole job, its
+// peers ghosts).
 func SoloMetric(verdict string) string {
 	return "mpifault_solo_experiments_total{verdict=" + strconv.Quote(verdict) + "}"
 }

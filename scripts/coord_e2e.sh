@@ -25,7 +25,8 @@
 #   APP       guest application            (default wavetoy)
 #   N         injections per region        (default 60)
 #   SEED      campaign seed                (default 7)
-#   KILL_AT   results ingested before the SIGKILL (default 8)
+#   KILL_AT   results ingested before the victim is stopped, to be
+#             SIGKILLed once /status shows it holding a lease (default 8)
 #   ADAPTIVE_D, ADAPTIVE_REGIONS, ADAPTIVE_ROUND   the adaptive leg's
 #             stopping target, regions and round size (default 0.08,
 #             reg,heap and 16: message-free, so the leg is a dozen or so
@@ -92,10 +93,13 @@ echo "reference golden trace: $(cat "$WORK/trace.json")"
 
 # cluster LEG COORD_FLAGS...: a coordinator with the given campaign flags
 # plus three workers, one SIGKILLed once KILL_AT results are in.  The
-# victim starts alone and the survivors join after the kill, so it dies
-# holding a lease and cannot be outrun to the end of a short campaign
-# between two polls.  Leaves $WORK/LEG.csv (the coordinator's final CSV),
-# $WORK/LEG.spool and the survivors' stderr in $WORK/LEG.w2.log and
+# victim starts alone and the survivors join after the kill.  Once KILL_AT
+# results are in it is SIGSTOPped and /status read: it is SIGKILLed if it
+# holds a lease, and let go on (SIGCONT) to be caught again if not — so it
+# dies holding a lease, and a survivor must steal it: the leg fails if the
+# campaign ends with no lease stolen.  Leaves $WORK/LEG.csv (the
+# coordinator's final CSV), $WORK/LEG.spool, the coordinator's stderr in
+# $WORK/LEG.coord.log and the survivors' in $WORK/LEG.w2.log and
 # $WORK/LEG.w3.log.
 cluster() {
 	leg=$1
@@ -105,7 +109,7 @@ cluster() {
 	"$FAULTCOORD" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
 		-app "$APP" -seed "$SEED" "$@" \
 		-lease-size 8 -lease-ttl 2s -dir "$WORK/$leg.spool" \
-		-wait -out "$WORK/$leg.csv" -status 5s &
+		-wait -out "$WORK/$leg.csv" -status 5s 2>"$WORK/$leg.coord.log" &
 	COORD=$!
 	PIDS="$COORD"
 
@@ -125,13 +129,20 @@ cluster() {
 	VICTIM=$!
 	PIDS="$COORD $VICTIM"
 
-	echo "== $leg: waiting for $KILL_AT ingested results, then SIGKILL the victim =="
+	echo "== $leg: waiting for $KILL_AT ingested results, then SIGKILL the victim holding a lease =="
 	i=0
 	while :; do
 		got=$(curl -fsS "$URL/status" 2>/dev/null \
 			| grep -o '"results_ingested":[0-9]*' | cut -d: -f2 || echo 0)
 		if [ "${got:-0}" -ge "$KILL_AT" ]; then
-			break
+			kill -STOP "$VICTIM"
+			sleep 0.2 # let a request the victim had sent land first
+			lease=$(curl -fsS "$URL/status" 2>/dev/null \
+				| grep -o '"name":"victim","lease":-*[0-9]*' | cut -d: -f3 || echo -1)
+			if [ "${lease:--1}" -ge 0 ]; then
+				break
+			fi
+			kill -CONT "$VICTIM"
 		fi
 		if ! kill -0 "$COORD" 2>/dev/null; then
 			echo "FAIL: the coordinator exited before the kill (campaign over at ${got:-0} results?)" >&2
@@ -145,7 +156,7 @@ cluster() {
 		sleep 0.1
 	done
 	kill -9 "$VICTIM"
-	echo "victim SIGKILLed at ${got} results"
+	echo "victim SIGKILLed at ${got} results, holding lease $lease"
 
 	# w2 and w3 run chatty with captured stderr: their "golden trace
 	# digest" lines are the cross-machine trace-identity assertion below.
@@ -165,8 +176,14 @@ cluster() {
 	kill "$W2" "$W3" 2>/dev/null || true
 	wait "$W2" 2>/dev/null || true
 	wait "$W3" 2>/dev/null || true
+	cat "$WORK/$leg.coord.log" >&2
 	if [ "$COORD_STATUS" -ne 0 ]; then
 		echo "FAIL: coordinator exited $COORD_STATUS" >&2
+		exit 1
+	fi
+	stolen=$(grep -o '([0-9]* stolen)' "$WORK/$leg.coord.log" | tr -dc '0-9')
+	if [ "${stolen:-0}" -eq 0 ]; then
+		echo "FAIL: the campaign ended with no lease stolen from the dead victim" >&2
 		exit 1
 	fi
 }

@@ -45,7 +45,7 @@ begin "LOC ceiling"
 # benchmark/ may shrink but not grow past what the last PR landed at.  A
 # PR that must add lines deletes as many, or raises the constant and says
 # why in CHANGES.md.
-LOC_CEILING=21491
+LOC_CEILING=21860
 loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 if [ "$loc" -gt "$LOC_CEILING" ]; then
 	echo "non-test Go outside benchmark/ is $loc lines; the ceiling is $LOC_CEILING" >&2
