@@ -61,13 +61,14 @@
 // its tapes) as one JSON line, which CI compares across shard legs and
 // coordinator workers.
 //
-// Golden-run checkpointing is on by default: the golden run takes a
-// consistent snapshot of the cluster as it runs, at most every
-// -checkpoint-interval retired instructions (a floor: past 32 of them it
-// keeps every other one and doubles the spacing), and each
-// experiment starts from the latest snapshot at least 64 instructions
-// (the flight recorder's depth) before its injection instead of from
-// t=0.  A fixed-seed campaign produces
+// Golden-run checkpointing is on by default: the golden run snapshots
+// each rank as it runs, every -checkpoint-interval of that rank's own
+// retired instructions (a floor: past 32 of them it keeps every other one
+// and doubles the spacing), without changing its schedule, and each
+// experiment starts its injected rank from the latest snapshot of it at
+// least 64 instructions (the flight recorder's depth) before its injection
+// instead of from t=0; a job re-run whole starts its other ranks at t=0 as
+// ghosts of the golden run.  A fixed-seed campaign produces
 // byte-identical tables, CSV and journals with checkpointing on or off —
 // it is purely a wall-clock optimization, for -adaptive rounds and a
 // -worker's leases too.  -checkpoint-interval 0 disables it.
@@ -217,7 +218,7 @@ func run() int {
 	traceDiff := flag.Bool("trace-diff", false, "localize Incorrect/Hang/Crash outcomes by the first divergence of their ranks' outputs from the golden run's tapes")
 	traceOut := flag.String("trace-out", "", "write the golden run's trace identity (app, seed, rank/message counts, hash of its tapes) as JSON to this file (requires a single -app)")
 	statusEvery := flag.Duration("status", 0, "print a one-line campaign status to stderr at this interval (e.g. 2s; 0 = off)")
-	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "least golden-run instructions between the snapshots the golden run takes of itself; experiments start from the latest one before their trigger (0 = always start from t=0)")
+	ckptInterval := flag.Uint64("checkpoint-interval", core.DefaultCheckpointInterval, "least spacing, in a rank's own retired instructions, of the snapshots the golden run takes of each rank; experiments start their injected rank from the latest one before their trigger (0 = always start from t=0)")
 	workerURL := flag.String("worker", "", "run as a lease-pulling worker for the faultcoord coordinator at this URL; the campaign spec comes from the coordinator")
 	workerName := flag.String("worker-name", "", "worker identity in the coordinator's cluster view (default host-pid)")
 	adaptive := flag.Bool("adaptive", false, "adaptive sequential stopping: run each region in deterministic rounds and stop once its Wilson CI half-width reaches -d, instead of the fixed worst-case -n everywhere")

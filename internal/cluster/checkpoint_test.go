@@ -10,81 +10,104 @@ import (
 	"mpifault/internal/asm"
 	"mpifault/internal/isa"
 	"mpifault/internal/mpi"
+	"mpifault/internal/telemetry"
 )
 
-// A job's snapshots are tested as what they are: cuts of the run its tapes
-// record.
+// A job's snapshots are tested as what they are: each rank's state at its
+// own clocks, in the run its tapes record, which taking them leaves as it
+// is.
 
-// checkCuts holds every snapshot of res against res.Tapes: a cut is
-// consistent when no rank had pulled a packet its sender had not yet sent,
-// and complete when each queue holds exactly what was sent and not pulled,
-// in the order the rank went on to pull it.
-func checkCuts(t *testing.T, res *Result) {
+// snapshotting runs job twice with tapes and metrics, with spec's
+// snapshots and without, requires the two runs to be one — the same
+// verdict, outputs, tapes, need points and schedule — and returns the one
+// that took them.
+func snapshotting(t *testing.T, job Job, spec CheckpointSpec) *Result {
 	t.Helper()
-	n := len(res.Tapes)
-	for k, s := range res.Snapshots {
-		pos := func(r int) int { return s.Ranks[r].TapePos }
-		for r := range res.Tapes {
-			if s.Ranks[r].Finished && pos(r) != len(res.Tapes[r]) {
-				t.Fatalf("snapshot %d: rank %d had finished at tape position %d of %d", k, r, pos(r), len(res.Tapes[r]))
+	run := func(spec CheckpointSpec) (*Result, telemetry.Snapshot) {
+		reg := telemetry.New()
+		job.RecordTapes, job.Checkpoints, job.Metrics = true, spec, reg
+		return Run(job), reg.Snapshot()
+	}
+	res, metrics := run(spec)
+	plain, plainMetrics := run(CheckpointSpec{})
+	if outcome(res) != outcome(plain) || !bytes.Equal(res.CanonicalOutput(), plain.CanonicalOutput()) {
+		t.Fatalf("taking snapshots changed the run:\n%s--- without:\n%s", outcome(res), outcome(plain))
+	}
+	if !reflect.DeepEqual(res.Tapes, plain.Tapes) || !reflect.DeepEqual(res.Needs, plain.Needs) {
+		t.Fatal("taking snapshots changed the recorded tapes")
+	}
+	if !reflect.DeepEqual(metrics, plainMetrics) {
+		t.Fatalf("taking snapshots changed the schedule:\n%+v\n--- without:\n%+v", metrics, plainMetrics)
+	}
+	checkClocks(t, res, spec)
+	return res
+}
+
+// checkClocks holds every rank's snapshots to the rule: they are at the
+// multiples of one spacing, the interval doubled as often as the cap
+// made it, from the first up to the rank's end with none left out; and
+// each stands after exactly the tape events its rank had recorded by then.
+func checkClocks(t *testing.T, res *Result, spec CheckpointSpec) {
+	t.Helper()
+	for r, snaps := range res.Snapshots {
+		end := res.Ranks[r].Instrs
+		if len(snaps) == 0 {
+			if end > spec.Interval {
+				t.Errorf("rank %d ran %d instructions and took no snapshot at interval %d", r, end, spec.Interval)
 			}
+			continue
 		}
-		sent := make([][][]byte, n*n) // [src*n+dst], in src's program order
-		for src, tape := range res.Tapes {
-			for _, ev := range tape[:pos(src)] {
-				if ev.Kind == mpi.TapeSend {
-					sent[src*n+int(ev.Arg)] = append(sent[src*n+int(ev.Arg)], ev.Data)
-				}
-			}
+		spacing := snaps[0].Instrs()
+		if spacing%spec.Interval != 0 || spacing/spec.Interval&(spacing/spec.Interval-1) != 0 {
+			t.Errorf("rank %d's first snapshot is at %d, not at the interval %d doubled", r, spacing, spec.Interval)
 		}
-		for d, tape := range res.Tapes {
-			for i, ev := range tape[:pos(d)] {
-				if ev.Kind != mpi.TapeRecv {
-					continue
-				}
-				q := &sent[mpi.RawSource(ev.Data)*n+d]
-				if len(*q) == 0 || !bytes.Equal((*q)[0], ev.Data) {
-					t.Fatalf("snapshot %d: rank %d's event %d pulls a packet rank %d had not sent at its cut",
-						k, d, i, mpi.RawSource(ev.Data))
-				}
-				*q = (*q)[1:]
+		if spec.Max > 0 && len(snaps) > spec.Max {
+			t.Errorf("rank %d kept %d snapshots, over the cap %d", r, len(snaps), spec.Max)
+		}
+		if next := uint64(len(snaps)+1) * spacing; next < end {
+			t.Errorf("rank %d's %d snapshots %d apart stop before its clock %d reached %d", r, len(snaps), spacing, end, next)
+		}
+		tape := res.Tapes[r]
+		for k := range snaps {
+			s := &snaps[k]
+			if s.Instrs() != uint64(k+1)*spacing {
+				t.Fatalf("rank %d's snapshot %d is at clock %d, want %d", r, k, s.Instrs(), uint64(k+1)*spacing)
 			}
-			var later [][]byte // what d pulls after the cut
-			for _, ev := range tape[pos(d):] {
-				if ev.Kind == mpi.TapeRecv {
-					later = append(later, ev.Data)
-				}
+			pos := 0
+			for pos < len(tape) && tape[pos].Instrs < s.Instrs() {
+				pos++
 			}
-			inFlight := 0
-			for src := 0; src < n; src++ {
-				inFlight += len(sent[src*n+d])
-			}
-			if len(s.Queues[d]) != inFlight || len(later) < inFlight ||
-				inFlight > 0 && !reflect.DeepEqual(s.Queues[d], later[:inFlight]) {
-				t.Fatalf("snapshot %d: rank %d's queue holds %d packets; %d were in flight to it, of the %d it pulls later",
-					k, d, len(s.Queues[d]), inFlight, len(later))
+			if s.TapePos != pos {
+				t.Errorf("rank %d's snapshot at clock %d stands after %d tape events, want the %d recorded before it",
+					r, s.Instrs(), s.TapePos, pos)
 			}
 		}
 	}
 }
 
-// checkRestores runs the job again from each snapshot of res: every one
-// must end as res did, rank for rank.
+// checkRestores restores every rank from each of its snapshots, alone
+// against its tape and as the one rank that executes in a job of ghosts
+// (haunted): every run must end as res did.
 func checkRestores(t *testing.T, job Job, res *Result) {
 	t.Helper()
 	job.Checkpoints = CheckpointSpec{}
-	for k, s := range res.Snapshots {
-		job.Restore = s
-		got := Run(job)
-		if outcome(got) != outcome(res) || !bytes.Equal(got.CanonicalOutput(), res.CanonicalOutput()) {
-			t.Fatalf("restored from snapshot %d:\n%s--- from t=0:\n%s", k, outcome(got), outcome(res))
+	for r, snaps := range res.Snapshots {
+		for k := range snaps {
+			solo := job
+			solo.Budget = res.Ranks[r].Instrs + 1
+			got := RunSolo(solo, r, res.Tapes[r], &snaps[k])
+			if got.Trap == nil || *got.Trap != *res.Ranks[r].Trap || got.Instrs != res.Ranks[r].Instrs || got.Pos != len(res.Tapes[r]) {
+				t.Fatalf("rank %d alone from its snapshot %d ends %v at %d, event %d; the recorded run %v at %d, event %d",
+					r, k, got.Trap, got.Instrs, got.Pos, res.Ranks[r].Trap, res.Ranks[r].Instrs, len(res.Tapes[r]))
+			}
+			haunted(t, job, r, res, &snaps[k])
 		}
 	}
 }
 
-// TestSnapshotsAreConsistentCuts: every snapshot the three applications
-// take of themselves, at 8 and 16 ranks.
-func TestSnapshotsAreConsistentCuts(t *testing.T) {
+// TestSnapshotsAtOwnClocks: the three applications at 8 and 16 ranks take
+// their snapshots at their own clocks, without changing the run.
+func TestSnapshotsAtOwnClocks(t *testing.T) {
 	for _, tc := range []struct {
 		app   string
 		ranks int
@@ -106,17 +129,14 @@ func TestSnapshotsAreConsistentCuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Run(Job{Image: im, Size: tc.ranks, RecordTapes: true, Checkpoints: CheckpointSpec{Interval: 12_500, Max: 32}})
+		res := snapshotting(t, Job{Image: im, Size: tc.ranks}, CheckpointSpec{Interval: 12_500, Max: 32})
 		if res.FailureSummary() != "" {
 			t.Fatalf("%s/%d failed:\n%s", tc.app, tc.ranks, outcome(res))
 		}
-		if len(res.Snapshots) < 8 {
-			t.Fatalf("%s/%d: %d snapshots", tc.app, tc.ranks, len(res.Snapshots))
-		}
-		checkCuts(t, res)
-		if plain := Run(Job{Image: im, Size: tc.ranks}); outcome(plain) != outcome(res) ||
-			!bytes.Equal(plain.CanonicalOutput(), res.CanonicalOutput()) {
-			t.Fatalf("%s/%d: taking snapshots changed the run:\n%s--- without:\n%s", tc.app, tc.ranks, outcome(res), outcome(plain))
+		for r, snaps := range res.Snapshots {
+			if len(snaps) < 2 {
+				t.Fatalf("%s/%d: rank %d took %d snapshots", tc.app, tc.ranks, r, len(snaps))
+			}
 		}
 	}
 }
@@ -138,39 +158,41 @@ func pingPong(m *asm.Module, f *asm.Func, rounds, work0, work1 int32) {
 	f.Label(done)
 }
 
-// TestSnapshotRule drives the parking rule through the shapes that decide
-// it.  Each job must end as it does without snapshots, every snapshot must
-// be a consistent cut, and a job restored from any must end the same.
+// TestSnapshotRule drives the rule through schedules in which the ranks'
+// clocks part ways.  Each job must be the one it is without snapshots,
+// every snapshot at its rank's clocks, and every rank restored from any of
+// them must end as it did.
 func TestSnapshotRule(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		size  int
 		depth int
 		spec  CheckpointSpec
-		want  int // snapshots at least
 		body  func(m *asm.Module, f *asm.Func)
-		// first says whether the first snapshot shows the shape was met.
-		first func(s *Snapshot) bool
+		// shape says whether the snapshots show the shape was met.
+		shape func(res *Result) bool
 	}{
 		{
 			// Rank 1's clock falls ever further behind rank 0's, by more per
-			// exchange than it computes between two: it never gets one
-			// spacing on by itself, and parks where rank 0's parking holds it.
-			name: "skew beyond the exchange period", size: 2, spec: CheckpointSpec{Interval: 4000}, want: 5,
+			// exchange than it computes between two: rank 0 snapshots many
+			// times in the span rank 1 snapshots once.
+			name: "skew beyond the exchange period", size: 2, spec: CheckpointSpec{Interval: 4000},
 			body: func(m *asm.Module, f *asm.Func) {
 				initRank(m, f)
 				pingPong(m, f, 40, 300, 2)
 				f.CallArgs("MPI_Finalize")
 			},
-			first: func(s *Snapshot) bool { return s.RankInstrs(0) >= 4000 && s.RankInstrs(1) < 400 },
+			shape: func(res *Result) bool {
+				return len(res.Snapshots[0]) >= 5 && len(res.Snapshots[1]) < len(res.Snapshots[0])/2
+			},
 		},
 		{
-			// Rank 0 streams packets into a one-slot queue whose owner is
-			// parked mid-computation, and is itself what the receiver waits
-			// for later.  The blocked sender gets the receiver released; the
-			// queue needs no slack.
-			name: "sender blocked on a parked receiver's full queue", size: 2, depth: 1,
-			spec: CheckpointSpec{Interval: 3000}, want: 2,
+			// Rank 0 streams packets into the one-slot queue of rank 1,
+			// which computes first: rank 1 snapshots before its first pull,
+			// with the packets still in flight, and rank 0 only once its
+			// sends are through.
+			name: "sender blocked on a computing receiver's full queue", size: 2, depth: 1,
+			spec: CheckpointSpec{Interval: 3000},
 			body: func(m *asm.Module, f *asm.Func) {
 				initRank(m, f)
 				onRank(f, 0, func() {
@@ -189,14 +211,16 @@ func TestSnapshotRule(t *testing.T) {
 				})
 				f.CallArgs("MPI_Finalize")
 			},
-			// Rank 0 is held inside its second send until rank 1 pulls.
-			first: func(s *Snapshot) bool { return s.RankInstrs(0) < 3000 && len(s.Queues[1]) == 1 },
+			shape: func(res *Result) bool {
+				s0, s1 := res.Snapshots[0], res.Snapshots[1]
+				return len(s0) > 0 && len(s1) > 0 && s1[0].TapePos <= firstEvent(t, res.Tapes[1], func(i int) bool { return res.Tapes[1][i].Kind == mpi.TapeRecv }) &&
+					s0[0].TapePos > lastEvent(t, res.Tapes[0], dataTo(1))
+			},
 		},
 		{
-			// Rank 0 parks in the middle of its first loop; rank 1 then
-			// wakes rank 2, which runs to its exit while rank 0 is held.  The
-			// snapshot waits for no finished rank and carries its end.
-			name: "a rank exits while another is parked", size: 3, spec: CheckpointSpec{Interval: 3000}, want: 3,
+			// Rank 2 exits after a few hundred instructions: it takes no
+			// snapshot, and the others take theirs after its end.
+			name: "a rank exits before its peers' first snapshot", size: 3, spec: CheckpointSpec{Interval: 3000},
 			body: func(m *asm.Module, f *asm.Func) {
 				initRank(m, f)
 				onRank(f, 2, func() {
@@ -209,47 +233,53 @@ func TestSnapshotRule(t *testing.T) {
 				onRank(f, 1, func() { spin(f, 700); send(f, 2) })
 				pingPong(m, f, 6, 700, 500)
 			},
-			first: func(s *Snapshot) bool {
-				return !s.RankLive(2) && s.RankInstrs(2) < 1000 && s.RankInstrs(0) == 3000 && s.RankInstrs(1) == 3000
+			shape: func(res *Result) bool {
+				return len(res.Snapshots[2]) == 0 && res.Ranks[2].Instrs < 1000 &&
+					len(res.Snapshots[0]) >= 3 && len(res.Snapshots[1]) >= 3
 			},
 		},
 		{
-			// No syscall after the first spacing but the exit: ranks park
-			// where their machines stop, in the middle of the computation.
-			name: "no syscall after the threshold", size: 2, spec: CheckpointSpec{Interval: 3000}, want: 3,
+			// No syscall after the first spacing but the exit: the ranks
+			// snapshot in the middle of the computation.
+			name: "no syscall after the threshold", size: 2, spec: CheckpointSpec{Interval: 3000},
 			body: func(m *asm.Module, f *asm.Func) {
 				initRank(m, f)
 				spin(f, 4000)
 			},
-			first: func(s *Snapshot) bool { return s.RankInstrs(0) == 3000 && s.RankInstrs(1) == 3000 },
+			shape: func(res *Result) bool {
+				for r, snaps := range res.Snapshots {
+					if len(snaps) < 3 || snaps[0].TapePos != len(res.Tapes[r]) {
+						return false
+					}
+				}
+				return true
+			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			im := buildProgram(t, tc.body)
-			job := Job{Image: im, Size: tc.size, MPIConfig: mpi.Config{QueueDepth: tc.depth},
-				RecordTapes: true, Checkpoints: tc.spec}
-			res := repeatVerdict(t, func() Job { return job })
-			if plain := Run(Job{Image: im, Size: tc.size, MPIConfig: job.MPIConfig}); outcome(plain) != outcome(res) {
-				t.Fatalf("taking snapshots changed the run:\n%s--- without:\n%s", outcome(res), outcome(plain))
+			job := Job{Image: im, Size: tc.size, MPIConfig: mpi.Config{QueueDepth: tc.depth}, Budget: 1_000_000}
+			res := snapshotting(t, job, tc.spec)
+			mustExitClean(t, res)
+			if !tc.shape(res) {
+				var clocks [][]uint64
+				for _, snaps := range res.Snapshots {
+					var at []uint64
+					for k := range snaps {
+						at = append(at, snaps[k].Instrs())
+					}
+					clocks = append(clocks, at)
+				}
+				t.Errorf("the snapshots, at clocks %v, are not of the shape under test", clocks)
 			}
-			if res.FailureSummary() != "" {
-				t.Fatalf("the job failed:\n%s", outcome(res))
-			}
-			if len(res.Snapshots) < tc.want {
-				t.Fatalf("%d snapshots, want at least %d", len(res.Snapshots), tc.want)
-			}
-			if s := res.Snapshots[0]; !tc.first(s) {
-				t.Errorf("the first snapshot, at clocks %d and %d with %d and %d packets queued, is not of the shape under test",
-					s.RankInstrs(0), s.RankInstrs(1), len(s.Queues[0]), len(s.Queues[1]))
-			}
-			checkCuts(t, res)
 			checkRestores(t, job, res)
 		})
 	}
 }
 
-// TestSnapshotCap: a run long enough for four times the cap keeps no more
-// than the cap, evenly spread, the last one in the run's last quarter.
+// TestSnapshotCap: a rank that runs long enough for four times the cap
+// keeps no more than the cap, at the multiples of a doubled spacing, the
+// last one in its run's last quarter.
 func TestSnapshotCap(t *testing.T) {
 	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
 		initRank(m, f)
@@ -257,33 +287,24 @@ func TestSnapshotCap(t *testing.T) {
 		f.CallArgs("MPI_Finalize")
 	})
 	const max = 8
-	job := Job{Image: im, Size: 2, RecordTapes: true, Checkpoints: CheckpointSpec{Interval: 2000, Max: max}}
-	res := Run(job)
+	job := Job{Image: im, Size: 2, Budget: 1_000_000}
+	uncapped := snapshotting(t, job, CheckpointSpec{Interval: 2000})
+	res := snapshotting(t, job, CheckpointSpec{Interval: 2000, Max: max})
 	mustExitClean(t, res)
-	total := res.Ranks[0].Instrs
-	if uncapped := Run(Job{Image: im, Size: 2, Checkpoints: CheckpointSpec{Interval: 2000}}); len(uncapped.Snapshots) < 3*max {
-		t.Fatalf("the run takes %d snapshots uncapped: too short to test a cap of %d", len(uncapped.Snapshots), max)
-	}
-	n := len(res.Snapshots)
-	if n > max || n < max/2 {
-		t.Fatalf("%d snapshots kept, want between %d and the cap %d", n, max/2, max)
-	}
-	var at []uint64
-	for _, s := range res.Snapshots {
-		at = append(at, s.RankInstrs(0))
-	}
-	if last := at[n-1]; last < total*3/4 {
-		t.Errorf("the last snapshot is at %d of %d instructions, want it past three quarters: %v", last, total, at)
-	}
-	// Evenly: no gap, the run's two ends included, is over twice the mean.
-	mean := total / uint64(n+1)
-	prev := uint64(0)
-	for _, clock := range append(at, total) {
-		if clock-prev > 2*mean {
-			t.Errorf("a gap of %d instructions among snapshots %v of a %d-instruction run (mean %d)", clock-prev, at, total, mean)
+	for r, snaps := range res.Snapshots {
+		if n := len(uncapped.Snapshots[r]); n < 3*max {
+			t.Fatalf("rank %d takes %d snapshots uncapped: too short to test a cap of %d", r, n, max)
 		}
-		prev = clock
+		n := len(snaps)
+		if n > max || n < max/2 {
+			t.Fatalf("rank %d kept %d snapshots, want between %d and the cap %d", r, n, max/2, max)
+		}
+		if spacing := snaps[0].Instrs(); spacing < 4*2000 {
+			t.Errorf("rank %d's spacing is %d after its run outgrew the cap twice", r, spacing)
+		}
+		if last, total := snaps[n-1].Instrs(), res.Ranks[r].Instrs; last < total*3/4 {
+			t.Errorf("rank %d's last snapshot is at %d of %d instructions, want it past three quarters", r, last, total)
+		}
 	}
-	checkCuts(t, res)
 	checkRestores(t, job, res)
 }

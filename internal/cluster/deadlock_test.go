@@ -152,7 +152,7 @@ func decide(t *testing.T, job Job, rec *Result, rank int, hook func() func([]byt
 			return st.feed, st.ok
 		}
 	}
-	res := RunSolo(solo, rank, rec.Tapes[rank])
+	res := RunSolo(solo, rank, rec.Tapes[rank], nil)
 	job.RecordTapes = true
 	return res, Run(job), st
 }
@@ -170,12 +170,11 @@ func sameDeadlock(t *testing.T, solo SoloResult, whole *Result, rec *Result, ran
 	if *solo.Trap != *rr.Trap || rr.Reason != vm.StopTrap || solo.Instrs != rr.Instrs {
 		t.Errorf("alone the rank ends %v at %d, in the job %v at %d (%v)", solo.Trap, solo.Instrs, rr.Trap, rr.Instrs, rr.Reason)
 	}
-	from := make([]int, len(rec.Tapes))
 	cut := make([]mpi.Tape, len(rec.Tapes))
 	for r, c := range mpi.NewDeps(rec.Tapes, rec.Needs).Cuts(rank, solo.Pos) {
 		cut[r] = rec.Tapes[r][:c]
 	}
-	got, want := msgtrace.Diff(rec.Tapes, from, cut, -1), msgtrace.Diff(rec.Tapes, from, whole.Tapes, -1)
+	got, want := msgtrace.Diff(rec.Tapes, cut, -1), msgtrace.Diff(rec.Tapes, whole.Tapes, -1)
 	if want == nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("divergence at the cut %+v, in the job %+v", got, want)
 	}

@@ -9,14 +9,16 @@ import (
 	"mpifault/internal/vm"
 )
 
-// Ghost peers.  A job that RunSolo could not decide runs whole, but only
-// the rank the fault is in executes from the start.  Every other rank is a
-// ghost: a cursor on its tape from the recorded run, with no machine.  The
-// scheduler resumes it at the clocks the tape recorded, and it crosses the
-// world as the rank did: it delivers the recorded sends, applies the
-// recorded writes, opens and context allocations, and pulls from its real
-// queue, waiting where the rank would wait — a pull on an empty queue, a
-// send to a full one.
+// Ghost peers.  A job that RunSolo could not decide runs whole, from t=0,
+// but only the rank the fault is in executes, and only from its restore
+// point on.  Every other rank is a ghost: a cursor on its tape from the
+// recorded run, with no machine — and so is the faulted rank up to the
+// snapshot it restores from, where it materializes and Setup arms its
+// fault.  The scheduler resumes a ghost at the clocks the tape recorded,
+// and it crosses the world as the rank did: it delivers the recorded
+// sends, applies the recorded writes, opens and context allocations, and
+// pulls from its real queue, waiting where the rank would wait — a pull on
+// an empty queue, a send to a full one.
 //
 // A rank whose receives all name a source consumes one FIFO stream per
 // sender, and how those streams interleave changes none of its
@@ -44,25 +46,27 @@ import (
 // included.  A ghost never traps; one that reaches its tape's end exits as
 // the rank did in the recorded run.
 
-// Ghosts starts every rank of a job but one as a ghost of a recorded run.
+// Ghosts starts every rank of a job but one as a ghost of a recorded run,
+// and that one too when it has a restore point.
 type Ghosts struct {
-	// Live is the rank that executes from the start.
-	Live int
-	// Golden is the recorded run (Job.RecordTapes) the job's start point
-	// is a cut of: each ghost follows its rank's tape from there and, at
-	// the tape's end, ends as that rank did.
+	// Live is the rank that executes: from t=0, or — a ghost until its
+	// cursor reaches Restore.TapePos — from Restore on.
+	Live    int
+	Restore *RankSnapshot
+	// Golden is the recorded run (Job.RecordTapes): each ghost follows its
+	// rank's tape from t=0 and, at the tape's end, ends as that rank did.
 	Golden *Result
-	// Snapshots are Golden's checkpoints a ghost may materialize from;
-	// none: from t=0.
-	Snapshots []*Snapshot
+	// Snapshots[r] are Golden's snapshots of rank r its ghost may
+	// materialize from; nil: from t=0.
+	Snapshots [][]RankSnapshot
 }
 
-// ghost is a rank's cursor on its tape: tape[from:pos] is what it has
-// crossed since its job started, and clock the rank's clock at the last.
+// ghost is a rank's cursor on its tape: tape[:pos] is what it has crossed,
+// and clock the rank's clock at the last.
 type ghost struct {
-	tape      mpi.Tape
-	from, pos int
-	clock     uint64
+	tape  mpi.Tape
+	pos   int
+	clock uint64
 	// aside are the packets pulled ahead of their turn, in arrival order.
 	aside []pulled
 	// claimed[s] is one past the last of sender s's pulls aside stands
@@ -78,19 +82,9 @@ type pulled struct {
 	at  int
 }
 
-// newGhost returns the cursor of a rank standing where rs left it (nil:
-// t=0) on tape.
-func newGhost(tape mpi.Tape, rs *RankSnapshot) *ghost {
-	g := &ghost{tape: tape}
-	if rs != nil {
-		g.from, g.pos, g.clock = rs.TapePos, rs.TapePos, rs.VM.Instrs()
-	}
-	return g
-}
-
 // recorded is what the rank would have recorded in the job so far.
 func (g *ghost) recorded() mpi.Tape {
-	t := g.tape[g.from:g.pos:g.pos]
+	t := g.tape[:g.pos:g.pos]
 	for _, a := range g.aside {
 		t = append(t, g.tape[a.at])
 	}
@@ -170,7 +164,18 @@ func (g *ghost) completes(ev *mpi.TapeEvent) bool {
 // haunt is the body of a rank started as a ghost.
 func (job *Job) haunt(rk *rank, stop *atomic.Bool) {
 	g, p := rk.ghost, rk.proc
-	for g.pos < len(g.tape) {
+	var restore *RankSnapshot
+	if rk.id == job.Ghosts.Live {
+		restore = job.Ghosts.Restore
+	}
+	for {
+		if restore != nil && g.pos == restore.TapePos {
+			job.materialize(rk, restore, stop)
+			return
+		}
+		if g.pos == len(g.tape) {
+			break
+		}
 		ev := &g.tape[g.pos]
 		g.clock = ev.Instrs
 		var ok bool
@@ -198,7 +203,15 @@ func (job *Job) haunt(rk *rank, stop *atomic.Bool) {
 			ok = true
 		}
 		if !ok {
-			job.materialize(rk, stop)
+			var rs *RankSnapshot
+			if snaps := job.Ghosts.Snapshots; snaps != nil {
+				for k := range snaps[rk.id] {
+					if s := &snaps[rk.id][k]; s.TapePos <= g.pos {
+						rs = s
+					}
+				}
+			}
+			job.materialize(rk, rs, stop)
 			return
 		}
 		g.pos++
@@ -207,9 +220,10 @@ func (job *Job) haunt(rk *rank, stop *atomic.Bool) {
 	g.clock, rk.out = end.Instrs, vm.RunResult{Reason: end.Reason, Trap: end.Trap}
 }
 
-// materialize makes ghost rk execute from its cursor on, with the packets
-// it pulled ahead of their turn back at the head of its queue.
-func (job *Job) materialize(rk *rank, stop *atomic.Bool) {
+// materialize makes ghost rk execute from its cursor on, restored from rs
+// (nil: t=0) and replaying its tape silently up to the cursor, with the
+// packets it pulled ahead of their turn back at the head of its queue.
+func (job *Job) materialize(rk *rank, rs *RankSnapshot, stop *atomic.Bool) {
 	g := rk.ghost
 	raws := make([][]byte, len(g.aside))
 	for k, a := range g.aside {
@@ -217,14 +231,11 @@ func (job *Job) materialize(rk *rank, stop *atomic.Bool) {
 	}
 	rk.proc.GhostUnpull(raws)
 	g.aside = nil
-	var rs *RankSnapshot
 	pos := 0
-	for _, s := range job.Ghosts.Snapshots {
-		if at := &s.Ranks[rk.id]; !at.Finished && at.TapePos <= g.pos {
-			rs, pos = at, at.TapePos
-		}
+	if rs != nil {
+		pos = rs.TapePos
 	}
-	rk.proc.Rejoin(g.tape, pos, g.pos, g.from)
+	rk.proc.Rejoin(g.tape, pos, g.pos)
 	rk.embody(job, rs, stop)
 	rk.out = rk.m.Run(job.Budget)
 }

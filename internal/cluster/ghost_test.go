@@ -74,11 +74,12 @@ func splitTape(tape mpi.Tape) tapeStreams {
 	return s
 }
 
-// haunted runs job with every rank but live a ghost of rec, and with every
-// rank live, requires the two to agree, and returns both.  The schedule
-// is compared through the job's metrics: every one but the retired
-// instructions, which a ghost does not add to.
-func haunted(t *testing.T, job Job, live int, rec *Result) (got, want *Result) {
+// haunted runs job with every rank a ghost of rec but live, which is one
+// up to restore (nil: from t=0), and with every rank live from t=0,
+// requires the two to agree, and returns both.  The schedule is compared
+// through the job's metrics: every one but the retired instructions,
+// which a ghost does not add to.
+func haunted(t *testing.T, job Job, live int, rec *Result, restore *RankSnapshot) (got, want *Result) {
 	t.Helper()
 	run := func(g *Ghosts) (*Result, telemetry.Snapshot) {
 		reg := telemetry.New()
@@ -89,7 +90,7 @@ func haunted(t *testing.T, job Job, live int, rec *Result) (got, want *Result) {
 		return res, snap
 	}
 	want, wantMetrics := run(nil)
-	got, gotMetrics := run(&Ghosts{Live: live, Golden: rec, Snapshots: rec.Snapshots})
+	got, gotMetrics := run(&Ghosts{Live: live, Restore: restore, Golden: rec, Snapshots: rec.Snapshots})
 	if a, b := verdict(got), verdict(want); a != b {
 		t.Fatalf("with ghosts:\n%s--- all live:\n%s", a, b)
 	}
@@ -105,6 +106,9 @@ func haunted(t *testing.T, job Job, live int, rec *Result) (got, want *Result) {
 	}
 	if got.Ranks[live].Ghost {
 		t.Errorf("rank %d was to run live", live)
+	}
+	if restore != nil && got.Ranks[live].From != restore.Instrs() {
+		t.Errorf("rank %d started at clock %d, want its snapshot's %d", live, got.Ranks[live].From, restore.Instrs())
 	}
 	return got, want
 }
@@ -157,7 +161,7 @@ func TestGhostNeverMaterializes(t *testing.T) {
 	job := Job{Image: im, Size: 4, Budget: 10_000_000, RecordTapes: true}
 	rec := recordRun(t, job, CheckpointSpec{})
 	const live = 1
-	clean, _ := haunted(t, job, live, rec)
+	clean, _ := haunted(t, job, live, rec, nil)
 	mustExitClean(t, clean)
 	job.Setup = func(r int, m *vm.Machine, p *mpi.Proc) {
 		if r == live {
@@ -165,7 +169,7 @@ func TestGhostNeverMaterializes(t *testing.T) {
 			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.SP] = 0x10; return nil }
 		}
 	}
-	crashed, _ := haunted(t, job, live, rec)
+	crashed, _ := haunted(t, job, live, rec, nil)
 	if tr := crashed.FirstFailure(); tr == nil || tr.Kind != vm.TrapSegv {
 		t.Fatalf("want rank %d's crash, got:\n%s", live, verdict(crashed))
 	}
@@ -265,7 +269,7 @@ func reorderedTo2(t *testing.T, wildcard bool) (Job, *Result) {
 // for rank 0, so rank 2 stays a ghost.
 func TestGhostStaysOnReorder(t *testing.T) {
 	job, rec := reorderedTo2(t, false)
-	res, live := haunted(t, job, 0, rec)
+	res, live := haunted(t, job, 0, rec, nil)
 	mustExitClean(t, res)
 	if !res.Ranks[2].Ghost {
 		t.Fatalf("rank 2 materialized:\n%s", verdict(res))
@@ -294,7 +298,7 @@ func TestGhostStaysOnReorder(t *testing.T) {
 			}
 		}
 	}
-	res, _ = haunted(t, job, 0, rec)
+	res, _ = haunted(t, job, 0, rec, nil)
 	if tr := res.FirstFailure(); tr == nil || tr.Kind != vm.TrapSegv || !res.Ranks[2].Ghost || len(pulls(res.Tapes[2])) != 1 {
 		t.Fatalf("want rank 0's crash with rank 2 a ghost holding rank 1's packet:\n%s", verdict(res))
 	}
@@ -311,10 +315,10 @@ func TestGhostWildcardKeepsArrivalOrder(t *testing.T) {
 	}
 	clean := job
 	clean.Setup = nil
-	if res, _ := haunted(t, clean, 0, rec); !res.Ranks[2].Ghost {
+	if res, _ := haunted(t, clean, 0, rec, nil); !res.Ranks[2].Ghost {
 		t.Fatalf("without the fault, rank 2 materialized:\n%s", verdict(res))
 	}
-	res, live := haunted(t, job, 0, rec)
+	res, live := haunted(t, job, 0, rec, nil)
 	mustExitClean(t, res)
 	if res.Ranks[2].Ghost {
 		t.Fatalf("rank 2 must materialize:\n%s", verdict(res))
@@ -350,7 +354,7 @@ func TestGhostMaterializesOnEarlyAwaited(t *testing.T) {
 			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.R4] -= 4000; return nil }
 		}
 	}
-	res, live := haunted(t, job, 0, rec)
+	res, live := haunted(t, job, 0, rec, nil)
 	mustExitClean(t, res)
 	if res.Ranks[2].Ghost {
 		t.Fatalf("rank 2 must materialize:\n%s", verdict(res))
@@ -406,7 +410,7 @@ func TestGhostMaterializesOnEarlyDifferent(t *testing.T) {
 			}
 		}
 	}
-	res, live := haunted(t, job, 2, rec)
+	res, live := haunted(t, job, 2, rec, nil)
 	if res.Ranks[3].Ghost || !res.Ranks[0].Ghost {
 		t.Fatalf("rank 3, and only rank 3, must materialize:\n%s", verdict(res))
 	}
@@ -464,7 +468,7 @@ func TestGhostRendezvousInTurn(t *testing.T) {
 			m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.Regs[isa.R4] -= 4000; return nil }
 		}
 	}
-	res, live := haunted(t, job, 0, rec)
+	res, live := haunted(t, job, 0, rec, nil)
 	mustExitClean(t, res)
 	if res.Ranks[2].Ghost {
 		t.Fatalf("rank 2 must materialize:\n%s", verdict(res))
@@ -475,9 +479,9 @@ func TestGhostRendezvousInTurn(t *testing.T) {
 }
 
 // TestGhostMaterializesFromLaterSnapshot: rank 2 computes through most of
-// the run and then receives a packet the fault changed.  The job starts
-// from the first snapshot, and rank 2 materializes from the last one
-// before its receive.
+// the run and then receives a packet the fault changed.  The faulted rank
+// 0 starts from its first snapshot, a ghost until there, and rank 2
+// materializes from the last of its own before its receive.
 func TestGhostMaterializesFromLaterSnapshot(t *testing.T) {
 	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
 		initRank(m, f)
@@ -488,20 +492,15 @@ func TestGhostMaterializesFromLaterSnapshot(t *testing.T) {
 	})
 	job := Job{Image: im, Size: 3, Budget: 1_000_000, RecordTapes: true}
 	rec := recordRun(t, job, CheckpointSpec{Interval: 2000})
-	if len(rec.Snapshots) < 4 {
-		t.Fatalf("%d snapshots", len(rec.Snapshots))
+	if len(rec.Snapshots[0]) < 2 || len(rec.Snapshots[2]) < 2 {
+		t.Fatalf("%d and %d snapshots", len(rec.Snapshots[0]), len(rec.Snapshots[2]))
 	}
-	job.Restore = rec.Snapshots[0]
 	overwrite(&job, im, 0, rec.Tapes[0][lastEvent(t, rec.Tapes[0], dataTo(2))].Instrs-100, "buf", 0xdeadbeef)
-	res, _ := haunted(t, job, 0, rec)
-	from := res.Ranks[2].From
-	later := false
-	for _, s := range rec.Snapshots[1:] {
-		later = later || s.RankLive(2) && s.RankInstrs(2) == from
-	}
-	if res.Ranks[2].Ghost || !later || from <= job.Restore.RankInstrs(2) {
-		t.Fatalf("rank 2 materialized from clock %d, the job started it at %d:\n%s",
-			from, job.Restore.RankInstrs(2), verdict(res))
+	res, _ := haunted(t, job, 0, rec, &rec.Snapshots[0][0])
+	snaps := rec.Snapshots[2]
+	if from := res.Ranks[2].From; res.Ranks[2].Ghost || from != snaps[len(snaps)-1].Instrs() {
+		t.Fatalf("rank 2 materialized from clock %d, want its last snapshot's %d:\n%s",
+			from, snaps[len(snaps)-1].Instrs(), verdict(res))
 	}
 }
 
@@ -534,7 +533,7 @@ func TestGhostBlockedOnFullQueue(t *testing.T) {
 	last := lastEvent(t, tape[:reply], func(ev *mpi.TapeEvent) bool { return ev.Kind == mpi.TapeRecv })
 	// Between rank 1's last pull and its reply.
 	overwrite(&job, im, 1, (tape[last].Instrs+tape[reply].Instrs)/2, "buf", 0xdeadbeef)
-	res, _ := haunted(t, job, 1, rec)
+	res, _ := haunted(t, job, 1, rec, nil)
 	if res.Ranks[0].Ghost {
 		t.Fatalf("rank 0 must materialize on the changed reply:\n%s", verdict(res))
 	}
@@ -655,14 +654,18 @@ func FuzzTapeReplay(f *testing.F) {
 			}
 		}
 
-		if solo := RunSolo(job, r, tape); solo.Instrs > budget {
+		if solo := RunSolo(job, r, tape, nil); solo.Instrs > budget {
 			t.Errorf("alone, rank %d ran %d instructions past its budget", r, solo.Instrs)
 		}
 		golden := *rec
 		golden.Tapes = append([]mpi.Tape(nil), rec.Tapes...)
 		golden.Tapes[r] = tape
 		g := job
-		g.Ghosts = &Ghosts{Live: (r + 1) % size, Golden: &golden, Snapshots: rec.Snapshots}
+		live := (r + 1) % size
+		g.Ghosts = &Ghosts{Live: live, Golden: &golden, Snapshots: rec.Snapshots}
+		if snaps := rec.Snapshots[live]; len(snaps) > 0 && arg%2 == 1 {
+			g.Ghosts.Restore = &snaps[int(arg/2)%len(snaps)]
+		}
 		res := Run(g)
 		if res.HangCause == "wall-clock limit" {
 			t.Fatalf("the job with rank %d a ghost of the edited tape did not end:\n%s", r, verdict(res))

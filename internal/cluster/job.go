@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -52,22 +51,15 @@ type Job struct {
 	// before this field existed.
 	Metrics *telemetry.Registry
 	// RecordTapes makes every rank record its tape (mpi.Tape) into
-	// Result.Tapes: what RunSolo replays (the golden run's), and what
-	// trace-diff compares with it (an experiment's).  A restored rank
-	// records from its snapshot's TapePos on.
+	// Result.Tapes, from t=0: what RunSolo replays (the golden run's), and
+	// what trace-diff compares with it (an experiment's).
 	RecordTapes bool
-	// Checkpoints makes a job that starts at t=0 snapshot itself into
-	// Result.Snapshots as it runs (see checkpoint.go).
+	// Checkpoints makes every rank of a job without Ghosts snapshot itself
+	// into Result.Snapshots as it runs (see checkpoint.go).
 	Checkpoints CheckpointSpec
-	// Restore, when non-nil, starts the job from a cluster snapshot
-	// instead of t=0: every live rank resumes mid-stream, exited ranks
-	// carry their terminal results, and the snapshot's in-flight packets
-	// are requeued.  The snapshot is shared read-only; any number of
-	// concurrent jobs may restore from one.
-	Restore *Snapshot
-	// Ghosts, when non-nil, starts every rank but one as a ghost of a
-	// recorded run (ghost.go).  Setup and Tracer reach a ghost when it
-	// materializes; Checkpoints is ignored.
+	// Ghosts, when non-nil, starts the ranks as ghosts of a recorded run
+	// (ghost.go): all but Ghosts.Live, and that one up to its restore
+	// point.  Setup and Tracer reach a ghost when it materializes.
 	Ghosts *Ghosts
 }
 
@@ -88,9 +80,8 @@ type RankResult struct {
 	HeapUsed uint32
 	Stats    mpi.Stats
 	// Ghost reports that the rank executed nothing in this job: it stayed
-	// a ghost (Job.Ghosts), or it had exited before Job.Restore's cut.
-	// Its MinSP and heap marks are then the recorded run's at its end,
-	// zero before it.
+	// a ghost (Job.Ghosts).  Its MinSP and heap marks are then the
+	// recorded run's at its end, zero before it.
 	Ghost bool
 	// From is the instruction count the rank's machine started at: its
 	// snapshot's, 0 from the image.  It executed Instrs − From.
@@ -115,15 +106,14 @@ type Result struct {
 	// nil for a rank that stayed a ghost).
 	Tapes []mpi.Tape
 	Needs [][]int32
-	// Snapshots are the checkpoints of a Job.Checkpoints run, in the order
-	// taken; their tape positions index Tapes.
-	Snapshots []*Snapshot
+	// Snapshots[r] are rank r's snapshots in a Job.Checkpoints run, in the
+	// order taken; their tape positions index Tapes[r].
+	Snapshots [][]RankSnapshot
 }
 
 // FirstFailure returns the most severe trap across ranks, preferring
 // application/MPI detections over raw signals.  Run leaves one trap at
-// most on the ranks it executed — the earliest, see there; a restored
-// job may carry more on ranks that had ended before its checkpoint.
+// most on the ranks it executed — the earliest, see there.
 func (r *Result) FirstFailure() *vm.Trap {
 	var sig *vm.Trap
 	for i := range r.Ranks {
@@ -170,10 +160,6 @@ type rank struct {
 	// scheduler has seen it end.
 	out  vm.RunResult
 	done bool
-	// Checkpointing (checkpoint.go): the rank parks from clock due on, or
-	// at its next syscall exit once it has waited for a parked rank.
-	parked, waited bool
-	due            uint64
 }
 
 // clock is the rank's virtual time: its retired instructions.
@@ -227,7 +213,7 @@ func earliest(ranks []*rank, horizon *rank) *rank {
 	var min *rank
 	var at uint64
 	for _, rk := range ranks {
-		if rk == nil || rk.done || rk.parked || !rk.proc.Runnable() {
+		if rk.done || !rk.proc.Runnable() {
 			continue
 		}
 		if c := rk.clock(); (min == nil || c < at) && (horizon == nil || rk.before(horizon)) {
@@ -259,18 +245,9 @@ func Run(job Job) *Result {
 	if job.WallLimit == 0 && job.Budget == 0 {
 		job.WallLimit = 30 * time.Second
 	}
-	mpiCfg := job.MPIConfig
-	if job.Restore != nil {
-		// Room to requeue the snapshot's in-flight packets on top of
-		// whatever the resumed execution itself enqueues.
-		mpiCfg = mpiCfg.WithQueueHeadroom(job.Restore.MaxQueued())
-	}
-	world := mpi.NewWorld(job.Size, mpiCfg)
+	world := mpi.NewWorld(job.Size, job.MPIConfig)
 	if job.RecordTapes {
 		world.RecordTapes()
-	}
-	if job.Restore != nil {
-		world.SetCtxCounter(job.Restore.CtxCounter)
 	}
 	res := &Result{
 		Ranks:  make([]RankResult, job.Size),
@@ -279,12 +256,6 @@ func Run(job Job) *Result {
 		Files:  make(map[string][]byte),
 	}
 	files := &fileStore{files: res.Files}
-	if job.Restore != nil {
-		for name, b := range job.Restore.Files {
-			res.Files[name] = append([]byte(nil), b...)
-		}
-		files.names = append([]string(nil), job.Restore.FileNames...)
-	}
 
 	// stop halts a machine within 4096 instructions.  Before the verdict
 	// only the wall-clock limit sets it.
@@ -293,69 +264,33 @@ func Run(job Job) *Result {
 		defer time.AfterFunc(job.WallLimit, func() { stop.Store(true) }).Stop()
 	}
 
+	spec := job.Checkpoints
+	if spec.Interval > 0 && job.Ghosts == nil {
+		res.Snapshots = make([][]RankSnapshot, job.Size)
+	}
 	ranks := make([]*rank, job.Size)
-	live := 0
 	for r := range ranks {
 		rk := &rank{id: r, proc: world.Proc(r)}
 		rk.io = &rankIO{proc: rk.proc, files: files}
-		var rs *RankSnapshot
-		if job.Restore != nil {
-			rs = &job.Restore.Ranks[r]
-			rk.io.stdout = append([]byte(nil), rs.Stdout...)
-			rk.io.stderr = append([]byte(nil), rs.Stderr...)
-			if rs.Finished {
-				// This rank had already exited at the checkpoint: carry its
-				// terminal state over verbatim; nothing runs for it.
-				res.Ranks[r] = rs.Result
-				res.Ranks[r].Ghost = true
-				res.Stdout[r], res.Stderr[r] = rk.io.stdout, rk.io.stderr
-				continue
-			}
-		}
-		if g := job.Ghosts; g != nil && r != g.Live {
-			rk.ghost = newGhost(g.Golden.Tapes[r], rs)
-		} else {
-			rk.embody(&job, rs, &stop)
-		}
 		ranks[r] = rk
-		live++
-	}
-	if job.Restore != nil {
-		// Requeue the snapshot's in-flight packets (deep-copied; see
-		// mpi.Prefill) after every rank's runtime state is rebuilt.
-		for r := 0; r < job.Size; r++ {
-			world.Prefill(r, job.Restore.Queues[r])
-		}
-	}
-
-	var ckpt *ckptRun
-	if spec := job.Checkpoints; spec.Interval > 0 && job.Restore == nil && job.Ghosts == nil {
-		ckpt = &ckptRun{world: world, ranks: ranks, files: files, job: &job,
-			spacing: spec.Interval, max: spec.Max}
-		ckpt.release(spec.Interval)
-	}
-	for _, rk := range ranks {
-		if rk == nil {
-			continue
-		}
 		body := func() { rk.out = rk.m.Run(job.Budget) }
-		switch {
-		case rk.ghost != nil:
+		if g := job.Ghosts; g != nil && (r != g.Live || g.Restore != nil) {
+			rk.ghost = &ghost{tape: g.Golden.Tapes[r]}
 			body = func() { job.haunt(rk, &stop) }
-		case ckpt != nil:
-			rk.io.atExit = func() *vm.Trap { return ckpt.park(rk) }
-			body = func() { rk.out = ckpt.run(rk, job.Budget) }
+		} else {
+			rk.embody(&job, nil, &stop)
+			if res.Snapshots != nil {
+				body = func() { rk.out = rk.runSnapshotting(job.Budget, spec, &res.Snapshots[r]) }
+			}
 		}
 		rk.proc.Start(body)
 	}
 
+	live := job.Size
 	var first *rank // the earliest fatal end so far
 	switches := uint64(0)
 	for live > 0 {
 		rk := earliest(ranks, first)
-		if ckpt != nil && first == nil {
-			rk = ckpt.pick(rk)
-		}
 		if rk == nil {
 			if first == nil {
 				res.HangDetected, res.HangCause = true, Deadlock
@@ -380,9 +315,6 @@ func Run(job Job) *Result {
 		switch {
 		case first == nil:
 			first = rk
-			if ckpt != nil {
-				ckpt.release(math.MaxUint64 / 2) // a failing job takes no more snapshots
-			}
 		case first.before(rk):
 			rk.kill()
 		default:
@@ -397,15 +329,12 @@ func Run(job Job) *Result {
 	// A killed rank that swallows the trap halts at its next poll.
 	stop.Store(true)
 	for _, rk := range ranks {
-		if rk != nil && !rk.done {
+		if !rk.done {
 			rk.kill()
 		}
 	}
 
 	for r, rk := range ranks {
-		if rk == nil {
-			continue // restored-as-finished rank: results carried above
-		}
 		res.Ranks[r] = rk.result(&job)
 		res.Stdout[r] = rk.io.stdout
 		res.Stderr[r] = rk.io.appendSignalBanner(rk.out.Trap)
@@ -413,13 +342,10 @@ func Run(job Job) *Result {
 	if job.RecordTapes {
 		res.Tapes, res.Needs = make([]mpi.Tape, job.Size), make([][]int32, job.Size)
 		for r, rk := range ranks {
-			if res.Tapes[r], res.Needs[r] = world.Proc(r).Tape(), world.Proc(r).Needs(); rk != nil && rk.m == nil {
+			if res.Tapes[r], res.Needs[r] = world.Proc(r).Tape(), world.Proc(r).Needs(); rk.m == nil {
 				res.Tapes[r], res.Needs[r] = rk.ghost.recorded(), nil
 			}
 		}
-	}
-	if ckpt != nil {
-		res.Snapshots = ckpt.snaps
 	}
 	if reg := job.Metrics; reg != nil {
 		recordJobMetrics(reg, res, switches, world.QueuePeak())

@@ -31,17 +31,15 @@ type SoloResult struct {
 	Pos    int
 }
 
-// RunSolo executes rank alone, on the caller's goroutine, with tape —
-// that rank's recording from the run job.Restore was captured in, or from
-// any recorded run of the job when starting at t=0 — standing in for every
-// other rank: no peer machines, coroutines, queues or scheduler.  Of the
-// job it uses Image, Size, MPIConfig, Budget, Restore, Setup, Tracer and
+// RunSolo executes rank alone, on the caller's goroutine, from rs (nil:
+// t=0), with tape — that rank's recording from the run rs was taken in, or
+// from any recorded run of the job when starting at t=0 — standing in for
+// every other rank: no peer machines, coroutines, queues or scheduler.  Of
+// the job it uses Image, Size, MPIConfig, Budget, Setup, Tracer and
 // Metrics; Setup may set the rank's Starve.
-func RunSolo(job Job, rank int, tape mpi.Tape) SoloResult {
-	var rs *RankSnapshot
+func RunSolo(job Job, rank int, tape mpi.Tape, rs *RankSnapshot) SoloResult {
 	pos := 0
-	if job.Restore != nil {
-		rs = &job.Restore.Ranks[rank]
+	if rs != nil {
 		pos = rs.TapePos
 	}
 	proc := mpi.NewReplayProc(job.Size, job.MPIConfig, rank, tape, pos)

@@ -108,7 +108,7 @@ func TestRunSoloReplaysEveryRank(t *testing.T) {
 			for r := 0; r < g.size; r++ {
 				var solo *vm.Machine
 				job.Setup = func(_ int, m *vm.Machine, p *mpi.Proc) { solo = m }
-				got := RunSolo(job, r, rec.Tapes[r])
+				got := RunSolo(job, r, rec.Tapes[r], nil)
 				if got.Trap == nil || got.Trap.Kind != vm.TrapExit || got.Trap.Code != 0 {
 					t.Fatalf("rank %d alone: %v, want a verified clean exit", r, got.Trap)
 				}
@@ -169,7 +169,7 @@ func TestRunSoloDepartures(t *testing.T) {
 	}
 	for name, tape := range cases {
 		t.Run(name, func(t *testing.T) {
-			if got := RunSolo(job, rank, tape); got.Trap != nil {
+			if got := RunSolo(job, rank, tape, nil); got.Trap != nil {
 				t.Fatalf("a rank off its tape reported %v, want no verdict", got.Trap)
 			}
 		})
@@ -177,7 +177,7 @@ func TestRunSoloDepartures(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
 		short := job
 		short.Budget = rec.Ranks[rank].Instrs / 2
-		if got := RunSolo(short, rank, pristine); got.Trap != nil || got.Instrs != short.Budget {
+		if got := RunSolo(short, rank, pristine, nil); got.Trap != nil || got.Instrs != short.Budget {
 			t.Fatalf("a rank stopped by its budget reported %v after %d instructions", got.Trap, got.Instrs)
 		}
 	})
@@ -235,7 +235,7 @@ func TestRunSoloReportsOnTapeTrap(t *testing.T) {
 	if whole == nil || whole.Kind != vm.TrapSegv {
 		t.Fatalf("the whole job reported %v, want a SIGSEGV", whole)
 	}
-	solo := RunSolo(job, rank, rec.Tapes[rank])
+	solo := RunSolo(job, rank, rec.Tapes[rank], nil)
 	if solo.Trap == nil || *solo.Trap != *whole {
 		t.Fatalf("alone the rank reported %v, the whole job %v", solo.Trap, whole)
 	}

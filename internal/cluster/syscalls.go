@@ -52,10 +52,6 @@ type rankIO struct {
 	files  *fileStore
 	stdout []byte
 	stderr []byte
-	// atExit, when set, runs after every syscall that did not trap: the
-	// rank is between two instructions there, where a snapshot that is due
-	// holds it (checkpoint.go).
-	atExit func() *vm.Trap
 }
 
 var _ vm.SyscallHandler = (*rankIO)(nil)
@@ -111,14 +107,6 @@ func (io *rankIO) write(fd int32, b []byte) bool {
 
 // Syscall implements vm.SyscallHandler.
 func (io *rankIO) Syscall(m *vm.Machine, num int32) *vm.Trap {
-	t := io.syscall(m, num)
-	if t == nil && io.atExit != nil {
-		t = io.atExit()
-	}
-	return t
-}
-
-func (io *rankIO) syscall(m *vm.Machine, num int32) *vm.Trap {
 	switch num {
 	case abi.SysExit:
 		return &vm.Trap{Kind: vm.TrapExit, PC: m.PC, Code: int32(m.Regs[0])}

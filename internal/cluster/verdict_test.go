@@ -236,11 +236,13 @@ func TestVerdictEarliestTrapWins(t *testing.T) {
 	}
 }
 
-// TestVerdictKillAtCheckpointBarrier: rank 0 is parked for a snapshot
-// that rank 2 — waiting for a message rank 0 sends only later — is not
-// ready for, when rank 1 crashes.  The crash is the verdict, no snapshot
-// is taken, and both waiting ranks are killed where they are.
-func TestVerdictKillAtCheckpointBarrier(t *testing.T) {
+// TestVerdictSnapshotsAddNoSchedulingPoint: rank 0 computes past several
+// of its snapshot clocks before it sends to rank 2, and rank 1 crashes
+// early.  Taking the snapshots holds rank 0 nowhere, so the job is the one
+// without them: rank 1's crash is the verdict, rank 0 is killed where the
+// plain run kills it, with every snapshot it passed taken, and rank 2
+// where it waits.
+func TestVerdictSnapshotsAddNoSchedulingPoint(t *testing.T) {
 	im := buildProgram(t, func(m *asm.Module, f *asm.Func) {
 		initRank(m, f)
 		onRank(f, 0, func() { spin(f, 10_000); send(f, 2) })
@@ -248,19 +250,19 @@ func TestVerdictKillAtCheckpointBarrier(t *testing.T) {
 		onRank(f, 2, func() { recv(f, 0) })
 		f.CallArgs("MPI_Finalize")
 	})
-	const target = 5000 // inside rank 0's loop, past rank 1's crash
+	const spacing = 5000 // inside rank 0's loop, past rank 1's crash
 	res := repeatVerdict(t, func() Job {
-		return Job{Image: im, Size: 3, Checkpoints: CheckpointSpec{Interval: target}}
+		return Job{Image: im, Size: 3, Checkpoints: CheckpointSpec{Interval: spacing}}
 	})
 	if tr := res.FirstFailure(); res.HangDetected || tr == nil || tr != res.Ranks[1].Trap || tr.Kind != vm.TrapSegv {
 		t.Fatalf("want rank 1's crash as the verdict:\n%s", outcome(res))
 	}
 	wantKilled(t, res, 0, 2)
-	if res.Ranks[0].Instrs != target {
-		t.Errorf("rank 0 stopped after %d instructions, want it still parked at %d", res.Ranks[0].Instrs, target)
+	if plain := Run(Job{Image: im, Size: 3}); outcome(plain) != outcome(res) {
+		t.Fatalf("taking snapshots changed the verdict:\n%s--- without:\n%s", outcome(res), outcome(plain))
 	}
-	if len(res.Snapshots) != 0 {
-		t.Errorf("%d snapshots of a job that never had every rank parked", len(res.Snapshots))
+	if n := len(res.Snapshots[0]); n < 2 || uint64(n+1)*spacing <= res.Ranks[0].Instrs {
+		t.Errorf("rank 0 took %d snapshots and stopped at %d, want every one it passed", n, res.Ranks[0].Instrs)
 	}
 }
 

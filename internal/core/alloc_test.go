@@ -11,12 +11,13 @@ import (
 )
 
 // TestRestoredJobAllocation is the allocation gate of the paged guest
-// memory and the recycled inboxes: a 16-rank minicam job restored from a
-// mid-run checkpoint and run to completion — one experiment of the
-// benchmark's msg_comm16 workload without its fault — must allocate less
-// than a quarter of the ≈ 9.7 MB it did when every restored rank zeroed a
-// 256 KiB stack, copied its grown heap, BSS and data on their first store
-// and got a fresh 96 KiB inbox.
+// memory and the recycled inboxes: a 16-rank minicam job of ghosts from
+// t=0 whose one executing rank is restored from a mid-run snapshot and
+// run to completion — a fallback of the benchmark's msg_comm16 workload
+// without its fault — must allocate less than a quarter of the ≈ 9.7 MB a
+// job restored whole did when every restored rank zeroed a 256 KiB stack,
+// copied its grown heap, BSS and data on their first store and got a
+// fresh 96 KiB inbox.
 func TestRestoredJobAllocation(t *testing.T) {
 	a, err := apps.Get("minicam")
 	if err != nil {
@@ -34,11 +35,13 @@ func TestRestoredJobAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := golden.Result.Snapshots
+	const live = 5
+	snaps := golden.Result.Snapshots[live]
 	if len(snaps) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
-	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: 30 * time.Second, Restore: snaps[len(snaps)/2]}
+	job := cluster.Job{Image: im, Size: cfg.Ranks, WallLimit: 30 * time.Second,
+		Ghosts: &cluster.Ghosts{Live: live, Restore: &snaps[len(snaps)/2], Golden: golden.Result, Snapshots: golden.Result.Snapshots}}
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -46,6 +49,11 @@ func TestRestoredJobAllocation(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if res.FailureSummary() != "" || !bytes.Equal(res.CanonicalOutput(), golden.Output) {
 			t.Fatalf("restored job diverged from the golden run: %s", res.FailureSummary())
+		}
+		for r, rr := range res.Ranks {
+			if rr.Ghost == (r == live) {
+				t.Fatalf("rank %d ran live: %v", r, !rr.Ghost)
+			}
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -87,7 +95,7 @@ func TestMessageTablesAreLazy(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(golden.recvFrom) != ranks || len(golden.pulled) != len(golden.Result.Snapshots) {
+	if len(golden.recvFrom) != ranks || len(golden.pulled) != ranks {
 		t.Errorf("a message campaign resolved its addresses without the tables")
 	}
 	for r, from := range golden.recvFrom {

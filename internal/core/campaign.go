@@ -24,7 +24,7 @@ import (
 // output used for silent-corruption detection, and the per-rank
 // instruction counts and received message volumes that parameterize the
 // injection-space sampling (§4.3's b, m and t axes).  It carries the
-// snapshots that execution took of itself (checkpoint.go), so Runs
+// snapshots that execution took of its ranks (checkpoint.go), so Runs
 // sharing one — concurrently too — restore from the same set, and the
 // mpi.Config it ran with, which every job of theirs runs with too.  Do
 // not copy it.
@@ -39,10 +39,10 @@ type Golden struct {
 	// tapes are the run's per-rank recordings (Result.Tapes): what an
 	// experiment replays its injected rank against (solo.go) and what
 	// trace-diff compares its ranks' outputs with; the tape positions of
-	// the snapshots the run took of itself (Result.Snapshots) index them.
+	// the snapshots the run took of its ranks (Result.Snapshots) index them.
 	tapes []mpi.Tape
 	// recvFrom[r][s] is how many of RecvBytes[r] rank r pulled from rank s,
-	// pulled[k][r][s] how many live rank r had at snapshot k; both are
+	// pulled[r][k][s] how many rank r had at its snapshot k; both are
 	// filled by the first message experiment (messageTarget).
 	recvOnce sync.Once
 	recvFrom [][]uint64
@@ -78,8 +78,8 @@ func RunGolden(im *image.Image, ranks int, mpiCfg mpi.Config, wall time.Duration
 }
 
 // runGolden is RunGolden with what a campaign adds: the snapshots the
-// run takes of itself when cfg.CheckpointInterval is set, at most
-// DefaultMaxCheckpoints of them.  It is the one place the fault-free job
+// run takes of its ranks when cfg.CheckpointInterval is set, at most
+// DefaultMaxCheckpoints of each.  It is the one place the fault-free job
 // is executed; built, when non-nil, sees every rank's machine before it
 // runs (the campaignCtx.built test seam).
 func runGolden(cfg *Config, mpiCfg mpi.Config, wall time.Duration, built func(*vm.Machine)) (*Golden, error) {
@@ -241,12 +241,12 @@ type Config struct {
 	// journal order are identical with TraceDiff on or off.
 	TraceDiff bool
 	// CheckpointInterval, when nonzero, enables golden-run
-	// checkpointing: the golden run takes a consistent snapshot of the
-	// cluster at most every CheckpointInterval retired instructions, and
-	// each experiment starts from the latest snapshot preceding its
-	// injection epoch instead of t=0 (see checkpoint.go).  Fixed-seed
-	// outcomes, CSV and journal are byte-identical with checkpointing on
-	// or off.
+	// checkpointing: the golden run snapshots each rank every
+	// CheckpointInterval of its own retired instructions (a floor, see
+	// checkpoint.go), and each experiment starts its injected rank from
+	// the latest snapshot of it preceding the injection instead of t=0.
+	// Fixed-seed outcomes, CSV and journal are byte-identical with
+	// checkpointing on or off.
 	CheckpointInterval uint64
 	// Adaptive selects the sequential-stopping planner (see adaptive.go
 	// and internal/sampling): the campaign runs in deterministic rounds
@@ -429,7 +429,7 @@ func run(cfg Config, built func(*vm.Machine)) (*Result, error) {
 			res.Golden = cctx.golden
 			if cfg.CheckpointInterval > 0 {
 				res.Checkpoints = &CheckpointStats{
-					Taken: len(cctx.snaps), Hits: cctx.hits.Load(), Misses: cctx.misses.Load(),
+					Taken: snapshotCount(cctx.snaps), Hits: cctx.hits.Load(), Misses: cctx.misses.Load(),
 					InstrsSkipped: cctx.skipped.Load(),
 				}
 			}
@@ -452,7 +452,7 @@ func newCampaignCtx(cfg *Config, met *campaignMeters, built func(*vm.Machine)) (
 		if golden, err = runGolden(cfg, mpi.Config{}, goldenWallLimit, built); err != nil {
 			return nil, err
 		}
-		met.ckptTaken.Add(uint64(len(golden.Result.Snapshots)))
+		met.ckptTaken.Add(uint64(snapshotCount(golden.Result.Snapshots)))
 	}
 	c := &campaignCtx{
 		cfg: cfg, golden: golden, dict: NewDictionary(cfg.Image), budget: golden.MaxInstrs() * budgetMultiplier,
@@ -468,9 +468,9 @@ func newCampaignCtx(cfg *Config, met *campaignMeters, built func(*vm.Machine)) (
 // finishes in recorded.  OnExperiment sees them in the frontier's order
 // (the plan's own, the order a serial campaign produces); dispatch order
 // is free to differ: with checkpoints available, experiments are grouped
-// by the checkpoint they restore from, so concurrent jobs share one
-// snapshot's backing pages and the residual prefixes they replay.  Stop
-// ends dispatching; a panic fails the round.
+// by the snapshot they restore from, so concurrent jobs share its backing
+// pages and the residual prefixes they replay.  Stop ends dispatching; a
+// panic fails the round.
 func (c *campaignCtx) runRound(entries []PlanEntry, recorded map[string]Experiment) error {
 	cfg, met := c.cfg, c.met
 	experiments := make([]Experiment, len(entries))
@@ -480,7 +480,7 @@ func (c *campaignCtx) runRound(entries []PlanEntry, recorded map[string]Experime
 		experiments[i] = Experiment{Region: pe.Region, Index: pe.Index}
 		todo[i] = i
 	}
-	if len(c.snaps) > 0 {
+	if c.snaps != nil {
 		bucket := make([]int, len(entries))
 		for i := range experiments {
 			bucket[i] = c.bucketOf(&experiments[i])
@@ -583,11 +583,12 @@ type campaignCtx struct {
 	dict   *Dictionary
 	budget uint64
 	base   *rng.Rand
-	// snaps are the golden run's snapshots; nil with checkpointing off.
-	snaps []*cluster.Snapshot
+	// snaps[r] are the golden run's snapshots of rank r; nil with
+	// checkpointing off.
+	snaps [][]cluster.RankSnapshot
 	// wholeJobs skips solo runs and runs every rank of a whole job live:
-	// the reference arm of export_test.go's SoloDifferential.  Run never
-	// sets it.
+	// the reference arm of export_test.go's SoloDifferential, which drops
+	// its snapshots too.  Run never sets it.
 	wholeJobs bool
 	// built, when set, is shown every machine an experiment builds, before
 	// it runs: export_test.go's MachineInstrs counts what they execute.
@@ -613,21 +614,21 @@ type expScratch struct {
 	rec         *vm.FlightRecorder
 }
 
-// bucketOf peeks at the checkpoint an experiment will restore from
-// without perturbing its random stream (Derive is pure), for grouping
-// the dispatch order.  -1 means a scratch start.
+// bucketOf peeks at the snapshot an experiment will restore from without
+// perturbing its random stream (Derive is pure), for grouping the dispatch
+// order: its rank's, and which of them.  Scratch starts come first.
 func (c *campaignCtx) bucketOf(e *Experiment) int {
 	var r rng.Rand
 	c.base.DeriveInto(&r, uint64(e.Region), uint64(e.Index))
 	probe := *e
 	k, _, _ := c.aim(&probe, &r)
-	return k
+	return (k+1)*c.cfg.Ranks + probe.Rank
 }
 
 // aim draws e's rank and trigger — the head of its random stream r — and
-// returns the checkpoint it starts from (-1: t=0) and, for a message
-// fault, the injector armed at its byte.  ok is false when the rank offers
-// nothing to inject into; e.Desc then says what was missing.
+// returns the snapshot of that rank it starts from (-1: t=0) and, for a
+// message fault, the injector armed at its byte.  ok is false when the
+// rank offers nothing to inject into; e.Desc then says what was missing.
 func (c *campaignCtx) aim(e *Experiment, r *rng.Rand) (ckpt int, mi MessageInjector, ok bool) {
 	e.Rank = r.Intn(c.cfg.Ranks)
 	if e.Region == RegionMessage {
@@ -656,7 +657,7 @@ func (c *campaignCtx) aim(e *Experiment, r *rng.Rand) (ckpt int, mi MessageInjec
 // messageTarget resolves a message trigger — offset k into the bytes rank
 // receives, in canonical order: each sender's stream to it whole, senders
 // ascending, which unlike arrival order is the same in every run — to the
-// checkpoint it starts from (-1: t=0) and the injector on that byte.
+// snapshot of rank it starts from (-1: t=0) and the injector on that byte.
 // Every execution of the experiment, solo or whole, observed or not, in
 // whichever process, arms this one address (DESIGN.md §3.4).
 func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInjector) {
@@ -670,12 +671,9 @@ func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInj
 			g.recvFrom[r] = t.PulledBytes(len(t), n)
 		}
 		g.pulled = make([][][]uint64, len(g.Result.Snapshots))
-		for k, s := range g.Result.Snapshots {
-			g.pulled[k] = make([][]uint64, n)
-			for r, t := range g.tapes {
-				if s.RankLive(r) {
-					g.pulled[k][r] = t.PulledBytes(s.Ranks[r].TapePos, n)
-				}
+		for r, snaps := range g.Result.Snapshots {
+			for _, s := range snaps {
+				g.pulled[r] = append(g.pulled[r], g.tapes[r].PulledBytes(s.TapePos, n))
 			}
 		}
 	})
@@ -684,19 +682,19 @@ func (c *campaignCtx) messageTarget(rank int, k uint64) (ckpt int, mi MessageInj
 		mi.Offset -= from[mi.Sender]
 	}
 	// The injection clock is the rank's when it pulled the packet that
-	// holds the byte; the injector restored at a checkpoint starts from what
+	// holds the byte; the injector restored at a snapshot starts from what
 	// the rank had pulled there.
 	mi.at = g.tapes[rank].PullClock(mi.Sender, mi.Offset)
 	if ckpt = c.indexForInstr(rank, mi.at); ckpt >= 0 {
-		mi.seen = g.pulled[ckpt][rank][mi.Sender]
+		mi.seen = g.pulled[rank][ckpt][mi.Sender]
 	}
 	return ckpt, mi
 }
 
-// startPoint counts the experiment as a checkpoint hit or miss — once,
-// however many times it ends up being run — and returns the snapshot it
-// starts from: checkpoint k, or nil (t=0) for k < 0.
-func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
+// startPoint counts the experiment on rank as a checkpoint hit or miss —
+// once, however many times it ends up being run — and returns the snapshot
+// it starts from: rank's snapshot k, or nil (t=0) for k < 0.
+func (c *campaignCtx) startPoint(rank, k int) *cluster.RankSnapshot {
 	if c.cfg.CheckpointInterval == 0 {
 		return nil // checkpointing is off (Run zeroes the interval): nothing to count
 	}
@@ -707,7 +705,7 @@ func (c *campaignCtx) startPoint(k int) *cluster.Snapshot {
 	}
 	c.hits.Add(1)
 	c.met.ckptHits.Inc()
-	return c.snaps[k]
+	return &c.snaps[rank][k]
 }
 
 // skip accounts for n golden-prefix instructions a restored machine did
@@ -753,8 +751,8 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		MPIConfig: golden.mpiCfg,
 		Budget:    c.budget,
 		Metrics:   cfg.Metrics,
-		Restore:   c.startPoint(ckpt),
 	}
+	restore := c.startPoint(e.Rank, ckpt)
 
 	// The flight recorder rides the existing Tracer hook on the injected
 	// rank only; with forensics disabled the job runs hook-free.
@@ -819,10 +817,6 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		setup := job.Setup
 		job.Setup = func(rank int, m *vm.Machine, p *mpi.Proc) { c.built(m); setup(rank, m, p) }
 	}
-	var from []int // where the job's ranks start on their tapes, for trace-diff
-	if cfg.TraceDiff {
-		from = tapeStarts(job.Restore, cfg.Ranks)
-	}
 	if !c.wholeJobs {
 		// Solo first; a departure runs the whole job below, its peers
 		// ghosts, arming the identical fault from the same stream.
@@ -831,7 +825,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			rec.Reset()
 		}
 		solo = true
-		res, ok := c.runSolo(e, job, &end)
+		res, ok := c.runSolo(e, job, restore, &end)
 		solo, decided = false, ok
 		if decided {
 			if rec != nil {
@@ -841,7 +835,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 				e.Forensics = buildForensics(e, rec, res.Trap, res.Instrs, vm.StopTrap)
 			}
 			if cfg.TraceDiff {
-				attachDivergence(e, golden.tapes, from, c.soloTapes(from, e.Rank, res), e.Rank)
+				attachDivergence(e, golden.tapes, c.soloTapes(e.Rank, res), e.Rank)
 			}
 		} else {
 			sc.faultRng = stream
@@ -854,7 +848,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 		}
 		job.RecordTapes = cfg.TraceDiff
 		if !c.wholeJobs {
-			job.Ghosts = &cluster.Ghosts{Live: e.Rank, Golden: golden.Result, Snapshots: c.snaps}
+			job.Ghosts = &cluster.Ghosts{Live: e.Rank, Restore: restore, Golden: golden.Result, Snapshots: c.snaps}
 		}
 		res := cluster.Run(job)
 		c.ranWhole(e.Rank, res)
@@ -865,7 +859,7 @@ func runOne(c *campaignCtx, e *Experiment, sc *expScratch) {
 			e.Forensics = buildForensics(e, rec, rr.Trap, rr.Instrs, rr.Reason)
 		}
 		if cfg.TraceDiff {
-			attachDivergence(e, golden.tapes, from, res.Tapes, failedRank(res))
+			attachDivergence(e, golden.tapes, res.Tapes, failedRank(res))
 		}
 	}
 	if e.Region == RegionMessage {

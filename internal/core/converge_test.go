@@ -18,8 +18,8 @@ import (
 
 // TestReplayMatchesEverySnapshot pins the equality converge stops on, so
 // that it cannot silently stop firing: a fault-free solo run of every rank,
-// from t=0 and from every snapshot, must match each later snapshot at
-// which the rank is live — machine, runtime and tape position.  State a
+// from t=0 and from every snapshot of it, must match each later one —
+// machine, runtime and tape position.  State a
 // snapshot does not carry, or carries but does not restore, and that the
 // comparison reads, fails it.
 func TestReplayMatchesEverySnapshot(t *testing.T) {
@@ -45,24 +45,20 @@ func TestReplayMatchesEverySnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps := golden.Result.Snapshots
-			if len(snaps) < 2 {
-				t.Fatalf("%d snapshots", len(snaps))
-			}
-			checks := 0
-			for r := 0; r < build.Ranks; r++ {
+			checks, taken := 0, 0
+			for r, snaps := range golden.Result.Snapshots {
+				if len(snaps) < 2 {
+					t.Fatalf("rank %d: %d snapshots", r, len(snaps))
+				}
+				taken += len(snaps)
 				for k0 := -1; k0 < len(snaps); k0++ {
-					var restore *cluster.Snapshot
+					var restore *cluster.RankSnapshot
 					if k0 >= 0 {
-						if restore = snaps[k0]; !restore.RankLive(r) {
-							break
-						}
+						restore = &snaps[k0]
 					}
 					var later, matched []int
 					for k := k0 + 1; k < len(snaps); k++ {
-						if snaps[k].RankLive(r) {
-							later = append(later, k)
-						}
+						later = append(later, k)
 					}
 					if len(later) == 0 {
 						continue
@@ -70,8 +66,8 @@ func TestReplayMatchesEverySnapshot(t *testing.T) {
 					// Each check arms the next; the last halts the run.
 					var arm func(m *vm.Machine, p *mpi.Proc, i int)
 					arm = func(m *vm.Machine, p *mpi.Proc, i int) {
-						rs := &snaps[later[i]].Ranks[r]
-						m.TriggerAt = rs.VM.Instrs()
+						rs := &snaps[later[i]]
+						m.TriggerAt = rs.Instrs()
 						m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 							if m.Matches(rs.VM) && p.Matches(rs.MPI, rs.TapePos) {
 								matched = append(matched, later[i])
@@ -83,16 +79,16 @@ func TestReplayMatchesEverySnapshot(t *testing.T) {
 							return nil
 						}
 					}
-					job := cluster.Job{Image: im, Size: build.Ranks, Budget: golden.Instrs[r] + 1, Restore: restore,
+					job := cluster.Job{Image: im, Size: build.Ranks, Budget: golden.Instrs[r] + 1,
 						Setup: func(_ int, m *vm.Machine, p *mpi.Proc) { arm(m, p, 0) }}
-					cluster.RunSolo(job, r, golden.tapes[r])
+					cluster.RunSolo(job, r, golden.tapes[r], restore)
 					if !slices.Equal(matched, later) {
 						t.Errorf("rank %d from snapshot %d: matched snapshots %v of %v", r, k0, matched, later)
 					}
 					checks += len(later)
 				}
 			}
-			t.Logf("%d snapshots, %d checks", len(snaps), checks)
+			t.Logf("%d snapshots, %d checks", taken, checks)
 		})
 	}
 }
@@ -159,12 +155,12 @@ func TestConvergedDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testArm(&cfg, golden)
-	if len(c.snaps) < 4 {
-		t.Fatalf("%d snapshots", len(c.snaps))
-	}
 	const rank = 0
-	at := c.snaps[1].RankInstrs(rank) + 5
-	next := c.snaps[2].RankInstrs(rank)
+	if len(c.snaps[rank]) < 4 || len(c.snaps[1]) < 3 {
+		t.Fatalf("%d and %d snapshots", len(c.snaps[rank]), len(c.snaps[1]))
+	}
+	at := c.snaps[rank][1].Instrs() + 5
+	next := c.snaps[rank][2].Instrs()
 	sym := func(name string) uint32 {
 		s, ok := im.Lookup(name)
 		if !ok {
@@ -174,7 +170,7 @@ func TestConvergedDirected(t *testing.T) {
 	}
 	run := func(change func(*vm.Machine), halt bool) (earlyEnd, cluster.SoloResult) {
 		var end earlyEnd
-		job := cluster.Job{Image: im, Size: 2, Budget: golden.Instrs[rank] + 1, Restore: c.snaps[1],
+		job := cluster.Job{Image: im, Size: 2, Budget: golden.Instrs[rank] + 1,
 			Setup: func(_ int, m *vm.Machine, p *mpi.Proc) {
 				m.TriggerAt = at
 				m.TriggerFn = func(m *vm.Machine) *vm.Trap {
@@ -186,7 +182,7 @@ func TestConvergedDirected(t *testing.T) {
 					return nil
 				}
 			}}
-		return end, cluster.RunSolo(job, rank, golden.tapes[rank])
+		return end, cluster.RunSolo(job, rank, golden.tapes[rank], &c.snaps[rank][1])
 	}
 	for _, tc := range []struct {
 		name      string
@@ -224,16 +220,16 @@ func TestConvergedDirected(t *testing.T) {
 	// converge.
 	mi := MessageInjector{Sender: 0, Offset: mpi.HeaderBytes, Bit: 3}
 	mi.at = golden.tapes[1].PullClock(mi.Sender, mi.Offset)
-	if mi.at <= c.snaps[2].RankInstrs(1) {
+	if mi.at <= c.snaps[1][2].Instrs() {
 		t.Fatalf("rank 1 pulls x at %d, before snapshot 2", mi.at)
 	}
 	end := earlyEnd{injected: mi.at}
-	job := cluster.Job{Image: im, Size: 2, Budget: golden.Instrs[1] + 1, Restore: c.snaps[1],
+	job := cluster.Job{Image: im, Size: 2, Budget: golden.Instrs[1] + 1,
 		Setup: func(_ int, m *vm.Machine, p *mpi.Proc) {
 			p.RecvHook = mi.Hook
 			c.converge(m, p, 1, &end)
 		}}
-	if res := cluster.RunSolo(job, 1, golden.tapes[1]); end.converged || res.Trap != nil || !mi.injected {
+	if res := cluster.RunSolo(job, 1, golden.tapes[1], &c.snaps[1][1]); end.converged || res.Trap != nil || !mi.injected {
 		t.Errorf("message fault: converged %v at %d, %v, flipped %v; want a departure", end.converged, res.Instrs, res.Trap, mi.injected)
 	}
 }

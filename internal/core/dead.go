@@ -78,7 +78,7 @@ func (c *campaignCtx) readIndex(rank int) *trace.WorkingSetTracer {
 		if c.built != nil {
 			job.Setup = func(_ int, m *vm.Machine, _ *mpi.Proc) { c.built(m) }
 		}
-		c.replayGolden(job, rank)
+		c.replayGolden(job, rank, nil)
 		c.met.readIndexInstrs.Add(c.golden.Instrs[rank])
 	})
 	return r.ws
@@ -93,11 +93,11 @@ func (c *campaignCtx) replayEnd(rank int, rec *vm.FlightRecorder) {
 	r := &g.reads[rank]
 	r.end.Do(func() {
 		end := vm.NewFlightRecorder(forensicsDepth)
-		job := cluster.Job{Tracer: end}
+		var rs *cluster.RankSnapshot
 		if k := c.indexForInstr(rank, g.Instrs[rank]); k >= 0 {
-			job.Restore = c.snaps[k]
+			rs = &c.snaps[rank][k]
 		}
-		c.replayGolden(job, rank)
+		c.replayGolden(cluster.Job{Tracer: end}, rank, rs)
 		r.lastPCs = end.LastPCs()
 	})
 	rec.Reset()
@@ -106,13 +106,13 @@ func (c *campaignCtx) replayEnd(rank int, rec *vm.FlightRecorder) {
 	}
 }
 
-// replayGolden runs rank alone and fault-free on its golden tape, with
-// job's Restore, Tracer, Setup and Metrics, to its exit.
-func (c *campaignCtx) replayGolden(job cluster.Job, rank int) {
+// replayGolden runs rank alone and fault-free on its golden tape, from rs
+// (nil: t=0), with job's Tracer, Setup and Metrics, to its exit.
+func (c *campaignCtx) replayGolden(job cluster.Job, rank int, rs *cluster.RankSnapshot) {
 	g := c.golden
 	job.Image, job.Size, job.MPIConfig = c.cfg.Image, c.cfg.Ranks, g.mpiCfg
 	job.Budget, job.TraceRank = g.Instrs[rank]+1, rank
-	res := cluster.RunSolo(job, rank, g.tapes[rank])
+	res := cluster.RunSolo(job, rank, g.tapes[rank], rs)
 	if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != g.Instrs[rank] {
 		panic(fmt.Sprintf("core: rank %d's fault-free replay stopped at %d instructions (%v); the golden run exited at %d",
 			rank, res.Instrs, res.Trap, g.Instrs[rank]))

@@ -136,8 +136,8 @@ func soloBothWays(c *campaignCtx, rank int, at uint64, flip func(*vm.Machine) Si
 			}}
 	}
 	var end, ignored earlyEnd
-	early, _ := c.runSolo(&Experiment{Rank: rank, Trigger: at}, arm(true, &end), &end)
-	return end.dead, early, cluster.RunSolo(arm(false, &ignored), rank, c.golden.tapes[rank])
+	early, _ := c.runSolo(&Experiment{Rank: rank, Trigger: at}, arm(true, &end), nil, &end)
+	return end.dead, early, cluster.RunSolo(arm(false, &ignored), rank, c.golden.tapes[rank], nil)
 }
 
 // fpSites maps each FP-environment flip description to the site
@@ -179,7 +179,7 @@ func TestDeadAtInjectionDirected(t *testing.T) {
 	probe := &firstFetch{pc: sym("phase2")}
 	var end *vm.Machine
 	cluster.RunSolo(cluster.Job{Image: im, Size: 2, Budget: golden.Instrs[0] + 1, Tracer: probe,
-		Setup: func(_ int, m *vm.Machine, _ *mpi.Proc) { end = m }}, 0, golden.tapes[0])
+		Setup: func(_ int, m *vm.Machine, _ *mpi.Proc) { end = m }}, 0, golden.tapes[0], nil)
 	at := probe.at - 1 // phase2's first instruction is the next to execute
 	if probe.at == 0 || word(end, "q2") != word(end, "p")+16 {
 		t.Fatalf("phase2 first fetched at %d; p %#x, q2 %#x", probe.at, word(end, "p"), word(end, "q2"))

@@ -72,29 +72,32 @@ func deadlockGuest(t *testing.T) *image.Image {
 }
 
 // TestDeadlockDecidedSoloDirected: message faults on deadlockGuest decide
-// most of their Hangs on the injected rank alone, and every experiment —
-// outcome, detail, flight record and divergence — is the one the all-live
-// whole job produces.  (TestSoloDifferential holds deadlocks decided from
-// checkpoints.)
+// most of their Hangs on the injected rank alone, from t=0 and restored
+// from snapshots 500 instructions apart, and every experiment — outcome,
+// detail, flight record and divergence — is the one the all-live whole job
+// from t=0 produces.
 func TestDeadlockDecidedSoloDirected(t *testing.T) {
-	solo, whole, err := core.SoloDifferential(core.Config{
-		Image: deadlockGuest(t), Ranks: 3, Injections: 64, Seed: 5, Regions: []core.Region{core.RegionMessage},
-		KeepExperiments: true, Forensics: true, TraceDiff: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hangs := 0
-	for i, e := range solo.Experiments {
-		w := whole.Experiments[i]
-		if !report.SameOutcome(e, w) || !reflect.DeepEqual(e.Forensics, w.Forensics) {
-			t.Errorf("%s:\nsolo first %+v %+v\nwhole job  %+v %+v", e.ID(), e, e.Divergence(), w, w.Divergence())
+	im := deadlockGuest(t)
+	for _, interval := range []uint64{0, 500} {
+		solo, whole, err := core.SoloDifferential(core.Config{
+			Image: im, Ranks: 3, Injections: 64, Seed: 5, Regions: []core.Region{core.RegionMessage},
+			KeepExperiments: true, Forensics: true, TraceDiff: true, CheckpointInterval: interval,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.Outcome == classify.Hang {
-			hangs++
+		hangs := 0
+		for i, e := range solo.Experiments {
+			w := whole.Experiments[i]
+			if !report.SameOutcome(e, w) || !reflect.DeepEqual(e.Forensics, w.Forensics) {
+				t.Errorf("%s at interval %d:\nsolo first %+v %+v\nwhole job  %+v %+v", e.ID(), interval, e, e.Divergence(), w, w.Divergence())
+			}
+			if e.Outcome == classify.Hang {
+				hangs++
+			}
 		}
-	}
-	if st := solo.Solo; 2*st.Deadlock < uint64(hangs) || st.Deadlock > uint64(hangs) {
-		t.Errorf("%+v, %d hangs: want most decided solo", st, hangs)
+		if st := solo.Solo; 2*st.Deadlock < uint64(hangs) || st.Deadlock > uint64(hangs) {
+			t.Errorf("interval %d: %+v, %d hangs: want most decided solo", interval, st, hangs)
+		}
 	}
 }

@@ -43,17 +43,18 @@ func testGolden(cfg *Config) (*Golden, error) {
 }
 
 // SoloDifferential runs every entry of cfg's plan twice on one thread —
-// through the solo-first path, whose fallbacks run their peers as ghosts,
-// and as an all-live whole job directly (runOne with wholeJobs set) —
-// against one golden run and, when cfg.CheckpointInterval is set, one
-// checkpoint set.  Observers (cfg.Forensics, cfg.TraceDiff) ride both arms.
+// through the solo-first path, restored from the golden run's snapshots
+// when cfg.CheckpointInterval is set, whose fallbacks run their peers as
+// ghosts, and as an all-live whole job from t=0 (runOne with wholeJobs
+// set) — against one golden run.  Observers (cfg.Forensics,
+// cfg.TraceDiff) ride both arms.
 func SoloDifferential(cfg Config) (solo, whole *Result, err error) {
 	golden, err := testGolden(&cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	ref := testArm(&cfg, golden)
-	ref.wholeJobs = true
+	ref.wholeJobs, ref.snaps = true, nil
 	return runArm(testArm(&cfg, golden), &cfg), runArm(ref, &cfg), nil
 }
 

@@ -94,14 +94,14 @@ func buildForensics(e *Experiment, rec *vm.FlightRecorder, t *vm.Trap, instrs ui
 }
 
 // attachDivergence diffs what a finished experiment's ranks said —
-// observed[r], recorded from position from[r] of rank r's golden tape on —
-// against the golden tapes and attaches the first divergence for the
-// outcomes where localization is meaningful: Incorrect (whose corruption
-// the divergent output pinpoints), Hang and Crash (whose truncated or
-// departing streams name the rank that stopped conversing; in a Crash only
-// the crashed rank's truncation counts).  A fresh Forensics record is
-// allocated when the campaign ran without the flight recorder.
-func attachDivergence(e *Experiment, golden []mpi.Tape, from []int, observed []mpi.Tape, crashed int) {
+// observed, recorded from t=0 — against the golden tapes and attaches the
+// first divergence for the outcomes where localization is meaningful:
+// Incorrect (whose corruption the divergent output pinpoints), Hang and
+// Crash (whose truncated or departing streams name the rank that stopped
+// conversing; in a Crash only the crashed rank's truncation counts).  A
+// fresh Forensics record is allocated when the campaign ran without the
+// flight recorder.
+func attachDivergence(e *Experiment, golden, observed []mpi.Tape, crashed int) {
 	switch e.Outcome {
 	case classify.Incorrect, classify.Hang:
 		crashed = -1
@@ -109,7 +109,7 @@ func attachDivergence(e *Experiment, golden []mpi.Tape, from []int, observed []m
 	default:
 		return
 	}
-	d := msgtrace.Diff(golden, from, observed, crashed)
+	d := msgtrace.Diff(golden, observed, crashed)
 	if d == nil {
 		return
 	}

@@ -289,9 +289,13 @@ func TestGoldenCarriesCheckpoints(t *testing.T) {
 	// and the tapes is the one that took the snapshots.
 	first := run(base, 0, 8)
 	job := first.Golden.Result
-	if first.Checkpoints.Taken == 0 || len(job.Snapshots) != first.Checkpoints.Taken || len(job.Tapes) != ranks {
+	recorded := 0
+	for _, snaps := range job.Snapshots {
+		recorded += len(snaps)
+	}
+	if first.Checkpoints.Taken == 0 || recorded != first.Checkpoints.Taken || len(job.Tapes) != ranks {
 		t.Fatalf("%d checkpoints, but the golden job recorded %d snapshots and %d tapes",
-			first.Checkpoints.Taken, len(job.Snapshots), len(job.Tapes))
+			first.Checkpoints.Taken, recorded, len(job.Tapes))
 	}
 	taken := uint64(first.Checkpoints.Taken)
 	if captured.Value() != taken {

@@ -16,35 +16,43 @@ import (
 // every rank — every packet pulled and sent, every write, at the same
 // instruction — and so the same instruction counts, received bytes and
 // output.  Every campaign artifact is derived from those.  The
-// checkpointing arm holds a golden run that snapshots itself to the same:
-// parking ranks is scheduling too, so its tapes and where each snapshot
-// cut them repeat as exactly.
+// checkpointing arm holds golden runs that snapshot themselves, of the
+// three applications at 8 and 16 ranks, to the same, and to more: taking
+// snapshots adds no scheduling point, so their tapes and need points are
+// the plain run's byte for byte, and where each rank's snapshots stand
+// repeats as exactly.
 func TestGoldenTapesReproducible(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { goldenTapesReproducible(t, 0) })
 	t.Run("checkpointing", func(t *testing.T) { goldenTapesReproducible(t, DefaultCheckpointInterval) })
 }
 
-// cutShape is what of a snapshot must repeat: per rank, its clock, its
-// tape position and how many packets were in flight to it.
-func cutShape(g *Golden) [][][3]int {
-	var shape [][][3]int
-	for _, s := range g.Result.Snapshots {
-		cut := make([][3]int, s.Size)
-		for r := range cut {
-			cut[r] = [3]int{int(s.RankInstrs(r)), s.Ranks[r].TapePos, len(s.Queues[r])}
+// snapshotShape is what of the snapshots must repeat: per rank, each
+// one's clock and tape position.
+func snapshotShape(g *Golden) [][][2]int {
+	shape := make([][][2]int, len(g.Result.Snapshots))
+	for r, snaps := range g.Result.Snapshots {
+		for k := range snaps {
+			shape[r] = append(shape[r], [2]int{int(snaps[k].Instrs()), snaps[k].TapePos})
 		}
-		shape = append(shape, cut)
 	}
 	return shape
 }
 
 func goldenTapesReproducible(t *testing.T, interval uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct {
+	cases := []struct {
 		app   string
 		ranks int
 		scale int32
-	}{{"wavetoy", 8, 0}, {"minimd", 8, 0}, {"minicam", 8, 0}, {"minicam", 16, 16}} {
+	}{{"wavetoy", 8, 0}, {"minimd", 8, 0}, {"minicam", 8, 0}, {"minicam", 16, 16}}
+	if interval > 0 {
+		cases = append(cases, []struct {
+			app   string
+			ranks int
+			scale int32
+		}{{"wavetoy", 16, 0}, {"minimd", 16, 48}}...)
+	}
+	for _, tc := range cases {
 		a, err := apps.Get(tc.app)
 		if err != nil {
 			t.Fatal(err)
@@ -58,8 +66,13 @@ func goldenTapesReproducible(t *testing.T, interval uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Image: im, Ranks: tc.ranks,
-			CheckpointInterval: interval}
+		// The reference is a plain run: snapshotting ones must equal it.
+		cfg := Config{Image: im, Ranks: tc.ranks}
+		ref, err := runGolden(&cfg, defaultMPI(), 30*time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CheckpointInterval = interval
 		var first *Golden
 		for i := 0; i < 20; i++ {
 			procs := []int{1, 2, 8}[i%3]
@@ -68,31 +81,32 @@ func goldenTapesReproducible(t *testing.T, interval uint64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(g.Result.Snapshots); (n > 0) != (interval > 0) {
+			if n := snapshotCount(g.Result.Snapshots); (n > 0) != (interval > 0) {
 				t.Fatalf("%s/%d: %d snapshots at interval %d", tc.app, tc.ranks, n, interval)
 			}
-			if first == nil {
-				first = g
-				continue
-			}
-			if !reflect.DeepEqual(g.Instrs, first.Instrs) || !reflect.DeepEqual(g.RecvBytes, first.RecvBytes) ||
-				!bytes.Equal(g.Output, first.Output) {
-				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: instructions %v, received %v, %d output bytes; run 0: %v, %v, %d",
-					tc.app, tc.ranks, i, procs, g.Instrs, g.RecvBytes, len(g.Output), first.Instrs, first.RecvBytes, len(first.Output))
+			if !reflect.DeepEqual(g.Instrs, ref.Instrs) || !reflect.DeepEqual(g.RecvBytes, ref.RecvBytes) ||
+				!bytes.Equal(g.Output, ref.Output) {
+				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: instructions %v, received %v, %d output bytes; the plain run: %v, %v, %d",
+					tc.app, tc.ranks, i, procs, g.Instrs, g.RecvBytes, len(g.Output), ref.Instrs, ref.RecvBytes, len(ref.Output))
 			}
 			for r := range g.tapes {
-				if reflect.DeepEqual(g.tapes[r], first.tapes[r]) {
+				if reflect.DeepEqual(g.tapes[r], ref.tapes[r]) {
 					continue
 				}
 				at := 0
-				for at < len(g.tapes[r]) && at < len(first.tapes[r]) && reflect.DeepEqual(g.tapes[r][at], first.tapes[r][at]) {
+				for at < len(g.tapes[r]) && at < len(ref.tapes[r]) && reflect.DeepEqual(g.tapes[r][at], ref.tapes[r][at]) {
 					at++
 				}
-				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: rank %d's tape (%d events) leaves run 0's (%d events) at event %d",
-					tc.app, tc.ranks, i, procs, r, len(g.tapes[r]), len(first.tapes[r]), at)
+				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: rank %d's tape (%d events) leaves the plain run's (%d events) at event %d",
+					tc.app, tc.ranks, i, procs, r, len(g.tapes[r]), len(ref.tapes[r]), at)
 			}
-			if got, want := cutShape(g), cutShape(first); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: snapshots cut the run at\n%v\nrun 0's at\n%v",
+			if !reflect.DeepEqual(g.Result.Needs, ref.Result.Needs) {
+				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: the need points differ from the plain run's", tc.app, tc.ranks, i, procs)
+			}
+			if first == nil {
+				first = g
+			} else if got, want := snapshotShape(g), snapshotShape(first); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: run %d at GOMAXPROCS %d: snapshots at\n%v\nrun 0's at\n%v",
 					tc.app, tc.ranks, i, procs, got, want)
 			}
 		}

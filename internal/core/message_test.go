@@ -35,18 +35,19 @@ func msgTape(order []int) (tape mpi.Tape, streams [4][][]byte) {
 }
 
 // msgCtx is a campaign context over hand-built tapes: rank 0 records tape,
-// ranks 1-3 nothing, and one snapshot is cut at each of rank 0's given
-// tape positions (-1: rank 0 had exited by then).
+// ranks 1-3 nothing, and rank 0 is snapshotted at each of its given tape
+// positions (-1: it had exited by then, and takes none).
 func msgCtx(tape mpi.Tape, cuts []int) *campaignCtx {
 	tapes := []mpi.Tape{tape, nil, nil, nil}
 	c := &campaignCtx{golden: &Golden{tapes: tapes, Result: &cluster.Result{}}}
+	if cuts != nil {
+		c.snaps = make([][]cluster.RankSnapshot, len(tapes))
+	}
 	for _, pos := range cuts {
-		s := &cluster.Snapshot{Size: 4, Ranks: make([]cluster.RankSnapshot, 4)}
-		s.Ranks[0] = cluster.RankSnapshot{TapePos: pos, Finished: pos < 0}
 		if pos >= 0 {
-			s.Ranks[0].VM = (&vm.Machine{Instrs: 100 * uint64(pos), Heap: &vm.Allocator{}}).Snapshot()
+			snap := (&vm.Machine{Instrs: 100 * uint64(pos), Heap: &vm.Allocator{}}).Snapshot()
+			c.snaps[0] = append(c.snaps[0], cluster.RankSnapshot{VM: snap, TapePos: pos})
 		}
-		c.snaps = append(c.snaps, s)
 	}
 	c.golden.Result.Snapshots = c.snaps
 	return c

@@ -85,20 +85,23 @@ type earlyEnd struct {
 }
 
 // converge arms m's trigger at the next clock, past the rank's own and no
-// earlier than end.injected, at which a golden snapshot caught rank live,
-// to compare the rank's machine and runtime there with that snapshot
+// earlier than end.injected, at which the golden run snapshotted rank, to
+// compare the rank's machine and runtime there with that snapshot
 // (DESIGN.md §3.4 "Converged"); a check that fails re-arms it.  One that
 // passes sets end.converged and halts the rank: its state is the golden
 // run's, and so are its inputs — the same tape from the same position — so
 // the rest of the run is the golden run's.
 func (c *campaignCtx) converge(m *vm.Machine, p *mpi.Proc, rank int, end *earlyEnd) {
+	if c.snaps == nil {
+		return
+	}
 	from := max(end.injected, m.Instrs+1)
-	for _, s := range c.snaps {
-		rs := &s.Ranks[rank]
-		if rs.Finished || rs.VM.Instrs() < from {
+	for k := range c.snaps[rank] {
+		rs := &c.snaps[rank][k]
+		if rs.Instrs() < from {
 			continue
 		}
-		m.TriggerAt = rs.VM.Instrs()
+		m.TriggerAt = rs.Instrs()
 		m.TriggerFn = func(m *vm.Machine) *vm.Trap {
 			if m.Matches(rs.VM) && p.Matches(rs.MPI, rs.TapePos) {
 				end.converged = true
@@ -111,18 +114,18 @@ func (c *campaignCtx) converge(m *vm.Machine, p *mpi.Proc, rank int, end *earlyE
 	}
 }
 
-// runSolo runs e's injected rank alone, from job's restore point with
-// job's fault armed, and reports whether that decided the experiment;
+// runSolo runs e's injected rank alone, from rs (nil: t=0) with job's
+// fault armed, and reports whether that decided the experiment;
 // e.Outcome and e.Detail are then what the whole job would have produced.
 // A trigger that halts the rank early says why in *end; the result is then
 // the golden run's end, which the full run would reach.
-func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, end *earlyEnd) (cluster.SoloResult, bool) {
+func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, rs *cluster.RankSnapshot, end *earlyEnd) (cluster.SoloResult, bool) {
 	// A rank still running past the count at which it exited in the
 	// recorded run has departed from it.
 	job.Budget = c.golden.Instrs[e.Rank] + 1
 	var from uint64
-	if job.Restore != nil {
-		from = job.Restore.RankInstrs(e.Rank)
+	if rs != nil {
+		from = rs.Instrs()
 		c.skip(from)
 	}
 	tape := c.golden.tapes[e.Rank]
@@ -131,7 +134,7 @@ func (c *campaignCtx) runSolo(e *Experiment, job cluster.Job, end *earlyEnd) (cl
 		p.Starve = func(pos int) ([][]byte, bool) { return c.deps().Starved(e.Rank, pos) }
 		setup(r, m, p)
 	}
-	res := cluster.RunSolo(job, e.Rank, tape)
+	res := cluster.RunSolo(job, e.Rank, tape, rs)
 	c.solo.instrs.Add(res.Instrs - from)
 	c.met.soloInstrs.Add(res.Instrs - from)
 	switch {
@@ -191,13 +194,12 @@ func (c *campaignCtx) ranWhole(rank int, res *cluster.Result) {
 	}
 }
 
-// soloTapes is what the ranks of a job starting at tape positions from
-// record when the solo run res of rank decides it: each rank's golden
-// events up to where it stops.  The rank stops at res.Pos, on its tape all
-// the way.  Every other rank, proven to see nothing but the golden run,
-// was never run: it runs to its tape's end or, when the rank deadlocked,
-// to its cut (mpi.Deps.Cuts).
-func (c *campaignCtx) soloTapes(from []int, rank int, res cluster.SoloResult) []mpi.Tape {
+// soloTapes is what the ranks of the job record when the solo run res of
+// rank decides it: each rank's golden events up to where it stops.  The
+// rank stops at res.Pos, on its tape all the way.  Every other rank,
+// proven to see nothing but the golden run, was never run: it runs to its
+// tape's end or, when the rank deadlocked, to its cut (mpi.Deps.Cuts).
+func (c *campaignCtx) soloTapes(rank int, res cluster.SoloResult) []mpi.Tape {
 	golden := c.golden.tapes
 	var cuts []int
 	if res.Hang {
@@ -211,7 +213,7 @@ func (c *campaignCtx) soloTapes(from []int, rank int, res cluster.SoloResult) []
 		} else if r == rank {
 			to = res.Pos
 		}
-		tapes[r] = t[from[r]:to]
+		tapes[r] = t[:to]
 	}
 	return tapes
 }
@@ -222,16 +224,4 @@ func (c *campaignCtx) deps() *mpi.Deps {
 	g := c.golden
 	g.depsOnce.Do(func() { g.deps = mpi.NewDeps(g.tapes, g.Result.Needs) })
 	return g.deps
-}
-
-// tapeStarts returns the tape position each rank of a job restored from
-// snap (t=0: nil) starts recording at.
-func tapeStarts(snap *cluster.Snapshot, ranks int) []int {
-	from := make([]int, ranks)
-	if snap != nil {
-		for r := range from {
-			from[r] = snap.Ranks[r].TapePos
-		}
-	}
-	return from
 }

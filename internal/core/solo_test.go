@@ -15,7 +15,7 @@ import (
 // against the golden run's tape, from t=0 and from every snapshot that run
 // took: each must run to the golden rank's clean exit, at its instruction
 // count, with the whole tape matched, and, checked for convergence, stop
-// converged at the next snapshot that caught the rank live.  Eight
+// converged at the rank's next snapshot.  Eight
 // goroutines share the tapes and snapshots the way campaign workers do, so
 // under -race this is also the check that a replay and a convergence
 // check only read them.
@@ -28,21 +28,18 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps := golden.Result.Snapshots
-	if len(snaps) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-
 	type start struct {
-		snap *cluster.Snapshot // nil: t=0
+		snap *cluster.RankSnapshot // nil: t=0
 		rank int
 	}
 	var starts []start
 	for r := 0; r < ranks; r++ {
+		if len(snaps[r]) == 0 {
+			t.Fatalf("rank %d took no snapshot", r)
+		}
 		starts = append(starts, start{nil, r})
-		for _, s := range snaps {
-			if s.RankLive(r) {
-				starts = append(starts, start{s, r})
-			}
+		for k := range snaps[r] {
+			starts = append(starts, start{&snaps[r][k], r})
 		}
 	}
 	c := &campaignCtx{golden: golden, snaps: snaps}
@@ -56,23 +53,23 @@ func TestSoloFromEveryStartOnSharedTapes(t *testing.T) {
 			// goroutines at once.
 			for i := w; i < len(starts); i += workers {
 				st := starts[i]
-				job := cluster.Job{Image: im, Size: ranks, Budget: golden.Instrs[st.rank] + 1, Restore: st.snap}
-				res := cluster.RunSolo(job, st.rank, golden.tapes[st.rank])
+				job := cluster.Job{Image: im, Size: ranks, Budget: golden.Instrs[st.rank] + 1}
+				res := cluster.RunSolo(job, st.rank, golden.tapes[st.rank], st.snap)
 				if res.Trap == nil || res.Trap.Kind != vm.TrapExit || res.Instrs != golden.Instrs[st.rank] {
 					t.Errorf("rank %d from %v: %v after %d instructions, want a verified exit after %d",
 						st.rank, st.snap != nil, res.Trap, res.Instrs, golden.Instrs[st.rank])
 				}
 				var end earlyEnd
 				job.Setup = func(_ int, m *vm.Machine, p *mpi.Proc) { c.converge(m, p, st.rank, &end) }
-				res = cluster.RunSolo(job, st.rank, golden.tapes[st.rank])
+				res = cluster.RunSolo(job, st.rank, golden.tapes[st.rank], st.snap)
 				var start uint64
 				if st.snap != nil {
-					start = st.snap.RankInstrs(st.rank)
+					start = st.snap.Instrs()
 				}
 				want := golden.Instrs[st.rank] // no snapshot left to converge at: the exit
-				for _, s := range snaps {
-					if s.RankLive(st.rank) && s.RankInstrs(st.rank) > start {
-						want = s.RankInstrs(st.rank)
+				for k := range snaps[st.rank] {
+					if s := &snaps[st.rank][k]; s.Instrs() > start {
+						want = s.Instrs()
 						break
 					}
 				}
@@ -99,17 +96,14 @@ func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 	}
 	c := &campaignCtx{golden: golden, snaps: golden.Result.Snapshots}
 	const rank = 0
-	k := len(c.snaps) - 1
-	for k >= 0 && !c.snaps[k].RankLive(rank) {
-		k--
-	}
+	k := len(c.snaps[rank]) - 1
 	if k < 0 {
-		t.Fatal("no snapshot with rank 0 live")
+		t.Fatal("no snapshot of rank 0")
 	}
-	trigger := c.snaps[k].RankInstrs(rank) + forensicsDepth/4
-	lastPCs := func(snap *cluster.Snapshot) []uint32 {
+	trigger := c.snaps[rank][k].Instrs() + forensicsDepth/4
+	lastPCs := func(snap *cluster.RankSnapshot) []uint32 {
 		rec := vm.NewFlightRecorder(forensicsDepth)
-		job := cluster.Job{Image: im, Size: ranks, Budget: golden.Instrs[rank] + 1, Restore: snap,
+		job := cluster.Job{Image: im, Size: ranks, Budget: golden.Instrs[rank] + 1,
 			Tracer: rec, TraceRank: rank,
 			Setup: func(r int, m *vm.Machine, p *mpi.Proc) {
 				if r == rank {
@@ -117,7 +111,7 @@ func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 					m.TriggerFn = func(m *vm.Machine) *vm.Trap { m.PC = 0; return nil } // nothing is mapped there
 				}
 			}}
-		res := cluster.RunSolo(job, rank, golden.tapes[rank])
+		res := cluster.RunSolo(job, rank, golden.tapes[rank], snap)
 		if res.Trap == nil || res.Trap.Kind == vm.TrapExit || res.Instrs != trigger {
 			t.Fatalf("the fault did not trap at once: %v after %d instructions", res.Trap, res.Instrs)
 		}
@@ -128,9 +122,9 @@ func TestStartPointKeepsTheFlightRecord(t *testing.T) {
 	if start >= k {
 		t.Errorf("the trigger %d instructions past snapshot %d starts from snapshot %d", forensicsDepth/4, k, start)
 	}
-	var snap *cluster.Snapshot
+	var snap *cluster.RankSnapshot
 	if start >= 0 {
-		snap = c.snaps[start]
+		snap = &c.snaps[rank][start]
 	}
 	if got := lastPCs(snap); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored from snapshot %d the flight record is\n%x\nfrom t=0\n%x", start, got, want)

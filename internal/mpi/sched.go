@@ -10,11 +10,10 @@ import "iter"
 // A rank executes as a coroutine, and the job's scheduler (cluster.Run)
 // resumes one rank at a time on its own goroutine.  A rank hands control
 // back at its scheduling points only: a pull on an empty Channel queue, a
-// send (after the enqueue, and before it while the queue is full), where
-// a snapshot that is due holds it (Yield), and its end.  Between two of
-// them nothing else in the world moves, so which packet a pull finds, and
-// everything that follows from it, depends on the scheduler's rule alone —
-// never on the host.
+// send (after the enqueue, and before it while the queue is full), and its
+// end.  Between two of them nothing else in the world moves, so which
+// packet a pull finds, and everything that follows from it, depends on the
+// scheduler's rule alone — never on the host.
 
 // waitKind is what a suspended rank needs before it can continue.
 type waitKind uint8
@@ -41,9 +40,9 @@ func (p *Proc) Resume() bool {
 	return live
 }
 
-// Kill ends the rank: the scheduling point it is suspended in fails —
-// a killed trap inside the runtime, false from Yield — as does every
-// later one, and Kill returns when body has.  A rank never resumed never
+// Kill ends the rank: the scheduling point it is suspended in fails — a
+// killed trap inside the runtime, false to a ghost — as does every later
+// one, and Kill returns when body has.  A rank never resumed never
 // runs.
 func (p *Proc) Kill() { p.cancel() }
 
@@ -58,24 +57,8 @@ func (p *Proc) Runnable() bool {
 	return true
 }
 
-// Awaits returns the rank a suspended rank cannot continue without — the
-// one whose queue is full, or whose packet the blocking call needs — or -1
-// when it waits for nothing or cannot tell (a wildcard receive).
-func (p *Proc) Awaits() int {
-	switch p.waits {
-	case waitSend:
-		return p.waitDst.rank
-	case waitRecv:
-		return int(p.awaits)
-	}
-	return -1
-}
-
-// Yield is a scheduling point that waits for nothing inside the runtime;
-// the caller keeps the rank from being resumed for as long as it must.
-// False means the job is being torn down.
-func (p *Proc) Yield() bool { return p.yield(waitNone, nil) }
-
+// yield suspends the rank, waiting for k; false means the job is being
+// torn down.
 func (p *Proc) yield(k waitKind, dst *Proc) bool {
 	p.waits, p.waitDst = k, dst
 	live := p.suspend(struct{}{})

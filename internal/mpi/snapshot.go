@@ -5,47 +5,10 @@ import (
 	"sort"
 )
 
-// This file is the MPI half of cluster checkpointing: ProcSnapshot
-// captures one rank's complete runtime state (unexpected queue, request
-// table, pending operations, communicators, counters, traffic stats) so a
-// later job can resume the rank mid-stream.
-
-// CtxCounter returns the world's communicator-context allocation counter.
-func (w *World) CtxCounter() int64 { return w.ctxCounter }
-
-// SetCtxCounter restores the context allocation counter from a snapshot.
-func (w *World) SetCtxCounter(v int64) { w.ctxCounter = v }
-
-// DrainQueue returns copies of the raw packets parked in rank r's Channel
-// queue, in FIFO order, leaving the queue intact.
-func (w *World) DrainQueue(r int) [][]byte {
-	p := w.procs[r]
-	out := make([][]byte, 0, p.queued())
-	for _, raw := range p.queue[p.qhead:] {
-		out = append(out, append([]byte(nil), raw...))
-	}
-	return out
-}
-
-// Prefill enqueues snapshot packets into rank r's Channel queue before
-// the job starts.  Each packet is deep-copied: receive-side injection
-// hooks mutate raw bytes in place, and concurrent jobs restored from one
-// snapshot must never alias each other's queue contents.  Give the world
-// headroom for them (Config.WithQueueHeadroom), or a sender finds the
-// queue full where the recorded run did not.
-func (w *World) Prefill(r int, raws [][]byte) {
-	for _, raw := range raws {
-		w.procs[r].enqueue(append([]byte(nil), raw...))
-	}
-}
-
-// WithQueueHeadroom returns the config with defaults applied and the
-// queue depth enlarged by n packets — room for snapshot prefill.
-func (c Config) WithQueueHeadroom(n int) Config {
-	c.fill()
-	c.QueueDepth += n
-	return c
-}
+// This file is the MPI half of a rank's snapshot: ProcSnapshot captures
+// one rank's complete runtime state (unexpected queue, request table,
+// pending operations, communicators, counters, traffic stats) so a later
+// job can resume the rank mid-stream.
 
 // storedSnap is a parked unexpected-queue entry in a snapshot.  The
 // payload bytes (if any) live in the guest heap and are covered by the VM

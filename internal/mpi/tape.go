@@ -80,12 +80,16 @@ func (w *World) RecordTapes() {
 }
 
 // Tape returns what the rank has recorded so far.  The rank must be
-// quiescent.
+// quiescent.  A recording rank that rejoined (Rejoin) and is still
+// replaying up to its event has recorded the tape up to there.
 func (p *Proc) Tape() Tape {
-	if p.tapeMode != tapeRecord {
-		return nil
+	switch {
+	case p.tapeMode == tapeRecord:
+		return p.tape
+	case p.liveMode == tapeRecord:
+		return p.liveTape
 	}
-	return p.tape
+	return nil
 }
 
 // Needs returns, beside Tape, where the rank needed each packet it pulled:
@@ -125,12 +129,12 @@ func NewReplayProc(size int, cfg Config, rank int, tape Tape, pos int) *Proc {
 // executing — a ghost (GhostSend) — execute again: restored to where it
 // stood at event pos of tape, it replays the tape silently, performing
 // nothing, up to event at, and from there on crosses the world for real.
-// A recording rank's tape then holds its events from position from (where
-// its job started it) up to at, and what it records live after them.
-func (p *Proc) Rejoin(tape Tape, pos, at, from int) {
+// A recording rank's tape then holds the tape's events up to at, and what
+// it records live after them.
+func (p *Proc) Rejoin(tape Tape, pos, at int) {
 	p.liveAt, p.liveMode = at, p.tapeMode
 	if p.tapeMode == tapeRecord {
-		p.liveTape = tape[from:at:at]
+		p.liveTape = tape[:at:at]
 	}
 	p.tape, p.tapeMode, p.tapePos = tape, tapeReplay, pos
 }

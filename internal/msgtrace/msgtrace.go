@@ -74,17 +74,16 @@ func next(t mpi.Tape, i int) int {
 }
 
 // Diff returns the first divergence of observed from golden, nil when
-// every rank said what it said in the golden run.  observed[r] is what
-// rank r recorded from position from[r] of its golden tape on.  An active
-// divergence (mismatch, extra) is preferred over a truncated stream, then
-// the earliest by (Instrs, rank).  crashed
-// is the rank whose trap ended a crashed job, -1 for any other outcome:
-// in a crash only its missing suffix counts — the other ranks were cut
-// short by the verdict, not by the fault.
-func Diff(golden []mpi.Tape, from []int, observed []mpi.Tape, crashed int) *Divergence {
+// every rank said what it said in the golden run; both are recorded from
+// t=0.  An active divergence (mismatch, extra) is preferred over a
+// truncated stream, then the earliest by (Instrs, rank).  crashed is the
+// rank whose trap ended a crashed job, -1 for any other outcome: in a
+// crash only its missing suffix counts — the other ranks were cut short by
+// the verdict, not by the fault.
+func Diff(golden, observed []mpi.Tape, crashed int) *Divergence {
 	var best *Divergence
 	for r := range observed {
-		d := diffRank(r, golden[r], from[r], observed[r])
+		d := diffRank(r, golden[r], observed[r])
 		if d == nil || d.Kind == KindMissing && crashed >= 0 && r != crashed {
 			continue
 		}
@@ -102,12 +101,8 @@ func Diff(golden []mpi.Tape, from []int, observed []mpi.Tape, crashed int) *Dive
 }
 
 // diffRank finds the first divergence of one rank's outputs.
-func diffRank(rank int, golden mpi.Tape, from int, observed mpi.Tape) *Divergence {
+func diffRank(rank int, g, o mpi.Tape) *Divergence {
 	idx := 0
-	for i := next(golden, 0); i < from; i = next(golden, i+1) {
-		idx++
-	}
-	g, o := golden[from:], observed
 	i, j := next(g, 0), next(o, 0)
 	for ; i < len(g) && j < len(o); i, j = next(g, i+1), next(o, j+1) {
 		if g[i].Kind != o[j].Kind || g[i].Arg != o[j].Arg || !bytes.Equal(g[i].Data, o[j].Data) {

@@ -27,21 +27,19 @@ func recv(data string, instrs uint64) mpi.TapeEvent {
 }
 
 // zero is the tape positions of jobs that start at t=0.
-func zero(n int) []int { return make([]int, n) }
-
 func TestDigestEqualIgnoresInstrs(t *testing.T) {
 	a, b := send(1, "abcd", 1000), send(1, "abcd", 2000)
 	if digest(&a) != digest(&b) {
 		t.Error("outputs differing only in Instrs must digest alike")
 	}
-	if d := Diff([]mpi.Tape{{a}}, zero(1), []mpi.Tape{{b}}, -1); d != nil {
+	if d := Diff([]mpi.Tape{{a}}, []mpi.Tape{{b}}, -1); d != nil {
 		t.Errorf("outputs differing only in Instrs diverged: %+v", d)
 	}
 	c := send(1, "abce", 1000)
 	if digest(&a) == digest(&c) {
 		t.Error("a payload difference is not in the digest")
 	}
-	if d := Diff([]mpi.Tape{{a}}, zero(1), []mpi.Tape{{c}}, -1); d == nil || d.Kind != KindMismatch {
+	if d := Diff([]mpi.Tape{{a}}, []mpi.Tape{{c}}, -1); d == nil || d.Kind != KindMismatch {
 		t.Errorf("payload difference not detected: %+v", d)
 	}
 }
@@ -70,7 +68,7 @@ func TestDiffFindsFirstMismatch(t *testing.T) {
 		{send(1, "a", 10), recv("b", 20), send(1, "BAD", 3141)},
 		{recv("a", 15), send(0, "b", 18), recv("BAD", 3200)},
 	}
-	d := Diff(golden, zero(2), obs, -1)
+	d := Diff(golden, obs, -1)
 	if d == nil {
 		t.Fatal("divergence not found")
 	}
@@ -83,22 +81,15 @@ func TestDiffFindsFirstMismatch(t *testing.T) {
 	if d.Golden == "" || d.Observed == "" {
 		t.Error("mismatch must render both outputs")
 	}
-	if Diff(golden, zero(2), golden, -1) != nil {
+	if Diff(golden, golden, -1) != nil {
 		t.Error("identical tapes must not diverge")
-	}
-	// Restored from a cut after rank 0's first output: the same divergence,
-	// indexed from t=0.
-	from := []int{2, 1}
-	restored := []mpi.Tape{obs[0][2:], obs[1][1:]}
-	if r := Diff(golden, from, restored, -1); r == nil || *r != *d {
-		t.Errorf("restored diff = %+v, want %+v", r, d)
 	}
 }
 
 func TestDiffTruncationAndExtra(t *testing.T) {
 	golden := []mpi.Tape{{send(1, "a", 10), write(1, "b", 20)}}
 	short := []mpi.Tape{{send(1, "a", 500)}}
-	d := Diff(golden, zero(1), short, -1)
+	d := Diff(golden, short, -1)
 	if d == nil || d.Kind != KindMissing || d.MsgIndex != 1 || d.Instrs != 20 {
 		t.Fatalf("truncation divergence = %+v, want the missing output at its golden stamp", d)
 	}
@@ -106,7 +97,7 @@ func TestDiffTruncationAndExtra(t *testing.T) {
 		t.Errorf("missing divergence renders only the golden output: %+v", d)
 	}
 	long := []mpi.Tape{{send(1, "a", 10), write(1, "b", 20), write(1, "c", 30)}}
-	d = Diff(golden, zero(1), long, -1)
+	d = Diff(golden, long, -1)
 	if d == nil || d.Kind != KindExtra || d.MsgIndex != 2 || d.Instrs != 30 {
 		t.Fatalf("extra divergence = %+v", d)
 	}
@@ -121,7 +112,7 @@ func TestDiffPrefersActiveDivergenceOverTruncation(t *testing.T) {
 		{send(0, "a", 4), send(0, "b", 50)},
 	}
 	obs := []mpi.Tape{{recv("a", 5)}, {send(0, "a", 4), send(0, "BAD", 60)}}
-	d := Diff(golden, zero(2), obs, -1)
+	d := Diff(golden, obs, -1)
 	if d == nil || d.Rank != 1 || d.Kind != KindMismatch {
 		t.Fatalf("divergence = %+v, want the rank-1 mismatch", d)
 	}
@@ -133,7 +124,7 @@ func TestDiffPrefersActiveDivergenceOverTruncation(t *testing.T) {
 func TestDiffSkipsReceiveInterleaving(t *testing.T) {
 	golden := []mpi.Tape{{recv("from 1", 10), recv("from 2", 20), send(1, "x", 30), recv("from 1", 40), write(1, "ok", 50)}}
 	shifted := []mpi.Tape{{recv("from 2", 12), send(1, "x", 31), recv("from 1", 33), recv("from 1", 41), write(1, "ok", 52)}}
-	if d := Diff(golden, zero(1), shifted, -1); d != nil {
+	if d := Diff(golden, shifted, -1); d != nil {
 		t.Errorf("shifted receives diverged: %+v", d)
 	}
 }
@@ -146,13 +137,13 @@ func TestDiffCrashCountsOnlyTheCrashedRank(t *testing.T) {
 		{send(0, "c", 15), send(0, "d", 90)},
 	}
 	obs := []mpi.Tape{{send(1, "a", 10)}, {send(0, "c", 15)}}
-	if d := Diff(golden, zero(2), obs, 1); d == nil || d.Rank != 1 || d.Kind != KindMissing || d.Instrs != 90 {
+	if d := Diff(golden, obs, 1); d == nil || d.Rank != 1 || d.Kind != KindMissing || d.Instrs != 90 {
 		t.Errorf("crash on rank 1: %+v, want rank 1's missing output", d)
 	}
-	if d := Diff(golden, zero(2), obs, -1); d == nil || d.Rank != 0 || d.Instrs != 20 {
+	if d := Diff(golden, obs, -1); d == nil || d.Rank != 0 || d.Instrs != 20 {
 		t.Errorf("hang: %+v, want the earliest missing output, rank 0's", d)
 	}
-	if d := Diff(golden, zero(2), []mpi.Tape{obs[0], golden[1]}, 1); d != nil {
+	if d := Diff(golden, []mpi.Tape{obs[0], golden[1]}, 1); d != nil {
 		t.Errorf("a crashed rank with nothing left to say: %+v, want none", d)
 	}
 }
@@ -257,7 +248,7 @@ func TestWildcardRecvDigestsMatchedEnvelope(t *testing.T) {
 	if Hash(tapes) != Hash(again) {
 		t.Errorf("trace hash not reproducible: %016x vs %016x", Hash(tapes), Hash(again))
 	}
-	if d := Diff(tapes, zero(2), again, -1); d != nil {
+	if d := Diff(tapes, again, -1); d != nil {
 		t.Errorf("identical runs diverged: %+v", d)
 	}
 }

@@ -17,10 +17,10 @@ const (
 	MetricMessagesCorrupted   = "mpifault_messages_corrupted_total"
 
 	// Golden-run checkpointing (internal/core).  Taken counts the
-	// snapshots golden runs took of themselves; hits/misses count
-	// experiments started from a checkpoint vs from t=0; the
-	// instructions-skipped gauge totals the golden-prefix work restored
-	// experiments did not repeat.
+	// snapshots golden runs took of their ranks, each rank's own;
+	// hits/misses count experiments whose injected rank started from one
+	// vs from t=0; the instructions-skipped gauge totals the golden-prefix
+	// work restored ranks did not repeat.
 	MetricCheckpointsTaken = "mpifault_checkpoints_taken_total"
 	MetricCheckpointHits   = "mpifault_checkpoint_hits_total"
 	MetricCheckpointMisses = "mpifault_checkpoint_misses_total"
